@@ -4,13 +4,14 @@ Subsets of a ring are packed bitsets (see bitsets.py): bit i set means
 element i belongs. An :class:`AnnihilatorSet` remembers which elements
 generated it so the claim can be rechecked from scratch.
 
-The per-ring scan cache (:class:`RingScan`, in classifiers.py) precomputes
-four vectors of bitsets in two table passes:
+The per-ring scan cache (:class:`RingScan`, in projections.py) precomputes
+four vectors of bitsets in two passes, one ``mul_row`` and one ``mul_col``
+call per element:
 
 * ``rann[s]``  — right annihilator of the single element s,
 * ``lann[s]``  — left annihilator of s,
-* ``row_set[s]`` — the value set {s*r : r}, i.e. the right ideal sR,
-* ``col_set[s]`` — the value set {r*s : r}, i.e. the left ideal Rs.
+* ``row_sets[s]`` — the value set {s*r : r}, i.e. the right ideal sR,
+* ``col_sets[s]`` — the value set {r*s : r}, i.e. the left ideal Rs.
 
 Annihilators of ideals reduce to intersections over generating sets:
 r(additive-closure(G)) = intersection of r(g) for g in G, because sums of

@@ -6,7 +6,7 @@ width, O(words) boolean algebra, and hashability (so bitsets key caches).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -15,13 +15,6 @@ def mask_from_bool(flags: np.ndarray) -> int:
     """Pack a boolean vector (index i -> bit i) into an int."""
     packed = np.packbits(flags.astype(np.uint8, copy=False), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-def mask_from_indices(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
 
 
 def bool_from_mask(mask: int, n: int) -> np.ndarray:

@@ -28,9 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
 from .annihilators import annihilator_family, principal_two_sided_ideal
-from .bitsets import bool_from_mask, contains, full_mask, indices_of
+from .bitsets import bool_from_mask, contains, full_mask, indices_of, is_subset
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import Descriptor, descriptor_hash, to_dsl
 from .errors import FamilyCapExceeded, VerificationFailed
@@ -67,10 +66,6 @@ class PropertyReport:
 _REPORT_CACHE: Dict[Tuple[str, str], PropertyReport] = {}
 
 
-def clear_report_cache() -> None:
-    _REPORT_CACHE.clear()
-
-
 def _cached(ring: StarRing, prop: str) -> Optional[PropertyReport]:
     if ring.descriptor is None:
         return None
@@ -105,28 +100,18 @@ def is_proper_involution(ring: StarRing, scan: Optional[RingScan] = None) -> Pro
 
 
 def is_semi_proper(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
+    """x R x* = 0 exactly when every value x*r lies in lann(x*), i.e. when
+    row_sets[x] is a subset of lann[star(x)]; read off the shared scan."""
     hit = _cached(ring, "semi-proper")
     if hit is not None:
         return hit
     t0 = time.perf_counter_ns()
-    n = ring.order
+    scan = scan or RingScan(ring)
     star = ring.star_vector()
-    witness = None
-    if ring.has_tables():
-        mul = np.ascontiguousarray(ring.mul_table(), dtype=np.int32)
-        star32 = np.ascontiguousarray(star, dtype=np.int32)
-        witness = kernels.semi_proper_witness(mul, star32)
-    else:
-        for a in range(1, n):
-            row = ring.mul_row(a)  # a r over r
-            prods = ring.mul_pairs(row, np.full(n, int(star[a]), dtype=np.int64))
-            if not prods.any():
-                witness = a
-                break
-    if witness is not None:
-        return _finish(
-            ring, "semi-proper", False, {"x": ring.decode(int(witness))}, t0
-        )
+    row_sets, lann = scan.row_sets, scan.lann
+    for x in range(1, ring.order):
+        if is_subset(row_sets[x], lann[int(star[x])]):
+            return _finish(ring, "semi-proper", False, {"x": ring.decode(x)}, t0)
     return _finish(ring, "semi-proper", True, None, t0)
 
 

@@ -11,7 +11,8 @@ class Limits:
 
     element_cap: largest ring order build_ring will materialize.
     table_threshold: maximum number of table entries (order squared) to
-        precompute; larger rings stay call-based with vectorized rows.
+        precompute; larger rings stay call-based and compute every row on
+        demand (for matrix rings, one broadcast integer matmul per row).
     scan_warn_order: rings above this order get a stderr note from the CLI
         before superquadratic scans start.
     family_cap: maximum number of distinct annihilator sets the family

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .annihilators import lann_single, rann_single
 from .bitsets import is_subset, mask_from_bool
 from .errors import (
     AmbiguousLeftProjection,
@@ -100,9 +99,6 @@ class ProjectionPoset:
     def position(self, e_index: int) -> int:
         return self._pos[int(e_index)]
 
-    def is_projection(self, e_index: int) -> bool:
-        return int(e_index) in self._pos
-
     def leq_elements(self, e_index: int, f_index: int) -> bool:
         return bool(self.leq[self.position(e_index), self.position(f_index)])
 
@@ -128,43 +124,45 @@ class ProjectionPoset:
 class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
-    Everything is computed lazily and exactly once. The arrays returned by
-    rp_all/lp_all use -1 for "no such projection" and -2 for "ambiguous"
-    (ambiguity cannot happen in a valid *-ring; kept as a guard).
+    Everything is computed lazily and exactly once. The four bitset vectors
+    cost one pass per side: a single ``mul_row`` pass over the elements fills
+    both ``rann`` and ``row_sets``, and a single ``mul_col`` pass fills both
+    ``lann`` and ``col_sets``, whichever of each pair is read first. The
+    arrays returned by rp_all/lp_all use -1 for "no such projection" and -2
+    for "ambiguous" (ambiguity cannot happen in a valid *-ring; kept as a
+    guard).
     """
 
     def __init__(self, ring: StarRing):
         self.ring = ring
 
     @cached_property
+    def _row_pass(self) -> Tuple[List[int], List[int]]:
+        return _zero_and_value_sets(self.ring.mul_row, self.ring.order)
+
+    @cached_property
+    def _col_pass(self) -> Tuple[List[int], List[int]]:
+        return _zero_and_value_sets(self.ring.mul_col, self.ring.order)
+
+    @cached_property
     def rann(self) -> List[int]:
-        r = self.ring
-        return [rann_single(r, s) for s in range(r.order)]
+        """rann[s] = bitset of the right annihilator {y : s*y = 0}."""
+        return self._row_pass[0]
 
     @cached_property
     def lann(self) -> List[int]:
-        r = self.ring
-        return [lann_single(r, s) for s in range(r.order)]
+        """lann[s] = bitset of the left annihilator {y : y*s = 0}."""
+        return self._col_pass[0]
 
     @cached_property
     def row_sets(self) -> List[int]:
         """row_sets[a] = bitset of aR = {a*r : r}."""
-        r = self.ring
-        n = r.order
-        return [
-            mask_from_bool(np.bincount(r.mul_row(a), minlength=n) > 0)
-            for a in range(n)
-        ]
+        return self._row_pass[1]
 
     @cached_property
     def col_sets(self) -> List[int]:
         """col_sets[a] = bitset of Ra = {r*a : r}."""
-        r = self.ring
-        n = r.order
-        return [
-            mask_from_bool(np.bincount(r.mul_col(a), minlength=n) > 0)
-            for a in range(n)
-        ]
+        return self._col_pass[1]
 
     @cached_property
     def poset(self) -> ProjectionPoset:
@@ -259,6 +257,20 @@ class RingScan:
         for f in self.poset.indices:
             out.setdefault(self.col_sets[int(f)], []).append(int(f))
         return {k: tuple(v) for k, v in out.items()}
+
+
+def _zero_and_value_sets(line, n: int) -> Tuple[List[int], List[int]]:
+    """For each a, the bitsets of {r : line(a)[r] = 0} and of the values in
+    line(a), from one call of ``line`` per element."""
+    zeros: List[int] = []
+    values: List[int] = []
+    for a in range(n):
+        products = line(a)
+        zeros.append(mask_from_bool(products == 0))
+        present = np.zeros(n, dtype=bool)
+        present[products] = True
+        values.append(mask_from_bool(present))
+    return zeros, values
 
 
 def projections(ring: StarRing, scan: Optional[RingScan] = None) -> ProjectionPoset:

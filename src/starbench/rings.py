@@ -4,7 +4,10 @@ A :class:`StarRing` is a finite ring with involution whose elements are the
 indices 0..order-1, with index 0 always the zero element. Operations are
 served by a backend object; small rings get dense int32 Cayley tables at
 construction (``order**2 <= limits.table_threshold``), larger ones stay
-call-based with vectorized structural rows.
+call-based and compute each row on demand as one vectorized numpy call.
+Matrix rows are a broadcast integer ``np.matmul`` of one matrix against the
+stacked element matrices, reduced mod m; integer matmul is exact, so a
+call-based row equals the tabled one entry for entry.
 
 Backends implement a narrow vector protocol:
 
@@ -131,12 +134,10 @@ class _MatrixBackend:
         return self._enc((self.mats[i][None, :, :] + self.mats) % self.m)
 
     def mul_row(self, i: int) -> np.ndarray:
-        prod = np.einsum("ab,nbc->nac", self.mats[i], self.mats) % self.m
-        return self._enc(prod)
+        return self._enc(np.matmul(self.mats[i], self.mats) % self.m)
 
     def mul_col(self, j: int) -> np.ndarray:
-        prod = np.einsum("nab,bc->nac", self.mats, self.mats[j]) % self.m
-        return self._enc(prod)
+        return self._enc(np.matmul(self.mats, self.mats[j]) % self.m)
 
     def add_pairs(self, u, v) -> np.ndarray:
         u = _as_index_array(u)
@@ -146,8 +147,7 @@ class _MatrixBackend:
     def mul_pairs(self, u, v) -> np.ndarray:
         u = _as_index_array(u)
         v = _as_index_array(v)
-        prod = np.einsum("nab,nbc->nac", self.mats[u], self.mats[v]) % self.m
-        return self._enc(prod)
+        return self._enc(np.matmul(self.mats[u], self.mats[v]) % self.m)
 
     def neg_vec(self) -> np.ndarray:
         return self._enc((-self.mats) % self.m)

@@ -594,7 +594,7 @@ def verify_unitification(
             raise HypothesisNotMet(
                 "condition (beta)", {"lam": K.decode(lam), "x": R.decode(x)}
             )
-        hypotheses["semi_proper"] = is_semi_proper(R).verdict
+        hypotheses["semi_proper"] = is_semi_proper(R, rscan).verdict
 
     quot = build_quotient(algebra, limits)
     q = quot.ring

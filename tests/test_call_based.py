@@ -1,0 +1,94 @@
+"""Call-based rings against their tabled twins, and the fused scan passes.
+
+A ring built with ``table_threshold=0`` serves every row, column and pair
+from its backend; the same descriptor under the default limits is served
+from dense tables. Both must agree on every operation and every classifier
+report, and the one-pass ``RingScan`` bitsets must agree with the
+per-element annihilator and principal-ideal functions.
+"""
+
+import numpy as np
+import pytest
+
+from starbench import RingScan, build_ring, classify_all, parse_ring_expr
+from starbench import classifiers
+from starbench.annihilators import (
+    lann_single,
+    principal_left_ideal,
+    principal_right_ideal,
+    rann_single,
+)
+from starbench.config import Limits
+from starbench.corpus import small_corpus
+
+from conftest import cached_ring
+
+CALL_BASED = Limits(table_threshold=0)
+
+
+def call_based_ring(text):
+    ring = build_ring(parse_ring_expr(text), CALL_BASED)
+    assert not ring.has_tables()
+    return ring
+
+
+@pytest.mark.parametrize("text", small_corpus())
+def test_backend_rows_match_tables(text):
+    tabled = cached_ring(text)
+    calls = call_based_ring(text)
+    assert tabled.has_tables()
+    n = tabled.order
+    for i in range(n):
+        assert np.array_equal(calls.add_row(i), tabled.add_row(i))
+        assert np.array_equal(calls.mul_row(i), tabled.mul_row(i))
+        assert np.array_equal(calls.mul_col(i), tabled.mul_col(i))
+    u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    assert np.array_equal(calls.mul_pairs(u, v), tabled.mul_pairs(u, v))
+
+
+@pytest.mark.parametrize("text", small_corpus())
+def test_classifier_reports_match_tables(text, monkeypatch):
+    # Reports are memoized by descriptor hash alone, so each side gets an
+    # empty memo; otherwise the second side would read the first's reports.
+    def reports(ring):
+        monkeypatch.setattr(classifiers, "_REPORT_CACHE", {})
+        return {name: (rep.verdict, rep.witness) for name, rep in classify_all(ring).items()}
+
+    assert reports(call_based_ring(text)) == reports(build_ring(parse_ring_expr(text)))
+
+
+def _assert_scan_matches_single_element_functions(ring):
+    scan = RingScan(ring)
+    for s in range(ring.order):
+        assert scan.rann[s] == rann_single(ring, s)
+        assert scan.lann[s] == lann_single(ring, s)
+        assert scan.row_sets[s] == principal_right_ideal(ring, s)
+        assert scan.col_sets[s] == principal_left_ideal(ring, s)
+
+
+@pytest.mark.parametrize("text", small_corpus())
+def test_fused_scan_matches_single_element_functions(text):
+    _assert_scan_matches_single_element_functions(cached_ring(text))
+
+
+def test_fused_scan_matches_on_call_based_m2z3():
+    _assert_scan_matches_single_element_functions(call_based_ring("M(2, Z(3))"))
+
+
+def test_each_side_is_one_pass(m2z3):
+    calls = {"row": 0, "col": 0}
+
+    class Counting:
+        order = m2z3.order
+
+        def mul_row(self, i):
+            calls["row"] += 1
+            return m2z3.mul_row(i)
+
+        def mul_col(self, j):
+            calls["col"] += 1
+            return m2z3.mul_col(j)
+
+    scan = RingScan(Counting())
+    scan.rann, scan.row_sets, scan.lann, scan.col_sets
+    assert calls == {"row": m2z3.order, "col": m2z3.order}

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from starbench import (
     IMPLICATIONS,
     PROPERTY_CLASSIFIERS,
+    StarRing,
     classify_all,
     classify_matrix_ring,
     find_rp_not_central_cover,
@@ -10,6 +12,7 @@ from starbench import (
     parse_ring_expr,
 )
 from starbench.classifiers import implication_reports_for
+from starbench.corpus import small_corpus
 
 import oracles
 from conftest import cached_ring
@@ -31,6 +34,25 @@ class TestInvolutionAndStructure:
         assert verdict("M(2,Z(3))", "semi-proper") is True
         assert verdict("Z(6)", "semi-proper") is True
         assert verdict("sub(Z(9); 3)", "semi-proper") is False
+
+    @pytest.mark.parametrize("text", small_corpus())
+    def test_semi_proper_witness_is_the_oracle_index(self, text):
+        r = cached_ring(text)
+        rep = PROPERTY_CLASSIFIERS["semi-proper"](r)
+        got = None if rep.witness is None else r.encode(rep.witness["x"])
+        assert got == oracles.o_semi_proper(r)
+
+    @pytest.mark.parametrize("kind", ["zero-multiplication", "exchange-involution"])
+    def test_semi_proper_witness_on_raw_tables(self, kind):
+        if kind == "zero-multiplication":  # Z(5) with x*y = 0
+            idx = np.arange(5)
+            add, mul, neg, star = (idx[:, None] + idx) % 5, np.zeros((5, 5), int), -idx % 5, idx
+        else:  # Z(2) x Z(2), index 2a + b, with (a, b)* = (b, a)
+            idx = np.arange(4)
+            add, mul, neg, star = idx[:, None] ^ idx, idx[:, None] & idx, idx, np.array([0, 2, 1, 3])
+        r = StarRing.from_tables(add, mul, neg, star)
+        rep = PROPERTY_CLASSIFIERS["semi-proper"](r)
+        assert rep.witness == {"x": 1} and oracles.o_semi_proper(r) == 1
 
     def test_reduced(self):
         assert verdict("Z(6)", "reduced") is True
