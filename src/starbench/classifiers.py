@@ -162,18 +162,15 @@ def has_unity(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport
     return _finish(ring, "unity", True, {"unity": ring.decode(ring.unity)}, t0)
 
 
-def _matching_e(scan: RingScan, mask: int) -> Optional[int]:
-    """A projection e with eR equal to the given bitset (and e a member)."""
-    for e in scan.eR_by_mask.get(mask, ()):
+def _matching_projection(by_mask: Dict[int, Tuple[int, ...]], mask: int) -> Optional[int]:
+    """A projection in the bitset whose principal ideal is that bitset.
+
+    ``by_mask`` is ``scan.eR_by_mask`` (right ideals eR) or
+    ``scan.Rf_by_mask`` (left ideals Rf).
+    """
+    for e in by_mask.get(mask, ()):
         if contains(mask, e):
             return e
-    return None
-
-
-def _matching_f_left(scan: RingScan, mask: int) -> Optional[int]:
-    for f in scan.Rf_by_mask.get(mask, ()):
-        if contains(mask, f):
-            return f
     return None
 
 
@@ -184,7 +181,7 @@ def is_rickart_star(ring: StarRing, scan: Optional[RingScan] = None) -> Property
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
     for x in range(ring.order):
-        if _matching_e(scan, scan.rann[x]) is None:
+        if _matching_projection(scan.eR_by_mask, scan.rann[x]) is None:
             return _finish(ring, "rickart-star", False, {"x": ring.decode(x)}, t0)
     return _finish(ring, "rickart-star", True, None, t0)
 
@@ -224,7 +221,7 @@ def is_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyRep
     except FamilyCapExceeded:
         raise
     for member in family:
-        if _matching_e(scan, member.mask) is None:
+        if _matching_projection(scan.eR_by_mask, member.mask) is None:
             return _finish(
                 ring,
                 "baer-star",
@@ -255,7 +252,7 @@ def is_quasi_baer_star(
         col_sets=scan.col_sets,
     )
     for member in family:
-        if _matching_e(scan, member.mask) is None:
+        if _matching_projection(scan.eR_by_mask, member.mask) is None:
             return _finish(
                 ring,
                 "quasi-baer-star",
@@ -307,7 +304,7 @@ def is_pq_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> Property
     lcache: Dict[int, int] = {}
     for a in range(ring.order):
         right = _r_of_row_set(scan, rcache, a)
-        if _matching_e(scan, right) is None:
+        if _matching_projection(scan.eR_by_mask, right) is None:
             return _finish(
                 ring,
                 "pq-baer-star",
@@ -316,7 +313,7 @@ def is_pq_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> Property
                 t0,
             )
         left = _l_of_col_set(scan, lcache, a)
-        if _matching_f_left(scan, left) is None:
+        if _matching_projection(scan.Rf_by_mask, left) is None:
             return _finish(
                 ring,
                 "pq-baer-star",

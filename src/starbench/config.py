@@ -13,15 +13,12 @@ class Limits:
     table_threshold: maximum number of table entries (order squared) to
         precompute; larger rings stay call-based and compute every row on
         demand (for matrix rings, one broadcast integer matmul per row).
-    scan_warn_order: rings above this order get a stderr note from the CLI
-        before superquadratic scans start.
     family_cap: maximum number of distinct annihilator sets the family
         closure will collect before giving up.
     """
 
     element_cap: int = 10_000
     table_threshold: int = 4_000_000
-    scan_warn_order: int = 2_500
     family_cap: int = 4_096
 
     def with_element_cap(self, cap: int) -> "Limits":

@@ -534,6 +534,19 @@ class EmbeddingReport:
         return sum(1 for row in self.preservation if row["ok"])
 
 
+def _first_collision(R: StarRing, emb: np.ndarray) -> Optional[list]:
+    """Why a -> [a, 0] is not injective: [first earlier index, colliding
+    index], decoded, for the least index whose image an earlier one has;
+    None when the embedding is injective."""
+    _, first, inverse = np.unique(emb, return_index=True, return_inverse=True)
+    earlier = first[inverse]
+    colliding = np.flatnonzero(earlier < np.arange(len(emb)))
+    if not len(colliding):
+        return None
+    a = int(colliding[0])
+    return [R.decode(int(earlier[a])), R.decode(a)]
+
+
 def verify_unitification(
     algebra: ScalarAlgebra,
     mode: str = "rickart",
@@ -602,14 +615,7 @@ def verify_unitification(
     failures: List[str] = []
 
     emb = quot.embed_all()
-    seen: Dict[int, int] = {}
-    noninjective = None
-    for a in range(R.order):
-        c = int(emb[a])
-        if c in seen:
-            noninjective = [R.decode(seen[c]), R.decode(a)]
-            break
-        seen[c] = a
+    noninjective = _first_collision(R, emb)
     injective = noninjective is None
     if not injective:
         failures.append("embedding-not-injective")
@@ -686,15 +692,7 @@ def describe_unitification(
     q = quot.ring
     R = algebra.ring
     emb = quot.embed_all()
-    image = sorted(set(int(c) for c in emb))
-    noninjective = None
-    seen: Dict[int, int] = {}
-    for a in range(R.order):
-        c = int(emb[a])
-        if c in seen:
-            noninjective = [R.decode(seen[c]), R.decode(a)]
-            break
-        seen[c] = a
+    noninjective = _first_collision(R, emb)
     return {
         "mode": "build",
         "ring": R.label,
@@ -705,7 +703,7 @@ def describe_unitification(
         "quotient_unity": q.decode(q.unity) if q.unity is not None else None,
         "injective": noninjective is None,
         "noninjective_witness": noninjective,
-        "embed_image_size": len(image),
+        "embed_image_size": len(np.unique(emb)),
     }
 
 

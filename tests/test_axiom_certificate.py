@@ -1,0 +1,234 @@
+"""The ring-law certificate of validate_star_ring, against brute force.
+
+validate_star_ring proves additive and multiplicative associativity and
+distributivity on an additive generating set G, and runs the O(n^3) scans
+only when that certificate fails, to name the first violating triple. These
+tests check that the certificate accepts clean rings, that G spans (R, +),
+and that on corrupted tables the audit reports exactly the axiom and the
+witness that a reference audit over every pair and triple reports.
+"""
+
+import numpy as np
+import pytest
+
+from starbench import StarRing, rings, validate_star_ring
+from starbench.errors import AxiomViolation
+
+from conftest import cached_ring
+
+CLEAN = [
+    "Z(1)",
+    "Z(6)",
+    "Z(8)",
+    "M(2,Z(2))",
+    "M(2,Z(3))",
+    "prod(Z(2),Z(3))",
+    "sub(Z(9); 3)",
+    "prod(Z(4),M(2,Z(2)))",
+]
+
+# Rings whose tables the parity test corrupts; small enough for n^3 arrays.
+PARITY_RINGS = ["Z(4)", "Z(6)", "Z(8)", "M(2,Z(2))", "prod(Z(2),Z(3))", "prod(Z(2),Z(2))", "sub(Z(9); 3)"]
+
+CUBIC_LAWS = {"add-associative", "mul-associative", "left-distributive", "right-distributive"}
+
+
+def int32_tables(r):
+    add = np.ascontiguousarray(r.add_table(), dtype=np.int32)
+    mul = np.ascontiguousarray(r.mul_table(), dtype=np.int32)
+    star = np.ascontiguousarray(r.star_vector(), dtype=np.int32)
+    return add, mul, star
+
+
+def first_true(bad):
+    """Index tuple of the first True entry in C order, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+
+
+def reference_audit(ring):
+    """(axiom, witness indices) of the first check of validate_star_ring that
+    fails, with every law evaluated on all pairs or triples at once; None
+    when every check holds."""
+    n = ring.order
+    idx = np.arange(n)
+    add = ring.add_table().astype(np.int64)
+    mul = ring.mul_table().astype(np.int64)
+    neg = ring.neg_vector()
+    star = ring.star_vector()
+    x, y, z = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+
+    def law(name, bad):
+        hit = first_true(bad)
+        return None if hit is None else (name, hit)
+
+    def distributive():
+        left = mul[x, add[y, z]] != add[mul[x, y], mul[x, z]]
+        right = mul[add[y, z], x] != add[mul[y, x], mul[z, x]]
+        hit = first_true(left | right)
+        if hit is None:
+            return None
+        return ("left-distributive" if left[hit] else "right-distributive"), hit
+
+    def unity():
+        e = ring.unity
+        if e is None or ((mul[e] == idx).all() and (mul[:, e] == idx).all()):
+            return None
+        return "unity", (e,)
+
+    steps = [
+        lambda: law("zero-identity", add[0] != idx),
+        lambda: law("add-commutative", add != add.T),
+        lambda: law("add-inverse", add[idx, neg] != 0),
+        lambda: law("add-associative", add[add[x, y], z] != add[x, add[y, z]]),
+        lambda: law("mul-associative", mul[mul[x, y], z] != mul[x, mul[y, z]]),
+        distributive,
+        lambda: law("star-involutive", star[star] != idx),
+        lambda: law("star-additive", star[add] != add[star[:, None], star[None, :]]),
+        lambda: law("star-anti-multiplicative", star[mul] != mul[star[None, :], star[:, None]]),
+        unity,
+    ]
+    for step in steps:
+        found = step()
+        if found is not None:
+            return found
+    return None
+
+
+def audit_outcome(ring):
+    try:
+        validate_star_ring(ring)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+class TestCleanRings:
+    @pytest.mark.parametrize("text", CLEAN)
+    def test_no_violations_reported(self, text):
+        add, mul, star = int32_tables(cached_ring(text))
+        assert rings._certify_ring_laws(add, mul)
+        assert rings._first_ring_law_violation(add, mul) is None
+        assert rings._first_antimult_violation(mul, star) is None
+
+    @pytest.mark.parametrize("text", CLEAN)
+    def test_generators_span_the_additive_group(self, text):
+        add, _, _ = int32_tables(cached_ring(text))
+        gens = rings._additive_generators(add)
+        assert gens == sorted(set(gens)) and 0 not in gens
+        reached, todo = {0}, [0]
+        while todo:
+            a = todo.pop()
+            for g in gens:
+                b = int(add[a, g])
+                if b not in reached:
+                    reached.add(b)
+                    todo.append(b)
+        assert reached == set(range(len(add)))
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("Z(1)", []), ("Z(6)", [1]), ("M(2,Z(3))", [1, 3, 9, 27]), ("prod(Z(4),M(2,Z(2)))", [1, 2, 4, 8, 16])],
+    )
+    def test_greedy_generators(self, text, expected):
+        add, _, _ = int32_tables(cached_ring(text))
+        assert rings._additive_generators(add) == expected
+
+    def test_reference_accepts_clean_rings(self):
+        for text in CLEAN:
+            assert reference_audit(cached_ring(text)) is None, text
+
+    def test_failed_certificate_without_witness_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(rings, "_certify_ring_laws", lambda add, mul: False)
+        with pytest.raises(RuntimeError, match="certificate"):
+            validate_star_ring(cached_ring("Z(6)"))
+
+
+def corrupted_rings(count, seed):
+    """Rings from tables with one mul entry, or one add entry and its mirror,
+    changed; rings that the constructor's structural guards already refuse
+    are left out. Keeping + commutative lets most add corruptions reach the
+    associativity check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = cached_ring(PARITY_RINGS[int(rng.integers(len(PARITY_RINGS)))])
+        add = np.array(r.add_table(), copy=True)
+        mul = np.array(r.mul_table(), copy=True)
+        i, j = (int(v) for v in rng.integers(r.order, size=2))
+        shift = int(rng.integers(1, r.order))
+        if rng.integers(2) == 0:
+            add[i, j] = add[j, i] = (add[i, j] + shift) % r.order
+        else:
+            mul[i, j] = (mul[i, j] + shift) % r.order
+        literals = [r.decode(k) for k in range(r.order)]
+        try:
+            yield StarRing.from_tables(add, mul, r.neg_vector(), r.star_vector(), literals)
+        except AxiomViolation:
+            continue
+
+
+def assert_audit_matches_reference(bad):
+    """Assert that the audit of `bad` reports what the reference reports,
+    and return that outcome: None or (axiom, decoded witness)."""
+    expected = reference_audit(bad)
+    if expected is not None:
+        axiom, hit = expected
+        expected = (axiom, tuple(bad.decode(i) for i in hit))
+    assert audit_outcome(bad) == expected
+    return expected
+
+
+def with_mul(text, mul):
+    """The ring `text` with its multiplication replaced by `mul`."""
+    r = cached_ring(text)
+    literals = [r.decode(k) for k in range(r.order)]
+    return StarRing.from_tables(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
+
+
+class TestEachStepOfTheCertificate:
+    """Tables built to fail exactly one step: a non-associative +, which
+    fails Light's test, an associative * that is not distributive, and a
+    bilinear * that is not associative, which only the G^3 step sees."""
+
+    def test_nonassociative_addition(self):
+        # Z(4) with 1+1 = 3 and 3+3 = 1: 0, negatives and commutativity
+        # survive, but (1+1)+2 != 1+(1+2)
+        r = cached_ring("Z(4)")
+        add = np.array(r.add_table(), copy=True)
+        add[1, 1] = 3
+        add[3, 3] = 1
+        bad = StarRing.from_tables(add, r.mul_table(), r.neg_vector(), r.star_vector())
+        assert not rings._certify_ring_laws(add, np.asarray(r.mul_table(), dtype=np.int32))
+        assert assert_audit_matches_reference(bad)[0] == "add-associative"
+
+    @pytest.mark.parametrize("text", ["Z(4)", "prod(Z(2),Z(3))", "M(2,Z(2))"])
+    @pytest.mark.parametrize("axiom", ["left-distributive", "right-distributive"])
+    def test_associative_but_not_distributive(self, text, axiom):
+        # x*y = x fails only the left law, x*y = y only the right one
+        n = cached_ring(text).order
+        idx = np.arange(n)
+        mul = np.broadcast_to(idx[:, None] if axiom == "left-distributive" else idx, (n, n))
+        assert assert_audit_matches_reference(with_mul(text, mul))[0] == axiom
+
+    def test_bilinear_but_not_associative(self):
+        # (x1, x2) * (y1, y2) = (x1 y2, x1 y1) on Z(3) x Z(3)
+        x1, x2 = np.divmod(np.arange(9), 3)
+        mul = (np.outer(x1, x2) % 3) * 3 + np.outer(x1, x1) % 3
+        add = np.asarray(cached_ring("prod(Z(3),Z(3))").add_table(), dtype=np.int32)
+        gens = rings._additive_generators(add)
+        m32 = mul.astype(np.int32)
+        for g in gens:
+            assert np.array_equal(m32[:, add[g]], add[m32, m32[:, g, None]])
+            assert np.array_equal(m32[add[g]], add[m32, m32[g]])
+        assert assert_audit_matches_reference(with_mul("prod(Z(3),Z(3))", mul))[0] == "mul-associative"
+
+
+def test_corrupted_tables_give_the_reference_axiom_and_witness():
+    cases = cubic = 0
+    for bad in corrupted_rings(400, seed=1):
+        expected = assert_audit_matches_reference(bad)
+        cubic += expected is not None and expected[0] in CUBIC_LAWS
+        cases += 1
+    # the seed must exercise the fallback scans, not just the cheap checks
+    assert cases >= 200 and cubic >= cases // 2

@@ -38,6 +38,13 @@ class TestDescribe:
         assert payload["validation"]["ok"] is True
         assert "mul-associative" in payload["validation"]["checks"]
 
+    def test_validate_large_ring(self, capsys):
+        code, payload, _ = run_json(capsys, "describe", "M(2, Z(6))", "--validate")
+        assert code == 0
+        assert payload["order"] == 1296
+        _, small, _ = run_json(capsys, "describe", "M(2, Z(3))", "--validate")
+        assert payload["validation"]["checks"] == small["validation"]["checks"]
+
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run(capsys, "describe", "Z(")
         assert code == 2
