@@ -84,12 +84,28 @@ def _first_true(mask: np.ndarray) -> Tuple[int, ...]:
     return tuple(int(c) for c in np.unravel_index(flat, mask.shape))
 
 
+def _add_grid(R: StarRing, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """R's sums of two index grids of one shape, entry by entry."""
+    return R.add_pairs(u.ravel(), v.ravel()).reshape(u.shape)
+
+
 def build_scalar_algebra(
     ring: StarRing,
     scalars: StarRing,
     action: Union[str, np.ndarray] = "natural",
 ) -> ScalarAlgebra:
     """Assemble and exhaustively validate a scalar algebra.
+
+    Every axiom is checked for every scalar and element, in a fixed order:
+    unit action, additive and multiplicative in the scalar (one (mu, a)
+    grid per lam), additive in the element and associative on the right
+    (one pass over R's rows, every lam at once), associative on the left
+    (one pass over R's columns), and star compatibility. The passes collect
+    violation flags per (lam, a) and then name the first in (lam, a, b)
+    order, left before right at the same (lam, a), exactly as loops over
+    lam, a and b would. They go through add_row, mul_row, mul_col and
+    add_pairs, so tabled and call-based rings share one path and no
+    transient n^2 table is built.
 
     Raises ActionAxiomViolation (with the axiom name and a literal witness)
     when any axiom fails, CharacteristicMismatch when the natural action is
@@ -135,72 +151,64 @@ def build_scalar_algebra(
         a = int(np.argmax(unit_row != idx_r))
         raise ActionAxiomViolation("unit-action", (R.decode(a),))
 
-    # (lam + mu).a = lam.a + mu.a
+    # (lam + mu).a = lam.a + mu.a: one (mu, a) grid per lam
     for lam in range(nk):
-        krow = K.add_row(lam)
-        lam_row = table64[lam]
-        for mu in range(nk):
-            lhs = table64[int(krow[mu])]
-            rhs = R.add_pairs(lam_row, table64[mu])
-            neq = lhs != rhs
-            if neq.any():
-                a = int(np.argmax(neq))
-                raise ActionAxiomViolation(
-                    "additive-in-scalar",
-                    (K.decode(lam), K.decode(mu), R.decode(a)),
-                )
+        lhs = table64[K.add_row(lam)]
+        rhs = _add_grid(R, np.broadcast_to(table64[lam], table64.shape), table64)
+        neq = lhs != rhs
+        if neq.any():
+            mu, a = _first_true(neq)
+            raise ActionAxiomViolation(
+                "additive-in-scalar", (K.decode(lam), K.decode(mu), R.decode(a))
+            )
 
-    # (lam mu).a = lam.(mu.a)
+    # (lam mu).a = lam.(mu.a): one (mu, a) grid per lam
     for lam in range(nk):
-        krow = K.mul_row(lam)
-        lam_row = table64[lam]
-        for mu in range(nk):
-            lhs = table64[int(krow[mu])]
-            rhs = lam_row[table64[mu]]
-            neq = lhs != rhs
-            if neq.any():
-                a = int(np.argmax(neq))
-                raise ActionAxiomViolation(
-                    "multiplicative-in-scalar",
-                    (K.decode(lam), K.decode(mu), R.decode(a)),
-                )
+        neq = table64[K.mul_row(lam)] != table64[lam][table64]
+        if neq.any():
+            mu, a = _first_true(neq)
+            raise ActionAxiomViolation(
+                "multiplicative-in-scalar", (K.decode(lam), K.decode(mu), R.decode(a))
+            )
 
-    # lam.(a + b) = lam.a + lam.b
-    for lam in range(nk):
+    # lam.(a + b) = lam.a + lam.b and lam.(ab) = a(lam.b): one pass over R's
+    # rows, every lam at once; add_bad[lam, a] and right_bad[lam, a] say
+    # that some b fails
+    add_bad = np.zeros((nk, nr), dtype=bool)
+    right_bad = np.zeros((nk, nr), dtype=bool)
+    for a in range(nr):
+        lhs = np.take(table64, R.add_row(a), axis=1)
+        rhs = _add_grid(R, np.broadcast_to(table64[:, a, None], table64.shape), table64)
+        add_bad[:, a] = (lhs != rhs).any(axis=1)
+        arow = R.mul_row(a)
+        right_bad[:, a] = (np.take(table64, arow, axis=1) != arow[table64]).any(axis=1)
+    if add_bad.any():
+        lam, a = _first_true(add_bad)
         lam_row = table64[lam]
-        for a in range(nr):
-            lhs = lam_row[R.add_row(a)]
-            rhs = R.add_pairs(np.full(nr, lam_row[a], dtype=np.int64), lam_row)
-            neq = lhs != rhs
-            if neq.any():
-                b = int(np.argmax(neq))
-                raise ActionAxiomViolation(
-                    "additive-in-element",
-                    (K.decode(lam), R.decode(a), R.decode(b)),
-                )
+        lhs = lam_row[R.add_row(a)]
+        rhs = R.add_pairs(np.full(nr, lam_row[a], dtype=np.int64), lam_row)
+        b = int(np.argmax(lhs != rhs))
+        raise ActionAxiomViolation(
+            "additive-in-element", (K.decode(lam), R.decode(a), R.decode(b))
+        )
 
-    # lam.(ab) = (lam.a)b = a(lam.b)
-    for lam in range(nk):
+    # lam.(ab) = (lam.a)b: one pass over R's columns
+    left_bad = np.zeros((nk, nr), dtype=bool)
+    for b in range(nr):
+        bcol = R.mul_col(b)
+        left_bad |= np.take(table64, bcol, axis=1) != bcol[table64]
+    # the first (lam, a) failing either side, left before right
+    either = left_bad | right_bad
+    if either.any():
+        lam, a = _first_true(either)
         lam_row = table64[lam]
-        for a in range(nr):
-            arow = R.mul_row(a)
-            lhs = lam_row[arow]
-            mid = R.mul_row(int(lam_row[a]))
-            neq = lhs != mid
-            if neq.any():
-                b = int(np.argmax(neq))
-                raise ActionAxiomViolation(
-                    "associative-left",
-                    (K.decode(lam), R.decode(a), R.decode(b)),
-                )
-            rgt = arow[lam_row]
-            neq = lhs != rgt
-            if neq.any():
-                b = int(np.argmax(neq))
-                raise ActionAxiomViolation(
-                    "associative-right",
-                    (K.decode(lam), R.decode(a), R.decode(b)),
-                )
+        arow = R.mul_row(a)
+        if left_bad[lam, a]:
+            axiom, neq = "associative-left", lam_row[arow] != R.mul_row(int(lam_row[a]))
+        else:
+            axiom, neq = "associative-right", lam_row[arow] != arow[lam_row]
+        b = int(np.argmax(neq))
+        raise ActionAxiomViolation(axiom, (K.decode(lam), R.decode(a), R.decode(b)))
 
     # (lam.a)* = lam*.a*
     rstar = R.star_vector()

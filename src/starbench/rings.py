@@ -64,6 +64,13 @@ def _as_index_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)
 
 
+def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
+    """table[u, v] as int64, through one gather from the flat table (faster
+    than indexing with two arrays)."""
+    flat = _as_index_array(u) * table.shape[1] + _as_index_array(v)
+    return table.ravel()[flat].astype(np.int64)
+
+
 class _CyclicBackend:
     """Integers mod m; identity involution; literal = any int (reduced)."""
 
@@ -538,12 +545,12 @@ class StarRing:
 
     def add_pairs(self, u, v) -> np.ndarray:
         if self._add_table is not None:
-            return self._add_table[_as_index_array(u), _as_index_array(v)].astype(np.int64)
+            return _table_pairs(self._add_table, u, v)
         return _as_index_array(self._backend.add_pairs(u, v))
 
     def mul_pairs(self, u, v) -> np.ndarray:
         if self._mul_table is not None:
-            return self._mul_table[_as_index_array(u), _as_index_array(v)].astype(np.int64)
+            return _table_pairs(self._mul_table, u, v)
         return _as_index_array(self._backend.mul_pairs(u, v))
 
     def neg_vector(self) -> np.ndarray:

@@ -16,6 +16,13 @@ is the unitified ring, written here with cosets [a, lam]. The canonical coset
 representative is the member with the least pair index (pair index =
 a_index * |K| + lam_index), so [0, 1] names the unity.
 
+Nothing is assumed or sampled. compute_kernel_N evaluates the definition
+for every pair, every lam at once per a, and verifies that N is an
+additive subgroup, a two-sided ideal and closed under the involution;
+build_quotient then audits the coset map against N over every pair index
+(_validate_quotient), which proves the quotient's operations well defined
+on every coset pair.
+
 The map a -> [a, 0] is a *-homomorphism, injective exactly when
 L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
 
@@ -33,7 +40,6 @@ trusting either side.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -69,9 +75,6 @@ from .projections import (
     rp,
 )
 from .rings import StarRing, _as_index_array, _brute_additive_exponent
-
-_SAMPLE_SEED = 9173
-_FULL_CHECK_MAX = 512
 
 
 class _PairBackend:
@@ -280,18 +283,20 @@ def compute_kernel_N(
     limits: Limits = DEFAULT_LIMITS,
 ) -> KernelN:
     """N = {(a, lam) : a x + lam.x = 0 for all x}, with its ideal invariants
-    verified rather than assumed (any failure is a bug and raises)."""
+    verified rather than assumed (any failure is a bug and raises).
+
+    One R-row per a tests every (lam, x) at once: a x + lam.x = 0 exactly
+    when lam.x is the additive inverse of a x.
+    """
     R, K = algebra.ring, algebra.scalars
     if r1 is None:
         r1 = build_R1(algebra, limits)
     nr, nk = R.order, K.order
-    flags = np.zeros(nr * nk, dtype=bool)
+    neg = R.neg_vector()
+    flags = np.zeros((nr, nk), dtype=bool)
     for a in range(nr):
-        row = R.mul_row(a)
-        for lam in range(nk):
-            combined = R.add_pairs(row, algebra.action_row(lam))
-            if not combined.any():
-                flags[a * nk + lam] = True
+        flags[a] = (algebra.action == neg[R.mul_row(a)]).all(axis=1)
+    flags = flags.ravel()
     mask = mask_from_bool(flags)
     members = np.flatnonzero(flags)
 
@@ -314,40 +319,50 @@ def compute_kernel_N(
 
 
 def _validate_quotient(quot: "Quotient") -> None:
-    """Well-definedness audit: operations recomputed on full cosets.
+    """Certify that +, * and the involution are well defined on every coset.
 
-    All coset pairs are checked when the quotient is small; otherwise a
-    seeded random sample of coset pairs, each still recomputed over every
-    member combination.
+    Premise: the pair ring R1 is a ring (R and K are *-rings and
+    build_scalar_algebra has validated every action axiom), and N is an
+    additive subgroup and two-sided ideal of R1, which compute_kernel_N
+    verifies exhaustively. Three checks over every pair index x of R1 then
+    prove that coset_of_pair is the canonical map R1 -> R1/N:
+
+    * invariance: x + h lies in the coset of x for every member h of N;
+    * separation: x - reps[coset(x)] lies in N, and each rep is in its own
+      coset;
+    * the involution: the coset of x* is the coset of rep(x)*.
+
+    Invariance gives coset(x) = coset(y) whenever x - y is in N, and
+    separation the converse. For x in coset i and y in coset j, the ideal
+    holds x + y - (reps[i] + reps[j]) and
+    xy - reps[i] reps[j] = (x - reps[i]) y + reps[i] (y - reps[j]), so the
+    quotient's operations, computed on representatives, hold for every
+    member of every coset pair. The audit is exhaustive; nothing is sampled.
+    A failed check raises VerificationFailed.
     """
-    q = quot.ring
     r1 = quot.r1
-    n = q.order
-    members_by_coset: List[np.ndarray] = [
-        np.flatnonzero(quot.coset_of_pair == c).astype(np.int64) for c in range(n)
-    ]
-    if n <= _FULL_CHECK_MAX:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        rng = random.Random(_SAMPLE_SEED)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(_FULL_CHECK_MAX)]
-    for i, j in pairs:
-        mi, mj = members_by_coset[i], members_by_coset[j]
-        u = np.repeat(mi, len(mj))
-        v = np.tile(mj, len(mi))
-        prod_cosets = quot.coset_of_pair[r1.mul_pairs(u, v)]
-        if not (prod_cosets == q.mul(i, j)).all():
+    coset = quot.coset_of_pair
+    in_n = bool_from_mask(quot.kernel.mask, r1.order)
+    pairs = np.arange(r1.order, dtype=np.int64)
+    for h in np.flatnonzero(in_n):
+        moved = coset[r1.add_pairs(pairs, np.full(r1.order, h, dtype=np.int64))]
+        if not np.array_equal(moved, coset):
+            x = int(np.argmax(moved != coset))
             raise VerificationFailed(
-                "quotient-multiplication-well-defined", (q.decode(i), q.decode(j))
+                "quotient-coset-invariant", (r1.decode(x), r1.decode(int(h)))
             )
-        sum_cosets = quot.coset_of_pair[r1.add_pairs(u, v)]
-        if not (sum_cosets == q.add(i, j)).all():
-            raise VerificationFailed(
-                "quotient-addition-well-defined", (q.decode(i), q.decode(j))
-            )
-    star_all = quot.coset_of_pair[r1.star_vector()]
-    star_reps = quot.coset_of_pair[r1.star_vector()[quot.reps]]
-    expected = star_reps[quot.coset_of_pair]
+    own = coset[quot.reps] != np.arange(len(quot.reps))
+    if own.any():
+        x = int(quot.reps[int(np.argmax(own))])
+        raise VerificationFailed("quotient-coset-separation", r1.decode(x))
+    apart = ~in_n[r1.add_pairs(pairs, r1.neg_vector()[quot.reps[coset]])]
+    if apart.any():
+        raise VerificationFailed(
+            "quotient-coset-separation", r1.decode(int(np.argmax(apart)))
+        )
+    star_all = coset[r1.star_vector()]
+    star_reps = coset[r1.star_vector()[quot.reps]]
+    expected = star_reps[coset]
     if not np.array_equal(star_all, expected):
         bad = int(np.argmax(star_all != expected))
         raise VerificationFailed("quotient-star-well-defined", r1.decode(bad))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from starbench import build_scalar_algebra
-from starbench.errors import ActionAxiomViolation, CharacteristicMismatch
+from starbench import DEFAULT_LIMITS, Limits, StarRing, build_ring, build_scalar_algebra, parse_ring_expr
+from starbench.errors import ActionAxiomViolation, AxiomViolation, CharacteristicMismatch
 
 import oracles
 from conftest import cached_ring
@@ -119,3 +119,170 @@ class TestExplicitTables:
 
     def test_label(self, algebra_of):
         assert algebra_of("Z(6)", "Z(6)").label == "Z(6) over Z(6)"
+
+
+# --- parity with the lambda-major loops ---------------------------------------
+
+def reference_first_violation(R, K, table):
+    """(axiom, decoded witness) of the first action axiom that fails, found
+    by loops over lambda, then mu or a, one R-row at a time; None when every
+    axiom holds. build_scalar_algebra checks every lambda at once and must
+    report exactly this."""
+    nk, nr = K.order, R.order
+    table64 = np.asarray(table, dtype=np.int64)
+    idx_r = np.arange(nr, dtype=np.int64)
+    unit_row = table64[K.unity]
+    if not np.array_equal(unit_row, idx_r):
+        return "unit-action", (R.decode(int(np.argmax(unit_row != idx_r))),)
+    for lam in range(nk):
+        krow = K.add_row(lam)
+        for mu in range(nk):
+            neq = table64[int(krow[mu])] != R.add_pairs(table64[lam], table64[mu])
+            if neq.any():
+                a = int(np.argmax(neq))
+                return "additive-in-scalar", (K.decode(lam), K.decode(mu), R.decode(a))
+    for lam in range(nk):
+        krow = K.mul_row(lam)
+        for mu in range(nk):
+            neq = table64[int(krow[mu])] != table64[lam][table64[mu]]
+            if neq.any():
+                a = int(np.argmax(neq))
+                return "multiplicative-in-scalar", (K.decode(lam), K.decode(mu), R.decode(a))
+    for lam in range(nk):
+        lam_row = table64[lam]
+        for a in range(nr):
+            lhs = lam_row[R.add_row(a)]
+            rhs = R.add_pairs(np.full(nr, lam_row[a], dtype=np.int64), lam_row)
+            if (lhs != rhs).any():
+                b = int(np.argmax(lhs != rhs))
+                return "additive-in-element", (K.decode(lam), R.decode(a), R.decode(b))
+    for lam in range(nk):
+        lam_row = table64[lam]
+        for a in range(nr):
+            arow = R.mul_row(a)
+            lhs = lam_row[arow]
+            for axiom, rhs in (
+                ("associative-left", R.mul_row(int(lam_row[a]))),
+                ("associative-right", arow[lam_row]),
+            ):
+                if (lhs != rhs).any():
+                    b = int(np.argmax(lhs != rhs))
+                    return axiom, (K.decode(lam), R.decode(a), R.decode(b))
+    rstar, kstar = R.star_vector(), K.star_vector()
+    for lam in range(nk):
+        neq = rstar[table64[lam]] != table64[int(kstar[lam])][rstar]
+        if neq.any():
+            return "star-action", (K.decode(lam), R.decode(int(np.argmax(neq))))
+    return None
+
+
+def action_outcome(R, K, table):
+    try:
+        build_scalar_algebra(R, K, action=table)
+    except ActionAxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+CALL_BASED = Limits(table_threshold=0)
+
+# (ring, scalars, limits of the ring) whose natural action tables are corrupted
+ACTION_PARITY = [
+    ("Z(6)", "Z(6)", None),
+    ("M(2,Z(2))", "Z(2)", None),
+    ("prod(Z(2),Z(3))", "Z(6)", None),
+    ("M(2,Z(2))", "Z(2)", CALL_BASED),
+]
+# M(2, Z(3)) and Z(5) x Z(5) have pairs outside one cyclic subgroup, whose
+# sum scalar additivity never reads, so a wrong sum there reaches
+# additive-in-element; over Z(5) it fails for several lam at different a
+RING_PARITY = ACTION_PARITY + [
+    ("M(2,Z(3))", "Z(3)", None),
+    ("M(2,Z(3))", "Z(3)", CALL_BASED),
+    ("prod(Z(5),Z(5))", "Z(5)", None),
+]
+
+
+def parity_ring(text, limits):
+    return cached_ring(text) if limits is None else build_ring(parse_ring_expr(text), limits)
+
+
+def natural_table(text, scalars):
+    return np.array(build_scalar_algebra(cached_ring(text), cached_ring(scalars)).action)
+
+
+def corrupted_actions(count, seed):
+    """(R, K, table) with one entry of the natural action table changed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        text, scalars, limits = ACTION_PARITY[int(rng.integers(len(ACTION_PARITY)))]
+        R, K = parity_ring(text, limits), cached_ring(scalars)
+        table = natural_table(text, scalars)
+        lam, a = int(rng.integers(K.order)), int(rng.integers(R.order))
+        table[lam, a] = (table[lam, a] + int(rng.integers(1, R.order))) % R.order
+        yield R, K, table
+
+
+def corrupted_ring_actions(count, seed):
+    """(R, K, natural table of the clean ring) where R has one or two of:
+    one mul entry, one add entry and its mirror, one pair of star values,
+    or one column of mul changed, so that the element-side axioms fail too; rings that
+    the constructor refuses are left out. A column of x -> xk in place of
+    x -> xj keeps (lam.a)b = lam.(ab) and breaks only a(lam.b)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        text, scalars, limits = RING_PARITY[int(rng.integers(len(RING_PARITY)))]
+        r = cached_ring(text)
+        add = np.array(r.add_table(), copy=True)
+        mul = np.array(r.mul_table(), copy=True)
+        star = np.array(r.star_vector(), copy=True)
+        for _ in range(int(rng.integers(1, 3))):
+            i, j = (int(v) for v in rng.integers(1, r.order, size=2))
+            shift = int(rng.integers(1, r.order))
+            kind = int(rng.integers(4))
+            if kind == 0:
+                mul[i, j] = (mul[i, j] + shift) % r.order
+            elif kind == 1:
+                add[i, j] = add[j, i] = (add[i, j] + shift) % r.order
+            elif kind == 2:
+                si, sj = star[i], star[j]
+                star[[i, si]], star[[j, sj]] = (sj, j), (si, i)
+            else:
+                mul[:, j] = mul[:, (j + shift) % r.order]
+        literals = [r.decode(k) for k in range(r.order)]
+        try:
+            R = StarRing.from_tables(
+                add, mul, r.neg_vector(), star, literals, limits=limits or DEFAULT_LIMITS
+            )
+        except AxiomViolation:
+            continue
+        yield R, cached_ring(scalars), natural_table(text, scalars)
+
+
+class TestLambdaLoopParity:
+    def test_clean_tables_pass_both(self):
+        for text, scalars, limits in ACTION_PARITY:
+            R, K = parity_ring(text, limits), cached_ring(scalars)
+            table = natural_table(text, scalars)
+            assert reference_first_violation(R, K, table) is None
+            assert action_outcome(R, K, table) is None
+
+    def test_corrupted_action_tables(self):
+        seen = set()
+        for R, K, table in corrupted_actions(300, seed=3):
+            expected = reference_first_violation(R, K, table)
+            assert expected is not None
+            assert action_outcome(R, K, table) == expected
+            seen.add(expected[0])
+        # over a cyclic K the unit and scalar additivity pin the action down
+        assert seen == {"unit-action", "additive-in-scalar"}
+
+    def test_corrupted_rings_under_the_natural_table(self):
+        seen = set()
+        for R, K, table in corrupted_ring_actions(300, seed=4):
+            expected = reference_first_violation(R, K, table)
+            assert action_outcome(R, K, table) == expected
+            seen.add((expected and expected[0], R.has_tables()))
+        # the element-side axioms fail on both the tabled and the call-based path
+        for axiom in ("additive-in-element", "associative-left", "associative-right", "star-action"):
+            assert {(axiom, True), (axiom, False)} <= seen, axiom

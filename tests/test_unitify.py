@@ -1,8 +1,15 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
 from starbench import (
     DEFAULT_LIMITS,
+    Limits,
+    build_ring,
+    build_scalar_algebra,
+    parse_ring_expr,
     build_R1,
     build_quotient,
     check_R1_lemmas,
@@ -16,7 +23,8 @@ from starbench import (
     verify_unitification,
 )
 from starbench.bitsets import indices_of
-from starbench.errors import HypothesisNotMet, OrderCapExceeded
+from starbench.errors import HypothesisNotMet, OrderCapExceeded, VerificationFailed
+from starbench.unitify import _validate_quotient
 
 import oracles
 from conftest import cached_ring
@@ -95,10 +103,26 @@ class TestKernel:
         # lam in {0, 3, 6}; a is unconstrained
         assert set(indices_of(kn.mask)) == {a * 9 + lam for a in range(3) for lam in (0, 3, 6)}
 
-    @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("sub(Z(4); 2)", "Z(2)")])
-    def test_matches_definition_oracle(self, rt, kt, algebra_of):
-        alg = algebra_of(rt, kt)
-        kn = compute_kernel_N(alg)
+    @pytest.mark.parametrize(
+        "rt,kt,limits",
+        [
+            ("Z(6)", "Z(6)", None),
+            ("M(2,Z(3))", "Z(6)", None),
+            ("sub(Z(9); 3)", "Z(9)", None),
+            ("sub(Z(4); 2)", "Z(2)", None),
+            ("M(2,Z(3))", "Z(6)", Limits(table_threshold=0)),
+        ],
+        ids=["Z(6)-Z(6)", "M(2,Z(3))-Z(6)", "sub(Z(9); 3)-Z(9)", "sub(Z(4); 2)-Z(2)", "M(2,Z(3))-Z(6)-call-based"],
+    )
+    def test_matches_definition_oracle(self, rt, kt, limits, algebra_of):
+        if limits is None:
+            alg = algebra_of(rt, kt)
+            kn = compute_kernel_N(alg)
+        else:
+            ring = build_ring(parse_ring_expr(rt), limits)
+            assert not ring.has_tables()
+            alg = build_scalar_algebra(ring, cached_ring(kt))
+            kn = compute_kernel_N(alg, limits=limits)
         expected = oracles.o_kernel_N(alg.ring, alg.scalars, alg.act)
         assert set(indices_of(kn.mask)) == {
             a * alg.scalars.order + lam for (a, lam) in expected
@@ -302,3 +326,114 @@ class TestDeterminism:
         assert np.array_equal(a.reps, b.reps)
         assert np.array_equal(a.coset_of_pair, b.coset_of_pair)
         assert np.array_equal(a.ring.mul_table(), b.ring.mul_table())
+
+
+# --- the quotient audit --------------------------------------------------------
+
+def sampled_audit_finds_nothing(quot, seed=9173, size=512):
+    """The sampling audit that preceded the exhaustive one: every member
+    combination of `size` seeded random coset pairs, then the star check.
+    True when it finds nothing wrong."""
+    q, r1, coset = quot.ring, quot.r1, quot.coset_of_pair
+    members = [np.flatnonzero(coset == c) for c in range(q.order)]
+    for i, j in sampled_coset_pairs(q.order, seed, size):
+        u = np.repeat(members[i], len(members[j]))
+        v = np.tile(members[j], len(members[i]))
+        if not (coset[r1.mul_pairs(u, v)] == q.mul(i, j)).all():
+            return False
+        if not (coset[r1.add_pairs(u, v)] == q.add(i, j)).all():
+            return False
+    star = r1.star_vector()
+    return bool(np.array_equal(coset[star], coset[star[quot.reps]][coset]))
+
+
+def sampled_coset_pairs(n, seed=9173, size=512):
+    rng = random.Random(seed)
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(size)]
+
+
+def with_cosets(quot, coset_of_pair):
+    return dataclasses.replace(quot, coset_of_pair=coset_of_pair)
+
+
+class _StarSwapped:
+    """The pair ring of `quot` with the involution values of x and y
+    exchanged; everything else is delegated."""
+
+    def __init__(self, r1, x, y):
+        self._r1 = r1
+        self._star = np.array(r1.star_vector(), copy=True)
+        self._star[[x, y]] = self._star[[y, x]]
+
+    def star_vector(self):
+        return self._star
+
+    def __getattr__(self, name):
+        return getattr(self._r1, name)
+
+
+@pytest.fixture(scope="module")
+def q_m2z6(algebra_of_module):
+    return build_quotient(algebra_of_module("M(2,Z(6))", "Z(6)"))
+
+
+class TestQuotientAudit:
+    @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("M(2,Z(3))", "Z(6)")])
+    def test_moved_pair_index(self, rt, kt, algebra_of):
+        q = build_quotient(algebra_of(rt, kt))
+        x = int(np.flatnonzero(q.coset_of_pair != 0)[-1])
+        moved = q.coset_of_pair.copy()
+        moved[x] = 0
+        with pytest.raises(VerificationFailed):
+            _validate_quotient(with_cosets(q, moved))
+
+    @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("M(2,Z(3))", "Z(6)")])
+    def test_merged_cosets(self, rt, kt, algebra_of):
+        q = build_quotient(algebra_of(rt, kt))
+        merged = q.coset_of_pair.copy()
+        merged[merged == q.ring.order - 1] = 1
+        with pytest.raises(VerificationFailed) as exc:
+            _validate_quotient(with_cosets(q, merged))
+        assert exc.value.claim == "quotient-coset-separation"
+
+    def test_broken_star_map(self, algebra_of):
+        q = build_quotient(algebra_of("M(2,Z(3))", "Z(6)"))
+        # two pairs whose adjoints lie in different cosets
+        x, y = 1, q.r1.order - 2
+        assert q.coset_of_pair[q.r1.star(x)] != q.coset_of_pair[q.r1.star(y)]
+        broken = dataclasses.replace(q, r1=_StarSwapped(q.r1, x, y))
+        with pytest.raises(VerificationFailed) as exc:
+            _validate_quotient(broken)
+        assert exc.value.claim == "quotient-star-well-defined"
+
+    def test_clean_quotients_pass(self, algebra_of, q_m2z6):
+        for rt, kt in [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("sub(Z(4); 2)", "Z(2)")]:
+            _validate_quotient(build_quotient(algebra_of(rt, kt), validate=False))
+        _validate_quotient(q_m2z6)
+        assert sampled_audit_finds_nothing(q_m2z6)
+
+    def test_every_coset_is_audited_past_512_cosets(self, q_m2z6):
+        # M(2, Z(6)) over Z(6): 1296 cosets. Move a self-adjoint pair into
+        # another coset with a self-adjoint representative, both cosets
+        # outside the 512 seeded coset pairs and their sums and products:
+        # the sample cannot see it, the exhaustive audit must.
+        q = q_m2z6
+        assert q.ring.order == 1296
+        seen = set()
+        for i, j in sampled_coset_pairs(q.ring.order):
+            seen |= {i, j, q.ring.add(i, j), q.ring.mul(i, j)}
+        star = q.r1.star_vector()
+        unseen = [
+            c for c in range(q.ring.order)
+            if c not in seen and star[q.reps[c]] == q.reps[c]
+        ]
+        src, dst = unseen[:2]
+        x = int(np.flatnonzero(q.coset_of_pair == src)[1])
+        assert star[x] == x
+        moved = q.coset_of_pair.copy()
+        moved[x] = dst
+        bad = with_cosets(q, moved)
+        assert sampled_audit_finds_nothing(bad)
+        with pytest.raises(VerificationFailed) as exc:
+            _validate_quotient(bad)
+        assert exc.value.claim == "quotient-coset-invariant"
