@@ -13,9 +13,14 @@ call per element:
 * ``row_sets[s]`` — the value set {s*r : r}, i.e. the right ideal sR,
 * ``col_sets[s]`` — the value set {r*s : r}, i.e. the left ideal Rs.
 
-Annihilators of ideals reduce to intersections over generating sets:
-r(additive-closure(G)) = intersection of r(g) for g in G, because sums of
-left factors annihilate whenever each factor does.
+Its ``r_of(mask)``/``l_of(mask)`` are the one intersection primitive: the
+annihilator of a set is the intersection of rann (or lann) over its members,
+memoized per set. Annihilators of ideals reduce to such intersections over
+generating sets: r(additive-closure(G)) = intersection of r(g) for g in G,
+because sums of left factors annihilate whenever each factor does. The
+functions here that take a ring and no scan (``right_annihilator``,
+``principal_two_sided_ideal`` and the rest) compute from the definitions;
+the tests and the cross-check use them as the reference.
 """
 
 from __future__ import annotations
@@ -25,15 +30,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .bitsets import (
-    bool_from_mask,
-    full_mask,
-    indices_of,
-    iter_indices,
-    mask_from_bool,
-    popcount,
-)
+from .bitsets import bool_from_mask, full_mask, indices_of, mask_from_bool, popcount
 from .errors import FamilyCapExceeded
+from .projections import RingScan, r_of_principal_ideals
 from .rings import StarRing
 
 
@@ -154,94 +153,30 @@ def annihilator_family(
     ring: StarRing,
     mode: str,
     cap: int = 4096,
-    rann: Optional[List[int]] = None,
-    lann: Optional[List[int]] = None,
-    row_sets: Optional[List[int]] = None,
-    col_sets: Optional[List[int]] = None,
+    scan: Optional[RingScan] = None,
 ) -> List[AnnihilatorSet]:
     """All annihilators of the given kind, closed under intersection.
 
     mode "subset": right annihilators of arbitrary subsets. These are exactly
-        the intersection closure of the single-element annihilators r({x})
-        (plus the whole ring for the empty set).
-    mode "right-ideal": {r(aR) : a in R}, closed under intersection.
+        the intersection closure of the single-element annihilators r({x});
+        r({0}) is the whole ring, the annihilator of the empty set.
     mode "two-sided-ideal": {r(I) : I a principal two-sided ideal}, closed
-        under intersection; r((a)) is computed as the intersection of r(g)
-        over the generating set {a} + aR + Ra + RaR.
+        under intersection; r((a)) comes from ``r_of_principal_ideals``.
 
-    Results are sorted by mask value; deterministic for a given ring. Raises
-    FamilyCapExceeded when the closure would exceed ``cap`` sets.
+    The bitsets are read from ``scan`` (built when none is passed). Results
+    are sorted by mask value; deterministic for a given ring. Raises
+    FamilyCapExceeded when the family would exceed ``cap`` sets.
     """
-    n = ring.order
-    if rann is None:
-        rann = [rann_single(ring, s) for s in range(n)]
-    if mode == "subset":
-        base = {}
-        for a in range(n):
-            base.setdefault(rann[a], (a,))
-        seed_sets = [
-            AnnihilatorSet(mask, n, "right", gens) for mask, gens in base.items()
-        ]
-        seed_sets.append(AnnihilatorSet(full_mask(n), n, "right", ()))
-    elif mode == "right-ideal":
-        if row_sets is None:
-            row_sets = [
-                mask_from_bool(np.bincount(ring.mul_row(a), minlength=n) > 0)
-                for a in range(n)
-            ]
-        cache: Dict[int, int] = {}
-        base = {}
-        for a in range(n):
-            mask = _ann_of_set(rann, row_sets[a], cache)
-            base.setdefault(mask, (a,))
-        seed_sets = [
-            AnnihilatorSet(mask, n, "right", gens) for mask, gens in base.items()
-        ]
-    elif mode == "two-sided-ideal":
-        if row_sets is None:
-            row_sets = [
-                mask_from_bool(np.bincount(ring.mul_row(a), minlength=n) > 0)
-                for a in range(n)
-            ]
-        if col_sets is None:
-            col_sets = [
-                mask_from_bool(np.bincount(ring.mul_col(a), minlength=n) > 0)
-                for a in range(n)
-            ]
-        r_of_row: Dict[int, int] = {}
-        r_of_col: Dict[int, int] = {}
-        r_of_sandwich: Dict[int, int] = {}
-        base = {}
-        for a in range(n):
-            mask = rann[a]
-            mask &= _ann_of_set(rann, row_sets[a], r_of_row)
-            mask &= _ann_of_set(rann, col_sets[a], r_of_col)
-            if col_sets[a] not in r_of_sandwich:
-                acc = full_mask(n)
-                for t in iter_indices(col_sets[a]):
-                    acc &= _ann_of_set(rann, row_sets[t], r_of_row)
-                r_of_sandwich[col_sets[a]] = acc
-            mask &= r_of_sandwich[col_sets[a]]
-            base.setdefault(mask, (a,))
-        seed_sets = [
-            AnnihilatorSet(mask, n, "right", gens) for mask, gens in base.items()
-        ]
-    else:
+    if mode not in ("subset", "two-sided-ideal"):
         raise ValueError("unknown annihilator family mode %r" % (mode,))
-
+    scan = scan or RingScan(ring)
+    n = ring.order
+    masks = scan.rann if mode == "subset" else r_of_principal_ideals(scan)
+    base: Dict[int, Tuple[int, ...]] = {}
+    for a, mask in enumerate(masks):
+        base.setdefault(mask, (a,))
+    seed_sets = [AnnihilatorSet(mask, n, "right", gens) for mask, gens in base.items()]
     return _intersection_closure(seed_sets, cap)
-
-
-def _ann_of_set(rann: List[int], member_mask: int, cache: Dict[int, int]) -> int:
-    """Intersection of rann over the members of a bitset, memoized by bitset."""
-    hit = cache.get(member_mask)
-    if hit is not None:
-        return hit
-    acc = full_mask(len(rann))
-    for s in iter_indices(member_mask):
-        acc &= rann[s]
-    cache[member_mask] = acc
-    return acc
 
 
 def _intersection_closure(
@@ -251,6 +186,8 @@ def _intersection_closure(
     queue: List[AnnihilatorSet] = []
     for s in sorted(seeds, key=lambda t: t.mask):
         if s.mask not in seen:
+            if len(seen) >= cap:
+                raise FamilyCapExceeded(cap)
             seen[s.mask] = s
             queue.append(s)
     head = 0

@@ -3,8 +3,8 @@
 Every classifier returns a :class:`PropertyReport` and scans elements in
 ascending index order, so the reported witness is always the lowest-index
 one. A shared :class:`~starbench.projections.RingScan` makes repeated
-classification of one ring cheap; verdicts for descriptor-built rings are
-additionally memoized per (descriptor hash, property).
+classification of one ring cheap: its bitsets, projection tables and
+annihilator memos (``r_of``/``l_of``) are computed once per ring.
 
 Definitions implemented (R a finite *-ring, r/l one-sided annihilators):
 
@@ -29,11 +29,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .annihilators import annihilator_family, principal_two_sided_ideal
-from .bitsets import bool_from_mask, contains, full_mask, indices_of, is_subset
+from .bitsets import bool_from_mask, contains, is_subset
 from .config import DEFAULT_LIMITS, Limits
-from .descriptor import Descriptor, descriptor_hash, to_dsl
-from .errors import FamilyCapExceeded, VerificationFailed
-from .projections import RingScan
+from .descriptor import Descriptor, to_dsl
+from .errors import VerificationFailed
+from .projections import RingScan, r_of_principal_ideals
 from .rings import StarRing, build_ring
 
 
@@ -63,32 +63,14 @@ class PropertyReport:
         return "%-28s %-5s%s" % (self.prop, mark, tail)
 
 
-_REPORT_CACHE: Dict[Tuple[str, str], PropertyReport] = {}
-
-
-def _cached(ring: StarRing, prop: str) -> Optional[PropertyReport]:
-    if ring.descriptor is None:
-        return None
-    return _REPORT_CACHE.get((descriptor_hash(ring.descriptor), prop))
-
-
-def _store(ring: StarRing, report: PropertyReport) -> PropertyReport:
-    if ring.descriptor is not None:
-        _REPORT_CACHE[(descriptor_hash(ring.descriptor), report.prop)] = report
-    return report
-
-
 def _finish(
     ring: StarRing, prop: str, verdict: bool, witness: Optional[Any], t0: int
 ) -> PropertyReport:
     micros = (time.perf_counter_ns() - t0) // 1000
-    return _store(ring, PropertyReport(ring.label, prop, verdict, witness, int(micros)))
+    return PropertyReport(ring.label, prop, verdict, witness, int(micros))
 
 
 def is_proper_involution(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    hit = _cached(ring, "proper")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     idx = np.arange(ring.order, dtype=np.int64)
     diag = ring.mul_pairs(ring.star_vector(), idx)  # x* x
@@ -102,9 +84,6 @@ def is_proper_involution(ring: StarRing, scan: Optional[RingScan] = None) -> Pro
 def is_semi_proper(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
     """x R x* = 0 exactly when every value x*r lies in lann(x*), i.e. when
     row_sets[x] is a subset of lann[star(x)]; read off the shared scan."""
-    hit = _cached(ring, "semi-proper")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
     star = ring.star_vector()
@@ -116,9 +95,6 @@ def is_semi_proper(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyR
 
 
 def is_reduced(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    hit = _cached(ring, "reduced")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     idx = np.arange(ring.order, dtype=np.int64)
     squares = ring.mul_pairs(idx, idx)
@@ -129,9 +105,6 @@ def is_reduced(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyRepor
 
 
 def is_abelian(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    hit = _cached(ring, "abelian")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     idx = np.arange(ring.order, dtype=np.int64)
     idems = np.flatnonzero(ring.mul_pairs(idx, idx) == idx)
@@ -153,9 +126,6 @@ def is_abelian(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyRepor
 
 
 def has_unity(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    hit = _cached(ring, "unity")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     if ring.unity is None:
         return _finish(ring, "unity", False, None, t0)
@@ -175,9 +145,6 @@ def _matching_projection(by_mask: Dict[int, Tuple[int, ...]], mask: int) -> Opti
 
 
 def is_rickart_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    hit = _cached(ring, "rickart-star")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
     for x in range(ring.order):
@@ -189,9 +156,6 @@ def is_rickart_star(ring: StarRing, scan: Optional[RingScan] = None) -> Property
 def is_weakly_rickart_star(
     ring: StarRing, scan: Optional[RingScan] = None
 ) -> PropertyReport:
-    hit = _cached(ring, "weakly-rickart-star")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
     bad = np.flatnonzero(scan.rp_all < 0)
@@ -209,17 +173,9 @@ def is_weakly_rickart_star(
 
 
 def is_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    hit = _cached(ring, "baer-star")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
-    try:
-        family = annihilator_family(
-            ring, "subset", cap=ring.limits.family_cap, rann=scan.rann
-        )
-    except FamilyCapExceeded:
-        raise
+    family = annihilator_family(ring, "subset", cap=ring.limits.family_cap, scan=scan)
     for member in family:
         if _matching_projection(scan.eR_by_mask, member.mask) is None:
             return _finish(
@@ -238,18 +194,10 @@ def is_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyRep
 def is_quasi_baer_star(
     ring: StarRing, scan: Optional[RingScan] = None
 ) -> PropertyReport:
-    hit = _cached(ring, "quasi-baer-star")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
     family = annihilator_family(
-        ring,
-        "two-sided-ideal",
-        cap=ring.limits.family_cap,
-        rann=scan.rann,
-        row_sets=scan.row_sets,
-        col_sets=scan.col_sets,
+        ring, "two-sided-ideal", cap=ring.limits.family_cap, scan=scan
     )
     for member in family:
         if _matching_projection(scan.eR_by_mask, member.mask) is None:
@@ -266,44 +214,13 @@ def is_quasi_baer_star(
     return _finish(ring, "quasi-baer-star", True, None, t0)
 
 
-def _r_of_row_set(scan: RingScan, cache: Dict[int, int], a: int) -> int:
-    """r(aR) as a bitset, memoized by the bitset of aR."""
-    key = scan.row_sets[a]
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    acc = full_mask(scan.ring.order)
-    for s in indices_of(key):
-        acc &= scan.rann[s]
-    cache[key] = acc
-    return acc
-
-
-def _l_of_col_set(scan: RingScan, cache: Dict[int, int], a: int) -> int:
-    """l(Ra) as a bitset, memoized by the bitset of Ra."""
-    key = scan.col_sets[a]
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    acc = full_mask(scan.ring.order)
-    for s in indices_of(key):
-        acc &= scan.lann[s]
-    cache[key] = acc
-    return acc
-
-
 def is_pq_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
     """Both clauses are checked independently for every a: r(aR) = eR and
     l(Ra) = Rf; the witness names the first failing side."""
-    hit = _cached(ring, "pq-baer-star")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
-    rcache: Dict[int, int] = {}
-    lcache: Dict[int, int] = {}
     for a in range(ring.order):
-        right = _r_of_row_set(scan, rcache, a)
+        right = scan.r_of(scan.row_sets[a])
         if _matching_projection(scan.eR_by_mask, right) is None:
             return _finish(
                 ring,
@@ -312,7 +229,7 @@ def is_pq_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> Property
                 {"a": ring.decode(a), "side": "right"},
                 t0,
             )
-        left = _l_of_col_set(scan, lcache, a)
+        left = scan.l_of(scan.col_sets[a])
         if _matching_projection(scan.Rf_by_mask, left) is None:
             return _finish(
                 ring,
@@ -332,17 +249,13 @@ def is_weakly_pq_baer_star(
     When the verdict is true, the symmetry xRy = 0 iff yRx = 0 is asserted
     as a cross-check; a divergence would be a bug and raises.
     """
-    hit = _cached(ring, "weakly-pq-baer-star")
-    if hit is not None:
-        return hit
     t0 = time.perf_counter_ns()
     scan = scan or RingScan(ring)
     n = ring.order
-    rcache: Dict[int, int] = {}
     masks: List[int] = []
     for x in range(n):
         cover = int(scan.cover_all[x])
-        mask = _r_of_row_set(scan, rcache, x)
+        mask = scan.r_of(scan.row_sets[x])
         masks.append(mask)
         if cover < 0:
             return _finish(
@@ -539,34 +452,17 @@ def implication_suite(
 
 
 def ideal_annihilator_crosscheck(ring: StarRing, scan: Optional[RingScan] = None) -> bool:
-    """Definitional route vs generator shortcut for r((a)), every a.
+    """Definitional route vs the family's route for r((a)), every a.
 
-    The family code computes r((a)) as an intersection over the generating
-    set {a} + aR + Ra + RaR; this recomputes it from the literal two-sided
-    ideal and compares. Used by tests; raises on divergence.
+    The quasi-Baer* family takes r((a)) from ``r_of_principal_ideals``, an
+    intersection over the generating set {a} + aR + Ra + RaR; this builds
+    the literal two-sided ideal (a) by additive closure and compares its
+    annihilator. Used by tests and ``verify crosscheck``; raises on
+    divergence.
     """
     scan = scan or RingScan(ring)
-    rcache: Dict[int, int] = {}
+    family_route = r_of_principal_ideals(scan)
     for a in range(ring.order):
-        ideal = principal_two_sided_ideal(ring, a)
-        direct = full_mask(ring.order)
-        for s in indices_of(ideal):
-            direct &= scan.rann[s]
-        shortcut = scan.rann[a]
-        shortcut &= _r_of_row_set(scan, rcache, a)
-        shortcut &= _r_of_col_set(scan, a)
-        sandwich = full_mask(ring.order)
-        for t in indices_of(scan.col_sets[a]):
-            sandwich &= _r_of_row_set(scan, rcache, t)
-        shortcut &= sandwich
-        if direct != shortcut:
+        if scan.r_of(principal_two_sided_ideal(ring, a)) != family_route[a]:
             raise VerificationFailed("ideal-annihilator-shortcut", (ring.decode(a),))
     return True
-
-
-def _r_of_col_set(scan: RingScan, a: int) -> int:
-    """Right annihilator of the set Ra (helper for the cross-check)."""
-    acc = full_mask(scan.ring.order)
-    for s in indices_of(scan.col_sets[a]):
-        acc &= scan.rann[s]
-    return acc

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import is_subset, mask_from_bool
+from .bitsets import full_mask, is_subset, iter_indices, mask_from_bool
 from .errors import (
     AmbiguousLeftProjection,
     AmbiguousRightProjection,
@@ -72,20 +72,18 @@ class ProjectionPoset:
             central[i] = np.array_equal(ring.mul_row(e), ring.mul_col(e))
         self.central_flags = central
 
-        leq = np.zeros((p, p), dtype=bool)
-        for i in range(p):
-            e = int(self.indices[i])
-            for j in range(p):
-                f = int(self.indices[j])
-                ef = ring.mul(e, f) == e
-                fe = ring.mul(f, e) == e
-                if ef != fe:
-                    raise VerificationFailed(
-                        "projection-order-asymmetry",
-                        (ring.decode(e), ring.decode(f)),
-                    )
-                leq[i, j] = ef
-        self.leq = leq
+        e = np.repeat(self.indices, p)
+        f = np.tile(self.indices, p)
+        ef = (ring.mul_pairs(e, f) == e).reshape(p, p)
+        fe = (ring.mul_pairs(f, e) == e).reshape(p, p)
+        asymmetric = np.argwhere(ef != fe)  # row-major: the first (e, f)
+        if len(asymmetric):
+            i, j = (int(k) for k in asymmetric[0])
+            raise VerificationFailed(
+                "projection-order-asymmetry",
+                (ring.decode(int(self.indices[i])), ring.decode(int(self.indices[j]))),
+            )
+        self.leq = ef
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -127,14 +125,29 @@ class RingScan:
     Everything is computed lazily and exactly once. The four bitset vectors
     cost one pass per side: a single ``mul_row`` pass over the elements fills
     both ``rann`` and ``row_sets``, and a single ``mul_col`` pass fills both
-    ``lann`` and ``col_sets``, whichever of each pair is read first. The
-    arrays returned by rp_all/lp_all use -1 for "no such projection" and -2
-    for "ambiguous" (ambiguity cannot happen in a valid *-ring; kept as a
-    guard).
+    ``lann`` and ``col_sets``, whichever of each pair is read first.
+
+    ``r_of``/``l_of`` are the one place that intersects ``rann``/``lann``
+    over a set of elements: every annihilator of a set (the Baer* family,
+    r((a)), r(aR) and l(Ra), r(cQ) in the quotient check) goes through them,
+    memoized by the set's bitset. The arrays returned by rp_all/lp_all use
+    -1 for "no such projection" and -2 for "ambiguous" (ambiguity cannot
+    happen in a valid *-ring; kept as a guard).
     """
 
     def __init__(self, ring: StarRing):
         self.ring = ring
+        self._r_memo: Dict[int, int] = {}
+        self._l_memo: Dict[int, int] = {}
+
+    def r_of(self, mask: int) -> int:
+        """Bitset of r(S) = {y : s*y = 0 for every s in S}, S given by
+        ``mask``; the whole ring for the empty set."""
+        return _intersect_over(self.rann, mask, self._r_memo)
+
+    def l_of(self, mask: int) -> int:
+        """Bitset of l(S) = {y : y*s = 0 for every s in S}."""
+        return _intersect_over(self.lann, mask, self._l_memo)
 
     @cached_property
     def _row_pass(self) -> Tuple[List[int], List[int]]:
@@ -168,58 +181,40 @@ class RingScan:
     def poset(self) -> ProjectionPoset:
         return ProjectionPoset(self.ring)
 
+    def _fixed(self, line) -> np.ndarray:
+        """fixed[i, x] <=> line(e_i)[x] = x, for projection position i."""
+        r = self.ring
+        idx = np.arange(r.order, dtype=np.int64)
+        rows = [line(int(e)) == idx for e in self.poset.indices]
+        return np.array(rows, dtype=bool).reshape(len(self.poset), r.order)
+
     @cached_property
     def _fixed_right(self) -> np.ndarray:
         """fixed_right[i, x] <=> x * e_i = x, for projection position i."""
-        r = self.ring
-        idx = np.arange(r.order, dtype=np.int64)
-        rows = [r.mul_col(int(e)) == idx for e in self.poset.indices]
-        return np.array(rows, dtype=bool).reshape(len(self.poset), r.order)
+        return self._fixed(self.ring.mul_col)
 
     @cached_property
     def _fixed_left(self) -> np.ndarray:
         """fixed_left[i, x] <=> e_i * x = x."""
-        r = self.ring
-        idx = np.arange(r.order, dtype=np.int64)
-        rows = [r.mul_row(int(e)) == idx for e in self.poset.indices]
-        return np.array(rows, dtype=bool).reshape(len(self.poset), r.order)
+        return self._fixed(self.ring.mul_row)
 
     @cached_property
     def rp_all(self) -> np.ndarray:
-        poset = self.poset
-        rann = self.rann
-        n = self.ring.order
-        fixed = self._fixed_right
-        out = np.full(n, -1, dtype=np.int64)
-        e_ann = [rann[int(e)] for e in poset.indices]
-        for x in range(n):
-            found = -1
-            count = 0
-            for i in range(len(poset)):
-                if fixed[i, x] and is_subset(rann[x], e_ann[i]):
-                    count += 1
-                    if found < 0:
-                        found = int(poset.indices[i])
-            out[x] = -2 if count > 1 else found
-        return out
+        return self._projection_table(self.rann, self._fixed_right)
 
     @cached_property
     def lp_all(self) -> np.ndarray:
-        poset = self.poset
-        lann = self.lann
-        n = self.ring.order
-        fixed = self._fixed_left
-        out = np.full(n, -1, dtype=np.int64)
-        e_ann = [lann[int(e)] for e in poset.indices]
-        for x in range(n):
-            found = -1
-            count = 0
-            for i in range(len(poset)):
-                if fixed[i, x] and is_subset(lann[x], e_ann[i]):
-                    count += 1
-                    if found < 0:
-                        found = int(poset.indices[i])
-            out[x] = -2 if count > 1 else found
+        return self._projection_table(self.lann, self._fixed_left)
+
+    def _projection_table(self, ann: List[int], fixed: np.ndarray) -> np.ndarray:
+        """For every x, its one candidate projection (see ``_candidates``),
+        -1 when there is none and -2 when there are several. Each e visits
+        only the x it fixes."""
+        out = np.full(self.ring.order, -1, dtype=np.int64)
+        for i, e in enumerate(self.poset.indices.tolist()):
+            for x in np.flatnonzero(fixed[i]).tolist():
+                if is_subset(ann[x], ann[e]):
+                    out[x] = e if out[x] == -1 else -2
         return out
 
     @cached_property
@@ -259,6 +254,19 @@ class RingScan:
         return {k: tuple(v) for k, v in out.items()}
 
 
+def r_of_principal_ideals(scan: RingScan) -> List[int]:
+    """Bitsets of r((a)) for every a, (a) the two-sided ideal a generates.
+
+    (a) is the additive closure of {a} + aR + Ra + RaR, and the annihilator
+    of a set is that of its additive closure. Left factors never shrink a
+    right annihilator: s*a*y = s*(a*y) and s*a*r*y = s*(a*r*y), so r(Ra)
+    contains r({a}) and r(RaR) contains r(aR). Hence r((a)) = r({a}) meet
+    r(aR). ``ideal_annihilator_crosscheck`` compares this with the literal
+    ideal.
+    """
+    return [ann & scan.r_of(row) for ann, row in zip(scan.rann, scan.row_sets)]
+
+
 def _zero_and_value_sets(line, n: int) -> Tuple[List[int], List[int]]:
     """For each a, the bitsets of {r : line(a)[r] = 0} and of the values in
     line(a), from one call of ``line`` per element."""
@@ -273,21 +281,33 @@ def _zero_and_value_sets(line, n: int) -> Tuple[List[int], List[int]]:
     return zeros, values
 
 
+def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:
+    """Intersection of ann[s] over the members s of a bitset, memoized."""
+    hit = memo.get(mask)
+    if hit is None:
+        hit = full_mask(len(ann))
+        for s in iter_indices(mask):
+            hit &= ann[s]
+        memo[mask] = hit
+    return hit
+
+
+def _candidates(poset: ProjectionPoset, ann: List[int], fixed: np.ndarray, x: int) -> List[int]:
+    """Projections e, ascending, with x fixed by e (``fixed``) and ann[x]
+    inside ann[e]: the right-projection candidates of x when given rann and
+    fixed_right, the left-projection ones when given lann and fixed_left."""
+    return [
+        int(e)
+        for i, e in enumerate(poset.indices)
+        if fixed[i, x] and is_subset(ann[x], ann[int(e)])
+    ]
+
+
 def projections(ring: StarRing, scan: Optional[RingScan] = None) -> ProjectionPoset:
     """The projection poset of a ring."""
     if scan is not None:
         return scan.poset
     return ProjectionPoset(ring)
-
-
-def _candidates_rp(ring: StarRing, x: int, scan: RingScan) -> List[int]:
-    poset = scan.poset
-    out = []
-    for i in range(len(poset)):
-        e = int(poset.indices[i])
-        if scan._fixed_right[i, x] and is_subset(scan.rann[x], scan.rann[e]):
-            out.append(e)
-    return out
 
 
 def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
@@ -300,7 +320,7 @@ def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
         return val
     if val == -1:
         raise NoRightProjection(ring.decode(x))
-    cands = _candidates_rp(ring, x, scan)
+    cands = _candidates(scan.poset, scan.rann, scan._fixed_right, x)
     raise AmbiguousRightProjection(ring.decode(x), [ring.decode(e) for e in cands])
 
 
@@ -320,13 +340,7 @@ def lp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
         if mirror != -1:
             raise VerificationFailed("lp-vs-star-rp-star", (ring.decode(x),))
         raise NoLeftProjection(ring.decode(x))
-    poset = scan.poset
-    cands = [
-        int(poset.indices[i])
-        for i in range(len(poset))
-        if scan._fixed_left[i, x]
-        and is_subset(scan.lann[x], scan.lann[int(poset.indices[i])])
-    ]
+    cands = _candidates(scan.poset, scan.lann, scan._fixed_left, x)
     raise AmbiguousLeftProjection(ring.decode(x), [ring.decode(e) for e in cands])
 
 

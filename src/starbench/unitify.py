@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import bool_from_mask, full_mask, indices_of, iter_indices, mask_from_bool
+from .bitsets import bool_from_mask, iter_indices, mask_from_bool
 from .classifiers import (
     is_pq_baer_star,
     is_proper_involution,
@@ -500,10 +500,7 @@ def cover_in_quotient(
     formula = _formula_projection(quot, c, rscan, central=True)
     if formula != brute:
         raise FormulaMismatch(q.decode(c), q.decode(formula), q.decode(brute))
-    acc = full_mask(q.order)
-    for s in indices_of(qscan.row_sets[c]):
-        acc &= qscan.rann[s]
-    if acc != qscan.rann[brute]:
+    if qscan.r_of(qscan.row_sets[c]) != qscan.rann[brute]:
         raise VerificationFailed("cover-biconditional", q.decode(c))
     return brute
 

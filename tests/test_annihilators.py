@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from starbench import (
     AnnihilatorSet,
+    RingScan,
     annihilator_family,
     left_annihilator,
     right_annihilator,
@@ -14,7 +15,6 @@ from starbench.annihilators import (
     principal_left_ideal,
     principal_right_ideal,
     principal_two_sided_ideal,
-    rann_single,
 )
 from starbench.bitsets import indices_of, mask_from_bool
 from starbench.errors import FamilyCapExceeded
@@ -127,9 +127,8 @@ class TestFamily:
 
     def test_modes_coincide_on_commutative_unital(self, z6):
         subset = {s.mask for s in annihilator_family(z6, "subset")}
-        rideal = {s.mask for s in annihilator_family(z6, "right-ideal")}
         two = {s.mask for s in annihilator_family(z6, "two-sided-ideal")}
-        assert subset == rideal == two
+        assert subset == two
 
     def test_family_is_deterministic_and_sorted(self, m2z3):
         a = annihilator_family(m2z3, "subset")
@@ -138,9 +137,10 @@ class TestFamily:
         assert [s.mask for s in a] == sorted(s.mask for s in a)
 
     def test_precomputed_rann_gives_identical_family(self, z6):
-        rann = [rann_single(z6, s) for s in range(6)]
+        scan = RingScan(z6)
+        scan.rann  # filled before the family reads it
         assert [s.mask for s in annihilator_family(z6, "subset")] == [
-            s.mask for s in annihilator_family(z6, "subset", rann=rann)
+            s.mask for s in annihilator_family(z6, "subset", scan=scan)
         ]
 
     def test_unknown_mode_rejected(self, z6):
@@ -158,6 +158,13 @@ class TestFamily:
             _intersection_closure(seeds, cap=3)
         closed = _intersection_closure(seeds, cap=10)
         assert {s.mask for s in closed} >= {0b0111, 0b1110, 0b1011, 0b0110, 0b0011}
+
+    def test_cap_counts_the_seed_sets(self):
+        # Boolean ring of 32 elements: 32 distinct r({x}) and no new meets
+        ring = cached_ring("prod(Z(2), prod(Z(2), prod(Z(2), prod(Z(2), Z(2)))))")
+        with pytest.raises(FamilyCapExceeded):
+            annihilator_family(ring, "subset", cap=16)
+        assert len(annihilator_family(ring, "subset", cap=32)) == 32
 
     def test_intersect_requires_matching_kind(self, z6):
         a = right_annihilator(z6, [2])

@@ -3,21 +3,25 @@
 A ring built with ``table_threshold=0`` serves every row, column and pair
 from its backend; the same descriptor under the default limits is served
 from dense tables. Both must agree on every operation and every classifier
-report, and the one-pass ``RingScan`` bitsets must agree with the
-per-element annihilator and principal-ideal functions.
+report, and the one-pass ``RingScan`` bitsets and its memoized set
+annihilators ``r_of``/``l_of`` must agree with the definitional
+annihilator and principal-ideal functions.
 """
 
 import numpy as np
 import pytest
 
 from starbench import RingScan, build_ring, classify_all, parse_ring_expr
-from starbench import classifiers
 from starbench.annihilators import (
     lann_single,
+    left_annihilator,
     principal_left_ideal,
     principal_right_ideal,
     rann_single,
+    right_annihilator,
 )
+from starbench.bitsets import full_mask, indices_of
+from starbench.classifiers import ideal_annihilator_crosscheck
 from starbench.config import Limits
 from starbench.corpus import small_corpus
 
@@ -47,11 +51,8 @@ def test_backend_rows_match_tables(text):
 
 
 @pytest.mark.parametrize("text", small_corpus())
-def test_classifier_reports_match_tables(text, monkeypatch):
-    # Reports are memoized by descriptor hash alone, so each side gets an
-    # empty memo; otherwise the second side would read the first's reports.
+def test_classifier_reports_match_tables(text):
     def reports(ring):
-        monkeypatch.setattr(classifiers, "_REPORT_CACHE", {})
         return {name: (rep.verdict, rep.witness) for name, rep in classify_all(ring).items()}
 
     assert reports(call_based_ring(text)) == reports(build_ring(parse_ring_expr(text)))
@@ -73,6 +74,41 @@ def test_fused_scan_matches_single_element_functions(text):
 
 def test_fused_scan_matches_on_call_based_m2z3():
     _assert_scan_matches_single_element_functions(call_based_ring("M(2, Z(3))"))
+
+
+def _assert_set_annihilators_match_definition(ring):
+    scan = RingScan(ring)
+    masks = {0, full_mask(ring.order), *scan.row_sets, *scan.col_sets}
+    for m in sorted(masks):
+        assert scan.r_of(m) == right_annihilator(ring, indices_of(m)).mask
+        assert scan.l_of(m) == left_annihilator(ring, indices_of(m)).mask
+
+
+@pytest.mark.parametrize("text", small_corpus())
+def test_set_annihilators_match_definition(text):
+    _assert_set_annihilators_match_definition(cached_ring(text))
+
+
+def test_set_annihilators_match_on_call_based_m2z3():
+    _assert_set_annihilators_match_definition(call_based_ring("M(2, Z(3))"))
+
+
+# M(2, Z(4)) is left out for time: closing its 256 literal ideals additively
+# takes about 8 s on a 2-core VM.
+# The two rings without unity added at the end are where r({a}) and r(aR)
+# are each needed: dropping either term changes r((a)) on them, and on no
+# ring of the small corpus.
+@pytest.mark.parametrize(
+    "text",
+    [t for t in small_corpus() if t != "M(2, Z(4))"]
+    + ["sub(Z(8); 2)", "sub(M(2, Z(4)); [[1,1],[1,1]], [[2,0],[0,0]])"],
+)
+def test_ideal_annihilators_match_literal_ideals(text):
+    assert ideal_annihilator_crosscheck(cached_ring(text))
+
+
+def test_ideal_annihilators_match_on_call_based_m2z3():
+    assert ideal_annihilator_crosscheck(call_based_ring("M(2, Z(3))"))
 
 
 def test_each_side_is_one_pass(m2z3):

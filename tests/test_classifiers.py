@@ -5,6 +5,7 @@ from starbench import (
     IMPLICATIONS,
     PROPERTY_CLASSIFIERS,
     StarRing,
+    build_ring,
     classify_all,
     classify_matrix_ring,
     find_rp_not_central_cover,
@@ -12,7 +13,9 @@ from starbench import (
     parse_ring_expr,
 )
 from starbench.classifiers import implication_reports_for
+from starbench.config import Limits
 from starbench.corpus import small_corpus
+from starbench.errors import FamilyCapExceeded
 
 import oracles
 from conftest import cached_ring
@@ -118,6 +121,13 @@ class TestRickartFamily:
         assert verdict("M(2,Z(3))", "weakly-pq-baer-star") is True
         assert verdict("Z(6)", "weakly-pq-baer-star") is True
         assert verdict("sub(Z(9); 3)", "weakly-pq-baer-star") is False
+
+    def test_each_call_honours_its_own_family_cap(self):
+        # 32 distinct r({x}): within the default cap, past a cap of 16
+        d = parse_ring_expr("prod(Z(2), prod(Z(2), prod(Z(2), prod(Z(2), Z(2)))))")
+        assert PROPERTY_CLASSIFIERS["baer-star"](build_ring(d)).verdict is True
+        with pytest.raises(FamilyCapExceeded):
+            PROPERTY_CLASSIFIERS["baer-star"](build_ring(d, Limits(family_cap=16)))
 
     @pytest.mark.parametrize(
         "text",

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from starbench import (
     RingScan,
+    StarRing,
     central_cover,
     condition3_witnesses,
     condition_beta_witnesses,
@@ -11,10 +13,13 @@ from starbench import (
     rp_via_star,
 )
 from starbench.errors import (
+    AmbiguousLeftProjection,
+    AmbiguousRightProjection,
     NoCentralCover,
     NoGreatestElement,
     NoLeftProjection,
     NoRightProjection,
+    VerificationFailed,
 )
 
 import oracles
@@ -49,6 +54,16 @@ class TestPoset:
         assert [int(e) for e, c in zip(p.indices, p.central_flags) if c] == (
             oracles.o_central_projections(r)
         )
+
+    def test_asymmetric_order_names_the_first_pair_in_row_major_order(self):
+        # Z(2) x Z(2) with x*y = x: every element is a projection, ef = e
+        # always and fe = e only for f = e; (1, 0) would be column-major
+        idx = np.arange(4)
+        r = StarRing.from_tables(idx[:, None] ^ idx, np.repeat(idx[:, None], 4, axis=1), idx, idx)
+        with pytest.raises(VerificationFailed) as exc:
+            RingScan(r).poset
+        assert exc.value.claim == "projection-order-asymmetry"
+        assert exc.value.witness == (0, 1)
 
     @pytest.mark.parametrize("text", ["Z(6)", "M(2,Z(2))", "M(2,Z(3))"])
     def test_order_agrees_with_both_sided_definition(self, text):
@@ -104,6 +119,31 @@ class TestRightProjection:
     def test_scan_cache_gives_same_answers(self, z6):
         scan = RingScan(z6)
         assert [rp(z6, x, scan) for x in range(6)] == [rp(z6, x) for x in range(6)]
+
+
+class TestAmbiguousProjection:
+    """Tables that break the ring axioms so that 1 and 2 both qualify as
+    RP(3); the transposed table makes them both qualify as LP(3)."""
+
+    MUL = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 3, 3, 0]])
+
+    def raw(self, mul):
+        idx = np.arange(4)
+        return StarRing.from_tables(idx[:, None] ^ idx, mul, idx, idx)
+
+    def test_right(self):
+        r = self.raw(self.MUL)
+        assert RingScan(r).rp_all.tolist() == [0, 1, 2, -2]
+        with pytest.raises(AmbiguousRightProjection) as exc:
+            rp(r, 3)
+        assert exc.value.candidates == (1, 2)
+
+    def test_left(self):
+        r = self.raw(self.MUL.T)
+        assert RingScan(r).lp_all.tolist() == [0, 1, 2, -2]
+        with pytest.raises(AmbiguousLeftProjection) as exc:
+            lp(r, 3)
+        assert exc.value.candidates == (1, 2)
 
 
 class TestLeftProjection:
