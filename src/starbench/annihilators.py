@@ -98,25 +98,26 @@ def left_annihilator(ring: StarRing, elements: Iterable[int]) -> AnnihilatorSet:
 
 
 def additive_closure(ring: StarRing, seed_mask: int) -> int:
-    """Smallest subgroup of (R, +) containing the seed set."""
-    members = bool_from_mask(seed_mask | 1, ring.order)  # zero always in
-    queue = [int(i) for i in np.flatnonzero(members)]
-    neg = ring.neg_vector()
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        nx = int(neg[x])
-        if not members[nx]:
-            members[nx] = True
-            queue.append(nx)
-        current = np.flatnonzero(members)
-        sums = ring.add_pairs(np.full(len(current), x, dtype=np.int64), current)
-        for y in np.unique(sums):
-            y = int(y)
-            if not members[y]:
-                members[y] = True
-                queue.append(y)
+    """Smallest subgroup of (R, +) containing the seed set.
+
+    The subgroup H grows one seed at a time. A seed s already in H adds
+    nothing. Otherwise the group H and s generate is the union of the
+    distinct cosets H, H + s, H + 2s, ...: each is the previous one shifted
+    by s, in one ``add_pairs`` call, and the first one already collected is
+    H itself, which ends the seed.
+    """
+    members = np.zeros(ring.order, dtype=bool)
+    members[0] = True
+    for s in np.flatnonzero(bool_from_mask(seed_mask, ring.order)):
+        if members[s]:
+            continue
+        coset = np.flatnonzero(members)
+        shift = np.full(len(coset), s, dtype=np.int64)
+        while True:
+            coset = ring.add_pairs(coset, shift)
+            if members[coset[0]]:
+                break
+            members[coset] = True
     return mask_from_bool(members)
 
 

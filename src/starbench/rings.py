@@ -1,13 +1,15 @@
 """Finite *-rings with indexed elements.
 
 A :class:`StarRing` is a finite ring with involution whose elements are the
-indices 0..order-1, with index 0 always the zero element. Operations are
-served by a backend object; small rings get dense int32 Cayley tables at
-construction (``order**2 <= limits.table_threshold``), larger ones stay
-call-based and compute each row on demand as one vectorized numpy call.
-Matrix rows are a broadcast integer ``np.matmul`` of one matrix against the
-stacked element matrices, reduced mod m; integer matmul is exact, so a
-call-based row equals the tabled one entry for entry.
+indices 0..order-1, with index 0 always the zero element. Every operation
+is served by one backend object. Small rings (``order**2 <=
+limits.table_threshold``) have their dense int32 Cayley tables assembled
+row by row at construction and are then served by :class:`_TablesBackend`,
+the same class that serves :meth:`StarRing.from_tables`; larger ones stay
+call-based and compute each row on demand with a few vectorized numpy
+calls. Matrix rings compute rows, columns and pairs as gathers from two
+small row-block tables (see :class:`_MatrixBackend`), so a call-based
+M(2, Z(7)) row costs two gathers of 2401 entries.
 
 Backends implement a narrow vector protocol:
 
@@ -17,6 +19,8 @@ Backends implement a narrow vector protocol:
 * ``neg_vec()``, ``star_vec()`` — unary maps as vectors.
 * ``find_unity()``, ``characteristic()``, ``additive_order(i)``.
 * ``decode(i)`` / ``encode(literal)`` — the element codec.
+* ``add(i, j)``, ``mul(i, j)`` — scalar ops; :class:`_Backend` derives
+  them from the pair ops.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly.
@@ -71,7 +75,18 @@ def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
     return table.ravel()[flat].astype(np.int64)
 
 
-class _CyclicBackend:
+class _Backend:
+    """Base of every backend: scalar ops through the pair ops.
+    :class:`_TablesBackend` reads its tables directly instead."""
+
+    def add(self, i: int, j: int) -> int:
+        return int(self.add_pairs(np.array([i]), np.array([j]))[0])
+
+    def mul(self, i: int, j: int) -> int:
+        return int(self.mul_pairs(np.array([i]), np.array([j]))[0])
+
+
+class _CyclicBackend(_Backend):
     """Integers mod m; identity involution; literal = any int (reduced)."""
 
     def __init__(self, modulus: int):
@@ -118,11 +133,31 @@ class _CyclicBackend:
         return lit % self.m
 
 
-class _MatrixBackend:
-    """n-by-n matrices over Z(m), involution = transpose composed with the
+class _MatrixBackend(_Backend):
+    """k-by-k matrices over Z(m), involution = transpose composed with the
     base star (identity for cyclic bases, composed anyway).
 
     Index encoding: row-major digits base m, first entry most significant.
+    Equivalently, an index is its k rows read as k digits base r = m^k,
+    first row most significant: i = sum over t of blocks[t, i] * r^(k-1-t),
+    where the row block blocks[t, i] indexes row t of matrix i as a vector
+    of Z(m)^k (its entries as digits base m). ``blocks`` is stored k-by-n,
+    so that each row block of every element is one contiguous array.
+
+    Two tables built once serve every sum and product, row block by row
+    block:
+
+    * ``radd[v, w]``, r-by-r: the row block of v + w;
+    * ``rmul[v, B]``, r-by-n: the row block of v.B, for the row vector v and
+      every matrix B.
+
+    Row t of x.B is (row t of x).B, so x.B has row blocks
+    ``rmul[blocks[t, x], B]``: a row of the multiplication table fixes x and
+    gathers k rows of ``rmul``, a column fixes B and gathers from one column
+    of ``rmul``. This does not go through the transpose, so it holds for any
+    base involution. Every row, column and pair op is k gathers joined by a
+    multiply-add, with no matrix product and no reduction mod m. The unary
+    maps, the unity and the codec go through the matrices themselves.
     """
 
     def __init__(self, size: int, modulus: int):
@@ -139,28 +174,46 @@ class _MatrixBackend:
         )
         self._base_star = np.arange(modulus, dtype=np.int64)  # identity on Z(m)
 
+        r = modulus ** size
+        self.r = r
+        row_powers = powers[kk - size:]  # m^(k-1-c) for the entries c of a row
+        self.blocks = (idx // r ** np.arange(size - 1, -1, -1)[:, None]) % r
+        vecs = (np.arange(r, dtype=np.int64)[:, None] // row_powers) % modulus
+        self.radd = ((vecs[:, None, :] + vecs[None, :, :]) % modulus) @ row_powers
+        # (v.B)[c] = sum over s of v[s] * B[s, c]
+        self.rmul = (np.einsum("vs,nsc->vnc", vecs, self.mats) % modulus) @ row_powers
+
     def _enc(self, mats: np.ndarray) -> np.ndarray:
         flat = mats.reshape(mats.shape[0], -1)
         return flat @ self._powers
 
+    def _join(self, parts) -> np.ndarray:
+        """The indices whose row blocks are parts[0], ..., parts[k-1]."""
+        out = parts[0]
+        for part in parts[1:]:
+            out = out * self.r + part
+        return out
+
     def add_row(self, i: int) -> np.ndarray:
-        return self._enc((self.mats[i][None, :, :] + self.mats) % self.m)
+        return self._join([self.radd[b[i]][b] for b in self.blocks])
 
     def mul_row(self, i: int) -> np.ndarray:
-        return self._enc(np.matmul(self.mats[i], self.mats) % self.m)
+        return self._join(self.rmul[self.blocks[:, i]])
 
     def mul_col(self, j: int) -> np.ndarray:
-        return self._enc(np.matmul(self.mats, self.mats[j]) % self.m)
+        return self._join(self.rmul[:, j][self.blocks])
 
     def add_pairs(self, u, v) -> np.ndarray:
         u = _as_index_array(u)
         v = _as_index_array(v)
-        return self._enc((self.mats[u] + self.mats[v]) % self.m)
+        flat = self.radd.ravel()
+        return self._join([flat[b[u] * self.r + b[v]] for b in self.blocks])
 
     def mul_pairs(self, u, v) -> np.ndarray:
         u = _as_index_array(u)
         v = _as_index_array(v)
-        return self._enc(np.matmul(self.mats[u], self.mats[v]) % self.m)
+        flat = self.rmul.ravel()
+        return self._join([flat[b[u] * self.order + v] for b in self.blocks])
 
     def neg_vec(self) -> np.ndarray:
         return self._enc((-self.mats) % self.m)
@@ -191,7 +244,7 @@ class _MatrixBackend:
         return int(self._enc((arr % self.m)[None, :, :])[0])
 
 
-class _ProductBackend:
+class _ProductBackend(_Backend):
     """Direct product; componentwise operations and involution.
 
     Index encoding: i = left_index * right_order + right_index.
@@ -271,7 +324,7 @@ class _ProductBackend:
         return self.left.encode(lit[0]) * self.rn + self.right.encode(lit[1])
 
 
-class _ClosureBackend:
+class _ClosureBackend(_Backend):
     """A subring of a parent ring, carried by an ascending index array.
 
     Local index i corresponds to parent index carrier[i]. The carrier is
@@ -348,51 +401,86 @@ class _ClosureBackend:
         return pos
 
 
-class _RawTablesBackend:
-    """Explicit tables; used by tests and by StarRing.from_tables."""
+class _TablesBackend(_Backend):
+    """Dense int32 operation tables; every row, column and pair is a gather.
 
-    def __init__(
-        self,
-        add: np.ndarray,
-        mul: np.ndarray,
-        neg: np.ndarray,
-        star: np.ndarray,
-        literals: Optional[Sequence[Any]] = None,
-    ):
+    ``codec`` answers what the tables do not: decode/encode, find_unity,
+    characteristic and additive_order. A ring assembled from another backend
+    keeps that backend as its codec; StarRing.from_tables passes a
+    :class:`_Literals`.
+    """
+
+    def __init__(self, add: np.ndarray, mul: np.ndarray, neg, star, codec):
         self.order = add.shape[0]
-        self._add = np.ascontiguousarray(add, dtype=np.int32)
-        self._mul = np.ascontiguousarray(mul, dtype=np.int32)
+        self.add_table = add
+        self.mul_table = mul
         self._neg = np.asarray(neg, dtype=np.int64)
         self._star = np.asarray(star, dtype=np.int64)
-        self._literals = list(literals) if literals is not None else list(range(self.order))
-        self._lit_index = {self._freeze(l): i for i, l in enumerate(self._literals)}
+        self.codec = codec
 
-    @staticmethod
-    def _freeze(lit: Any) -> Any:
-        if isinstance(lit, list):
-            return tuple(_RawTablesBackend._freeze(x) for x in lit)
-        return lit
+    def add(self, i: int, j: int) -> int:
+        return int(self.add_table[i, j])
+
+    def mul(self, i: int, j: int) -> int:
+        return int(self.mul_table[i, j])
 
     def add_row(self, i: int) -> np.ndarray:
-        return self._add[i].astype(np.int64)
+        return self.add_table[i].astype(np.int64)
 
     def mul_row(self, i: int) -> np.ndarray:
-        return self._mul[i].astype(np.int64)
+        return self.mul_table[i].astype(np.int64)
 
     def mul_col(self, j: int) -> np.ndarray:
-        return self._mul[:, j].astype(np.int64)
+        return self.mul_table[:, j].astype(np.int64)
 
     def add_pairs(self, u, v) -> np.ndarray:
-        return self._add[_as_index_array(u), _as_index_array(v)].astype(np.int64)
+        return _table_pairs(self.add_table, u, v)
 
     def mul_pairs(self, u, v) -> np.ndarray:
-        return self._mul[_as_index_array(u), _as_index_array(v)].astype(np.int64)
+        return _table_pairs(self.mul_table, u, v)
 
     def neg_vec(self) -> np.ndarray:
         return self._neg.copy()
 
     def star_vec(self) -> np.ndarray:
         return self._star.copy()
+
+    def find_unity(self) -> Optional[int]:
+        return self.codec.find_unity()
+
+    def characteristic(self) -> int:
+        return self.codec.characteristic()
+
+    def additive_order(self, i: int) -> int:
+        return self.codec.additive_order(i)
+
+    def decode(self, i: int) -> Any:
+        return self.codec.decode(i)
+
+    def encode(self, lit: Any) -> int:
+        return self.codec.encode(lit)
+
+
+class _Literals:
+    """The codec of a ring given only by its tables (StarRing.from_tables):
+    literals[i] names element i, and the unity, the characteristic and the
+    additive orders are read off the tables."""
+
+    def __init__(self, add: np.ndarray, mul: np.ndarray, literals: Optional[Sequence[Any]]):
+        self.order = add.shape[0]
+        self._add = add
+        self._mul = mul
+        self._literals = list(literals) if literals is not None else list(range(self.order))
+        self._lit_index = {self._freeze(l): i for i, l in enumerate(self._literals)}
+
+    @staticmethod
+    def _freeze(lit: Any) -> Any:
+        if isinstance(lit, list):
+            return tuple(_Literals._freeze(x) for x in lit)
+        return lit
+
+    def add_pairs(self, u, v) -> np.ndarray:
+        return _table_pairs(self._add, u, v)
 
     def find_unity(self) -> Optional[int]:
         ident = np.arange(self.order)
@@ -455,7 +543,6 @@ class StarRing:
         label: Optional[str] = None,
         limits: Limits = DEFAULT_LIMITS,
     ):
-        self._backend = backend
         self.descriptor = descriptor
         self.order = backend.order
         self.label = label if label is not None else (
@@ -463,17 +550,19 @@ class StarRing:
         )
         self.limits = limits
 
-        n = self.order
         self._neg = np.asarray(backend.neg_vec(), dtype=np.int64)
         self._star = np.asarray(backend.star_vec(), dtype=np.int64)
         self._neg.setflags(write=False)
         self._star.setflags(write=False)
-
-        self._add_table: Optional[np.ndarray] = None
-        self._mul_table: Optional[np.ndarray] = None
-        if n * n <= limits.table_threshold:
-            self._add_table = self._assemble(backend.add_row)
-            self._mul_table = self._assemble(backend.mul_row)
+        if self.has_tables() and not isinstance(backend, _TablesBackend):
+            backend = _TablesBackend(
+                self._assemble(backend.add_row),
+                self._assemble(backend.mul_row),
+                self._neg,
+                self._star,
+                codec=backend,
+            )
+        self._backend = backend
 
         self._check_structural_invariants()
         self.unity: Optional[int] = backend.find_unity()
@@ -508,14 +597,10 @@ class StarRing:
     # --- scalar ops ------------------------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        if self._add_table is not None:
-            return int(self._add_table[i, j])
-        return int(self._backend.add_pairs(np.array([i]), np.array([j]))[0])
+        return self._backend.add(i, j)
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[i, j])
-        return int(self._backend.mul_pairs(np.array([i]), np.array([j]))[0])
+        return self._backend.mul(i, j)
 
     def neg(self, i: int) -> int:
         return int(self._neg[i])
@@ -529,28 +614,18 @@ class StarRing:
     # --- vector ops -------------------------------------------------------
 
     def add_row(self, i: int) -> np.ndarray:
-        if self._add_table is not None:
-            return self._add_table[i].astype(np.int64)
         return _as_index_array(self._backend.add_row(i))
 
     def mul_row(self, i: int) -> np.ndarray:
-        if self._mul_table is not None:
-            return self._mul_table[i].astype(np.int64)
         return _as_index_array(self._backend.mul_row(i))
 
     def mul_col(self, j: int) -> np.ndarray:
-        if self._mul_table is not None:
-            return self._mul_table[:, j].astype(np.int64)
         return _as_index_array(self._backend.mul_col(j))
 
     def add_pairs(self, u, v) -> np.ndarray:
-        if self._add_table is not None:
-            return _table_pairs(self._add_table, u, v)
         return _as_index_array(self._backend.add_pairs(u, v))
 
     def mul_pairs(self, u, v) -> np.ndarray:
-        if self._mul_table is not None:
-            return _table_pairs(self._mul_table, u, v)
         return _as_index_array(self._backend.mul_pairs(u, v))
 
     def neg_vector(self) -> np.ndarray:
@@ -561,14 +636,14 @@ class StarRing:
 
     def add_table(self) -> np.ndarray:
         """Dense int32 table; assembled transiently for call-based rings."""
-        if self._add_table is not None:
-            return self._add_table
+        if isinstance(self._backend, _TablesBackend):
+            return self._backend.add_table
         self._guard_transient()
         return self._assemble(self._backend.add_row)
 
     def mul_table(self) -> np.ndarray:
-        if self._mul_table is not None:
-            return self._mul_table
+        if isinstance(self._backend, _TablesBackend):
+            return self._backend.mul_table
         self._guard_transient()
         return self._assemble(self._backend.mul_row)
 
@@ -579,7 +654,9 @@ class StarRing:
             )
 
     def has_tables(self) -> bool:
-        return self._mul_table is not None
+        """Whether order squared is at most ``limits.table_threshold``, the
+        size up to which a ring built from a backend gets dense tables."""
+        return self.order * self.order <= self.limits.table_threshold
 
     # --- codec and misc ----------------------------------------------------
 
@@ -606,7 +683,12 @@ class StarRing:
         limits: Limits = DEFAULT_LIMITS,
     ) -> "StarRing":
         """Build a ring from explicit tables (tests and adapters)."""
-        backend = _RawTablesBackend(add, mul, neg, star, literals)
+        add = np.array(add, dtype=np.int32)
+        mul = np.array(mul, dtype=np.int32)
+        add.setflags(write=False)
+        mul.setflags(write=False)
+        codec = _Literals(add, mul, literals)
+        backend = _TablesBackend(add, mul, neg, star, codec)
         return StarRing(backend, descriptor=None, label=label, limits=limits)
 
 

@@ -74,10 +74,10 @@ from .projections import (
     largest_eigen_projection,
     rp,
 )
-from .rings import StarRing, _as_index_array, _brute_additive_exponent
+from .rings import StarRing, _Backend, _as_index_array, _brute_additive_exponent
 
 
-class _PairBackend:
+class _PairBackend(_Backend):
     """The pair ring R (+) K. Pair index = a_index * |K| + lam_index."""
 
     def __init__(self, algebra: ScalarAlgebra):
@@ -172,7 +172,7 @@ class _PairBackend:
         return self.R.encode(lit[0]) * self.kn + self.K.encode(lit[1])
 
 
-class _QuotientBackend:
+class _QuotientBackend(_Backend):
     """The pair ring modulo the kernel ideal; elements are coset ordinals."""
 
     def __init__(self, r1: StarRing, reps: np.ndarray, coset_of_pair: np.ndarray):

@@ -1,0 +1,103 @@
+"""Relabeling invariance.
+
+A ring rebuilt through ``StarRing.from_tables`` with its element indices
+permuted (zero kept at index 0) is the same *-ring. Its classifier verdicts
+must not change, and its projection tables must be the old ones carried
+along by the permutation, with the codes -1 (none) and -2 (ambiguous) kept
+as they are. Hand-picked goldens all use one labeling; this catches code
+that depends on it.
+"""
+
+import numpy as np
+import pytest
+
+from starbench import RingScan, StarRing, classify_all
+
+from conftest import cached_ring
+
+RINGS = [
+    "Z(6)",
+    "Z(8)",
+    "sub(Z(9); 3)",
+    "sub(Z(6); 2)",
+    "prod(Z(2), Z(2))",
+    "prod(Z(2), Z(3))",
+    "M(2, Z(2))",
+    "M(2, Z(3))",
+]
+
+
+def permutation(n, seed):
+    """A seeded permutation of 0..n-1 that fixes 0."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0], 1 + rng.permutation(n - 1)]).astype(np.int64)
+
+
+def relabel(ring, perm):
+    """The ring with element i renamed perm[i]; literals travel along."""
+    inv = np.argsort(perm)
+    grid = np.ix_(inv, inv)
+    return StarRing.from_tables(
+        perm[ring.add_table()[grid]],
+        perm[ring.mul_table()[grid]],
+        perm[ring.neg_vector()[inv]],
+        perm[ring.star_vector()[inv]],
+        [ring.decode(int(i)) for i in inv],
+        label="relabeled %s" % ring.label,
+    )
+
+
+def carried(table, perm):
+    """The table indexed and valued in the new labels; codes < 0 kept."""
+    out = np.empty_like(table)
+    out[perm] = np.where(table >= 0, perm[np.maximum(table, 0)], table)
+    return out
+
+
+def test_relabel_is_a_relabeling():
+    ring = cached_ring("M(2, Z(2))")
+    perm = permutation(ring.order, 0)
+    new = relabel(ring, perm)
+    x, y = 5, 11
+    assert new.mul(int(perm[x]), int(perm[y])) == perm[ring.mul(x, y)]
+    assert new.add(int(perm[x]), int(perm[y])) == perm[ring.add(x, y)]
+    assert new.decode(int(perm[x])) == ring.decode(x)
+    assert new.unity == perm[ring.unity]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("text", RINGS)
+def test_verdicts_are_invariant(text, seed):
+    ring = cached_ring(text)
+    new = relabel(ring, permutation(ring.order, seed))
+    verdicts = {name: rep.verdict for name, rep in classify_all(ring).items()}
+    assert {name: rep.verdict for name, rep in classify_all(new).items()} == verdicts
+
+
+def _assert_tables_commute(ring, new, perm, names):
+    old_scan, new_scan = RingScan(ring), RingScan(new)
+    for name in names:
+        old = getattr(old_scan, name)
+        assert np.array_equal(getattr(new_scan, name), carried(old, perm)), name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("text", RINGS)
+def test_projection_tables_commute_with_the_permutation(text, seed):
+    ring = cached_ring(text)
+    perm = permutation(ring.order, seed)
+    _assert_tables_commute(ring, relabel(ring, perm), perm, ("rp_all", "lp_all", "cover_all"))
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["right", "left"])
+def test_ambiguous_code_is_kept(transpose):
+    """Tables that break the ring axioms so that RP(3) (on the transpose,
+    LP(3)) has two candidates."""
+    mul = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 3, 3, 0]])
+    idx = np.arange(4)
+    ring = StarRing.from_tables(idx[:, None] ^ idx, mul.T if transpose else mul, idx, idx)
+    name = "lp_all" if transpose else "rp_all"
+    assert getattr(RingScan(ring), name).tolist() == [0, 1, 2, -2]
+    for seed in range(3):
+        perm = permutation(4, seed)
+        _assert_tables_commute(ring, relabel(ring, perm), perm, (name,))
