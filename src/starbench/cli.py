@@ -113,10 +113,9 @@ def _exit_code_for(exc: StarbenchError) -> int:
     return 5
 
 
-def _limits(args) -> Limits:
-    if getattr(args, "max_order", None):
-        return DEFAULT_LIMITS.with_element_cap(args.max_order)
-    return DEFAULT_LIMITS
+def _limits(cap: Optional[int]) -> Limits:
+    """The default limits, with the element cap replaced by ``--max-order``."""
+    return DEFAULT_LIMITS if cap is None else DEFAULT_LIMITS.with_element_cap(cap)
 
 
 def _emit(args, payload: Any, text_lines: Callable[[], List[str]]) -> None:
@@ -164,7 +163,7 @@ def _tagged(fn: Callable[..., Any]) -> Callable[..., Any]:
 
 def _check_body(payload: Tuple[str, Tuple[str, ...], Optional[int], bool]) -> dict:
     expr, props, cap, timings = payload
-    limits = DEFAULT_LIMITS.with_element_cap(cap) if cap else DEFAULT_LIMITS
+    limits = _limits(cap)
     d = parse_ring_expr(expr)
     ring = build_ring(d, limits)
     scan = RingScan(ring)
@@ -181,7 +180,7 @@ def _check_task(payload):
 
 def _scan_body(payload: Tuple[int, int, Optional[int]]) -> dict:
     n, m, cap = payload
-    limits = DEFAULT_LIMITS.with_element_cap(cap) if cap else DEFAULT_LIMITS
+    limits = _limits(cap)
     d = Matrix(n, Cyclic(m))
     ring = build_ring(d, limits)
     brute = is_baer_star(ring)
@@ -202,7 +201,7 @@ def _scan_task(payload):
 
 def _implication_body(payload: Tuple[str, Optional[int], bool]) -> List[dict]:
     expr, cap, timings = payload
-    limits = DEFAULT_LIMITS.with_element_cap(cap) if cap else DEFAULT_LIMITS
+    limits = _limits(cap)
     d = parse_ring_expr(expr)
     reports = implication_reports_for(d, limits)
     return [r.to_json(include_timings=timings) for r in reports]
@@ -217,7 +216,7 @@ def _implication_task(payload):
 
 def _cmd_describe(args) -> int:
     d = parse_ring_expr(args.ring)
-    ring = build_ring(d, _limits(args))
+    ring = build_ring(d, _limits(args.max_order))
     payload = {
         "ring": to_dsl(d),
         "hash": descriptor_hash(d),
@@ -302,7 +301,7 @@ def _cmd_check(args) -> int:
 
 def _element_command(args, kind: str) -> int:
     d = parse_ring_expr(args.ring)
-    ring = build_ring(d, _limits(args))
+    ring = build_ring(d, _limits(args.max_order))
     x = ring.encode(parse_element(args.element, d))
     scan = RingScan(ring)
     if kind == "rp":
@@ -335,7 +334,7 @@ def _element_command(args, kind: str) -> int:
 
 def _cmd_projections(args) -> int:
     d = parse_ring_expr(args.ring)
-    ring = build_ring(d, _limits(args))
+    ring = build_ring(d, _limits(args.max_order))
     scan = RingScan(ring)
     rows = [
         {
@@ -367,7 +366,7 @@ def _cmd_projections(args) -> int:
 def _cmd_unitify(args) -> int:
     rd = parse_ring_expr(args.ring)
     kd = parse_ring_expr(args.K)
-    limits = _limits(args)
+    limits = _limits(args.max_order)
     ring = build_ring(rd, limits)
     scalars = build_ring(kd, limits)
     algebra = build_scalar_algebra(ring, scalars, action=args.action)
@@ -441,7 +440,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "lemmas":
         rd = parse_ring_expr(args.ring)
         kd = parse_ring_expr(args.K)
-        limits = _limits(args)
+        limits = _limits(args.max_order)
         algebra = build_scalar_algebra(
             build_ring(rd, limits), build_ring(kd, limits), action=args.action
         )
@@ -458,7 +457,7 @@ def _cmd_verify(args) -> int:
 
     # crosscheck
     d = parse_ring_expr(args.ring)
-    ring = build_ring(d, _limits(args))
+    ring = build_ring(d, _limits(args.max_order))
     ideal_annihilator_crosscheck(ring)
     payload = {"suite": "crosscheck", "ring": to_dsl(d), "ok": True}
     _emit(args, payload, lambda: ["ideal annihilator cross-check on %s: pass" % to_dsl(d)])
@@ -517,15 +516,22 @@ def _cmd_corpus(args) -> int:
 # ---- argument plumbing -----------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--timings", action="store_true", help="include microsecond timings")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     p.add_argument(
         "--max-order",
-        type=int,
+        type=_positive_int,
         default=None,
-        help="raise or lower the element-count cap",
+        help="raise or lower the element-count cap (at least 1)",
     )
 
 

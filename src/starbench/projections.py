@@ -303,13 +303,6 @@ def _candidates(poset: ProjectionPoset, ann: List[int], fixed: np.ndarray, x: in
     ]
 
 
-def projections(ring: StarRing, scan: Optional[RingScan] = None) -> ProjectionPoset:
-    """The projection poset of a ring."""
-    if scan is not None:
-        return scan.poset
-    return ProjectionPoset(ring)
-
-
 def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
     """Right projection of x: the unique projection e with xe = x and
     rann(x) contained in rann(e). Raises NoRightProjection or, should a

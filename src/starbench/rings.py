@@ -11,16 +11,25 @@ calls. Matrix rings compute rows, columns and pairs as gathers from two
 small row-block tables (see :class:`_MatrixBackend`), so a call-based
 M(2, Z(7)) row costs two gathers of 2401 entries.
 
-Backends implement a narrow vector protocol:
+Backends supply arithmetic and a codec, nothing more:
 
-* ``add_row(i)``, ``mul_row(i)`` — full row of the operation table.
-* ``mul_col(j)`` — full column (addition is commutative, so no add_col).
-* ``add_pairs(u, v)``, ``mul_pairs(u, v)`` — elementwise on index vectors.
-* ``neg_vec()``, ``star_vec()`` — unary maps as vectors.
-* ``find_unity()``, ``characteristic()``, ``additive_order(i)``.
+* ``order`` — the number of elements;
+* ``add_pairs(u, v)``, ``mul_pairs(u, v)`` — elementwise on index vectors;
+* ``neg_vec()``, ``star_vec()`` — the unary maps as vectors;
 * ``decode(i)`` / ``encode(literal)`` — the element codec.
-* ``add(i, j)``, ``mul(i, j)`` — scalar ops; :class:`_Backend` derives
-  them from the pair ops.
+
+:class:`_Backend` derives the rest from those, straight from the
+definitions: the scalar ops ``add``/``mul``, the rows ``add_row(i)`` and
+``mul_row(i)`` and the column ``mul_col(j)`` (addition is commutative, so
+there is no add_col), ``find_unity()`` (the idempotent that is a two-sided
+identity) and ``characteristic()`` (the least k with k.x = 0 for every x).
+A backend overrides a default only where it pays: the cyclic, matrix and
+product backends (and the pair ring, a product with a twisted
+multiplication) compute rows directly, and the first three know their
+characteristic. Subrings and quotients are both a :class:`_SectionBackend`
+over their parent. :class:`StarRing` reads the unity and the
+characteristic from the backend it was built from, and defines the
+additive order of an element itself.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly.
@@ -76,14 +85,48 @@ def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
 
 
 class _Backend:
-    """Base of every backend: scalar ops through the pair ops.
-    :class:`_TablesBackend` reads its tables directly instead."""
+    """Base of every backend: everything but the arithmetic and the codec,
+    from the definitions. Subclasses supply ``order``, ``add_pairs``,
+    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``."""
 
     def add(self, i: int, j: int) -> int:
         return int(self.add_pairs(np.array([i]), np.array([j]))[0])
 
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_pairs(np.array([i]), np.array([j]))[0])
+
+    def add_row(self, i: int) -> np.ndarray:
+        return self.add_pairs(np.full(self.order, i), np.arange(self.order))
+
+    def mul_row(self, i: int) -> np.ndarray:
+        return self.mul_pairs(np.full(self.order, i), np.arange(self.order))
+
+    def mul_col(self, j: int) -> np.ndarray:
+        return self.mul_pairs(np.arange(self.order), np.full(self.order, j))
+
+    def find_unity(self) -> Optional[int]:
+        """The idempotent e with e x = x = x e for every x, if any."""
+        idx = np.arange(self.order, dtype=np.int64)
+        for e in np.flatnonzero(self.mul_pairs(idx, idx) == idx):
+            e = int(e)
+            if np.array_equal(self.mul_row(e), idx) and np.array_equal(
+                self.mul_col(e), idx
+            ):
+                return e
+        return None
+
+    def characteristic(self) -> int:
+        """Least k >= 1 with k.x = 0 for all x, by iterated vector addition."""
+        n = self.order
+        idx = np.arange(n, dtype=np.int64)
+        cur = idx.copy()
+        k = 1
+        while cur.any():
+            cur = self.add_pairs(cur, idx)
+            k += 1
+            if k > 4 * n + 4:
+                raise AxiomViolation("additive-exponent", ())
+        return k
 
 
 class _CyclicBackend(_Backend):
@@ -115,14 +158,8 @@ class _CyclicBackend(_Backend):
     def star_vec(self) -> np.ndarray:
         return self._idx.copy()
 
-    def find_unity(self) -> Optional[int]:
-        return 1 % self.m
-
     def characteristic(self) -> int:
         return self.m
-
-    def additive_order(self, i: int) -> int:
-        return self.m // math.gcd(self.m, i)
 
     def decode(self, i: int) -> Any:
         return int(i)
@@ -157,7 +194,7 @@ class _MatrixBackend(_Backend):
     of ``rmul``. This does not go through the transpose, so it holds for any
     base involution. Every row, column and pair op is k gathers joined by a
     multiply-add, with no matrix product and no reduction mod m. The unary
-    maps, the unity and the codec go through the matrices themselves.
+    maps and the codec go through the matrices themselves.
     """
 
     def __init__(self, size: int, modulus: int):
@@ -222,15 +259,8 @@ class _MatrixBackend(_Backend):
         starred = self._base_star[self.mats.transpose(0, 2, 1)]
         return self._enc(np.ascontiguousarray(starred))
 
-    def find_unity(self) -> Optional[int]:
-        return int(self._enc(np.eye(self.k, dtype=np.int64)[None, :, :] % self.m)[0])
-
     def characteristic(self) -> int:
         return self.m
-
-    def additive_order(self, i: int) -> int:
-        g = math.gcd(self.m, int(np.gcd.reduce(self.mats[i], axis=None)))
-        return self.m // g
 
     def decode(self, i: int) -> Any:
         return tuple(tuple(int(e) for e in row) for row in self.mats[i])
@@ -260,23 +290,21 @@ class _ProductBackend(_Backend):
         u = _as_index_array(u)
         return u // self.rn, u % self.rn
 
+    def _outer(self, lvec: np.ndarray, rvec: np.ndarray) -> np.ndarray:
+        """The index of (lvec[s], rvec[t]) for every s and t, s major."""
+        return (lvec[:, None] * self.rn + rvec[None, :]).ravel()
+
     def add_row(self, i: int) -> np.ndarray:
         li, ri = divmod(i, self.rn)
-        lrow = self.left.add_row(li)
-        rrow = self.right.add_row(ri)
-        return (lrow[:, None] * self.rn + rrow[None, :]).ravel()
+        return self._outer(self.left.add_row(li), self.right.add_row(ri))
 
     def mul_row(self, i: int) -> np.ndarray:
         li, ri = divmod(i, self.rn)
-        lrow = self.left.mul_row(li)
-        rrow = self.right.mul_row(ri)
-        return (lrow[:, None] * self.rn + rrow[None, :]).ravel()
+        return self._outer(self.left.mul_row(li), self.right.mul_row(ri))
 
     def mul_col(self, j: int) -> np.ndarray:
         lj, rj = divmod(j, self.rn)
-        lcol = self.left.mul_col(lj)
-        rcol = self.right.mul_col(rj)
-        return (lcol[:, None] * self.rn + rcol[None, :]).ravel()
+        return self._outer(self.left.mul_col(lj), self.right.mul_col(rj))
 
     def add_pairs(self, u, v) -> np.ndarray:
         ul, ur = self._split(u)
@@ -289,30 +317,13 @@ class _ProductBackend(_Backend):
         return self.left.mul_pairs(ul, vl) * self.rn + self.right.mul_pairs(ur, vr)
 
     def neg_vec(self) -> np.ndarray:
-        ln = self.left.neg_vector()
-        rn_ = self.right.neg_vector()
-        return (ln[:, None] * self.rn + rn_[None, :]).ravel()
+        return self._outer(self.left.neg_vector(), self.right.neg_vector())
 
     def star_vec(self) -> np.ndarray:
-        ls = self.left.star_vector()
-        rs = self.right.star_vector()
-        return (ls[:, None] * self.rn + rs[None, :]).ravel()
-
-    def find_unity(self) -> Optional[int]:
-        lu = self.left.unity
-        ru = self.right.unity
-        if lu is None or ru is None:
-            return None
-        return lu * self.rn + ru
+        return self._outer(self.left.star_vector(), self.right.star_vector())
 
     def characteristic(self) -> int:
         return math.lcm(self.left.characteristic, self.right.characteristic)
-
-    def additive_order(self, i: int) -> int:
-        li, ri = divmod(i, self.rn)
-        return math.lcm(
-            self.left.additive_order(li), self.right.additive_order(ri)
-        )
 
     def decode(self, i: int) -> Any:
         li, ri = divmod(i, self.rn)
@@ -324,90 +335,63 @@ class _ProductBackend(_Backend):
         return self.left.encode(lit[0]) * self.rn + self.right.encode(lit[1])
 
 
-class _ClosureBackend(_Backend):
-    """A subring of a parent ring, carried by an ascending index array.
+class _SectionBackend(_Backend):
+    """A ring whose elements are named by elements of a parent ring.
 
-    Local index i corresponds to parent index carrier[i]. The carrier is
-    closed under the parent's +, -, *, star by construction; membership of a
-    gathered parent row is asserted, not assumed.
+    Element i is parent element ``reps[i]``, and ``local_of`` maps every
+    parent index back to its local index, or to -1 outside the ring. A
+    subring passes its carrier and -1 off it; a quotient passes its coset
+    representatives and the coset of every parent element. Each operation
+    runs in the parent on the representatives and maps the result back; a
+    result outside a subring's carrier raises the ``closure`` violation.
     """
 
-    def __init__(self, parent: "StarRing", carrier: np.ndarray):
+    def __init__(self, parent: "StarRing", reps: np.ndarray, local_of: np.ndarray):
         self.parent = parent
-        self.carrier = carrier
-        self.order = len(carrier)
+        self.reps = reps
+        self.local_of = local_of
+        self.order = len(reps)
 
-    def _pos(self, parent_indices) -> np.ndarray:
-        parent_indices = _as_index_array(parent_indices)
-        pos = np.searchsorted(self.carrier, parent_indices)
-        safe = np.minimum(pos, self.order - 1)
-        if not np.array_equal(self.carrier[safe], parent_indices):
+    def _local(self, parent_indices) -> np.ndarray:
+        out = self.local_of[parent_indices]
+        if (out < 0).any():
             raise AxiomViolation(
                 "closure", tuple(int(p) for p in np.atleast_1d(parent_indices)[:3])
             )
-        return pos
-
-    def add_row(self, i: int) -> np.ndarray:
-        return self._pos(self.parent.add_row(int(self.carrier[i]))[self.carrier])
-
-    def mul_row(self, i: int) -> np.ndarray:
-        return self._pos(self.parent.mul_row(int(self.carrier[i]))[self.carrier])
-
-    def mul_col(self, j: int) -> np.ndarray:
-        return self._pos(self.parent.mul_col(int(self.carrier[j]))[self.carrier])
-
-    def add_pairs(self, u, v) -> np.ndarray:
-        return self._pos(
-            self.parent.add_pairs(self.carrier[_as_index_array(u)], self.carrier[_as_index_array(v)])
-        )
-
-    def mul_pairs(self, u, v) -> np.ndarray:
-        return self._pos(
-            self.parent.mul_pairs(self.carrier[_as_index_array(u)], self.carrier[_as_index_array(v)])
-        )
-
-    def neg_vec(self) -> np.ndarray:
-        return self._pos(self.parent.neg_vector()[self.carrier])
-
-    def star_vec(self) -> np.ndarray:
-        return self._pos(self.parent.star_vector()[self.carrier])
-
-    def find_unity(self) -> Optional[int]:
-        ident = np.arange(self.order)
-        for e in range(self.order):
-            if np.array_equal(self.mul_row(e), ident) and np.array_equal(
-                self.mul_col(e), ident
-            ):
-                return e
-        return None
-
-    def characteristic(self) -> int:
-        out = 1
-        for p in self.carrier:
-            out = math.lcm(out, self.parent.additive_order(int(p)))
         return out
 
-    def additive_order(self, i: int) -> int:
-        return self.parent.additive_order(int(self.carrier[i]))
+    def add_pairs(self, u, v) -> np.ndarray:
+        u, v = _as_index_array(u), _as_index_array(v)
+        return self._local(self.parent.add_pairs(self.reps[u], self.reps[v]))
+
+    def mul_pairs(self, u, v) -> np.ndarray:
+        u, v = _as_index_array(u), _as_index_array(v)
+        return self._local(self.parent.mul_pairs(self.reps[u], self.reps[v]))
+
+    def neg_vec(self) -> np.ndarray:
+        return self._local(self.parent.neg_vector()[self.reps])
+
+    def star_vec(self) -> np.ndarray:
+        return self._local(self.parent.star_vector()[self.reps])
 
     def decode(self, i: int) -> Any:
-        return self.parent.decode(int(self.carrier[i]))
+        return self.parent.decode(int(self.reps[i]))
 
     def encode(self, lit: Any) -> int:
-        p = self.parent.encode(lit)
-        pos = int(np.searchsorted(self.carrier, p))
-        if pos >= self.order or self.carrier[pos] != p:
+        local = int(self.local_of[self.parent.encode(lit)])
+        if local < 0:
             raise LiteralError("element %r is not in the subring" % (lit,))
-        return pos
+        return local
 
 
 class _TablesBackend(_Backend):
     """Dense int32 operation tables; every row, column and pair is a gather.
 
-    ``codec`` answers what the tables do not: decode/encode, find_unity,
-    characteristic and additive_order. A ring assembled from another backend
+    ``codec`` supplies decode/encode. A ring assembled from another backend
     keeps that backend as its codec; StarRing.from_tables passes a
-    :class:`_Literals`.
+    :class:`_Literals`. The unity and the characteristic of an assembled
+    ring are read from its construction backend before the tables exist;
+    only a ring given by its tables falls back on the defaults here.
     """
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, neg, star, codec):
@@ -445,15 +429,6 @@ class _TablesBackend(_Backend):
     def star_vec(self) -> np.ndarray:
         return self._star.copy()
 
-    def find_unity(self) -> Optional[int]:
-        return self.codec.find_unity()
-
-    def characteristic(self) -> int:
-        return self.codec.characteristic()
-
-    def additive_order(self, i: int) -> int:
-        return self.codec.additive_order(i)
-
     def decode(self, i: int) -> Any:
         return self.codec.decode(i)
 
@@ -463,14 +438,10 @@ class _TablesBackend(_Backend):
 
 class _Literals:
     """The codec of a ring given only by its tables (StarRing.from_tables):
-    literals[i] names element i, and the unity, the characteristic and the
-    additive orders are read off the tables."""
+    literals[i] names element i, by default the index itself."""
 
-    def __init__(self, add: np.ndarray, mul: np.ndarray, literals: Optional[Sequence[Any]]):
-        self.order = add.shape[0]
-        self._add = add
-        self._mul = mul
-        self._literals = list(literals) if literals is not None else list(range(self.order))
+    def __init__(self, order: int, literals: Optional[Sequence[Any]]):
+        self._literals = list(literals) if literals is not None else list(range(order))
         self._lit_index = {self._freeze(l): i for i, l in enumerate(self._literals)}
 
     @staticmethod
@@ -478,31 +449,6 @@ class _Literals:
         if isinstance(lit, list):
             return tuple(_Literals._freeze(x) for x in lit)
         return lit
-
-    def add_pairs(self, u, v) -> np.ndarray:
-        return _table_pairs(self._add, u, v)
-
-    def find_unity(self) -> Optional[int]:
-        ident = np.arange(self.order)
-        diag = self._mul[np.arange(self.order), np.arange(self.order)]
-        for e in np.flatnonzero(diag == np.arange(self.order)):
-            e = int(e)
-            if np.array_equal(self._mul[e].astype(np.int64), ident) and np.array_equal(
-                self._mul[:, e].astype(np.int64), ident
-            ):
-                return e
-        return None
-
-    def characteristic(self) -> int:
-        return _brute_additive_exponent(self)
-
-    def additive_order(self, i: int) -> int:
-        k = 1
-        cur = i
-        while cur != 0:
-            cur = int(self._add[cur, i])
-            k += 1
-        return k
 
     def decode(self, i: int) -> Any:
         return self._literals[i]
@@ -514,26 +460,13 @@ class _Literals:
         return self._lit_index[key]
 
 
-def _brute_additive_exponent(backend) -> int:
-    """Least k >= 1 with k.x = 0 for all x, by iterated vector addition."""
-    n = backend.order
-    idx = np.arange(n, dtype=np.int64)
-    cur = idx.copy()
-    k = 1
-    while cur.any():
-        cur = backend.add_pairs(cur, idx)
-        k += 1
-        if k > 4 * n + 4:
-            raise AxiomViolation("additive-exponent", ())
-    return k
-
-
 class StarRing:
     """A finite ring with involution, elements indexed 0..order-1.
 
     Index 0 is the zero element. ``unity`` is the index of the multiplicative
-    identity or None. ``characteristic`` is the additive exponent. All arrays
-    handed out are read-only views or fresh copies.
+    identity or None. ``characteristic`` is the additive exponent. Both are
+    read from the backend the ring is built from, before any tables are
+    assembled. All arrays handed out are read-only views or fresh copies.
     """
 
     def __init__(
@@ -554,16 +487,15 @@ class StarRing:
         self._star = np.asarray(backend.star_vec(), dtype=np.int64)
         self._neg.setflags(write=False)
         self._star.setflags(write=False)
+        self._backend = backend
         if self.has_tables() and not isinstance(backend, _TablesBackend):
-            backend = _TablesBackend(
+            self._backend = _TablesBackend(
                 self._assemble(backend.add_row),
                 self._assemble(backend.mul_row),
                 self._neg,
                 self._star,
                 codec=backend,
             )
-        self._backend = backend
-
         self._check_structural_invariants()
         self.unity: Optional[int] = backend.find_unity()
         self.characteristic: int = backend.characteristic()
@@ -667,7 +599,13 @@ class StarRing:
         return self._backend.encode(lit)
 
     def additive_order(self, i: int) -> int:
-        return self._backend.additive_order(i)
+        """Least k >= 1 with k.i = 0."""
+        k = 1
+        cur = i
+        while cur != 0:
+            cur = self.add(cur, i)
+            k += 1
+        return k
 
     def __repr__(self) -> str:
         return "StarRing(%s, order=%d)" % (self.label, self.order)
@@ -687,8 +625,7 @@ class StarRing:
         mul = np.array(mul, dtype=np.int32)
         add.setflags(write=False)
         mul.setflags(write=False)
-        codec = _Literals(add, mul, literals)
-        backend = _TablesBackend(add, mul, neg, star, codec)
+        backend = _TablesBackend(add, mul, neg, star, _Literals(add.shape[0], literals))
         return StarRing(backend, descriptor=None, label=label, limits=limits)
 
 
@@ -763,13 +700,12 @@ def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
             check_literal_shape(d.parent, g)
             gen_indices.append(parent.encode(g))
         carrier = _close_subring(parent, gen_indices)
-        return StarRing(_ClosureBackend(parent, carrier), descriptor=d, limits=limits)
+        local_of = np.full(parent.order, -1, dtype=np.int64)
+        local_of[carrier] = np.arange(len(carrier))
+        return StarRing(
+            _SectionBackend(parent, carrier, local_of), descriptor=d, limits=limits
+        )
     raise DescriptorError("not a descriptor: %r" % (d,))
-
-
-def characteristic(ring: StarRing) -> int:
-    """Least k >= 1 with k.x = 0 for every x."""
-    return ring.characteristic
 
 
 # --- axiom audit --------------------------------------------------------------

@@ -74,162 +74,53 @@ from .projections import (
     largest_eigen_projection,
     rp,
 )
-from .rings import StarRing, _Backend, _as_index_array, _brute_additive_exponent
+from .rings import StarRing, _ProductBackend, _SectionBackend
 
 
-class _PairBackend(_Backend):
-    """The pair ring R (+) K. Pair index = a_index * |K| + lam_index."""
+class _PairBackend(_ProductBackend):
+    """The pair ring R (+) K: the product R x K with the twisted product
+    (a, lam)(b, mu) = (ab + mu.a + lam.b, lam mu). Pair index =
+    a_index * |K| + lam_index, the product's encoding."""
 
     def __init__(self, algebra: ScalarAlgebra):
-        self.A = algebra
-        self.R = algebra.ring
-        self.K = algebra.scalars
-        self.kn = self.K.order
-        self.order = self.R.order * self.K.order
+        super().__init__(algebra.ring, algebra.scalars)
         self._action = algebra.action.astype(np.int64)
 
-    def _split(self, u):
-        u = _as_index_array(u)
-        return u // self.kn, u % self.kn
-
-    def add_row(self, i: int) -> np.ndarray:
-        a, lam = divmod(i, self.kn)
-        return (
-            self.R.add_row(a)[:, None] * self.kn + self.K.add_row(lam)[None, :]
-        ).ravel()
-
     def mul_row(self, i: int) -> np.ndarray:
-        a, lam = divmod(i, self.kn)
-        nr, nk = self.R.order, self.kn
-        ab = self.R.mul_row(a)                    # a b over b
+        a, lam = divmod(i, self.rn)
+        R, K = self.left, self.right
+        nr, nk = R.order, K.order
+        ab = R.mul_row(a)                         # a b over b
         lam_b = self._action[lam]                 # lam.b over b
         mu_a = self._action[:, a]                 # mu.a over mu
-        partial = self.R.add_pairs(ab, lam_b)     # over b
+        partial = R.add_pairs(ab, lam_b)          # over b
         u = np.broadcast_to(partial[:, None], (nr, nk)).ravel()
         v = np.broadcast_to(mu_a[None, :], (nr, nk)).ravel()
-        rpart = self.R.add_pairs(u, v)
-        kpart = np.broadcast_to(self.K.mul_row(lam)[None, :], (nr, nk)).ravel()
-        return rpart * self.kn + kpart
+        rpart = R.add_pairs(u, v).reshape(nr, nk)
+        return (rpart * nk + K.mul_row(lam)).ravel()
 
     def mul_col(self, j: int) -> np.ndarray:
-        b, mu = divmod(j, self.kn)
-        nr, nk = self.R.order, self.kn
-        ab = self.R.mul_col(b)                    # a b over a
+        b, mu = divmod(j, self.rn)
+        R, K = self.left, self.right
+        nr, nk = R.order, K.order
+        ab = R.mul_col(b)                         # a b over a
         mu_a = self._action[mu]                   # mu.a over a
         lam_b = self._action[:, b]                # lam.b over lam
-        partial = self.R.add_pairs(ab, mu_a)      # over a
+        partial = R.add_pairs(ab, mu_a)           # over a
         u = np.broadcast_to(partial[:, None], (nr, nk)).ravel()
         v = np.broadcast_to(lam_b[None, :], (nr, nk)).ravel()
-        rpart = self.R.add_pairs(u, v)
-        kpart = np.broadcast_to(self.K.mul_col(mu)[None, :], (nr, nk)).ravel()
-        return rpart * self.kn + kpart
-
-    def add_pairs(self, u, v) -> np.ndarray:
-        ua, ul = self._split(u)
-        va, vl = self._split(v)
-        return self.R.add_pairs(ua, va) * self.kn + self.K.add_pairs(ul, vl)
+        rpart = R.add_pairs(u, v).reshape(nr, nk)
+        return (rpart * nk + K.mul_col(mu)).ravel()
 
     def mul_pairs(self, u, v) -> np.ndarray:
         ua, ul = self._split(u)
         va, vl = self._split(v)
-        ab = self.R.mul_pairs(ua, va)
+        R = self.left
+        ab = R.mul_pairs(ua, va)
         mu_a = self._action[vl, ua]
         lam_b = self._action[ul, va]
-        rpart = self.R.add_pairs(self.R.add_pairs(ab, mu_a), lam_b)
-        return rpart * self.kn + self.K.mul_pairs(ul, vl)
-
-    def neg_vec(self) -> np.ndarray:
-        return (
-            self.R.neg_vector()[:, None] * self.kn + self.K.neg_vector()[None, :]
-        ).ravel()
-
-    def star_vec(self) -> np.ndarray:
-        return (
-            self.R.star_vector()[:, None] * self.kn + self.K.star_vector()[None, :]
-        ).ravel()
-
-    def find_unity(self) -> Optional[int]:
-        return self.K.unity  # the pair (0, 1_K)
-
-    def characteristic(self) -> int:
-        import math
-
-        return math.lcm(self.R.characteristic, self.K.characteristic)
-
-    def additive_order(self, i: int) -> int:
-        import math
-
-        a, lam = divmod(i, self.kn)
-        return math.lcm(self.R.additive_order(a), self.K.additive_order(lam))
-
-    def decode(self, i: int) -> Any:
-        a, lam = divmod(i, self.kn)
-        return (self.R.decode(a), self.K.decode(lam))
-
-    def encode(self, lit: Any) -> int:
-        if not isinstance(lit, tuple) or len(lit) != 2:
-            raise ValueError("pair literal expected, got %r" % (lit,))
-        return self.R.encode(lit[0]) * self.kn + self.K.encode(lit[1])
-
-
-class _QuotientBackend(_Backend):
-    """The pair ring modulo the kernel ideal; elements are coset ordinals."""
-
-    def __init__(self, r1: StarRing, reps: np.ndarray, coset_of_pair: np.ndarray):
-        self.r1 = r1
-        self.reps = reps
-        self.coset_of_pair = coset_of_pair
-        self.order = len(reps)
-
-    def add_row(self, i: int) -> np.ndarray:
-        full = np.full(self.order, self.reps[i], dtype=np.int64)
-        return self.coset_of_pair[self.r1.add_pairs(full, self.reps)]
-
-    def mul_row(self, i: int) -> np.ndarray:
-        full = np.full(self.order, self.reps[i], dtype=np.int64)
-        return self.coset_of_pair[self.r1.mul_pairs(full, self.reps)]
-
-    def mul_col(self, j: int) -> np.ndarray:
-        full = np.full(self.order, self.reps[j], dtype=np.int64)
-        return self.coset_of_pair[self.r1.mul_pairs(self.reps, full)]
-
-    def add_pairs(self, u, v) -> np.ndarray:
-        u = _as_index_array(u)
-        v = _as_index_array(v)
-        return self.coset_of_pair[self.r1.add_pairs(self.reps[u], self.reps[v])]
-
-    def mul_pairs(self, u, v) -> np.ndarray:
-        u = _as_index_array(u)
-        v = _as_index_array(v)
-        return self.coset_of_pair[self.r1.mul_pairs(self.reps[u], self.reps[v])]
-
-    def neg_vec(self) -> np.ndarray:
-        return self.coset_of_pair[self.r1.neg_vector()[self.reps]]
-
-    def star_vec(self) -> np.ndarray:
-        return self.coset_of_pair[self.r1.star_vector()[self.reps]]
-
-    def find_unity(self) -> Optional[int]:
-        if self.r1.unity is None:
-            return None
-        return int(self.coset_of_pair[self.r1.unity])
-
-    def characteristic(self) -> int:
-        return _brute_additive_exponent(self)
-
-    def additive_order(self, i: int) -> int:
-        k = 1
-        cur = i
-        while cur != 0:
-            cur = int(self.add_pairs(np.array([cur]), np.array([i]))[0])
-            k += 1
-        return k
-
-    def decode(self, i: int) -> Any:
-        return self.r1.decode(int(self.reps[i]))
-
-    def encode(self, lit: Any) -> int:
-        return int(self.coset_of_pair[self.r1.encode(lit)])
+        rpart = R.add_pairs(R.add_pairs(ab, mu_a), lam_b)
+        return rpart * self.rn + self.right.mul_pairs(ul, vl)
 
 
 @dataclass(frozen=True)
@@ -401,7 +292,7 @@ def build_quotient(
     coset_of_pair = np.searchsorted(reps, rep_of_pair)
     label = "unitified(%s over %s)" % (algebra.ring.label, algebra.scalars.label)
     qring = StarRing(
-        _QuotientBackend(r1, reps, coset_of_pair),
+        _SectionBackend(r1, reps, coset_of_pair),
         descriptor=None,
         label=label,
         limits=limits,
@@ -417,11 +308,6 @@ def build_quotient(
     if validate:
         _validate_quotient(quot)
     return quot
-
-
-def embed(quot: Quotient, a: int) -> int:
-    """Coset of (a, 0) in the unitified ring."""
-    return quot.embed(a)
 
 
 def _formula_projection(
@@ -451,12 +337,6 @@ def _formula_projection(
     return int(quot.coset_of_pair[pair])
 
 
-def _quotient_involution_proper(q: StarRing) -> bool:
-    idx = np.arange(q.order, dtype=np.int64)
-    diag = q.mul_pairs(q.star_vector(), idx)
-    return not bool(((diag == 0) & (idx != 0)).any())
-
-
 def rp_in_quotient(
     quot: Quotient,
     c: int,
@@ -476,7 +356,7 @@ def rp_in_quotient(
     brute = rp(q, c, qscan)
     target = c
     if q.star(c) != c:
-        if not _quotient_involution_proper(q):
+        if not is_proper_involution(q).verdict:
             return brute
         target = q.mul(q.star(c), c)
     formula = _formula_projection(quot, target, rscan, central=False)
@@ -750,7 +630,7 @@ def check_R1_lemmas(algebra: ScalarAlgebra, limits: Limits = DEFAULT_LIMITS) -> 
     rscan = RingScan(R)
     r1scan = RingScan(r1)
     proper_r = is_proper_involution(R).verdict
-    if proper_r and not _quotient_involution_proper(r1):
+    if proper_r and not is_proper_involution(r1).verdict:
         raise VerificationFailed("proper-involution-transfer", r1.label)
     checked = 0
     for x in range(R.order):

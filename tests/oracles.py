@@ -17,6 +17,34 @@ def o_elements(ring) -> range:
     return range(ring.order)
 
 
+def o_unity(ring) -> Optional[int]:
+    """The element e with e x = x = x e for every x, if any."""
+    for e in o_elements(ring):
+        if all(ring.mul(e, x) == x and ring.mul(x, e) == x for x in o_elements(ring)):
+            return e
+    return None
+
+
+def o_additive_order(ring, x: int) -> int:
+    """Least k >= 1 with x + x + ... + x (k terms) = 0."""
+    k, total = 1, x
+    while total != 0:
+        total = ring.add(total, x)
+        k += 1
+    return k
+
+
+def o_characteristic(ring) -> int:
+    """Least k >= 1 with k.x = 0 for every x, adding every x to itself k
+    times in lockstep."""
+    xs = list(o_elements(ring))
+    k, totals = 1, list(xs)
+    while any(totals):
+        totals = [ring.add(t, x) for t, x in zip(totals, xs)]
+        k += 1
+    return k
+
+
 # caches hold a strong reference to the ring so an id is never recycled
 _proj_cache: Dict[int, Tuple[object, List[int]]] = {}
 _central_cache: Dict[int, Tuple[object, List[int]]] = {}

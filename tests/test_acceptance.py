@@ -34,7 +34,6 @@ from starbench.projections import RingScan, rp_via_star
 from starbench.unitify import (
     build_quotient,
     describe_unitification,
-    embed,
     rp_in_quotient,
     verify_unitification,
 )
@@ -154,7 +153,7 @@ def test_criterion_5_unital_collapse_across_corpus():
                 continue
             quot = quotient_of(text, "Z(%d)" % ring.characteristic, cap=20000)
             assert quot.ring.order == ring.order, text
-            images = {embed(quot, a) for a in range(ring.order)}
+            images = {quot.embed(a) for a in range(ring.order)}
             assert len(images) == ring.order, text
             checked += 1
         assert checked >= 39

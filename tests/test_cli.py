@@ -110,6 +110,25 @@ class TestCheck:
         assert payload["error"]["type"] == "OrderCapExceeded"
 
 
+class TestMaxOrder:
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("describe", "Z(6)"), ("check", "--corpus", "small", "proper")],
+        ids=["describe", "check-corpus"],
+    )
+    def test_below_one_is_a_usage_error(self, capsys, argv, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--max-order", cap])
+        assert exc.value.code == 2
+        assert "--max-order: must be at least 1" in capsys.readouterr().err
+
+    def test_one_is_a_cap(self, capsys):
+        code, payload, _ = run_json(capsys, "describe", "Z(6)", "--max-order", "1")
+        assert code == 4
+        assert payload["error"]["type"] == "OrderCapExceeded"
+
+
 class TestElementCommands:
     def test_rp_text(self, capsys):
         code, out, _ = run(capsys, "rp", "Z(6)", "2")
