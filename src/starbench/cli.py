@@ -126,20 +126,20 @@ def _emit(args, payload: Any, text_lines: Callable[[], List[str]]) -> None:
             sys.stdout.write(line + "\n")
 
 
-def _run_tasks(tasks: Sequence[Any], fn: Callable[[Any], Any], jobs: int) -> List[Any]:
-    """Run tagged worker tasks, serially or in a pool, preserving task order.
+def _run_tasks(body: Callable[[Any], Any], payloads: Sequence[Any], jobs: int) -> List[Any]:
+    """body(payload) for every payload, serially or in a pool, in order.
 
-    Workers return ("ok", value) or ("err", exit_code, payload); the first
-    error is re-raised here so the exit-code contract survives the pool
-    boundary.
+    Each call is run by :func:`_tagged_call`; the first error is re-raised
+    here so the exit-code contract survives the pool boundary.
     """
+    tasks = [(body, p) for p in payloads]
     if jobs <= 1 or len(tasks) <= 1:
-        tagged = [fn(t) for t in tasks]
+        tagged = [_tagged_call(t) for t in tasks]
     else:
         from multiprocessing import Pool
 
         with Pool(processes=min(jobs, len(tasks))) as pool:
-            tagged = pool.map(fn, tasks, chunksize=1)
+            tagged = pool.map(_tagged_call, tasks, chunksize=1)
     out = []
     for tag in tagged:
         if tag[0] == "err":
@@ -151,14 +151,14 @@ def _run_tasks(tasks: Sequence[Any], fn: Callable[[Any], Any], jobs: int) -> Lis
 # ---- worker functions (top level so they pickle) ---------------------------
 
 
-def _tagged(fn: Callable[..., Any]) -> Callable[..., Any]:
-    def run(payload):
-        try:
-            return ("ok", fn(payload))
-        except StarbenchError as exc:
-            return ("err", _exit_code_for(exc), exc.payload())
-
-    return run
+def _tagged_call(task: Tuple[Callable[[Any], Any], Any]) -> tuple:
+    """("ok", body(payload)), or ("err", exit_code, error payload) when the
+    body raises a StarbenchError."""
+    body, payload = task
+    try:
+        return ("ok", body(payload))
+    except StarbenchError as exc:
+        return ("err", _exit_code_for(exc), exc.payload())
 
 
 def _check_body(payload: Tuple[str, Tuple[str, ...], Optional[int], bool]) -> dict:
@@ -172,10 +172,6 @@ def _check_body(payload: Tuple[str, Tuple[str, ...], Optional[int], bool]) -> di
         "ring": to_dsl(d),
         "reports": [r.to_json(include_timings=timings) for r in reports],
     }
-
-
-def _check_task(payload):
-    return _tagged(_check_body)(payload)
 
 
 def _scan_body(payload: Tuple[int, int, Optional[int]]) -> dict:
@@ -195,20 +191,12 @@ def _scan_body(payload: Tuple[int, int, Optional[int]]) -> dict:
     }
 
 
-def _scan_task(payload):
-    return _tagged(_scan_body)(payload)
-
-
 def _implication_body(payload: Tuple[str, Optional[int], bool]) -> List[dict]:
     expr, cap, timings = payload
     limits = _limits(cap)
     d = parse_ring_expr(expr)
     reports = implication_reports_for(d, limits)
     return [r.to_json(include_timings=timings) for r in reports]
-
-
-def _implication_task(payload):
-    return _tagged(_implication_body)(payload)
 
 
 # ---- verbs -----------------------------------------------------------------
@@ -275,7 +263,7 @@ def _cmd_check(args) -> int:
     else:
         raise DescriptorError("check needs a ring expression or --corpus")
     tasks = [(e, props, args.max_order, args.timings) for e in exprs]
-    results = _run_tasks(tasks, _check_task, args.jobs)
+    results = _run_tasks(_check_body, tasks, args.jobs)
     if args.corpus:
         payload: Any = results
     else:
@@ -410,7 +398,7 @@ def _cmd_verify(args) -> int:
     if args.suite == "implications":
         exprs = corpus_by_name(args.corpus)
         tasks = [(e, args.max_order, args.timings) for e in exprs]
-        blocks = _run_tasks(tasks, _implication_task, args.jobs)
+        blocks = _run_tasks(_implication_body, tasks, args.jobs)
         rows = [row for block in blocks for row in block]
         violations = [row for row in rows if not row["verdict"]]
         payload = {
@@ -470,7 +458,7 @@ def _cmd_scan_cor(args) -> int:
         for n in range(1, args.n_max + 1)
         for m in range(2, args.m_max + 1)
     ]
-    rows = _run_tasks(tasks, _scan_task, args.jobs)
+    rows = _run_tasks(_scan_body, tasks, args.jobs)
     truth: Dict[str, List[int]] = {}
     for row in rows:
         if row["brute"]:
@@ -516,11 +504,17 @@ def _cmd_corpus(args) -> int:
 # ---- argument plumbing -----------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int of at least ``low``; anything lower is a
+    usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return integer
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -529,7 +523,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     p.add_argument(
         "--max-order",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=None,
         help="raise or lower the element-count cap (at least 1)",
     )
@@ -603,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_verify, suite="crosscheck")
 
     p = sub.add_parser("scan-cor", help="arithmetic vs brute Baer* over a matrix grid")
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=7)
+    p.add_argument("--n-max", type=_int_at_least(1), default=2, help="largest n (at least 1)")
+    p.add_argument("--m-max", type=_int_at_least(2), default=7, help="largest m (at least 2)")
     _common_flags(p)
     p.set_defaults(func=_cmd_scan_cor)
 

@@ -11,9 +11,10 @@ class Limits:
 
     element_cap: largest ring order build_ring will materialize.
     table_threshold: maximum number of table entries (order squared) to
-        precompute; larger rings stay call-based and compute every row on
-        demand (for matrix rings, k gathers from row-block tables of size
-        m^k by m^k and m^k by order, for k-by-k matrices over Z(m)).
+        precompute for a ring a descriptor names; larger rings, pair rings
+        and quotients stay call-based and compute every row on demand (for
+        matrix rings, k gathers from row-block tables of size m^k by m^k
+        and m^k by order, for k-by-k matrices over Z(m)).
     family_cap: maximum number of distinct annihilator sets the family
         closure will collect before giving up.
     """

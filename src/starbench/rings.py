@@ -2,14 +2,17 @@
 
 A :class:`StarRing` is a finite ring with involution whose elements are the
 indices 0..order-1, with index 0 always the zero element. Every operation
-is served by one backend object. Small rings (``order**2 <=
-limits.table_threshold``) have their dense int32 Cayley tables assembled
-row by row at construction and are then served by :class:`_TablesBackend`,
-the same class that serves :meth:`StarRing.from_tables`; larger ones stay
-call-based and compute each row on demand with a few vectorized numpy
-calls. Matrix rings compute rows, columns and pairs as gathers from two
-small row-block tables (see :class:`_MatrixBackend`), so a call-based
-M(2, Z(7)) row costs two gathers of 2401 entries.
+is served by one backend object. A small ring (``order**2 <=
+limits.table_threshold``) that a descriptor names, which the classifiers
+scan row by row, has its dense int32 Cayley tables assembled at
+construction and is then served by :class:`_TablesBackend`, as is
+:meth:`StarRing.from_tables`. Every other ring is call-based and computes
+each row on demand with a few vectorized numpy calls: the pair ring and the
+quotient of a unitification have no descriptor, and are read through fewer
+pair ops than their tables take to assemble. Matrix rings compute rows,
+columns and pairs as gathers from two small row-block tables (see
+:class:`_MatrixBackend`), so a call-based M(2, Z(7)) row costs two gathers
+of 2401 entries.
 
 Backends supply arithmetic and a codec, nothing more:
 
@@ -24,9 +27,9 @@ definitions: the scalar ops ``add``/``mul``, the rows ``add_row(i)`` and
 there is no add_col), ``find_unity()`` (the idempotent that is a two-sided
 identity) and ``characteristic()`` (the least k with k.x = 0 for every x).
 A backend overrides a default only where it pays: the cyclic, matrix and
-product backends (and the pair ring, a product with a twisted
-multiplication) compute rows directly, and the first three know their
-characteristic. Subrings and quotients are both a :class:`_SectionBackend`
+product backends compute rows directly and know their characteristic (the
+pair ring, a product with a twisted multiplication, takes the default
+rows). Subrings and quotients are both a :class:`_SectionBackend`
 over their parent. :class:`StarRing` reads the unity and the
 characteristic from the backend it was built from, and defines the
 additive order of an element itself.
@@ -387,6 +390,7 @@ class _SectionBackend(_Backend):
 class _TablesBackend(_Backend):
     """Dense int32 operation tables; every row, column and pair is a gather.
 
+    It serves small descriptor rings and rings given by their tables.
     ``codec`` supplies decode/encode. A ring assembled from another backend
     keeps that backend as its codec; StarRing.from_tables passes a
     :class:`_Literals`. The unity and the characteristic of an assembled
@@ -488,7 +492,7 @@ class StarRing:
         self._neg.setflags(write=False)
         self._star.setflags(write=False)
         self._backend = backend
-        if self.has_tables() and not isinstance(backend, _TablesBackend):
+        if descriptor is not None and self.order**2 <= limits.table_threshold:
             self._backend = _TablesBackend(
                 self._assemble(backend.add_row),
                 self._assemble(backend.mul_row),
@@ -568,13 +572,13 @@ class StarRing:
 
     def add_table(self) -> np.ndarray:
         """Dense int32 table; assembled transiently for call-based rings."""
-        if isinstance(self._backend, _TablesBackend):
+        if self.has_tables():
             return self._backend.add_table
         self._guard_transient()
         return self._assemble(self._backend.add_row)
 
     def mul_table(self) -> np.ndarray:
-        if isinstance(self._backend, _TablesBackend):
+        if self.has_tables():
             return self._backend.mul_table
         self._guard_transient()
         return self._assemble(self._backend.mul_row)
@@ -586,9 +590,9 @@ class StarRing:
             )
 
     def has_tables(self) -> bool:
-        """Whether order squared is at most ``limits.table_threshold``, the
-        size up to which a ring built from a backend gets dense tables."""
-        return self.order * self.order <= self.limits.table_threshold
+        """Whether dense tables serve the ring: given by its tables, or named
+        by a descriptor with order squared at most the table threshold."""
+        return isinstance(self._backend, _TablesBackend)
 
     # --- codec and misc ----------------------------------------------------
 

@@ -74,43 +74,22 @@ from .projections import (
     largest_eigen_projection,
     rp,
 )
-from .rings import StarRing, _ProductBackend, _SectionBackend
+from .rings import StarRing, _Backend, _ProductBackend, _SectionBackend
 
 
 class _PairBackend(_ProductBackend):
     """The pair ring R (+) K: the product R x K with the twisted product
     (a, lam)(b, mu) = (ab + mu.a + lam.b, lam mu). Pair index =
-    a_index * |K| + lam_index, the product's encoding."""
+    a_index * |K| + lam_index, the product's encoding. Only ``mul_pairs``
+    is new; the ring is call-based, with the definitional rows."""
 
     def __init__(self, algebra: ScalarAlgebra):
         super().__init__(algebra.ring, algebra.scalars)
         self._action = algebra.action.astype(np.int64)
 
-    def mul_row(self, i: int) -> np.ndarray:
-        a, lam = divmod(i, self.rn)
-        R, K = self.left, self.right
-        nr, nk = R.order, K.order
-        ab = R.mul_row(a)                         # a b over b
-        lam_b = self._action[lam]                 # lam.b over b
-        mu_a = self._action[:, a]                 # mu.a over mu
-        partial = R.add_pairs(ab, lam_b)          # over b
-        u = np.broadcast_to(partial[:, None], (nr, nk)).ravel()
-        v = np.broadcast_to(mu_a[None, :], (nr, nk)).ravel()
-        rpart = R.add_pairs(u, v).reshape(nr, nk)
-        return (rpart * nk + K.mul_row(lam)).ravel()
-
-    def mul_col(self, j: int) -> np.ndarray:
-        b, mu = divmod(j, self.rn)
-        R, K = self.left, self.right
-        nr, nk = R.order, K.order
-        ab = R.mul_col(b)                         # a b over a
-        mu_a = self._action[mu]                   # mu.a over a
-        lam_b = self._action[:, b]                # lam.b over lam
-        partial = R.add_pairs(ab, mu_a)           # over a
-        u = np.broadcast_to(partial[:, None], (nr, nk)).ravel()
-        v = np.broadcast_to(lam_b[None, :], (nr, nk)).ravel()
-        rpart = R.add_pairs(u, v).reshape(nr, nk)
-        return (rpart * nk + K.mul_col(mu)).ravel()
+    # not the product's componentwise rows
+    mul_row = _Backend.mul_row
+    mul_col = _Backend.mul_col
 
     def mul_pairs(self, u, v) -> np.ndarray:
         ua, ul = self._split(u)

@@ -216,8 +216,9 @@ def test_criterion_8_projection_identities():
             ("sub(Z(9); 3)", "Z(9)"),
         ):
             quot = quotient_of(ring_text, k_text)
+            scans = RingScan(quot.ring), RingScan(quot.algebra.ring)
             for pos in range(quot.ring.order):
-                formula = rp_in_quotient(quot, pos)
+                formula = rp_in_quotient(quot, pos, *scans)
                 brute = oracles.o_rp(quot.ring, pos)
                 assert formula == brute, (ring_text, k_text, pos)
 

@@ -1,9 +1,11 @@
 """Call-based rings against their tabled twins, and the fused scan passes.
 
-A ring built with ``table_threshold=0`` serves every row, column and pair
-from its backend; the same descriptor under the default limits is served
-from dense tables. Both must agree on every operation and every classifier
-report, and the one-pass ``RingScan`` bitsets and its memoized set
+Dense tables serve a ring given by its tables, and a descriptor ring whose
+order squared is at most ``table_threshold``; pair rings and quotients are
+always call-based. A ring built with ``table_threshold=0`` serves every
+row, column and pair from its backend; the same descriptor under the
+default limits is served from dense tables. Both must agree on every
+operation and every classifier report, and the one-pass ``RingScan`` bitsets and its memoized set
 annihilators ``r_of``/``l_of`` must agree with the definitional
 annihilator and principal-ideal functions.
 """
@@ -11,7 +13,16 @@ annihilator and principal-ideal functions.
 import numpy as np
 import pytest
 
-from starbench import RingScan, build_ring, classify_all, parse_ring_expr
+from starbench import (
+    RingScan,
+    StarRing,
+    build_R1,
+    build_quotient,
+    build_ring,
+    build_scalar_algebra,
+    classify_all,
+    parse_ring_expr,
+)
 from starbench.annihilators import (
     lann_single,
     left_annihilator,
@@ -22,7 +33,7 @@ from starbench.annihilators import (
 )
 from starbench.bitsets import full_mask, indices_of
 from starbench.classifiers import ideal_annihilator_crosscheck
-from starbench.config import Limits
+from starbench.config import DEFAULT_LIMITS, Limits
 from starbench.corpus import small_corpus
 
 from conftest import cached_ring
@@ -34,6 +45,30 @@ def call_based_ring(text):
     ring = build_ring(parse_ring_expr(text), CALL_BASED)
     assert not ring.has_tables()
     return ring
+
+
+@pytest.mark.parametrize("text", small_corpus())
+def test_descriptor_rings_get_tables_up_to_the_threshold(text):
+    n = cached_ring(text).order
+    for threshold in (0, n * n - 1, n * n, DEFAULT_LIMITS.table_threshold):
+        ring = build_ring(parse_ring_expr(text), Limits(table_threshold=threshold))
+        assert ring.has_tables() == (n * n <= threshold), threshold
+
+
+def test_rings_given_by_tables_keep_them():
+    z6 = cached_ring("Z(6)")
+    for limits in (DEFAULT_LIMITS, CALL_BASED):
+        ring = StarRing.from_tables(
+            z6.add_table(), z6.mul_table(), z6.neg_vector(), z6.star_vector(), limits=limits
+        )
+        assert ring.has_tables()
+
+
+@pytest.mark.parametrize("ring_text,scalar_text", [("sub(Z(9); 3)", "Z(9)"), ("M(2, Z(3))", "Z(6)")])
+def test_pair_rings_and_quotients_are_call_based(ring_text, scalar_text):
+    algebra = build_scalar_algebra(cached_ring(ring_text), cached_ring(scalar_text))
+    assert not build_R1(algebra).has_tables()
+    assert not build_quotient(algebra).ring.has_tables()
 
 
 @pytest.mark.parametrize("text", small_corpus())

@@ -264,6 +264,22 @@ class TestScanCor:
         _, out2, _ = run(capsys, "scan-cor", "--m-max", "6", "--format", "json", "--jobs", "2")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--n-max", "0"), "--n-max: must be at least 1"),
+            (("--m-max", "1"), "--m-max: must be at least 2"),
+            (("--n-max", "-3", "--m-max", "-1"), "--n-max: must be at least 1"),
+        ],
+        ids=["n-max-0", "m-max-1", "both-negative"],
+    )
+    def test_empty_grid_is_a_usage_error(self, capsys, argv, message):
+        # n runs from 1 and m from 2, so any lower bound leaves no ring to check
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-cor", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCorpus:
     @pytest.mark.parametrize("name,count", [("small", 24), ("medium", 41), ("all-cyclic", 29)])

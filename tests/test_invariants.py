@@ -4,9 +4,10 @@
 from: the cyclic, matrix and product backends compute the characteristic
 directly, and every other value is a default of the backend protocol.
 ``additive_order`` is one loop on ``StarRing``. Each is compared with the
-definition-level oracle on every small-corpus ring and on pair rings and
-quotients, both with dense tables and call-based
-(``Limits(table_threshold=0)``).
+definition-level oracle on every small-corpus ring, both with dense tables
+and call-based (``Limits(table_threshold=0)``), and on pair rings and
+quotients. Those have no descriptor and are always call-based; the limits
+vary only the tables of R and K.
 """
 
 import pytest

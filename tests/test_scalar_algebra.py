@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from starbench import DEFAULT_LIMITS, Limits, StarRing, build_ring, build_scalar_algebra, parse_ring_expr
+from starbench import Limits, StarRing, build_ring, build_scalar_algebra, parse_ring_expr
 from starbench.errors import ActionAxiomViolation, AxiomViolation, CharacteristicMismatch
+from starbench.rings import _SectionBackend
 
 import oracles
 from conftest import cached_ring
@@ -251,9 +252,12 @@ def corrupted_ring_actions(count, seed):
                 mul[:, j] = mul[:, (j + shift) % r.order]
         literals = [r.decode(k) for k in range(r.order)]
         try:
-            R = StarRing.from_tables(
-                add, mul, r.neg_vector(), star, literals, limits=limits or DEFAULT_LIMITS
-            )
+            R = StarRing.from_tables(add, mul, r.neg_vector(), star, literals)
+            if limits is CALL_BASED:
+                # a ring given by its tables keeps them; its section twin
+                # computes every row from the tables' pair ops
+                idx = np.arange(R.order)
+                R = StarRing(_SectionBackend(R, idx, idx), limits=limits)
         except AxiomViolation:
             continue
         yield R, cached_ring(scalars), natural_table(text, scalars)

@@ -7,6 +7,7 @@ import pytest
 from starbench import (
     DEFAULT_LIMITS,
     Limits,
+    RingScan,
     build_ring,
     build_scalar_algebra,
     parse_ring_expr,
@@ -57,6 +58,27 @@ class TestPairRing:
             lhs = r1.mul(r1.encode((a, lam)), r1.encode((b, mu)))
             first = z6.add(z6.add(z6.mul(a, b), alg.act(mu, a)), alg.act(lam, b))
             assert r1.decode(lhs) == (first, (lam * mu) % 6)
+
+    @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)")])
+    def test_rows_and_columns_follow_the_rule(self, rt, kt, algebra_of):
+        # every row and column, computed from the pair op, against the
+        # rule evaluated in R and K on the decoded pairs
+        alg = algebra_of(rt, kt)
+        R, K = alg.ring, alg.scalars
+        r1 = build_R1(alg)
+
+        def twisted(x, y):
+            (a, lam), (b, mu) = r1.decode(x), r1.decode(y)
+            a, lam, b, mu = R.encode(a), K.encode(lam), R.encode(b), K.encode(mu)
+            first = R.add(R.add(R.mul(a, b), alg.act(mu, a)), alg.act(lam, b))
+            return r1.encode((R.decode(first), K.decode(K.mul(lam, mu))))
+
+        n = r1.order
+        rows = np.stack([r1.mul_row(i) for i in range(n)])
+        cols = np.stack([r1.mul_col(j) for j in range(n)])
+        for i in range(n):
+            for j in range(n):
+                assert rows[i, j] == cols[j, i] == twisted(i, j), (i, j)
 
     def test_involution_is_componentwise(self, algebra_of, m2z3):
         alg = algebra_of("M(2,Z(3))", "Z(3)")
@@ -191,28 +213,37 @@ class TestQuotient:
         assert q.ring.decode(q.ring.unity) == (((0, 0), (0, 0)), 1)
 
 
+def quotient_scans(q):
+    """One scan of the quotient and one of R, shared by every coset."""
+    return RingScan(q.ring), RingScan(q.algebra.ring)
+
+
 class TestProjectionFormulas:
     @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(6)"), ("M(2,Z(3))", "Z(3)")])
     def test_rp_formula_agrees_with_brute_force_everywhere(self, rt, kt, algebra_of):
         q = build_quotient(algebra_of(rt, kt))
+        scans = quotient_scans(q)
         for c in range(q.ring.order):
-            assert rp_in_quotient(q, c) == oracles.o_rp(q.ring, c)
+            assert rp_in_quotient(q, c, *scans) == oracles.o_rp(q.ring, c)
 
     @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(3)")])
     def test_cover_formula_agrees_with_brute_force_everywhere(self, rt, kt, algebra_of):
         q = build_quotient(algebra_of(rt, kt))
+        scans = quotient_scans(q)
         for c in range(q.ring.order):
-            assert cover_in_quotient(q, c) == oracles.o_central_cover(q.ring, c)
+            assert cover_in_quotient(q, c, *scans) == oracles.o_central_cover(q.ring, c)
 
     def test_rp_preserved_under_embedding(self, z6, algebra_of):
         q = build_quotient(algebra_of("Z(6)", "Z(6)"))
+        scans = quotient_scans(q)
         for a in range(6):
-            assert rp_in_quotient(q, q.embed(a)) == q.embed(rp(z6, a))
+            assert rp_in_quotient(q, q.embed(a), *scans) == q.embed(rp(z6, a))
 
     def test_cover_preserved_under_embedding(self, m2z3, algebra_of):
         q = build_quotient(algebra_of("M(2,Z(3))", "Z(3)"))
+        scans = quotient_scans(q)
         for a in range(81):
-            assert cover_in_quotient(q, q.embed(a)) == q.embed(central_cover(m2z3, a))
+            assert cover_in_quotient(q, q.embed(a), *scans) == q.embed(central_cover(m2z3, a))
 
 
 class TestVerification:
