@@ -23,6 +23,22 @@ def bool_from_mask(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
 
 
+def masks_from_rows(flags: np.ndarray) -> List[int]:
+    """Pack each row of a 2-D boolean array into an int, as
+    ``mask_from_bool`` does for one row, through a single ``packbits``."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
+
+
+def rows_from_masks(masks: List[int], n: int) -> np.ndarray:
+    """The inverse of ``masks_from_rows``: a (len(masks), n) boolean array
+    whose row i is ``bool_from_mask(masks[i], n)``."""
+    nbytes = (n + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+
+
 def iter_indices(mask: int) -> Iterator[int]:
     """Yield set bit positions in ascending order."""
     while mask:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .annihilators import annihilator_family, principal_two_sided_ideal
-from .bitsets import bool_from_mask, contains, is_subset
+from .bitsets import contains, is_subset, rows_from_masks
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import Descriptor, to_dsl
 from .errors import VerificationFailed
@@ -273,9 +273,7 @@ def is_weakly_pq_baer_star(
                 {"x": ring.decode(x), "reason": "biconditional"},
                 t0,
             )
-    sym = np.zeros((n, n), dtype=bool)
-    for x in range(n):
-        sym[x] = bool_from_mask(masks[x], n)
+    sym = rows_from_masks(masks, n)
     if not np.array_equal(sym, sym.T):
         diff = np.argwhere(sym != sym.T)
         x, y = (int(diff[0][0]), int(diff[0][1]))

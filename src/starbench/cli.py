@@ -180,14 +180,15 @@ def _scan_body(payload: Tuple[int, int, Optional[int]]) -> dict:
     d = Matrix(n, Cyclic(m))
     ring = build_ring(d, limits)
     brute = is_baer_star(ring)
+    arithmetic = classify_matrix_ring(n, m)
     return {
         "n": n,
         "m": m,
         "order": ring.order,
-        "arithmetic": classify_matrix_ring(n, m),
+        "arithmetic": arithmetic,
         "brute": brute.verdict,
         "witness": brute.witness,
-        "agree": classify_matrix_ring(n, m) == brute.verdict,
+        "agree": arithmetic == brute.verdict,
     }
 
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import full_mask, is_subset, iter_indices, mask_from_bool
+from .bitsets import full_mask, is_subset, iter_indices, masks_from_rows
 from .errors import (
     AmbiguousLeftProjection,
     AmbiguousRightProjection,
@@ -125,7 +125,9 @@ class RingScan:
     Everything is computed lazily and exactly once. The four bitset vectors
     cost one pass per side: a single ``mul_row`` pass over the elements fills
     both ``rann`` and ``row_sets``, and a single ``mul_col`` pass fills both
-    ``lann`` and ``col_sets``, whichever of each pair is read first.
+    ``lann`` and ``col_sets``, whichever of each pair is read first. A pass
+    still calls ``mul_row``/``mul_col`` once per element, but packs the
+    lines into bitsets a block at a time (``_zero_and_value_sets``).
 
     ``r_of``/``l_of`` are the one place that intersects ``rann``/``lann``
     over a set of elements: every annihilator of a set (the Baer* family,
@@ -267,17 +269,44 @@ def r_of_principal_ideals(scan: RingScan) -> List[int]:
     return [ann & scan.r_of(row) for ann, row in zip(scan.rann, scan.row_sets)]
 
 
+# Entries of the line buffer of the scan passes: 2**16 int64 (0.5 MB), so
+# that one packbits call covers many lines whatever the order.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _lines_per_block(n: int) -> int:
+    """As many lines of length n as fit in ``_BLOCK_ENTRIES``; at least one
+    and at most n."""
+    return max(1, min(n, _BLOCK_ENTRIES // max(n, 1)))
+
+
 def _zero_and_value_sets(line, n: int) -> Tuple[List[int], List[int]]:
     """For each a, the bitsets of {r : line(a)[r] = 0} and of the values in
-    line(a), from one call of ``line`` per element."""
+    line(a), from one call of ``line`` per element.
+
+    The lines are copied, a block of ``_lines_per_block(n)`` at a time, into
+    one reusable (block x n) buffer. A block's zero sets come from one
+    ``packbits`` of its zero flags; its value sets from one scatter of all
+    its entries, each row offset by row * n, into a flat (block x n) flag
+    array, then one ``packbits`` of that.
+    """
+    rows = _lines_per_block(n)
+    block = np.empty((rows, n), dtype=np.int64)
+    present = np.empty(rows * n, dtype=bool)
+    offsets = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
     zeros: List[int] = []
     values: List[int] = []
-    for a in range(n):
-        products = line(a)
-        zeros.append(mask_from_bool(products == 0))
-        present = np.zeros(n, dtype=bool)
-        present[products] = True
-        values.append(mask_from_bool(present))
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        lines = block[:k]
+        for i in range(k):
+            lines[i] = line(start + i)
+        zeros += masks_from_rows(lines == 0)
+        lines += offsets[:k]
+        flags = present[: k * n]
+        flags[:] = False
+        flags[lines.ravel()] = True
+        values += masks_from_rows(flags.reshape(k, n))
     return zeros, values
 
 

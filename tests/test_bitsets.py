@@ -1,0 +1,28 @@
+"""Block packing of bitsets against the one-row reference."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starbench.bitsets import bool_from_mask, mask_from_bool, masks_from_rows, rows_from_masks
+
+
+@st.composite
+def flag_arrays(draw):
+    rows = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 70))
+    bits = draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n))
+    return np.array(bits, dtype=bool).reshape(rows, n)
+
+
+@settings(deadline=None)
+@given(flag_arrays())
+def test_masks_from_rows_packs_each_row_like_mask_from_bool(flags):
+    rows, n = flags.shape
+    masks = masks_from_rows(flags)
+    assert masks == [mask_from_bool(row) for row in flags]
+    back = rows_from_masks(masks, n)
+    assert back.dtype == bool and back.shape == (rows, n)
+    assert np.array_equal(back, flags)
+    for mask, row in zip(masks, back):
+        assert np.array_equal(bool_from_mask(mask, n), row)

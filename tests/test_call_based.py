@@ -35,6 +35,7 @@ from starbench.bitsets import full_mask, indices_of
 from starbench.classifiers import ideal_annihilator_crosscheck
 from starbench.config import DEFAULT_LIMITS, Limits
 from starbench.corpus import small_corpus
+from starbench.projections import _lines_per_block
 
 from conftest import cached_ring
 
@@ -96,6 +97,8 @@ def test_classifier_reports_match_tables(text):
 
 def _assert_scan_matches_single_element_functions(ring):
     scan = RingScan(ring)
+    sides = (scan.rann, scan.lann, scan.row_sets, scan.col_sets)
+    assert [len(side) for side in sides] == [ring.order] * 4
     for s in range(ring.order):
         assert scan.rann[s] == rann_single(ring, s)
         assert scan.lann[s] == lann_single(ring, s)
@@ -110,6 +113,28 @@ def test_fused_scan_matches_single_element_functions(text):
 
 def test_fused_scan_matches_on_call_based_m2z3():
     _assert_scan_matches_single_element_functions(call_based_ring("M(2, Z(3))"))
+
+
+def _pair_ring_m2z3_over_z6():
+    return build_R1(build_scalar_algebra(cached_ring("M(2, Z(3))"), cached_ring("Z(6)")))
+
+
+# The small corpus fits each pass in one block; these orders (625, 625 and
+# 486) need several, the last of them partial.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cached_ring("M(2, Z(5))"),
+        lambda: call_based_ring("M(2, Z(5))"),
+        _pair_ring_m2z3_over_z6,
+    ],
+    ids=["m2z5-tabled", "m2z5-call-based", "pair-ring-m2z3-over-z6"],
+)
+def test_fused_scan_matches_across_blocks(build):
+    ring = build()
+    lines = _lines_per_block(ring.order)
+    assert ring.order > lines and ring.order % lines != 0
+    _assert_scan_matches_single_element_functions(ring)
 
 
 def _assert_set_annihilators_match_definition(ring):
