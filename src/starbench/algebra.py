@@ -1,13 +1,23 @@
 """Scalar algebras: a commutative unital *-ring K acting on a *-ring R.
 
-The action is a table action[lam, a] -> index of lam.a, validated
-exhaustively at construction against every axiom it must satisfy:
+The action is a table action[lam, a] -> index of lam.a, proved at
+construction to satisfy, for every scalar and element, every axiom it must
+satisfy:
 
 * biadditivity in both arguments,
 * associativity with K's multiplication and with R's multiplication
   (lam.(ab) = (lam.a)b = a(lam.b)),
 * unit action (1_K . a = a),
 * star compatibility ((lam.a)* = lam*.a*).
+
+When R and K are both lawful (named by descriptors, so *-rings by
+construction), the proof is a certificate on R's additive generating set
+G: once every lam is shown additive in the element, each remaining axiom
+compares two maps that are additive in every element argument, and such
+maps agree everywhere once they agree on G. Otherwise, and whenever the
+certificate fails, every axiom is checked for every scalar and element;
+a violation is always reported from those exhaustive passes, so its axiom
+and witness do not depend on the path.
 
 The only built-in action is "natural": K = Z(m) acting by repeated addition,
 defined exactly when char(R) divides m. An explicit table can be supplied
@@ -89,23 +99,76 @@ def _add_grid(R: StarRing, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return R.add_pairs(u.ravel(), v.ravel()).reshape(u.shape)
 
 
+def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
+    """Prove every action axiom but the unit action on R's additive
+    generators G, in O(|K| n |G|). Premise: R and K are *-rings.
+
+    1. Additive in the element: lam.(x+g) = lam.x + lam.g for every lam, x
+       and g in G. For each lam the b with lam.(x+b) = lam.x + lam.b for
+       every x include G and are closed under +, so they are all of R (and
+       lam.0 = 0 follows from any g).
+    2. Once every lam is additive, both sides of additive-in-scalar,
+       multiplicative-in-scalar and star-action are additive in a, so a in
+       G suffices; R's * being biadditive, both sides of associative-left
+       and associative-right are biadditive in (a, b), so G x G suffices.
+
+    True is a proof over every scalar and element. False means that some
+    axiom fails; each check is an instance of one.
+    """
+    nk = K.order
+    gens = np.array(R.generators, dtype=np.int64)
+    # lam.(g+x) against lam.x + lam.g, every lam and x at once
+    for g in gens:
+        lhs = np.take(table64, R.add_row(int(g)), axis=1)
+        rhs = _add_grid(R, table64, np.broadcast_to(table64[:, g, None], table64.shape))
+        if not np.array_equal(lhs, rhs):
+            return False
+    tg = table64[:, gens]  # lam.g
+    for lam in range(nk):
+        # (lam + mu).g = lam.g + mu.g and (lam mu).g = lam.(mu.g)
+        if not np.array_equal(
+            tg[K.add_row(lam)], _add_grid(R, np.broadcast_to(tg[lam], tg.shape), tg)
+        ):
+            return False
+        if not np.array_equal(tg[K.mul_row(lam)], table64[lam][tg]):
+            return False
+    # (lam.g)* = lam*.g*
+    rstar = R.star_vector()
+    if not np.array_equal(rstar[tg], table64[np.ix_(K.star_vector(), rstar[gens])]):
+        return False
+    # lam.(gh) = (lam.g)h = g(lam.h) for (g, h) in G x G, every lam at once
+    g, h = np.repeat(gens, len(gens)), np.tile(gens, len(gens))
+    lam_gh = table64[:, R.mul_pairs(g, h)]
+    lam_g, lam_h = table64[:, g], table64[:, h]
+    left = R.mul_pairs(lam_g.ravel(), np.tile(h, nk)).reshape(lam_g.shape)
+    right = R.mul_pairs(np.tile(g, nk), lam_h.ravel()).reshape(lam_h.shape)
+    return np.array_equal(lam_gh, left) and np.array_equal(lam_gh, right)
+
+
 def build_scalar_algebra(
     ring: StarRing,
     scalars: StarRing,
     action: Union[str, np.ndarray] = "natural",
 ) -> ScalarAlgebra:
-    """Assemble and exhaustively validate a scalar algebra.
+    """Assemble a scalar algebra and prove every axiom over every scalar
+    and element.
 
-    Every axiom is checked for every scalar and element, in a fixed order:
-    unit action, additive and multiplicative in the scalar (one (mu, a)
-    grid per lam), additive in the element and associative on the right
-    (one pass over R's rows, every lam at once), associative on the left
-    (one pass over R's columns), and star compatibility. The passes collect
-    violation flags per (lam, a) and then name the first in (lam, a, b)
-    order, left before right at the same (lam, a), exactly as loops over
-    lam, a and b would. They go through add_row, mul_row, mul_col and
-    add_pairs, so tabled and call-based rings share one path and no
-    transient n^2 table is built.
+    The scalars must be unital and commutative, the table well shaped, and
+    1_K must act as the identity; these are checked directly. When R and K
+    are both lawful, :func:`_certify_action` then proves the other axioms
+    on R's additive generators, and nothing more runs if it holds.
+
+    Otherwise (the rings are not lawful, or the certificate fails) every
+    axiom is checked for every scalar and element, in a fixed order:
+    additive and multiplicative in the scalar (one (mu, a) grid per lam),
+    additive in the element and associative on the right (one pass over
+    R's rows, every lam at once), associative on the left (one pass over
+    R's columns), and star compatibility. The passes collect violation
+    flags per (lam, a) and then name the first in (lam, a, b) order, left
+    before right at the same (lam, a), exactly as loops over lam, a and b
+    would. They go through add_row, mul_row, mul_col and add_pairs, so
+    tabled and call-based rings share one path and no transient n^2 table
+    is built.
 
     Raises ActionAxiomViolation (with the axiom name and a literal witness)
     when any axiom fails, CharacteristicMismatch when the natural action is
@@ -151,6 +214,34 @@ def build_scalar_algebra(
         a = int(np.argmax(unit_row != idx_r))
         raise ActionAxiomViolation("unit-action", (R.decode(a),))
 
+    if not (R.lawful and K.lawful and _certify_action(R, K, table64)):
+        _check_every_axiom(R, K, table64)
+
+    # structural flags (recorded, never assumed)
+    torsion_free = True
+    if nk > 1 and nr > 1:
+        torsion_free = not bool((table64[1:, 1:] == 0).any())
+
+    k_is_domain = K.order >= 2
+    if k_is_domain:
+        nonzero_products = kmul[1:, 1:]
+        k_is_domain = not bool((nonzero_products == 0).any())
+
+    return ScalarAlgebra(
+        ring=R,
+        scalars=K,
+        action=table,
+        action_kind=kind,
+        torsion_free=torsion_free,
+        k_is_domain=k_is_domain,
+    )
+
+
+def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:
+    """The exhaustive passes of build_scalar_algebra, after the unit action:
+    raise ActionAxiomViolation for the first axiom that fails, with its
+    first witness."""
+    nk, nr = K.order, R.order
     # (lam + mu).a = lam.a + mu.a: one (mu, a) grid per lam
     for lam in range(nk):
         lhs = table64[K.add_row(lam)]
@@ -220,22 +311,3 @@ def build_scalar_algebra(
         if neq.any():
             a = int(np.argmax(neq))
             raise ActionAxiomViolation("star-action", (K.decode(lam), R.decode(a)))
-
-    # structural flags (recorded, never assumed)
-    torsion_free = True
-    if nk > 1 and nr > 1:
-        torsion_free = not bool((table64[1:, 1:] == 0).any())
-
-    k_is_domain = K.order >= 2
-    if k_is_domain:
-        nonzero_products = kmul[1:, 1:]
-        k_is_domain = not bool((nonzero_products == 0).any())
-
-    return ScalarAlgebra(
-        ring=R,
-        scalars=K,
-        action=table,
-        action_kind=kind,
-        torsion_free=torsion_free,
-        k_is_domain=k_is_domain,
-    )

@@ -30,7 +30,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .bitsets import bool_from_mask, full_mask, indices_of, mask_from_bool, popcount
+from .bitsets import (
+    bool_from_mask,
+    flags_of,
+    full_mask,
+    indices_of,
+    mask_from_bool,
+    popcount,
+)
 from .errors import FamilyCapExceeded
 from .projections import RingScan, r_of_principal_ideals
 from .rings import StarRing
@@ -123,25 +130,22 @@ def additive_closure(ring: StarRing, seed_mask: int) -> int:
 
 def principal_right_ideal(ring: StarRing, a: int) -> int:
     """Bitset of aR = {a*r : r in R} (the literal value set, no closure)."""
-    return mask_from_bool(np.bincount(ring.mul_row(a), minlength=ring.order) > 0)
+    return mask_from_bool(flags_of(ring.mul_row(a), ring.order))
 
 
 def principal_left_ideal(ring: StarRing, a: int) -> int:
     """Bitset of Ra = {r*a : r in R}."""
-    return mask_from_bool(np.bincount(ring.mul_col(a), minlength=ring.order) > 0)
+    return mask_from_bool(flags_of(ring.mul_col(a), ring.order))
 
 
 def principal_two_sided_ideal(ring: StarRing, a: int) -> int:
     """The two-sided ideal (a): additive closure of {a} + aR + Ra + RaR + Za."""
     seed = 1 << a
-    row = ring.mul_row(a)
-    col = ring.mul_col(a)
-    seed |= mask_from_bool(np.bincount(row, minlength=ring.order) > 0)
-    seed |= mask_from_bool(np.bincount(col, minlength=ring.order) > 0)
-    for t in np.unique(col):
-        seed |= mask_from_bool(
-            np.bincount(ring.mul_row(int(t)), minlength=ring.order) > 0
-        )
+    ra = flags_of(ring.mul_col(a), ring.order)
+    seed |= mask_from_bool(flags_of(ring.mul_row(a), ring.order))
+    seed |= mask_from_bool(ra)
+    for t in np.flatnonzero(ra):
+        seed |= mask_from_bool(flags_of(ring.mul_row(int(t)), ring.order))
     # integer multiples of a
     cur = a
     while cur != 0:

@@ -2,6 +2,11 @@
 
 Bit i set means element index i is a member. Python ints give us arbitrary
 width, O(words) boolean algebra, and hashability (so bitsets key caches).
+
+The flag-array helpers (``flags_of``, ``first_positions``) answer
+"which values occur" and "where does each first occur" for index arrays
+bounded by a known n, in place of ``np.unique``: its first call in a
+process imports ``numpy.ma``, which costs more than the sets it sorts.
 """
 
 from __future__ import annotations
@@ -21,6 +26,23 @@ def bool_from_mask(mask: int, n: int) -> np.ndarray:
     nbytes = (n + 7) // 8
     raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
+
+
+def flags_of(indices: np.ndarray, n: int) -> np.ndarray:
+    """Boolean vector of length n that is True exactly at ``indices``
+    (every index in range(n)); ``np.flatnonzero`` of it is the ascending
+    set of distinct indices."""
+    flags = np.zeros(n, dtype=bool)
+    flags[indices] = True
+    return flags
+
+
+def first_positions(values: np.ndarray, n: int) -> np.ndarray:
+    """first[v] = the least position i with values[i] == v, for every v in
+    range(n); len(values) where v does not occur."""
+    first = np.full(n, len(values), dtype=np.int64)
+    np.minimum.at(first, values, np.arange(len(values), dtype=np.int64))
+    return first
 
 
 def masks_from_rows(flags: np.ndarray) -> List[int]:

@@ -37,21 +37,35 @@ additive order of an element itself.
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly.
 
+A ring that :func:`build_ring` makes from a descriptor is ``lawful``: the
+cyclic, matrix, product and subring constructions are *-rings by
+construction, so code that needs the *-ring laws as a premise (the
+generator certificates of the scalar algebra and the unitification) may
+take them. Rings given by their tables, pair rings and quotients are not
+lawful, and their laws are not proved afresh on each run to make them so:
+on a matrix ring the certificate below costs more than the exhaustive
+passes of the scalar algebra it would let them skip.
+
+:func:`additive_generators` picks a greedy generating set G of (R, +), or
+of an additive subgroup, with ``add_pairs`` and flag arrays; each ring
+computes its own G once (:attr:`StarRing.generators`).
 :func:`validate_star_ring` audits the *-ring axioms over every element. It
-proves the ring laws (associativity of + and *, distributivity) on a
-greedy generating set G of (R, +) in O(n^2 |G|): Light's associativity
-test for +, biadditivity of * against G, and associativity of * on G^3.
-Only if that certificate fails do O(n^3) scans run, so a violation is
-reported with the lexicographically first violating triple.
+proves the ring laws (associativity of + and *, distributivity) on G in
+O(n^2 |G|): Light's associativity test for +, biadditivity of * against G,
+and associativity of * on G^3. Only if that certificate fails do O(n^3)
+scans run, so a violation is reported with the lexicographically first
+violating triple.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bitsets import flags_of
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import (
     Cyclic,
@@ -589,6 +603,20 @@ class StarRing:
                 self.order * self.order, VALIDATION_TABLE_CAP, what="transient table"
             )
 
+    @property
+    def lawful(self) -> bool:
+        """Whether the *-ring laws hold by construction: true exactly for a
+        ring that build_ring made from a descriptor, the only code that
+        sets ``descriptor``. False for rings given by their tables, pair
+        rings and quotients, whose laws nothing has proved."""
+        return self.descriptor is not None
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        """The greedy additive generating set of :func:`additive_generators`,
+        computed once per ring."""
+        return tuple(additive_generators(self))
+
     def has_tables(self) -> bool:
         """Whether dense tables serve the ring: given by its tables, or named
         by a descriptor with order squared at most the table threshold."""
@@ -665,11 +693,9 @@ def _close_subring(parent: StarRing, generator_indices: List[int]) -> np.ndarray
                 parent.mul_col(x)[current],
             ]
         )
-        for y in np.unique(produced):
-            y = int(y)
-            if not member[y]:
-                member[y] = True
-                queue.append(y)
+        fresh = np.flatnonzero(flags_of(produced, n) & ~member)
+        member[fresh] = True
+        queue.extend(int(y) for y in fresh)
     carrier = np.flatnonzero(member).astype(np.int64)
     if len(carrier) == 0 or carrier[0] != 0:
         raise AxiomViolation("closure-zero", ())
@@ -717,25 +743,51 @@ def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
 # Tables here are dense int32 arrays, table[i, j] = index of op(i, j).
 
 
-def _additive_generators(add: np.ndarray) -> List[int]:
-    """A generating set G of (R, +), picked greedily.
+def _greedy_span(add_pairs, members: np.ndarray) -> List[int]:
+    """A generating set G of the flagged members, picked greedily.
 
     The span of G is the set of left-normed sums (...((0 + g1) + g2) ...) + gk
-    with every gi in G. While the span is not all of R, the lowest index
-    outside it joins G.
+    with every gi in G. While some member lies outside the span, the lowest
+    such index joins G, and the span grows from every spanned element by
+    adding every generator until nothing new is reached.
     """
-    n = add.shape[0]
+    n = len(members)
     spanned = np.zeros(n, dtype=bool)
     spanned[0] = True
     gens: List[int] = []
-    while not spanned.all():
-        gens.append(int(np.argmin(spanned)))
+    while True:
+        outside = np.flatnonzero(members & ~spanned)
+        if not len(outside):
+            return gens
+        gens.append(int(outside[0]))
+        g = np.array(gens, dtype=np.int64)
         frontier = np.flatnonzero(spanned)
         while len(frontier):
-            reached = np.unique(add[frontier[:, None], gens])
-            frontier = reached[~spanned[reached]]
-            spanned[frontier] = True
-    return gens
+            reached = add_pairs(np.repeat(frontier, len(g)), np.tile(g, len(frontier)))
+            fresh = flags_of(reached, n) & ~spanned
+            spanned |= fresh
+            frontier = np.flatnonzero(fresh)
+
+
+def additive_generators(
+    ring: StarRing, members: Optional[np.ndarray] = None
+) -> List[int]:
+    """A greedy generating set G of (R, +), or of the additive subgroup
+    whose members are flagged True in ``members``: the lowest index outside
+    the span of G joins G until the span holds every member. Computed with
+    ``add_pairs``, so call-based rings need no table. An additive map that
+    vanishes on G vanishes on the whole group, and two that agree on G
+    agree everywhere; the certificates rest on that."""
+    if members is None:
+        members = np.ones(ring.order, dtype=bool)
+    return _greedy_span(ring.add_pairs, members)
+
+
+def _additive_generators(add: np.ndarray) -> List[int]:
+    """:func:`additive_generators` of the ring whose dense add table is
+    ``add``, for the audit, which works on tables."""
+    members = np.ones(add.shape[0], dtype=bool)
+    return _greedy_span(lambda u, v: _table_pairs(add, u, v), members)
 
 
 def _certify_ring_laws(add: np.ndarray, mul: np.ndarray) -> bool:

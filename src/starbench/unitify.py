@@ -16,12 +16,22 @@ is the unitified ring, written here with cosets [a, lam]. The canonical coset
 representative is the member with the least pair index (pair index =
 a_index * |K| + lam_index), so [0, 1] names the unity.
 
-Nothing is assumed or sampled. compute_kernel_N evaluates the definition
-for every pair, every lam at once per a, and verifies that N is an
-additive subgroup, a two-sided ideal and closed under the involution;
+Nothing is sampled, and the only premise is the *-ring laws of R and K.
+When both are lawful (named by descriptors, hence *-rings by
+construction), the action has been proved additive in the element, so
+x -> a x + lam.x is additive for every pair (a, lam) and vanishes on all of
+R once it vanishes on R's additive generators G: compute_kernel_N reads
+N's exact membership off x in G. It verifies that N is an additive
+subgroup over every pair of members, and that N is a two-sided ideal on
+additive generators of N against the generators G x {0} and {0} x G_K of
+the pair ring; a product is biadditive, so that covers every product.
 build_quotient then audits the coset map against N over every pair index
-(_validate_quotient), which proves the quotient's operations well defined
-on every coset pair.
+(_validate_quotient), for invariance under N's generators, which reach
+every member of N. Any other rings, and any failed certificate, take the
+exhaustive passes: the definition for every pair, absorption and
+invariance for every member, so a failure is always reported with the
+witness those passes name. Either way the quotient's operations are
+proved well defined on every coset pair.
 
 The map a -> [a, 0] is a *-homomorphism, injective exactly when
 L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
@@ -41,12 +51,18 @@ trusting either side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import bool_from_mask, iter_indices, mask_from_bool
+from .bitsets import (
+    bool_from_mask,
+    first_positions,
+    flags_of,
+    iter_indices,
+    mask_from_bool,
+)
 from .classifiers import (
     is_pq_baer_star,
     is_proper_involution,
@@ -74,7 +90,13 @@ from .projections import (
     largest_eigen_projection,
     rp,
 )
-from .rings import StarRing, _Backend, _ProductBackend, _SectionBackend
+from .rings import (
+    StarRing,
+    _Backend,
+    _ProductBackend,
+    _SectionBackend,
+    additive_generators,
+)
 
 
 class _PairBackend(_ProductBackend):
@@ -104,11 +126,16 @@ class _PairBackend(_ProductBackend):
 
 @dataclass(frozen=True)
 class KernelN:
-    """The kernel ideal of the pair ring, as a bitset over pair indices."""
+    """The kernel ideal of the pair ring, as a bitset over pair indices.
+
+    ``generators`` is an additive generating set of N when R and K are
+    lawful, so that the pair ring's + is associative and N is their span;
+    None when the exhaustive passes built N."""
 
     mask: int
     size: int
     star_closed: bool
+    generators: Optional[Tuple[int, ...]] = None
 
 
 @dataclass
@@ -155,17 +182,33 @@ def compute_kernel_N(
     """N = {(a, lam) : a x + lam.x = 0 for all x}, with its ideal invariants
     verified rather than assumed (any failure is a bug and raises).
 
-    One R-row per a tests every (lam, x) at once: a x + lam.x = 0 exactly
-    when lam.x is the additive inverse of a x.
+    a x + lam.x = 0 exactly when lam.x is the additive inverse of a x. When
+    R and K are lawful, x -> a x + lam.x is additive (the algebra proved
+    every lam additive), so x in R's generators G decides membership: one
+    mul_pairs over the (a, g) grid, O(n |K| |G|). Otherwise one R-row per a
+    tests every (lam, x) at once, O(n^2 |K|).
+
+    Additive closure is checked over every pair of members. Absorption,
+    when R and K are lawful, is checked on the generators of N against the
+    pair ring's generators, both sides; if that fails, or the rings are not
+    lawful, every member's row and column are checked, which names the
+    witness.
     """
     R, K = algebra.ring, algebra.scalars
     if r1 is None:
         r1 = build_R1(algebra, limits)
     nr, nk = R.order, K.order
     neg = R.neg_vector()
-    flags = np.zeros((nr, nk), dtype=bool)
-    for a in range(nr):
-        flags[a] = (algebra.action == neg[R.mul_row(a)]).all(axis=1)
+    trusted = R.lawful and K.lawful
+    if trusted:
+        gens = np.array(R.generators, dtype=np.int64)
+        a = np.repeat(np.arange(nr, dtype=np.int64), len(gens))
+        neg_ag = neg[R.mul_pairs(a, np.tile(gens, nr))].reshape(nr, 1, len(gens))
+        flags = (algebra.action[:, gens][None, :, :] == neg_ag).all(axis=2)
+    else:
+        flags = np.zeros((nr, nk), dtype=bool)
+        for a in range(nr):
+            flags[a] = (algebra.action == neg[R.mul_row(a)]).all(axis=1)
     flags = flags.ravel()
     mask = mask_from_bool(flags)
     members = np.flatnonzero(flags)
@@ -180,12 +223,21 @@ def compute_kernel_N(
             bad = int(sums[int(np.argmax(~flags[sums]))])
             raise VerificationFailed("kernel-additive-closure", r1.decode(bad))
     # two-sided absorption
-    for u_ in members:
-        u_ = int(u_)
-        if not flags[r1.mul_row(u_)].all() or not flags[r1.mul_col(u_)].all():
-            raise VerificationFailed("kernel-absorption", r1.decode(u_))
+    n_gens = None
+    if trusted:
+        n_gens = tuple(additive_generators(r1, flags))
+        r1_gens = [g * nk for g in R.generators] + list(K.generators)
+        u = np.repeat(np.array(n_gens, dtype=np.int64), len(r1_gens))
+        v = np.tile(np.array(r1_gens, dtype=np.int64), len(n_gens))
+        if not (flags[r1.mul_pairs(u, v)].all() and flags[r1.mul_pairs(v, u)].all()):
+            n_gens = None
+    if n_gens is None:
+        for u_ in members:
+            u_ = int(u_)
+            if not flags[r1.mul_row(u_)].all() or not flags[r1.mul_col(u_)].all():
+                raise VerificationFailed("kernel-absorption", r1.decode(u_))
     star_closed = bool(flags[r1.star_vector()[members]].all()) if k else True
-    return KernelN(mask=mask, size=int(k), star_closed=star_closed)
+    return KernelN(mask=mask, size=int(k), star_closed=star_closed, generators=n_gens)
 
 
 def _validate_quotient(quot: "Quotient") -> None:
@@ -194,10 +246,13 @@ def _validate_quotient(quot: "Quotient") -> None:
     Premise: the pair ring R1 is a ring (R and K are *-rings and
     build_scalar_algebra has validated every action axiom), and N is an
     additive subgroup and two-sided ideal of R1, which compute_kernel_N
-    verifies exhaustively. Three checks over every pair index x of R1 then
-    prove that coset_of_pair is the canonical map R1 -> R1/N:
+    verifies. Three checks over every pair index x of R1 then prove that
+    coset_of_pair is the canonical map R1 -> R1/N:
 
-    * invariance: x + h lies in the coset of x for every member h of N;
+    * invariance: x + h lies in the coset of x for every member h of N.
+      When the kernel carries its additive generators, checking h among
+      them suffices, since x + (h + h') = (x + h) + h'; if that fails, or
+      there are none, every member is checked, which names the witness;
     * separation: x - reps[coset(x)] lies in N, and each rep is in its own
       coset;
     * the involution: the coset of x* is the coset of rep(x)*.
@@ -214,12 +269,21 @@ def _validate_quotient(quot: "Quotient") -> None:
     coset = quot.coset_of_pair
     in_n = bool_from_mask(quot.kernel.mask, r1.order)
     pairs = np.arange(r1.order, dtype=np.int64)
-    for h in np.flatnonzero(in_n):
-        moved = coset[r1.add_pairs(pairs, np.full(r1.order, h, dtype=np.int64))]
-        if not np.array_equal(moved, coset):
-            x = int(np.argmax(moved != coset))
+
+    def first_moved(shifts):
+        for h in shifts:
+            moved = coset[r1.add_pairs(pairs, np.full(r1.order, h, dtype=np.int64))]
+            if not np.array_equal(moved, coset):
+                return int(np.argmax(moved != coset)), int(h)
+        return None
+
+    gens = quot.kernel.generators
+    if gens is None or first_moved(gens) is not None:
+        hit = first_moved(np.flatnonzero(in_n))
+        if hit is not None:
+            x, h = hit
             raise VerificationFailed(
-                "quotient-coset-invariant", (r1.decode(x), r1.decode(int(h)))
+                "quotient-coset-invariant", (r1.decode(x), r1.decode(h))
             )
     own = coset[quot.reps] != np.arange(len(quot.reps))
     if own.any():
@@ -267,8 +331,9 @@ def build_quotient(
             continue
         shifted = r1.add_pairs(all_pairs, np.full(n1, int(u), dtype=np.int64))
         np.minimum(rep_of_pair, shifted, out=rep_of_pair)
-    reps = np.unique(rep_of_pair)
-    coset_of_pair = np.searchsorted(reps, rep_of_pair)
+    distinct = flags_of(rep_of_pair, n1)
+    reps = np.flatnonzero(distinct)
+    coset_of_pair = (np.cumsum(distinct) - 1)[rep_of_pair]
     label = "unitified(%s over %s)" % (algebra.ring.label, algebra.scalars.label)
     qring = StarRing(
         _SectionBackend(r1, reps, coset_of_pair),
@@ -409,8 +474,7 @@ def _first_collision(R: StarRing, emb: np.ndarray) -> Optional[list]:
     """Why a -> [a, 0] is not injective: [first earlier index, colliding
     index], decoded, for the least index whose image an earlier one has;
     None when the embedding is injective."""
-    _, first, inverse = np.unique(emb, return_index=True, return_inverse=True)
-    earlier = first[inverse]
+    earlier = first_positions(emb, int(emb.max()) + 1)[emb]
     colliding = np.flatnonzero(earlier < np.arange(len(emb)))
     if not len(colliding):
         return None
@@ -574,7 +638,7 @@ def describe_unitification(
         "quotient_unity": q.decode(q.unity) if q.unity is not None else None,
         "injective": noninjective is None,
         "noninjective_witness": noninjective,
-        "embed_image_size": len(np.unique(emb)),
+        "embed_image_size": int(np.count_nonzero(flags_of(emb, q.order))),
     }
 
 

@@ -5,14 +5,22 @@ from hypothesis import strategies as st
 
 from starbench import (
     DEFAULT_LIMITS,
+    Limits,
     StarRing,
+    build_quotient,
+    build_R1,
     build_ring,
+    build_scalar_algebra,
+    medium_corpus,
     parse_ring_expr,
     validate_star_ring,
 )
 from starbench.errors import AxiomViolation, LiteralError, OrderCapExceeded
 
 from conftest import cached_ring
+
+
+CALL_BASED = Limits(table_threshold=0)
 
 
 def ring(text):
@@ -133,16 +141,33 @@ class TestSubringClosure:
             sub93.encode(4)
 
 
+AUDITED = ["Z(1)", "Z(6)", "Z(8)", "M(2,Z(2))", "M(2,Z(3))", "prod(Z(2),Z(3))", "sub(Z(9); 3)", "sub(Z(6); 2)"]
+# Every medium-corpus ring but M(2, Z(7)), whose audit builds two transient
+# 2401 x 2401 tables. These rings are lawful, which the scalar algebra and
+# the unitification take as the premise of their generator certificates.
+AUDITED += [
+    t for t in medium_corpus()
+    if t.replace(" ", "") not in {a.replace(" ", "") for a in AUDITED} and t != "M(2, Z(7))"
+]
+
+
 class TestValidation:
-    @pytest.mark.parametrize(
-        "text",
-        ["Z(1)", "Z(6)", "Z(8)", "M(2,Z(2))", "M(2,Z(3))", "prod(Z(2),Z(3))", "sub(Z(9); 3)", "sub(Z(6); 2)"],
-    )
+    @pytest.mark.parametrize("text", AUDITED)
     def test_built_rings_pass_the_full_audit(self, text):
-        rep = validate_star_ring(ring(text))
-        assert rep["ok"] is True
-        assert "star-anti-multiplicative" in rep["checks"]
-        assert rep["order"] == ring(text).order
+        # tabled, then call-based
+        for r in (ring(text), build_ring(parse_ring_expr(text), CALL_BASED)):
+            rep = validate_star_ring(r)
+            assert rep["ok"] is True
+            assert "star-anti-multiplicative" in rep["checks"]
+            assert rep["order"] == ring(text).order
+            assert r.lawful
+
+    def test_only_descriptor_rings_are_lawful(self, z6):
+        assert z6.lawful and ring("sub(Z(9); 3)").lawful and ring("prod(Z(2),Z(3))").lawful
+        assert not StarRing.from_tables(*self._tables_of(z6)).lawful
+        alg = build_scalar_algebra(ring("sub(Z(9); 3)"), ring("Z(9)"))
+        assert not build_R1(alg).lawful
+        assert not build_quotient(alg).ring.lawful
 
     def _tables_of(self, r):
         add = np.array(r.add_table(), copy=True)

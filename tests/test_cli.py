@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import starbench
 from starbench.cli import main
 
 
@@ -319,3 +323,28 @@ class TestArgHandling:
     def test_json_errors_go_to_stdout(self, capsys):
         code, payload, err = run_json(capsys, "describe", "Z(")
         assert payload["error"]["type"] == "ParseError"
+
+
+class TestImports:
+    def test_verbs_never_import_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, a fixed cost of
+        # about 15 ms in every process; the package keeps to flag arrays
+        script = (
+            "import sys\n"
+            "from starbench.cli import main\n"
+            "codes = [\n"
+            "    main(['check', 'M(2, Z(3))', '--all']),\n"
+            "    main(['unitify', 'M(2, Z(3))', '--K', 'Z(6)', '--verify', 'rickart']),\n"
+            "    main(['unitify', 'sub(Z(9); 3)', '--K', 'Z(9)']),\n"
+            "    main(['describe', 'M(2, Z(4))', '--validate']),\n"
+            "]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(starbench.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        # check exits 3: M(2, Z(3)) is neither reduced nor abelian
+        assert out.splitlines()[-1] == "[3, 0, 0, 0] False"

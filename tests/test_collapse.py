@@ -1,0 +1,57 @@
+"""Unitification collapse: a unital ring comes back from its unitification.
+
+For a unital R over K = Z(char R), the kernel N is {(-lam.1, lam)}, so
+a -> [a, 0] is a bijection onto the quotient Q, and a *-isomorphism. Every
+classifier verdict of Q must then equal that of R, and right projections
+and central covers must commute with the embedding. This runs the pair
+ring, the kernel, the coset map and the quotient's section backend
+together, on rings whose unitification no golden indexes. Source: the
+unitification of PAPER.md is the Dorroh extension (Dorroh, Bull. AMS 1932)
+taken modulo its annihilator ideal.
+"""
+
+import numpy as np
+import pytest
+
+from starbench import (
+    RingScan,
+    build_quotient,
+    build_scalar_algebra,
+    classify_all,
+    small_corpus,
+)
+
+from conftest import cached_ring
+
+UNITAL = [t for t in small_corpus() if cached_ring(t).unity is not None]
+
+
+def verdicts(ring, scan):
+    return {name: rep.verdict for name, rep in classify_all(ring, scan).items()}
+
+
+def embedded(emb, values):
+    """The image of a table of element indices, -1 (none) kept as -1."""
+    return np.where(values >= 0, emb[np.maximum(values, 0)], -1)
+
+
+@pytest.mark.parametrize("text", UNITAL)
+def test_unital_ring_comes_back(text):
+    R = cached_ring(text)
+    K = cached_ring("Z(%d)" % R.characteristic)
+    quot = build_quotient(build_scalar_algebra(R, K))
+    q = quot.ring
+    emb = quot.embed_all()
+    assert quot.kernel.size == K.order
+    assert sorted(emb.tolist()) == list(range(q.order)) and q.order == R.order
+
+    rscan, qscan = RingScan(R), RingScan(q)
+    assert verdicts(q, qscan) == verdicts(R, rscan)
+    assert len(verdicts(R, rscan)) == 12
+    assert np.array_equal(qscan.rp_all[emb], embedded(emb, rscan.rp_all))
+    assert np.array_equal(qscan.cover_all[emb], embedded(emb, rscan.cover_all))
+
+
+def test_the_corpus_has_unital_rings_of_every_family():
+    assert len(UNITAL) >= 20
+    assert {"M(2, Z(4))", "prod(Z(2), Z(3))", "sub(Z(6); 2)"} <= set(UNITAL)
