@@ -154,7 +154,8 @@ def build_scalar_algebra(
     and element.
 
     The scalars must be unital and commutative, the table well shaped, and
-    1_K must act as the identity; these are checked directly. When R and K
+    1_K must act as the identity; these are checked directly, reading K a
+    row at a time, so a call-based K needs no table. When R and K
     are both lawful, :func:`_certify_action` then proves the other axioms
     on R's additive generators, and nothing more runs if it holds.
 
@@ -178,13 +179,13 @@ def build_scalar_algebra(
     R = ring
     if K.unity is None:
         raise ActionAxiomViolation("scalars-unital", ())
-    kmul = K.mul_table()
-    sym = kmul != kmul.T
-    if sym.any():
-        lam, mu = _first_true(sym)
-        raise ActionAxiomViolation(
-            "scalars-commutative", (K.decode(lam), K.decode(mu))
-        )
+    for lam in range(K.order):
+        neq = K.mul_row(lam) != K.mul_col(lam)
+        if neq.any():
+            mu = int(np.argmax(neq))
+            raise ActionAxiomViolation(
+                "scalars-commutative", (K.decode(lam), K.decode(mu))
+            )
 
     if isinstance(action, str):
         if action != "natural":
@@ -222,10 +223,7 @@ def build_scalar_algebra(
     if nk > 1 and nr > 1:
         torsion_free = not bool((table64[1:, 1:] == 0).any())
 
-    k_is_domain = K.order >= 2
-    if k_is_domain:
-        nonzero_products = kmul[1:, 1:]
-        k_is_domain = not bool((nonzero_products == 0).any())
+    k_is_domain = K.order >= 2 and first_zero_divisor(K) is None
 
     return ScalarAlgebra(
         ring=R,
@@ -235,6 +233,16 @@ def build_scalar_algebra(
         torsion_free=torsion_free,
         k_is_domain=k_is_domain,
     )
+
+
+def first_zero_divisor(K: StarRing) -> Optional[Tuple[int, int]]:
+    """The first (lam, mu) in row-major order with lam, mu nonzero and
+    lam mu = 0, read one row of K at a time; None when there is none."""
+    for lam in range(1, K.order):
+        zeros = np.flatnonzero(K.mul_row(lam)[1:] == 0)
+        if len(zeros):
+            return lam, int(zeros[0]) + 1
+    return None
 
 
 def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:

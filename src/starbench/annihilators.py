@@ -40,7 +40,7 @@ from .bitsets import (
 )
 from .errors import FamilyCapExceeded
 from .projections import RingScan, r_of_principal_ideals
-from .rings import StarRing
+from .rings import StarRing, _greedy_span
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,10 @@ def left_annihilator(ring: StarRing, elements: Iterable[int]) -> AnnihilatorSet:
 
 
 def additive_closure(ring: StarRing, seed_mask: int) -> int:
-    """Smallest subgroup of (R, +) containing the seed set.
-
-    The subgroup H grows one seed at a time. A seed s already in H adds
-    nothing. Otherwise the group H and s generate is the union of the
-    distinct cosets H, H + s, H + 2s, ...: each is the previous one shifted
-    by s, in one ``add_pairs`` call, and the first one already collected is
-    H itself, which ends the seed.
-    """
-    members = np.zeros(ring.order, dtype=bool)
-    members[0] = True
-    for s in np.flatnonzero(bool_from_mask(seed_mask, ring.order)):
-        if members[s]:
-            continue
-        coset = np.flatnonzero(members)
-        shift = np.full(len(coset), s, dtype=np.int64)
-        while True:
-            coset = ring.add_pairs(coset, shift)
-            if members[coset[0]]:
-                break
-            members[coset] = True
-    return mask_from_bool(members)
+    """Smallest subgroup of (R, +) containing the seed set: the span that
+    ``rings._greedy_span`` walks one coset at a time."""
+    span, _ = _greedy_span(ring.add_pairs, bool_from_mask(seed_mask, ring.order))
+    return mask_from_bool(span)
 
 
 def principal_right_ideal(ring: StarRing, a: int) -> int:
@@ -139,18 +122,14 @@ def principal_left_ideal(ring: StarRing, a: int) -> int:
 
 
 def principal_two_sided_ideal(ring: StarRing, a: int) -> int:
-    """The two-sided ideal (a): additive closure of {a} + aR + Ra + RaR + Za."""
+    """The two-sided ideal (a): additive closure of {a} + aR + Ra + RaR.
+    The closure of a seed holding a already holds the multiples Za."""
     seed = 1 << a
     ra = flags_of(ring.mul_col(a), ring.order)
     seed |= mask_from_bool(flags_of(ring.mul_row(a), ring.order))
     seed |= mask_from_bool(ra)
     for t in np.flatnonzero(ra):
         seed |= mask_from_bool(flags_of(ring.mul_row(int(t)), ring.order))
-    # integer multiples of a
-    cur = a
-    while cur != 0:
-        seed |= 1 << cur
-        cur = ring.add(cur, a)
     return additive_closure(ring, seed)
 
 

@@ -46,9 +46,12 @@ lawful, and their laws are not proved afresh on each run to make them so:
 on a matrix ring the certificate below costs more than the exhaustive
 passes of the scalar algebra it would let them skip.
 
-:func:`additive_generators` picks a greedy generating set G of (R, +), or
-of an additive subgroup, with ``add_pairs`` and flag arrays; each ring
-computes its own G once (:attr:`StarRing.generators`).
+:func:`_greedy_span` is the one walk for additive subgroups: it grows the
+subgroup a set generates one coset at a time with ``add_pairs`` and picks
+a greedy generating set G of it. It serves each ring's G
+(:attr:`StarRing.generators`), additive closures and the kernel N of a
+unitification, which is closed under + exactly when it is the span of its
+generators.
 :func:`validate_star_ring` audits the *-ring axioms over every element. It
 proves the ring laws (associativity of + and *, distributivity) on G in
 O(n^2 |G|): Light's associativity test for +, biadditivity of * against G,
@@ -743,51 +746,47 @@ def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
 # Tables here are dense int32 arrays, table[i, j] = index of op(i, j).
 
 
-def _greedy_span(add_pairs, members: np.ndarray) -> List[int]:
-    """A generating set G of the flagged members, picked greedily.
-
-    The span of G is the set of left-normed sums (...((0 + g1) + g2) ...) + gk
-    with every gi in G. While some member lies outside the span, the lowest
-    such index joins G, and the span grows from every spanned element by
-    adding every generator until nothing new is reached.
+def _greedy_span(add_pairs, members: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """The additive subgroup H the flagged members generate, as flags, and
+    a greedy generating set G of it: while a member lies outside H, the
+    lowest one, s, joins G, and H grows by the cosets H + s, H + 2s, ...,
+    one ``add_pairs`` shift at a time, until a shift lands back in H. Each
+    flagged element is a left-normed sum (...((0 + g1) + g2) ...) + gk
+    over G, even where + is not a group law (the audit's corrupted tables);
+    s itself is flagged by the first shift, as 0 + s = s in every ring.
     """
-    n = len(members)
-    spanned = np.zeros(n, dtype=bool)
+    spanned = np.zeros(len(members), dtype=bool)
     spanned[0] = True
     gens: List[int] = []
     while True:
         outside = np.flatnonzero(members & ~spanned)
         if not len(outside):
-            return gens
-        gens.append(int(outside[0]))
-        g = np.array(gens, dtype=np.int64)
-        frontier = np.flatnonzero(spanned)
-        while len(frontier):
-            reached = add_pairs(np.repeat(frontier, len(g)), np.tile(g, len(frontier)))
-            fresh = flags_of(reached, n) & ~spanned
-            spanned |= fresh
-            frontier = np.flatnonzero(fresh)
+            return spanned, gens
+        s = int(outside[0])
+        gens.append(s)
+        coset = np.flatnonzero(spanned)
+        shift = np.full(len(coset), s, dtype=np.int64)
+        while True:
+            coset = add_pairs(coset, shift)
+            if spanned[coset[0]]:
+                break
+            spanned[coset] = True
 
 
-def additive_generators(
-    ring: StarRing, members: Optional[np.ndarray] = None
-) -> List[int]:
-    """A greedy generating set G of (R, +), or of the additive subgroup
-    whose members are flagged True in ``members``: the lowest index outside
-    the span of G joins G until the span holds every member. Computed with
-    ``add_pairs``, so call-based rings need no table. An additive map that
-    vanishes on G vanishes on the whole group, and two that agree on G
-    agree everywhere; the certificates rest on that."""
-    if members is None:
-        members = np.ones(ring.order, dtype=bool)
-    return _greedy_span(ring.add_pairs, members)
+def additive_generators(ring: StarRing) -> List[int]:
+    """A greedy generating set G of (R, +): the lowest index outside the
+    span of G joins G until the span is R. Computed with ``add_pairs``, so
+    call-based rings need no table. An additive map that vanishes on G
+    vanishes on the whole group, and two that agree on G agree everywhere;
+    the certificates rest on that."""
+    return _greedy_span(ring.add_pairs, np.ones(ring.order, dtype=bool))[1]
 
 
 def _additive_generators(add: np.ndarray) -> List[int]:
     """:func:`additive_generators` of the ring whose dense add table is
     ``add``, for the audit, which works on tables."""
     members = np.ones(add.shape[0], dtype=bool)
-    return _greedy_span(lambda u, v: _table_pairs(add, u, v), members)
+    return _greedy_span(lambda u, v: _table_pairs(add, u, v), members)[1]
 
 
 def _certify_ring_laws(add: np.ndarray, mul: np.ndarray) -> bool:

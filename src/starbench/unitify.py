@@ -22,16 +22,17 @@ construction), the action has been proved additive in the element, so
 x -> a x + lam.x is additive for every pair (a, lam) and vanishes on all of
 R once it vanishes on R's additive generators G: compute_kernel_N reads
 N's exact membership off x in G. It verifies that N is an additive
-subgroup over every pair of members, and that N is a two-sided ideal on
-additive generators of N against the generators G x {0} and {0} x G_K of
-the pair ring; a product is biadditive, so that covers every product.
-build_quotient then audits the coset map against N over every pair index
+subgroup by walking the span of N's greedy generators, which is N exactly
+when N is closed under +, and that N is a two-sided ideal on those
+generators against the generators G x {0} and {0} x G_K of the pair ring;
+a product is biadditive, so that covers every product. build_quotient
+then audits the coset map against N over every pair index
 (_validate_quotient), for invariance under N's generators, which reach
 every member of N. Any other rings, and any failed certificate, take the
-exhaustive passes: the definition for every pair, absorption and
-invariance for every member, so a failure is always reported with the
-witness those passes name. Either way the quotient's operations are
-proved well defined on every coset pair.
+exhaustive passes: the definition for every pair, and closure,
+absorption and invariance for every member, so a failure is always
+reported with the witness those passes name. Either way the quotient's
+operations are proved well defined on every coset pair.
 
 The map a -> [a, 0] is a *-homomorphism, injective exactly when
 L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
@@ -55,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import ScalarAlgebra
+from .algebra import ScalarAlgebra, first_zero_divisor
 from .bitsets import (
     bool_from_mask,
     first_positions,
@@ -95,7 +96,7 @@ from .rings import (
     _Backend,
     _ProductBackend,
     _SectionBackend,
-    additive_generators,
+    _greedy_span,
 )
 
 
@@ -188,10 +189,14 @@ def compute_kernel_N(
     mul_pairs over the (a, g) grid, O(n |K| |G|). Otherwise one R-row per a
     tests every (lam, x) at once, O(n^2 |K|).
 
-    Additive closure is checked over every pair of members. Absorption,
-    when R and K are lawful, is checked on the generators of N against the
-    pair ring's generators, both sides; if that fails, or the rings are not
-    lawful, every member's row and column are checked, which names the
+    Additive closure, when R and K are lawful (so the pair ring's + is a
+    group law), holds exactly when the span of N's greedy generators is N,
+    which the coset walk of rings._greedy_span decides in O(|N| |G_N|).
+    Otherwise, or if the span is larger, every sum of two members is
+    checked, one member at a time, which names the first witness.
+    Absorption, when R and K are lawful, is checked on N's generators
+    against the pair ring's, both sides; if that fails, or the rings are
+    not lawful, every member's row and column are checked, which names the
     witness.
     """
     R, K = algebra.ring, algebra.scalars
@@ -214,18 +219,19 @@ def compute_kernel_N(
     members = np.flatnonzero(flags)
 
     # additive subgroup
-    k = len(members)
-    if k:
-        u = np.repeat(members, k)
-        v = np.tile(members, k)
-        sums = r1.add_pairs(u, v)
-        if not flags[sums].all():
-            bad = int(sums[int(np.argmax(~flags[sums]))])
-            raise VerificationFailed("kernel-additive-closure", r1.decode(bad))
-    # two-sided absorption
     n_gens = None
     if trusted:
-        n_gens = tuple(additive_generators(r1, flags))
+        span, span_gens = _greedy_span(r1.add_pairs, flags)
+        if np.array_equal(span, flags):
+            n_gens = tuple(span_gens)
+    if n_gens is None:
+        for u_ in members:
+            sums = r1.add_pairs(np.full(len(members), u_), members)
+            if not flags[sums].all():
+                bad = int(sums[int(np.argmax(~flags[sums]))])
+                raise VerificationFailed("kernel-additive-closure", r1.decode(bad))
+    # two-sided absorption
+    if n_gens is not None:
         r1_gens = [g * nk for g in R.generators] + list(K.generators)
         u = np.repeat(np.array(n_gens, dtype=np.int64), len(r1_gens))
         v = np.tile(np.array(r1_gens, dtype=np.int64), len(n_gens))
@@ -236,8 +242,8 @@ def compute_kernel_N(
             u_ = int(u_)
             if not flags[r1.mul_row(u_)].all() or not flags[r1.mul_col(u_)].all():
                 raise VerificationFailed("kernel-absorption", r1.decode(u_))
-    star_closed = bool(flags[r1.star_vector()[members]].all()) if k else True
-    return KernelN(mask=mask, size=int(k), star_closed=star_closed, generators=n_gens)
+    star_closed = bool(flags[r1.star_vector()[members]].all())
+    return KernelN(mask=mask, size=len(members), star_closed=star_closed, generators=n_gens)
 
 
 def _validate_quotient(quot: "Quotient") -> None:
@@ -660,12 +666,10 @@ def check_R1_lemmas(algebra: ScalarAlgebra, limits: Limits = DEFAULT_LIMITS) -> 
             {"lam": K.decode(lam), "a": algebra.ring.decode(a)},
         )
     if not algebra.k_is_domain:
-        kmul = np.stack([K.mul_row(i) for i in range(K.order)])
-        hits = np.argwhere(kmul[1:, 1:] == 0)
-        lam, mu = int(hits[0][0]) + 1, int(hits[0][1]) + 1
+        pair = first_zero_divisor(K)  # none in a one-element K, where 1 = 0
         raise HypothesisNotMet(
             "scalars form an integral domain",
-            {"lam": K.decode(lam), "mu": K.decode(mu)},
+            {"lam": K.decode(pair[0]), "mu": K.decode(pair[1])} if pair else {"order": K.order},
         )
     R = algebra.ring
     kn = algebra.scalars.order

@@ -20,6 +20,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def run_script(script):
+    """Stdout of a fresh interpreter that runs ``script`` on this starbench."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(starbench.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 class TestDescribe:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "describe", "Z(6)")
@@ -238,6 +248,16 @@ class TestVerify:
         assert code == 4
         assert payload["error"]["witness"] == {"lam": 2, "a": 3}
 
+    def test_lemmas_domain_gate(self, capsys):
+        # over the zero ring every action is torsion-free, so the domain
+        # gate is the one that refuses; Z(1) has no zero divisors to name
+        code, payload, _ = run_json(capsys, "verify", "lemmas", "Z(1)", "--K", "Z(6)")
+        assert code == 4
+        assert payload["error"]["witness"] == {"lam": 2, "mu": 3}
+        code, payload, _ = run_json(capsys, "verify", "lemmas", "Z(1)", "--K", "Z(1)")
+        assert code == 4
+        assert payload["error"]["witness"] == {"order": 1}
+
     def test_crosscheck(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "crosscheck", "Z(6)")
         assert code == 0
@@ -340,11 +360,36 @@ class TestImports:
             "]\n"
             "print(codes, 'numpy.ma' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(starbench.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout
+        out = run_script(script)
         # check exits 3: M(2, Z(3)) is neither reduced nor abelian
         assert out.splitlines()[-1] == "[3, 0, 0, 0] False"
+
+
+class TestPeakMemory:
+    def test_large_kernel_stays_small_in_memory(self):
+        # sub(Z(4); 2) = {0, 2} has zero products, so (a, lam) lies in N
+        # exactly when lam.2 = 0, i.e. lam is even: over Z(2000), |N| =
+        # 2 x 1000. N's closure under + must not be checked over all |N|^2
+        # pairs of members at once. Linux keeps ru_maxrss across execve, so
+        # a child started from a large test process would report the
+        # parent's peak; VmHWM is the peak of the child's own address space
+        script = (
+            "import contextlib, io, json, resource\n"
+            "from starbench.cli import main\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            "    code = main(['unitify', 'sub(Z(4); 2)', '--K', 'Z(2000)', '--format', 'json'])\n"
+            "payload = json.loads(buf.getvalue())\n"
+            "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "try:\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        hwm = [l for l in status if l.startswith('VmHWM:')][0]\n"
+            "    peak_mb = int(hwm.split()[1]) / 1024\n"
+            "except (OSError, IndexError):\n"
+            "    pass\n"
+            "print(json.dumps([code, payload['kernel_order'], payload['quotient_order'], peak_mb]))\n"
+        )
+        out = run_script(script)
+        code, kernel_order, quotient_order, peak_mb = json.loads(out.splitlines()[-1])
+        assert (code, kernel_order, quotient_order) == (0, 2000, 2)
+        assert peak_mb < 150, peak_mb
