@@ -101,7 +101,8 @@ def _add_grid(R: StarRing, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
     """Prove every action axiom but the unit action on R's additive
-    generators G, in O(|K| n |G|). Premise: R and K are *-rings.
+    generators G and K's additive generators G_K, in O(|K| n |G|).
+    Premise: R and K are *-rings and K is commutative.
 
     1. Additive in the element: lam.(x+g) = lam.x + lam.g for every lam, x
        and g in G. For each lam the b with lam.(x+b) = lam.x + lam.b for
@@ -111,6 +112,16 @@ def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
        multiplicative-in-scalar and star-action are additive in a, so a in
        G suffices; R's * being biadditive, both sides of associative-left
        and associative-right are biadditive in (a, b), so G x G suffices.
+    3. In the scalar, mu in G_K suffices, with every lam checked at once:
+       a set of scalars that holds G_K and is closed under + is all of K.
+       The mu with (lam + mu).g = lam.g + mu.g for every lam and g are
+       closed under +: for two of them, mu and nu,
+       (lam + mu + nu).g = (lam + mu).g + nu.g = lam.g + mu.g + nu.g, and
+       mu.g + nu.g = (nu + mu).g (mu's equation at lam = nu). Then the mu
+       with (lam mu).g = lam.(mu.g) for every lam and g are closed under +
+       too: (lam (mu + nu)).g = (lam mu).g + (lam nu).g
+       = lam.(mu.g) + lam.(nu.g) = lam.((mu + nu).g), by additivity in the
+       scalar and lam's additivity in the element.
 
     True is a proof over every scalar and element. False means that some
     axiom fails; each check is an instance of one.
@@ -124,13 +135,13 @@ def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
         if not np.array_equal(lhs, rhs):
             return False
     tg = table64[:, gens]  # lam.g
-    for lam in range(nk):
-        # (lam + mu).g = lam.g + mu.g and (lam mu).g = lam.(mu.g)
+    for mu in K.generators:
+        # (lam + mu).g = lam.g + mu.g and (lam mu).g = lam.(mu.g), every lam
         if not np.array_equal(
-            tg[K.add_row(lam)], _add_grid(R, np.broadcast_to(tg[lam], tg.shape), tg)
+            tg[K.add_row(mu)], _add_grid(R, tg, np.broadcast_to(tg[mu], tg.shape))
         ):
             return False
-        if not np.array_equal(tg[K.mul_row(lam)], table64[lam][tg]):
+        if not np.array_equal(tg[K.mul_row(mu)], table64[:, tg[mu]]):
             return False
     # (lam.g)* = lam*.g*
     rstar = R.star_vector()

@@ -136,7 +136,7 @@ def principal_two_sided_ideal(ring: StarRing, a: int) -> int:
 def annihilator_family(
     ring: StarRing,
     mode: str,
-    cap: int = 4096,
+    cap: Optional[int] = None,
     scan: Optional[RingScan] = None,
 ) -> List[AnnihilatorSet]:
     """All annihilators of the given kind, closed under intersection.
@@ -149,7 +149,8 @@ def annihilator_family(
 
     The bitsets are read from ``scan`` (built when none is passed). Results
     are sorted by mask value; deterministic for a given ring. Raises
-    FamilyCapExceeded when the family would exceed ``cap`` sets.
+    FamilyCapExceeded when the family would exceed ``cap`` sets
+    (``ring.limits.family_cap`` when none is passed).
     """
     if mode not in ("subset", "two-sided-ideal"):
         raise ValueError("unknown annihilator family mode %r" % (mode,))
@@ -160,6 +161,8 @@ def annihilator_family(
     for a, mask in enumerate(masks):
         base.setdefault(mask, (a,))
     seed_sets = [AnnihilatorSet(mask, n, "right", gens) for mask, gens in base.items()]
+    if cap is None:
+        cap = ring.limits.family_cap
     return _intersection_closure(seed_sets, cap)
 
 

@@ -1,10 +1,14 @@
 """Classifiers: structural predicates on *-rings, as timed reports.
 
-Every classifier returns a :class:`PropertyReport` and scans elements in
-ascending index order, so the reported witness is always the lowest-index
-one. A shared :class:`~starbench.projections.RingScan` makes repeated
-classification of one ring cheap: its bitsets, projection tables and
-annihilator memos (``r_of``/``l_of``) are computed once per ring.
+Every classifier is a ``check(ring, scan) -> (verdict, witness)`` under
+one decorator, :func:`_verdict`, which names the property, builds a scan
+when none is passed, times the call and registers it in
+PROPERTY_CLASSIFIERS; what callers get is ``(ring, scan=None) ->``
+:class:`PropertyReport`. Checks scan elements in ascending index order,
+so the reported witness is always the lowest-index one. A shared
+:class:`~starbench.projections.RingScan` makes repeated classification of
+one ring cheap: its bitsets, projection tables and annihilator memos
+(``r_of``/``l_of``) are computed once per ring.
 
 Definitions implemented (R a finite *-ring, r/l one-sided annihilators):
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import wraps
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,49 +68,68 @@ class PropertyReport:
         return "%-28s %-5s%s" % (self.prop, mark, tail)
 
 
-def _finish(
-    ring: StarRing, prop: str, verdict: bool, witness: Optional[Any], t0: int
-) -> PropertyReport:
-    micros = (time.perf_counter_ns() - t0) // 1000
-    return PropertyReport(ring.label, prop, verdict, witness, int(micros))
+Verdict = Tuple[bool, Optional[Any]]
+Check = Callable[[StarRing, RingScan], Verdict]
+
+# property name -> classifier, in the order of definition below, which is
+# the order of ``check --all``
+PROPERTY_CLASSIFIERS: Dict[str, Callable[..., PropertyReport]] = {}
 
 
-def is_proper_involution(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    t0 = time.perf_counter_ns()
+def _verdict(prop: str) -> Callable[[Check], Callable[..., PropertyReport]]:
+    """Make ``check(ring, scan) -> (verdict, witness)`` the classifier of
+    ``prop``: ``(ring, scan=None) -> PropertyReport``, with a fresh scan
+    when none is passed and the call timed into ``micros``. It is
+    registered in PROPERTY_CLASSIFIERS under ``prop``."""
+
+    def classifier(check: Check) -> Callable[..., PropertyReport]:
+        @wraps(check)
+        def report(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
+            t0 = time.perf_counter_ns()
+            verdict, witness = check(ring, scan or RingScan(ring))
+            micros = (time.perf_counter_ns() - t0) // 1000
+            return PropertyReport(ring.label, prop, verdict, witness, int(micros))
+
+        PROPERTY_CLASSIFIERS[prop] = report
+        return report
+
+    return classifier
+
+
+@_verdict("proper")
+def is_proper_involution(ring: StarRing, scan: RingScan) -> Verdict:
     idx = np.arange(ring.order, dtype=np.int64)
     diag = ring.mul_pairs(ring.star_vector(), idx)  # x* x
     bad = np.flatnonzero((diag == 0) & (idx != 0))
     if len(bad):
-        x = int(bad[0])
-        return _finish(ring, "proper", False, {"x": ring.decode(x)}, t0)
-    return _finish(ring, "proper", True, None, t0)
+        return False, {"x": ring.decode(int(bad[0]))}
+    return True, None
 
 
-def is_semi_proper(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
+@_verdict("semi-proper")
+def is_semi_proper(ring: StarRing, scan: RingScan) -> Verdict:
     """x R x* = 0 exactly when every value x*r lies in lann(x*), i.e. when
     row_sets[x] is a subset of lann[star(x)]; read off the shared scan."""
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
     star = ring.star_vector()
     row_sets, lann = scan.row_sets, scan.lann
     for x in range(1, ring.order):
         if is_subset(row_sets[x], lann[int(star[x])]):
-            return _finish(ring, "semi-proper", False, {"x": ring.decode(x)}, t0)
-    return _finish(ring, "semi-proper", True, None, t0)
+            return False, {"x": ring.decode(x)}
+    return True, None
 
 
-def is_reduced(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    t0 = time.perf_counter_ns()
+@_verdict("reduced")
+def is_reduced(ring: StarRing, scan: RingScan) -> Verdict:
     idx = np.arange(ring.order, dtype=np.int64)
     squares = ring.mul_pairs(idx, idx)
     bad = np.flatnonzero((squares == 0) & (idx != 0))
     if len(bad):
-        return _finish(ring, "reduced", False, {"x": ring.decode(int(bad[0]))}, t0)
-    return _finish(ring, "reduced", True, None, t0)
+        return False, {"x": ring.decode(int(bad[0]))}
+    return True, None
 
 
-def is_abelian(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    t0 = time.perf_counter_ns()
+@_verdict("abelian")
+def is_abelian(ring: StarRing, scan: RingScan) -> Verdict:
     idx = np.arange(ring.order, dtype=np.int64)
     idems = np.flatnonzero(ring.mul_pairs(idx, idx) == idx)
     for e in idems:
@@ -115,21 +139,15 @@ def is_abelian(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyRepor
         neq = row != col
         if neq.any():
             y = int(np.argmax(neq))
-            return _finish(
-                ring,
-                "abelian",
-                False,
-                {"idempotent": ring.decode(e), "witness": ring.decode(y)},
-                t0,
-            )
-    return _finish(ring, "abelian", True, None, t0)
+            return False, {"idempotent": ring.decode(e), "witness": ring.decode(y)}
+    return True, None
 
 
-def has_unity(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    t0 = time.perf_counter_ns()
+@_verdict("unity")
+def has_unity(ring: StarRing, scan: RingScan) -> Verdict:
     if ring.unity is None:
-        return _finish(ring, "unity", False, None, t0)
-    return _finish(ring, "unity", True, {"unity": ring.decode(ring.unity)}, t0)
+        return False, None
+    return True, {"unity": ring.decode(ring.unity)}
 
 
 def _matching_projection(by_mask: Dict[int, Tuple[int, ...]], mask: int) -> Optional[int]:
@@ -144,113 +162,67 @@ def _matching_projection(by_mask: Dict[int, Tuple[int, ...]], mask: int) -> Opti
     return None
 
 
-def is_rickart_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
+@_verdict("rickart-star")
+def is_rickart_star(ring: StarRing, scan: RingScan) -> Verdict:
     for x in range(ring.order):
         if _matching_projection(scan.eR_by_mask, scan.rann[x]) is None:
-            return _finish(ring, "rickart-star", False, {"x": ring.decode(x)}, t0)
-    return _finish(ring, "rickart-star", True, None, t0)
+            return False, {"x": ring.decode(x)}
+    return True, None
 
 
-def is_weakly_rickart_star(
-    ring: StarRing, scan: Optional[RingScan] = None
-) -> PropertyReport:
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
+@_verdict("weakly-rickart-star")
+def is_weakly_rickart_star(ring: StarRing, scan: RingScan) -> Verdict:
     bad = np.flatnonzero(scan.rp_all < 0)
     if len(bad):
         x = int(bad[0])
         reason = "ambiguous" if scan.rp_all[x] == -2 else "none"
-        return _finish(
-            ring,
-            "weakly-rickart-star",
-            False,
-            {"x": ring.decode(x), "reason": reason},
-            t0,
-        )
-    return _finish(ring, "weakly-rickart-star", True, None, t0)
+        return False, {"x": ring.decode(x), "reason": reason}
+    return True, None
 
 
-def is_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
-    family = annihilator_family(ring, "subset", cap=ring.limits.family_cap, scan=scan)
-    for member in family:
+@_verdict("baer-star")
+def is_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
+    for member in annihilator_family(ring, "subset", scan=scan):
         if _matching_projection(scan.eR_by_mask, member.mask) is None:
-            return _finish(
-                ring,
-                "baer-star",
-                False,
-                {
-                    "generators": [ring.decode(g) for g in member.generators],
-                    "annihilator_size": member.count(),
-                },
-                t0,
-            )
-    return _finish(ring, "baer-star", True, None, t0)
+            return False, {
+                "generators": [ring.decode(g) for g in member.generators],
+                "annihilator_size": member.count(),
+            }
+    return True, None
 
 
-def is_quasi_baer_star(
-    ring: StarRing, scan: Optional[RingScan] = None
-) -> PropertyReport:
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
-    family = annihilator_family(
-        ring, "two-sided-ideal", cap=ring.limits.family_cap, scan=scan
-    )
-    for member in family:
+@_verdict("quasi-baer-star")
+def is_quasi_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
+    for member in annihilator_family(ring, "two-sided-ideal", scan=scan):
         if _matching_projection(scan.eR_by_mask, member.mask) is None:
-            return _finish(
-                ring,
-                "quasi-baer-star",
-                False,
-                {
-                    "ideal_generators": [ring.decode(g) for g in member.generators],
-                    "annihilator_size": member.count(),
-                },
-                t0,
-            )
-    return _finish(ring, "quasi-baer-star", True, None, t0)
+            return False, {
+                "ideal_generators": [ring.decode(g) for g in member.generators],
+                "annihilator_size": member.count(),
+            }
+    return True, None
 
 
-def is_pq_baer_star(ring: StarRing, scan: Optional[RingScan] = None) -> PropertyReport:
+@_verdict("pq-baer-star")
+def is_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     """Both clauses are checked independently for every a: r(aR) = eR and
     l(Ra) = Rf; the witness names the first failing side."""
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
     for a in range(ring.order):
         right = scan.r_of(scan.row_sets[a])
         if _matching_projection(scan.eR_by_mask, right) is None:
-            return _finish(
-                ring,
-                "pq-baer-star",
-                False,
-                {"a": ring.decode(a), "side": "right"},
-                t0,
-            )
+            return False, {"a": ring.decode(a), "side": "right"}
         left = scan.l_of(scan.col_sets[a])
         if _matching_projection(scan.Rf_by_mask, left) is None:
-            return _finish(
-                ring,
-                "pq-baer-star",
-                False,
-                {"a": ring.decode(a), "side": "left"},
-                t0,
-            )
-    return _finish(ring, "pq-baer-star", True, None, t0)
+            return False, {"a": ring.decode(a), "side": "left"}
+    return True, None
 
 
-def is_weakly_pq_baer_star(
-    ring: StarRing, scan: Optional[RingScan] = None
-) -> PropertyReport:
+@_verdict("weakly-pq-baer-star")
+def is_weakly_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     """Every x has a central cover C(x) with xRy = 0 iff C(x)y = 0.
 
     When the verdict is true, the symmetry xRy = 0 iff yRx = 0 is asserted
     as a cross-check; a divergence would be a bug and raises.
     """
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
     n = ring.order
     masks: List[int] = []
     for x in range(n):
@@ -258,21 +230,9 @@ def is_weakly_pq_baer_star(
         mask = scan.r_of(scan.row_sets[x])
         masks.append(mask)
         if cover < 0:
-            return _finish(
-                ring,
-                "weakly-pq-baer-star",
-                False,
-                {"x": ring.decode(x), "reason": "no-central-cover"},
-                t0,
-            )
+            return False, {"x": ring.decode(x), "reason": "no-central-cover"}
         if mask != scan.rann[cover]:
-            return _finish(
-                ring,
-                "weakly-pq-baer-star",
-                False,
-                {"x": ring.decode(x), "reason": "biconditional"},
-                t0,
-            )
+            return False, {"x": ring.decode(x), "reason": "biconditional"}
     sym = rows_from_masks(masks, n)
     if not np.array_equal(sym, sym.T):
         diff = np.argwhere(sym != sym.T)
@@ -280,7 +240,7 @@ def is_weakly_pq_baer_star(
         raise VerificationFailed(
             "annihilation-symmetry", (ring.decode(x), ring.decode(y))
         )
-    return _finish(ring, "weakly-pq-baer-star", True, None, t0)
+    return True, None
 
 
 def square_free(m: int) -> bool:
@@ -342,38 +302,12 @@ def find_rp_not_central_cover(
     return None
 
 
-def rp_not_central_cover_report(
-    ring: StarRing, scan: Optional[RingScan] = None
-) -> PropertyReport:
-    t0 = time.perf_counter_ns()
-    scan = scan or RingScan(ring)
+@_verdict("rp-not-cover")
+def rp_not_central_cover_report(ring: StarRing, scan: RingScan) -> Verdict:
     x = find_rp_not_central_cover(ring, scan)
     if x is None:
-        return _finish(ring, "rp-not-cover", False, None, t0)
-    e = int(scan.rp_all[x])
-    return _finish(
-        ring,
-        "rp-not-cover",
-        True,
-        {"x": ring.decode(x), "rp": ring.decode(e)},
-        t0,
-    )
-
-
-PROPERTY_CLASSIFIERS: Dict[str, Callable[..., PropertyReport]] = {
-    "proper": is_proper_involution,
-    "semi-proper": is_semi_proper,
-    "reduced": is_reduced,
-    "abelian": is_abelian,
-    "unity": has_unity,
-    "rickart-star": is_rickart_star,
-    "weakly-rickart-star": is_weakly_rickart_star,
-    "baer-star": is_baer_star,
-    "quasi-baer-star": is_quasi_baer_star,
-    "pq-baer-star": is_pq_baer_star,
-    "weakly-pq-baer-star": is_weakly_pq_baer_star,
-    "rp-not-cover": rp_not_central_cover_report,
-}
+        return False, None
+    return True, {"x": ring.decode(x), "rp": ring.decode(int(scan.rp_all[x]))}
 
 
 def classify_all(ring: StarRing, scan: Optional[RingScan] = None) -> Dict[str, PropertyReport]:

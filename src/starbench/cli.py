@@ -1,14 +1,19 @@
 """Command line front end.
 
 Verbs: describe, check, rp, lp, cover, projections, unitify, verify,
-scan-cor, corpus. Exit codes are a contract:
+scan-cor, corpus. Exit codes are a contract; an error exits with its
+class's ``exit_code``:
 
     0  pass / verdict true
-    2  parse or input-shape error (DSL text, element literals, descriptors)
-    3  property false, or a requested projection does not exist
-    4  hypothesis not met, or a resource cap refused the input
-    5  a verified claim came out false (formula mismatch, cross-check
-       disagreement, broken axiom)
+    2  parse or input-shape error: ParseError, LiteralError, DescriptorError
+    3  property false, or a requested projection does not exist:
+       NoRightProjection, NoLeftProjection, NoCentralCover, NoGreatestElement
+    4  hypothesis not met, or a resource cap refused the input:
+       HypothesisNotMet, OrderCapExceeded, FamilyCapExceeded,
+       CharacteristicMismatch, InvolutionNotWellDefined, ActionAxiomViolation
+    5  a verified claim came out false: FormulaMismatch, VerificationFailed,
+       AmbiguousRightProjection, AmbiguousLeftProjection, AxiomViolation,
+       StarbenchError
 
 ``--jobs N`` parallelizes the multi-ring verbs; results are merged in task
 order, so output is byte-identical for every N. Timings are only included
@@ -41,76 +46,26 @@ from .descriptor import (
     to_dsl,
 )
 from .dsl import parse_element, parse_ring_expr
-from .errors import (
-    ActionAxiomViolation,
-    AmbiguousLeftProjection,
-    AmbiguousRightProjection,
-    AxiomViolation,
-    CharacteristicMismatch,
-    DescriptorError,
-    FamilyCapExceeded,
-    FormulaMismatch,
-    HypothesisNotMet,
-    InvolutionNotWellDefined,
-    LiteralError,
-    NoCentralCover,
-    NoGreatestElement,
-    NoLeftProjection,
-    NoRightProjection,
-    OrderCapExceeded,
-    ParseError,
-    StarbenchError,
-    VerificationFailed,
-)
+from .errors import DescriptorError, StarbenchError, VerificationFailed
 from .projections import RingScan, central_cover, lp, rp
 from .rings import build_ring, validate_star_ring
 from .unitify import check_R1_lemmas, describe_unitification, verify_unitification
-
-_EXIT_CLASSES: Tuple[Tuple[type, int], ...] = (
-    (ParseError, 2),
-    (LiteralError, 2),
-    (DescriptorError, 2),
-    (NoRightProjection, 3),
-    (NoLeftProjection, 3),
-    (NoCentralCover, 3),
-    (NoGreatestElement, 3),
-    (HypothesisNotMet, 4),
-    (OrderCapExceeded, 4),
-    (FamilyCapExceeded, 4),
-    (CharacteristicMismatch, 4),
-    (InvolutionNotWellDefined, 4),
-    (ActionAxiomViolation, 4),
-    (FormulaMismatch, 5),
-    (VerificationFailed, 5),
-    (AmbiguousRightProjection, 5),
-    (AmbiguousLeftProjection, 5),
-    (AxiomViolation, 5),
-)
 
 
 class _RemoteFailure(StarbenchError):
     """A StarbenchError re-raised on the parent side of a worker pool.
 
     Custom exceptions with multi-argument constructors do not round-trip
-    through pickle, so workers ship (code, payload) tuples instead.
+    through pickle, so workers ship (exit code, payload) tuples instead.
     """
 
-    def __init__(self, code: int, info: dict):
-        self.code = code
+    def __init__(self, exit_code: int, info: dict):
+        self.exit_code = exit_code
         self.info = info
         super().__init__(info.get("message", "worker failed"))
 
     def payload(self) -> dict:
         return self.info
-
-
-def _exit_code_for(exc: StarbenchError) -> int:
-    if isinstance(exc, _RemoteFailure):
-        return exc.code
-    for cls, code in _EXIT_CLASSES:
-        if isinstance(exc, cls):
-            return code
-    return 5
 
 
 def _limits(cap: Optional[int]) -> Limits:
@@ -158,7 +113,7 @@ def _tagged_call(task: Tuple[Callable[[Any], Any], Any]) -> tuple:
     try:
         return ("ok", body(payload))
     except StarbenchError as exc:
-        return ("err", _exit_code_for(exc), exc.payload())
+        return ("err", exc.exit_code, exc.payload())
 
 
 def _check_body(payload: Tuple[str, Tuple[str, ...], Optional[int], bool]) -> dict:
@@ -625,16 +580,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except StarbenchError as exc:
-        code = _exit_code_for(exc)
         if getattr(args, "format", "text") == "json":
-            payload = exc.payload() if hasattr(exc, "payload") else {
-                "type": type(exc).__name__,
-                "message": str(exc),
-            }
-            sys.stdout.write(json.dumps({"error": payload}, indent=2) + "\n")
+            sys.stdout.write(json.dumps({"error": exc.payload()}, indent=2) + "\n")
         else:
             sys.stderr.write("error: %s\n" % exc)
-        return code
+        return exc.exit_code
 
 
 def main_entry() -> None:

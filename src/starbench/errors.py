@@ -1,31 +1,42 @@
 """Exception hierarchy for the workbench.
 
-Every error carries enough structure to be rendered both as text and as a
-JSON object by the CLI. The CLI maps classes to exit codes:
-
-* parse and input errors -> 2
-* unmet hypotheses, caps, action-axiom failures -> 4
-* verification failures (a checked claim came out false) -> 5
+Each class states its CLI contract once: ``exit_code``, the exit status
+when it escapes a verb (table in the cli module docstring; 5 unless the
+class says otherwise), and ``payload_fields``, the attributes its JSON
+object carries after ``type`` and ``message``, in that order (tuples as
+lists, ``None`` left out).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence, Tuple
 
 
 class StarbenchError(Exception):
-    """Base class; subclasses fill ``payload()`` for structured rendering."""
+    """Base class: the exit code and the JSON payload of every error."""
+
+    exit_code = 5
+    payload_fields: Tuple[str, ...] = ()
 
     def payload(self) -> dict:
-        return {"type": type(self).__name__, "message": str(self)}
+        out = {"type": type(self).__name__, "message": str(self)}
+        for name in self.payload_fields:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 class DescriptorError(StarbenchError):
     """A ring descriptor violates a constructor invariant (bad modulus, ...)."""
 
+    exit_code = 2
+
 
 class LiteralError(StarbenchError):
     """An element literal does not denote an element of the ring."""
+
+    exit_code = 2
 
 
 class ParseError(StarbenchError):
@@ -34,6 +45,9 @@ class ParseError(StarbenchError):
     ``offset`` is the byte offset of the offending token in the input and
     ``expected`` lists the token descriptions that would have been accepted.
     """
+
+    exit_code = 2
+    payload_fields = ("offset", "expected", "found")
 
     def __init__(self, offset: int, expected: Sequence[str], found: str):
         self.offset = offset
@@ -45,17 +59,11 @@ class ParseError(StarbenchError):
             % (offset, want, found)
         )
 
-    def payload(self) -> dict:
-        return {
-            "type": "ParseError",
-            "message": str(self),
-            "offset": self.offset,
-            "expected": list(self.expected),
-            "found": self.found,
-        }
-
 
 class OrderCapExceeded(StarbenchError):
+    exit_code = 4
+    payload_fields = ("order", "cap")
+
     def __init__(self, order: int, cap: int, what: str = "ring"):
         self.order = order
         self.cap = cap
@@ -63,37 +71,28 @@ class OrderCapExceeded(StarbenchError):
             "%s order %d exceeds the configured cap %d" % (what, order, cap)
         )
 
-    def payload(self) -> dict:
-        return {
-            "type": "OrderCapExceeded",
-            "message": str(self),
-            "order": self.order,
-            "cap": self.cap,
-        }
-
 
 class AxiomViolation(StarbenchError):
     """A structural *-ring axiom failed; ``witness`` are element literals."""
+
+    exit_code = 5
+    payload_fields = ("axiom", "witness")
 
     def __init__(self, axiom: str, witness: tuple):
         self.axiom = axiom
         self.witness = witness
         super().__init__("axiom %r fails at witness %r" % (axiom, witness))
 
-    def payload(self) -> dict:
-        return {
-            "type": type(self).__name__,
-            "message": str(self),
-            "axiom": self.axiom,
-            "witness": list(self.witness),
-        }
-
 
 class ActionAxiomViolation(AxiomViolation):
     """A scalar-action axiom failed during exhaustive validation."""
 
+    exit_code = 4
+
 
 class CharacteristicMismatch(StarbenchError):
+    exit_code = 4
+
     def __init__(self, characteristic: int, modulus: int):
         self.characteristic = characteristic
         self.modulus = modulus
@@ -104,12 +103,16 @@ class CharacteristicMismatch(StarbenchError):
 
 
 class NoRightProjection(StarbenchError):
+    exit_code = 3
+
     def __init__(self, element: Any):
         self.element = element
         super().__init__("no right projection exists for %r" % (element,))
 
 
 class AmbiguousRightProjection(StarbenchError):
+    exit_code = 5
+
     def __init__(self, element: Any, candidates: Sequence[Any]):
         self.element = element
         self.candidates = tuple(candidates)
@@ -120,12 +123,16 @@ class AmbiguousRightProjection(StarbenchError):
 
 
 class NoLeftProjection(StarbenchError):
+    exit_code = 3
+
     def __init__(self, element: Any):
         self.element = element
         super().__init__("no left projection exists for %r" % (element,))
 
 
 class AmbiguousLeftProjection(StarbenchError):
+    exit_code = 5
+
     def __init__(self, element: Any, candidates: Sequence[Any]):
         self.element = element
         self.candidates = tuple(candidates)
@@ -136,12 +143,16 @@ class AmbiguousLeftProjection(StarbenchError):
 
 
 class NoCentralCover(StarbenchError):
+    exit_code = 3
+
     def __init__(self, element: Any):
         self.element = element
         super().__init__("no central cover exists for %r" % (element,))
 
 
 class NoGreatestElement(StarbenchError):
+    exit_code = 3
+
     def __init__(self, candidates: Sequence[Any]):
         self.candidates = tuple(candidates)
         super().__init__(
@@ -151,6 +162,8 @@ class NoGreatestElement(StarbenchError):
 
 
 class FamilyCapExceeded(StarbenchError):
+    exit_code = 4
+
     def __init__(self, cap: int):
         self.cap = cap
         super().__init__("annihilator family exceeds the cap of %d sets" % cap)
@@ -158,6 +171,9 @@ class FamilyCapExceeded(StarbenchError):
 
 class HypothesisNotMet(StarbenchError):
     """A precondition of a verification routine does not hold for the input."""
+
+    exit_code = 4
+    payload_fields = ("hypothesis", "witness")
 
     def __init__(self, hypothesis: str, witness: Any = None):
         self.hypothesis = hypothesis
@@ -167,19 +183,11 @@ class HypothesisNotMet(StarbenchError):
             msg += " (witness %r)" % (witness,)
         super().__init__(msg)
 
-    def payload(self) -> dict:
-        out = {
-            "type": "HypothesisNotMet",
-            "message": str(self),
-            "hypothesis": self.hypothesis,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 class InvolutionNotWellDefined(StarbenchError):
     """The kernel ideal is not star-closed, so the quotient has no involution."""
+
+    exit_code = 4
 
     def __init__(self, witness: Any):
         self.witness = witness
@@ -190,6 +198,8 @@ class InvolutionNotWellDefined(StarbenchError):
 
 class FormulaMismatch(StarbenchError):
     """The closed-form projection formula disagreed with the brute-force scan."""
+
+    exit_code = 5
 
     def __init__(self, element: Any, formula_result: Any, brute_result: Any):
         self.element = element
@@ -204,6 +214,9 @@ class FormulaMismatch(StarbenchError):
 class VerificationFailed(StarbenchError):
     """A theorem-level claim checked exhaustively came out false."""
 
+    exit_code = 5
+    payload_fields = ("claim", "witness")
+
     def __init__(self, claim: str, witness: Any = None):
         self.claim = claim
         self.witness = witness
@@ -211,13 +224,3 @@ class VerificationFailed(StarbenchError):
         if witness is not None:
             msg += " (witness %r)" % (witness,)
         super().__init__(msg)
-
-    def payload(self) -> dict:
-        out = {
-            "type": "VerificationFailed",
-            "message": str(self),
-            "claim": self.claim,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out

@@ -311,7 +311,6 @@ def _validate_quotient(quot: "Quotient") -> None:
 def build_quotient(
     algebra: ScalarAlgebra,
     limits: Limits = DEFAULT_LIMITS,
-    validate: bool = True,
 ) -> Quotient:
     """Quotient the pair ring by its kernel ideal.
 
@@ -355,8 +354,7 @@ def build_quotient(
         reps=reps,
         coset_of_pair=coset_of_pair,
     )
-    if validate:
-        _validate_quotient(quot)
+    _validate_quotient(quot)
     return quot
 
 

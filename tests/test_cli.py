@@ -123,6 +123,15 @@ class TestCheck:
         assert code == 4
         assert payload["error"]["type"] == "OrderCapExceeded"
 
+    def test_corpus_cap_refusal_crosses_the_pool(self, capsys):
+        # a worker's error comes back as its exit code and payload
+        argv = ("check", "--corpus", "small", "--all", "--max-order", "10", "--format", "json")
+        code1, out1, _ = run(capsys, *argv, "--jobs", "1")
+        code2, out2, _ = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 4
+        assert out1 == out2
+        assert json.loads(out2)["error"]["type"] == "OrderCapExceeded"
+
 
 class TestMaxOrder:
     @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -215,6 +215,20 @@ def test_entry_off_the_generators_is_caught():
     assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
 
 
+def test_row_off_the_scalar_generators_is_caught():
+    # Z(6)'s additive generators are {1}. The row of 4, replaced by the
+    # identity, stays additive in the element, so only the scalar-side
+    # checks, taken over every lam, can see it.
+    R, K = cached_ring("Z(6)"), cached_ring("Z(6)")
+    lam = K.encode(4)
+    assert lam not in K.generators
+    table = natural_table(R, K)
+    table[lam] = np.arange(R.order)
+    _, failure = action_outcome(R, K, table)
+    assert failure is not None
+    assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
+
+
 def test_quotient_audit_names_the_member_witness():
     # a coset map moved at one pair fails invariance under the generators,
     # and the member loop then names the same witness as without them

@@ -439,7 +439,7 @@ class TestQuotientAudit:
 
     def test_clean_quotients_pass(self, algebra_of, q_m2z6):
         for rt, kt in [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("sub(Z(4); 2)", "Z(2)")]:
-            _validate_quotient(build_quotient(algebra_of(rt, kt), validate=False))
+            _validate_quotient(build_quotient(algebra_of(rt, kt)))
         _validate_quotient(q_m2z6)
         assert sampled_audit_finds_nothing(q_m2z6)
 
