@@ -113,7 +113,8 @@ def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
        G suffices; R's * being biadditive, both sides of associative-left
        and associative-right are biadditive in (a, b), so G x G suffices.
     3. In the scalar, mu in G_K suffices, with every lam checked at once:
-       a set of scalars that holds G_K and is closed under + is all of K.
+       a nonempty set of scalars that holds G_K and is closed under + is all
+       of K. G_K is empty only for K = {0}, so mu = 0 is checked then.
        The mu with (lam + mu).g = lam.g + mu.g for every lam and g are
        closed under +: for two of them, mu and nu,
        (lam + mu + nu).g = (lam + mu).g + nu.g = lam.g + mu.g + nu.g, and
@@ -135,7 +136,7 @@ def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
         if not np.array_equal(lhs, rhs):
             return False
     tg = table64[:, gens]  # lam.g
-    for mu in K.generators:
+    for mu in K.generators or (0,):
         # (lam + mu).g = lam.g + mu.g and (lam mu).g = lam.(mu.g), every lam
         if not np.array_equal(
             tg[K.add_row(mu)], _add_grid(R, tg, np.broadcast_to(tg[mu], tg.shape))

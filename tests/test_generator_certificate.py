@@ -229,6 +229,18 @@ def test_row_off_the_scalar_generators_is_caught():
     assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
 
 
+def test_zero_scalar_ring_is_checked_at_zero():
+    # Z(1) has no additive generators. The table [[0, 1]] passes the unit
+    # action (0 is K's unity) and every element-side check, but
+    # (0 + 0).1 = 1 while 0.1 + 0.1 = 0.
+    R, K = cached_ring("Z(2)"), cached_ring("Z(1)")
+    assert K.generators == ()
+    table = np.array([[0, 1]], dtype=np.int32)
+    _, failure = action_outcome(R, K, table)
+    assert failure is not None
+    assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
+
+
 def test_quotient_audit_names_the_member_witness():
     # a coset map moved at one pair fails invariance under the generators,
     # and the member loop then names the same witness as without them
