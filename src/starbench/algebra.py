@@ -112,9 +112,8 @@ def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
        multiplicative-in-scalar and star-action are additive in a, so a in
        G suffices; R's * being biadditive, both sides of associative-left
        and associative-right are biadditive in (a, b), so G x G suffices.
-    3. In the scalar, mu in G_K suffices, with every lam checked at once:
-       a nonempty set of scalars that holds G_K and is closed under + is all
-       of K. G_K is empty only for K = {0}, so mu = 0 is checked then.
+    3. In the scalar, mu in G_K, or 0 when K = {0}, suffices (every lam at
+       once): a nonempty set of scalars closed under + that holds them is K.
        The mu with (lam + mu).g = lam.g + mu.g for every lam and g are
        closed under +: for two of them, mu and nu,
        (lam + mu + nu).g = (lam + mu).g + nu.g = lam.g + mu.g + nu.g, and
