@@ -22,15 +22,18 @@ Backends supply arithmetic and a codec, nothing more:
 * ``decode(i)`` / ``encode(literal)`` — the element codec.
 
 :class:`_Backend` derives the rest from those, straight from the
-definitions: the scalar ops ``add``/``mul``, the rows ``add_row(i)`` and
-``mul_row(i)`` and the column ``mul_col(j)`` (addition is commutative, so
-there is no add_col), ``find_unity()`` (the idempotent that is a two-sided
-identity) and ``characteristic()`` (the least k with k.x = 0 for every x).
-A backend overrides a default only where it pays: the cyclic, matrix and
-product backends compute rows directly and know their characteristic (the
-pair ring, a product with a twisted multiplication, takes the default
-rows). Subrings and quotients are both a :class:`_SectionBackend`
-over their parent. :class:`StarRing` reads the unity and the
+definitions: the scalar ops ``add``/``mul``, ``mul_lines(members)`` (the
+products of one element with every member, from either side), the rows
+``add_row(i)`` and ``mul_row(i)`` and the column ``mul_col(j)`` (the
+lines over every element; addition is commutative, so there is no
+add_col), ``find_unity()`` (the idempotent that is a two-sided identity)
+and ``characteristic()`` (the least k with k.x = 0 for every x). A
+backend overrides a default only where it pays: the cyclic, matrix and
+product backends compute rows directly and know their characteristic;
+the pair ring, a product with a twisted multiplication, overrides
+``mul_lines`` instead. Subrings and quotients are both a
+:class:`_SectionBackend` over their parent, whose lines they take over
+their representatives. :class:`StarRing` reads the unity and the
 characteristic from the backend it was built from, and defines the
 additive order of an element itself.
 
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,11 +121,22 @@ class _Backend:
     def add_row(self, i: int) -> np.ndarray:
         return self.add_pairs(np.full(self.order, i), np.arange(self.order))
 
+    def mul_lines(self, members) -> Tuple[Callable, Callable]:
+        """(row, col) with row(i)[t] = i.members[t] and col(j)[t] =
+        members[t].j: the products of one element with every member, from
+        either side. By default each line is one broadcast mul_pairs."""
+        members = _as_index_array(members)
+        m = len(members)
+        return (
+            lambda i: self.mul_pairs(np.full(m, i), members),
+            lambda j: self.mul_pairs(members, np.full(m, j)),
+        )
+
     def mul_row(self, i: int) -> np.ndarray:
-        return self.mul_pairs(np.full(self.order, i), np.arange(self.order))
+        return self.mul_lines(np.arange(self.order))[0](i)
 
     def mul_col(self, j: int) -> np.ndarray:
-        return self.mul_pairs(np.arange(self.order), np.full(self.order, j))
+        return self.mul_lines(np.arange(self.order))[1](j)
 
     def find_unity(self) -> Optional[int]:
         """The idempotent e with e x = x = x e for every x, if any."""
@@ -355,6 +369,18 @@ class _ProductBackend(_Backend):
         return self.left.encode(lit[0]) * self.rn + self.right.encode(lit[1])
 
 
+def _local(local_of: np.ndarray, parent_indices) -> np.ndarray:
+    """A section's local indices of parent elements; a parent element
+    outside the section raises the ``closure`` violation, naming the first
+    three parent indices."""
+    out = local_of[parent_indices]
+    if (out < 0).any():
+        raise AxiomViolation(
+            "closure", tuple(int(p) for p in np.atleast_1d(parent_indices)[:3])
+        )
+    return out
+
+
 class _SectionBackend(_Backend):
     """A ring whose elements are named by elements of a parent ring.
 
@@ -362,8 +388,11 @@ class _SectionBackend(_Backend):
     parent index back to its local index, or to -1 outside the ring. A
     subring passes its carrier and -1 off it; a quotient passes its coset
     representatives and the coset of every parent element. Each operation
-    runs in the parent on the representatives and maps the result back; a
-    result outside a subring's carrier raises the ``closure`` violation.
+    runs in the parent on the representatives and maps the result back:
+    a row or column is the parent's line (``mul_lines``) of one
+    representative over all of them, so a quotient's lines cost what the
+    pair ring's lines cost. A result outside a subring's carrier raises
+    the ``closure`` violation, naming the first three parent products.
     """
 
     def __init__(self, parent: "StarRing", reps: np.ndarray, local_of: np.ndarray):
@@ -372,27 +401,42 @@ class _SectionBackend(_Backend):
         self.local_of = local_of
         self.order = len(reps)
 
-    def _local(self, parent_indices) -> np.ndarray:
-        out = self.local_of[parent_indices]
-        if (out < 0).any():
-            raise AxiomViolation(
-                "closure", tuple(int(p) for p in np.atleast_1d(parent_indices)[:3])
-            )
-        return out
-
     def add_pairs(self, u, v) -> np.ndarray:
         u, v = _as_index_array(u), _as_index_array(v)
-        return self._local(self.parent.add_pairs(self.reps[u], self.reps[v]))
+        return _local(self.local_of, self.parent.add_pairs(self.reps[u], self.reps[v]))
 
     def mul_pairs(self, u, v) -> np.ndarray:
         u, v = _as_index_array(u), _as_index_array(v)
-        return self._local(self.parent.mul_pairs(self.reps[u], self.reps[v]))
+        return _local(self.local_of, self.parent.mul_pairs(self.reps[u], self.reps[v]))
+
+    def mul_lines(self, members) -> Tuple[Callable, Callable]:
+        # the lines hold no reference to self, which caches them: a cycle
+        # would keep the parent (and R's tables) alive until the cyclic
+        # garbage collector ran
+        reps, local_of = self.reps, self.local_of
+        row, col = self.parent.mul_lines(reps[_as_index_array(members)])
+        return (
+            lambda i: _local(local_of, row(int(reps[i]))),
+            lambda j: _local(local_of, col(int(reps[j]))),
+        )
+
+    @cached_property
+    def _lines(self) -> Tuple[Callable, Callable]:
+        """The lines over every element: the parent's lines over the
+        representatives, which it prepares once (a pair ring splits them)."""
+        return self.mul_lines(np.arange(self.order))
+
+    def mul_row(self, i: int) -> np.ndarray:
+        return self._lines[0](i)
+
+    def mul_col(self, j: int) -> np.ndarray:
+        return self._lines[1](j)
 
     def neg_vec(self) -> np.ndarray:
-        return self._local(self.parent.neg_vector()[self.reps])
+        return _local(self.local_of, self.parent.neg_vector()[self.reps])
 
     def star_vec(self) -> np.ndarray:
-        return self._local(self.parent.star_vector()[self.reps])
+        return _local(self.local_of, self.parent.star_vector()[self.reps])
 
     def decode(self, i: int) -> Any:
         return self.parent.decode(int(self.reps[i]))
@@ -580,6 +624,11 @@ class StarRing:
 
     def mul_pairs(self, u, v) -> np.ndarray:
         return _as_index_array(self._backend.mul_pairs(u, v))
+
+    def mul_lines(self, members) -> Tuple[Callable, Callable]:
+        """(row, col): row(i) and col(j) are the products i.m and m.j for
+        every m in ``members``, as index vectors; see _Backend.mul_lines."""
+        return self._backend.mul_lines(members)
 
     def neg_vector(self) -> np.ndarray:
         return self._neg

@@ -52,7 +52,8 @@ trusting either side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -103,26 +104,56 @@ from .rings import (
 class _PairBackend(_ProductBackend):
     """The pair ring R (+) K: the product R x K with the twisted product
     (a, lam)(b, mu) = (ab + mu.a + lam.b, lam mu). Pair index =
-    a_index * |K| + lam_index, the product's encoding. Only ``mul_pairs``
-    is new; the ring is call-based, with the definitional rows."""
+    a_index * |K| + lam_index, the product's encoding. The product is
+    written once, in ``_twisted``, from its four terms: ``mul_pairs``
+    gathers them pair by pair, and ``mul_lines`` splits the members once
+    and reads each line's terms off one row (or column) of R, of K and of
+    the action and its transpose, so neither the pair ring's rows nor a
+    quotient's go through ``mul_pairs``. The ring is call-based."""
 
     def __init__(self, algebra: ScalarAlgebra):
         super().__init__(algebra.ring, algebra.scalars)
         self._action = algebra.action.astype(np.int64)
+        self._action_t = np.ascontiguousarray(self._action.T)
 
-    # not the product's componentwise rows
+    # not the product's componentwise lines
     mul_row = _Backend.mul_row
     mul_col = _Backend.mul_col
+
+    def _twisted(self, ab, mu_a, lam_b, lam_mu) -> np.ndarray:
+        """(ab + mu.a + lam.b, lam mu) from its terms, elementwise."""
+        R = self.left
+        return R.add_pairs(R.add_pairs(ab, mu_a), lam_b) * self.rn + lam_mu
 
     def mul_pairs(self, u, v) -> np.ndarray:
         ua, ul = self._split(u)
         va, vl = self._split(v)
-        R = self.left
-        ab = R.mul_pairs(ua, va)
-        mu_a = self._action[vl, ua]
-        lam_b = self._action[ul, va]
-        rpart = R.add_pairs(R.add_pairs(ab, mu_a), lam_b)
-        return rpart * self.rn + self.right.mul_pairs(ul, vl)
+        act = self._action
+        return self._twisted(
+            self.left.mul_pairs(ua, va), act[vl, ua], act[ul, va],
+            self.right.mul_pairs(ul, vl),
+        )
+
+    def mul_lines(self, members) -> Tuple[Callable, Callable]:
+        R, K = self.left, self.right
+        act, act_t = self._action, self._action_t
+        elems, scalars = self._split(members)
+
+        def row(i):  # (a, lam)(b, mu) for every member (b, mu)
+            a, lam = divmod(int(i), self.rn)
+            return self._twisted(
+                R.mul_row(a)[elems], act_t[a][scalars], act[lam][elems],
+                K.mul_row(lam)[scalars],
+            )
+
+        def col(j):  # (a, lam)(b, mu) for every member (a, lam)
+            b, mu = divmod(int(j), self.rn)
+            return self._twisted(
+                R.mul_col(b)[elems], act[mu][elems], act_t[b][scalars],
+                K.mul_col(mu)[scalars],
+            )
+
+        return row, col
 
 
 @dataclass(frozen=True)
@@ -164,6 +195,11 @@ class Quotient:
     def embed_all(self) -> np.ndarray:
         idx = np.arange(self.algebra.ring.order, dtype=np.int64) * self.kn
         return self.coset_of_pair[idx]
+
+    @cached_property
+    def proper(self) -> bool:
+        """Whether the quotient's involution is proper, decided once."""
+        return is_proper_involution(self.ring).verdict
 
 
 def build_R1(algebra: ScalarAlgebra, limits: Limits = DEFAULT_LIMITS) -> StarRing:
@@ -395,8 +431,9 @@ def rp_in_quotient(
 
     Self-adjoint cosets take the formula directly. Non-self-adjoint cosets
     route through c* c when the quotient involution is proper (RP(x) =
-    RP(x* x) there); without properness no formula claim exists and the
-    exhaustive answer is returned as-is.
+    RP(x* x) there; ``quot.proper`` decides that once per quotient);
+    without properness no formula claim exists and the exhaustive answer
+    is returned as-is.
     """
     q = quot.ring
     qscan = qscan or RingScan(q)
@@ -404,7 +441,7 @@ def rp_in_quotient(
     brute = rp(q, c, qscan)
     target = c
     if q.star(c) != c:
-        if not is_proper_involution(q).verdict:
+        if not quot.proper:
             return brute
         target = q.mul(q.star(c), c)
     formula = _formula_projection(quot, target, rscan, central=False)
