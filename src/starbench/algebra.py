@@ -10,14 +10,12 @@ satisfy:
 * unit action (1_K . a = a),
 * star compatibility ((lam.a)* = lam*.a*).
 
-When R and K are both lawful (named by descriptors, so *-rings by
-construction), the proof is a certificate on R's additive generating set
-G: once every lam is shown additive in the element, each remaining axiom
-compares two maps that are additive in every element argument, and such
-maps agree everywhere once they agree on G. Otherwise, and whenever the
-certificate fails, every axiom is checked for every scalar and element;
-a violation is always reported from those exhaustive passes, so its axiom
-and witness do not depend on the path.
+Each axiom has one pass, which takes the scalars and elements it loops
+over. When R and K are both lawful (named by descriptors, so *-rings by
+construction), the passes run on the additive generators of K and of R,
+which proves every axiom everywhere (see _check_every_axiom). Otherwise,
+and after a violation there, they run over every scalar and element, so
+a violation's axiom and witness do not depend on the path.
 
 The only built-in action is "natural": K = Z(m) acting by repeated addition,
 defined exactly when char(R) divides m. An explicit table can be supplied
@@ -99,63 +97,6 @@ def _add_grid(R: StarRing, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return R.add_pairs(u.ravel(), v.ravel()).reshape(u.shape)
 
 
-def _certify_action(R: StarRing, K: StarRing, table64: np.ndarray) -> bool:
-    """Prove every action axiom but the unit action on R's additive
-    generators G and K's additive generators G_K, in O(|K| n |G|).
-    Premise: R and K are *-rings and K is commutative.
-
-    1. Additive in the element: lam.(x+g) = lam.x + lam.g for every lam, x
-       and g in G. For each lam the b with lam.(x+b) = lam.x + lam.b for
-       every x include G and are closed under +, so they are all of R (and
-       lam.0 = 0 follows from any g).
-    2. Once every lam is additive, both sides of additive-in-scalar,
-       multiplicative-in-scalar and star-action are additive in a, so a in
-       G suffices; R's * being biadditive, both sides of associative-left
-       and associative-right are biadditive in (a, b), so G x G suffices.
-    3. In the scalar, mu in G_K, or 0 when K = {0}, suffices (every lam at
-       once): a nonempty set of scalars closed under + that holds them is K.
-       The mu with (lam + mu).g = lam.g + mu.g for every lam and g are
-       closed under +: for two of them, mu and nu,
-       (lam + mu + nu).g = (lam + mu).g + nu.g = lam.g + mu.g + nu.g, and
-       mu.g + nu.g = (nu + mu).g (mu's equation at lam = nu). Then the mu
-       with (lam mu).g = lam.(mu.g) for every lam and g are closed under +
-       too: (lam (mu + nu)).g = (lam mu).g + (lam nu).g
-       = lam.(mu.g) + lam.(nu.g) = lam.((mu + nu).g), by additivity in the
-       scalar and lam's additivity in the element.
-
-    True is a proof over every scalar and element. False means that some
-    axiom fails; each check is an instance of one.
-    """
-    nk = K.order
-    gens = np.array(R.generators, dtype=np.int64)
-    # lam.(g+x) against lam.x + lam.g, every lam and x at once
-    for g in gens:
-        lhs = np.take(table64, R.add_row(int(g)), axis=1)
-        rhs = _add_grid(R, table64, np.broadcast_to(table64[:, g, None], table64.shape))
-        if not np.array_equal(lhs, rhs):
-            return False
-    tg = table64[:, gens]  # lam.g
-    for mu in K.generators or (0,):
-        # (lam + mu).g = lam.g + mu.g and (lam mu).g = lam.(mu.g), every lam
-        if not np.array_equal(
-            tg[K.add_row(mu)], _add_grid(R, tg, np.broadcast_to(tg[mu], tg.shape))
-        ):
-            return False
-        if not np.array_equal(tg[K.mul_row(mu)], table64[:, tg[mu]]):
-            return False
-    # (lam.g)* = lam*.g*
-    rstar = R.star_vector()
-    if not np.array_equal(rstar[tg], table64[np.ix_(K.star_vector(), rstar[gens])]):
-        return False
-    # lam.(gh) = (lam.g)h = g(lam.h) for (g, h) in G x G, every lam at once
-    g, h = np.repeat(gens, len(gens)), np.tile(gens, len(gens))
-    lam_gh = table64[:, R.mul_pairs(g, h)]
-    lam_g, lam_h = table64[:, g], table64[:, h]
-    left = R.mul_pairs(lam_g.ravel(), np.tile(h, nk)).reshape(lam_g.shape)
-    right = R.mul_pairs(np.tile(g, nk), lam_h.ravel()).reshape(lam_h.shape)
-    return np.array_equal(lam_gh, left) and np.array_equal(lam_gh, right)
-
-
 def build_scalar_algebra(
     ring: StarRing,
     scalars: StarRing,
@@ -166,21 +107,12 @@ def build_scalar_algebra(
 
     The scalars must be unital and commutative, the table well shaped, and
     1_K must act as the identity; these are checked directly, reading K a
-    row at a time, so a call-based K needs no table. When R and K
-    are both lawful, :func:`_certify_action` then proves the other axioms
-    on R's additive generators, and nothing more runs if it holds.
+    row at a time, so a call-based K needs no table.
 
-    Otherwise (the rings are not lawful, or the certificate fails) every
-    axiom is checked for every scalar and element, in a fixed order:
-    additive and multiplicative in the scalar (one (mu, a) grid per lam),
-    additive in the element and associative on the right (one pass over
-    R's rows, every lam at once), associative on the left (one pass over
-    R's columns), and star compatibility. The passes collect violation
-    flags per (lam, a) and then name the first in (lam, a, b) order, left
-    before right at the same (lam, a), exactly as loops over lam, a and b
-    would. They go through add_row, mul_row, mul_col and add_pairs, so
-    tabled and call-based rings share one path and no transient n^2 table
-    is built.
+    The other axioms are checked by :func:`_check_every_axiom`: on the
+    additive generators of K and R when both are lawful, a proof if every
+    pass holds; over every scalar and element otherwise, or after a
+    violation on the generators, to name the first witness.
 
     Raises ActionAxiomViolation (with the axiom name and a literal witness)
     when any axiom fails, CharacteristicMismatch when the natural action is
@@ -226,8 +158,13 @@ def build_scalar_algebra(
         a = int(np.argmax(unit_row != idx_r))
         raise ActionAxiomViolation("unit-action", (R.decode(a),))
 
-    if not (R.lawful and K.lawful and _certify_action(R, K, table64)):
-        _check_every_axiom(R, K, table64)
+    on_generators = (K.generators or (0,), R.generators) if R.lawful and K.lawful else ()
+    try:
+        _check_every_axiom(R, K, table64, *on_generators)
+    except ActionAxiomViolation:
+        if on_generators:  # a real violation; name the first over everything
+            _check_every_axiom(R, K, table64)
+        raise
 
     # structural flags (recorded, never assumed)
     torsion_free = True
@@ -256,13 +193,48 @@ def first_zero_divisor(K: StarRing) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:
-    """The exhaustive passes of build_scalar_algebra, after the unit action:
-    raise ActionAxiomViolation for the first axiom that fails, with its
-    first witness."""
+def _check_every_axiom(
+    R: StarRing, K: StarRing, table64: np.ndarray, scalars=None, elems=None
+) -> None:
+    """The passes of build_scalar_algebra, after the unit action: raise
+    ActionAxiomViolation for the first axiom that fails, with its first
+    witness.
+
+    The passes run in a fixed order: additive and multiplicative in the
+    scalar (one (mu, a) grid per lam), additive in the element and
+    associative on the right (one pass over R's rows, every lam at once),
+    associative on the left (one pass over R's columns), and star
+    compatibility. They collect violation flags per (lam, a) and then name
+    the first in (lam, a, b) order, left before right at the same (lam,
+    a), exactly as loops over lam, a and b would. They go through add_row,
+    mul_row, mul_col and add_pairs, so tabled and call-based rings share
+    one path and no transient n^2 table is built.
+
+    The scalar passes loop over lam in ``scalars`` and the row and column
+    passes over a and b in ``elems`` (everything where None); the other
+    coordinates range over everything, so every violation found is real.
+    With R and K *-rings, K commutative, and ``scalars`` and ``elems`` the
+    additive generators of K (0 when K = {0}) and of R, passing is a proof:
+    a nonempty set closed under + that holds the generators is the whole
+    group, and the passing set of each restricted coordinate is closed
+    under +, by the laws proved before it:
+
+    1. additive in the scalar, in lam:
+       (lam + nu + mu).a = lam.a + nu.a + mu.a = (lam + nu).a + mu.a;
+    2. multiplicative in the scalar, in lam, by 1:
+       ((lam + nu) mu).a = (lam mu).a + (nu mu).a = (lam + nu).(mu.a);
+    3. additive in the element and associative on the right, in a:
+       lam.(a + a' + b) = lam.a + lam.a' + lam.b and, by that,
+       lam.((a + a') b) = lam.(ab) + lam.(a'b) = (a + a')(lam.b);
+    4. associative on the left, in b, by 3:
+       lam.(a(b + b')) = lam.(ab) + lam.(ab') = (lam.a)(b + b');
+    5. star action, in lam, by 1: ((lam + nu).a)* = lam*.a* + nu*.a*.
+    """
     nk, nr = K.order, R.order
+    scalars = range(nk) if scalars is None else scalars
+    elems = range(nr) if elems is None else elems
     # (lam + mu).a = lam.a + mu.a: one (mu, a) grid per lam
-    for lam in range(nk):
+    for lam in scalars:
         lhs = table64[K.add_row(lam)]
         rhs = _add_grid(R, np.broadcast_to(table64[lam], table64.shape), table64)
         neq = lhs != rhs
@@ -273,7 +245,7 @@ def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:
             )
 
     # (lam mu).a = lam.(mu.a): one (mu, a) grid per lam
-    for lam in range(nk):
+    for lam in scalars:
         neq = table64[K.mul_row(lam)] != table64[lam][table64]
         if neq.any():
             mu, a = _first_true(neq)
@@ -286,7 +258,7 @@ def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:
     # that some b fails
     add_bad = np.zeros((nk, nr), dtype=bool)
     right_bad = np.zeros((nk, nr), dtype=bool)
-    for a in range(nr):
+    for a in elems:
         lhs = np.take(table64, R.add_row(a), axis=1)
         rhs = _add_grid(R, np.broadcast_to(table64[:, a, None], table64.shape), table64)
         add_bad[:, a] = (lhs != rhs).any(axis=1)
@@ -304,7 +276,7 @@ def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:
 
     # lam.(ab) = (lam.a)b: one pass over R's columns
     left_bad = np.zeros((nk, nr), dtype=bool)
-    for b in range(nr):
+    for b in elems:
         bcol = R.mul_col(b)
         left_bad |= np.take(table64, bcol, axis=1) != bcol[table64]
     # the first (lam, a) failing either side, left before right
@@ -323,7 +295,7 @@ def _check_every_axiom(R: StarRing, K: StarRing, table64: np.ndarray) -> None:
     # (lam.a)* = lam*.a*
     rstar = R.star_vector()
     kstar = K.star_vector()
-    for lam in range(nk):
+    for lam in scalars:
         lhs = rstar[table64[lam]]
         rhs = table64[int(kstar[lam])][rstar]
         neq = lhs != rhs

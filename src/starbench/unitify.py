@@ -23,16 +23,14 @@ x -> a x + lam.x is additive for every pair (a, lam) and vanishes on all of
 R once it vanishes on R's additive generators G: compute_kernel_N reads
 N's exact membership off x in G. It verifies that N is an additive
 subgroup by walking the span of N's greedy generators, which is N exactly
-when N is closed under +, and that N is a two-sided ideal on those
-generators against the generators G x {0} and {0} x G_K of the pair ring;
-a product is biadditive, so that covers every product. build_quotient
-then audits the coset map against N over every pair index
-(_validate_quotient), for invariance under N's generators, which reach
-every member of N. Any other rings, and any failed certificate, take the
-exhaustive passes: the definition for every pair, and closure,
-absorption and invariance for every member, so a failure is always
-reported with the witness those passes name. Either way the quotient's
-operations are proved well defined on every coset pair.
+when N is closed under +. Absorption and the quotient audit's invariance
+(_validate_quotient) are each one check that takes the members it loops
+over: on N's generators it is a proof, and only if that fails, or N has
+none (R or K is not lawful), does it run on every member, which names
+the witness. Membership and closure take exhaustive passes on other
+rings, so a failure is always reported with the witness those passes
+name. Either way the quotient's operations are proved well defined on
+every coset pair.
 
 The map a -> [a, 0] is a *-homomorphism, injective exactly when
 L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
@@ -162,7 +160,7 @@ class KernelN:
 
     ``generators`` is an additive generating set of N when R and K are
     lawful, so that the pair ring's + is associative and N is their span;
-    None when the exhaustive passes built N."""
+    None otherwise, when its closure was checked member by member."""
 
     mask: int
     size: int
@@ -230,10 +228,11 @@ def compute_kernel_N(
     which the coset walk of rings._greedy_span decides in O(|N| |G_N|).
     Otherwise, or if the span is larger, every sum of two members is
     checked, one member at a time, which names the first witness.
-    Absorption, when R and K are lawful, is checked on N's generators
-    against the pair ring's, both sides; if that fails, or the rings are
-    not lawful, every member's row and column are checked, which names the
-    witness.
+    Absorption is one check, run first on N's generators against the pair
+    ring's generators G x {0} and {0} x G_K, both sides (a product is
+    biadditive, so that covers every product of N with the pair ring),
+    and then, if N has no generators or that fails, on every member
+    against every pair, which names the witness.
     """
     R, K = algebra.ring, algebra.scalars
     if r1 is None:
@@ -266,18 +265,24 @@ def compute_kernel_N(
             if not flags[sums].all():
                 bad = int(sums[int(np.argmax(~flags[sums]))])
                 raise VerificationFailed("kernel-additive-closure", r1.decode(bad))
-    # two-sided absorption
-    if n_gens is not None:
-        r1_gens = [g * nk for g in R.generators] + list(K.generators)
-        u = np.repeat(np.array(n_gens, dtype=np.int64), len(r1_gens))
-        v = np.tile(np.array(r1_gens, dtype=np.int64), len(n_gens))
-        if not (flags[r1.mul_pairs(u, v)].all() and flags[r1.mul_pairs(v, u)].all()):
-            n_gens = None
-    if n_gens is None:
-        for u_ in members:
+
+    def first_unabsorbed(us, against):
+        """The first u in ``us`` with a product by some member of
+        ``against``, from either side, outside N; else None."""
+        row, col = r1.mul_lines(against)
+        for u_ in us:
             u_ = int(u_)
-            if not flags[r1.mul_row(u_)].all() or not flags[r1.mul_col(u_)].all():
-                raise VerificationFailed("kernel-absorption", r1.decode(u_))
+            if not (flags[row(u_)].all() and flags[col(u_)].all()):
+                return u_
+        return None
+
+    # two-sided absorption
+    if n_gens is None or first_unabsorbed(
+        n_gens, [g * nk for g in R.generators] + list(K.generators)
+    ) is not None:
+        bad = first_unabsorbed(members, np.arange(r1.order))
+        if bad is not None:
+            raise VerificationFailed("kernel-absorption", r1.decode(bad))
     star_closed = bool(flags[r1.star_vector()[members]].all())
     return KernelN(mask=mask, size=len(members), star_closed=star_closed, generators=n_gens)
 

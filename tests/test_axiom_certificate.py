@@ -1,15 +1,22 @@
-"""The ring-law certificate of validate_star_ring, against brute force.
+"""The ring-law scans of validate_star_ring, against brute force.
 
 validate_star_ring proves additive and multiplicative associativity and
-distributivity on an additive generating set G, and runs the O(n^3) scans
-only when that certificate fails, to name the first violating triple. These
-tests check that the certificate accepts clean rings, that G spans (R, +),
-and that on corrupted tables the audit reports exactly the axiom and the
-witness that a reference audit over every pair and triple reports.
+distributivity by running the ring-law scans with some coordinates
+restricted to an additive generating set G, and runs them over every
+triple only after a hit, to name the first violating triple. These tests
+check that the restricted scans accept clean rings, that G spans (R, +),
+that each scan names the first triple over the sets it is given, and that
+on corrupted tables the audit reports exactly the axiom and the witness
+that a reference audit over every pair and triple reports.
 """
+
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starbench import StarRing, rings, validate_star_ring
 from starbench.errors import AxiomViolation
@@ -30,6 +37,8 @@ CLEAN = [
 # Rings whose tables the parity test corrupts; small enough for n^3 arrays.
 PARITY_RINGS = ["Z(4)", "Z(6)", "Z(8)", "M(2,Z(2))", "prod(Z(2),Z(3))", "prod(Z(2),Z(2))", "sub(Z(9); 3)"]
 
+# the checks of validate_star_ring that run before the ring laws
+FIRST_CHECKS = {"zero-identity", "add-commutative", "add-inverse"}
 CUBIC_LAWS = {"add-associative", "mul-associative", "left-distributive", "right-distributive"}
 
 
@@ -108,14 +117,15 @@ class TestCleanRings:
     @pytest.mark.parametrize("text", CLEAN)
     def test_no_violations_reported(self, text):
         add, mul, star = int32_tables(cached_ring(text))
-        assert rings._certify_ring_laws(add, mul)
+        gens = cached_ring(text).generators
+        assert rings._first_ring_law_violation(add, mul, gens) is None
         assert rings._first_ring_law_violation(add, mul) is None
         assert rings._first_antimult_violation(mul, star) is None
 
     @pytest.mark.parametrize("text", CLEAN)
     def test_generators_span_the_additive_group(self, text):
         add, _, _ = int32_tables(cached_ring(text))
-        gens = rings._additive_generators(add)
+        gens = list(cached_ring(text).generators)
         assert gens == sorted(set(gens)) and 0 not in gens
         reached, todo = {0}, [0]
         while todo:
@@ -132,17 +142,11 @@ class TestCleanRings:
         [("Z(1)", []), ("Z(6)", [1]), ("M(2,Z(3))", [1, 3, 9, 27]), ("prod(Z(4),M(2,Z(2)))", [1, 2, 4, 8, 16])],
     )
     def test_greedy_generators(self, text, expected):
-        add, _, _ = int32_tables(cached_ring(text))
-        assert rings._additive_generators(add) == expected
+        assert list(cached_ring(text).generators) == expected
 
     def test_reference_accepts_clean_rings(self):
         for text in CLEAN:
             assert reference_audit(cached_ring(text)) is None, text
-
-    def test_failed_certificate_without_witness_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(rings, "_certify_ring_laws", lambda add, mul: False)
-        with pytest.raises(RuntimeError, match="certificate"):
-            validate_star_ring(cached_ring("Z(6)"))
 
 
 def corrupted_rings(count, seed):
@@ -199,7 +203,8 @@ class TestEachStepOfTheCertificate:
         add[1, 1] = 3
         add[3, 3] = 1
         bad = StarRing.from_tables(add, r.mul_table(), r.neg_vector(), r.star_vector())
-        assert not rings._certify_ring_laws(add, np.asarray(r.mul_table(), dtype=np.int32))
+        mul = np.asarray(r.mul_table(), dtype=np.int32)
+        assert rings._first_ring_law_violation(add, mul, bad.generators) is not None
         assert assert_audit_matches_reference(bad)[0] == "add-associative"
 
     @pytest.mark.parametrize("text", ["Z(4)", "prod(Z(2),Z(3))", "M(2,Z(2))"])
@@ -215,12 +220,10 @@ class TestEachStepOfTheCertificate:
         # (x1, x2) * (y1, y2) = (x1 y2, x1 y1) on Z(3) x Z(3)
         x1, x2 = np.divmod(np.arange(9), 3)
         mul = (np.outer(x1, x2) % 3) * 3 + np.outer(x1, x1) % 3
-        add = np.asarray(cached_ring("prod(Z(3),Z(3))").add_table(), dtype=np.int32)
-        gens = rings._additive_generators(add)
-        m32 = mul.astype(np.int32)
-        for g in gens:
-            assert np.array_equal(m32[:, add[g]], add[m32, m32[:, g, None]])
-            assert np.array_equal(m32[add[g]], add[m32, m32[g]])
+        r = cached_ring("prod(Z(3),Z(3))")
+        add, gens, m32 = int32_tables(r)[0], r.generators, mul.astype(np.int32)
+        assert rings._first_distrib_violation(add, m32, gens) is None
+        assert rings._first_assoc_violation(m32, gens, gens) is not None
         assert assert_audit_matches_reference(with_mul("prod(Z(3),Z(3))", mul))[0] == "mul-associative"
 
 
@@ -232,3 +235,78 @@ def test_corrupted_tables_give_the_reference_axiom_and_witness():
         cases += 1
     # the seed must exercise the fallback scans, not just the cheap checks
     assert cases >= 200 and cubic >= cases // 2
+
+
+def test_restricted_scans_hit_exactly_when_a_ring_law_fails():
+    # on every corrupted ring that passes the checks before the ring laws,
+    # the scans on G hit exactly when the reference names a ring law
+    cases = 0
+    for bad in corrupted_rings(400, seed=1):
+        expected = reference_audit(bad)
+        if expected is not None and expected[0] in FIRST_CHECKS:
+            continue
+        add, mul, _ = int32_tables(bad)
+        hit = rings._first_ring_law_violation(add, mul, bad.generators)
+        assert (hit is not None) == (expected is not None and expected[0] in CUBIC_LAWS)
+        cases += 1
+    assert cases >= 200
+
+
+def brute_first(triples, fails):
+    """The first triple that fails, in the order given, else None."""
+    return next((t for t in triples if fails(*t)), None)
+
+
+@st.composite
+def drawn_tables(draw):
+    """(add, mul, n): the tables of a ring of order at most 6 with up to
+    three entries changed, or random tables."""
+    text = draw(st.sampled_from(["Z(1)", "Z(2)", "Z(4)", "Z(6)", "prod(Z(2),Z(2))", "sub(Z(6); 2)"]))
+    add, mul, _ = (np.array(t) for t in int32_tables(cached_ring(text)))
+    n = len(add)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        add, mul = rng.integers(0, n, size=(2, n, n)).astype(np.int32)
+    else:
+        for _ in range(draw(st.integers(0, 3))):
+            table = draw(st.sampled_from([add, mul]))
+            i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+            table[i, j] = v
+    return add, mul, n
+
+
+def index_sets(n):
+    """An ascending index set, or None for every element."""
+    return st.none() | st.lists(st.integers(0, n - 1), unique=True).map(sorted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_scans_name_the_first_triple_over_their_sets(data):
+    add, mul, n = data.draw(drawn_tables())
+    # blocks of a few rows, so that hits and pruning cross block borders
+    block = data.draw(st.integers(1, 4 * n))
+    with mock.patch.object(rings, "SCAN_BLOCK", block):
+        check_scans(data, add, mul, n)
+
+
+def check_scans(data, add, mul, n):
+    every = range(n)
+    table = data.draw(st.sampled_from([add, mul]))
+    mids, ends = data.draw(index_sets(n)), data.draw(index_sets(n))
+    ys = every if mids is None else mids
+    xs = every if ends is None else ends
+    assert rings._first_assoc_violation(table, mids, ends) == brute_first(
+        ((x, y, z) for x in xs for y in ys for z in xs),
+        lambda x, y, z: table[table[x, y], z] != table[x, table[y, z]],
+    )
+    zs = data.draw(index_sets(n))
+    expected = brute_first(
+        ((side, x, y, z) for x, y in itertools.product(every, every)
+         for z in (every if zs is None else zs) for side in (0, 1)),
+        lambda side, x, y, z: (
+            mul[x, add[y, z]] != add[mul[x, y], mul[x, z]] if side == 0
+            else mul[add[y, z], x] != add[mul[y, x], mul[z, x]]
+        ),
+    )
+    assert rings._first_distrib_violation(add, mul, zs) == expected

@@ -374,31 +374,44 @@ class TestImports:
         assert out.splitlines()[-1] == "[3, 0, 0, 0] False"
 
 
+def peak_run(argv):
+    """(exit code, JSON output, peak MB) of ``main(argv + ['--format',
+    'json'])`` in a fresh interpreter. Linux keeps ru_maxrss across execve,
+    so a child started from a large test process would report the parent's
+    peak; VmHWM is the peak of the child's own address space."""
+    script = (
+        "import contextlib, io, json, resource\n"
+        "from starbench.cli import main\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = main(%r + ['--format', 'json'])\n"
+        "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "try:\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        hwm = [l for l in status if l.startswith('VmHWM:')][0]\n"
+        "    peak_mb = int(hwm.split()[1]) / 1024\n"
+        "except (OSError, IndexError):\n"
+        "    pass\n"
+        "print(json.dumps([code, json.loads(buf.getvalue()), peak_mb]))\n"
+    ) % (list(argv),)
+    return json.loads(run_script(script).splitlines()[-1])
+
+
 class TestPeakMemory:
     def test_large_kernel_stays_small_in_memory(self):
         # sub(Z(4); 2) = {0, 2} has zero products, so (a, lam) lies in N
         # exactly when lam.2 = 0, i.e. lam is even: over Z(2000), |N| =
         # 2 x 1000. N's closure under + must not be checked over all |N|^2
-        # pairs of members at once. Linux keeps ru_maxrss across execve, so
-        # a child started from a large test process would report the
-        # parent's peak; VmHWM is the peak of the child's own address space
-        script = (
-            "import contextlib, io, json, resource\n"
-            "from starbench.cli import main\n"
-            "buf = io.StringIO()\n"
-            "with contextlib.redirect_stdout(buf):\n"
-            "    code = main(['unitify', 'sub(Z(4); 2)', '--K', 'Z(2000)', '--format', 'json'])\n"
-            "payload = json.loads(buf.getvalue())\n"
-            "peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-            "try:\n"
-            "    with open('/proc/self/status') as status:\n"
-            "        hwm = [l for l in status if l.startswith('VmHWM:')][0]\n"
-            "    peak_mb = int(hwm.split()[1]) / 1024\n"
-            "except (OSError, IndexError):\n"
-            "    pass\n"
-            "print(json.dumps([code, payload['kernel_order'], payload['quotient_order'], peak_mb]))\n"
-        )
-        out = run_script(script)
-        code, kernel_order, quotient_order, peak_mb = json.loads(out.splitlines()[-1])
-        assert (code, kernel_order, quotient_order) == (0, 2000, 2)
+        # pairs of members at once.
+        code, payload, peak_mb = peak_run(["unitify", "sub(Z(4); 2)", "--K", "Z(2000)"])
+        assert (code, payload["kernel_order"], payload["quotient_order"]) == (0, 2000, 2)
         assert peak_mb < 150, peak_mb
+
+    def test_call_based_audit_scans_in_row_blocks(self):
+        # the audit of the call-based M(2, Z(7)) reads two transient n^2
+        # int32 tables (n = 2401, 23 MB each) and peaks near 86 MB; the
+        # ring-law scans must not build n^2 temporaries beside them (whole
+        # grids at once peaked at 151 MB)
+        code, payload, peak_mb = peak_run(["describe", "M(2, Z(7))", "--validate"])
+        assert code == 0 and payload["validation"]["ok"], payload
+        assert peak_mb < 120, peak_mb
