@@ -5,8 +5,8 @@ element i belongs. An :class:`AnnihilatorSet` remembers which elements
 generated it so the claim can be rechecked from scratch.
 
 The per-ring scan cache (:class:`RingScan`, in projections.py) precomputes
-four vectors of bitsets in two passes, one ``mul_row`` and one ``mul_col``
-call per element:
+four vectors of bitsets in one pass per side, the column side mirrored from
+the row side on lawful rings:
 
 * ``rann[s]``  — right annihilator of the single element s,
 * ``lann[s]``  — left annihilator of s,

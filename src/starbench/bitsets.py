@@ -54,11 +54,12 @@ def masks_from_rows(flags: np.ndarray) -> List[int]:
 
 def rows_from_masks(masks: List[int], n: int) -> np.ndarray:
     """The inverse of ``masks_from_rows``: a (len(masks), n) boolean array
-    whose row i is ``bool_from_mask(masks[i], n)``."""
+    whose row i is ``bool_from_mask(masks[i], n)``, a view of the 0/1 bytes
+    ``unpackbits`` writes (no copy)."""
     nbytes = (n + 7) // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def iter_indices(mask: int) -> Iterator[int]:

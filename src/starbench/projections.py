@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import full_mask, is_subset, iter_indices, masks_from_rows
+from .bitsets import full_mask, is_subset, iter_indices, masks_from_rows, rows_from_masks
 from .errors import (
     AmbiguousLeftProjection,
     AmbiguousRightProjection,
@@ -43,7 +43,7 @@ from .errors import (
     NoRightProjection,
     VerificationFailed,
 )
-from .rings import StarRing
+from .rings import StarRing, _lines_per_block, stack_lines
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,14 @@ class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
     Everything is computed lazily and exactly once. The four bitset vectors
-    cost one pass per side: a single ``mul_row`` pass over the elements fills
-    both ``rann`` and ``row_sets``, and a single ``mul_col`` pass fills both
-    ``lann`` and ``col_sets``, whichever of each pair is read first. A pass
-    still calls ``mul_row``/``mul_col`` once per element, but packs the
-    lines into bitsets a block at a time (``_zero_and_value_sets``).
+    cost one pass per side, whichever of each pair is read first. The row
+    pass reads ``mul_rows`` a block of rows at a time and packs each block
+    into ``rann`` and ``row_sets`` (``_zero_and_value_sets``). On a lawful
+    ring the column side is that pass mirrored through the involution:
+    y*s = 0 iff s* y* = 0 and (r*a)* = a* r*, so lann[x*] = star(rann[x])
+    and col_sets[x*] = star(row_sets[x]) (``_mirrored``). Every other ring
+    (given by its tables, a pair ring, a quotient) has no proof of the
+    *-ring laws, and its column pass calls ``mul_col`` once per element.
 
     ``r_of``/``l_of`` are the one place that intersects ``rann``/``lann``
     over a set of elements: every annihilator of a set (the Baer* family,
@@ -153,11 +156,16 @@ class RingScan:
 
     @cached_property
     def _row_pass(self) -> Tuple[List[int], List[int]]:
-        return _zero_and_value_sets(self.ring.mul_row, self.ring.order)
+        return _zero_and_value_sets(self.ring.mul_rows, self.ring.order)
 
     @cached_property
     def _col_pass(self) -> Tuple[List[int], List[int]]:
-        return _zero_and_value_sets(self.ring.mul_col, self.ring.order)
+        ring = self.ring
+        n = ring.order
+        if not ring.lawful:
+            return _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
+        star = ring.star_vector()
+        return tuple(_mirrored(side, star) for side in self._row_pass)
 
     @cached_property
     def rann(self) -> List[int]:
@@ -269,45 +277,48 @@ def r_of_principal_ideals(scan: RingScan) -> List[int]:
     return [ann & scan.r_of(row) for ann, row in zip(scan.rann, scan.row_sets)]
 
 
-# Entries of the line buffer of the scan passes: 2**16 int64 (0.5 MB), so
-# that one packbits call covers many lines whatever the order.
-_BLOCK_ENTRIES = 1 << 16
+def _zero_and_value_sets(rows, n: int) -> Tuple[List[int], List[int]]:
+    """For each a, the bitsets of {r : line_a[r] = 0} and of the values in
+    line_a, where ``rows(idx)`` returns the block of lines of the elements
+    idx as a fresh array, which is overwritten; it is asked for
+    ``_lines_per_block(n)`` elements at a time.
 
-
-def _lines_per_block(n: int) -> int:
-    """As many lines of length n as fit in ``_BLOCK_ENTRIES``; at least one
-    and at most n."""
-    return max(1, min(n, _BLOCK_ENTRIES // max(n, 1)))
-
-
-def _zero_and_value_sets(line, n: int) -> Tuple[List[int], List[int]]:
-    """For each a, the bitsets of {r : line(a)[r] = 0} and of the values in
-    line(a), from one call of ``line`` per element.
-
-    The lines are copied, a block of ``_lines_per_block(n)`` at a time, into
-    one reusable (block x n) buffer. A block's zero sets come from one
-    ``packbits`` of its zero flags; its value sets from one scatter of all
-    its entries, each row offset by row * n, into a flat (block x n) flag
-    array, then one ``packbits`` of that.
+    A block's zero sets come from one ``packbits`` of its zero flags; its
+    value sets from one scatter of all its entries, each row offset by
+    row * n, into a flat (block x n) flag array, then one ``packbits`` of
+    that.
     """
-    rows = _lines_per_block(n)
-    block = np.empty((rows, n), dtype=np.int64)
-    present = np.empty(rows * n, dtype=bool)
-    offsets = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
+    step = _lines_per_block(n)
+    present = np.empty(step * n, dtype=bool)
+    offsets = np.arange(0, step * n, n, dtype=np.int64)[:, None]
     zeros: List[int] = []
     values: List[int] = []
-    for start in range(0, n, rows):
-        k = min(rows, n - start)
-        lines = block[:k]
-        for i in range(k):
-            lines[i] = line(start + i)
+    for start in range(0, n, step):
+        lines = rows(np.arange(start, min(start + step, n)))
+        k = len(lines)
         zeros += masks_from_rows(lines == 0)
         lines += offsets[:k]
         flags = present[: k * n]
         flags[:] = False
         flags[lines.ravel()] = True
         values += masks_from_rows(flags.reshape(k, n))
+        del lines  # before the next block is built
     return zeros, values
+
+
+def _mirrored(masks: List[int], star: np.ndarray) -> List[int]:
+    """out[star[x]] = {star[s] : s in masks[x]} for every x, a block of
+    ``_lines_per_block`` bitsets at a time: unpacked, permuted by one
+    ``np.take`` (star is its own inverse) and packed again."""
+    n = len(masks)
+    out = [0] * n
+    step = _lines_per_block(n)
+    for start in range(0, n, step):
+        bits = rows_from_masks(masks[start : start + step], n)
+        starred = masks_from_rows(np.take(bits, star, axis=1))
+        for x, mask in zip(star[start : start + step].tolist(), starred):
+            out[x] = mask
+    return out
 
 
 def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:

@@ -26,28 +26,34 @@ definitions: the scalar ops ``add``/``mul``, ``mul_lines(members)`` (the
 products of one element with every member, from either side), the rows
 ``add_row(i)`` and ``mul_row(i)`` and the column ``mul_col(j)`` (the
 lines over every element; addition is commutative, so there is no
-add_col), ``find_unity()`` (the idempotent that is a two-sided identity)
-and ``characteristic()`` (the least k with k.x = 0 for every x). A
-backend overrides a default only where it pays: the cyclic, matrix and
-product backends compute rows directly and know their characteristic;
-the pair ring, a product with a twisted multiplication, overrides
-``mul_lines`` instead. Subrings and quotients are both a
-:class:`_SectionBackend` over their parent, whose lines they take over
-their representatives. :class:`StarRing` reads the unity and the
-characteristic from the backend it was built from, and defines the
-additive order of an element itself.
+add_col), the blocks of rows ``add_rows(idx)`` and ``mul_rows(idx)`` (a
+fresh (len(idx), n) array, by default the rows stacked),
+``find_unity()`` (the idempotent that is a two-sided identity) and
+``characteristic()`` (the least k with k.x = 0 for every x). A backend
+overrides a default only where it pays: the cyclic, matrix and product
+backends compute rows directly and know their characteristic; the
+cyclic, matrix and tables backends compute a block of rows at once (one
+broadcast, k gathers, one slice); the pair ring, a product with a
+twisted multiplication, overrides ``mul_lines`` instead. Subrings and
+quotients are both a :class:`_SectionBackend` over their parent, whose
+lines they take over their representatives. :class:`StarRing` reads the
+unity and the characteristic from the backend it was built from, and
+defines the additive order of an element itself.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
-works through :class:`StarRing`, never through a backend directly.
+works through :class:`StarRing`, never through a backend directly. Tables,
+persistent and transient, are assembled from ``add_rows``/``mul_rows`` a
+block of :func:`_lines_per_block` rows at a time (``StarRing._assemble``).
 
 A ring that :func:`build_ring` makes from a descriptor is ``lawful``: the
 cyclic, matrix, product and subring constructions are *-rings by
 construction, so code that needs the *-ring laws as a premise (the
-generator certificates of the scalar algebra and the unitification) may
-take them. Rings given by their tables, pair rings and quotients are not
-lawful, and their laws are not proved afresh on each run to make them so:
-on a matrix ring the restricted ring-law scans below cost more than the
-exhaustive passes of the scalar algebra they would let them skip.
+generator certificates of the scalar algebra and the unitification, the
+scans' column side mirrored from the row side) may take them. Rings given
+by their tables, pair rings and quotients are not lawful, and their laws
+are not proved afresh on each run to make them so: on a matrix ring the
+restricted ring-law scans below cost more than the exhaustive passes of
+the scalar algebra they would let them skip.
 
 :func:`_greedy_span` is the one walk for additive subgroups: it grows the
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
@@ -94,12 +100,29 @@ from .errors import (
 # the persistent-table threshold, but not unbounded.
 VALIDATION_TABLE_CAP = 36_000_000
 
-# Entries of an audit grid evaluated at once (see _first_hit).
+# Entries of a block of lines built or evaluated at once: table assembly,
+# the scan passes and the audit grids (see _lines_per_block).
 SCAN_BLOCK = 1 << 16
 
 
 def _as_index_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)
+
+
+def _lines_per_block(n: int) -> int:
+    """As many lines of length n as fit in ``SCAN_BLOCK`` entries; at least
+    one and at most n."""
+    return max(1, min(n, SCAN_BLOCK // max(n, 1)))
+
+
+def stack_lines(line: Callable, idx, n: int) -> np.ndarray:
+    """The (len(idx), n) block whose row t is ``line(idx[t])``, one call of
+    ``line`` per index."""
+    idx = _as_index_array(idx)
+    out = np.empty((len(idx), n), dtype=np.int64)
+    for t, i in enumerate(idx.tolist()):
+        out[t] = line(i)
+    return out
 
 
 def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
@@ -126,6 +149,14 @@ class _Backend:
 
     def add_row(self, i: int) -> np.ndarray:
         return self.add_pairs(np.full(self.order, i), np.arange(self.order))
+
+    def add_rows(self, idx) -> np.ndarray:
+        """The (len(idx), n) block of ``add_row(i)`` for i in idx."""
+        return stack_lines(self.add_row, idx, self.order)
+
+    def mul_rows(self, idx) -> np.ndarray:
+        """The (len(idx), n) block of ``mul_row(i)`` for i in idx."""
+        return stack_lines(self.mul_row, idx, self.order)
 
     def mul_lines(self, members) -> Tuple[Callable, Callable]:
         """(row, col) with row(i)[t] = i.members[t] and col(j)[t] =
@@ -182,6 +213,12 @@ class _CyclicBackend(_Backend):
 
     def mul_row(self, i: int) -> np.ndarray:
         return (self._idx * i) % self.m
+
+    def add_rows(self, idx) -> np.ndarray:
+        return (_as_index_array(idx)[:, None] + self._idx) % self.m
+
+    def mul_rows(self, idx) -> np.ndarray:
+        return (_as_index_array(idx)[:, None] * self._idx) % self.m
 
     def mul_col(self, j: int) -> np.ndarray:
         return self.mul_row(j)  # commutative
@@ -265,10 +302,13 @@ class _MatrixBackend(_Backend):
         return flat @ self._powers
 
     def _join(self, parts) -> np.ndarray:
-        """The indices whose row blocks are parts[0], ..., parts[k-1]."""
-        out = parts[0]
-        for part in parts[1:]:
-            out = out * self.r + part
+        """The indices whose row blocks are the k arrays ``parts`` yields,
+        first row first; a generator keeps one part alive at a time."""
+        parts = iter(parts)
+        out = next(parts)
+        for part in parts:
+            out = out * self.r
+            out += part
         return out
 
     def add_row(self, i: int) -> np.ndarray:
@@ -276,6 +316,14 @@ class _MatrixBackend(_Backend):
 
     def mul_row(self, i: int) -> np.ndarray:
         return self._join(self.rmul[self.blocks[:, i]])
+
+    def add_rows(self, idx) -> np.ndarray:
+        idx = _as_index_array(idx)
+        return self._join(np.take(self.radd[b[idx]], b, axis=1) for b in self.blocks)
+
+    def mul_rows(self, idx) -> np.ndarray:
+        idx = _as_index_array(idx)
+        return self._join(self.rmul[b[idx]] for b in self.blocks)
 
     def mul_col(self, j: int) -> np.ndarray:
         return self._join(self.rmul[:, j][self.blocks])
@@ -485,6 +533,12 @@ class _TablesBackend(_Backend):
     def mul_row(self, i: int) -> np.ndarray:
         return self.mul_table[i].astype(np.int64)
 
+    def add_rows(self, idx) -> np.ndarray:
+        return self.add_table[_as_index_array(idx)].astype(np.int64)
+
+    def mul_rows(self, idx) -> np.ndarray:
+        return self.mul_table[_as_index_array(idx)].astype(np.int64)
+
     def mul_col(self, j: int) -> np.ndarray:
         return self.mul_table[:, j].astype(np.int64)
 
@@ -561,8 +615,8 @@ class StarRing:
         self._backend = backend
         if descriptor is not None and self.order**2 <= limits.table_threshold:
             self._backend = _TablesBackend(
-                self._assemble(backend.add_row),
-                self._assemble(backend.mul_row),
+                self._assemble(backend.add_rows),
+                self._assemble(backend.mul_rows),
                 self._neg,
                 self._star,
                 codec=backend,
@@ -571,11 +625,15 @@ class StarRing:
         self.unity: Optional[int] = backend.find_unity()
         self.characteristic: int = backend.characteristic()
 
-    def _assemble(self, row_fn) -> np.ndarray:
+    def _assemble(self, rows: Callable) -> np.ndarray:
+        """The read-only int32 table whose rows ``rows(idx)`` returns, filled
+        a block of ``_lines_per_block`` rows at a time."""
         n = self.order
         table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            table[i] = row_fn(i)
+        step = _lines_per_block(n)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            table[start:stop] = rows(np.arange(start, stop))
         table.setflags(write=False)
         return table
 
@@ -622,6 +680,11 @@ class StarRing:
     def mul_row(self, i: int) -> np.ndarray:
         return _as_index_array(self._backend.mul_row(i))
 
+    def mul_rows(self, idx) -> np.ndarray:
+        """The (len(idx), n) block of ``mul_row(i)`` for i in idx, as a
+        fresh array that the caller may overwrite."""
+        return _as_index_array(self._backend.mul_rows(idx))
+
     def mul_col(self, j: int) -> np.ndarray:
         return _as_index_array(self._backend.mul_col(j))
 
@@ -647,13 +710,13 @@ class StarRing:
         if self.has_tables():
             return self._backend.add_table
         self._guard_transient()
-        return self._assemble(self._backend.add_row)
+        return self._assemble(self._backend.add_rows)
 
     def mul_table(self) -> np.ndarray:
         if self.has_tables():
             return self._backend.mul_table
         self._guard_transient()
-        return self._assemble(self._backend.mul_row)
+        return self._assemble(self._backend.mul_rows)
 
     def _guard_transient(self) -> None:
         if self.order * self.order > VALIDATION_TABLE_CAP:
@@ -840,9 +903,10 @@ def additive_generators(ring: StarRing) -> List[int]:
 def _first_hit(grid: Callable, k: int, n: int) -> Optional[Tuple[int, int]]:
     """(row, column) of the first True entry, in row-major order, of a grid
     of k rows, else None. ``grid(rows)`` returns the rows of a slice; they
-    are taken SCAN_BLOCK // n at a time, for rows (or row temporaries) of
-    n entries, so the temporaries stay small and a hit ends the scan."""
-    step = max(1, SCAN_BLOCK // n)
+    are taken ``_lines_per_block(n)`` at a time, for rows (or row
+    temporaries) of n entries, so the temporaries stay small and a hit
+    ends the scan."""
+    step = _lines_per_block(n)
     for start in range(0, k, step):
         bad = grid(slice(start, min(start + step, k)))
         if bad.any():

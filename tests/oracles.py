@@ -9,7 +9,6 @@ golden store freezes values computed this way.
 
 from __future__ import annotations
 
-from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 
@@ -229,31 +228,27 @@ def o_rickart(ring) -> bool:
     return True
 
 
-def o_baer(ring, max_exhaustive: int = 10, samples: int = 200) -> bool:
-    """Every subset annihilator is eR. Exhaustive over all subsets up to
-    ``max_exhaustive`` elements; seeded subset sampling above (plus every
-    singleton and the whole ring, which generate the family anyway)."""
-    import random
-
+def o_baer(ring) -> bool:
+    """Every subset annihilator is eR, over every subset: r(S) is the
+    intersection of r({s}) over s in S, and R for the empty set, so the
+    annihilators of all subsets are the closure of {r({x})} and {R} under
+    pairwise intersection, grown until nothing new appears."""
     if ring.unity is None:
         return False
     ideals = {frozenset(o_right_ideal_of_projection(ring, e)) for e in o_projections(ring)}
-    n = ring.order
-    subsets: List[Tuple[int, ...]] = []
-    if n <= max_exhaustive:
-        elems = list(range(n))
-        for k in range(n + 1):
-            subsets.extend(combinations(elems, k))
-    else:
-        rng = random.Random(40961)
-        subsets = [tuple()] + [(x,) for x in range(n)] + [tuple(range(n))]
-        for _ in range(samples):
-            k = rng.randrange(1, 5)
-            subsets.append(tuple(rng.randrange(n) for _ in range(k)))
-    for s in subsets:
-        if frozenset(o_rann(ring, list(s))) not in ideals:
-            return False
-    return True
+    singles = {frozenset(o_rann(ring, [x])) for x in o_elements(ring)}
+    seen: Set[FrozenSet[int]] = singles | {frozenset(o_elements(ring))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in singles:
+                meet = a & b
+                if meet not in seen:
+                    seen.add(meet)
+                    nxt.append(meet)
+        frontier = nxt
+    return seen <= ideals
 
 
 def o_two_sided_ideals(ring) -> List[Set[int]]:

@@ -1,13 +1,18 @@
-"""Call-based rings against their tabled twins, and the fused scan passes.
+"""Call-based rings against their tabled twins, row blocks, and the scan
+passes.
 
 Dense tables serve a ring given by its tables, and a descriptor ring whose
 order squared is at most ``table_threshold``; pair rings and quotients are
 always call-based. A ring built with ``table_threshold=0`` serves every
 row, column and pair from its backend; the same descriptor under the
 default limits is served from dense tables. Both must agree on every
-operation and every classifier report, and the one-pass ``RingScan`` bitsets and its memoized set
-annihilators ``r_of``/``l_of`` must agree with the definitional
-annihilator and principal-ideal functions.
+operation and every classifier report. Every backend's blocks of rows
+(``add_rows``/``mul_rows``) must equal its rows stacked, and the tables
+assembled from them the tables assembled row by row. The one-pass
+``RingScan`` bitsets, whose column side is the row side mirrored through
+the involution on lawful rings, and its memoized set annihilators
+``r_of``/``l_of`` must agree with a direct ``mul_col`` pass, the oracles
+and the definitional annihilator and principal-ideal functions.
 """
 
 import numpy as np
@@ -34,9 +39,11 @@ from starbench.annihilators import (
 from starbench.bitsets import full_mask, indices_of
 from starbench.classifiers import ideal_annihilator_crosscheck
 from starbench.config import DEFAULT_LIMITS, Limits
-from starbench.corpus import small_corpus
-from starbench.projections import _lines_per_block
+from starbench.corpus import medium_corpus, small_corpus
+from starbench.projections import _mirrored, _zero_and_value_sets
+from starbench.rings import _lines_per_block, stack_lines
 
+import oracles
 from conftest import cached_ring
 
 CALL_BASED = Limits(table_threshold=0)
@@ -169,20 +176,137 @@ def test_ideal_annihilators_match_on_call_based_m2z3():
     assert ideal_annihilator_crosscheck(call_based_ring("M(2, Z(3))"))
 
 
+def tables_copy(ring, star=None):
+    """``ring`` given by its tables (with another involution if ``star``
+    is given): not lawful, so its scans read its columns."""
+    if star is None:
+        star = ring.star_vector()
+    return StarRing.from_tables(ring.add_table(), ring.mul_table(), ring.neg_vector(), star)
+
+
+class _Counting:
+    """A ring that records which rows and how many columns a scan asks for."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.rows = []
+        self.cols = 0
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def mul_rows(self, idx):
+        self.rows += np.asarray(idx).tolist()
+        return self.ring.mul_rows(idx)
+
+    def mul_col(self, j):
+        self.cols += 1
+        return self.ring.mul_col(j)
+
+
 def test_each_side_is_one_pass(m2z3):
-    calls = {"row": 0, "col": 0}
+    n = m2z3.order
+    expected = (
+        [rann_single(m2z3, s) for s in range(n)],
+        [principal_right_ideal(m2z3, s) for s in range(n)],
+        [lann_single(m2z3, s) for s in range(n)],
+        [principal_left_ideal(m2z3, s) for s in range(n)],
+    )
+    # lawful: the column side is the row side mirrored, with no column read
+    for ring, cols in ((m2z3, 0), (tables_copy(m2z3), n)):
+        counting = _Counting(ring)
+        scan = RingScan(counting)
+        assert (scan.rann, scan.row_sets, scan.lann, scan.col_sets) == expected
+        assert sorted(counting.rows) == list(range(n))
+        assert counting.cols == cols, ring
 
-    class Counting:
-        order = m2z3.order
 
-        def mul_row(self, i):
-            calls["row"] += 1
-            return m2z3.mul_row(i)
+def _pair_algebra():
+    return build_scalar_algebra(cached_ring("M(2, Z(3))"), cached_ring("Z(6)"))
 
-        def mul_col(self, j):
-            calls["col"] += 1
-            return m2z3.mul_col(j)
 
-    scan = RingScan(Counting())
-    scan.rann, scan.row_sets, scan.lann, scan.col_sets
-    assert calls == {"row": m2z3.order, "col": m2z3.order}
+# One ring of every backend; M(2, Z(5)) (625) and the pair ring (486) have
+# more rows than one block of the scan passes holds.
+BACKENDS = {
+    "cyclic": lambda: call_based_ring("Z(12)"),
+    "matrix-tabled": lambda: cached_ring("M(2, Z(5))"),
+    "matrix-call-based": lambda: call_based_ring("M(2, Z(5))"),
+    "product": lambda: call_based_ring("prod(Z(2), Z(3))"),
+    "subring": lambda: call_based_ring("sub(M(2, Z(4)); [[1,1],[1,1]], [[2,0],[0,0]])"),
+    "pair-ring": lambda: build_R1(_pair_algebra()),
+    "quotient": lambda: build_quotient(_pair_algebra()).ring,
+    "from-tables": lambda: tables_copy(cached_ring("Z(6)")),
+}
+
+
+def _index_blocks(n):
+    lines = _lines_per_block(n)
+    return {
+        "empty": [],
+        "single": [n - 1],
+        "unsorted": [n - 1, 0, n // 2, 1 % n],
+        "repeated": [n // 2, 0, n // 2, n // 2],
+        # the last lines + 1 rows: more than one scan block where n > lines
+        "across-blocks": list(range(max(0, n - lines - 1), n)),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_row_blocks_match_stacked_rows(kind):
+    ring = BACKENDS[kind]()
+    backend, n = ring._backend, ring.order
+    for name, idx in _index_blocks(n).items():
+        for block, line in (
+            (backend.add_rows, backend.add_row),
+            (backend.mul_rows, backend.mul_row),
+            (ring.mul_rows, ring.mul_row),
+        ):
+            got = block(np.array(idx, dtype=np.int64))
+            stacked = np.array([line(i) for i in idx]).reshape(len(idx), n)
+            assert got.shape == (len(idx), n), name
+            assert np.array_equal(got, stacked), name
+    if kind in ("matrix-call-based", "pair-ring"):
+        assert len(_index_blocks(n)["across-blocks"]) > _lines_per_block(n)
+
+
+@pytest.mark.parametrize("text", small_corpus())
+def test_assembled_tables_match_rows(text):
+    tabled = cached_ring(text)
+    made_from = tabled._backend.codec  # the backend the tables were assembled from
+    n = tabled.order
+    add = np.array([made_from.add_row(i) for i in range(n)])
+    mul = np.array([made_from.mul_row(i) for i in range(n)])
+    for ring in (tabled, call_based_ring(text)):  # persistent and transient
+        assert ring.add_table().dtype == ring.mul_table().dtype == np.int32
+        assert np.array_equal(ring.add_table(), add)
+        assert np.array_equal(ring.mul_table(), mul)
+
+
+# tables for every medium-corpus ring, M(2, Z(7)) (2401 elements) included
+TABLED = Limits(table_threshold=2401**2)
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "call-based"])
+@pytest.mark.parametrize("text", medium_corpus())
+def test_mirrored_column_pass_matches_direct_pass(text, tabled):
+    ring = build_ring(parse_ring_expr(text), TABLED if tabled else CALL_BASED)
+    assert ring.lawful and ring.has_tables() == tabled
+    n = ring.order
+    lann, col_sets = _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
+    scan = RingScan(ring)
+    assert scan.lann == lann
+    assert scan.col_sets == col_sets
+
+
+def test_rings_without_the_laws_read_their_columns(m2z2):
+    """The identity on M(2, Z(2)) is an involution that is not
+    anti-multiplicative, so mirroring the row pass through it gives the
+    wrong left annihilators; ``lawful`` keeps the scan off the mirror."""
+    n = m2z2.order
+    ring = tables_copy(m2z2, star=np.arange(n))
+    assert not ring.lawful
+    scan = RingScan(ring)
+    assert _mirrored(scan.rann, ring.star_vector()) != scan.lann
+    for s in range(n):
+        assert set(indices_of(scan.lann[s])) == oracles.o_lann(ring, [s])
+        assert set(indices_of(scan.col_sets[s])) == {ring.mul(r, s) for r in range(n)}

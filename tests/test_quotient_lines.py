@@ -23,7 +23,7 @@ from starbench import (
     parse_ring_expr,
     rp_in_quotient,
 )
-from starbench import projections, unitify
+from starbench import rings, unitify
 from starbench.bitsets import indices_of
 from starbench.config import Limits
 from starbench.errors import AxiomViolation
@@ -125,7 +125,7 @@ def test_scan_bitsets_across_several_blocks(rt, kt, monkeypatch):
 
     d = Definitional()
     # three lines a block: 27 blocks on 81 cosets, 6 on 16 (the last short)
-    monkeypatch.setattr(projections, "_BLOCK_ENTRIES", 3 * n)
+    monkeypatch.setattr(rings, "SCAN_BLOCK", 3 * n)
     scan = RingScan(q)
     for a in range(n):
         assert set(indices_of(scan.rann[a])) == oracles.o_rann(d, [a])
