@@ -13,9 +13,10 @@ satisfy:
 Each axiom has one pass, which takes the scalars and elements it loops
 over. When R and K are both lawful (named by descriptors, so *-rings by
 construction), the passes run on the additive generators of K and of R,
-which proves every axiom everywhere (see _check_every_axiom). Otherwise,
-and after a violation there, they run over every scalar and element, so
-a violation's axiom and witness do not depend on the path.
+which proves every axiom everywhere (see _check_every_axiom); on a
+lawful K, K's commutativity is checked on K's generators alike.
+Otherwise, and after a violation there, they run over every scalar and
+element, so a violation's axiom and witness do not depend on the path.
 
 The only built-in action is "natural": K = Z(m) acting by repeated addition,
 defined exactly when char(R) divides m. An explicit table can be supplied
@@ -107,7 +108,9 @@ def build_scalar_algebra(
 
     The scalars must be unital and commutative, the table well shaped, and
     1_K must act as the identity; these are checked directly, reading K a
-    row at a time, so a call-based K needs no table.
+    row at a time, so a call-based K needs no table. On a lawful K,
+    commutativity is checked on K's additive generators (see
+    :func:`_first_noncommuting`).
 
     The other axioms are checked by :func:`_check_every_axiom`: on the
     additive generators of K and R when both are lawful, a proof if every
@@ -122,13 +125,11 @@ def build_scalar_algebra(
     R = ring
     if K.unity is None:
         raise ActionAxiomViolation("scalars-unital", ())
-    for lam in range(K.order):
-        neq = K.mul_row(lam) != K.mul_col(lam)
-        if neq.any():
-            mu = int(np.argmax(neq))
-            raise ActionAxiomViolation(
-                "scalars-commutative", (K.decode(lam), K.decode(mu))
-            )
+    checked = (K.generators or (0,)) if K.lawful else range(K.order)
+    if _first_noncommuting(K, checked) is not None:
+        # a real violation; name the first over every scalar
+        lam, mu = _first_noncommuting(K, range(K.order))
+        raise ActionAxiomViolation("scalars-commutative", (K.decode(lam), K.decode(mu)))
 
     if isinstance(action, str):
         if action != "natural":
@@ -181,6 +182,19 @@ def build_scalar_algebra(
         torsion_free=torsion_free,
         k_is_domain=k_is_domain,
     )
+
+
+def _first_noncommuting(K: StarRing, scalars) -> Optional[Tuple[int, int]]:
+    """The first (lam, mu), lam in ``scalars`` (ascending) and mu over
+    every scalar, with lam mu != mu lam; None when there is none. In a
+    ring the lam that commute with every mu are closed under +, by
+    distributivity, so with ``scalars`` the additive generators of K (0
+    when K = {0}) None is a proof that K is commutative."""
+    for lam in scalars:
+        neq = K.mul_row(lam) != K.mul_col(lam)
+        if neq.any():
+            return int(lam), int(np.argmax(neq))
+    return None
 
 
 def first_zero_divisor(K: StarRing) -> Optional[Tuple[int, int]]:

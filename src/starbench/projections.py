@@ -128,9 +128,11 @@ class RingScan:
     into ``rann`` and ``row_sets`` (``_zero_and_value_sets``). On a lawful
     ring the column side is that pass mirrored through the involution:
     y*s = 0 iff s* y* = 0 and (r*a)* = a* r*, so lann[x*] = star(rann[x])
-    and col_sets[x*] = star(row_sets[x]) (``_mirrored``). Every other ring
-    (given by its tables, a pair ring, a quotient) has no proof of the
-    *-ring laws, and its column pass calls ``mul_col`` once per element.
+    and col_sets[x*] = star(row_sets[x]) (``_mirrored``). Lawful rings are
+    the descriptor rings and the pair rings and quotients of
+    unitifications over them (see rings.py). A ring given by its tables,
+    or a pair ring or quotient built over one, has no proof of the *-ring
+    laws, and its column pass calls ``mul_col`` once per element.
 
     ``r_of``/``l_of`` are the one place that intersects ``rann``/``lann``
     over a set of elements: every annihilator of a set (the Baer* family,

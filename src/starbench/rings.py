@@ -17,27 +17,29 @@ of 2401 entries.
 Backends supply arithmetic and a codec, nothing more:
 
 * ``order`` — the number of elements;
-* ``add_pairs(u, v)``, ``mul_pairs(u, v)`` — elementwise on index vectors;
+* ``add_pairs(u, v)``, ``mul_pairs(u, v)`` — elementwise on index arrays,
+  broadcast against each other;
 * ``neg_vec()``, ``star_vec()`` — the unary maps as vectors;
 * ``decode(i)`` / ``encode(literal)`` — the element codec.
 
 :class:`_Backend` derives the rest from those, straight from the
 definitions: the scalar ops ``add``/``mul``, ``mul_lines(members)`` (the
-products of one element with every member, from either side), the rows
-``add_row(i)`` and ``mul_row(i)`` and the column ``mul_col(j)`` (the
-lines over every element; addition is commutative, so there is no
-add_col), the blocks of rows ``add_rows(idx)`` and ``mul_rows(idx)`` (a
-fresh (len(idx), n) array, by default the rows stacked),
-``find_unity()`` (the idempotent that is a two-sided identity) and
-``characteristic()`` (the least k with k.x = 0 for every x). A backend
+products of a block of elements with every member, from either side), the
+rows ``add_row(i)`` and ``mul_row(i)`` and the column ``mul_col(j)`` (the
+lines over every element, a line being a one-row block; addition is
+commutative, so there is no add_col), the blocks of rows ``add_rows(idx)``
+and ``mul_rows(idx)`` (a fresh (len(idx), n) array, by default the rows
+stacked), ``find_unity()`` (the idempotent that is a two-sided identity)
+and ``characteristic()`` (the least k with k.x = 0 for every x). A backend
 overrides a default only where it pays: the cyclic, matrix and product
 backends compute rows directly and know their characteristic; the
 cyclic, matrix and tables backends compute a block of rows at once (one
 broadcast, k gathers, one slice); the pair ring, a product with a
-twisted multiplication, overrides ``mul_lines`` instead. Subrings and
-quotients are both a :class:`_SectionBackend` over their parent, whose
-lines they take over their representatives. :class:`StarRing` reads the
-unity and the characteristic from the backend it was built from, and
+twisted multiplication, overrides ``mul_lines`` instead, and serves its
+rows and blocks of rows from it. Subrings and quotients are both a
+:class:`_SectionBackend` over their parent, whose blocks of lines they
+take over their representatives. :class:`StarRing` reads the unity, the
+characteristic and ``lawful`` from the backend it was built from, and
 defines the additive order of an element itself.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
@@ -45,15 +47,21 @@ works through :class:`StarRing`, never through a backend directly. Tables,
 persistent and transient, are assembled from ``add_rows``/``mul_rows`` a
 block of :func:`_lines_per_block` rows at a time (``StarRing._assemble``).
 
-A ring that :func:`build_ring` makes from a descriptor is ``lawful``: the
-cyclic, matrix, product and subring constructions are *-rings by
-construction, so code that needs the *-ring laws as a premise (the
-generator certificates of the scalar algebra and the unitification, the
-scans' column side mirrored from the row side) may take them. Rings given
-by their tables, pair rings and quotients are not lawful, and their laws
-are not proved afresh on each run to make them so: on a matrix ring the
-restricted ring-law scans below cost more than the exhaustive passes of
-the scalar algebra they would let them skip.
+A ring is ``lawful`` when its construction proves the *-ring laws, so
+that code that needs them as a premise (the generator certificates of the
+scalar algebra and the unitification, the scans' column side mirrored
+from the row side) may take them. The cyclic and matrix rings are
+*-rings by construction, and a product of lawful rings is one; a subring
+of a lawful ring is one once its closure is proved, and so is a quotient
+once its operations are proved well defined on the cosets; the pair ring
+of lawful R and K is one once the scalar algebra has proved every action
+axiom. So every ring :func:`build_ring` makes from a descriptor is
+lawful, and so are the pair ring and the quotient of a unitification over
+lawful R and K. Rings given by their tables, and pair rings and quotients
+built over them, are not lawful, and their laws are not proved afresh on
+each run to make them so: on a matrix ring the restricted ring-law scans
+below cost more than the exhaustive passes of the scalar algebra they
+would let them skip.
 
 :func:`_greedy_span` is the one walk for additive subgroups: it grows the
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
@@ -139,7 +147,10 @@ def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
 class _Backend:
     """Base of every backend: everything but the arithmetic and the codec,
     from the definitions. Subclasses supply ``order``, ``add_pairs``,
-    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``."""
+    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``,
+    and set ``lawful`` where their construction proves the *-ring laws."""
+
+    lawful = False
 
     def add(self, i: int, j: int) -> int:
         return int(self.add_pairs(np.array([i]), np.array([j]))[0])
@@ -159,21 +170,22 @@ class _Backend:
         return stack_lines(self.mul_row, idx, self.order)
 
     def mul_lines(self, members) -> Tuple[Callable, Callable]:
-        """(row, col) with row(i)[t] = i.members[t] and col(j)[t] =
-        members[t].j: the products of one element with every member, from
-        either side. By default each line is one broadcast mul_pairs."""
+        """(rows, cols) with rows(idx)[t, s] = idx[t].members[s] and
+        cols(idx)[t, s] = members[s].idx[t]: the products of a block of
+        elements with every member, from either side, as a fresh
+        (len(idx), len(members)) array. By default each block is one
+        broadcast mul_pairs."""
         members = _as_index_array(members)
-        m = len(members)
         return (
-            lambda i: self.mul_pairs(np.full(m, i), members),
-            lambda j: self.mul_pairs(members, np.full(m, j)),
+            lambda idx: self.mul_pairs(_as_index_array(idx)[:, None], members),
+            lambda idx: self.mul_pairs(members, _as_index_array(idx)[:, None]),
         )
 
     def mul_row(self, i: int) -> np.ndarray:
-        return self.mul_lines(np.arange(self.order))[0](i)
+        return self.mul_lines(np.arange(self.order))[0]([i])[0]
 
     def mul_col(self, j: int) -> np.ndarray:
-        return self.mul_lines(np.arange(self.order))[1](j)
+        return self.mul_lines(np.arange(self.order))[1]([j])[0]
 
     def find_unity(self) -> Optional[int]:
         """The idempotent e with e x = x = x e for every x, if any."""
@@ -202,6 +214,8 @@ class _Backend:
 
 class _CyclicBackend(_Backend):
     """Integers mod m; identity involution; literal = any int (reduced)."""
+
+    lawful = True
 
     def __init__(self, modulus: int):
         self.m = modulus
@@ -273,6 +287,8 @@ class _MatrixBackend(_Backend):
     multiply-add, with no matrix product and no reduction mod m. The unary
     maps and the codec go through the matrices themselves.
     """
+
+    lawful = True
 
     def __init__(self, size: int, modulus: int):
         self.k = size
@@ -363,7 +379,8 @@ class _MatrixBackend(_Backend):
 
 
 class _ProductBackend(_Backend):
-    """Direct product; componentwise operations and involution.
+    """Direct product; componentwise operations and involution, lawful
+    when both factors are.
 
     Index encoding: i = left_index * right_order + right_index.
     """
@@ -373,6 +390,7 @@ class _ProductBackend(_Backend):
         self.right = right
         self.rn = right.order
         self.order = left.order * right.order
+        self.lawful = left.lawful and right.lawful
 
     def _split(self, u):
         u = _as_index_array(u)
@@ -426,11 +444,11 @@ class _ProductBackend(_Backend):
 def _local(local_of: np.ndarray, parent_indices) -> np.ndarray:
     """A section's local indices of parent elements; a parent element
     outside the section raises the ``closure`` violation, naming the first
-    three parent indices."""
+    three parent indices (of a block, in row-major order)."""
     out = local_of[parent_indices]
     if (out < 0).any():
         raise AxiomViolation(
-            "closure", tuple(int(p) for p in np.atleast_1d(parent_indices)[:3])
+            "closure", tuple(int(p) for p in np.ravel(parent_indices)[:3])
         )
     return out
 
@@ -443,10 +461,15 @@ class _SectionBackend(_Backend):
     subring passes its carrier and -1 off it; a quotient passes its coset
     representatives and the coset of every parent element. Each operation
     runs in the parent on the representatives and maps the result back:
-    a row or column is the parent's line (``mul_lines``) of one
-    representative over all of them, so a quotient's lines cost what the
-    pair ring's lines cost. A result outside a subring's carrier raises
-    the ``closure`` violation, naming the first three parent products.
+    a block of rows (``mul_rows``) or a column is the parent's block of
+    lines (``mul_lines``) of those representatives over all of them, so a
+    quotient's rows cost what the pair ring's rows cost, a block at a
+    time. A result outside a subring's carrier raises the ``closure``
+    violation, naming the first three parent products.
+
+    The section is lawful when its parent is: the caller proves the rest
+    before it hands the ring out (build_ring the subring's closure,
+    build_quotient that the operations are well defined on the cosets).
     """
 
     def __init__(self, parent: "StarRing", reps: np.ndarray, local_of: np.ndarray):
@@ -454,6 +477,7 @@ class _SectionBackend(_Backend):
         self.reps = reps
         self.local_of = local_of
         self.order = len(reps)
+        self.lawful = parent.lawful
 
     def add_pairs(self, u, v) -> np.ndarray:
         u, v = _as_index_array(u), _as_index_array(v)
@@ -468,23 +492,26 @@ class _SectionBackend(_Backend):
         # would keep the parent (and R's tables) alive until the cyclic
         # garbage collector ran
         reps, local_of = self.reps, self.local_of
-        row, col = self.parent.mul_lines(reps[_as_index_array(members)])
+        rows, cols = self.parent.mul_lines(reps[_as_index_array(members)])
         return (
-            lambda i: _local(local_of, row(int(reps[i]))),
-            lambda j: _local(local_of, col(int(reps[j]))),
+            lambda idx: _local(local_of, rows(reps[_as_index_array(idx)])),
+            lambda idx: _local(local_of, cols(reps[_as_index_array(idx)])),
         )
 
     @cached_property
     def _lines(self) -> Tuple[Callable, Callable]:
-        """The lines over every element: the parent's lines over the
+        """The blocks of lines over every element: the parent's over the
         representatives, which it prepares once (a pair ring splits them)."""
         return self.mul_lines(np.arange(self.order))
 
+    def mul_rows(self, idx) -> np.ndarray:
+        return self._lines[0](idx)
+
     def mul_row(self, i: int) -> np.ndarray:
-        return self._lines[0](i)
+        return self._lines[0]([i])[0]
 
     def mul_col(self, j: int) -> np.ndarray:
-        return self._lines[1](j)
+        return self._lines[1]([j])[0]
 
     def neg_vec(self) -> np.ndarray:
         return _local(self.local_of, self.parent.neg_vector()[self.reps])
@@ -589,9 +616,10 @@ class StarRing:
     """A finite ring with involution, elements indexed 0..order-1.
 
     Index 0 is the zero element. ``unity`` is the index of the multiplicative
-    identity or None. ``characteristic`` is the additive exponent. Both are
-    read from the backend the ring is built from, before any tables are
-    assembled. All arrays handed out are read-only views or fresh copies.
+    identity or None. ``characteristic`` is the additive exponent. Both,
+    and ``lawful``, are read from the backend the ring is built from,
+    before any tables are assembled. All arrays handed out are read-only
+    views or fresh copies.
     """
 
     def __init__(
@@ -613,6 +641,7 @@ class StarRing:
         self._neg.setflags(write=False)
         self._star.setflags(write=False)
         self._backend = backend
+        self._lawful = bool(backend.lawful)
         if descriptor is not None and self.order**2 <= limits.table_threshold:
             self._backend = _TablesBackend(
                 self._assemble(backend.add_rows),
@@ -695,8 +724,9 @@ class StarRing:
         return _as_index_array(self._backend.mul_pairs(u, v))
 
     def mul_lines(self, members) -> Tuple[Callable, Callable]:
-        """(row, col): row(i) and col(j) are the products i.m and m.j for
-        every m in ``members``, as index vectors; see _Backend.mul_lines."""
+        """(rows, cols): rows(idx) and cols(idx) are the blocks of products
+        i.m and m.i for i in idx and every m in ``members``; see
+        _Backend.mul_lines."""
         return self._backend.mul_lines(members)
 
     def neg_vector(self) -> np.ndarray:
@@ -726,11 +756,13 @@ class StarRing:
 
     @property
     def lawful(self) -> bool:
-        """Whether the *-ring laws hold by construction: true exactly for a
-        ring that build_ring made from a descriptor, the only code that
-        sets ``descriptor``. False for rings given by their tables, pair
-        rings and quotients, whose laws nothing has proved."""
-        return self.descriptor is not None
+        """Whether the ring's construction proves the *-ring laws (see the
+        module docstring): true for every ring build_ring makes from a
+        descriptor, and for the pair ring and the quotient of a
+        unitification over lawful R and K; false for rings given by their
+        tables and for what is built over them. Read from the construction
+        backend; nothing sets it."""
+        return self._lawful
 
     @cached_property
     def generators(self) -> Tuple[int, ...]:

@@ -30,7 +30,9 @@ none (R or K is not lawful), does it run on every member, which names
 the witness. Membership and closure take exhaustive passes on other
 rings, so a failure is always reported with the witness those passes
 name. Either way the quotient's operations are proved well defined on
-every coset pair.
+every coset pair. Over lawful R and K the pair ring and the quotient are
+*-rings, and lawful themselves, so the quotient's scans take their column
+side from the row side (projections.RingScan).
 
 The map a -> [a, 0] is a *-homomorphism, injective exactly when
 L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
@@ -105,18 +107,25 @@ class _PairBackend(_ProductBackend):
     a_index * |K| + lam_index, the product's encoding. The product is
     written once, in ``_twisted``, from its four terms: ``mul_pairs``
     gathers them pair by pair, and ``mul_lines`` splits the members once
-    and reads each line's terms off one row (or column) of R, of K and of
-    the action and its transpose, so neither the pair ring's rows nor a
-    quotient's go through ``mul_pairs``. The ring is call-based."""
+    and evaluates ``_twisted`` once per block, on 2-D term blocks (one
+    broadcast ``mul_pairs`` of R and one of K, two gathers from the
+    action), so neither the pair ring's rows nor a quotient's go through
+    ``mul_pairs``, and a row is a one-row block. The ring is call-based.
+
+    It is lawful when R and K are, as a product is: build_scalar_algebra
+    has then proved every action axiom, (lam.a)* = lam*.a* included, and
+    with them the pair ring is a *-ring."""
 
     def __init__(self, algebra: ScalarAlgebra):
         super().__init__(algebra.ring, algebra.scalars)
         self._action = algebra.action.astype(np.int64)
-        self._action_t = np.ascontiguousarray(self._action.T)
 
     # not the product's componentwise lines
     mul_row = _Backend.mul_row
     mul_col = _Backend.mul_col
+
+    def mul_rows(self, idx) -> np.ndarray:
+        return self.mul_lines(np.arange(self.order))[0](idx)
 
     def _twisted(self, ab, mu_a, lam_b, lam_mu) -> np.ndarray:
         """(ab + mu.a + lam.b, lam mu) from its terms, elementwise."""
@@ -134,24 +143,29 @@ class _PairBackend(_ProductBackend):
 
     def mul_lines(self, members) -> Tuple[Callable, Callable]:
         R, K = self.left, self.right
-        act, act_t = self._action, self._action_t
+        act, nr = self._action.ravel(), R.order  # act[lam * nr + a] = lam.a
         elems, scalars = self._split(members)
+        scalars_at = scalars * nr
 
-        def row(i):  # (a, lam)(b, mu) for every member (b, mu)
-            a, lam = divmod(int(i), self.rn)
+        def blocks(idx):  # the elements and scalars of idx, as columns
+            a, lam = self._split(idx)
+            return a[:, None], lam[:, None]
+
+        def rows(idx):  # (a, lam)(b, mu), (a, lam) in idx, (b, mu) members
+            a, lam = blocks(idx)
             return self._twisted(
-                R.mul_row(a)[elems], act_t[a][scalars], act[lam][elems],
-                K.mul_row(lam)[scalars],
+                R.mul_pairs(a, elems), act[scalars_at + a], act[lam * nr + elems],
+                K.mul_pairs(lam, scalars),
             )
 
-        def col(j):  # (a, lam)(b, mu) for every member (a, lam)
-            b, mu = divmod(int(j), self.rn)
+        def cols(idx):  # (a, lam)(b, mu), (b, mu) in idx, (a, lam) members
+            b, mu = blocks(idx)
             return self._twisted(
-                R.mul_col(b)[elems], act[mu][elems], act_t[b][scalars],
-                K.mul_col(mu)[scalars],
+                R.mul_pairs(elems, b), act[mu * nr + elems], act[scalars_at + b],
+                K.mul_pairs(scalars, mu),
             )
 
-        return row, col
+        return rows, cols
 
 
 @dataclass(frozen=True)
@@ -269,10 +283,10 @@ def compute_kernel_N(
     def first_unabsorbed(us, against):
         """The first u in ``us`` with a product by some member of
         ``against``, from either side, outside N; else None."""
-        row, col = r1.mul_lines(against)
+        rows, cols = r1.mul_lines(against)
         for u_ in us:
             u_ = int(u_)
-            if not (flags[row(u_)].all() and flags[col(u_)].all()):
+            if not (flags[rows([u_])].all() and flags[cols([u_])].all()):
                 return u_
         return None
 

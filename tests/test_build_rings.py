@@ -162,12 +162,21 @@ class TestValidation:
             assert rep["order"] == ring(text).order
             assert r.lawful
 
-    def test_only_descriptor_rings_are_lawful(self, z6):
+    def test_lawful_exactly_where_the_laws_are_proved(self, z6):
+        # descriptor rings are *-rings by construction, tables prove nothing;
+        # the pair ring and the quotient are lawful when R and K both are
         assert z6.lawful and ring("sub(Z(9); 3)").lawful and ring("prod(Z(2),Z(3))").lawful
         assert not StarRing.from_tables(*self._tables_of(z6)).lawful
-        alg = build_scalar_algebra(ring("sub(Z(9); 3)"), ring("Z(9)"))
-        assert not build_R1(alg).lawful
-        assert not build_quotient(alg).ring.lawful
+        R, K = ring("sub(Z(9); 3)"), ring("Z(9)")
+        action = build_scalar_algebra(R, K).action
+        for R_, K_ in (
+            (R, K),
+            (StarRing.from_tables(*self._tables_of(R)), K),
+            (R, StarRing.from_tables(*self._tables_of(K))),
+        ):
+            alg = build_scalar_algebra(R_, K_, action=action)
+            assert build_R1(alg).lawful == (R_.lawful and K_.lawful)
+            assert build_quotient(alg).ring.lawful == (R_.lawful and K_.lawful)
 
     def _tables_of(self, r):
         add = np.array(r.add_table(), copy=True)

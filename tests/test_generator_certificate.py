@@ -191,6 +191,23 @@ class TestCertificateIsTaken:
         build_scalar_algebra(table_copy(R), K)
         assert calls == [(None, None)]
 
+    @pytest.mark.parametrize("ktext", ["Z(1)", "Z(6)", "Z(8)"])
+    def test_commutativity_is_read_on_the_scalar_generators(self, ktext, monkeypatch):
+        calls = []
+        first = algebra_module._first_noncommuting
+
+        def record(K, scalars):
+            calls.append(list(scalars))
+            return first(K, scalars)
+
+        monkeypatch.setattr(algebra_module, "_first_noncommuting", record)
+        R, K = cached_ring("Z(1)"), cached_ring(ktext)
+        table = build_scalar_algebra(R, K).action
+        assert calls == [list(K.generators or (0,))]
+        calls.clear()
+        build_scalar_algebra(R, table_copy(K), action=table)
+        assert calls == [list(range(K.order))]
+
     def test_kernel_generators_span_the_kernel(self):
         alg = build_scalar_algebra(cached_ring("sub(Z(9); 3)"), cached_ring("Z(9)"))
         kern = compute_kernel_N(alg)
@@ -235,6 +252,20 @@ def test_row_off_the_scalar_generators_is_caught():
     _, failure = action_outcome(R, K, table)
     assert failure is not None
     assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
+
+
+def test_noncommuting_scalars_name_the_same_witness_on_both_paths():
+    # M(2, Z(2)) is lawful and not commutative: the check on its generators
+    # hits, and the rerun over every scalar names the exhaustive witness
+    R, K = cached_ring("Z(2)"), cached_ring("M(2, Z(2))")
+    assert K.lawful
+    failures = []
+    for scalars in (K, table_copy(K)):
+        with pytest.raises(ActionAxiomViolation) as exc:
+            build_scalar_algebra(R, scalars)
+        failures.append((exc.value.axiom, exc.value.witness))
+    assert failures[0] == failures[1]
+    assert failures[0][0] == "scalars-commutative"
 
 
 def test_zero_scalar_ring_is_checked_at_zero():

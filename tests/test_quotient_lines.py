@@ -1,11 +1,15 @@
-"""Quotient lines computed from R's rows.
+"""Quotient lines computed a block at a time from R's products.
 
 A quotient's rows and columns come from the pair ring's ``mul_lines``:
-each coset's line is read off one row (or column) of R, of K and of the
-action, never through the pair ring's ``mul_pairs``. These tests pin those
-lines to the definition (the broadcast ``mul_pairs`` of the quotient),
-check the scan bitsets they fill against the oracles across several
-blocks, and guard that no quotient scan goes back through ``mul_pairs``.
+a block of cosets' lines is read off one broadcast product of R, two
+gathers from the action and one product of K, never through the pair
+ring's ``mul_pairs``, and a single line is a one-row block. These tests
+pin those lines and blocks, of the quotient and of the pair ring, to the
+definition (``mul_pairs`` pair by pair), check the scan bitsets they fill
+against the oracles across several blocks, with the column side mirrored
+from the rows on a lawful quotient and read column by column on one over
+a ring given by its tables, and guard that no quotient scan goes back
+through ``mul_pairs``.
 """
 
 import gc
@@ -75,14 +79,40 @@ def algebras():
     yield pytest.param(lambda: tabled_algebra("M(2,Z(2))", "Z(4)"), id="M(2,Z(2))-Z(4)-from-tables")
 
 
+def products(ring, us, vs):
+    """The (len(us), len(vs)) block of u.v, from mul_pairs pair by pair."""
+    pairs = ring.mul_pairs(np.repeat(us, len(vs)), np.tile(vs, len(us)))
+    return pairs.reshape(len(us), len(vs))
+
+
+def short_blocks(monkeypatch, n):
+    """The scan blocks of n lines, in order, with SCAN_BLOCK shrunk to the
+    fewest lines k >= 2 that do not divide n: short blocks, the last one
+    partial wherever n > 2."""
+    k = next(k for k in range(2, n + 2) if n % k)
+    monkeypatch.setattr(rings, "SCAN_BLOCK", k * n)
+    step = rings._lines_per_block(n)
+    return [np.arange(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 @pytest.mark.parametrize("make", algebras())
-def test_lines_are_the_definitional_products(make):
-    q = build_quotient(make()).ring
+def test_lines_are_the_definitional_products(make, monkeypatch):
+    quot = build_quotient(make())
+    q, r1 = quot.ring, quot.r1
     n = q.order
     idx = np.arange(n)
     for i in range(n):
         assert np.array_equal(q.mul_row(i), q.mul_pairs(np.full(n, i), idx)), i
         assert np.array_equal(q.mul_col(i), q.mul_pairs(idx, np.full(n, i))), i
+    # blocks of rows: the quotient's, and the pair ring's at the
+    # representatives, the rows the quotient's are read from
+    blocks = short_blocks(monkeypatch, n)
+    assert n <= 2 or len(blocks[-1]) < len(blocks[0])
+    pairs = np.arange(r1.order)
+    for block in blocks:
+        assert np.array_equal(q.mul_rows(block), products(q, block, idx)), block
+        reps = quot.reps[block]
+        assert np.array_equal(r1.mul_rows(reps), products(r1, reps, pairs)), reps
 
 
 def test_representatives_with_nonzero_scalars_are_exercised():
@@ -110,9 +140,25 @@ def test_subring_lines_leave_the_carrier_with_the_same_witness(z6):
         assert by_line.value.witness == by_pairs.value.witness == (0, 4, 0)
 
 
-@pytest.mark.parametrize("rt,kt", [("M(2,Z(3))", "Z(6)"), ("M(2,Z(2))", "Z(2)")])
-def test_scan_bitsets_across_several_blocks(rt, kt, monkeypatch):
-    q = build_quotient(build_scalar_algebra(cached_ring(rt), cached_ring(kt))).ring
+@pytest.mark.parametrize(
+    "make,lawful",
+    [
+        pytest.param(
+            lambda rt=rt, kt=kt: build_scalar_algebra(cached_ring(rt), cached_ring(kt)),
+            True,
+            id="%s-%s" % (rt, kt),
+        )
+        for rt, kt in (("M(2,Z(3))", "Z(6)"), ("M(2,Z(2))", "Z(2)"))
+    ]
+    + [
+        pytest.param(
+            lambda: tabled_algebra("M(2,Z(2))", "Z(4)"), False, id="M(2,Z(2))-Z(4)-from-tables"
+        )
+    ],
+)
+def test_scan_bitsets_across_several_blocks(make, lawful, monkeypatch):
+    q = build_quotient(make()).ring
+    assert q.lawful == lawful
     n = q.order
     # the reference reads one table of the definitional products
     table = q.mul_pairs(np.repeat(np.arange(n), n), np.tile(np.arange(n), n)).reshape(n, n)
@@ -126,12 +172,17 @@ def test_scan_bitsets_across_several_blocks(rt, kt, monkeypatch):
     d = Definitional()
     # three lines a block: 27 blocks on 81 cosets, 6 on 16 (the last short)
     monkeypatch.setattr(rings, "SCAN_BLOCK", 3 * n)
+    cols = []
+    read_col = q.mul_col
+    monkeypatch.setattr(q, "mul_col", lambda j: cols.append(j) or read_col(j))
     scan = RingScan(q)
     for a in range(n):
         assert set(indices_of(scan.rann[a])) == oracles.o_rann(d, [a])
         assert set(indices_of(scan.lann[a])) == oracles.o_lann(d, [a])
         assert set(indices_of(scan.row_sets[a])) == {d.mul(a, r) for r in range(n)}
         assert set(indices_of(scan.col_sets[a])) == {d.mul(r, a) for r in range(n)}
+    # lawful: the column side is the row side mirrored, with no column read
+    assert len(cols) == (0 if lawful else n)
 
 
 def test_quotient_scans_never_call_the_pair_product(monkeypatch):
