@@ -418,20 +418,18 @@ def largest_eigen_projection(
 
     g = 0 always qualifies, so the candidate set is never empty, but a
     greatest element may still not exist; that raises NoGreatestElement.
+    Every candidate is tested with one mul_pairs; the qualifying
+    positions reach the poset in ascending order.
     """
     if lam == 0:
         raise ValueError("lam must be a nonzero scalar index")
     ring = algebra.ring
     scan = scan or RingScan(ring)
     poset = scan.poset
-    lam_row = algebra.action_row(lam)
-    positions = []
-    for i in range(len(poset)):
-        if central_only and not poset.central_flags[i]:
-            continue
-        g = int(poset.indices[i])
-        if ring.mul(a, g) == int(lam_row[g]):
-            positions.append(i)
+    cand = np.flatnonzero(poset.central_flags) if central_only else np.arange(len(poset))
+    gs = poset.indices[cand]
+    holds = ring.mul_pairs(np.full(len(gs), a), gs) == algebra.action[lam, gs]
+    positions = cand[holds].tolist()
     top = poset.greatest(positions)
     if top is None:
         raise NoGreatestElement(

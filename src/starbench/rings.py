@@ -9,10 +9,11 @@ construction and is then served by :class:`_TablesBackend`, as is
 :meth:`StarRing.from_tables`. Every other ring is call-based and computes
 each row on demand with a few vectorized numpy calls: the pair ring and the
 quotient of a unitification have no descriptor, and are read through fewer
-pair ops than their tables take to assemble. Matrix rings compute rows,
-columns and pairs as gathers from two small row-block tables (see
-:class:`_MatrixBackend`), so a call-based M(2, Z(7)) row costs two gathers
-of 2401 entries.
+pair ops than their tables take to assemble. Matrix rings compute
+products as gathers from a small int32 row-block table and sums from a
+smaller one (see :class:`_MatrixBackend`): a call-based M(2, Z(7))
+product row costs two gathers of 2401 entries, and a sum row is the
+outer sum of two gathered rows of 49.
 
 Backends supply arithmetic and a codec, nothing more:
 
@@ -29,18 +30,25 @@ rows ``add_row(i)`` and ``mul_row(i)`` and the column ``mul_col(j)`` (the
 lines over every element, a line being a one-row block; addition is
 commutative, so there is no add_col), the blocks of rows ``add_rows(idx)``
 and ``mul_rows(idx)`` (a fresh (len(idx), n) array, by default the rows
-stacked), ``find_unity()`` (the idempotent that is a two-sided identity)
-and ``characteristic()`` (the least k with k.x = 0 for every x). A backend
-overrides a default only where it pays: the cyclic, matrix and product
-backends compute rows directly and know their characteristic; the
-cyclic, matrix and tables backends compute a block of rows at once (one
-broadcast, k gathers, one slice); the pair ring, a product with a
-twisted multiplication, overrides ``mul_lines`` instead, and serves its
-rows and blocks of rows from it. Subrings and quotients are both a
+stacked), ``find_unity()`` (the idempotent that is a two-sided identity,
+with ``unity_candidate()`` tried first) and ``characteristic()`` (the
+least k with k.x = 0 for every x). A backend overrides a default only
+where it pays: the cyclic, matrix and product backends compute rows
+directly and know their characteristic; the cyclic, matrix and tables
+backends compute a block of rows at once (one broadcast, k gathers or
+outer sums, one slice); the pair ring, a product with a twisted
+multiplication, overrides ``mul_lines`` instead, and serves its rows and
+blocks of rows from it. Subrings and quotients are both a
 :class:`_SectionBackend` over their parent, whose blocks of lines they
-take over their representatives. :class:`StarRing` reads the unity, the
-characteristic and ``lawful`` from the backend it was built from, and
-defines the additive order of an element itself.
+take over their representatives. Every backend whose construction names
+a unity returns it as ``unity_candidate()``, so that one row and one
+column confirm it instead of a search over the idempotents: 1 for Z(m),
+the identity matrix, (1_L, 1_R) for a product, (0, 1_K) for the pair
+ring, and a section's image of its parent's unity, when the section
+holds it (a subring's unity may lie elsewhere, and is searched).
+:class:`StarRing` reads the unity, the characteristic and ``lawful`` from
+the backend it was built from, and defines the additive order of an
+element itself.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly. Tables,
@@ -187,14 +195,28 @@ class _Backend:
     def mul_col(self, j: int) -> np.ndarray:
         return self.mul_lines(np.arange(self.order))[1]([j])[0]
 
+    def unity_candidate(self) -> Optional[int]:
+        """The element the construction names as the unity, if it names
+        one; find_unity confirms it."""
+        return None
+
     def find_unity(self) -> Optional[int]:
-        """The idempotent e with e x = x = x e for every x, if any."""
+        """The idempotent e with e x = x = x e for every x, if any. A
+        two-sided identity is unique, so the construction's candidate is
+        tried first, confirmed by one row and one column; the idempotents
+        are searched only when there is none or it fails."""
         idx = np.arange(self.order, dtype=np.int64)
-        for e in np.flatnonzero(self.mul_pairs(idx, idx) == idx):
-            e = int(e)
-            if np.array_equal(self.mul_row(e), idx) and np.array_equal(
+
+        def is_unity(e: int) -> bool:
+            return np.array_equal(self.mul_row(e), idx) and np.array_equal(
                 self.mul_col(e), idx
-            ):
+            )
+
+        named = self.unity_candidate()
+        if named is not None and is_unity(named):
+            return named
+        for e in np.flatnonzero(self.mul_pairs(idx, idx) == idx).tolist():
+            if is_unity(e):
                 return e
         return None
 
@@ -249,6 +271,9 @@ class _CyclicBackend(_Backend):
     def star_vec(self) -> np.ndarray:
         return self._idx.copy()
 
+    def unity_candidate(self) -> int:
+        return 1 % self.m
+
     def characteristic(self) -> int:
         return self.m
 
@@ -277,15 +302,21 @@ class _MatrixBackend(_Backend):
 
     * ``radd[v, w]``, r-by-r: the row block of v + w;
     * ``rmul[v, B]``, r-by-n: the row block of v.B, for the row vector v and
-      every matrix B.
+      every matrix B, from one broadcast matmul of the row vectors with
+      every matrix.
 
-    Row t of x.B is (row t of x).B, so x.B has row blocks
+    Both are C-contiguous int32 (int64 if r.n reaches 2^31), so that a
+    gather moves half the bytes, and ``ravel`` is a view; ``blocks`` stays
+    int64, since numpy converts int32 fancy indices to intp on every
+    gather. Row t of x.B is (row t of x).B, so x.B has row blocks
     ``rmul[blocks[t, x], B]``: a row of the multiplication table fixes x and
     gathers k rows of ``rmul``, a column fixes B and gathers from one column
     of ``rmul``. This does not go through the transpose, so it holds for any
-    base involution. Every row, column and pair op is k gathers joined by a
-    multiply-add, with no matrix product and no reduction mod m. The unary
-    maps and the codec go through the matrices themselves.
+    base involution. Every product row, column and pair op, and every sum
+    of pairs, is k gathers joined by a multiply-add, with no matrix product
+    and no reduction mod m. A block of sum rows gathers only k rows of
+    ``radd`` per element and takes their outer sum (``add_rows``). The
+    unary maps and the codec go through the matrices themselves.
     """
 
     lawful = True
@@ -309,9 +340,12 @@ class _MatrixBackend(_Backend):
         row_powers = powers[kk - size:]  # m^(k-1-c) for the entries c of a row
         self.blocks = (idx // r ** np.arange(size - 1, -1, -1)[:, None]) % r
         vecs = (np.arange(r, dtype=np.int64)[:, None] // row_powers) % modulus
-        self.radd = ((vecs[:, None, :] + vecs[None, :, :]) % modulus) @ row_powers
-        # (v.B)[c] = sum over s of v[s] * B[s, c]
-        self.rmul = (np.einsum("vs,nsc->vnc", vecs, self.mats) % modulus) @ row_powers
+        dtype = np.int32 if r * self.order < 2**31 else np.int64
+        radd = ((vecs[:, None, :] + vecs[None, :, :]) % modulus) @ row_powers
+        self.radd = np.ascontiguousarray(radd, dtype=dtype)
+        # (v.B)[c] = sum over s of v[s] * B[s, c]: (vecs @ mats)[B, v, c]
+        rmul = ((vecs @ self.mats) % modulus) @ row_powers
+        self.rmul = np.ascontiguousarray(rmul.T, dtype=dtype)
 
     def _enc(self, mats: np.ndarray) -> np.ndarray:
         flat = mats.reshape(mats.shape[0], -1)
@@ -328,14 +362,23 @@ class _MatrixBackend(_Backend):
         return out
 
     def add_row(self, i: int) -> np.ndarray:
-        return self._join([self.radd[b[i]][b] for b in self.blocks])
+        return self.add_rows([i])[0]
 
     def mul_row(self, i: int) -> np.ndarray:
         return self._join(self.rmul[self.blocks[:, i]])
 
     def add_rows(self, idx) -> np.ndarray:
+        """Column j of a row is the index whose row blocks are
+        radd[blocks[t, i], blocks[t, j]], and the j run through the row
+        blocks in index order, first row most significant: so the block
+        is the outer sum of the k gathered radd rows, scaled as digits
+        base r, and nothing of length n is gathered."""
         idx = _as_index_array(idx)
-        return self._join(np.take(self.radd[b[idx]], b, axis=1) for b in self.blocks)
+        out = self.radd[self.blocks[0, idx]]
+        for b in self.blocks[1:]:
+            sums = out[:, :, None] * self.r + self.radd[b[idx]][:, None, :]
+            out = sums.reshape(len(idx), out.shape[1] * self.r)
+        return out
 
     def mul_rows(self, idx) -> np.ndarray:
         idx = _as_index_array(idx)
@@ -363,11 +406,14 @@ class _MatrixBackend(_Backend):
         starred = self._base_star[self.mats.transpose(0, 2, 1)]
         return self._enc(np.ascontiguousarray(starred))
 
+    def unity_candidate(self) -> int:
+        return self.encode(np.identity(self.k, dtype=np.int64))
+
     def characteristic(self) -> int:
         return self.m
 
     def decode(self, i: int) -> Any:
-        return tuple(tuple(int(e) for e in row) for row in self.mats[i])
+        return tuple(map(tuple, self.mats[i].tolist()))
 
     def encode(self, lit: Any) -> int:
         arr = np.array(lit, dtype=np.int64)
@@ -427,6 +473,10 @@ class _ProductBackend(_Backend):
 
     def star_vec(self) -> np.ndarray:
         return self._outer(self.left.star_vector(), self.right.star_vector())
+
+    def unity_candidate(self) -> Optional[int]:
+        lu, ru = self.left.unity, self.right.unity
+        return None if lu is None or ru is None else lu * self.rn + ru
 
     def characteristic(self) -> int:
         return math.lcm(self.left.characteristic, self.right.characteristic)
@@ -512,6 +562,12 @@ class _SectionBackend(_Backend):
 
     def mul_col(self, j: int) -> np.ndarray:
         return self._lines[1]([j])[0]
+
+    def unity_candidate(self) -> Optional[int]:
+        """The parent's unity, when the section holds it: a subring's
+        unity may lie elsewhere (4 in {0, 2, 4} of Z(6)), and is searched."""
+        e = self.parent.unity
+        return None if e is None or self.local_of[e] < 0 else int(self.local_of[e])
 
     def neg_vec(self) -> np.ndarray:
         return _local(self.local_of, self.parent.neg_vector()[self.reps])

@@ -14,7 +14,10 @@ It is unital with unity (0, 1). The kernel ideal
 collects the pairs that act as zero on R; the quotient of the pair ring by N
 is the unitified ring, written here with cosets [a, lam]. The canonical coset
 representative is the member with the least pair index (pair index =
-a_index * |K| + lam_index), so [0, 1] names the unity.
+a_index * |K| + lam_index), so [0, 1] names the unity. build_quotient finds
+every pair's representative at once, by doubling along each generator of
+N (_coset_minima), in O(|R1| sum of log ord g) rather than one shift of
+every pair per member of N.
 
 Nothing is sampled, and the only premise is the *-ring laws of R and K.
 When both are lawful (named by descriptors, hence *-rings by
@@ -126,6 +129,9 @@ class _PairBackend(_ProductBackend):
 
     def mul_rows(self, idx) -> np.ndarray:
         return self.mul_lines(np.arange(self.order))[0](idx)
+
+    def unity_candidate(self) -> Optional[int]:
+        return self.right.unity  # (0, 1_K)
 
     def _twisted(self, ab, mu_a, lam_b, lam_mu) -> np.ndarray:
         """(ab + mu.a + lam.b, lam mu) from its terms, elementwise."""
@@ -363,6 +369,33 @@ def _validate_quotient(quot: "Quotient") -> None:
         raise VerificationFailed("quotient-star-well-defined", r1.decode(bad))
 
 
+def _coset_minima(r1: StarRing, shifts) -> np.ndarray:
+    """The least pair index of x + H for every pair x, H the additive
+    subgroup the ``shifts`` generate, in O(|R1| sum of log ord g).
+
+    The minima over H are taken one generator g at a time. With ``step``
+    the map x -> x + g (one add_pairs), each round sets
+    rep = min(rep, rep[step]) and step = step[step], so that after k rounds
+    rep[x] is the least of the previous minima at x, x + g, ...,
+    x + (2^k - 1) g, and step is x -> x + 2^k g. A round that changes
+    nothing ends the generator: rep[x] <= rep[x + 2^k g] for every x then
+    gives rep[x] <= rep[x + j 2^k g] for every j, which with the 2^k
+    shifts already taken covers the whole orbit x + <g>. That round comes
+    once 2^k reaches the order of g, if not before."""
+    n = r1.order
+    pairs = np.arange(n, dtype=np.int64)
+    rep = pairs
+    for g in shifts:
+        step = r1.add_pairs(pairs, np.full(n, int(g), dtype=np.int64))
+        while True:
+            lower = np.minimum(rep, rep[step])
+            if np.array_equal(lower, rep):
+                break
+            rep = lower
+            step = step[step]
+    return rep
+
+
 def build_quotient(
     algebra: ScalarAlgebra,
     limits: Limits = DEFAULT_LIMITS,
@@ -372,6 +405,12 @@ def build_quotient(
     The involution descends exactly when N is star-closed (guaranteed for
     proper and semi-proper involutions on R, but always checked directly);
     otherwise InvolutionNotWellDefined is raised with a witness pair.
+
+    Each pair's coset representative, the least pair index in x + N, comes
+    from _coset_minima over N's generators, or over every member when N
+    has none (R or K is not lawful): one add_pairs per generator g and
+    about log2(ord g) rounds of gathers, O(|R1| sum of log ord g) in all.
+    _validate_quotient then proves the cosets right, whatever found them.
     """
     r1 = build_R1(algebra, limits)
     kern = compute_kernel_N(algebra, r1, limits)
@@ -381,17 +420,11 @@ def build_quotient(
             if not (kern.mask >> int(star[u])) & 1:
                 raise InvolutionNotWellDefined(r1.decode(u))
         raise InvolutionNotWellDefined(None)  # unreachable
-    flags = bool_from_mask(kern.mask, r1.order)
-    members = np.flatnonzero(flags).astype(np.int64)
-    n1 = r1.order
-    all_pairs = np.arange(n1, dtype=np.int64)
-    rep_of_pair = all_pairs.copy()
-    for u in members:
-        if u == 0:
-            continue
-        shifted = r1.add_pairs(all_pairs, np.full(n1, int(u), dtype=np.int64))
-        np.minimum(rep_of_pair, shifted, out=rep_of_pair)
-    distinct = flags_of(rep_of_pair, n1)
+    shifts = kern.generators
+    if shifts is None:
+        shifts = iter_indices(kern.mask)
+    rep_of_pair = _coset_minima(r1, shifts)
+    distinct = flags_of(rep_of_pair, r1.order)
     reps = np.flatnonzero(distinct)
     coset_of_pair = (np.cumsum(distinct) - 1)[rep_of_pair]
     label = "unitified(%s over %s)" % (algebra.ring.label, algebra.scalars.label)

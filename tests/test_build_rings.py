@@ -16,6 +16,7 @@ from starbench import (
     validate_star_ring,
 )
 from starbench.errors import AxiomViolation, LiteralError, OrderCapExceeded
+from starbench.rings import _MatrixBackend
 
 from conftest import cached_ring
 
@@ -273,3 +274,122 @@ class TestCodec:
         literals = [r.decode(i) for i in range(r.order)]
         assert len(set(map(str, literals))) == r.order
         assert [r.encode(l) for l in literals] == list(range(r.order))
+
+
+def _searched_unity(backend, monkeypatch):
+    """find_unity with no candidate named: the search over idempotents."""
+    with monkeypatch.context() as m:
+        m.setattr(backend, "unity_candidate", lambda: None)
+        return backend.find_unity()
+
+
+def _algebra(rt, kt):
+    return build_scalar_algebra(ring(rt), ring(kt))
+
+
+UNITY_CASES = {
+    "pair Z(6) over Z(6)": lambda: build_R1(_algebra("Z(6)", "Z(6)")),
+    "pair sub(Z(9); 3) over Z(9)": lambda: build_R1(_algebra("sub(Z(9); 3)", "Z(9)")),
+    "pair M(2,Z(3)) over Z(3)": lambda: build_R1(_algebra("M(2,Z(3))", "Z(3)")),
+    "quotient Z(6) over Z(6)": lambda: build_quotient(_algebra("Z(6)", "Z(6)")).ring,
+    "quotient sub(Z(9); 3) over Z(9)": lambda: build_quotient(
+        _algebra("sub(Z(9); 3)", "Z(9)")
+    ).ring,
+    "quotient M(2,Z(3)) over Z(6)": lambda: build_quotient(_algebra("M(2,Z(3))", "Z(6)")).ring,
+    "product Z(2) x Z(3)": lambda: build_ring(parse_ring_expr("prod(Z(2),Z(3))"), CALL_BASED),
+    "product M(2,Z(2)) x Z(4)": lambda: build_ring(
+        parse_ring_expr("prod(M(2,Z(2)),Z(4))"), CALL_BASED
+    ),
+    "product Z(2) x sub(Z(4); 2)": lambda: build_ring(
+        parse_ring_expr("prod(Z(2),sub(Z(4); 2))"), CALL_BASED
+    ),
+    "cyclic Z(1)": lambda: build_ring(parse_ring_expr("Z(1)"), CALL_BASED),
+    "matrix M(2,Z(3))": lambda: build_ring(parse_ring_expr("M(2,Z(3))"), CALL_BASED),
+    "subring sub(Z(6); 1)": lambda: build_ring(parse_ring_expr("sub(Z(6); 1)"), CALL_BASED),
+    "subring sub(Z(6); 2)": lambda: build_ring(parse_ring_expr("sub(Z(6); 2)"), CALL_BASED),
+    "subring sub(Z(6); 3)": lambda: build_ring(parse_ring_expr("sub(Z(6); 3)"), CALL_BASED),
+}
+
+# the unity's literal; None where the ring has none
+UNITY_LITERALS = {
+    "pair Z(6) over Z(6)": (0, 1),
+    "pair sub(Z(9); 3) over Z(9)": (0, 1),
+    "pair M(2,Z(3)) over Z(3)": (((0, 0), (0, 0)), 1),
+    "quotient Z(6) over Z(6)": (0, 1),
+    "quotient sub(Z(9); 3) over Z(9)": (0, 1),
+    "quotient M(2,Z(3)) over Z(6)": (((0, 0), (0, 0)), 1),
+    "product Z(2) x Z(3)": (1, 1),
+    "product M(2,Z(2)) x Z(4)": (((1, 0), (0, 1)), 1),
+    "product Z(2) x sub(Z(4); 2)": None,
+    "cyclic Z(1)": 0,
+    "matrix M(2,Z(3))": ((1, 0), (0, 1)),
+    "subring sub(Z(6); 1)": 1,
+    # the parent's unity 1 lies outside these two: they are searched
+    "subring sub(Z(6); 2)": 4,
+    "subring sub(Z(6); 3)": 3,
+}
+
+
+class TestUnity:
+    @pytest.mark.parametrize("case", sorted(UNITY_CASES))
+    def test_named_unity_is_the_searched_one(self, case, monkeypatch):
+        r = UNITY_CASES[case]()
+        backend = r._backend
+        assert not r.has_tables()
+        found = backend.find_unity()
+        assert found == _searched_unity(backend, monkeypatch) == r.unity
+        literal = UNITY_LITERALS[case]
+        assert (None if found is None else r.decode(found)) == literal
+        # the construction names the unity wherever the parent's lies inside
+        named = backend.unity_candidate()
+        if case in ("subring sub(Z(6); 2)", "subring sub(Z(6); 3)"):
+            assert named is None
+        else:
+            assert named == found
+
+    def test_a_failed_candidate_falls_back_on_the_search(self, monkeypatch):
+        backend = build_ring(parse_ring_expr("sub(Z(6); 2)"), CALL_BASED)._backend
+        monkeypatch.setattr(backend, "unity_candidate", lambda: 1)  # 2, not a unity
+        assert backend.decode(backend.find_unity()) == 4
+
+
+class TestMatrixBackend:
+    """M(3, Z(2)): k = 3 row blocks, so add_rows takes two outer sums."""
+
+    @pytest.fixture(scope="class")
+    def m3z2(self):
+        return _MatrixBackend(3, 2)
+
+    @staticmethod
+    def _enc(mats):
+        """Indices of matrices over Z(2): entries row-major, base 2."""
+        return (mats.reshape(len(mats), 9) % 2) @ 2 ** np.arange(8, -1, -1)
+
+    @pytest.mark.parametrize(
+        "idx", [[], [0], [511, 0, 256, 3, 3], list(range(512))], ids=["empty", "one", "mixed", "all"]
+    )
+    def test_blocks_and_pairs_are_matrix_arithmetic(self, m3z2, idx):
+        mats, n = m3z2.mats, m3z2.order
+        idx = np.array(idx, dtype=np.int64)
+        u, v = np.repeat(idx, n), np.tile(np.arange(n), len(idx))
+        add = self._enc(mats[u] + mats[v]).reshape(len(idx), n)
+        mul = self._enc(mats[u] @ mats[v]).reshape(len(idx), n)
+        mul_left = self._enc(mats[v] @ mats[u]).reshape(len(idx), n)
+        for got, want in (
+            (m3z2.add_rows(idx), add),
+            (m3z2.mul_rows(idx), mul),
+            (m3z2.add_pairs(u, v).reshape(len(idx), n), add),
+            (m3z2.mul_pairs(u, v).reshape(len(idx), n), mul),
+            (m3z2.mul_pairs(v, u).reshape(len(idx), n), mul_left),
+        ):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_tables_are_c_contiguous_int32(self, m3z2):
+        for table in (m3z2.radd, m3z2.rmul):
+            assert table.dtype == np.int32 and table.flags.c_contiguous
+
+    def test_decode_gives_plain_ints_and_round_trips(self, m3z2):
+        for i in range(m3z2.order):
+            lit = m3z2.decode(i)
+            assert all(type(e) is int for row in lit for e in row)
+            assert m3z2.encode(lit) == i

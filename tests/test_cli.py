@@ -20,14 +20,35 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def run_script(script):
-    """Stdout of a fresh interpreter that runs ``script`` on this starbench."""
+def run_fresh(*args):
+    """The completed run of a fresh interpreter, ``python args...``, that
+    imports this starbench."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(starbench.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_script(script):
+    """Stdout of a fresh interpreter that runs ``script`` on this starbench."""
+    proc = run_fresh("-c", script)
+    proc.check_returncode()
+    return proc.stdout
+
+
+class TestPythonDashM:
+    @pytest.mark.parametrize(
+        "argv", [("describe", "Z(6)", "--format", "json"), ("check", "Z(4)", "baer-star")]
+    )
+    def test_runs_the_cli(self, capsys, argv):
+        proc = run_fresh("-m", "starbench", *argv)
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 3) and out
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    def test_no_verb_is_a_usage_error(self):
+        proc = run_fresh("-m", "starbench")
+        assert proc.returncode == 2 and "usage:" in proc.stderr
 
 
 class TestDescribe:

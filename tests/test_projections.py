@@ -257,8 +257,13 @@ class TestLargestEigenProjection:
 
     def test_no_greatest_element_is_surfaced(self, algebra_of):
         alg = algebra_of("M(2,Z(4))", "Z(4)")
-        with pytest.raises(NoGreatestElement):
+        with pytest.raises(NoGreatestElement) as info:
             largest_eigen_projection(alg, a=2, lam=2)
+        # every qualifying projection, in ascending index order
+        r = alg.ring
+        cands = [g for g in oracles.o_projections(r) if r.mul(2, g) == alg.act(2, g)]
+        assert len(cands) > 2
+        assert info.value.candidates == tuple(r.decode(g) for g in sorted(cands))
 
     def test_definition_directly(self, algebra_of):
         alg = algebra_of("Z(6)", "Z(6)")

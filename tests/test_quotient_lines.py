@@ -9,7 +9,10 @@ definition (``mul_pairs`` pair by pair), check the scan bitsets they fill
 against the oracles across several blocks, with the column side mirrored
 from the rows on a lawful quotient and read column by column on one over
 a ring given by its tables, and guard that no quotient scan goes back
-through ``mul_pairs``.
+through ``mul_pairs``. The coset representatives themselves are pinned to
+the least member of each coset, computed member by member, and their
+search to a number of pair-ring sums logarithmic in the orders of N's
+generators.
 """
 
 import gc
@@ -113,6 +116,62 @@ def test_lines_are_the_definitional_products(make, monkeypatch):
         assert np.array_equal(q.mul_rows(block), products(q, block, idx)), block
         reps = quot.reps[block]
         assert np.array_equal(r1.mul_rows(reps), products(r1, reps, pairs)), reps
+
+
+def high_order_kernel():
+    # sub(Z(4); 2) = {0, 2} over Z(64): N = {0, 2} x (even lam), |N| = 64,
+    # generated by (0, 2) of additive order 32 and (2, 0) of order 2
+    return build_scalar_algebra(cached_ring("sub(Z(4); 2)"), cached_ring("Z(64)"))
+
+
+@pytest.mark.parametrize(
+    "make", list(algebras()) + [pytest.param(high_order_kernel, id="sub(Z(4);2)-Z(64)")]
+)
+def test_representatives_are_the_least_members_of_their_cosets(make):
+    quot = build_quotient(make())
+    r1 = quot.r1
+    pairs = np.arange(r1.order)
+    least = pairs.copy()
+    for h in indices_of(quot.kernel.mask):  # x + h for every member h
+        least = np.minimum(least, r1.add_pairs(pairs, np.full(r1.order, h)))
+    assert np.array_equal(quot.reps[quot.coset_of_pair], least)
+    assert np.array_equal(quot.reps, np.unique(least))
+
+
+def test_coset_minima_take_a_logarithmic_number_of_sums(monkeypatch):
+    # count the sums of every pair at once that build_quotient takes after
+    # N is known and before the quotient audit starts: those that find
+    # each pair's representative (N's closure walk and the audit are not
+    # counted, nor the short sums of the quotient ring's own construction)
+    algebra = high_order_kernel()
+    n1 = algebra.ring.order * algebra.scalars.order
+    calls, window = [], [False]
+    pair_sum = _PairBackend.add_pairs
+
+    def counted(self, u, v):
+        if window[0] and np.size(u) == n1:
+            calls.append(1)
+        return pair_sum(self, u, v)
+
+    def kernel(*args, **kwargs):
+        out = compute_kernel_N(*args, **kwargs)
+        window[0] = True
+        return out
+
+    def audit(quot):
+        window[0] = False
+        return validate(quot)
+
+    compute_kernel_N, validate = unitify.compute_kernel_N, unitify._validate_quotient
+    monkeypatch.setattr(_PairBackend, "add_pairs", counted)
+    monkeypatch.setattr(unitify, "compute_kernel_N", kernel)
+    monkeypatch.setattr(unitify, "_validate_quotient", audit)
+    quot = build_quotient(algebra)
+    gens = quot.kernel.generators
+    bound = sum(int(np.ceil(np.log2(quot.r1.additive_order(g)))) + 2 for g in gens)
+    assert (bound, quot.kernel.size, quot.r1.order) == (10, 64, n1)
+    # one shift of every pair per nonzero member would take 63
+    assert 0 < len(calls) <= bound
 
 
 def test_representatives_with_nonzero_scalars_are_exercised():
