@@ -7,6 +7,7 @@ with unity while preserving right projections and central covers.
 """
 
 from .algebra import ScalarAlgebra, build_scalar_algebra
+from .audit import validate_star_ring
 from .annihilators import (
     AnnihilatorSet,
     annihilator_family,
@@ -61,7 +62,7 @@ from .projections import (
     rp,
     rp_via_star,
 )
-from .rings import StarRing, build_ring, validate_star_ring
+from .rings import StarRing, build_ring
 from .unitify import (
     EmbeddingReport,
     Quotient,

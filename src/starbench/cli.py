@@ -28,6 +28,7 @@ import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import build_scalar_algebra
+from .audit import validate_star_ring
 from .classifiers import (
     PROPERTY_CLASSIFIERS,
     classify_matrix_ring,
@@ -48,7 +49,7 @@ from .descriptor import (
 from .dsl import parse_element, parse_ring_expr
 from .errors import DescriptorError, StarbenchError, VerificationFailed
 from .projections import RingScan, central_cover, lp, rp
-from .rings import build_ring, validate_star_ring
+from .rings import build_ring
 from .unitify import check_R1_lemmas, describe_unitification, verify_unitification
 
 

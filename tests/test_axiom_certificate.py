@@ -1,13 +1,15 @@
-"""The ring-law scans of validate_star_ring, against brute force.
+"""The ring-law and star-law scans of validate_star_ring, against brute force.
 
 validate_star_ring proves additive and multiplicative associativity and
 distributivity by running the ring-law scans with some coordinates
-restricted to an additive generating set G, and runs them over every
-triple only after a hit, to name the first violating triple. These tests
-check that the restricted scans accept clean rings, that G spans (R, +),
-that each scan names the first triple over the sets it is given, and that
-on corrupted tables the audit reports exactly the axiom and the witness
-that a reference audit over every pair and triple reports.
+restricted to an additive generating set G, and star additivity and
+anti-multiplicativity by running the star-law scans on {0} and G and on
+G x G; it runs a scan over every element only after a hit, to name the
+first violating triple or pair. These tests check that the restricted
+scans accept clean rings, that G spans (R, +), that each scan names the
+first triple over the sets it is given, and that on corrupted tables and
+involutions the audit reports exactly the axiom and the witness that a
+reference audit over every pair and triple reports.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starbench import StarRing, rings, validate_star_ring
+from starbench import StarRing, audit, rings, validate_star_ring
 from starbench.errors import AxiomViolation
 
 from conftest import cached_ring
@@ -40,6 +42,7 @@ PARITY_RINGS = ["Z(4)", "Z(6)", "Z(8)", "M(2,Z(2))", "prod(Z(2),Z(3))", "prod(Z(
 # the checks of validate_star_ring that run before the ring laws
 FIRST_CHECKS = {"zero-identity", "add-commutative", "add-inverse"}
 CUBIC_LAWS = {"add-associative", "mul-associative", "left-distributive", "right-distributive"}
+STAR_LAWS = {"star-additive", "star-anti-multiplicative"}
 
 
 def int32_tables(r):
@@ -118,9 +121,10 @@ class TestCleanRings:
     def test_no_violations_reported(self, text):
         add, mul, star = int32_tables(cached_ring(text))
         gens = cached_ring(text).generators
-        assert rings._first_ring_law_violation(add, mul, gens) is None
-        assert rings._first_ring_law_violation(add, mul) is None
-        assert rings._first_antimult_violation(mul, star) is None
+        assert audit._first_ring_law_violation(add, mul, gens) is None
+        assert audit._first_ring_law_violation(add, mul) is None
+        assert audit._first_star_law_violation(add, mul, star, gens) is None
+        assert audit._first_star_law_violation(add, mul, star) is None
 
     @pytest.mark.parametrize("text", CLEAN)
     def test_generators_span_the_additive_group(self, text):
@@ -204,7 +208,7 @@ class TestEachStepOfTheCertificate:
         add[3, 3] = 1
         bad = StarRing.from_tables(add, r.mul_table(), r.neg_vector(), r.star_vector())
         mul = np.asarray(r.mul_table(), dtype=np.int32)
-        assert rings._first_ring_law_violation(add, mul, bad.generators) is not None
+        assert audit._first_ring_law_violation(add, mul, bad.generators) is not None
         assert assert_audit_matches_reference(bad)[0] == "add-associative"
 
     @pytest.mark.parametrize("text", ["Z(4)", "prod(Z(2),Z(3))", "M(2,Z(2))"])
@@ -222,8 +226,8 @@ class TestEachStepOfTheCertificate:
         mul = (np.outer(x1, x2) % 3) * 3 + np.outer(x1, x1) % 3
         r = cached_ring("prod(Z(3),Z(3))")
         add, gens, m32 = int32_tables(r)[0], r.generators, mul.astype(np.int32)
-        assert rings._first_distrib_violation(add, m32, gens) is None
-        assert rings._first_assoc_violation(m32, gens, gens) is not None
+        assert audit._first_distrib_violation(add, m32, gens) is None
+        assert audit._first_assoc_violation(m32, gens, gens) is not None
         assert assert_audit_matches_reference(with_mul("prod(Z(3),Z(3))", mul))[0] == "mul-associative"
 
 
@@ -246,10 +250,75 @@ def test_restricted_scans_hit_exactly_when_a_ring_law_fails():
         if expected is not None and expected[0] in FIRST_CHECKS:
             continue
         add, mul, _ = int32_tables(bad)
-        hit = rings._first_ring_law_violation(add, mul, bad.generators)
+        hit = audit._first_ring_law_violation(add, mul, bad.generators)
         assert (hit is not None) == (expected is not None and expected[0] in CUBIC_LAWS)
         cases += 1
     assert cases >= 200
+
+
+def corrupted_stars(count, seed):
+    """Rings from tables whose star is conjugated by a transposition t of
+    two nonzero elements, t s t; where t commutes with the star s, which
+    leaves it as it is (every ring here but M(2,Z(2)) has the identity
+    star), it is composed with it, t s, instead. Either way the new star
+    is an involution that fixes 0, so the audit gets past the ring laws and
+    star-involutive, and differs from the old one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = cached_ring(PARITY_RINGS[int(rng.integers(len(PARITY_RINGS)))])
+        a, b = (int(v) for v in rng.choice(np.arange(1, r.order), size=2, replace=False))
+        t = np.arange(r.order)
+        t[[a, b]] = b, a
+        star = r.star_vector()
+        new = t[star[t]] if not np.array_equal(t[star[t]], star) else t[star]
+        literals = [r.decode(k) for k in range(r.order)]
+        yield StarRing.from_tables(r.add_table(), r.mul_table(), r.neg_vector(), new, literals)
+
+
+class TestCorruptedInvolutions:
+    def test_audit_gives_the_reference_axiom_and_witness(self):
+        found = {axiom: 0 for axiom in STAR_LAWS}
+        for bad in corrupted_stars(300, seed=3):
+            expected = assert_audit_matches_reference(bad)
+            if expected is not None:
+                found[expected[0]] += 1
+        # the seed must reach both star laws, not just one
+        assert min(found.values()) >= 20, found
+
+    def test_restricted_scans_hit_exactly_when_a_star_law_fails(self):
+        cases = 0
+        for bad in corrupted_stars(300, seed=3):
+            expected = reference_audit(bad)
+            assert expected is None or expected[0] in STAR_LAWS
+            add, mul, star = int32_tables(bad)
+            hit = audit._first_star_law_violation(add, mul, star, bad.generators)
+            assert (hit is None) == (expected is None)
+            if hit is not None:
+                assert hit[0] == expected[0]
+                cases += 1
+        assert cases >= 100
+
+    def test_zero_ring_runs_both_star_checks(self, monkeypatch):
+        # G is empty on the zero ring: the star-additive scan still checks
+        # x = 0, and both checks run and are reported
+        calls = []
+
+        def record(name):
+            scan = getattr(audit, name)
+
+            def recorded(op, star, xs=None):
+                calls.append((name, None if xs is None else [int(x) for x in xs]))
+                return scan(op, star, xs)
+
+            monkeypatch.setattr(audit, name, recorded)
+
+        record("_first_star_additive_violation")
+        record("_first_antimult_violation")
+        r = cached_ring("Z(1)")
+        assert r.generators == ()
+        report = validate_star_ring(r)
+        assert {"star-additive", "star-anti-multiplicative"} <= set(report["checks"])
+        assert calls == [("_first_star_additive_violation", [0]), ("_first_antimult_violation", [])]
 
 
 def brute_first(triples, fails):
@@ -296,7 +365,7 @@ def check_scans(data, add, mul, n):
     mids, ends = data.draw(index_sets(n)), data.draw(index_sets(n))
     ys = every if mids is None else mids
     xs = every if ends is None else ends
-    assert rings._first_assoc_violation(table, mids, ends) == brute_first(
+    assert audit._first_assoc_violation(table, mids, ends) == brute_first(
         ((x, y, z) for x in xs for y in ys for z in xs),
         lambda x, y, z: table[table[x, y], z] != table[x, table[y, z]],
     )
@@ -309,4 +378,4 @@ def check_scans(data, add, mul, n):
             else mul[add[y, z], x] != add[mul[y, x], mul[z, x]]
         ),
     )
-    assert rings._first_distrib_violation(add, mul, zs) == expected
+    assert audit._first_distrib_violation(add, mul, zs) == expected

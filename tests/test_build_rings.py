@@ -16,12 +16,15 @@ from starbench import (
     validate_star_ring,
 )
 from starbench.errors import AxiomViolation, LiteralError, OrderCapExceeded
-from starbench.rings import _MatrixBackend
+from starbench import rings as rings_module
+from starbench.rings import _CyclicBackend, _MatrixBackend
 
 from conftest import cached_ring
 
 
 CALL_BASED = Limits(table_threshold=0)
+# tables for every medium-corpus ring, M(2, Z(7)) (order 2401) included
+TABLED = Limits(table_threshold=2401**2)
 
 
 def ring(text):
@@ -34,6 +37,19 @@ class TestCyclic:
         assert r.order == 3
         assert r.unity == 1
         assert all(r.star(x) == x for x in range(3))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30])
+    def test_sums_are_read_off_the_residues_written_twice(self, m):
+        b = _CyclicBackend(m)
+        i, j = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+        expected = (i + j) % m
+        assert np.array_equal(b.add_rows(np.arange(m)[::-1]), expected[::-1])
+        assert np.array_equal(b.add_pairs(i, j), expected)
+        for k in range(m):
+            row = b.add_row(k)
+            assert np.array_equal(row, expected[k])
+            row[:] = -1  # a fresh array, not a view of the residues
+        assert np.array_equal(b.add_rows(np.arange(m)), expected)
 
     def test_z6_tables(self, z6):
         assert z6.order == 6
@@ -143,12 +159,11 @@ class TestSubringClosure:
 
 
 AUDITED = ["Z(1)", "Z(6)", "Z(8)", "M(2,Z(2))", "M(2,Z(3))", "prod(Z(2),Z(3))", "sub(Z(9); 3)", "sub(Z(6); 2)"]
-# Every medium-corpus ring but M(2, Z(7)), whose audit builds two transient
-# 2401 x 2401 tables. These rings are lawful, which the scalar algebra and
-# the unitification take as the premise of their generator certificates.
+# Every medium-corpus ring. These rings are lawful, which the scalar algebra
+# and the unitification take as the premise of their generator certificates.
 AUDITED += [
     t for t in medium_corpus()
-    if t.replace(" ", "") not in {a.replace(" ", "") for a in AUDITED} and t != "M(2, Z(7))"
+    if t.replace(" ", "") not in {a.replace(" ", "") for a in AUDITED}
 ]
 
 
@@ -156,7 +171,10 @@ class TestValidation:
     @pytest.mark.parametrize("text", AUDITED)
     def test_built_rings_pass_the_full_audit(self, text):
         # tabled, then call-based
-        for r in (ring(text), build_ring(parse_ring_expr(text), CALL_BASED)):
+        tabled = ring(text) if ring(text).has_tables() else build_ring(parse_ring_expr(text), TABLED)
+        call_based = build_ring(parse_ring_expr(text), CALL_BASED)
+        assert tabled.has_tables() and not call_based.has_tables()
+        for r in (tabled, call_based):
             rep = validate_star_ring(r)
             assert rep["ok"] is True
             assert "star-anti-multiplicative" in rep["checks"]
@@ -238,6 +256,18 @@ class TestCapsAndDeterminism:
         payload = exc.value.payload()
         assert payload["order"] == 101**4
         assert payload["cap"] == DEFAULT_LIMITS.element_cap
+
+    def test_audit_cap_falls_on_call_based_rings_past_it(self, monkeypatch):
+        # the audit builds no table, but refuses a call-based ring with
+        # order^2 above the cap before any check, as it always has
+        monkeypatch.setattr(rings_module, "VALIDATION_TABLE_CAP", 100)
+        assert validate_star_ring(build_ring(parse_ring_expr("Z(10)"), CALL_BASED))["ok"]
+        with pytest.raises(OrderCapExceeded) as exc:
+            validate_star_ring(build_ring(parse_ring_expr("Z(11)"), CALL_BASED))
+        assert (exc.value.order, exc.value.cap) == (121, 100)
+        assert "transient table" in str(exc.value)
+        # a tabled ring has its tables, and is audited whatever its order
+        assert validate_star_ring(ring("Z(11)"))["ok"]
 
     def test_cap_is_adjustable(self):
         r = build_ring(
