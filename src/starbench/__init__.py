@@ -11,11 +11,7 @@ from .audit import validate_star_ring
 from .annihilators import (
     AnnihilatorSet,
     annihilator_family,
-    left_annihilator,
-    principal_left_ideal,
-    principal_right_ideal,
     principal_two_sided_ideal,
-    right_annihilator,
 )
 from .classifiers import (
     IMPLICATIONS,
@@ -127,15 +123,11 @@ __all__ = [
     "is_weakly_pq_baer_star",
     "is_weakly_rickart_star",
     "largest_eigen_projection",
-    "left_annihilator",
     "lp",
     "medium_corpus",
     "parse_element",
     "parse_ring_expr",
-    "principal_left_ideal",
-    "principal_right_ideal",
     "principal_two_sided_ideal",
-    "right_annihilator",
     "rp",
     "rp_in_quotient",
     "rp_via_star",

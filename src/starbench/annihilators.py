@@ -4,36 +4,31 @@ Subsets of a ring are packed bitsets (see bitsets.py): bit i set means
 element i belongs. An :class:`AnnihilatorSet` remembers which elements
 generated it so the claim can be rechecked from scratch.
 
-The per-ring scan cache (:class:`RingScan`, in projections.py) precomputes
-four vectors of bitsets in one pass per side, the column side mirrored from
-the row side on lawful rings:
-
-* ``rann[s]``  — right annihilator of the single element s,
-* ``lann[s]``  — left annihilator of s,
-* ``row_sets[s]`` — the value set {s*r : r}, i.e. the right ideal sR,
-* ``col_sets[s]`` — the value set {r*s : r}, i.e. the left ideal Rs.
-
-Its ``r_of(mask)``/``l_of(mask)`` are the one intersection primitive: the
-annihilator of a set is the intersection of rann (or lann) over its members,
-memoized per set. Annihilators of ideals reduce to such intersections over
-generating sets: r(additive-closure(G)) = intersection of r(g) for g in G,
-because sums of left factors annihilate whenever each factor does. The
-functions here that take a ring and no scan (``right_annihilator``,
-``principal_two_sided_ideal`` and the rest) compute from the definitions;
-the tests and the cross-check use them as the reference.
+Annihilators come from the per-ring scan cache (:class:`RingScan`, in
+projections.py): ``rann[s]``/``lann[s]``, the right and left annihilators
+of the single element s, from one pass over the rows (the column side
+mirrored from it on lawful rings); ``r_of(mask)``/``l_of(mask)``, the
+annihilator of a set, as the intersection of rann (or lann) over its
+members, memoized per set; and ``r_of_aR``/``l_of_Ra``, r(aR) and l(Ra) for
+every a. Annihilators of ideals reduce to intersections over generating
+sets: r(additive-closure(S)) = r(S), because sums of left factors
+annihilate whenever each factor does (right distributivity). On a lawful
+ring aR is the additive span of aG, G the additive generators (left
+distributivity), so r(aR) is the intersection of rann[a*g] over g in G.
+``principal_two_sided_ideal`` builds the literal ideal (a) for the
+cross-check that compares r((a)) with the family's route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .bitsets import (
     bool_from_mask,
     flags_of,
-    full_mask,
     indices_of,
     mask_from_bool,
     popcount,
@@ -73,52 +68,11 @@ class AnnihilatorSet:
         return AnnihilatorSet(self.mask & other.mask, self.universe, self.side, gens)
 
 
-def rann_single(ring: StarRing, s: int) -> int:
-    """Bitset of {y : s*y = 0}."""
-    return mask_from_bool(ring.mul_row(s) == 0)
-
-
-def lann_single(ring: StarRing, s: int) -> int:
-    """Bitset of {y : y*s = 0}."""
-    return mask_from_bool(ring.mul_col(s) == 0)
-
-
-def right_annihilator(ring: StarRing, elements: Iterable[int]) -> AnnihilatorSet:
-    """r(S) = {y : s*y = 0 for every s in S}; r(empty) is the whole ring."""
-    gens = tuple(sorted(set(int(e) for e in elements)))
-    mask = full_mask(ring.order)
-    for s in gens:
-        mask &= rann_single(ring, s)
-        if mask == 1:  # only zero remains; no further shrink possible
-            break
-    return AnnihilatorSet(mask, ring.order, "right", gens)
-
-
-def left_annihilator(ring: StarRing, elements: Iterable[int]) -> AnnihilatorSet:
-    gens = tuple(sorted(set(int(e) for e in elements)))
-    mask = full_mask(ring.order)
-    for s in gens:
-        mask &= lann_single(ring, s)
-        if mask == 1:
-            break
-    return AnnihilatorSet(mask, ring.order, "left", gens)
-
-
 def additive_closure(ring: StarRing, seed_mask: int) -> int:
     """Smallest subgroup of (R, +) containing the seed set: the span that
     ``rings._greedy_span`` walks one coset at a time."""
     span, _ = _greedy_span(ring.add_pairs, bool_from_mask(seed_mask, ring.order))
     return mask_from_bool(span)
-
-
-def principal_right_ideal(ring: StarRing, a: int) -> int:
-    """Bitset of aR = {a*r : r in R} (the literal value set, no closure)."""
-    return mask_from_bool(flags_of(ring.mul_row(a), ring.order))
-
-
-def principal_left_ideal(ring: StarRing, a: int) -> int:
-    """Bitset of Ra = {r*a : r in R}."""
-    return mask_from_bool(flags_of(ring.mul_col(a), ring.order))
 
 
 def principal_two_sided_ideal(ring: StarRing, a: int) -> int:

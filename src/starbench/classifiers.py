@@ -7,8 +7,9 @@ PROPERTY_CLASSIFIERS; what callers get is ``(ring, scan=None) ->``
 :class:`PropertyReport`. Checks scan elements in ascending index order,
 so the reported witness is always the lowest-index one. A shared
 :class:`~starbench.projections.RingScan` makes repeated classification of
-one ring cheap: its bitsets, projection tables and annihilator memos
-(``r_of``/``l_of``) are computed once per ring.
+one ring cheap: its bitsets, r(aR) and l(Ra) for every a, projection
+tables and annihilator memos (``r_of``/``l_of``) are computed once per
+ring.
 
 Definitions implemented (R a finite *-ring, r/l one-sided annihilators):
 
@@ -34,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .annihilators import annihilator_family, principal_two_sided_ideal
-from .bitsets import contains, is_subset, rows_from_masks
+from .bitsets import contains, rows_from_masks
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import Descriptor, to_dsl
 from .errors import VerificationFailed
@@ -108,12 +109,12 @@ def is_proper_involution(ring: StarRing, scan: RingScan) -> Verdict:
 
 @_verdict("semi-proper")
 def is_semi_proper(ring: StarRing, scan: RingScan) -> Verdict:
-    """x R x* = 0 exactly when every value x*r lies in lann(x*), i.e. when
-    row_sets[x] is a subset of lann[star(x)]; read off the shared scan."""
+    """x R x* = 0 exactly when x* lies in r(xR), read off the shared
+    scan's ``r_of_aR`` (on a lawful ring, from the additive generators)."""
     star = ring.star_vector()
-    row_sets, lann = scan.row_sets, scan.lann
+    r_of_aR = scan.r_of_aR
     for x in range(1, ring.order):
-        if is_subset(row_sets[x], lann[int(star[x])]):
+        if contains(r_of_aR[x], int(star[x])):
             return False, {"x": ring.decode(x)}
     return True, None
 
@@ -205,13 +206,13 @@ def is_quasi_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
 @_verdict("pq-baer-star")
 def is_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     """Both clauses are checked independently for every a: r(aR) = eR and
-    l(Ra) = Rf; the witness names the first failing side."""
+    l(Ra) = Rf; the witness names the first failing side. r(aR) and l(Ra)
+    are the scan's ``r_of_aR``/``l_of_Ra``: on a lawful ring, meets of
+    rann[a*g] and lann[g*a] over the additive generators g."""
     for a in range(ring.order):
-        right = scan.r_of(scan.row_sets[a])
-        if _matching_projection(scan.eR_by_mask, right) is None:
+        if _matching_projection(scan.eR_by_mask, scan.r_of_aR[a]) is None:
             return False, {"a": ring.decode(a), "side": "right"}
-        left = scan.l_of(scan.col_sets[a])
-        if _matching_projection(scan.Rf_by_mask, left) is None:
+        if _matching_projection(scan.Rf_by_mask, scan.l_of_Ra[a]) is None:
             return False, {"a": ring.decode(a), "side": "left"}
     return True, None
 
@@ -224,14 +225,12 @@ def is_weakly_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     as a cross-check; a divergence would be a bug and raises.
     """
     n = ring.order
-    masks: List[int] = []
+    masks = scan.r_of_aR  # masks[x] = {y : xRy = 0}
     for x in range(n):
         cover = int(scan.cover_all[x])
-        mask = scan.r_of(scan.row_sets[x])
-        masks.append(mask)
         if cover < 0:
             return False, {"x": ring.decode(x), "reason": "no-central-cover"}
-        if mask != scan.rann[cover]:
+        if masks[x] != scan.rann[cover]:
             return False, {"x": ring.decode(x), "reason": "biconditional"}
     sym = rows_from_masks(masks, n)
     if not np.array_equal(sym, sym.T):
@@ -386,11 +385,11 @@ def implication_suite(
 def ideal_annihilator_crosscheck(ring: StarRing, scan: Optional[RingScan] = None) -> bool:
     """Definitional route vs the family's route for r((a)), every a.
 
-    The quasi-Baer* family takes r((a)) from ``r_of_principal_ideals``, an
-    intersection over the generating set {a} + aR + Ra + RaR; this builds
-    the literal two-sided ideal (a) by additive closure and compares its
-    annihilator. Used by tests and ``verify crosscheck``; raises on
-    divergence.
+    The quasi-Baer* family takes r((a)) from ``r_of_principal_ideals``,
+    r({a}) meet r(aR), with r(aR) read off the additive generators on a
+    lawful ring; this builds the literal two-sided ideal (a) by additive
+    closure and compares its annihilator. Used by tests and ``verify
+    crosscheck``; raises on divergence.
     """
     scan = scan or RingScan(ring)
     family_route = r_of_principal_ideals(scan)

@@ -6,8 +6,8 @@ conditions are equivalent, and this equivalence is asserted during
 construction rather than assumed.
 
 :class:`RingScan` bundles the per-ring caches every scan needs: annihilator
-bitsets for single elements, row/column value sets (the sets aR and Ra), the
-projection poset, and precomputed rp/lp/central-cover tables. Classifier and
+bitsets for single elements, r(aR) and l(Ra) for every a, the projection
+poset, and precomputed rp/lp/central-cover tables. Classifier and
 verification code shares one scan per ring.
 
 Operator conventions (all searches ascend element indices, so results and
@@ -27,13 +27,22 @@ witnesses are the lowest-index ones):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import full_mask, is_subset, iter_indices, masks_from_rows, rows_from_masks
+from .bitsets import (
+    flags_of,
+    full_mask,
+    is_subset,
+    iter_indices,
+    mask_from_bool,
+    masks_from_rows,
+    rows_from_masks,
+)
 from .errors import (
     AmbiguousLeftProjection,
     AmbiguousRightProjection,
@@ -69,7 +78,7 @@ class ProjectionPoset:
         central = np.zeros(p, dtype=bool)
         for i, e in enumerate(self.indices):
             e = int(e)
-            central[i] = np.array_equal(ring.mul_row(e), ring.mul_col(e))
+            central[i] = np.array_equal(ring.mul_row(e), _column(ring, e))
         self.central_flags = central
 
         e = np.repeat(self.indices, p)
@@ -97,9 +106,6 @@ class ProjectionPoset:
     def position(self, e_index: int) -> int:
         return self._pos[int(e_index)]
 
-    def leq_elements(self, e_index: int, f_index: int) -> bool:
-        return bool(self.leq[self.position(e_index), self.position(f_index)])
-
     def central_positions(self) -> np.ndarray:
         return np.flatnonzero(self.central_flags)
 
@@ -122,21 +128,25 @@ class ProjectionPoset:
 class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
-    Everything is computed lazily and exactly once. The four bitset vectors
-    cost one pass per side, whichever of each pair is read first. The row
-    pass reads ``mul_rows`` a block of rows at a time and packs each block
-    into ``rann`` and ``row_sets`` (``_zero_and_value_sets``). On a lawful
-    ring the column side is that pass mirrored through the involution:
-    y*s = 0 iff s* y* = 0 and (r*a)* = a* r*, so lann[x*] = star(rann[x])
-    and col_sets[x*] = star(row_sets[x]) (``_mirrored``). Lawful rings are
-    the descriptor rings and the pair rings and quotients of
-    unitifications over them (see rings.py). A ring given by its tables,
-    or a pair ring or quotient built over one, has no proof of the *-ring
-    laws, and its column pass calls ``mul_col`` once per element.
+    Everything is computed lazily and exactly once. ``rann`` comes from one
+    pass over ``mul_rows``, a block of rows at a time. On a lawful ring the
+    column side is that pass mirrored through the involution: y*s = 0 iff
+    s* y* = 0, so lann[x*] = star(rann[x]) (``_mirrored``), and a
+    projection's column is its row mirrored (``_column``); no column is
+    read. Lawful rings are the descriptor rings and the pair rings and
+    quotients of unitifications over them (see rings.py). A ring given by
+    its tables, or a pair ring or quotient built over one, has no proof of
+    the *-ring laws, and its column pass calls ``mul_col`` once per element.
 
-    ``r_of``/``l_of`` are the one place that intersects ``rann``/``lann``
-    over a set of elements: every annihilator of a set (the Baer* family,
-    r((a)), r(aR) and l(Ra), r(cQ) in the quotient check) goes through them,
+    ``r_of_aR``/``l_of_Ra`` hold r(aR) and l(Ra) for every a. On a lawful
+    ring aR is the additive span of aG, G the additive generators (left
+    distributivity), and r(S) = r(span S) (right distributivity), so r(aR)
+    is the meet of rann[a*g] over g in G; l(Ra) is likewise the meet of
+    lann[g*a]. Elsewhere they are ``r_of``/``l_of`` of the value sets
+    ``row_sets``/``col_sets`` (aR and Ra), which the passes of such a ring
+    pack along with the zero sets; scans on a lawful ring never read them.
+
+    ``r_of``/``l_of`` intersect ``rann``/``lann`` over a set of elements,
     memoized by the set's bitset. The arrays returned by rp_all/lp_all use
     -1 for "no such projection" and -2 for "ambiguous" (ambiguity cannot
     happen in a valid *-ring; kept as a guard).
@@ -157,17 +167,19 @@ class RingScan:
         return _intersect_over(self.lann, mask, self._l_memo)
 
     @cached_property
-    def _row_pass(self) -> Tuple[List[int], List[int]]:
-        return _zero_and_value_sets(self.ring.mul_rows, self.ring.order)
+    def _row_pass(self) -> Tuple[List[int], Optional[List[int]]]:
+        """rann, with row_sets from the same pass on a ring that is not
+        lawful, the only rings whose scans read it."""
+        ring = self.ring
+        return _zero_and_value_sets(ring.mul_rows, ring.order, values=not ring.lawful)
 
     @cached_property
-    def _col_pass(self) -> Tuple[List[int], List[int]]:
+    def _col_pass(self) -> Tuple[List[int], Optional[List[int]]]:
         ring = self.ring
         n = ring.order
         if not ring.lawful:
             return _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
-        star = ring.star_vector()
-        return tuple(_mirrored(side, star) for side in self._row_pass)
+        return _mirrored(self.rann, ring.star_vector()), None
 
     @cached_property
     def rann(self) -> List[int]:
@@ -181,13 +193,40 @@ class RingScan:
 
     @cached_property
     def row_sets(self) -> List[int]:
-        """row_sets[a] = bitset of aR = {a*r : r}."""
-        return self._row_pass[1]
+        """row_sets[a] = bitset of aR = {a*r : r}; on a lawful ring, where
+        no scan reads it, a pass of its own."""
+        n = self.ring.order
+        return self._row_pass[1] or _zero_and_value_sets(self.ring.mul_rows, n)[1]
 
     @cached_property
     def col_sets(self) -> List[int]:
-        """col_sets[a] = bitset of Ra = {r*a : r}."""
-        return self._col_pass[1]
+        """col_sets[a] = bitset of Ra = {r*a : r}; on a lawful ring
+        col_sets[x*] = star(row_sets[x])."""
+        return self._col_pass[1] or _mirrored(self.row_sets, self.ring.star_vector())
+
+    @cached_property
+    def r_of_aR(self) -> List[int]:
+        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}."""
+        if not self.ring.lawful:
+            return [self.r_of(m) for m in self.row_sets]
+        return self._meets_on_generators(self.rann, lambda a, g: self.ring.mul_pairs(a, g))
+
+    @cached_property
+    def l_of_Ra(self) -> List[int]:
+        """l_of_Ra[a] = bitset of l(Ra) = {y : y*r*a = 0 for every r}."""
+        if not self.ring.lawful:
+            return [self.l_of(m) for m in self.col_sets]
+        return self._meets_on_generators(self.lann, lambda a, g: self.ring.mul_pairs(g, a))
+
+    def _meets_on_generators(self, ann: List[int], product) -> List[int]:
+        """For every a, the meet of ann[product(a, g)] over the additive
+        generators g (the whole ring when there are none), from one
+        ``product`` of shape (n, |G|)."""
+        n, gens = self.ring.order, np.array(self.ring.generators, dtype=np.int64)
+        members = product(np.repeat(np.arange(n), len(gens)), np.tile(gens, n))
+        whole = full_mask(n)
+        rows = members.reshape(n, len(gens)).tolist()
+        return [reduce(and_, map(ann.__getitem__, row), whole) for row in rows]
 
     @cached_property
     def poset(self) -> ProjectionPoset:
@@ -203,7 +242,7 @@ class RingScan:
     @cached_property
     def _fixed_right(self) -> np.ndarray:
         """fixed_right[i, x] <=> x * e_i = x, for projection position i."""
-        return self._fixed(self.ring.mul_col)
+        return self._fixed(lambda e: _column(self.ring, e))
 
     @cached_property
     def _fixed_left(self) -> np.ndarray:
@@ -250,20 +289,26 @@ class RingScan:
             out[x] = val
         return out
 
-    @cached_property
-    def eR_by_mask(self) -> Dict[int, Tuple[int, ...]]:
-        """Map from the bitset of eR to the projections e producing it."""
+    def _by_value_set(self, line) -> Dict[int, Tuple[int, ...]]:
+        """Map from the bitset of the values of line(e) to the projections e
+        giving it."""
         out: Dict[int, List[int]] = {}
-        for e in self.poset.indices:
-            out.setdefault(self.row_sets[int(e)], []).append(int(e))
+        for e in self.poset.indices.tolist():
+            mask = mask_from_bool(flags_of(line(e), self.ring.order))
+            out.setdefault(mask, []).append(e)
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
+    def eR_by_mask(self) -> Dict[int, Tuple[int, ...]]:
+        """Map from the bitset of eR to the projections e producing it, read
+        off each projection's row."""
+        return self._by_value_set(self.ring.mul_row)
+
+    @cached_property
     def Rf_by_mask(self) -> Dict[int, Tuple[int, ...]]:
-        out: Dict[int, List[int]] = {}
-        for f in self.poset.indices:
-            out.setdefault(self.col_sets[int(f)], []).append(int(f))
-        return {k: tuple(v) for k, v in out.items()}
+        """Map from the bitset of Rf to the projections f, read off each
+        projection's column."""
+        return self._by_value_set(lambda f: _column(self.ring, f))
 
 
 def r_of_principal_ideals(scan: RingScan) -> List[int]:
@@ -276,14 +321,27 @@ def r_of_principal_ideals(scan: RingScan) -> List[int]:
     r(aR). ``ideal_annihilator_crosscheck`` compares this with the literal
     ideal.
     """
-    return [ann & scan.r_of(row) for ann, row in zip(scan.rann, scan.row_sets)]
+    return [ann & right for ann, right in zip(scan.rann, scan.r_of_aR)]
 
 
-def _zero_and_value_sets(rows, n: int) -> Tuple[List[int], List[int]]:
-    """For each a, the bitsets of {r : line_a[r] = 0} and of the values in
-    line_a, where ``rows(idx)`` returns the block of lines of the elements
-    idx as a fresh array, which is overwritten; it is asked for
-    ``_lines_per_block(n)`` elements at a time.
+def _column(ring: StarRing, e: int) -> np.ndarray:
+    """The column x -> x*e of a self-adjoint e. On a lawful ring
+    x*e = (e*x*)*, so it is e's row mirrored through the involution and no
+    column is read."""
+    if not ring.lawful:
+        return ring.mul_col(e)
+    star = ring.star_vector()
+    return star[ring.mul_row(e)[star]]
+
+
+def _zero_and_value_sets(
+    rows, n: int, values: bool = True
+) -> Tuple[List[int], Optional[List[int]]]:
+    """For each a, the bitsets of {r : line_a[r] = 0} and, when ``values``
+    is set (None otherwise), of the values in line_a, where ``rows(idx)``
+    returns the block of lines of the elements idx as a fresh array, which
+    is overwritten; it is asked for ``_lines_per_block(n)`` elements at a
+    time.
 
     A block's zero sets come from one ``packbits`` of its zero flags; its
     value sets from one scatter of all its entries, each row offset by
@@ -291,21 +349,22 @@ def _zero_and_value_sets(rows, n: int) -> Tuple[List[int], List[int]]:
     that.
     """
     step = _lines_per_block(n)
-    present = np.empty(step * n, dtype=bool)
+    present = np.empty(step * n, dtype=bool) if values else None
     offsets = np.arange(0, step * n, n, dtype=np.int64)[:, None]
     zeros: List[int] = []
-    values: List[int] = []
+    sets: List[int] = []
     for start in range(0, n, step):
         lines = rows(np.arange(start, min(start + step, n)))
         k = len(lines)
         zeros += masks_from_rows(lines == 0)
-        lines += offsets[:k]
-        flags = present[: k * n]
-        flags[:] = False
-        flags[lines.ravel()] = True
-        values += masks_from_rows(flags.reshape(k, n))
+        if values:
+            lines += offsets[:k]
+            flags = present[: k * n]
+            flags[:] = False
+            flags[lines.ravel()] = True
+            sets += masks_from_rows(flags.reshape(k, n))
         del lines  # before the next block is built
-    return zeros, values
+    return zeros, sets if values else None
 
 
 def _mirrored(masks: List[int], star: np.ndarray) -> List[int]:

@@ -509,7 +509,8 @@ def cover_in_quotient(
     rscan: Optional[RingScan] = None,
 ) -> int:
     """Central cover of a coset: formula vs brute force, plus the
-    biconditional c R y = 0 iff (cover) y = 0 checked over every y."""
+    biconditional c Q y = 0 iff (cover) y = 0 checked over every y: r(cQ)
+    is the quotient scan's ``r_of_aR``."""
     q = quot.ring
     qscan = qscan or RingScan(q)
     rscan = rscan or RingScan(quot.algebra.ring)
@@ -517,7 +518,7 @@ def cover_in_quotient(
     formula = _formula_projection(quot, c, rscan, central=True)
     if formula != brute:
         raise FormulaMismatch(q.decode(c), q.decode(formula), q.decode(brute))
-    if qscan.r_of(qscan.row_sets[c]) != qscan.rann[brute]:
+    if qscan.r_of_aR[c] != qscan.rann[brute]:
         raise VerificationFailed("cover-biconditional", q.decode(c))
     return brute
 

@@ -117,6 +117,18 @@ def o_additive_closure(ring, gens: Sequence[int]) -> Set[int]:
     return out
 
 
+def o_right_multiples(ring, a: int) -> Set[int]:
+    """The value set {a r : r in R}. It is aR itself, closed under + in any
+    ring (ar + as = a(r + s)), so this is o_principal_right_ideal without
+    the closure, which costs |aR| |R| steps."""
+    return {ring.mul(a, r) for r in o_elements(ring)}
+
+
+def o_left_multiples(ring, a: int) -> Set[int]:
+    """The value set {r a : r in R}, Ra itself."""
+    return {ring.mul(r, a) for r in o_elements(ring)}
+
+
 def o_principal_right_ideal(ring, a: int) -> Set[int]:
     """aR as a set (no unity assumed, so a itself may be missing)."""
     return o_additive_closure(ring, [ring.mul(a, r) for r in o_elements(ring)])

@@ -8,11 +8,12 @@ row, column and pair from its backend; the same descriptor under the
 default limits is served from dense tables. Both must agree on every
 operation and every classifier report. Every backend's blocks of rows
 (``add_rows``/``mul_rows``) must equal its rows stacked, and the tables
-assembled from them the tables assembled row by row. The one-pass
-``RingScan`` bitsets, whose column side is the row side mirrored through
-the involution on lawful rings, and its memoized set annihilators
-``r_of``/``l_of`` must agree with a direct ``mul_col`` pass, the oracles
-and the definitional annihilator and principal-ideal functions.
+assembled from them the tables assembled row by row. The ``RingScan``
+bitsets, whose column side is the row side mirrored through the
+involution on lawful rings, its memoized set annihilators ``r_of``/``l_of``
+and its r(aR)/l(Ra) for every a, read off the additive generators on
+lawful rings, must agree with a direct ``mul_col`` pass and with the
+oracles.
 """
 
 import numpy as np
@@ -28,16 +29,8 @@ from starbench import (
     classify_all,
     parse_ring_expr,
 )
-from starbench.annihilators import (
-    lann_single,
-    left_annihilator,
-    principal_left_ideal,
-    principal_right_ideal,
-    rann_single,
-    right_annihilator,
-)
 from starbench.bitsets import full_mask, indices_of
-from starbench.classifiers import ideal_annihilator_crosscheck
+from starbench.classifiers import PROPERTY_CLASSIFIERS, ideal_annihilator_crosscheck
 from starbench.config import DEFAULT_LIMITS, Limits
 from starbench.corpus import medium_corpus, small_corpus
 from starbench.projections import _mirrored, _zero_and_value_sets
@@ -102,15 +95,39 @@ def test_classifier_reports_match_tables(text):
     assert reports(call_based_ring(text)) == reports(build_ring(parse_ring_expr(text)))
 
 
+class _Tabled:
+    """The scalar operations the oracles call, read off one table each of
+    the ring's sums and products (from ``add_pairs``/``mul_pairs``): on
+    call-based rings a scalar call costs tens of microseconds."""
+
+    def __init__(self, ring):
+        n = ring.order
+        u, v = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        self.order = n
+        self._add = ring.add_pairs(u, v).reshape(n, n).tolist()
+        self._mul = ring.mul_pairs(u, v).reshape(n, n).tolist()
+        self._neg = ring.neg_vector().tolist()
+
+    def add(self, x, y):
+        return self._add[x][y]
+
+    def mul(self, x, y):
+        return self._mul[x][y]
+
+    def neg(self, x):
+        return self._neg[x]
+
+
 def _assert_scan_matches_single_element_functions(ring):
     scan = RingScan(ring)
     sides = (scan.rann, scan.lann, scan.row_sets, scan.col_sets)
     assert [len(side) for side in sides] == [ring.order] * 4
+    view = _Tabled(ring)
     for s in range(ring.order):
-        assert scan.rann[s] == rann_single(ring, s)
-        assert scan.lann[s] == lann_single(ring, s)
-        assert scan.row_sets[s] == principal_right_ideal(ring, s)
-        assert scan.col_sets[s] == principal_left_ideal(ring, s)
+        assert set(indices_of(scan.rann[s])) == oracles.o_rann(view, [s])
+        assert set(indices_of(scan.lann[s])) == oracles.o_lann(view, [s])
+        assert set(indices_of(scan.row_sets[s])) == oracles.o_right_multiples(view, s)
+        assert set(indices_of(scan.col_sets[s])) == oracles.o_left_multiples(view, s)
 
 
 @pytest.mark.parametrize("text", small_corpus())
@@ -146,10 +163,11 @@ def test_fused_scan_matches_across_blocks(build):
 
 def _assert_set_annihilators_match_definition(ring):
     scan = RingScan(ring)
+    view = _Tabled(ring)
     masks = {0, full_mask(ring.order), *scan.row_sets, *scan.col_sets}
     for m in sorted(masks):
-        assert scan.r_of(m) == right_annihilator(ring, indices_of(m)).mask
-        assert scan.l_of(m) == left_annihilator(ring, indices_of(m)).mask
+        assert set(indices_of(scan.r_of(m))) == oracles.o_rann(view, indices_of(m))
+        assert set(indices_of(scan.l_of(m))) == oracles.o_lann(view, indices_of(m))
 
 
 @pytest.mark.parametrize("text", small_corpus())
@@ -204,21 +222,38 @@ class _Counting:
         return self.ring.mul_col(j)
 
 
-def test_each_side_is_one_pass(m2z3):
-    n = m2z3.order
-    expected = (
-        [rann_single(m2z3, s) for s in range(n)],
-        [principal_right_ideal(m2z3, s) for s in range(n)],
-        [lann_single(m2z3, s) for s in range(n)],
-        [principal_left_ideal(m2z3, s) for s in range(n)],
-    )
-    # lawful: the column side is the row side mirrored, with no column read
-    for ring, cols in ((m2z3, 0), (tables_copy(m2z3), n)):
-        counting = _Counting(ring)
-        scan = RingScan(counting)
-        assert (scan.rann, scan.row_sets, scan.lann, scan.col_sets) == expected
-        assert sorted(counting.rows) == list(range(n))
-        assert counting.cols == cols, ring
+def test_lawful_scans_read_each_row_once_and_no_column(m2z3):
+    """On a lawful ring every classifier reads the scan's rows once, in its
+    zero-set pass, and no column: lann is rann mirrored, a projection's
+    column its row mirrored, and r(aR)/l(Ra) come off the generators, so
+    the value sets are never built."""
+    counting = _Counting(m2z3)
+    scan = RingScan(counting)
+    for classify in PROPERTY_CLASSIFIERS.values():
+        classify(m2z3, scan)
+    assert sorted(counting.rows) == list(range(m2z3.order))
+    assert counting.cols == 0
+    assert "row_sets" not in scan.__dict__ and "col_sets" not in scan.__dict__
+
+
+def test_each_side_is_one_pass_without_the_laws(m2z3):
+    """A ring given by its tables packs its zero and value sets in one pass
+    per side: every row once, every column once."""
+    ring = tables_copy(m2z3)
+    n = ring.order
+    counting = _Counting(ring)
+    scan = RingScan(counting)
+    view = _Tabled(ring)
+    assert [set(indices_of(m)) for m in scan.rann] == [oracles.o_rann(view, [s]) for s in range(n)]
+    assert [set(indices_of(m)) for m in scan.row_sets] == [
+        oracles.o_right_multiples(view, s) for s in range(n)
+    ]
+    assert [set(indices_of(m)) for m in scan.lann] == [oracles.o_lann(view, [s]) for s in range(n)]
+    assert [set(indices_of(m)) for m in scan.col_sets] == [
+        oracles.o_left_multiples(view, s) for s in range(n)
+    ]
+    assert sorted(counting.rows) == list(range(n))
+    assert counting.cols == n
 
 
 def _pair_algebra():
@@ -267,6 +302,35 @@ def test_row_blocks_match_stacked_rows(kind):
             assert np.array_equal(got, stacked), name
     if kind in ("matrix-call-based", "pair-ring"):
         assert len(_index_blocks(n)["across-blocks"]) > _lines_per_block(n)
+
+
+# r(aR) and l(Ra) for every a against the literal sets. Up to 100
+# elements the reference is the oracle's additive closure of aR; past that,
+# closing every aR costs too many steps, and the value set, which is aR
+# itself, stands in for it.
+SCANNED = {
+    **BACKENDS,
+    "zero-ring": lambda: cached_ring("Z(1)"),
+    "m2z3-from-tables": lambda: tables_copy(cached_ring("M(2, Z(3))")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCANNED))
+def test_ideal_annihilators_match_the_literal_sets(kind):
+    ring = SCANNED[kind]()
+    n = ring.order
+    scan, view = RingScan(ring), _Tabled(ring)
+    if n <= 100:
+        right, left = oracles.o_principal_right_ideal, oracles.o_principal_left_ideal
+    else:
+        right, left = oracles.o_right_multiples, oracles.o_left_multiples
+    for a in range(n):
+        assert set(indices_of(scan.r_of_aR[a])) == oracles.o_rann(view, sorted(right(view, a)))
+        assert set(indices_of(scan.l_of_Ra[a])) == oracles.o_lann(view, sorted(left(view, a)))
+    # lawful rings take the generator route, with no value set built
+    assert ("row_sets" in scan.__dict__) == ("col_sets" in scan.__dict__) == (not ring.lawful)
+    if kind == "zero-ring":
+        assert ring.generators == () and scan.r_of_aR == scan.l_of_Ra == [1]
 
 
 @pytest.mark.parametrize("text", small_corpus())
