@@ -7,13 +7,17 @@ it loops over: with some coordinates restricted to the ring's additive
 generators G it is a proof, in O(n^2 |G|) for a ring law (see
 :func:`_first_ring_law_violation`) and in O(n |G|) for a star law (see
 :func:`_first_star_law_violation`), and only after a hit does it run over
-every element, to name the first witness. The scans read each operation a
-block of rows or columns at a time, as the ``_Lines`` that
-``rings._ring_lines`` serves: from a tabled ring's own int32 tables, and
-from a call-based ring's backend blocks, so that the audit of a call-based
-ring builds no table and holds one block of lines at a time. The scans
-also take a dense table, table[i, j] = index of op(i, j), which they wrap
-in ``_Lines`` themselves.
+every element, to name the first witness. Of the distributive laws only
+the right one takes O(n^2 |G|), with z in G; the left one is then proved
+with x and z in G, in O(n |G|^2), as 0*a = 0 by the right law, the left
+defect x*(y+z) - x*y - x*z is additive in x, and the z on which it
+vanishes are closed under +. The scans read each operation a block of
+rows or columns at a time, as the ``_Lines`` that ``rings._ring_lines``
+serves: from a tabled ring's own int32 tables, and from a call-based
+ring's backend blocks, so that the audit of a call-based ring builds no
+table and holds one block of lines at a time. The scans also take a dense
+table, table[i, j] = index of op(i, j), which they wrap in ``_Lines``
+themselves.
 """
 
 from __future__ import annotations
@@ -95,41 +99,51 @@ def _first_assoc_violation(op, mids=None, ends=None) -> Optional[Tuple[int, int,
     return None
 
 
-def _first_distrib_violation(add, mul, zs=None) -> Optional[Tuple[int, int, int, int]]:
-    """The lexicographically first (side, x, y, z) breaking distributivity,
-    z in ``zs`` (an ascending index set; every element where None); side
-    0=left, 1=right. None when there is none. ``add`` and ``mul`` are
+def _first_distrib_violation(
+    add, mul, zs=None, xs=(None, None)
+) -> Optional[Tuple[int, int, int, int]]:
+    """(side, x, y, z) of the first violation of distributivity in
+    lexicographic (x, y, z, side) order, x in ``xs[side]`` and z in ``zs``
+    (ascending index sets; every element where None); side 0=left,
+    1=right. None when there is none. ``add`` and ``mul`` are
     :class:`_Lines` or tables.
 
     Left law:  x*(y+z) == x*y + x*z
     Right law: (y+z)*x == y*x + z*x
-    At a given (x, y, z) the left law is checked first.
+    At a given (x, y, z) the left law comes first.
 
-    A block of rows x at a time: the products x*y and y*x are read once
-    per block, then one (x, y) grid per z and law; the first block that
-    holds a violation holds the first one.
+    One law at a time, a block of rows x at a time: the products x*y (or
+    y*x) are read once per block, then one (x, y) grid per z; the first
+    block that holds a violation holds the law's first one. The right law
+    then scans x only up to the left law's first hit.
     """
     add, mul = _as_lines(add), _as_lines(mul)
     n = add.order
     block_rows = np.arange(_lines_per_block(n), dtype=np.int32)[:, None]
-    for p in _blocks(n, n):
-        sides = (mul.rows(p), mul.cols(p))  # x*y and y*x, for the block's x
-        hits = []
-        for z in range(n) if zs is None else zs:
-            z = int(z)
-            yz = add.cols([z])[0]  # y + z for every y
-            for side, prods in enumerate(sides):
-                # x*y + x*z (or y*x + z*x): row t read off the column of +
-                # at its x*z (z*x)
+    found = []  # (x, y, z, side) of each law's first violation
+    for side, lines in enumerate((mul.rows, mul.cols)):
+        every = np.arange(n) if xs[side] is None else _as_index_array(xs[side])
+        k = int(np.searchsorted(every, found[0][0], "right")) if found else len(every)
+        for p in _blocks(k, n):
+            prods = lines(p if xs[side] is None else every[p])  # x*y (y*x)
+            hits = []
+            for z in range(n) if zs is None else zs:
+                z = int(z)
+                yz = add.cols([z])[0]  # y + z for every y
+                # x*y + x*z (y*x + z*x): row t read off the column of + at
+                # its x*z (z*x)
                 columns = add.cols(prods[:, z])
                 sums = _table_pairs(columns, block_rows[: len(prods)], prods)
                 hit = _first_true(prods[:, yz] != sums)
                 if hit is not None:
-                    hits.append((p.start + hit[0], hit[1], z, side))
-        if hits:
-            x, y, z, side = min(hits)
-            return side, x, y, z
-    return None
+                    hits.append((int(every[p.start + hit[0]]), hit[1], z, side))
+            if hits:
+                found.append(min(hits))
+                break
+    if not found:
+        return None
+    x, y, z, side = min(found)
+    return side, x, y, z
 
 
 def _first_star_additive_violation(add, star, xs=None) -> Optional[Tuple[int, int]]:
@@ -177,8 +191,14 @@ def _first_ring_law_violation(
 
     1. + with y in G (Light's test): the a with (x+a)+y == x+(a+y) for all
        x, y are closed under +, so + is associative.
-    2. Distributivity with z in G: by 1, the z with x*(y+z) == x*y + x*z
-       for all x, y are closed under +; likewise on the right.
+    2. Distributivity, the right law with z in G, the left law with x
+       and z in G: by 1, the z with (y+z)*x == y*x + z*x for all x, y are
+       closed under +, so the right law holds. Then 0*a = 0, as 0*a =
+       (0+0)*a = 0*a + 0*a, and the left defect x*(y+z) - x*y - x*z is
+       additive in x, so for each z in G the x on which it vanishes for
+       all y hold 0 and G and are closed under +: they are R. The z with
+       x*(y+z) == x*y + x*z for all x, y are closed under + as on the
+       right, so the left law holds. The left law costs O(n |G|^2).
     3. * with x, y, z in G: under both distributive laws the associator
        (xy)z - x(yz) is additive in each argument, so it vanishes
        everywhere once it vanishes on G^3.
@@ -189,7 +209,7 @@ def _first_ring_law_violation(
     hit = _first_assoc_violation(mul, mids=gens, ends=gens)
     if hit is not None:
         return "mul-associative", hit
-    hit = _first_distrib_violation(add, mul, zs=gens)
+    hit = _first_distrib_violation(add, mul, zs=gens, xs=(gens, None))
     if hit is not None:
         side, x, y, z = hit
         return ("left-distributive" if side == 0 else "right-distributive"), (x, y, z)

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .annihilators import annihilator_family, principal_two_sided_ideal
-from .bitsets import contains, rows_from_masks
+from .bitsets import contains, packed_from_masks, rows_from_packed
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import Descriptor, to_dsl
 from .errors import VerificationFailed
@@ -217,12 +217,27 @@ def is_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     return True, None
 
 
+# Rows of the annihilation-symmetry check unpacked at once; a multiple of 8,
+# so that each block's first column starts a byte.
+_SYMMETRY_BLOCK = 64
+
+
 @_verdict("weakly-pq-baer-star")
 def is_weakly_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     """Every x has a central cover C(x) with xRy = 0 iff C(x)y = 0.
 
     When the verdict is true, the symmetry xRy = 0 iff yRx = 0 is asserted
-    as a cross-check; a divergence would be a bug and raises.
+    as a cross-check; a divergence would be a bug in ``cover_all`` or
+    ``r_of_aR`` and raises. It is a theorem: xRy = 0 gives C(x)y = 0, and
+    then yrx = yrC(x)x = C(x)yrx = 0 for every r, as x = C(x)x and C(x) is
+    central.
+
+    The check compares the r(xR) bit matrix with its transpose a block of
+    ``_SYMMETRY_BLOCK`` rows at a time, unpacking those rows and the same
+    columns, so it holds O(n^2 / 8) bytes, not two n x n bool matrices. A
+    mismatch at (x, y) is one at (y, x), so the first in row-major order
+    lies above the diagonal: each block is compared from its first column
+    on, and its first mismatch is the first overall.
     """
     n = ring.order
     masks = scan.r_of_aR  # masks[x] = {y : xRy = 0}
@@ -232,13 +247,18 @@ def is_weakly_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
             return False, {"x": ring.decode(x), "reason": "no-central-cover"}
         if masks[x] != scan.rann[cover]:
             return False, {"x": ring.decode(x), "reason": "biconditional"}
-    sym = rows_from_masks(masks, n)
-    if not np.array_equal(sym, sym.T):
-        diff = np.argwhere(sym != sym.T)
-        x, y = (int(diff[0][0]), int(diff[0][1]))
-        raise VerificationFailed(
-            "annihilation-symmetry", (ring.decode(x), ring.decode(y))
-        )
+    packed = packed_from_masks(masks, n)
+    for a in range(0, n, _SYMMETRY_BLOCK):
+        b = min(a + _SYMMETRY_BLOCK, n)
+        # rows a..b-1 from column a on, and columns a..b-1 from row a on
+        rows = rows_from_packed(packed[a:b, a // 8 :], n - a)
+        cols = rows_from_packed(packed[a:, a // 8 : (b + 7) // 8], b - a)
+        bad = rows != cols.T
+        if bad.any():
+            x, y = (a + int(i) for i in divmod(int(np.argmax(bad)), n - a))
+            raise VerificationFailed(
+                "annihilation-symmetry", (ring.decode(x), ring.decode(y))
+            )
     return True, None
 
 

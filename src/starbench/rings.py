@@ -242,7 +242,9 @@ class _CyclicBackend(_Backend):
     Sums are read off the residues written out twice, ``_twice``: for
     residues i and j, i + j mod m is entry i + j, and the row of i is the
     window of m entries that starts at i. This saves a reduction mod m,
-    several times the cost of the gather, on every sum.
+    several times the cost of the gather, on every sum. Products are taken
+    and reduced in int32 while m^2 < 2^31, where ``%`` costs about a third
+    of what it does in int64, and returned as int64 indices.
     """
 
     lawful = True
@@ -253,18 +255,26 @@ class _CyclicBackend(_Backend):
         self._idx = np.arange(modulus, dtype=np.int64)
         self._twice = np.concatenate([self._idx, self._idx])
         self._sum_rows = np.lib.stride_tricks.sliding_window_view(self._twice, modulus)
+        # the residues as factors: int32 while every product of two fits
+        self._factors = self._idx.astype(np.int32 if modulus * modulus < 2**31 else np.int64)
+
+    def _products(self, u, v) -> np.ndarray:
+        """u * v mod m for residues u and v (broadcast), as int64."""
+        dtype = self._factors.dtype
+        prod = np.asarray(u, dtype) * np.asarray(v, dtype)
+        return np.remainder(prod, self.m, out=np.empty(prod.shape, np.int64))
 
     def add_row(self, i: int) -> np.ndarray:
         return self._twice[i : i + self.m].copy()
 
     def mul_row(self, i: int) -> np.ndarray:
-        return (self._idx * i) % self.m
+        return self._products(self._factors, i)
 
     def add_rows(self, idx) -> np.ndarray:
         return self._sum_rows[_as_index_array(idx)]
 
     def mul_rows(self, idx) -> np.ndarray:
-        return (_as_index_array(idx)[:, None] * self._idx) % self.m
+        return self._products(_as_index_array(idx)[:, None], self._factors)
 
     def mul_col(self, j: int) -> np.ndarray:
         return self.mul_row(j)  # commutative
@@ -273,7 +283,7 @@ class _CyclicBackend(_Backend):
         return self._twice[_as_index_array(u) + _as_index_array(v)]
 
     def mul_pairs(self, u, v) -> np.ndarray:
-        return (_as_index_array(u) * _as_index_array(v)) % self.m
+        return self._products(u, v)
 
     def neg_vec(self) -> np.ndarray:
         return (-self._idx) % self.m

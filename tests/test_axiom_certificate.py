@@ -12,6 +12,7 @@ involutions the audit reports exactly the axiom and the witness that a
 reference audit over every pair and triple reports.
 """
 
+import functools
 import itertools
 from unittest import mock
 
@@ -231,6 +232,63 @@ class TestEachStepOfTheCertificate:
         assert assert_audit_matches_reference(with_mul("prod(Z(3),Z(3))", mul))[0] == "mul-associative"
 
 
+# (ring, exponent e): h(y) = y^e is multiplicative, fixes 0, is not
+# additive, and h(h(y)) = h(y), so x*h(y) and h(x)*y are associative
+ONE_SIDED = [("Z(5)", 4), ("Z(7)", 6), ("prod(Z(2),Z(3))", 2)]
+
+
+def one_sided_mul(text, h, axiom):
+    """x*h(y), which breaks only the left law where h is not additive, or
+    h(x)*y, which breaks only the right law; h maps indices to indices."""
+    mul = np.asarray(cached_ring(text).mul_table())
+    idx = np.arange(len(mul))
+    return mul[idx[:, None], h] if axiom == "left-distributive" else mul[h[:, None], idx]
+
+
+def assert_distrib_scans_agree(bad):
+    """The scan of the one-sided proof, with x and z in G for the left law
+    and z in G for the right one, hits exactly when the scan over every
+    triple does; returns the full scan's hit."""
+    add, mul, _ = int32_tables(bad)
+    gens = bad.generators
+    full = audit._first_distrib_violation(add, mul)
+    assert (audit._first_distrib_violation(add, mul, gens, (gens, None)) is None) == (full is None)
+    return full
+
+
+class TestOneSidedCorruptions:
+    """Near-ring tables over a lawful additive group that break exactly one
+    distributive law: the restricted scans must see either law fail."""
+
+    @pytest.mark.parametrize("text,e", ONE_SIDED)
+    @pytest.mark.parametrize("axiom", ["left-distributive", "right-distributive"])
+    def test_power_maps(self, text, e, axiom):
+        r = cached_ring(text)
+        power = np.zeros(r.order, dtype=np.int64)  # index of y^e
+        for y in range(r.order):
+            power[y] = functools.reduce(r.mul, [y] * e)
+        bad = with_mul(text, one_sided_mul(text, power, axiom))
+        side = 0 if axiom == "left-distributive" else 1
+        assert assert_distrib_scans_agree(bad)[0] == side
+        # * associates, so the audit's proof on G reaches distributivity
+        add, mul, _ = int32_tables(bad)
+        assert audit._first_ring_law_violation(add, mul, bad.generators)[0] == axiom
+        assert assert_audit_matches_reference(bad)[0] == axiom
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_maps_fixing_zero(self, data):
+        # any h with h(0) = 0; an additive h leaves both laws standing
+        text = data.draw(st.sampled_from([t for t, _ in ONE_SIDED]))
+        n = cached_ring(text).order
+        h = np.array([0] + data.draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1)))
+        axiom = data.draw(st.sampled_from(["left-distributive", "right-distributive"]))
+        bad = with_mul(text, one_sided_mul(text, h, axiom))
+        full = assert_distrib_scans_agree(bad)
+        assert full is None or full[0] == (0 if axiom == "left-distributive" else 1)
+        assert_audit_matches_reference(bad)
+
+
 def test_corrupted_tables_give_the_reference_axiom_and_witness():
     cases = cubic = 0
     for bad in corrupted_rings(400, seed=1):
@@ -370,12 +428,14 @@ def check_scans(data, add, mul, n):
         lambda x, y, z: table[table[x, y], z] != table[x, table[y, z]],
     )
     zs = data.draw(index_sets(n))
+    xs = (data.draw(index_sets(n)), data.draw(index_sets(n)))  # left, right
     expected = brute_first(
         ((side, x, y, z) for x, y in itertools.product(every, every)
-         for z in (every if zs is None else zs) for side in (0, 1)),
+         for z in (every if zs is None else zs) for side in (0, 1)
+         if xs[side] is None or x in xs[side]),
         lambda side, x, y, z: (
             mul[x, add[y, z]] != add[mul[x, y], mul[x, z]] if side == 0
             else mul[add[y, z], x] != add[mul[y, x], mul[z, x]]
         ),
     )
-    assert audit._first_distrib_violation(add, mul, zs) == expected
+    assert audit._first_distrib_violation(add, mul, zs, xs) == expected

@@ -15,7 +15,7 @@ from starbench import (
 from starbench.classifiers import implication_reports_for
 from starbench.config import Limits
 from starbench.corpus import small_corpus
-from starbench.errors import FamilyCapExceeded
+from starbench.errors import FamilyCapExceeded, VerificationFailed
 
 import oracles
 from conftest import cached_ring
@@ -253,3 +253,38 @@ class TestReports:
     def test_micros_recorded(self, m2z3):
         rep = PROPERTY_CLASSIFIERS["baer-star"](m2z3)
         assert rep.micros >= 0
+
+
+class _SymmetryScan:
+    """A stand-in scan on which every x is its own central cover and
+    r(xR) = r(x), so is_weakly_pq_baer_star gets past the biconditional
+    and runs its annihilation-symmetry cross-check on ``masks``."""
+
+    def __init__(self, masks):
+        self.r_of_aR = self.rann = masks
+        self.cover_all = np.arange(len(masks))
+
+
+class TestAnnihilationSymmetry:
+    @pytest.mark.parametrize("text", ["Z(7)", "Z(64)", "Z(150)", "Z(200)"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_mismatch_is_the_first_in_row_major_order(self, text, seed):
+        # a random symmetric bit matrix with a few entries flipped, on
+        # either side of the diagonal and past the checker's first row block
+        r = cached_ring(text)
+        n = r.order
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)).astype(bool))
+        sym = upper | upper.T
+        for x, y in rng.integers(n // 2, n, size=(seed, 2)):
+            sym[x, y] = not sym[x, y]
+        masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in sym]
+        diff = np.argwhere(sym != sym.T)
+        check = PROPERTY_CLASSIFIERS["weakly-pq-baer-star"]
+        if not len(diff):
+            assert check(r, _SymmetryScan(masks)).verdict is True
+            return
+        with pytest.raises(VerificationFailed) as info:
+            check(r, _SymmetryScan(masks))
+        x, y = (int(v) for v in diff[0])
+        assert (info.value.claim, info.value.witness) == ("annihilation-symmetry", (x, y))

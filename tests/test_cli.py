@@ -451,3 +451,15 @@ class TestPeakMemory:
         code, payload, peak_mb = peak_run(["describe", "M(2, Z(7))", "--validate"])
         assert code == 0 and payload["validation"]["ok"], payload
         assert peak_mb < 60, peak_mb
+
+    def test_check_all_at_the_element_cap_stays_small_in_memory(self):
+        # M(2, Z(10)) has 10,000 elements, the default cap. The
+        # annihilation-symmetry cross-check of weakly-pq-baer-star reads the
+        # packed r(xR) bit matrix a block of rows and columns at a time;
+        # unpacking it whole into n x n bool matrices took this verb to 269 MB
+        code, payload, peak_mb = peak_run(["check", "M(2, Z(10))", "--all"])
+        verdicts = {r["property"]: r["verdict"] for r in payload["reports"]}
+        false = {"proper", "reduced", "abelian", "rickart-star", "weakly-rickart-star", "baer-star"}
+        assert code == 3 and verdicts == {p: p not in false for p in verdicts}, verdicts
+        assert len(verdicts) == 12
+        assert peak_mb < 100, peak_mb
