@@ -40,14 +40,14 @@ from .errors import (
     CharacteristicMismatch,
     DescriptorError,
 )
-from .rings import StarRing
+from .rings import StarRing, index_dtype
 
 
 @dataclass(frozen=True)
 class ScalarAlgebra:
     ring: StarRing
     scalars: StarRing
-    action: np.ndarray = field(repr=False)  # (|K|, |R|) int32, read-only
+    action: np.ndarray = field(repr=False)  # (|K|, |R|) index_dtype(|R|), read-only
     action_kind: str  # "natural" or "table"
     torsion_free: bool
     k_is_domain: bool
@@ -80,7 +80,7 @@ def _natural_action(ring: StarRing, scalars: StarRing) -> np.ndarray:
         raise CharacteristicMismatch(ring.characteristic, m)
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
-    rows = np.empty((m, n), dtype=np.int32)
+    rows = np.empty((m, n), dtype=index_dtype(n))
     cur = np.zeros(n, dtype=np.int64)
     for lam in range(m):
         rows[lam] = cur
@@ -137,7 +137,7 @@ def build_scalar_algebra(
         table = _natural_action(R, K)
         kind = "natural"
     else:
-        table = np.asarray(action, dtype=np.int32)
+        table = np.asarray(action, dtype=np.int64)
         if table.shape != (K.order, R.order):
             raise DescriptorError(
                 "action table must have shape (|K|, |R|) = (%d, %d), got %r"
@@ -146,7 +146,7 @@ def build_scalar_algebra(
         if table.min() < 0 or table.max() >= R.order:
             raise DescriptorError("action table entries must be element indices")
         kind = "table"
-    table = np.ascontiguousarray(table, dtype=np.int32)
+    table = np.ascontiguousarray(table, dtype=index_dtype(R.order))
     table.setflags(write=False)
 
     nk, nr = K.order, R.order

@@ -13,9 +13,10 @@ with x and z in G, in O(n |G|^2), as 0*a = 0 by the right law, the left
 defect x*(y+z) - x*y - x*z is additive in x, and the z on which it
 vanishes are closed under +. The scans read each operation a block of
 rows or columns at a time, as the ``_Lines`` that ``rings._ring_lines``
-serves: from a tabled ring's own int32 tables, and from a call-based
-ring's backend blocks, so that the audit of a call-based ring builds no
-table and holds one block of lines at a time. The scans also take a dense
+serves: from a tabled ring's own tables (int16 up to order 2^15, int32
+past it, ``rings.index_dtype``), and from a call-based ring's backend
+blocks, so that the audit of a call-based ring builds no table and holds
+one block of lines at a time. The scans also take a dense
 table, table[i, j] = index of op(i, j), which they wrap in ``_Lines``
 themselves.
 """

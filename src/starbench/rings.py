@@ -4,16 +4,28 @@ A :class:`StarRing` is a finite ring with involution whose elements are the
 indices 0..order-1, with index 0 always the zero element. Every operation
 is served by one backend object. A small ring (``order**2 <=
 limits.table_threshold``) that a descriptor names, which the classifiers
-scan row by row, has its dense int32 Cayley tables assembled at
-construction and is then served by :class:`_TablesBackend`, as is
+scan row by row, has its dense Cayley tables assembled at construction and
+is then served by :class:`_TablesBackend`, as is
 :meth:`StarRing.from_tables`. Every other ring is call-based and computes
 each row on demand with a few vectorized numpy calls: the pair ring and the
-quotient of a unitification have no descriptor, and are read through fewer
-pair ops than their tables take to assemble. Matrix rings compute
-products as gathers from a small int32 row-block table and sums from a
-smaller one (see :class:`_MatrixBackend`): a call-based M(2, Z(7))
-product row costs two gathers of 2401 entries, and a sum row is the
-outer sum of two gathered rows of 49.
+quotient of a unitification have no descriptor. The pair ring is read
+through fewer pair ops than its tables take to assemble; the quotient is
+too, except where ``verify_unitification`` scans every row of a small
+lawful one, which it reads from a twin (:meth:`StarRing.tabled`) whose
+tables are walked along its additive generators
+(:func:`_tables_along_generators`). Matrix rings compute products as
+gathers from a small row-block table and sums from a smaller one (see
+:class:`_MatrixBackend`): a call-based M(2, Z(7)) product row costs two
+gathers of 2401 entries, and a sum row is the outer sum of two gathered
+rows of 49.
+
+Every dense table of element indices, persistent or transient, the matrix
+row-block tables and the scalar action table included, holds them in
+:func:`index_dtype`: int16 up to order 2^15, int32 past it. numpy keeps
+the dtype of an int16 array under arithmetic with a Python int (NEP 50),
+so index arithmetic on table entries either stays below the order, as in
+the matrix backend's multiply-add of partial indices, or is widened first,
+as in :func:`_table_pairs`; :class:`StarRing` hands out int64 indices.
 
 Backends supply arithmetic and a codec, nothing more:
 
@@ -55,7 +67,7 @@ works through :class:`StarRing`, never through a backend directly; only
 the axiom audit reads a backend's blocks, through :func:`_ring_lines`.
 Tables, persistent and transient, are assembled from ``add_rows``/
 ``mul_rows`` a block of :func:`_lines_per_block` rows at a time
-(``StarRing._assemble``).
+(``StarRing._assemble``); only a tabled twin's are walked.
 
 A ring is ``lawful`` when its construction proves the *-ring laws, so
 that code that needs them as a premise (the generator certificates of the
@@ -76,9 +88,10 @@ they would let them skip.
 :func:`_greedy_span` is the one walk for additive subgroups: it grows the
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
 a greedy generating set G of it. It serves each ring's G
-(:attr:`StarRing.generators`), additive closures and the kernel N of a
+(:attr:`StarRing.generators`), additive closures, the kernel N of a
 unitification, which is closed under + exactly when it is the span of its
-generators.
+generators, and, through the coset steps it reports, the tables of a
+tabled twin.
 
 The audit of the *-ring axioms, which proves them from a ring's
 operations, is :func:`starbench.audit.validate_star_ring`.
@@ -86,6 +99,7 @@ operations, is :func:`starbench.audit.validate_star_ring`.
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -127,6 +141,12 @@ def _as_index_array(v) -> np.ndarray:
     return np.asarray(v, dtype=np.int64)
 
 
+def index_dtype(order: int) -> type:
+    """The dtype of a dense table of element indices of a ring of this
+    order: int16 while every index fits, int32 past that."""
+    return np.int16 if order <= 2**15 else np.int32
+
+
 def _lines_per_block(n: int) -> int:
     """As many lines of length n as fit in ``SCAN_BLOCK`` entries; at least
     one and at most n."""
@@ -145,9 +165,10 @@ def stack_lines(line: Callable, idx, n: int) -> np.ndarray:
 
 def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
     """table[u, v] in the table's dtype, through one gather from the flat
-    table (faster than indexing with two arrays). The flat indices are
-    int32 when u is and n^2 allows, which halves the cost of the audit's
-    int32 grids."""
+    table (faster than indexing with two arrays). u is widened to at
+    least int32 (int64 past n^2 = 2^31) before u * n, which would wrap in
+    int16; the flat indices stay int32 when u and v fit it, which halves
+    the cost of the audit's int32 grids."""
     n = table.shape[1]
     u = np.asarray(u)
     least = np.int32 if n * n < 2**31 else np.int64
@@ -325,13 +346,15 @@ class _MatrixBackend(_Backend):
       every matrix B, from one broadcast matmul of the row vectors with
       every matrix.
 
-    Both are C-contiguous int32 (int64 if r.n reaches 2^31), so that a
-    gather moves half the bytes, and ``ravel`` is a view; ``blocks`` stays
-    int64, since numpy converts int32 fancy indices to intp on every
-    gather. Row t of x.B is (row t of x).B, so x.B has row blocks
-    ``rmul[blocks[t, x], B]``: a row of the multiplication table fixes x and
-    gathers k rows of ``rmul``, a column fixes B and gathers from one column
-    of ``rmul``. This does not go through the transpose, so it holds for any
+    Both are C-contiguous and in the :func:`index_dtype` of the ring's
+    order, not of r: the k gathered parts of an index are joined in their
+    own dtype, ``out * r + part``, which stays below the order at every
+    step, so it cannot wrap. A gather from int16 moves a quarter of the
+    bytes of int64, and ``ravel`` is a view; ``blocks`` stays int64, since
+    numpy converts narrower fancy indices to intp on every gather. Row t
+    of x.B is (row t of x).B, so x.B has row blocks ``rmul[blocks[t, x],
+    B]``: a row of the multiplication table fixes x and gathers k rows of
+    ``rmul``, a column fixes B and gathers from one column of ``rmul``. This does not go through the transpose, so it holds for any
     base involution. Every product row, column and pair op, and every sum
     of pairs, is k gathers joined by a multiply-add, with no matrix product
     and no reduction mod m. A block of sum rows gathers only k rows of
@@ -360,7 +383,7 @@ class _MatrixBackend(_Backend):
         row_powers = powers[kk - size:]  # m^(k-1-c) for the entries c of a row
         self.blocks = (idx // r ** np.arange(size - 1, -1, -1)[:, None]) % r
         vecs = (np.arange(r, dtype=np.int64)[:, None] // row_powers) % modulus
-        dtype = np.int32 if r * self.order < 2**31 else np.int64
+        dtype = index_dtype(self.order)
         radd = ((vecs[:, None, :] + vecs[None, :, :]) % modulus) @ row_powers
         self.radd = np.ascontiguousarray(radd, dtype=dtype)
         # (v.B)[c] = sum over s of v[s] * B[s, c]: (vecs @ mats)[B, v, c]
@@ -606,14 +629,17 @@ class _SectionBackend(_Backend):
 
 
 class _TablesBackend(_Backend):
-    """Dense int32 operation tables; every row, column and pair is a gather.
+    """Dense operation tables in :func:`index_dtype`; every row, column
+    and pair is a gather.
 
-    It serves small descriptor rings and rings given by their tables.
-    ``codec`` supplies decode/encode. A ring assembled from another backend
-    keeps that backend as its codec; StarRing.from_tables passes a
+    It serves small descriptor rings, rings given by their tables and the
+    tabled twins of quotients (:meth:`StarRing.tabled`). ``codec``
+    supplies decode/encode. A ring assembled from another backend keeps
+    that backend as its codec; StarRing.from_tables passes a
     :class:`_Literals`. The unity and the characteristic of an assembled
-    ring are read from its construction backend before the tables exist;
-    only a ring given by its tables falls back on the defaults here.
+    ring are read from its construction backend before the tables exist,
+    and a twin keeps its original's; only a ring given by its tables falls
+    back on the defaults here.
     """
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, neg, star, codec):
@@ -731,10 +757,11 @@ class StarRing:
         self.characteristic: int = backend.characteristic()
 
     def _assemble(self, rows: Callable) -> np.ndarray:
-        """The read-only int32 table whose rows ``rows(idx)`` returns, filled
-        a block of ``_lines_per_block`` rows at a time."""
+        """The read-only table whose rows ``rows(idx)`` returns, in
+        :func:`index_dtype`, filled a block of ``_lines_per_block`` rows at
+        a time."""
         n = self.order
-        table = np.empty((n, n), dtype=np.int32)
+        table = np.empty((n, n), dtype=index_dtype(n))
         step = _lines_per_block(n)
         for start in range(0, n, step):
             stop = min(start + step, n)
@@ -812,17 +839,17 @@ class StarRing:
         return self._star
 
     def add_table(self) -> np.ndarray:
-        """Dense int32 table of +: the ring's own, or for a call-based ring
-        one assembled transiently, up to ``VALIDATION_TABLE_CAP`` entries.
-        For tests and adapters; the axiom audit reads blocks of lines
-        instead (see :func:`_ring_lines`)."""
+        """Dense table of + in :func:`index_dtype`: the ring's own, or for a
+        call-based ring one assembled transiently, up to
+        ``VALIDATION_TABLE_CAP`` entries. For tests and adapters; the axiom
+        audit reads blocks of lines instead (see :func:`_ring_lines`)."""
         if self.has_tables():
             return self._backend.add_table
         self._guard_transient()
         return self._assemble(self._backend.add_rows)
 
     def mul_table(self) -> np.ndarray:
-        """Dense int32 table of *, as :meth:`add_table`."""
+        """Dense table of *, as :meth:`add_table`."""
         if self.has_tables():
             return self._backend.mul_table
         self._guard_transient()
@@ -844,6 +871,15 @@ class StarRing:
         backend; nothing sets it."""
         return self._lawful
 
+    def tabled(self) -> "StarRing":
+        """This lawful ring served from tables assembled along its additive
+        generators (:func:`_tables_along_generators`): a twin with the
+        same codec, unity, characteristic, label and ``lawful``."""
+        add, mul = _tables_along_generators(self)
+        twin = copy.copy(self)
+        twin._backend = _TablesBackend(add, mul, self._neg, self._star, codec=self._backend)
+        return twin
+
     @cached_property
     def generators(self) -> Tuple[int, ...]:
         """The greedy additive generating set of :func:`additive_generators`,
@@ -851,8 +887,9 @@ class StarRing:
         return tuple(additive_generators(self))
 
     def has_tables(self) -> bool:
-        """Whether dense tables serve the ring: given by its tables, or named
-        by a descriptor with order squared at most the table threshold."""
+        """Whether dense tables serve the ring: given by its tables, named
+        by a descriptor with order squared at most the table threshold, or
+        a tabled twin."""
         return isinstance(self._backend, _TablesBackend)
 
     # --- codec and misc ----------------------------------------------------
@@ -886,8 +923,9 @@ class StarRing:
         limits: Limits = DEFAULT_LIMITS,
     ) -> "StarRing":
         """Build a ring from explicit tables (tests and adapters)."""
-        add = np.array(add, dtype=np.int32)
-        mul = np.array(mul, dtype=np.int32)
+        dtype = index_dtype(len(add))
+        add = np.array(add, dtype=dtype)
+        mul = np.array(mul, dtype=dtype)
         add.setflags(write=False)
         mul.setflags(write=False)
         backend = _TablesBackend(add, mul, neg, star, _Literals(add.shape[0], literals))
@@ -998,10 +1036,10 @@ def _table_lines(table: np.ndarray) -> _Lines:
 
 
 def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
-    """The (add, mul) lines of a ring: its own int32 tables when it has
-    them, else its backend's blocks, ``add_rows``, ``mul_rows`` and the
-    columns of ``mul_lines``. The column side of + is ``add_pairs`` with
-    its operands swapped, since commutativity is among what is audited. A
+    """The (add, mul) lines of a ring: its own tables when it has them,
+    else its backend's blocks, ``add_rows``, ``mul_rows`` and the columns
+    of ``mul_lines``. The column side of + is ``add_pairs`` with its
+    operands swapped, since commutativity is among what is audited. A
     call-based ring with order^2 above ``VALIDATION_TABLE_CAP`` is refused,
     as its transient tables were."""
     backend = ring._backend
@@ -1028,7 +1066,9 @@ def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
 # --- additive subgroups -------------------------------------------------------
 
 
-def _greedy_span(add_pairs, members: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+def _greedy_span(
+    add_pairs, members: np.ndarray, steps: Optional[list] = None
+) -> Tuple[np.ndarray, List[int]]:
     """The additive subgroup H the flagged members generate, as flags, and
     a greedy generating set G of it: while a member lies outside H, the
     lowest one, s, joins G, and H grows by the cosets H + s, H + 2s, ...,
@@ -1036,6 +1076,9 @@ def _greedy_span(add_pairs, members: np.ndarray) -> Tuple[np.ndarray, List[int]]
     flagged element is a left-normed sum (...((0 + g1) + g2) ...) + gk
     over G, even where + is not a group law (the audit's corrupted tables);
     s itself is flagged by the first shift, as 0 + s = s in every ring.
+    Each shift that grows H is appended to ``steps``, when given, as
+    (coset, s, coset + s): every element of H but 0 is first flagged in
+    exactly one of them, in the order of the walk.
     """
     spanned = np.zeros(len(members), dtype=bool)
     spanned[0] = True
@@ -1049,10 +1092,43 @@ def _greedy_span(add_pairs, members: np.ndarray) -> Tuple[np.ndarray, List[int]]
         coset = np.flatnonzero(spanned)
         shift = np.full(len(coset), s, dtype=np.int64)
         while True:
-            coset = add_pairs(coset, shift)
-            if spanned[coset[0]]:
+            shifted = add_pairs(coset, shift)
+            if spanned[shifted[0]]:
                 break
-            spanned[coset] = True
+            if steps is not None:
+                steps.append((coset, s, shifted))
+            spanned[shifted] = True
+            coset = shifted
+
+
+def _tables_along_generators(ring: StarRing) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only + and * tables of a lawful ring, in
+    :func:`index_dtype`, from one row of each per greedy additive
+    generator and gathers for the rest.
+
+    The walk of :func:`_greedy_span` first reaches every element but 0 as
+    c + s, with s a generator and c reached before it. + is associative, so
+    row c + s of + is (c + s) + d = c + (s + d), row c read through row s,
+    a coset of rows at a time; and by right distributivity (c + s) d =
+    c d + s d, the sums of rows c and s of * read off the finished + table.
+    Row 0 is the identity of + and, as 0 d = (0 + 0) d = 0 d + 0 d, zero
+    in *."""
+    n = ring.order
+    add = np.empty((n, n), dtype=index_dtype(n))
+    mul = np.empty_like(add)
+    add[0] = np.arange(n)
+    mul[0] = 0
+    steps: list = []
+    gens = _greedy_span(ring.add_pairs, np.ones(n, dtype=bool), steps)[1]
+    add_of = {s: ring.add_row(s) for s in gens}
+    mul_of = dict(zip(gens, ring.mul_rows(gens)))
+    for coset, s, shifted in steps:
+        add[shifted] = _table_pairs(add, coset[:, None], add_of[s])
+    for coset, s, shifted in steps:
+        mul[shifted] = _table_pairs(add, mul[coset], mul_of[s])
+    add.setflags(write=False)
+    mul.setflags(write=False)
+    return add, mul
 
 
 def additive_generators(ring: StarRing) -> List[int]:

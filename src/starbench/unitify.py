@@ -35,7 +35,13 @@ rings, so a failure is always reported with the witness those passes
 name. Either way the quotient's operations are proved well defined on
 every coset pair. Over lawful R and K the pair ring and the quotient are
 *-rings, and lawful themselves, so the quotient's scans take their column
-side from the row side (projections.RingScan).
+side from the row side (projections.RingScan). verify_unitification, which
+scans every row of the quotient, then reads it from a tabled twin
+(StarRing.tabled) when its order squared is within the table threshold:
+its + is associative and right distributive, so one row of each table per
+additive generator and gathers give the rest
+(rings._tables_along_generators). describe_unitification scans no row,
+and builds no table.
 
 The map a -> [a, 0] is a *-homomorphism, injective exactly when
 L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
@@ -481,14 +487,15 @@ def rp_in_quotient(
 ) -> int:
     """Right projection of a coset: formula result checked against brute force.
 
-    Self-adjoint cosets take the formula directly. Non-self-adjoint cosets
-    route through c* c when the quotient involution is proper (RP(x) =
-    RP(x* x) there; ``quot.proper`` decides that once per quotient);
-    without properness no formula claim exists and the exhaustive answer
-    is returned as-is.
+    The quotient is read through ``qscan.ring``: the call-based quotient,
+    or the tabled twin verify_unitification scans. Self-adjoint cosets take
+    the formula directly. Non-self-adjoint cosets route through c* c when
+    the quotient involution is proper (RP(x) = RP(x* x) there;
+    ``quot.proper`` decides that once per quotient); without properness no
+    formula claim exists and the exhaustive answer is returned as-is.
     """
-    q = quot.ring
-    qscan = qscan or RingScan(q)
+    qscan = qscan or RingScan(quot.ring)
+    q = qscan.ring
     rscan = rscan or RingScan(quot.algebra.ring)
     brute = rp(q, c, qscan)
     target = c
@@ -510,9 +517,10 @@ def cover_in_quotient(
 ) -> int:
     """Central cover of a coset: formula vs brute force, plus the
     biconditional c Q y = 0 iff (cover) y = 0 checked over every y: r(cQ)
-    is the quotient scan's ``r_of_aR``."""
-    q = quot.ring
-    qscan = qscan or RingScan(q)
+    is the quotient scan's ``r_of_aR``. The quotient is read through
+    ``qscan.ring``, as in rp_in_quotient."""
+    qscan = qscan or RingScan(quot.ring)
+    q = qscan.ring
     rscan = rscan or RingScan(quot.algebra.ring)
     brute = central_cover(q, c, qscan)
     formula = _formula_projection(quot, c, rscan, central=True)
@@ -591,6 +599,10 @@ def verify_unitification(
     mode "pqbaer": the central-cover mirror, gated on R weakly p.q.-Baer*
     and condition (beta).
 
+    Every check reads one quotient ring: the tabled twin of a lawful
+    quotient with order squared at most ``limits.table_threshold``, the
+    call-based quotient otherwise. Both decode alike.
+
     Unmet gates raise HypothesisNotMet. Claim-level failures do not raise;
     they are recorded in the report with verdict False. The K-is-a-domain
     and torsion-free flags are informational: the construction is exercised
@@ -640,6 +652,8 @@ def verify_unitification(
 
     quot = build_quotient(algebra, limits)
     q = quot.ring
+    if q.lawful and q.order**2 <= limits.table_threshold:
+        q = q.tabled()  # every row of Q is scanned: its tables pay for themselves
     qscan = RingScan(q)
     failures: List[str] = []
 

@@ -53,6 +53,13 @@ def int32_tables(r):
     return add, mul, star
 
 
+def own_tables(r):
+    """The ring's own tables, int16 at these orders, and its star."""
+    add, mul = r.add_table(), r.mul_table()
+    assert add.dtype == mul.dtype == np.int16
+    return add, mul, r.star_vector()
+
+
 def first_true(bad):
     """Index tuple of the first True entry in C order, or None."""
     if not bad.any():
@@ -126,6 +133,19 @@ class TestCleanRings:
         assert audit._first_ring_law_violation(add, mul) is None
         assert audit._first_star_law_violation(add, mul, star, gens) is None
         assert audit._first_star_law_violation(add, mul, star) is None
+
+    @pytest.mark.parametrize("text", CLEAN + ["M(2,Z(4))"])
+    def test_no_violations_on_the_own_narrow_tables(self, text):
+        # M(2,Z(4)) has 256 elements: a flat index i * n + j into its
+        # tables passes the int16 range; the full scans stay on rings up
+        # to 100 elements, where they take milliseconds
+        r = cached_ring(text)
+        add, mul, star = own_tables(r)
+        assert audit._first_ring_law_violation(add, mul, r.generators) is None
+        assert audit._first_star_law_violation(add, mul, star, r.generators) is None
+        if r.order <= 100:
+            assert audit._first_ring_law_violation(add, mul) is None
+            assert audit._first_star_law_violation(add, mul, star) is None
 
     @pytest.mark.parametrize("text", CLEAN)
     def test_generators_span_the_additive_group(self, text):
@@ -310,8 +330,31 @@ def test_restricted_scans_hit_exactly_when_a_ring_law_fails():
         add, mul, _ = int32_tables(bad)
         hit = audit._first_ring_law_violation(add, mul, bad.generators)
         assert (hit is not None) == (expected is not None and expected[0] in CUBIC_LAWS)
+        narrow = own_tables(bad)
+        assert audit._first_ring_law_violation(*narrow[:2], bad.generators) == hit
+        if hit is not None:
+            assert audit._first_ring_law_violation(*narrow[:2]) == expected
         cases += 1
     assert cases >= 200
+
+
+def test_own_narrow_tables_name_the_same_witness_on_a_large_ring():
+    """Single-entry corruptions of M(2,Z(4)) (256 elements): the scans over
+    every triple name the same axiom and witness on the ring's own int16
+    tables as on int32 copies, and the audit names it too."""
+    r = cached_ring("M(2,Z(4))")
+    literals = [r.decode(k) for k in range(r.order)]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        mul = np.array(r.mul_table(), copy=True)
+        i, j = (int(v) for v in rng.integers(1, r.order, size=2))
+        mul[i, j] = (mul[i, j] + int(rng.integers(1, r.order))) % r.order
+        bad = StarRing.from_tables(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
+        narrow, wide = own_tables(bad), int32_tables(bad)
+        assert audit._first_ring_law_violation(*narrow[:2], bad.generators) is not None
+        hit = audit._first_ring_law_violation(*narrow[:2])
+        assert hit is not None and hit == audit._first_ring_law_violation(*wide[:2])
+        assert audit_outcome(bad) == (hit[0], tuple(bad.decode(x) for x in hit[1]))
 
 
 def corrupted_stars(count, seed):
@@ -351,6 +394,10 @@ class TestCorruptedInvolutions:
             add, mul, star = int32_tables(bad)
             hit = audit._first_star_law_violation(add, mul, star, bad.generators)
             assert (hit is None) == (expected is None)
+            narrow = own_tables(bad)
+            assert audit._first_star_law_violation(*narrow, bad.generators) == hit
+            if hit is not None:
+                assert audit._first_star_law_violation(*narrow) == expected
             if hit is not None:
                 assert hit[0] == expected[0]
                 cases += 1
@@ -423,10 +470,13 @@ def check_scans(data, add, mul, n):
     mids, ends = data.draw(index_sets(n)), data.draw(index_sets(n))
     ys = every if mids is None else mids
     xs = every if ends is None else ends
-    assert audit._first_assoc_violation(table, mids, ends) == brute_first(
+    expected = brute_first(
         ((x, y, z) for x in xs for y in ys for z in xs),
         lambda x, y, z: table[table[x, y], z] != table[x, table[y, z]],
     )
+    # int32 tables, and int16 ones as rings of these orders hold them
+    assert audit._first_assoc_violation(table, mids, ends) == expected
+    assert audit._first_assoc_violation(table.astype(np.int16), mids, ends) == expected
     zs = data.draw(index_sets(n))
     xs = (data.draw(index_sets(n)), data.draw(index_sets(n)))  # left, right
     expected = brute_first(
@@ -439,3 +489,5 @@ def check_scans(data, add, mul, n):
         ),
     )
     assert audit._first_distrib_violation(add, mul, zs, xs) == expected
+    narrow = add.astype(np.int16), mul.astype(np.int16)
+    assert audit._first_distrib_violation(*narrow, zs, xs) == expected

@@ -17,7 +17,7 @@ from starbench import (
 )
 from starbench.errors import AxiomViolation, LiteralError, OrderCapExceeded
 from starbench import rings as rings_module
-from starbench.rings import _CyclicBackend, _MatrixBackend
+from starbench.rings import _CyclicBackend, _MatrixBackend, index_dtype
 
 from conftest import cached_ring
 
@@ -414,9 +414,38 @@ class TestMatrixBackend:
         ):
             assert got.shape == want.shape and np.array_equal(got, want)
 
-    def test_tables_are_c_contiguous_int32(self, m3z2):
+    def test_tables_are_c_contiguous_int16(self, m3z2):
         for table in (m3z2.radd, m3z2.rmul):
-            assert table.dtype == np.int32 and table.flags.c_contiguous
+            assert table.dtype == np.int16 and table.flags.c_contiguous
+
+    def test_index_dtype_switches_past_two_to_the_fifteen(self):
+        assert np.iinfo(np.int16).max == 2**15 - 1
+        assert index_dtype(2**15) == np.int16  # indices 0 .. 2^15 - 1
+        assert index_dtype(2**15 + 1) == np.int32
+
+    @pytest.mark.parametrize("m, dtype", [(13, np.int16), (14, np.int32)])
+    def test_lines_at_the_int16_boundary(self, m, dtype):
+        """M(2, Z(13)) has 28,561 elements, the most of any M(2, Z(m)) with
+        int16 indices; M(2, Z(14)) has 38,416, past 2^15. Its rows, columns
+        and pairs reach its top index, which int16 parts would wrap in the
+        multiply-add that joins them. Checked against a matmul reference on
+        the rows and columns of 0, 1, n - 1 and five seeded indices."""
+        b = _MatrixBackend(2, m)
+        n, mats = b.order, b.mats
+        assert b.radd.dtype == b.rmul.dtype == dtype
+        enc = m ** np.arange(3, -1, -1)
+        idx = np.concatenate([[0, 1, n - 1], np.random.default_rng(m).integers(0, n, 5)])
+        x = mats[idx][:, None]
+        add = ((x + mats[None]) % m).reshape(len(idx), n, 4) @ enc
+        mul = ((x @ mats[None]) % m).reshape(len(idx), n, 4) @ enc
+        col = ((mats[None] @ x) % m).reshape(len(idx), n, 4) @ enc
+        assert add.max() == mul.max() == n - 1
+        assert np.array_equal(b.add_rows(idx), add)
+        assert np.array_equal(b.mul_rows(idx), mul)
+        assert np.array_equal(np.array([b.mul_col(int(j)) for j in idx]), col)
+        u, v = np.repeat(idx, n), np.tile(np.arange(n), len(idx))
+        assert np.array_equal(b.add_pairs(u, v), add.ravel())
+        assert np.array_equal(b.mul_pairs(u, v), mul.ravel())
 
     def test_decode_gives_plain_ints_and_round_trips(self, m3z2):
         for i in range(m3z2.order):

@@ -341,9 +341,18 @@ def test_assembled_tables_match_rows(text):
     add = np.array([made_from.add_row(i) for i in range(n)])
     mul = np.array([made_from.mul_row(i) for i in range(n)])
     for ring in (tabled, call_based_ring(text)):  # persistent and transient
-        assert ring.add_table().dtype == ring.mul_table().dtype == np.int32
+        # every index of an order up to 2^15 fits int16
+        assert ring.add_table().dtype == ring.mul_table().dtype == np.int16
         assert np.array_equal(ring.add_table(), add)
         assert np.array_equal(ring.mul_table(), mul)
+
+
+def test_table_bytes_are_two_per_entry():
+    """M(2, Z(6)) has 1296 elements: each int16 table takes 1296^2 * 2
+    bytes, half of what int32 took."""
+    ring = cached_ring("M(2, Z(6))")
+    assert ring.has_tables()
+    assert ring.add_table().nbytes == ring.mul_table().nbytes == 1296**2 * 2
 
 
 # tables for every medium-corpus ring, M(2, Z(7)) (2401 elements) included

@@ -446,11 +446,21 @@ class TestPeakMemory:
     def test_call_based_audit_scans_in_row_blocks(self):
         # the audit of the call-based M(2, Z(7)) (n = 2401) reads its rows
         # and columns from the backend a block at a time and builds no
-        # table: it peaks near the 38 MB the ring itself takes, where two
-        # transient n^2 int32 tables (23 MB each) took it to 86 MB
+        # table: it peaks near the 38 MB the ring itself takes, where the
+        # two transient n^2 tables it once assembled (int32 then, 23 MB
+        # each; int16 now halves that) took it to 86 MB
         code, payload, peak_mb = peak_run(["describe", "M(2, Z(7))", "--validate"])
         assert code == 0 and payload["validation"]["ok"], payload
         assert peak_mb < 60, peak_mb
+
+    def test_verify_on_the_tabled_quotient_stays_small_in_memory(self):
+        # M(2, Z(6)) over Z(6): R's tables and the quotient's twin (1296
+        # elements each) are int16, 3.4 MB a table; with int32 tables the
+        # verb peaked at 65 MB, where it peaks near 54 MB
+        argv = ["unitify", "M(2, Z(6))", "--K", "Z(6)", "--verify", "pqbaer"]
+        code, payload, peak_mb = peak_run(argv)
+        assert code == 0 and payload["verdict"] and payload["quotient_order"] == 1296
+        assert peak_mb < 62, peak_mb
 
     def test_check_all_at_the_element_cap_stays_small_in_memory(self):
         # M(2, Z(10)) has 10,000 elements, the default cap. The

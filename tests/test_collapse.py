@@ -5,9 +5,11 @@ a -> [a, 0] is a bijection onto the quotient Q, and a *-isomorphism. Every
 classifier verdict of Q must then equal that of R, and right projections
 and central covers must commute with the embedding. This runs the pair
 ring, the kernel, the coset map and the quotient's section backend
-together, on rings whose unitification no golden indexes. Source: the
-unitification of PAPER.md is the Dorroh extension (Dorroh, Bull. AMS 1932)
-taken modulo its annihilator ideal.
+together, on rings whose unitification no golden indexes: the unital rings
+of the small corpus, and those of the medium corpus past it (Z(17) to
+Z(30), M(2, Z(5)) and M(2, Z(6))). Source: the unitification of PAPER.md
+is the Dorroh extension (Dorroh, Bull. AMS 1932) taken modulo its
+annihilator ideal.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ from starbench import (
 from conftest import cached_ring
 
 UNITAL = [t for t in small_corpus() if cached_ring(t).unity is not None]
+# the medium corpus's larger unital rings, which unitify-corpus collapses too
+MEDIUM_UNITAL = ["Z(%d)" % m for m in range(17, 31)] + ["M(2, Z(5))", "M(2, Z(6))"]
 
 
 def verdicts(ring, scan):
@@ -35,7 +39,7 @@ def embedded(emb, values):
     return np.where(values >= 0, emb[np.maximum(values, 0)], -1)
 
 
-@pytest.mark.parametrize("text", UNITAL)
+@pytest.mark.parametrize("text", UNITAL + MEDIUM_UNITAL)
 def test_unital_ring_comes_back(text):
     R = cached_ring(text)
     K = cached_ring("Z(%d)" % R.characteristic)
@@ -54,4 +58,5 @@ def test_unital_ring_comes_back(text):
 
 def test_the_corpus_has_unital_rings_of_every_family():
     assert len(UNITAL) >= 20
+    assert all(cached_ring(t).unity is not None for t in MEDIUM_UNITAL)
     assert {"M(2, Z(4))", "prod(Z(2), Z(3))", "sub(Z(6); 2)"} <= set(UNITAL)

@@ -23,8 +23,10 @@ from starbench import (
     validate_star_ring,
     verify_unitification,
 )
+from starbench import StarRing, rings
 from starbench.bitsets import indices_of
 from starbench.errors import HypothesisNotMet, OrderCapExceeded, VerificationFailed
+from starbench.rings import index_dtype
 from starbench.unitify import _validate_quotient
 
 import oracles
@@ -468,3 +470,81 @@ class TestQuotientAudit:
         with pytest.raises(VerificationFailed) as exc:
             _validate_quotient(bad)
         assert exc.value.claim == "quotient-coset-invariant"
+
+
+# --- the quotient served from tables ---------------------------------------------
+
+# (R, K) of every unitify run of the benchmark's corpus (each unital corpus
+# ring over Z(char R), the two constructions, the verified pairs not among
+# them), and prod(Z(2), Z(3)) over Z(6)
+TABLED_QUOTIENTS = [("Z(%d)" % m, "Z(%d)" % m) for m in range(2, 31)] + [
+    ("sub(Z(6); 2)", "Z(3)"),
+    ("prod(Z(2), Z(2))", "Z(2)"),
+    ("prod(Z(2), Z(3))", "Z(6)"),
+    ("prod(Z(3), Z(3))", "Z(3)"),
+    ("M(2, Z(2))", "Z(2)"),
+    ("M(2, Z(3))", "Z(3)"),
+    ("M(2, Z(4))", "Z(4)"),
+    ("M(2, Z(5))", "Z(5)"),
+    ("M(2, Z(6))", "Z(6)"),
+    ("sub(Z(9); 3)", "Z(9)"),
+    ("sub(Z(4); 2)", "Z(2)"),
+    ("M(2, Z(3))", "Z(6)"),
+]
+
+
+class TestTabledQuotient:
+    @pytest.mark.parametrize("rt,kt", TABLED_QUOTIENTS)
+    def test_tables_along_generators_match_the_section_ring(self, rt, kt, algebra_of):
+        q = build_quotient(algebra_of(rt, kt)).ring
+        assert q.lawful and not q.has_tables()
+        t = q.tabled()
+        assert t.lawful and t.has_tables()
+        n = q.order
+        idx = np.arange(n)
+        assert t.add_table().dtype == t.mul_table().dtype == index_dtype(n)
+        assert np.array_equal(t.mul_table(), q.mul_rows(idx))
+        assert np.array_equal(t.add_table(), q.add_pairs(idx[:, None], idx))
+        assert (t.unity, t.characteristic, t.label) == (q.unity, q.characteristic, q.label)
+        assert [t.decode(i) for i in range(n)] == [q.decode(i) for i in range(n)]
+
+    @staticmethod
+    def _record_walks(monkeypatch):
+        walked = []
+        walk = rings._tables_along_generators
+        monkeypatch.setattr(
+            rings, "_tables_along_generators", lambda ring: walked.append(ring.order) or walk(ring)
+        )
+        return walked
+
+    def test_only_verify_tables_the_quotient(self, monkeypatch, algebra_of):
+        walked = self._record_walks(monkeypatch)
+        algebra = algebra_of("M(2,Z(3))", "Z(3)")
+        describe_unitification(algebra)
+        assert walked == []
+        assert verify_unitification(algebra, mode="pqbaer").verdict
+        assert walked == [81]
+
+    def test_tables_only_up_to_the_threshold(self, monkeypatch, algebra_of):
+        walked = self._record_walks(monkeypatch)
+        algebra = algebra_of("M(2,Z(3))", "Z(3)")
+        reports = [
+            verify_unitification(algebra, "pqbaer", Limits(table_threshold=t)).to_json()
+            for t in (81**2 - 1, 81**2)
+        ]
+        assert walked == [81] and reports[0] == reports[1]
+
+    def test_quotients_over_rings_given_by_tables_stay_call_based(self, monkeypatch, algebra_of):
+        walked = self._record_walks(monkeypatch)
+        r = cached_ring("M(2,Z(3))")
+        copy = StarRing.from_tables(
+            r.add_table(), r.mul_table(), r.neg_vector(), r.star_vector(),
+            [r.decode(i) for i in range(r.order)], label=r.label,
+        )
+        algebra = build_scalar_algebra(copy, cached_ring("Z(3)"))
+        assert not build_quotient(algebra).ring.lawful
+        report = verify_unitification(algebra, mode="pqbaer")
+        assert walked == []
+        assert report.to_json() == verify_unitification(
+            algebra_of("M(2,Z(3))", "Z(3)"), mode="pqbaer"
+        ).to_json()
