@@ -8,6 +8,7 @@ from starbench import (
     DEFAULT_LIMITS,
     Limits,
     RingScan,
+    StarRing,
     build_ring,
     build_scalar_algebra,
     parse_ring_expr,
@@ -23,10 +24,9 @@ from starbench import (
     validate_star_ring,
     verify_unitification,
 )
-from starbench import StarRing, rings
+from starbench import rings
 from starbench.bitsets import indices_of
 from starbench.errors import HypothesisNotMet, OrderCapExceeded, VerificationFailed
-from starbench.rings import index_dtype
 from starbench.unitify import _validate_quotient
 
 import oracles
@@ -474,9 +474,9 @@ class TestQuotientAudit:
 
 # --- the quotient served from tables ---------------------------------------------
 
-# (R, K) of every unitify run of the benchmark's corpus (each unital corpus
-# ring over Z(char R), the two constructions, the verified pairs not among
-# them), and prod(Z(2), Z(3)) over Z(6)
+# the distinct (R, K) of the benchmark's unitify runs: each unital corpus
+# ring over Z(char R), the two constructions, and the one verified pair not
+# among them
 TABLED_QUOTIENTS = [("Z(%d)" % m, "Z(%d)" % m) for m in range(2, 31)] + [
     ("sub(Z(6); 2)", "Z(3)"),
     ("prod(Z(2), Z(2))", "Z(2)"),
@@ -502,7 +502,7 @@ class TestTabledQuotient:
         assert t.lawful and t.has_tables()
         n = q.order
         idx = np.arange(n)
-        assert t.add_table().dtype == t.mul_table().dtype == index_dtype(n)
+        assert t.add_table().dtype == t.mul_table().dtype == rings.index_dtype(n)
         assert np.array_equal(t.mul_table(), q.mul_rows(idx))
         assert np.array_equal(t.add_table(), q.add_pairs(idx[:, None], idx))
         assert (t.unity, t.characteristic, t.label) == (q.unity, q.characteristic, q.label)
