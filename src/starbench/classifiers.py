@@ -7,9 +7,8 @@ PROPERTY_CLASSIFIERS; what callers get is ``(ring, scan=None) ->``
 :class:`PropertyReport`. Checks scan elements in ascending index order,
 so the reported witness is always the lowest-index one. A shared
 :class:`~starbench.projections.RingScan` makes repeated classification of
-one ring cheap: its bitsets, r(aR) and l(Ra) for every a, projection
-tables and annihilator memos (``r_of``/``l_of``) are computed once per
-ring.
+one ring cheap: its bitsets, r(aR) for every a, projection tables and
+annihilator memos (``r_of``/``l_of``) are computed once per ring.
 
 Definitions implemented (R a finite *-ring, r/l one-sided annihilators):
 
@@ -205,14 +204,21 @@ def is_quasi_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
 
 @_verdict("pq-baer-star")
 def is_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
-    """Both clauses are checked independently for every a: r(aR) = eR and
-    l(Ra) = Rf; the witness names the first failing side. r(aR) and l(Ra)
-    are the scan's ``r_of_aR``/``l_of_Ra``: on a lawful ring, meets of
-    rann[a*g] and lann[g*a] over the additive generators g."""
-    for a in range(ring.order):
-        if _matching_projection(scan.eR_by_mask, scan.r_of_aR[a]) is None:
+    """Both clauses are checked for every a: r(aR) = eR and l(Ra) = Rf;
+    the witness is the first a, ascending, where one fails, and names the
+    side, right first. r(aR) is the scan's ``r_of_aR``. On a lawful ring
+    the left clause at a is the right clause at a*: (y r a)* = a* r* y*, so
+    l(Ra) = {y : y* in r(a*R)}, and Rf = (fR)* for a projection f, so
+    l(Ra) = Rf iff r(a*R) = fR. Elsewhere l(Ra) is read off ``l_of_Ra``."""
+    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    if ring.lawful:
+        left = [right[s] for s in ring.star_vector().tolist()]
+    else:
+        left = [_matching_projection(scan.Rf_by_mask, m) is None for m in scan.l_of_Ra]
+    for a, (right_fails, left_fails) in enumerate(zip(right, left)):
+        if right_fails:
             return False, {"a": ring.decode(a), "side": "right"}
-        if _matching_projection(scan.Rf_by_mask, scan.l_of_Ra[a]) is None:
+        if left_fails:
             return False, {"a": ring.decode(a), "side": "left"}
     return True, None
 
@@ -241,8 +247,7 @@ def is_weakly_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     """
     n = ring.order
     masks = scan.r_of_aR  # masks[x] = {y : xRy = 0}
-    for x in range(n):
-        cover = int(scan.cover_all[x])
+    for x, cover in enumerate(scan.cover_all.tolist()):
         if cover < 0:
             return False, {"x": ring.decode(x), "reason": "no-central-cover"}
         if masks[x] != scan.rann[cover]:

@@ -14,7 +14,7 @@ Operator conventions (all searches ascend element indices, so results and
 witnesses are the lowest-index ones):
 
 * rp(x): the projection e with xe = x and (xy = 0 implies ey = 0).
-* lp(x): mirror; cross-checked against star(rp(star(x))).
+* lp(x): mirror; rp(x*) on a lawful ring, cross-checked against it elsewhere.
 * rp_via_star(x): rp(x* x), asserted equal to rp(x); sensible when the
   involution is proper.
 * central_cover(x): least central projection h with hx = x.
@@ -146,6 +146,13 @@ class RingScan:
     ``row_sets``/``col_sets`` (aR and Ra), which the passes of such a ring
     pack along with the zero sets; scans on a lawful ring never read them.
 
+    A lawful ring's classifiers and rp/lp read no left side: (y r a)* =
+    a* r* y*, so y is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a
+    projection f; hence l(Ra) = Rf iff r(a*R) = fR. Likewise a projection
+    f is an LP candidate of x iff it is an RP candidate of x*, so lp_all[x]
+    = rp_all[x*]. ``lann``/``l_of_Ra``/``Rf_by_mask`` serve the rings given
+    by their tables.
+
     ``r_of``/``l_of`` intersect ``rann``/``lann`` over a set of elements,
     memoized by the set's bitset. The arrays returned by rp_all/lp_all use
     -1 for "no such projection" and -2 for "ambiguous" (ambiguity cannot
@@ -255,6 +262,8 @@ class RingScan:
 
     @cached_property
     def lp_all(self) -> np.ndarray:
+        if self.ring.lawful:
+            return self.rp_all[self.ring.star_vector()]
         return self._projection_table(self.lann, self._fixed_left)
 
     def _projection_table(self, ann: List[int], fixed: np.ndarray) -> np.ndarray:
@@ -419,7 +428,8 @@ def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
 
 
 def lp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
-    """Left projection of x; cross-checked against star(rp(star(x)))."""
+    """Left projection of x; cross-checked against star(rp(star(x))), which
+    it is by construction on a lawful ring."""
     scan = scan or RingScan(ring)
     val = int(scan.lp_all[x])
     mirror = int(scan.rp_all[ring.star(x)])

@@ -30,11 +30,16 @@ from starbench import (
     parse_ring_expr,
 )
 from starbench.bitsets import full_mask, indices_of
-from starbench.classifiers import PROPERTY_CLASSIFIERS, ideal_annihilator_crosscheck
+from starbench.classifiers import (
+    PROPERTY_CLASSIFIERS,
+    _matching_projection,
+    ideal_annihilator_crosscheck,
+    is_pq_baer_star,
+)
 from starbench.config import DEFAULT_LIMITS, Limits
 from starbench.corpus import medium_corpus, small_corpus
 from starbench.projections import _mirrored, _zero_and_value_sets
-from starbench.rings import _lines_per_block, stack_lines
+from starbench.rings import _Backend, _lines_per_block, stack_lines
 
 import oracles
 from conftest import cached_ring
@@ -224,16 +229,18 @@ class _Counting:
 
 def test_lawful_scans_read_each_row_once_and_no_column(m2z3):
     """On a lawful ring every classifier reads the scan's rows once, in its
-    zero-set pass, and no column: lann is rann mirrored, a projection's
-    column its row mirrored, and r(aR)/l(Ra) come off the generators, so
-    the value sets are never built."""
+    zero-set pass, and no column: a projection's column is its row
+    mirrored, r(aR) comes off the generators, so the value sets are never
+    built, and p.q.-Baer*'s left clause at a is its right clause at a*, so
+    no left side (lann, l(Ra), the ideals Rf) is built either."""
     counting = _Counting(m2z3)
     scan = RingScan(counting)
     for classify in PROPERTY_CLASSIFIERS.values():
         classify(m2z3, scan)
     assert sorted(counting.rows) == list(range(m2z3.order))
     assert counting.cols == 0
-    assert "row_sets" not in scan.__dict__ and "col_sets" not in scan.__dict__
+    for cache in ("row_sets", "col_sets", "lann", "l_of_Ra", "Rf_by_mask"):
+        assert cache not in scan.__dict__, cache
 
 
 def test_each_side_is_one_pass_without_the_laws(m2z3):
@@ -254,6 +261,83 @@ def test_each_side_is_one_pass_without_the_laws(m2z3):
     ]
     assert sorted(counting.rows) == list(range(n))
     assert counting.cols == n
+
+
+# The small corpus's lawful rings, two larger matrix rings, and two subrings
+# where r(aR) = eR holds at some a but not at a*, so that the two clauses
+# of p.q.-Baer* differ element by element.
+PQ_BAER_RINGS = small_corpus() + [
+    "M(2, Z(5))",
+    "M(2, Z(6))",
+    "sub(M(2, Z(2)); [[1,1],[0,0]])",
+    "sub(M(2, Z(6)); [[1,3],[0,2]])",
+]
+
+
+@pytest.mark.parametrize("text", PQ_BAER_RINGS)
+def test_pq_baer_left_clause_is_the_right_clause_at_the_adjoint(text):
+    """A lawful ring reads p.q.-Baer*'s left clause off r(a*R); its copy
+    given by tables reads l(Ra) and the ideals Rf. Both name the same
+    verdict and witness, side included, and the left clause fails at
+    exactly the a whose a* fails the right clause."""
+    ring = cached_ring(text)
+    copy = tables_copy(ring)
+    assert ring.lawful and not copy.lawful
+    lawful, scan = is_pq_baer_star(ring), RingScan(copy)
+    two_sided = is_pq_baer_star(copy, scan)
+    assert lawful.verdict == two_sided.verdict
+    if two_sided.witness is None:
+        assert lawful.witness is None
+    else:  # the copy decodes an element to its index
+        a, side = two_sided.witness["a"], two_sided.witness["side"]
+        assert lawful.witness == {"a": ring.decode(a), "side": side}
+    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    left = [_matching_projection(scan.Rf_by_mask, m) is None for m in scan.l_of_Ra]
+    assert left == [right[s] for s in ring.star_vector().tolist()]
+
+
+class _Relabeled(_Backend):
+    """A lawful ring with element i renamed perm[i], zero kept at 0: an
+    isomorphic *-ring, so lawful too."""
+
+    lawful = True
+
+    def __init__(self, ring, perm):
+        self.ring, self.order = ring, ring.order
+        self.perm, self.inv = perm, np.argsort(perm)
+
+    def add_pairs(self, u, v):
+        return self.perm[self.ring.add_pairs(self.inv[u], self.inv[v])]
+
+    def mul_pairs(self, u, v):
+        return self.perm[self.ring.mul_pairs(self.inv[u], self.inv[v])]
+
+    def neg_vec(self):
+        return self.perm[self.ring.neg_vector()[self.inv]]
+
+    def star_vec(self):
+        return self.perm[self.ring.star_vector()[self.inv]]
+
+    def decode(self, i):
+        return self.ring.decode(int(self.inv[i]))
+
+    def encode(self, lit):
+        return int(self.perm[self.ring.encode(lit)])
+
+
+def test_pq_baer_witness_names_the_left_side_first_when_it_fails_first():
+    """No descriptor ring found fails p.q.-Baer* first on the left side. In
+    sub(M(2, Z(2)); [[1,1],[0,0]]) the right clause fails at a = [[0,0],
+    [1,1]] (index 1) and holds at a* = [[0,1],[0,1]] (index 2); swapping
+    the two labels makes the left clause at a* the first failure."""
+    ring = cached_ring("sub(M(2, Z(2)); [[1,1],[0,0]])")
+    swapped = StarRing(_Relabeled(ring, np.array([0, 2, 1, 3, 4, 5, 6, 7])))
+    assert swapped.lawful
+    witness = {"a": ((0, 1), (0, 1)), "side": "left"}
+    assert is_pq_baer_star(swapped).witness == witness
+    two_sided = is_pq_baer_star(tables_copy(swapped)).witness
+    assert {"a": swapped.decode(two_sided["a"]), "side": two_sided["side"]} == witness
+    assert is_pq_baer_star(ring).witness == {"a": ((0, 0), (1, 1)), "side": "right"}
 
 
 def _pair_algebra():
