@@ -6,8 +6,8 @@ generated it so the claim can be rechecked from scratch.
 
 Annihilators come from the per-ring scan cache (:class:`RingScan`, in
 projections.py): ``rann[s]``/``lann[s]``, the right and left annihilators
-of the single element s, from one pass over the rows (the column side
-mirrored from it on lawful rings); ``r_of(mask)``/``l_of(mask)``, the
+of the single element s, from one pass over the rows and one over the
+columns; ``r_of(mask)``/``l_of(mask)``, the
 annihilator of a set, as the intersection of rann (or lann) over its
 members, memoized per set; and ``r_of_aR``/``l_of_Ra``, r(aR) and l(Ra) for
 every a. Annihilators of ideals reduce to intersections over generating

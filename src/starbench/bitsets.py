@@ -67,12 +67,6 @@ def rows_from_packed(packed: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
-def rows_from_masks(masks: List[int], n: int) -> np.ndarray:
-    """The inverse of ``masks_from_rows``: a (len(masks), n) boolean array
-    whose row i is ``bool_from_mask(masks[i], n)``."""
-    return rows_from_packed(packed_from_masks(masks, n), n)
-
-
 def iter_indices(mask: int) -> Iterator[int]:
     """Yield set bit positions in ascending order."""
     while mask:

@@ -211,14 +211,15 @@ def is_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     l(Ra) = {y : y* in r(a*R)}, and Rf = (fR)* for a projection f, so
     l(Ra) = Rf iff r(a*R) = fR. Elsewhere l(Ra) is read off ``l_of_Ra``."""
     right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
-    if ring.lawful:
-        left = [right[s] for s in ring.star_vector().tolist()]
-    else:
-        left = [_matching_projection(scan.Rf_by_mask, m) is None for m in scan.l_of_Ra]
-    for a, (right_fails, left_fails) in enumerate(zip(right, left)):
+    star = ring.star_vector().tolist()
+    for a, right_fails in enumerate(right):
         if right_fails:
             return False, {"a": ring.decode(a), "side": "right"}
-        if left_fails:
+        if (
+            right[star[a]]
+            if ring.lawful
+            else _matching_projection(scan.Rf_by_mask, scan.l_of_Ra[a]) is None
+        ):
             return False, {"a": ring.decode(a), "side": "left"}
     return True, None
 

@@ -41,7 +41,6 @@ from .bitsets import (
     iter_indices,
     mask_from_bool,
     masks_from_rows,
-    rows_from_masks,
 )
 from .errors import (
     AmbiguousLeftProjection,
@@ -129,22 +128,21 @@ class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
     Everything is computed lazily and exactly once. ``rann`` comes from one
-    pass over ``mul_rows``, a block of rows at a time. On a lawful ring the
-    column side is that pass mirrored through the involution: y*s = 0 iff
-    s* y* = 0, so lann[x*] = star(rann[x]) (``_mirrored``), and a
-    projection's column is its row mirrored (``_column``); no column is
-    read. Lawful rings are the descriptor rings and the pair rings and
-    quotients of unitifications over them (see rings.py). A ring given by
-    its tables, or a pair ring or quotient built over one, has no proof of
-    the *-ring laws, and its column pass calls ``mul_col`` once per element.
+    pass over ``mul_rows``, a block of rows at a time, and ``lann`` from one
+    pass that calls ``mul_col`` once per element. On a lawful ring a
+    projection's column is its row mirrored through the involution
+    (``_column``). Lawful rings are the descriptor rings and the pair rings
+    and quotients of unitifications over them (see rings.py); a ring given
+    by its tables, or a pair ring or quotient built over one, has no proof
+    of the *-ring laws.
 
     ``r_of_aR``/``l_of_Ra`` hold r(aR) and l(Ra) for every a. On a lawful
     ring aR is the additive span of aG, G the additive generators (left
     distributivity), and r(S) = r(span S) (right distributivity), so r(aR)
-    is the meet of rann[a*g] over g in G; l(Ra) is likewise the meet of
-    lann[g*a]. Elsewhere they are ``r_of``/``l_of`` of the value sets
-    ``row_sets``/``col_sets`` (aR and Ra), which the passes of such a ring
-    pack along with the zero sets; scans on a lawful ring never read them.
+    is the meet of rann[a*g] over g in G. Otherwise r(aR) is ``r_of`` of
+    the value set ``row_sets[a]`` (aR), which the row pass of such a ring
+    packs along with the zero sets, and l(Ra) is always ``l_of`` of
+    ``col_sets[a]`` (Ra), packed by the column pass.
 
     A lawful ring's classifiers and rp/lp read no left side: (y r a)* =
     a* r* y*, so y is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a
@@ -182,11 +180,9 @@ class RingScan:
 
     @cached_property
     def _col_pass(self) -> Tuple[List[int], Optional[List[int]]]:
-        ring = self.ring
-        n = ring.order
-        if not ring.lawful:
-            return _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
-        return _mirrored(self.rann, ring.star_vector()), None
+        """lann and col_sets from one pass over the columns."""
+        ring, n = self.ring, self.ring.order
+        return _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
 
     @cached_property
     def rann(self) -> List[int]:
@@ -207,33 +203,28 @@ class RingScan:
 
     @cached_property
     def col_sets(self) -> List[int]:
-        """col_sets[a] = bitset of Ra = {r*a : r}; on a lawful ring
-        col_sets[x*] = star(row_sets[x])."""
-        return self._col_pass[1] or _mirrored(self.row_sets, self.ring.star_vector())
+        """col_sets[a] = bitset of Ra = {r*a : r}."""
+        return self._col_pass[1]
 
     @cached_property
     def r_of_aR(self) -> List[int]:
-        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}."""
-        if not self.ring.lawful:
+        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}; on a
+        lawful ring the meet of rann[a*g] over the additive generators g
+        (the whole ring when there are none), from one ``mul_pairs`` of
+        shape (n, |G|)."""
+        ring = self.ring
+        if not ring.lawful:
             return [self.r_of(m) for m in self.row_sets]
-        return self._meets_on_generators(self.rann, lambda a, g: self.ring.mul_pairs(a, g))
+        n, gens = ring.order, np.array(ring.generators, dtype=np.int64)
+        members = ring.mul_pairs(np.repeat(np.arange(n), len(gens)), np.tile(gens, n))
+        rann, whole = self.rann, full_mask(n)
+        rows = members.reshape(n, len(gens)).tolist()
+        return [reduce(and_, map(rann.__getitem__, row), whole) for row in rows]
 
     @cached_property
     def l_of_Ra(self) -> List[int]:
         """l_of_Ra[a] = bitset of l(Ra) = {y : y*r*a = 0 for every r}."""
-        if not self.ring.lawful:
-            return [self.l_of(m) for m in self.col_sets]
-        return self._meets_on_generators(self.lann, lambda a, g: self.ring.mul_pairs(g, a))
-
-    def _meets_on_generators(self, ann: List[int], product) -> List[int]:
-        """For every a, the meet of ann[product(a, g)] over the additive
-        generators g (the whole ring when there are none), from one
-        ``product`` of shape (n, |G|)."""
-        n, gens = self.ring.order, np.array(self.ring.generators, dtype=np.int64)
-        members = product(np.repeat(np.arange(n), len(gens)), np.tile(gens, n))
-        whole = full_mask(n)
-        rows = members.reshape(n, len(gens)).tolist()
-        return [reduce(and_, map(ann.__getitem__, row), whole) for row in rows]
+        return [self.l_of(m) for m in self.col_sets]
 
     @cached_property
     def poset(self) -> ProjectionPoset:
@@ -376,21 +367,6 @@ def _zero_and_value_sets(
     return zeros, sets if values else None
 
 
-def _mirrored(masks: List[int], star: np.ndarray) -> List[int]:
-    """out[star[x]] = {star[s] : s in masks[x]} for every x, a block of
-    ``_lines_per_block`` bitsets at a time: unpacked, permuted by one
-    ``np.take`` (star is its own inverse) and packed again."""
-    n = len(masks)
-    out = [0] * n
-    step = _lines_per_block(n)
-    for start in range(0, n, step):
-        bits = rows_from_masks(masks[start : start + step], n)
-        starred = masks_from_rows(np.take(bits, star, axis=1))
-        for x, mask in zip(star[start : start + step].tolist(), starred):
-            out[x] = mask
-    return out
-
-
 def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:
     """Intersection of ann[s] over the members s of a bitset, memoized."""
     hit = memo.get(mask)
@@ -428,21 +404,18 @@ def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
 
 
 def lp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
-    """Left projection of x; cross-checked against star(rp(star(x))), which
-    it is by construction on a lawful ring."""
+    """Left projection of x: rp(x*) on a lawful ring (see RingScan), and
+    cross-checked against star(rp(star(x))) elsewhere."""
     scan = scan or RingScan(ring)
     val = int(scan.lp_all[x])
-    mirror = int(scan.rp_all[ring.star(x)])
+    if not ring.lawful and val != -2:
+        mirror = int(scan.rp_all[ring.star(x)])
+        if (ring.star(mirror) if mirror >= 0 else mirror) != val:
+            found = (ring.decode(val),) if val >= 0 else ()
+            raise VerificationFailed("lp-vs-star-rp-star", (ring.decode(x),) + found)
     if val >= 0:
-        mirrored = ring.star(mirror) if mirror >= 0 else -1
-        if mirrored != val:
-            raise VerificationFailed(
-                "lp-vs-star-rp-star", (ring.decode(x), ring.decode(val))
-            )
         return val
     if val == -1:
-        if mirror != -1:
-            raise VerificationFailed("lp-vs-star-rp-star", (ring.decode(x),))
         raise NoLeftProjection(ring.decode(x))
     cands = _candidates(scan.poset, scan.lann, scan._fixed_left, x)
     raise AmbiguousLeftProjection(ring.decode(x), [ring.decode(e) for e in cands])

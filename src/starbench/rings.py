@@ -71,13 +71,13 @@ Tables, persistent and transient, are assembled from ``add_rows``/
 
 A ring is ``lawful`` when its construction proves the *-ring laws, so
 that code that needs them as a premise (the generator certificates of the
-scalar algebra and the unitification, the scans' column side mirrored
-from the row side) may take them. The cyclic and matrix rings are
-*-rings by construction, and a product of lawful rings is one; a subring
-of a lawful ring is one once its closure is proved, and so is a quotient
-once its operations are proved well defined on the cosets; the pair ring
-of lawful R and K is one once the scalar algebra has proved every action
-axiom. So every ring :func:`build_ring` makes from a descriptor is
+scalar algebra and the unitification, the scans' r(aR) off the
+generators and their left side read off the right one at the adjoint)
+may take them. The cyclic and matrix rings are *-rings by construction,
+and a product of lawful rings is one; a subring of a lawful ring is one
+once its closure is proved, and so is a quotient once its operations are
+proved well defined on the cosets; the pair ring of lawful R and K is one
+once the scalar algebra has proved every action axiom. So every ring :func:`build_ring` makes from a descriptor is
 lawful, and so are the pair ring and the quotient of a unitification over
 lawful R and K. Rings given by their tables, and pair rings and quotients
 built over them, are not lawful, and their laws are not proved afresh on

@@ -34,8 +34,8 @@ the witness. Membership and closure take exhaustive passes on other
 rings, so a failure is always reported with the witness those passes
 name. Either way the quotient's operations are proved well defined on
 every coset pair. Over lawful R and K the pair ring and the quotient are
-*-rings, and lawful themselves, so the quotient's scans take their column
-side from the row side (projections.RingScan). verify_unitification, which
+*-rings, and lawful themselves, so the quotient's scans read its left
+side off the right one at the adjoint (projections.RingScan). verify_unitification, which
 scans every row of the quotient, then reads it from a tabled twin
 (StarRing.tabled) when its order squared is within the table threshold:
 its + is associative and right distributive, so one row of each table per

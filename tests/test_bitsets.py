@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starbench.bitsets import bool_from_mask, mask_from_bool, masks_from_rows, rows_from_masks
+from starbench.bitsets import (
+    bool_from_mask,
+    mask_from_bool,
+    masks_from_rows,
+    packed_from_masks,
+    rows_from_packed,
+)
 
 
 @st.composite
@@ -21,7 +27,7 @@ def test_masks_from_rows_packs_each_row_like_mask_from_bool(flags):
     rows, n = flags.shape
     masks = masks_from_rows(flags)
     assert masks == [mask_from_bool(row) for row in flags]
-    back = rows_from_masks(masks, n)
+    back = rows_from_packed(packed_from_masks(masks, n), n)
     assert back.dtype == bool and back.shape == (rows, n)
     assert np.array_equal(back, flags)
     for mask, row in zip(masks, back):

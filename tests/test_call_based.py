@@ -9,11 +9,11 @@ default limits is served from dense tables. Both must agree on every
 operation and every classifier report. Every backend's blocks of rows
 (``add_rows``/``mul_rows``) must equal its rows stacked, and the tables
 assembled from them the tables assembled row by row. The ``RingScan``
-bitsets, whose column side is the row side mirrored through the
-involution on lawful rings, its memoized set annihilators ``r_of``/``l_of``
-and its r(aR)/l(Ra) for every a, read off the additive generators on
-lawful rings, must agree with a direct ``mul_col`` pass and with the
-oracles.
+bitsets, its memoized set annihilators ``r_of``/``l_of`` and its r(aR)/
+l(Ra) for every a, r(aR) read off the additive generators on lawful rings,
+must agree with the oracles; on a lawful ring p.q.-Baer* and lp read the
+left side off the right one at the adjoint, and must agree with the same
+ring given by its tables.
 """
 
 import numpy as np
@@ -38,8 +38,7 @@ from starbench.classifiers import (
 )
 from starbench.config import DEFAULT_LIMITS, Limits
 from starbench.corpus import medium_corpus, small_corpus
-from starbench.projections import _mirrored, _zero_and_value_sets
-from starbench.rings import _Backend, _lines_per_block, stack_lines
+from starbench.rings import _Backend, _lines_per_block
 
 import oracles
 from conftest import cached_ring
@@ -296,6 +295,14 @@ def test_pq_baer_left_clause_is_the_right_clause_at_the_adjoint(text):
     assert left == [right[s] for s in ring.star_vector().tolist()]
 
 
+@pytest.mark.parametrize("text", PQ_BAER_RINGS)
+def test_lawful_lp_all_is_the_two_sided_table(text):
+    """lp_all on a lawful ring is rp_all read at x*; its copy given by
+    tables builds it from lann and the left fixed points."""
+    ring = cached_ring(text)
+    assert np.array_equal(RingScan(ring).lp_all, RingScan(tables_copy(ring)).lp_all)
+
+
 class _Relabeled(_Backend):
     """A lawful ring with element i renamed perm[i], zero kept at 0: an
     isomorphic *-ring, so lawful too."""
@@ -411,8 +418,8 @@ def test_ideal_annihilators_match_the_literal_sets(kind):
     for a in range(n):
         assert set(indices_of(scan.r_of_aR[a])) == oracles.o_rann(view, sorted(right(view, a)))
         assert set(indices_of(scan.l_of_Ra[a])) == oracles.o_lann(view, sorted(left(view, a)))
-    # lawful rings take the generator route, with no value set built
-    assert ("row_sets" in scan.__dict__) == ("col_sets" in scan.__dict__) == (not ring.lawful)
+    # lawful rings take the generator route for r(aR), with no aR built
+    assert ("row_sets" in scan.__dict__) == (not ring.lawful)
     if kind == "zero-ring":
         assert ring.generators == () and scan.r_of_aR == scan.l_of_Ra == [1]
 
@@ -445,25 +452,30 @@ TABLED = Limits(table_threshold=2401**2)
 
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "call-based"])
 @pytest.mark.parametrize("text", medium_corpus())
-def test_mirrored_column_pass_matches_direct_pass(text, tabled):
+def test_adjoint_reading_matches_the_left_side(text, tabled):
+    """A lawful ring's lp_all and p.q.-Baer*'s left clause are read off the
+    right side at the adjoint; the left side, read column by column, gives
+    the same: lp_all from lann and the left fixed points, and the left
+    misses from l(Ra) and the ideals Rf."""
     ring = build_ring(parse_ring_expr(text), TABLED if tabled else CALL_BASED)
     assert ring.lawful and ring.has_tables() == tabled
-    n = ring.order
-    lann, col_sets = _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
     scan = RingScan(ring)
-    assert scan.lann == lann
-    assert scan.col_sets == col_sets
+    assert np.array_equal(scan.lp_all, scan._projection_table(scan.lann, scan._fixed_left))
+    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    left = [_matching_projection(scan.Rf_by_mask, m) is None for m in scan.l_of_Ra]
+    assert left == [right[s] for s in ring.star_vector().tolist()]
 
 
 def test_rings_without_the_laws_read_their_columns(m2z2):
     """The identity on M(2, Z(2)) is an involution that is not
-    anti-multiplicative, so mirroring the row pass through it gives the
-    wrong left annihilators; ``lawful`` keeps the scan off the mirror."""
+    anti-multiplicative, so the left annihilators are not the right ones
+    read at the adjoint (under the identity, lann would equal rann); the
+    scan reads them column by column."""
     n = m2z2.order
     ring = tables_copy(m2z2, star=np.arange(n))
     assert not ring.lawful
     scan = RingScan(ring)
-    assert _mirrored(scan.rann, ring.star_vector()) != scan.lann
+    assert scan.rann != scan.lann
     for s in range(n):
         assert set(indices_of(scan.lann[s])) == oracles.o_lann(ring, [s])
         assert set(indices_of(scan.col_sets[s])) == {ring.mul(r, s) for r in range(n)}
