@@ -11,12 +11,11 @@ satisfy:
 * star compatibility ((lam.a)* = lam*.a*).
 
 Each axiom has one pass, which takes the scalars and elements it loops
-over. When R and K are both lawful (named by descriptors, so *-rings by
-construction), the passes run on the additive generators of K and of R,
-which proves every axiom everywhere (see _check_every_axiom); on a
-lawful K, K's commutativity is checked on K's generators alike.
-Otherwise, and after a violation there, they run over every scalar and
-element, so a violation's axiom and witness do not depend on the path.
+over. R and K are *-rings (every StarRing is), so the passes run on the
+additive generators of K and of R, which proves every axiom everywhere
+(see _check_every_axiom), and K's commutativity is checked on K's
+generators alike. Only after a violation there do they run over every
+scalar and element, to name the first witness.
 
 The only built-in action is "natural": K = Z(m) acting by repeated addition,
 defined exactly when char(R) divides m. An explicit table can be supplied
@@ -108,14 +107,13 @@ def build_scalar_algebra(
 
     The scalars must be unital and commutative, the table well shaped, and
     1_K must act as the identity; these are checked directly, reading K a
-    row at a time, so a call-based K needs no table. On a lawful K,
-    commutativity is checked on K's additive generators (see
-    :func:`_first_noncommuting`).
+    row at a time, so a call-based K needs no table. Commutativity is
+    checked on K's additive generators (see :func:`_first_noncommuting`).
 
-    The other axioms are checked by :func:`_check_every_axiom`: on the
-    additive generators of K and R when both are lawful, a proof if every
-    pass holds; over every scalar and element otherwise, or after a
-    violation on the generators, to name the first witness.
+    The other axioms are checked by :func:`_check_every_axiom` on the
+    additive generators of K and R, a proof if every pass holds; only
+    after a violation there over every scalar and element, to name the
+    first witness.
 
     Raises ActionAxiomViolation (with the axiom name and a literal witness)
     when any axiom fails, CharacteristicMismatch when the natural action is
@@ -125,8 +123,7 @@ def build_scalar_algebra(
     R = ring
     if K.unity is None:
         raise ActionAxiomViolation("scalars-unital", ())
-    checked = (K.generators or (0,)) if K.lawful else range(K.order)
-    if _first_noncommuting(K, checked) is not None:
+    if _first_noncommuting(K, K.generators or (0,)) is not None:
         # a real violation; name the first over every scalar
         lam, mu = _first_noncommuting(K, range(K.order))
         raise ActionAxiomViolation("scalars-commutative", (K.decode(lam), K.decode(mu)))
@@ -159,12 +156,10 @@ def build_scalar_algebra(
         a = int(np.argmax(unit_row != idx_r))
         raise ActionAxiomViolation("unit-action", (R.decode(a),))
 
-    on_generators = (K.generators or (0,), R.generators) if R.lawful and K.lawful else ()
     try:
-        _check_every_axiom(R, K, table64, *on_generators)
+        _check_every_axiom(R, K, table64, K.generators or (0,), R.generators)
     except ActionAxiomViolation:
-        if on_generators:  # a real violation; name the first over everything
-            _check_every_axiom(R, K, table64)
+        _check_every_axiom(R, K, table64)  # a real violation; name the first
         raise
 
     # structural flags (recorded, never assumed)

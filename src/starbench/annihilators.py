@@ -9,12 +9,12 @@ projections.py): ``rann[s]``/``lann[s]``, the right and left annihilators
 of the single element s, from one pass over the rows and one over the
 columns; ``r_of(mask)``/``l_of(mask)``, the
 annihilator of a set, as the intersection of rann (or lann) over its
-members, memoized per set; and ``r_of_aR``/``l_of_Ra``, r(aR) and l(Ra) for
-every a. Annihilators of ideals reduce to intersections over generating
-sets: r(additive-closure(S)) = r(S), because sums of left factors
-annihilate whenever each factor does (right distributivity). On a lawful
-ring aR is the additive span of aG, G the additive generators (left
-distributivity), so r(aR) is the intersection of rann[a*g] over g in G.
+members, memoized per set; and ``r_of_aR``, r(aR) for every a.
+Annihilators of ideals reduce to intersections over generating sets:
+r(additive-closure(S)) = r(S), because sums of left factors annihilate
+whenever each factor does (right distributivity). aR is the additive span
+of aG, G the additive generators (left distributivity), so r(aR) is the
+intersection of rann[a*g] over g in G.
 ``principal_two_sided_ideal`` builds the literal ideal (a) for the
 cross-check that compares r((a)) with the family's route.
 """

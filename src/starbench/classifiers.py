@@ -8,7 +8,7 @@ PROPERTY_CLASSIFIERS; what callers get is ``(ring, scan=None) ->``
 so the reported witness is always the lowest-index one. A shared
 :class:`~starbench.projections.RingScan` makes repeated classification of
 one ring cheap: its bitsets, r(aR) for every a, projection tables and
-annihilator memos (``r_of``/``l_of``) are computed once per ring.
+annihilator memos (``r_of``) are computed once per ring.
 
 Definitions implemented (R a finite *-ring, r/l one-sided annihilators):
 
@@ -109,7 +109,7 @@ def is_proper_involution(ring: StarRing, scan: RingScan) -> Verdict:
 @_verdict("semi-proper")
 def is_semi_proper(ring: StarRing, scan: RingScan) -> Verdict:
     """x R x* = 0 exactly when x* lies in r(xR), read off the shared
-    scan's ``r_of_aR`` (on a lawful ring, from the additive generators)."""
+    scan's ``r_of_aR`` (from the additive generators)."""
     star = ring.star_vector()
     r_of_aR = scan.r_of_aR
     for x in range(1, ring.order):
@@ -151,11 +151,8 @@ def has_unity(ring: StarRing, scan: RingScan) -> Verdict:
 
 
 def _matching_projection(by_mask: Dict[int, Tuple[int, ...]], mask: int) -> Optional[int]:
-    """A projection in the bitset whose principal ideal is that bitset.
-
-    ``by_mask`` is ``scan.eR_by_mask`` (right ideals eR) or
-    ``scan.Rf_by_mask`` (left ideals Rf).
-    """
+    """A projection e in the bitset whose right ideal eR is that bitset;
+    ``by_mask`` is ``scan.eR_by_mask``."""
     for e in by_mask.get(mask, ()):
         if contains(mask, e):
             return e
@@ -206,20 +203,16 @@ def is_quasi_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
 def is_pq_baer_star(ring: StarRing, scan: RingScan) -> Verdict:
     """Both clauses are checked for every a: r(aR) = eR and l(Ra) = Rf;
     the witness is the first a, ascending, where one fails, and names the
-    side, right first. r(aR) is the scan's ``r_of_aR``. On a lawful ring
-    the left clause at a is the right clause at a*: (y r a)* = a* r* y*, so
+    side, right first. r(aR) is the scan's ``r_of_aR``, and the left clause
+    at a is the right clause at a*: (y r a)* = a* r* y*, so
     l(Ra) = {y : y* in r(a*R)}, and Rf = (fR)* for a projection f, so
-    l(Ra) = Rf iff r(a*R) = fR. Elsewhere l(Ra) is read off ``l_of_Ra``."""
+    l(Ra) = Rf iff r(a*R) = fR."""
     right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
     star = ring.star_vector().tolist()
     for a, right_fails in enumerate(right):
         if right_fails:
             return False, {"a": ring.decode(a), "side": "right"}
-        if (
-            right[star[a]]
-            if ring.lawful
-            else _matching_projection(scan.Rf_by_mask, scan.l_of_Ra[a]) is None
-        ):
+        if right[star[a]]:
             return False, {"a": ring.decode(a), "side": "left"}
     return True, None
 
@@ -412,8 +405,7 @@ def ideal_annihilator_crosscheck(ring: StarRing, scan: Optional[RingScan] = None
     """Definitional route vs the family's route for r((a)), every a.
 
     The quasi-Baer* family takes r((a)) from ``r_of_principal_ideals``,
-    r({a}) meet r(aR), with r(aR) read off the additive generators on a
-    lawful ring; this builds the literal two-sided ideal (a) by additive
+    r({a}) meet r(aR), with r(aR) read off the additive generators; this builds the literal two-sided ideal (a) by additive
     closure and compares its annihilator. Used by tests and ``verify
     crosscheck``; raises on divergence.
     """

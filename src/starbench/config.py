@@ -11,8 +11,8 @@ class Limits:
 
     element_cap: largest ring order build_ring will materialize.
     table_threshold: maximum number of table entries (order squared) to
-        precompute for a ring a descriptor names, and for the lawful
-        quotient whose every row unitify --verify scans; larger rings,
+        precompute for a ring a descriptor names, and for the quotient
+        whose every row unitify --verify scans; larger rings,
         pair rings and the other quotients stay call-based and compute
         every row on demand (for matrix rings, k gathers from row-block
         tables of size m^k by m^k and m^k by order, for k-by-k matrices

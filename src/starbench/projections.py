@@ -6,15 +6,15 @@ conditions are equivalent, and this equivalence is asserted during
 construction rather than assumed.
 
 :class:`RingScan` bundles the per-ring caches every scan needs: annihilator
-bitsets for single elements, r(aR) and l(Ra) for every a, the projection
-poset, and precomputed rp/lp/central-cover tables. Classifier and
-verification code shares one scan per ring.
+bitsets for single elements, r(aR) for every a, the projection poset,
+and precomputed rp/lp/central-cover tables. Classifier and verification
+code shares one scan per ring.
 
 Operator conventions (all searches ascend element indices, so results and
 witnesses are the lowest-index ones):
 
 * rp(x): the projection e with xe = x and (xy = 0 implies ey = 0).
-* lp(x): mirror; rp(x*) on a lawful ring, cross-checked against it elsewhere.
+* lp(x): mirror; rp(x*) read at the adjoint.
 * rp_via_star(x): rp(x* x), asserted equal to rp(x); sensible when the
   involution is proper.
 * central_cover(x): least central projection h with hx = x.
@@ -128,33 +128,25 @@ class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
     Everything is computed lazily and exactly once. ``rann`` comes from one
-    pass over ``mul_rows``, a block of rows at a time, and ``lann`` from one
-    pass that calls ``mul_col`` once per element. On a lawful ring a
-    projection's column is its row mirrored through the involution
-    (``_column``). Lawful rings are the descriptor rings and the pair rings
-    and quotients of unitifications over them (see rings.py); a ring given
-    by its tables, or a pair ring or quotient built over one, has no proof
-    of the *-ring laws.
+    pass over ``mul_rows``, a block of rows at a time, and ``lann`` and
+    ``col_sets`` from one pass that calls ``mul_col`` once per element;
+    ``row_sets`` takes a row pass of its own. A projection's column is its
+    row mirrored through the involution (``_column``).
 
-    ``r_of_aR``/``l_of_Ra`` hold r(aR) and l(Ra) for every a. On a lawful
-    ring aR is the additive span of aG, G the additive generators (left
-    distributivity), and r(S) = r(span S) (right distributivity), so r(aR)
-    is the meet of rann[a*g] over g in G. Otherwise r(aR) is ``r_of`` of
-    the value set ``row_sets[a]`` (aR), which the row pass of such a ring
-    packs along with the zero sets, and l(Ra) is always ``l_of`` of
-    ``col_sets[a]`` (Ra), packed by the column pass.
+    ``r_of_aR`` holds r(aR) for every a: aR is the additive span of aG, G
+    the additive generators (left distributivity), and r(S) = r(span S)
+    (right distributivity), so r(aR) is the meet of rann[a*g] over g in G.
 
-    A lawful ring's classifiers and rp/lp read no left side: (y r a)* =
-    a* r* y*, so y is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a
-    projection f; hence l(Ra) = Rf iff r(a*R) = fR. Likewise a projection
-    f is an LP candidate of x iff it is an RP candidate of x*, so lp_all[x]
-    = rp_all[x*]. ``lann``/``l_of_Ra``/``Rf_by_mask`` serve the rings given
-    by their tables.
+    The classifiers and rp/lp read no left side: (y r a)* = a* r* y*, so y
+    is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a projection f;
+    hence l(Ra) = Rf iff r(a*R) = fR. Likewise a projection f is an LP
+    candidate of x iff it is an RP candidate of x*, so lp_all[x] =
+    rp_all[x*]. No verb reads ``lann``/``col_sets``/``l_of``.
 
     ``r_of``/``l_of`` intersect ``rann``/``lann`` over a set of elements,
     memoized by the set's bitset. The arrays returned by rp_all/lp_all use
     -1 for "no such projection" and -2 for "ambiguous" (ambiguity cannot
-    happen in a valid *-ring; kept as a guard).
+    happen in a *-ring; kept as a guard).
     """
 
     def __init__(self, ring: StarRing):
@@ -172,13 +164,6 @@ class RingScan:
         return _intersect_over(self.lann, mask, self._l_memo)
 
     @cached_property
-    def _row_pass(self) -> Tuple[List[int], Optional[List[int]]]:
-        """rann, with row_sets from the same pass on a ring that is not
-        lawful, the only rings whose scans read it."""
-        ring = self.ring
-        return _zero_and_value_sets(ring.mul_rows, ring.order, values=not ring.lawful)
-
-    @cached_property
     def _col_pass(self) -> Tuple[List[int], Optional[List[int]]]:
         """lann and col_sets from one pass over the columns."""
         ring, n = self.ring, self.ring.order
@@ -187,7 +172,7 @@ class RingScan:
     @cached_property
     def rann(self) -> List[int]:
         """rann[s] = bitset of the right annihilator {y : s*y = 0}."""
-        return self._row_pass[0]
+        return _zero_and_value_sets(self.ring.mul_rows, self.ring.order, values=False)[0]
 
     @cached_property
     def lann(self) -> List[int]:
@@ -196,10 +181,8 @@ class RingScan:
 
     @cached_property
     def row_sets(self) -> List[int]:
-        """row_sets[a] = bitset of aR = {a*r : r}; on a lawful ring, where
-        no scan reads it, a pass of its own."""
-        n = self.ring.order
-        return self._row_pass[1] or _zero_and_value_sets(self.ring.mul_rows, n)[1]
+        """row_sets[a] = bitset of aR = {a*r : r}."""
+        return _zero_and_value_sets(self.ring.mul_rows, self.ring.order)[1]
 
     @cached_property
     def col_sets(self) -> List[int]:
@@ -208,23 +191,15 @@ class RingScan:
 
     @cached_property
     def r_of_aR(self) -> List[int]:
-        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}; on a
-        lawful ring the meet of rann[a*g] over the additive generators g
-        (the whole ring when there are none), from one ``mul_pairs`` of
-        shape (n, |G|)."""
+        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}: the
+        meet of rann[a*g] over the additive generators g (the whole ring
+        when there are none), from one ``mul_pairs`` of shape (n, |G|)."""
         ring = self.ring
-        if not ring.lawful:
-            return [self.r_of(m) for m in self.row_sets]
         n, gens = ring.order, np.array(ring.generators, dtype=np.int64)
         members = ring.mul_pairs(np.repeat(np.arange(n), len(gens)), np.tile(gens, n))
         rann, whole = self.rann, full_mask(n)
         rows = members.reshape(n, len(gens)).tolist()
         return [reduce(and_, map(rann.__getitem__, row), whole) for row in rows]
-
-    @cached_property
-    def l_of_Ra(self) -> List[int]:
-        """l_of_Ra[a] = bitset of l(Ra) = {y : y*r*a = 0 for every r}."""
-        return [self.l_of(m) for m in self.col_sets]
 
     @cached_property
     def poset(self) -> ProjectionPoset:
@@ -249,24 +224,20 @@ class RingScan:
 
     @cached_property
     def rp_all(self) -> np.ndarray:
-        return self._projection_table(self.rann, self._fixed_right)
-
-    @cached_property
-    def lp_all(self) -> np.ndarray:
-        if self.ring.lawful:
-            return self.rp_all[self.ring.star_vector()]
-        return self._projection_table(self.lann, self._fixed_left)
-
-    def _projection_table(self, ann: List[int], fixed: np.ndarray) -> np.ndarray:
-        """For every x, its one candidate projection (see ``_candidates``),
-        -1 when there is none and -2 when there are several. Each e visits
-        only the x it fixes."""
+        """For every x, its one right-projection candidate (see
+        ``_rp_candidates``), -1 when there is none and -2 when there are
+        several. Each e visits only the x it fixes."""
+        ann, fixed = self.rann, self._fixed_right
         out = np.full(self.ring.order, -1, dtype=np.int64)
         for i, e in enumerate(self.poset.indices.tolist()):
             for x in np.flatnonzero(fixed[i]).tolist():
                 if is_subset(ann[x], ann[e]):
                     out[x] = e if out[x] == -1 else -2
         return out
+
+    @cached_property
+    def lp_all(self) -> np.ndarray:
+        return self.rp_all[self.ring.star_vector()]
 
     @cached_property
     def cover_all(self) -> np.ndarray:
@@ -289,26 +260,15 @@ class RingScan:
             out[x] = val
         return out
 
-    def _by_value_set(self, line) -> Dict[int, Tuple[int, ...]]:
-        """Map from the bitset of the values of line(e) to the projections e
-        giving it."""
-        out: Dict[int, List[int]] = {}
-        for e in self.poset.indices.tolist():
-            mask = mask_from_bool(flags_of(line(e), self.ring.order))
-            out.setdefault(mask, []).append(e)
-        return {k: tuple(v) for k, v in out.items()}
-
     @cached_property
     def eR_by_mask(self) -> Dict[int, Tuple[int, ...]]:
         """Map from the bitset of eR to the projections e producing it, read
         off each projection's row."""
-        return self._by_value_set(self.ring.mul_row)
-
-    @cached_property
-    def Rf_by_mask(self) -> Dict[int, Tuple[int, ...]]:
-        """Map from the bitset of Rf to the projections f, read off each
-        projection's column."""
-        return self._by_value_set(lambda f: _column(self.ring, f))
+        out: Dict[int, List[int]] = {}
+        for e in self.poset.indices.tolist():
+            mask = mask_from_bool(flags_of(self.ring.mul_row(e), self.ring.order))
+            out.setdefault(mask, []).append(e)
+        return {k: tuple(v) for k, v in out.items()}
 
 
 def r_of_principal_ideals(scan: RingScan) -> List[int]:
@@ -325,11 +285,8 @@ def r_of_principal_ideals(scan: RingScan) -> List[int]:
 
 
 def _column(ring: StarRing, e: int) -> np.ndarray:
-    """The column x -> x*e of a self-adjoint e. On a lawful ring
-    x*e = (e*x*)*, so it is e's row mirrored through the involution and no
-    column is read."""
-    if not ring.lawful:
-        return ring.mul_col(e)
+    """The column x -> x*e of a self-adjoint e: x*e = (e*x*)*, so it is
+    e's row mirrored through the involution and no column is read."""
     star = ring.star_vector()
     return star[ring.mul_row(e)[star]]
 
@@ -378,13 +335,13 @@ def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:
     return hit
 
 
-def _candidates(poset: ProjectionPoset, ann: List[int], fixed: np.ndarray, x: int) -> List[int]:
-    """Projections e, ascending, with x fixed by e (``fixed``) and ann[x]
-    inside ann[e]: the right-projection candidates of x when given rann and
-    fixed_right, the left-projection ones when given lann and fixed_left."""
+def _rp_candidates(scan: RingScan, x: int) -> List[int]:
+    """The right-projection candidates of x, ascending: the projections e
+    with xe = x and rann[x] inside rann[e]."""
+    ann, fixed = scan.rann, scan._fixed_right
     return [
         int(e)
-        for i, e in enumerate(poset.indices)
+        for i, e in enumerate(scan.poset.indices)
         if fixed[i, x] and is_subset(ann[x], ann[int(e)])
     ]
 
@@ -399,25 +356,22 @@ def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
         return val
     if val == -1:
         raise NoRightProjection(ring.decode(x))
-    cands = _candidates(scan.poset, scan.rann, scan._fixed_right, x)
+    cands = _rp_candidates(scan, x)
     raise AmbiguousRightProjection(ring.decode(x), [ring.decode(e) for e in cands])
 
 
 def lp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
-    """Left projection of x: rp(x*) on a lawful ring (see RingScan), and
-    cross-checked against star(rp(star(x))) elsewhere."""
+    """Left projection of x: the unique projection f with fx = x and
+    lann(x) contained in lann(f), read as rp(x*) (see RingScan). Raises
+    NoLeftProjection or, should a *-ring axiom be broken upstream,
+    AmbiguousLeftProjection naming the RP candidates at x*."""
     scan = scan or RingScan(ring)
     val = int(scan.lp_all[x])
-    if not ring.lawful and val != -2:
-        mirror = int(scan.rp_all[ring.star(x)])
-        if (ring.star(mirror) if mirror >= 0 else mirror) != val:
-            found = (ring.decode(val),) if val >= 0 else ()
-            raise VerificationFailed("lp-vs-star-rp-star", (ring.decode(x),) + found)
     if val >= 0:
         return val
     if val == -1:
         raise NoLeftProjection(ring.decode(x))
-    cands = _candidates(scan.poset, scan.lann, scan._fixed_left, x)
+    cands = _rp_candidates(scan, ring.star(x))
     raise AmbiguousLeftProjection(ring.decode(x), [ring.decode(e) for e in cands])
 
 

@@ -11,7 +11,7 @@ each row on demand with a few vectorized numpy calls: the pair ring and the
 quotient of a unitification have no descriptor. The pair ring is read
 through fewer pair ops than its tables take to assemble; the quotient is
 too, except where ``verify_unitification`` scans every row of a small
-lawful one, which it reads from a twin (:meth:`StarRing.tabled`) whose
+one, which it reads from a twin (:meth:`StarRing.tabled`) whose
 tables are walked along its additive generators
 (:func:`_tables_along_generators`). Matrix rings compute products as
 gathers from a small row-block table and sums from a smaller one (see
@@ -58,9 +58,8 @@ column confirm it instead of a search over the idempotents: 1 for Z(m),
 the identity matrix, (1_L, 1_R) for a product, (0, 1_K) for the pair
 ring, and a section's image of its parent's unity, when the section
 holds it (a subring's unity may lie elsewhere, and is searched).
-:class:`StarRing` reads the unity, the characteristic and ``lawful`` from
-the backend it was built from, and defines the additive order of an
-element itself.
+:class:`StarRing` reads the unity and the characteristic from the backend
+it was built from, and defines the additive order of an element itself.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly; only
@@ -69,21 +68,8 @@ Tables, persistent and transient, are assembled from ``add_rows``/
 ``mul_rows`` a block of :func:`_lines_per_block` rows at a time
 (``StarRing._assemble``); only a tabled twin's are walked.
 
-A ring is ``lawful`` when its construction proves the *-ring laws, so
-that code that needs them as a premise (the generator certificates of the
-scalar algebra and the unitification, the scans' r(aR) off the
-generators and their left side read off the right one at the adjoint)
-may take them. The cyclic and matrix rings are *-rings by construction,
-and a product of lawful rings is one; a subring of a lawful ring is one
-once its closure is proved, and so is a quotient once its operations are
-proved well defined on the cosets; the pair ring of lawful R and K is one
-once the scalar algebra has proved every action axiom. So every ring :func:`build_ring` makes from a descriptor is
-lawful, and so are the pair ring and the quotient of a unitification over
-lawful R and K. Rings given by their tables, and pair rings and quotients
-built over them, are not lawful, and their laws are not proved afresh on
-each run to make them so: on a matrix ring the audit's restricted
-ring-law scans cost more than the exhaustive passes of the scalar algebra
-they would let them skip.
+Every :class:`StarRing` is a *-ring, by construction or by the audit
+:meth:`StarRing.from_tables` runs.
 
 :func:`_greedy_span` is the one walk for additive subgroups: it grows the
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
@@ -178,10 +164,7 @@ def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
 class _Backend:
     """Base of every backend: everything but the arithmetic and the codec,
     from the definitions. Subclasses supply ``order``, ``add_pairs``,
-    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``,
-    and set ``lawful`` where their construction proves the *-ring laws."""
-
-    lawful = False
+    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``."""
 
     def add(self, i: int, j: int) -> int:
         return int(self.add_pairs(np.array([i]), np.array([j]))[0])
@@ -267,8 +250,6 @@ class _CyclicBackend(_Backend):
     and reduced in int32 while m^2 < 2^31, where ``%`` costs about a third
     of what it does in int64, and returned as int64 indices.
     """
-
-    lawful = True
 
     def __init__(self, modulus: int):
         self.m = modulus
@@ -361,8 +342,6 @@ class _MatrixBackend(_Backend):
     ``radd`` per element and takes their outer sum (``add_rows``). The
     unary maps and the codec go through the matrices themselves.
     """
-
-    lawful = True
 
     def __init__(self, size: int, modulus: int):
         self.k = size
@@ -468,8 +447,7 @@ class _MatrixBackend(_Backend):
 
 
 class _ProductBackend(_Backend):
-    """Direct product; componentwise operations and involution, lawful
-    when both factors are.
+    """Direct product; componentwise operations and involution.
 
     Index encoding: i = left_index * right_order + right_index.
     """
@@ -479,7 +457,6 @@ class _ProductBackend(_Backend):
         self.right = right
         self.rn = right.order
         self.order = left.order * right.order
-        self.lawful = left.lawful and right.lawful
 
     def _split(self, u):
         u = _as_index_array(u)
@@ -560,9 +537,9 @@ class _SectionBackend(_Backend):
     time. A result outside a subring's carrier raises the ``closure``
     violation, naming the first three parent products.
 
-    The section is lawful when its parent is: the caller proves the rest
-    before it hands the ring out (build_ring the subring's closure,
-    build_quotient that the operations are well defined on the cosets).
+    The caller proves the section a *-ring before it hands the ring out
+    (build_ring the subring's closure, build_quotient that the operations
+    are well defined on the cosets).
     """
 
     def __init__(self, parent: "StarRing", reps: np.ndarray, local_of: np.ndarray):
@@ -570,7 +547,6 @@ class _SectionBackend(_Backend):
         self.reps = reps
         self.local_of = local_of
         self.order = len(reps)
-        self.lawful = parent.lawful
 
     def add_pairs(self, u, v) -> np.ndarray:
         u, v = _as_index_array(u), _as_index_array(v)
@@ -718,10 +694,10 @@ class StarRing:
     """A finite ring with involution, elements indexed 0..order-1.
 
     Index 0 is the zero element. ``unity`` is the index of the multiplicative
-    identity or None. ``characteristic`` is the additive exponent. Both,
-    and ``lawful``, are read from the backend the ring is built from,
-    before any tables are assembled. All arrays handed out are read-only
-    views or fresh copies.
+    identity or None. ``characteristic`` is the additive exponent. Both
+    are read from the backend the ring is built from, before any tables
+    are assembled. All arrays handed out are read-only views or fresh
+    copies.
     """
 
     def __init__(
@@ -743,7 +719,6 @@ class StarRing:
         self._neg.setflags(write=False)
         self._star.setflags(write=False)
         self._backend = backend
-        self._lawful = bool(backend.lawful)
         if descriptor is not None and self.order**2 <= limits.table_threshold:
             self._backend = _TablesBackend(
                 self._assemble(backend.add_rows),
@@ -861,20 +836,10 @@ class StarRing:
                 self.order * self.order, VALIDATION_TABLE_CAP, what="transient table"
             )
 
-    @property
-    def lawful(self) -> bool:
-        """Whether the ring's construction proves the *-ring laws (see the
-        module docstring): true for every ring build_ring makes from a
-        descriptor, and for the pair ring and the quotient of a
-        unitification over lawful R and K; false for rings given by their
-        tables and for what is built over them. Read from the construction
-        backend; nothing sets it."""
-        return self._lawful
-
     def tabled(self) -> "StarRing":
-        """This lawful ring served from tables assembled along its additive
+        """This ring served from tables assembled along its additive
         generators (:func:`_tables_along_generators`): a twin with the
-        same codec, unity, characteristic, label and ``lawful``."""
+        same codec, unity, characteristic and label."""
         add, mul = _tables_along_generators(self)
         twin = copy.copy(self)
         twin._backend = _TablesBackend(add, mul, self._neg, self._star, codec=self._backend)
@@ -922,14 +887,20 @@ class StarRing:
         label: str = "raw",
         limits: Limits = DEFAULT_LIMITS,
     ) -> "StarRing":
-        """Build a ring from explicit tables (tests and adapters)."""
+        """Build a ring from explicit tables (tests and adapters), audited
+        by :func:`starbench.audit.validate_star_ring`, whose
+        AxiomViolation it raises on tables that are not a *-ring."""
+        from .audit import validate_star_ring  # audit imports this module
+
         dtype = index_dtype(len(add))
         add = np.array(add, dtype=dtype)
         mul = np.array(mul, dtype=dtype)
         add.setflags(write=False)
         mul.setflags(write=False)
         backend = _TablesBackend(add, mul, neg, star, _Literals(add.shape[0], literals))
-        return StarRing(backend, descriptor=None, label=label, limits=limits)
+        ring = StarRing(backend, descriptor=None, label=label, limits=limits)
+        validate_star_ring(ring)
+        return ring
 
 
 def _close_subring(parent: StarRing, generator_indices: List[int]) -> np.ndarray:
@@ -1102,7 +1073,7 @@ def _greedy_span(
 
 
 def _tables_along_generators(ring: StarRing) -> Tuple[np.ndarray, np.ndarray]:
-    """The read-only + and * tables of a lawful ring, in
+    """The read-only + and * tables of the ring, in
     :func:`index_dtype`, from one row of each per greedy additive
     generator and gathers for the rest.
 

@@ -19,23 +19,21 @@ every pair's representative at once, by doubling along each generator of
 N (_coset_minima), in O(|R1| sum of log ord g) rather than one shift of
 every pair per member of N.
 
-Nothing is sampled, and the only premise is the *-ring laws of R and K.
-When both are lawful (named by descriptors, hence *-rings by
-construction), the action has been proved additive in the element, so
-x -> a x + lam.x is additive for every pair (a, lam) and vanishes on all of
-R once it vanishes on R's additive generators G: compute_kernel_N reads
-N's exact membership off x in G. It verifies that N is an additive
-subgroup by walking the span of N's greedy generators, which is N exactly
-when N is closed under +. Absorption and the quotient audit's invariance
-(_validate_quotient) are each one check that takes the members it loops
-over: on N's generators it is a proof, and only if that fails, or N has
-none (R or K is not lawful), does it run on every member, which names
-the witness. Membership and closure take exhaustive passes on other
-rings, so a failure is always reported with the witness those passes
-name. Either way the quotient's operations are proved well defined on
-every coset pair. Over lawful R and K the pair ring and the quotient are
-*-rings, and lawful themselves, so the quotient's scans read its left
-side off the right one at the adjoint (projections.RingScan). verify_unitification, which
+Nothing is sampled, and the only premise is the *-ring laws of R and K,
+which every StarRing obeys. The action has been proved additive in the
+element, so x -> a x + lam.x is additive for every pair (a, lam) and
+vanishes on all of R once it vanishes on R's additive generators G:
+compute_kernel_N reads N's exact membership off x in G. It verifies that
+N is an additive subgroup by walking the span of N's greedy generators,
+which is N exactly when N is closed under +. Absorption and the quotient
+audit's invariance (_validate_quotient) are each one check that takes
+the members it loops over: on N's generators it is a proof, and only if
+that fails does it run on every member, which names the witness, as the
+all-pairs closure check does after the span walk fails. The quotient's
+operations are thus proved well defined on every coset pair, and the
+pair ring and the quotient are *-rings, so the quotient's scans read its
+left side off the right one at the adjoint (projections.RingScan).
+verify_unitification, which
 scans every row of the quotient, then reads it from a tabled twin
 (StarRing.tabled) when its order squared is within the table threshold:
 its + is associative and right distributive, so one row of each table per
@@ -121,9 +119,8 @@ class _PairBackend(_ProductBackend):
     action), so neither the pair ring's rows nor a quotient's go through
     ``mul_pairs``, and a row is a one-row block. The ring is call-based.
 
-    It is lawful when R and K are, as a product is: build_scalar_algebra
-    has then proved every action axiom, (lam.a)* = lam*.a* included, and
-    with them the pair ring is a *-ring."""
+    build_scalar_algebra has proved every action axiom, (lam.a)* =
+    lam*.a* included, and with them the pair ring is a *-ring."""
 
     def __init__(self, algebra: ScalarAlgebra):
         super().__init__(algebra.ring, algebra.scalars)
@@ -184,14 +181,12 @@ class _PairBackend(_ProductBackend):
 class KernelN:
     """The kernel ideal of the pair ring, as a bitset over pair indices.
 
-    ``generators`` is an additive generating set of N when R and K are
-    lawful, so that the pair ring's + is associative and N is their span;
-    None otherwise, when its closure was checked member by member."""
+    ``generators`` is an additive generating set of N: N is their span."""
 
     mask: int
     size: int
     star_closed: bool
-    generators: Optional[Tuple[int, ...]] = None
+    generators: Tuple[int, ...]
 
 
 @dataclass
@@ -243,49 +238,35 @@ def compute_kernel_N(
     """N = {(a, lam) : a x + lam.x = 0 for all x}, with its ideal invariants
     verified rather than assumed (any failure is a bug and raises).
 
-    a x + lam.x = 0 exactly when lam.x is the additive inverse of a x. When
-    R and K are lawful, x -> a x + lam.x is additive (the algebra proved
-    every lam additive), so x in R's generators G decides membership: one
-    mul_pairs over the (a, g) grid, O(n |K| |G|). Otherwise one R-row per a
-    tests every (lam, x) at once, O(n^2 |K|).
+    a x + lam.x = 0 exactly when lam.x is the additive inverse of a x. The
+    map x -> a x + lam.x is additive (the algebra proved every lam
+    additive), so x in R's generators G decides membership: one mul_pairs
+    over the (a, g) grid, O(n |K| |G|).
 
-    Additive closure, when R and K are lawful (so the pair ring's + is a
-    group law), holds exactly when the span of N's greedy generators is N,
-    which the coset walk of rings._greedy_span decides in O(|N| |G_N|).
-    Otherwise, or if the span is larger, every sum of two members is
-    checked, one member at a time, which names the first witness.
-    Absorption is one check, run first on N's generators against the pair
-    ring's generators G x {0} and {0} x G_K, both sides (a product is
-    biadditive, so that covers every product of N with the pair ring),
-    and then, if N has no generators or that fails, on every member
+    Additive closure holds exactly when the span of N's greedy generators
+    is N (the pair ring's + is a group law), which the coset walk of
+    rings._greedy_span decides in O(|N| |G_N|). If the span is larger,
+    every sum of two members is checked, one member at a time, which names
+    the first witness. Absorption is one check, run first on N's
+    generators against the pair ring's generators G x {0} and {0} x G_K,
+    both sides (a product is biadditive, so that covers every product of
+    N with the pair ring), and then, if that fails, on every member
     against every pair, which names the witness.
     """
     R, K = algebra.ring, algebra.scalars
     if r1 is None:
         r1 = build_R1(algebra, limits)
     nr, nk = R.order, K.order
-    neg = R.neg_vector()
-    trusted = R.lawful and K.lawful
-    if trusted:
-        gens = np.array(R.generators, dtype=np.int64)
-        a = np.repeat(np.arange(nr, dtype=np.int64), len(gens))
-        neg_ag = neg[R.mul_pairs(a, np.tile(gens, nr))].reshape(nr, 1, len(gens))
-        flags = (algebra.action[:, gens][None, :, :] == neg_ag).all(axis=2)
-    else:
-        flags = np.zeros((nr, nk), dtype=bool)
-        for a in range(nr):
-            flags[a] = (algebra.action == neg[R.mul_row(a)]).all(axis=1)
-    flags = flags.ravel()
+    gens = np.array(R.generators, dtype=np.int64)
+    a = np.repeat(np.arange(nr, dtype=np.int64), len(gens))
+    neg_ag = R.neg_vector()[R.mul_pairs(a, np.tile(gens, nr))].reshape(nr, 1, len(gens))
+    flags = (algebra.action[:, gens][None, :, :] == neg_ag).all(axis=2).ravel()
     mask = mask_from_bool(flags)
     members = np.flatnonzero(flags)
 
     # additive subgroup
-    n_gens = None
-    if trusted:
-        span, span_gens = _greedy_span(r1.add_pairs, flags)
-        if np.array_equal(span, flags):
-            n_gens = tuple(span_gens)
-    if n_gens is None:
+    span, n_gens = _greedy_span(r1.add_pairs, flags)
+    if not np.array_equal(span, flags):  # name the first sum outside N
         for u_ in members:
             sums = r1.add_pairs(np.full(len(members), u_), members)
             if not flags[sums].all():
@@ -303,14 +284,14 @@ def compute_kernel_N(
         return None
 
     # two-sided absorption
-    if n_gens is None or first_unabsorbed(
+    if first_unabsorbed(
         n_gens, [g * nk for g in R.generators] + list(K.generators)
     ) is not None:
         bad = first_unabsorbed(members, np.arange(r1.order))
         if bad is not None:
             raise VerificationFailed("kernel-absorption", r1.decode(bad))
     star_closed = bool(flags[r1.star_vector()[members]].all())
-    return KernelN(mask=mask, size=len(members), star_closed=star_closed, generators=n_gens)
+    return KernelN(mask=mask, size=len(members), star_closed=star_closed, generators=tuple(n_gens))
 
 
 def _validate_quotient(quot: "Quotient") -> None:
@@ -323,9 +304,9 @@ def _validate_quotient(quot: "Quotient") -> None:
     coset_of_pair is the canonical map R1 -> R1/N:
 
     * invariance: x + h lies in the coset of x for every member h of N.
-      When the kernel carries its additive generators, checking h among
-      them suffices, since x + (h + h') = (x + h) + h'; if that fails, or
-      there are none, every member is checked, which names the witness;
+      Checking h among the kernel's additive generators suffices, since
+      x + (h + h') = (x + h) + h'; if that fails, every member is checked,
+      which names the witness;
     * separation: x - reps[coset(x)] lies in N, and each rep is in its own
       coset;
     * the involution: the coset of x* is the coset of rep(x)*.
@@ -350,8 +331,7 @@ def _validate_quotient(quot: "Quotient") -> None:
                 return int(np.argmax(moved != coset)), int(h)
         return None
 
-    gens = quot.kernel.generators
-    if gens is None or first_moved(gens) is not None:
+    if first_moved(quot.kernel.generators) is not None:
         hit = first_moved(np.flatnonzero(in_n))
         if hit is not None:
             x, h = hit
@@ -413,9 +393,9 @@ def build_quotient(
     otherwise InvolutionNotWellDefined is raised with a witness pair.
 
     Each pair's coset representative, the least pair index in x + N, comes
-    from _coset_minima over N's generators, or over every member when N
-    has none (R or K is not lawful): one add_pairs per generator g and
-    about log2(ord g) rounds of gathers, O(|R1| sum of log ord g) in all.
+    from _coset_minima over N's generators: one add_pairs per generator g
+    and about log2(ord g) rounds of gathers, O(|R1| sum of log ord g) in
+    all.
     _validate_quotient then proves the cosets right, whatever found them.
     """
     r1 = build_R1(algebra, limits)
@@ -426,10 +406,7 @@ def build_quotient(
             if not (kern.mask >> int(star[u])) & 1:
                 raise InvolutionNotWellDefined(r1.decode(u))
         raise InvolutionNotWellDefined(None)  # unreachable
-    shifts = kern.generators
-    if shifts is None:
-        shifts = iter_indices(kern.mask)
-    rep_of_pair = _coset_minima(r1, shifts)
+    rep_of_pair = _coset_minima(r1, kern.generators)
     distinct = flags_of(rep_of_pair, r1.order)
     reps = np.flatnonzero(distinct)
     coset_of_pair = (np.cumsum(distinct) - 1)[rep_of_pair]
@@ -599,7 +576,7 @@ def verify_unitification(
     mode "pqbaer": the central-cover mirror, gated on R weakly p.q.-Baer*
     and condition (beta).
 
-    Every check reads one quotient ring: the tabled twin of a lawful
+    Every check reads one quotient ring: the tabled twin of a
     quotient with order squared at most ``limits.table_threshold``, the
     call-based quotient otherwise. Both decode alike.
 
@@ -652,7 +629,7 @@ def verify_unitification(
 
     quot = build_quotient(algebra, limits)
     q = quot.ring
-    if q.lawful and q.order**2 <= limits.table_threshold:
+    if q.order**2 <= limits.table_threshold:
         q = q.tabled()  # every row of Q is scanned: its tables pay for themselves
     qscan = RingScan(q)
     failures: List[str] = []

@@ -417,3 +417,19 @@ def o_quotient_cosets(r1, kernel_pairs: Set[int]) -> List[List[int]]:
         seen.update(coset)
         cosets.append(coset)
     return cosets
+
+
+def unaudited_ring(add, mul, neg, star, literals=None, label="raw"):
+    """A StarRing served from the given tables without the *-ring audit that
+    StarRing.from_tables runs: the one way tests build a ring that is not a
+    *-ring, to reach the guards that only such a ring can trip."""
+    import numpy as np
+
+    from starbench.rings import StarRing, _Literals, _TablesBackend, index_dtype
+
+    dtype = index_dtype(len(add))
+    add, mul = np.array(add, dtype=dtype), np.array(mul, dtype=dtype)
+    add.setflags(write=False)
+    mul.setflags(write=False)
+    backend = _TablesBackend(add, mul, neg, star, _Literals(len(add), literals))
+    return StarRing(backend, label=label)

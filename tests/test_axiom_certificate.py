@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starbench import StarRing, audit, rings, validate_star_ring
+import oracles
+from starbench import audit, rings, validate_star_ring
 from starbench.errors import AxiomViolation
 
 from conftest import cached_ring
@@ -176,9 +177,10 @@ class TestCleanRings:
 
 def corrupted_rings(count, seed):
     """Rings from tables with one mul entry, or one add entry and its mirror,
-    changed; rings that the constructor's structural guards already refuse
-    are left out. Keeping + commutative lets most add corruptions reach the
-    associativity check."""
+    changed, built without the audit (``oracles.unaudited_ring``); rings
+    that the constructor's structural guards already refuse are left out.
+    Keeping + commutative lets most add corruptions reach the associativity
+    check."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         r = cached_ring(PARITY_RINGS[int(rng.integers(len(PARITY_RINGS)))])
@@ -192,7 +194,7 @@ def corrupted_rings(count, seed):
             mul[i, j] = (mul[i, j] + shift) % r.order
         literals = [r.decode(k) for k in range(r.order)]
         try:
-            yield StarRing.from_tables(add, mul, r.neg_vector(), r.star_vector(), literals)
+            yield oracles.unaudited_ring(add, mul, r.neg_vector(), r.star_vector(), literals)
         except AxiomViolation:
             continue
 
@@ -209,10 +211,11 @@ def assert_audit_matches_reference(bad):
 
 
 def with_mul(text, mul):
-    """The ring `text` with its multiplication replaced by `mul`."""
+    """The ring `text` with its multiplication replaced by `mul`, built
+    without the audit."""
     r = cached_ring(text)
     literals = [r.decode(k) for k in range(r.order)]
-    return StarRing.from_tables(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
+    return oracles.unaudited_ring(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
 
 
 class TestEachStepOfTheCertificate:
@@ -227,7 +230,7 @@ class TestEachStepOfTheCertificate:
         add = np.array(r.add_table(), copy=True)
         add[1, 1] = 3
         add[3, 3] = 1
-        bad = StarRing.from_tables(add, r.mul_table(), r.neg_vector(), r.star_vector())
+        bad = oracles.unaudited_ring(add, r.mul_table(), r.neg_vector(), r.star_vector())
         mul = np.asarray(r.mul_table(), dtype=np.int32)
         assert audit._first_ring_law_violation(add, mul, bad.generators) is not None
         assert assert_audit_matches_reference(bad)[0] == "add-associative"
@@ -277,8 +280,9 @@ def assert_distrib_scans_agree(bad):
 
 
 class TestOneSidedCorruptions:
-    """Near-ring tables over a lawful additive group that break exactly one
-    distributive law: the restricted scans must see either law fail."""
+    """Near-ring tables over the ring's own additive group that break
+    exactly one distributive law: the restricted scans must see either law
+    fail."""
 
     @pytest.mark.parametrize("text,e", ONE_SIDED)
     @pytest.mark.parametrize("axiom", ["left-distributive", "right-distributive"])
@@ -349,7 +353,7 @@ def test_own_narrow_tables_name_the_same_witness_on_a_large_ring():
         mul = np.array(r.mul_table(), copy=True)
         i, j = (int(v) for v in rng.integers(1, r.order, size=2))
         mul[i, j] = (mul[i, j] + int(rng.integers(1, r.order))) % r.order
-        bad = StarRing.from_tables(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
+        bad = oracles.unaudited_ring(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
         narrow, wide = own_tables(bad), int32_tables(bad)
         assert audit._first_ring_law_violation(*narrow[:2], bad.generators) is not None
         hit = audit._first_ring_law_violation(*narrow[:2])
@@ -358,12 +362,13 @@ def test_own_narrow_tables_name_the_same_witness_on_a_large_ring():
 
 
 def corrupted_stars(count, seed):
-    """Rings from tables whose star is conjugated by a transposition t of
-    two nonzero elements, t s t; where t commutes with the star s, which
-    leaves it as it is (every ring here but M(2,Z(2)) has the identity
-    star), it is composed with it, t s, instead. Either way the new star
-    is an involution that fixes 0, so the audit gets past the ring laws and
-    star-involutive, and differs from the old one."""
+    """Rings from tables, built without the audit, whose star is conjugated
+    by a transposition t of two nonzero elements, t s t; where t commutes
+    with the star s, which leaves it as it is (every ring here but
+    M(2,Z(2)) has the identity star), it is composed with it, t s,
+    instead. Either way the new star is an involution that fixes 0, so the
+    audit gets past the ring laws and star-involutive, and differs from
+    the old one."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         r = cached_ring(PARITY_RINGS[int(rng.integers(len(PARITY_RINGS)))])
@@ -373,7 +378,7 @@ def corrupted_stars(count, seed):
         star = r.star_vector()
         new = t[star[t]] if not np.array_equal(t[star[t]], star) else t[star]
         literals = [r.decode(k) for k in range(r.order)]
-        yield StarRing.from_tables(r.add_table(), r.mul_table(), r.neg_vector(), new, literals)
+        yield oracles.unaudited_ring(r.add_table(), r.mul_table(), r.neg_vector(), new, literals)
 
 
 class TestCorruptedInvolutions:

@@ -13,12 +13,14 @@ from starbench import (
     build_scalar_algebra,
     medium_corpus,
     parse_ring_expr,
+    small_corpus,
     validate_star_ring,
 )
 from starbench.errors import AxiomViolation, LiteralError, OrderCapExceeded
 from starbench import rings as rings_module
 from starbench.rings import _CyclicBackend, _MatrixBackend, index_dtype
 
+import oracles
 from conftest import cached_ring
 
 
@@ -159,12 +161,35 @@ class TestSubringClosure:
 
 
 AUDITED = ["Z(1)", "Z(6)", "Z(8)", "M(2,Z(2))", "M(2,Z(3))", "prod(Z(2),Z(3))", "sub(Z(9); 3)", "sub(Z(6); 2)"]
-# Every medium-corpus ring. These rings are lawful, which the scalar algebra
-# and the unitification take as the premise of their generator certificates.
+# Every medium-corpus ring. These rings are *-rings by construction, which
+# the scalar algebra and the unitification take as the premise of their
+# generator certificates.
 AUDITED += [
     t for t in medium_corpus()
     if t.replace(" ", "") not in {a.replace(" ", "") for a in AUDITED}
 ]
+
+
+def tables_of(r):
+    add = np.array(r.add_table(), copy=True)
+    mul = np.array(r.mul_table(), copy=True)
+    neg = np.array([r.neg(i) for i in range(r.order)])
+    star = np.array([r.star(i) for i in range(r.order)])
+    return add, mul, neg, star
+
+
+def mul_not_associative(add, mul, neg, star):
+    mul[2, 3], mul[3, 2] = 1, 1
+
+
+def add_not_commutative(add, mul, neg, star):
+    add[1, 2] = 0
+
+
+def star_not_anti_multiplicative(add, mul, neg, star):
+    # on Z(5), x -> -x is additive but (xy)* = -xy != (-x)(-y) = xy
+    star[1], star[4] = 4, 1
+    star[2], star[3] = 3, 2
 
 
 class TestValidation:
@@ -179,72 +204,61 @@ class TestValidation:
             assert rep["ok"] is True
             assert "star-anti-multiplicative" in rep["checks"]
             assert rep["order"] == ring(text).order
-            assert r.lawful
 
-    def test_lawful_exactly_where_the_laws_are_proved(self, z6):
-        # descriptor rings are *-rings by construction, tables prove nothing;
-        # the pair ring and the quotient are lawful when R and K both are
-        assert z6.lawful and ring("sub(Z(9); 3)").lawful and ring("prod(Z(2),Z(3))").lawful
-        assert not StarRing.from_tables(*self._tables_of(z6)).lawful
+    @pytest.mark.parametrize(
+        "text,corrupt,axiom",
+        [
+            ("Z(6)", mul_not_associative, "mul-associative"),
+            ("Z(6)", add_not_commutative, "add-commutative"),
+            ("Z(5)", star_not_anti_multiplicative, "star-anti-multiplicative"),
+        ],
+    )
+    def test_from_tables_raises_what_the_audit_names(self, text, corrupt, axiom):
+        tables = tables_of(ring(text))
+        corrupt(*tables)
+        with pytest.raises(AxiomViolation) as audited:
+            validate_star_ring(oracles.unaudited_ring(*tables))
+        with pytest.raises(AxiomViolation) as door:
+            StarRing.from_tables(*tables)
+        assert door.value.payload() == audited.value.payload()
+        assert door.value.axiom == axiom
+
+    @pytest.mark.parametrize("text", small_corpus())
+    def test_from_tables_copies_of_the_small_corpus_build(self, text):
+        r = ring(text)
+        copy = StarRing.from_tables(*tables_of(r), [r.decode(i) for i in range(r.order)])
+        assert np.array_equal(copy.add_table(), r.add_table())
+        assert np.array_equal(copy.mul_table(), r.mul_table())
+        assert (copy.unity, copy.characteristic, copy.generators) == (
+            r.unity, r.characteristic, r.generators,
+        )
+
+    def test_quotients_over_table_copies_are_the_same_ring(self):
         R, K = ring("sub(Z(9); 3)"), ring("Z(9)")
         action = build_scalar_algebra(R, K).action
+        expected = build_quotient(build_scalar_algebra(R, K, action=action))
         for R_, K_ in (
-            (R, K),
-            (StarRing.from_tables(*self._tables_of(R)), K),
-            (R, StarRing.from_tables(*self._tables_of(K))),
+            (StarRing.from_tables(*tables_of(R)), K),
+            (R, StarRing.from_tables(*tables_of(K))),
         ):
             alg = build_scalar_algebra(R_, K_, action=action)
-            assert build_R1(alg).lawful == (R_.lawful and K_.lawful)
-            assert build_quotient(alg).ring.lawful == (R_.lawful and K_.lawful)
-
-    def _tables_of(self, r):
-        add = np.array(r.add_table(), copy=True)
-        mul = np.array(r.mul_table(), copy=True)
-        neg = np.array([r.neg(i) for i in range(r.order)])
-        star = np.array([r.star(i) for i in range(r.order)])
-        return add, mul, neg, star
+            assert np.array_equal(build_R1(alg).mul_table(), expected.r1.mul_table())
+            q = build_quotient(alg)
+            assert np.array_equal(q.reps, expected.reps)
+            assert np.array_equal(q.ring.mul_table(), expected.ring.mul_table())
 
     def test_from_tables_reproduces_the_ring(self, z6):
-        raw = StarRing.from_tables(*self._tables_of(z6), label="copy of Z(6)")
+        raw = StarRing.from_tables(*tables_of(z6), label="copy of Z(6)")
         assert raw.order == 6
         assert raw.unity == 1
         assert validate_star_ring(raw)["ok"] is True
 
-    def test_corrupted_multiplication_names_associativity(self, z6):
-        add, mul, neg, star = self._tables_of(z6)
-        mul[2, 3], mul[3, 2] = 1, 1
-        bad = StarRing.from_tables(add, mul, neg, star)
-        with pytest.raises(AxiomViolation) as exc:
-            validate_star_ring(bad)
-        payload = exc.value.payload()
-        assert payload["axiom"] == "mul-associative"
-        assert len(payload["witness"]) == 3
-
-    def test_corrupted_addition_names_commutativity(self, z6):
-        add, mul, neg, star = self._tables_of(z6)
-        add[1, 2] = 0
-        bad = StarRing.from_tables(add, mul, neg, star)
-        with pytest.raises(AxiomViolation) as exc:
-            validate_star_ring(bad)
-        assert exc.value.payload()["axiom"] in ("add-commutative", "zero-identity")
-
     def test_broken_involution_caught_at_construction(self, z6):
-        add, mul, neg, star = self._tables_of(z6)
+        add, mul, neg, star = tables_of(z6)
         star[1] = 2  # star(star(1)) = star(2) = 2 != 1
         with pytest.raises(AxiomViolation) as exc:
             StarRing.from_tables(add, mul, neg, star)
         assert exc.value.payload()["axiom"] == "star-involutive"
-
-    def test_nonadditive_star_names_the_axiom(self, prod23):
-        add, mul, neg, star = self._tables_of(ring("Z(5)"))
-        star[1], star[4] = 4, 1  # an additive bijection that breaks (xy)* = y*x*? no:
-        # on a commutative ring x -> -x is additive and anti-multiplicative
-        # only if (xy)* = x*y* = (-x)(-y) = xy, but star(xy) = -xy, so it fails
-        star[2], star[3] = 3, 2
-        bad = StarRing.from_tables(add, mul, neg, star)
-        with pytest.raises(AxiomViolation) as exc:
-            validate_star_ring(bad)
-        assert exc.value.payload()["axiom"] == "star-anti-multiplicative"
 
 
 class TestCapsAndDeterminism:

@@ -9,12 +9,15 @@ default limits is served from dense tables. Both must agree on every
 operation and every classifier report. Every backend's blocks of rows
 (``add_rows``/``mul_rows``) must equal its rows stacked, and the tables
 assembled from them the tables assembled row by row. The ``RingScan``
-bitsets, its memoized set annihilators ``r_of``/``l_of`` and its r(aR)/
-l(Ra) for every a, r(aR) read off the additive generators on lawful rings,
-must agree with the oracles; on a lawful ring p.q.-Baer* and lp read the
-left side off the right one at the adjoint, and must agree with the same
-ring given by its tables.
+bitsets, its memoized set annihilators ``r_of``/``l_of`` and its r(aR)
+for every a, read off the additive generators, must agree with the
+oracles. p.q.-Baer* and lp read the left side off the right one at the
+adjoint, and must agree with the left side read column by column here and,
+up to 100 elements, with the oracles: every false p.q.-Baer* verdict's
+witness is replayed against the definitions.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from starbench import (
     classify_all,
     parse_ring_expr,
 )
-from starbench.bitsets import full_mask, indices_of
+from starbench.bitsets import contains, flags_of, full_mask, indices_of, is_subset, mask_from_bool
 from starbench.classifiers import (
     PROPERTY_CLASSIFIERS,
     _matching_projection,
@@ -111,6 +114,7 @@ class _Tabled:
         self._add = ring.add_pairs(u, v).reshape(n, n).tolist()
         self._mul = ring.mul_pairs(u, v).reshape(n, n).tolist()
         self._neg = ring.neg_vector().tolist()
+        self._star = ring.star_vector().tolist()
 
     def add(self, x, y):
         return self._add[x][y]
@@ -120,6 +124,9 @@ class _Tabled:
 
     def neg(self, x):
         return self._neg[x]
+
+    def star(self, x):
+        return self._star[x]
 
 
 def _assert_scan_matches_single_element_functions(ring):
@@ -198,12 +205,11 @@ def test_ideal_annihilators_match_on_call_based_m2z3():
     assert ideal_annihilator_crosscheck(call_based_ring("M(2, Z(3))"))
 
 
-def tables_copy(ring, star=None):
-    """``ring`` given by its tables (with another involution if ``star``
-    is given): not lawful, so its scans read its columns."""
-    if star is None:
-        star = ring.star_vector()
-    return StarRing.from_tables(ring.add_table(), ring.mul_table(), ring.neg_vector(), star)
+def tables_copy(ring):
+    """``ring`` given by its tables, which from_tables audits."""
+    return StarRing.from_tables(
+        ring.add_table(), ring.mul_table(), ring.neg_vector(), ring.star_vector()
+    )
 
 
 class _Counting:
@@ -226,30 +232,29 @@ class _Counting:
         return self.ring.mul_col(j)
 
 
-def test_lawful_scans_read_each_row_once_and_no_column(m2z3):
-    """On a lawful ring every classifier reads the scan's rows once, in its
-    zero-set pass, and no column: a projection's column is its row
-    mirrored, r(aR) comes off the generators, so the value sets are never
-    built, and p.q.-Baer*'s left clause at a is its right clause at a*, so
-    no left side (lann, l(Ra), the ideals Rf) is built either."""
+def test_scans_read_each_row_once_and_no_column(m2z3):
+    """Every classifier reads the scan's rows once, in its zero-set pass,
+    and no column: a projection's column is its row mirrored, r(aR) comes
+    off the generators, so the value sets are never built, and
+    p.q.-Baer*'s left clause at a is its right clause at a*, so no left
+    side is built either."""
     counting = _Counting(m2z3)
     scan = RingScan(counting)
     for classify in PROPERTY_CLASSIFIERS.values():
         classify(m2z3, scan)
     assert sorted(counting.rows) == list(range(m2z3.order))
     assert counting.cols == 0
-    for cache in ("row_sets", "col_sets", "lann", "l_of_Ra", "Rf_by_mask"):
+    for cache in ("row_sets", "col_sets", "lann"):
         assert cache not in scan.__dict__, cache
 
 
-def test_each_side_is_one_pass_without_the_laws(m2z3):
-    """A ring given by its tables packs its zero and value sets in one pass
-    per side: every row once, every column once."""
-    ring = tables_copy(m2z3)
-    n = ring.order
-    counting = _Counting(ring)
+def test_value_sets_take_one_pass_per_side(m2z3):
+    """row_sets takes a row pass of its own, beside rann's, and lann and
+    col_sets come from one column pass: every column once."""
+    n = m2z3.order
+    counting = _Counting(m2z3)
     scan = RingScan(counting)
-    view = _Tabled(ring)
+    view = _Tabled(m2z3)
     assert [set(indices_of(m)) for m in scan.rann] == [oracles.o_rann(view, [s]) for s in range(n)]
     assert [set(indices_of(m)) for m in scan.row_sets] == [
         oracles.o_right_multiples(view, s) for s in range(n)
@@ -258,11 +263,39 @@ def test_each_side_is_one_pass_without_the_laws(m2z3):
     assert [set(indices_of(m)) for m in scan.col_sets] == [
         oracles.o_left_multiples(view, s) for s in range(n)
     ]
-    assert sorted(counting.rows) == list(range(n))
+    assert sorted(counting.rows) == sorted(2 * list(range(n)))
     assert counting.cols == n
 
 
-# The small corpus's lawful rings, two larger matrix rings, and two subrings
+def left_misses(ring, scan):
+    """For every a, whether l(Ra) is no ideal Rf of a projection f, read
+    column by column: l(Ra) as the scan's lann met over the values of a's
+    column, and each Rf as the values of f's column."""
+    n = ring.order
+    rf = {}
+    for f in scan.poset.indices.tolist():
+        rf.setdefault(mask_from_bool(flags_of(ring.mul_col(f), n)), []).append(f)
+    misses = []
+    for a in range(n):
+        l_of_ra = scan.l_of(mask_from_bool(flags_of(ring.mul_col(a), n)))
+        misses.append(not any(contains(l_of_ra, f) for f in rf.get(l_of_ra, ())))
+    return misses
+
+
+def lp_by_columns(ring, scan):
+    """For every x, its one left-projection candidate, read column by
+    column: a projection f with fx = x and lann[x] inside lann[f]; -1 when
+    there is none and -2 when there are several."""
+    idx = np.arange(ring.order)
+    out = np.full(ring.order, -1, dtype=np.int64)
+    for f in scan.poset.indices.tolist():
+        for x in np.flatnonzero(ring.mul_row(f) == idx).tolist():
+            if is_subset(scan.lann[x], scan.lann[f]):
+                out[x] = f if out[x] == -1 else -2
+    return out
+
+
+# The small corpus's rings, two larger matrix rings, and two subrings
 # where r(aR) = eR holds at some a but not at a*, so that the two clauses
 # of p.q.-Baer* differ element by element.
 PQ_BAER_RINGS = small_corpus() + [
@@ -275,39 +308,88 @@ PQ_BAER_RINGS = small_corpus() + [
 
 @pytest.mark.parametrize("text", PQ_BAER_RINGS)
 def test_pq_baer_left_clause_is_the_right_clause_at_the_adjoint(text):
-    """A lawful ring reads p.q.-Baer*'s left clause off r(a*R); its copy
-    given by tables reads l(Ra) and the ideals Rf. Both name the same
-    verdict and witness, side included, and the left clause fails at
-    exactly the a whose a* fails the right clause."""
+    """p.q.-Baer*'s left clause is read off r(a*R); the left side read
+    column by column fails at exactly the a whose a* fails the right
+    clause, and the verdict names the first a that fails either side."""
     ring = cached_ring(text)
-    copy = tables_copy(ring)
-    assert ring.lawful and not copy.lawful
-    lawful, scan = is_pq_baer_star(ring), RingScan(copy)
-    two_sided = is_pq_baer_star(copy, scan)
-    assert lawful.verdict == two_sided.verdict
-    if two_sided.witness is None:
-        assert lawful.witness is None
-    else:  # the copy decodes an element to its index
-        a, side = two_sided.witness["a"], two_sided.witness["side"]
-        assert lawful.witness == {"a": ring.decode(a), "side": side}
+    scan = RingScan(ring)
+    report = is_pq_baer_star(ring, scan)
     right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
-    left = [_matching_projection(scan.Rf_by_mask, m) is None for m in scan.l_of_Ra]
+    left = left_misses(ring, scan)
     assert left == [right[s] for s in ring.star_vector().tolist()]
+    first = next(
+        ((a, side) for a in range(ring.order)
+         for side, miss in (("right", right[a]), ("left", left[a])) if miss),
+        None,
+    )
+    assert report.verdict == (first is None)
+    if first is not None:
+        assert report.witness == {"a": ring.decode(first[0]), "side": first[1]}
 
 
 @pytest.mark.parametrize("text", PQ_BAER_RINGS)
-def test_lawful_lp_all_is_the_two_sided_table(text):
-    """lp_all on a lawful ring is rp_all read at x*; its copy given by
-    tables builds it from lann and the left fixed points."""
+def test_lp_all_is_the_left_side_read_by_columns(text):
+    """lp_all, rp_all read at x*, is the table the left annihilators and
+    the left fixed points give."""
     ring = cached_ring(text)
-    assert np.array_equal(RingScan(ring).lp_all, RingScan(tables_copy(ring)).lp_all)
+    scan = RingScan(ring)
+    assert np.array_equal(scan.lp_all, lp_by_columns(ring, scan))
+
+
+def pq_baer_clause_fails(view, a, side, ideals):
+    """Whether the p.q.-Baer* clause at a fails by the definition: r(aR)
+    (l(Ra)) is none of the ideals eR (Rf) in ``ideals``."""
+    if side == "right":
+        found = oracles.o_rann(view, sorted(oracles.o_right_multiples(view, a)))
+    else:
+        found = oracles.o_lann(view, sorted(oracles.o_left_multiples(view, a)))
+    return frozenset(found) not in ideals[side]
+
+
+def swapped_subring():
+    """sub(M(2, Z(2)); [[1,1],[0,0]]) with the labels 1 and 2 swapped: its
+    first p.q.-Baer* failure is on the left side (see below)."""
+    ring = cached_ring("sub(M(2, Z(2)); [[1,1],[0,0]])")
+    return StarRing(_Relabeled(ring, np.array([0, 2, 1, 3, 4, 5, 6, 7])))
+
+
+# rings of at most 100 elements, where the oracles take milliseconds, and
+# the one ring whose first failure is on the left side
+REPLAYED = {t: functools.partial(cached_ring, t) for t in PQ_BAER_RINGS if cached_ring(t).order <= 100}
+REPLAYED["swapped-subring"] = swapped_subring
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+def test_pq_baer_witness_and_lp_replay_against_the_oracles(name):
+    """A false p.q.-Baer* verdict names an (a, side) whose clause fails by
+    the definition, and every a' < a passes both; a true one has no a that
+    fails. lp_all[x] is the oracle's LP(x), -1 where there is none."""
+    ring = REPLAYED[name]()
+    view = _Tabled(ring)
+    projections = oracles.o_projections(view)
+    ideals = {
+        "right": {frozenset(oracles.o_right_ideal_of_projection(view, e)) for e in projections},
+        "left": {frozenset(oracles.o_left_ideal_of_projection(view, f)) for f in projections},
+    }
+    report = is_pq_baer_star(ring)
+    if report.verdict:
+        passing = range(ring.order)
+    else:
+        a, side = ring.encode(report.witness["a"]), report.witness["side"]
+        assert pq_baer_clause_fails(view, a, side, ideals)
+        if side == "left":
+            assert not pq_baer_clause_fails(view, a, "right", ideals)
+        passing = range(a)
+    for b in passing:
+        for side in ("right", "left"):
+            assert not pq_baer_clause_fails(view, b, side, ideals), (b, side)
+    expected = [oracles.o_lp(view, x) for x in range(ring.order)]
+    assert RingScan(ring).lp_all.tolist() == [-1 if e is None else e for e in expected]
 
 
 class _Relabeled(_Backend):
-    """A lawful ring with element i renamed perm[i], zero kept at 0: an
-    isomorphic *-ring, so lawful too."""
-
-    lawful = True
+    """A ring with element i renamed perm[i], zero kept at 0: an isomorphic
+    *-ring."""
 
     def __init__(self, ring, perm):
         self.ring, self.order = ring, ring.order
@@ -338,12 +420,11 @@ def test_pq_baer_witness_names_the_left_side_first_when_it_fails_first():
     [1,1]] (index 1) and holds at a* = [[0,1],[0,1]] (index 2); swapping
     the two labels makes the left clause at a* the first failure."""
     ring = cached_ring("sub(M(2, Z(2)); [[1,1],[0,0]])")
-    swapped = StarRing(_Relabeled(ring, np.array([0, 2, 1, 3, 4, 5, 6, 7])))
-    assert swapped.lawful
-    witness = {"a": ((0, 1), (0, 1)), "side": "left"}
-    assert is_pq_baer_star(swapped).witness == witness
-    two_sided = is_pq_baer_star(tables_copy(swapped)).witness
-    assert {"a": swapped.decode(two_sided["a"]), "side": two_sided["side"]} == witness
+    swapped = swapped_subring()
+    scan = RingScan(swapped)
+    assert is_pq_baer_star(swapped, scan).witness == {"a": ((0, 1), (0, 1)), "side": "left"}
+    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    assert left_misses(swapped, scan)[1] and not right[1]  # read by columns
     assert is_pq_baer_star(ring).witness == {"a": ((0, 0), (1, 1)), "side": "right"}
 
 
@@ -395,7 +476,8 @@ def test_row_blocks_match_stacked_rows(kind):
         assert len(_index_blocks(n)["across-blocks"]) > _lines_per_block(n)
 
 
-# r(aR) and l(Ra) for every a against the literal sets. Up to 100
+# r(aR) for every a, and l(Ra) read off it at the adjoint, against the
+# literal sets. Up to 100
 # elements the reference is the oracle's additive closure of aR; past that,
 # closing every aR costs too many steps, and the value set, which is aR
 # itself, stands in for it.
@@ -415,13 +497,16 @@ def test_ideal_annihilators_match_the_literal_sets(kind):
         right, left = oracles.o_principal_right_ideal, oracles.o_principal_left_ideal
     else:
         right, left = oracles.o_right_multiples, oracles.o_left_multiples
+    star = ring.star_vector()
     for a in range(n):
         assert set(indices_of(scan.r_of_aR[a])) == oracles.o_rann(view, sorted(right(view, a)))
-        assert set(indices_of(scan.l_of_Ra[a])) == oracles.o_lann(view, sorted(left(view, a)))
-    # lawful rings take the generator route for r(aR), with no aR built
-    assert ("row_sets" in scan.__dict__) == (not ring.lawful)
+        # l(Ra) = {y : y* in r(a*R)}, the adjoint reading of the left side
+        adjoint = {int(star[y]) for y in indices_of(scan.r_of_aR[int(star[a])])}
+        assert adjoint == oracles.o_lann(view, sorted(left(view, a)))
+    # r(aR) takes the generator route, with no aR built
+    assert "row_sets" not in scan.__dict__
     if kind == "zero-ring":
-        assert ring.generators == () and scan.r_of_aR == scan.l_of_Ra == [1]
+        assert ring.generators == () and scan.r_of_aR == [1]
 
 
 @pytest.mark.parametrize("text", small_corpus())
@@ -453,29 +538,13 @@ TABLED = Limits(table_threshold=2401**2)
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "call-based"])
 @pytest.mark.parametrize("text", medium_corpus())
 def test_adjoint_reading_matches_the_left_side(text, tabled):
-    """A lawful ring's lp_all and p.q.-Baer*'s left clause are read off the
-    right side at the adjoint; the left side, read column by column, gives
-    the same: lp_all from lann and the left fixed points, and the left
-    misses from l(Ra) and the ideals Rf."""
+    """lp_all and p.q.-Baer*'s left clause are read off the right side at
+    the adjoint; the left side, read column by column, gives the same:
+    lp_all from lann and the left fixed points, and the left misses from
+    l(Ra) and the ideals Rf."""
     ring = build_ring(parse_ring_expr(text), TABLED if tabled else CALL_BASED)
-    assert ring.lawful and ring.has_tables() == tabled
+    assert ring.has_tables() == tabled
     scan = RingScan(ring)
-    assert np.array_equal(scan.lp_all, scan._projection_table(scan.lann, scan._fixed_left))
+    assert np.array_equal(scan.lp_all, lp_by_columns(ring, scan))
     right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
-    left = [_matching_projection(scan.Rf_by_mask, m) is None for m in scan.l_of_Ra]
-    assert left == [right[s] for s in ring.star_vector().tolist()]
-
-
-def test_rings_without_the_laws_read_their_columns(m2z2):
-    """The identity on M(2, Z(2)) is an involution that is not
-    anti-multiplicative, so the left annihilators are not the right ones
-    read at the adjoint (under the identity, lann would equal rann); the
-    scan reads them column by column."""
-    n = m2z2.order
-    ring = tables_copy(m2z2, star=np.arange(n))
-    assert not ring.lawful
-    scan = RingScan(ring)
-    assert scan.rann != scan.lann
-    for s in range(n):
-        assert set(indices_of(scan.lann[s])) == oracles.o_lann(ring, [s])
-        assert set(indices_of(scan.col_sets[s])) == {ring.mul(r, s) for r in range(n)}
+    assert left_misses(ring, scan) == [right[s] for s in ring.star_vector().tolist()]

@@ -1,12 +1,12 @@
 """The generator certificates of the scalar algebra, kernel N and quotient
-audit, against the exhaustive passes.
+audit, against references that loop over every scalar, element and pair.
 
-Rings that build_ring makes from a descriptor are lawful, so
-build_scalar_algebra, compute_kernel_N and _validate_quotient prove their
-claims on additive generators. The same rings rebuilt by
-StarRing.from_tables are not lawful and take the exhaustive passes. Both
-paths must give the same outcome: the same axiom and witness when an action
-fails, and the same kernel, representatives and coset map when it holds.
+Every StarRing is a *-ring, so build_scalar_algebra, compute_kernel_N and
+_validate_quotient prove their claims on additive generators, and run over
+everything only after a hit, to name the witness. Their outcome must be
+the references': the axiom and witness of the lambda loop of
+test_scalar_algebra when an action fails, and when it holds the kernel of
+``oracles.o_kernel_N`` and the cosets of ``oracles.o_quotient_cosets``.
 """
 
 import numpy as np
@@ -25,10 +25,18 @@ from starbench import (
     parse_ring_expr,
 )
 from starbench import algebra as algebra_module
-from starbench.errors import ActionAxiomViolation, StarbenchError, VerificationFailed
+from starbench.errors import (
+    ActionAxiomViolation,
+    InvolutionNotWellDefined,
+    StarbenchError,
+    VerificationFailed,
+)
 from starbench.unitify import _validate_quotient
 
+import oracles
 from conftest import cached_ring
+from test_call_based import _Tabled
+from test_scalar_algebra import reference_first_violation
 
 CALL_BASED = Limits(table_threshold=0)
 
@@ -56,7 +64,7 @@ def descriptor_ring(text, call_based):
 
 def table_copy(r):
     """The same ring given by its tables: equal in every operation and
-    literal, but not lawful."""
+    literal, and audited by from_tables."""
     literals = [r.decode(i) for i in range(r.order)]
     return StarRing.from_tables(
         r.add_table(), r.mul_table(), r.neg_vector(), r.star_vector(), literals, label=r.label
@@ -80,8 +88,28 @@ def quotient_outcome(alg):
     try:
         q = build_quotient(alg)
     except StarbenchError as exc:
-        return type(exc).__name__, exc.payload()
+        return exc.payload()
     return q.reps.tolist(), q.coset_of_pair.tolist()
+
+
+def reference_kernel(alg):
+    """The oracle's N as sorted pair indices a |K| + lam."""
+    R, K, act = alg.ring, alg.scalars, alg.action
+    pairs = oracles.o_kernel_N(_Tabled(R), K, lambda lam, x: int(act[lam, x]))
+    return sorted(a * K.order + lam for a, lam in pairs)
+
+
+def reference_quotient(r1, members):
+    """The outcome quotient_outcome must give for the kernel ``members``:
+    InvolutionNotWellDefined at the first member whose adjoint is not
+    one, else the least member of each of the oracle's cosets, ascending,
+    and every pair's coset."""
+    bad = [u for u in members if r1.star(u) not in set(members)]
+    if bad:
+        return InvolutionNotWellDefined(r1.decode(bad[0])).payload()
+    cosets = oracles.o_quotient_cosets(r1, members)
+    coset_of = {p: i for i, c in enumerate(cosets) for p in c}
+    return [c[0] for c in cosets], [coset_of[p] for p in range(r1.order)]
 
 
 # rings of characteristic 2, acted on by K = Z(2) x Z(2) through a split
@@ -147,32 +175,24 @@ def drawn_actions(draw):
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(drawn_actions())
-def test_certificate_path_matches_the_exhaustive_path(case):
+def test_certificate_matches_the_references(case):
     R, K, table, clean = case
-    Rc, Kc = table_copy(R), table_copy(K)
-    # the two paths really differ: the copies are not lawful
-    assert R.lawful and K.lawful
-    assert not Rc.lawful and not Kc.lawful
-
     alg, failure = action_outcome(R, K, table)
-    alg_c, failure_c = action_outcome(Rc, Kc, table)
-    assert failure == failure_c
+    assert failure == reference_first_violation(R, K, table)
     if clean:
         assert failure is None
     if failure is not None:
         return
-    assert (alg.torsion_free, alg.k_is_domain) == (alg_c.torsion_free, alg_c.k_is_domain)
-
-    kern, kern_c = compute_kernel_N(alg), compute_kernel_N(alg_c)
-    assert (kern.mask, kern.size, kern.star_closed) == (kern_c.mask, kern_c.size, kern_c.star_closed)
-    assert kern.generators is not None and kern_c.generators is None
-    assert quotient_outcome(alg) == quotient_outcome(alg_c)
+    members = reference_kernel(alg)
+    kern = compute_kernel_N(alg)
+    assert (kern.mask, kern.size) == (sum(1 << u for u in members), len(members))
+    assert quotient_outcome(alg) == reference_quotient(build_R1(alg), members)
 
 
 class TestCertificateIsTaken:
-    """A clean action on lawful rings is checked once, on the generators,
-    and never over every scalar and element, so the parity test above
-    compares two different paths."""
+    """A clean action is checked once, on the generators, and never over
+    every scalar and element, whether the rings are named by descriptors
+    or given by their tables."""
 
     @pytest.mark.parametrize("text,ktext", PAIRS)
     def test_clean_action_skips_the_exhaustive_passes(self, text, ktext, monkeypatch):
@@ -189,7 +209,7 @@ class TestCertificateIsTaken:
         assert calls == [(K.generators, R.generators)]
         calls.clear()
         build_scalar_algebra(table_copy(R), K)
-        assert calls == [(None, None)]
+        assert calls == [(K.generators, R.generators)]
 
     @pytest.mark.parametrize("ktext", ["Z(1)", "Z(6)", "Z(8)"])
     def test_commutativity_is_read_on_the_scalar_generators(self, ktext, monkeypatch):
@@ -206,7 +226,7 @@ class TestCertificateIsTaken:
         assert calls == [list(K.generators or (0,))]
         calls.clear()
         build_scalar_algebra(R, table_copy(K), action=table)
-        assert calls == [list(range(K.order))]
+        assert calls == [list(K.generators or (0,))]
 
     def test_kernel_generators_span_the_kernel(self):
         alg = build_scalar_algebra(cached_ring("sub(Z(9); 3)"), cached_ring("Z(9)"))
@@ -237,7 +257,7 @@ def test_entry_off_the_generators_is_caught():
     table[2, a] = R.encode(((0, 0), (1, 1)))  # 2.a = a, not 2a
     _, failure = action_outcome(R, K, table)
     assert failure is not None
-    assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
+    assert failure == reference_first_violation(R, K, table)
 
 
 def test_row_off_the_scalar_generators_is_caught():
@@ -251,21 +271,21 @@ def test_row_off_the_scalar_generators_is_caught():
     table[lam] = np.arange(R.order)
     _, failure = action_outcome(R, K, table)
     assert failure is not None
-    assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
+    assert failure == reference_first_violation(R, K, table)
 
 
-def test_noncommuting_scalars_name_the_same_witness_on_both_paths():
-    # M(2, Z(2)) is lawful and not commutative: the check on its generators
-    # hits, and the rerun over every scalar names the exhaustive witness
+def test_noncommuting_scalars_name_the_first_pair():
+    # M(2, Z(2)) is not commutative: the check on its generators hits, and
+    # the rerun over every scalar names the first (lam, mu), lam major
     R, K = cached_ring("Z(2)"), cached_ring("M(2, Z(2))")
-    assert K.lawful
-    failures = []
-    for scalars in (K, table_copy(K)):
-        with pytest.raises(ActionAxiomViolation) as exc:
-            build_scalar_algebra(R, scalars)
-        failures.append((exc.value.axiom, exc.value.witness))
-    assert failures[0] == failures[1]
-    assert failures[0][0] == "scalars-commutative"
+    with pytest.raises(ActionAxiomViolation) as exc:
+        build_scalar_algebra(R, K)
+    lam, mu = next(
+        (lam, mu) for lam in range(K.order) for mu in range(K.order)
+        if K.mul(lam, mu) != K.mul(mu, lam)
+    )
+    assert exc.value.axiom == "scalars-commutative"
+    assert exc.value.witness == (K.decode(lam), K.decode(mu))
 
 
 def test_zero_scalar_ring_is_checked_at_zero():
@@ -277,28 +297,25 @@ def test_zero_scalar_ring_is_checked_at_zero():
     table = np.array([[0, 1]], dtype=np.int32)
     _, failure = action_outcome(R, K, table)
     assert failure is not None
-    assert failure == action_outcome(table_copy(R), table_copy(K), table)[1]
+    assert failure == reference_first_violation(R, K, table)
 
 
 def test_quotient_audit_names_the_member_witness():
     # a coset map moved at one pair fails invariance under the generators,
-    # and the member loop then names the same witness as without them
+    # and the member loop then names the first (x, h), h major, with
+    # x + h outside the coset of x
     alg = build_scalar_algebra(cached_ring("sub(Z(9); 3)"), cached_ring("Z(9)"))
     q = build_quotient(alg)
-    alg_c = build_scalar_algebra(
-        table_copy(alg.ring), table_copy(alg.scalars), action=np.array(alg.action)
-    )
-    q_c = build_quotient(alg_c)
-    assert q.kernel.generators is not None and q_c.kernel.generators is None
+    r1 = q.r1
     x = int(np.flatnonzero(q.coset_of_pair != 0)[-1])
-    outcomes = []
-    for quot in (q, q_c):
-        moved = quot.coset_of_pair.copy()
-        moved[x] = 0
-        quot.coset_of_pair = moved
-        try:
-            _validate_quotient(quot)
-        except VerificationFailed as exc:
-            outcomes.append((exc.claim, exc.payload()))
-    assert len(outcomes) == 2 and outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == "quotient-coset-invariant"
+    moved = q.coset_of_pair.copy()
+    moved[x] = 0
+    q.coset_of_pair = moved
+    with pytest.raises(VerificationFailed) as exc:
+        _validate_quotient(q)
+    y, h = next(
+        (y, h) for h in range(r1.order) if (q.kernel.mask >> h) & 1
+        for y in range(r1.order) if moved[r1.add(y, h)] != moved[y]
+    )
+    assert exc.value.claim == "quotient-coset-invariant"
+    assert exc.value.witness == (r1.decode(y), r1.decode(h))

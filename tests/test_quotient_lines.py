@@ -6,9 +6,8 @@ gathers from the action and one product of K, never through the pair
 ring's ``mul_pairs``, and a single line is a one-row block. These tests
 pin those lines and blocks, of the quotient and of the pair ring, to the
 definition (``mul_pairs`` pair by pair), check the scan bitsets they fill
-against the oracles across several blocks, with the column side mirrored
-from the rows on a lawful quotient and read column by column on one over
-a ring given by its tables, and guard that no quotient scan goes back
+against the oracles across several blocks, on quotients over descriptor
+rings and over a ring given by its tables, and guard that no quotient scan goes back
 through ``mul_pairs``. The coset representatives themselves are pinned to
 the least member of each coset, computed member by member, and their
 search to a number of pair-ring sums logarithmic in the orders of N's
@@ -62,14 +61,14 @@ def call_based_algebra(rt, kt):
 
 
 def tabled_algebra(rt, kt):
-    """R given by its tables (not lawful), with the natural action of K."""
-    lawful = cached_ring(rt)
+    """R given by its tables, which from_tables audits, with the natural
+    action of K."""
+    named = cached_ring(rt)
     R = StarRing.from_tables(
-        lawful.add_table(), lawful.mul_table(), lawful.neg_vector(), lawful.star_vector()
+        named.add_table(), named.mul_table(), named.neg_vector(), named.star_vector()
     )
-    assert not R.lawful
     K = cached_ring(kt)
-    return build_scalar_algebra(R, K, action=build_scalar_algebra(lawful, K).action)
+    return build_scalar_algebra(R, K, action=build_scalar_algebra(named, K).action)
 
 
 def algebras():
@@ -200,24 +199,18 @@ def test_subring_lines_leave_the_carrier_with_the_same_witness(z6):
 
 
 @pytest.mark.parametrize(
-    "make,lawful",
+    "make",
     [
         pytest.param(
             lambda rt=rt, kt=kt: build_scalar_algebra(cached_ring(rt), cached_ring(kt)),
-            True,
             id="%s-%s" % (rt, kt),
         )
         for rt, kt in (("M(2,Z(3))", "Z(6)"), ("M(2,Z(2))", "Z(2)"))
     ]
-    + [
-        pytest.param(
-            lambda: tabled_algebra("M(2,Z(2))", "Z(4)"), False, id="M(2,Z(2))-Z(4)-from-tables"
-        )
-    ],
+    + [pytest.param(lambda: tabled_algebra("M(2,Z(2))", "Z(4)"), id="M(2,Z(2))-Z(4)-from-tables")],
 )
-def test_scan_bitsets_across_several_blocks(make, lawful, monkeypatch):
+def test_scan_bitsets_across_several_blocks(make, monkeypatch):
     q = build_quotient(make()).ring
-    assert q.lawful == lawful
     n = q.order
     # the reference reads one table of the definitional products
     table = q.mul_pairs(np.repeat(np.arange(n), n), np.tile(np.arange(n), n)).reshape(n, n)

@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from starbench import Limits, StarRing, build_ring, build_scalar_algebra, parse_ring_expr
-from starbench.errors import ActionAxiomViolation, AxiomViolation, CharacteristicMismatch
-from starbench.rings import _SectionBackend
+from starbench import Limits, build_ring, build_scalar_algebra, parse_ring_expr
+from starbench.errors import ActionAxiomViolation, CharacteristicMismatch
 
 import oracles
 from conftest import cached_ring
@@ -194,13 +195,13 @@ ACTION_PARITY = [
     ("prod(Z(2),Z(3))", "Z(6)", None),
     ("M(2,Z(2))", "Z(2)", CALL_BASED),
 ]
-# M(2, Z(3)) and Z(5) x Z(5) have pairs outside one cyclic subgroup, whose
-# sum scalar additivity never reads, so a wrong sum there reaches
-# additive-in-element; over Z(5) it fails for several lam at different a
-RING_PARITY = ACTION_PARITY + [
-    ("M(2,Z(3))", "Z(3)", None),
-    ("M(2,Z(3))", "Z(3)", CALL_BASED),
-    ("prod(Z(5),Z(5))", "Z(5)", None),
+# Rings of characteristic 2, tabled and call-based, on which Z(2) x Z(2)
+# acts through a split of the identity (see split_actions). The last has
+# zero multiplication, and its involution swaps its two generators.
+SPLIT_PARITY = [
+    (text, limits)
+    for text in ("M(2,Z(2))", "prod(Z(2),Z(2))", "sub(M(2,Z(4)); [[0,2],[0,0]])")
+    for limits in (None, CALL_BASED)
 ]
 
 
@@ -224,43 +225,38 @@ def corrupted_actions(count, seed):
         yield R, K, table
 
 
-def corrupted_ring_actions(count, seed):
-    """(R, K, natural table of the clean ring) where R has one or two of:
-    one mul entry, one add entry and its mirror, one pair of star values,
-    or one column of mul changed, so that the element-side axioms fail too; rings that
-    the constructor refuses are left out. A column of x -> xk in place of
-    x -> xj keeps (lam.a)b = lam.(ab) and breaks only a(lam.b)."""
+def split_actions(count, seed):
+    """(R, K, table): K = Z(2) x Z(2) acting on R with (1, 0) as a map f
+    that fixes 0 and (0, 1) as id - f. f is left or right multiplication
+    by a drawn element, the identity on a drawn set and 0 off it, or the
+    projection that keeps a drawn subset of R's additive generators (a
+    basis in characteristic 2) and kills the rest. Scalar additivity
+    always holds; every idempotent f here also passes scalar
+    multiplicativity, so the element-side axioms decide."""
     rng = np.random.default_rng(seed)
+    K = cached_ring("prod(Z(2),Z(2))")
     for _ in range(count):
-        text, scalars, limits = RING_PARITY[int(rng.integers(len(RING_PARITY)))]
-        r = cached_ring(text)
-        add = np.array(r.add_table(), copy=True)
-        mul = np.array(r.mul_table(), copy=True)
-        star = np.array(r.star_vector(), copy=True)
-        for _ in range(int(rng.integers(1, 3))):
-            i, j = (int(v) for v in rng.integers(1, r.order, size=2))
-            shift = int(rng.integers(1, r.order))
-            kind = int(rng.integers(4))
-            if kind == 0:
-                mul[i, j] = (mul[i, j] + shift) % r.order
-            elif kind == 1:
-                add[i, j] = add[j, i] = (add[i, j] + shift) % r.order
-            elif kind == 2:
-                si, sj = star[i], star[j]
-                star[[i, si]], star[[j, sj]] = (sj, j), (si, i)
-            else:
-                mul[:, j] = mul[:, (j + shift) % r.order]
-        literals = [r.decode(k) for k in range(r.order)]
-        try:
-            R = StarRing.from_tables(add, mul, r.neg_vector(), star, literals)
-            if limits is CALL_BASED:
-                # a ring given by its tables keeps them; its section twin
-                # computes every row from the tables' pair ops
-                idx = np.arange(R.order)
-                R = StarRing(_SectionBackend(R, idx, idx), limits=limits)
-        except AxiomViolation:
-            continue
-        yield R, cached_ring(scalars), natural_table(text, scalars)
+        text, limits = SPLIT_PARITY[int(rng.integers(len(SPLIT_PARITY)))]
+        R = parity_ring(text, limits)
+        n = R.order
+        idx = np.arange(n)
+        how = int(rng.integers(4))
+        if how < 2:
+            c = int(rng.integers(n))
+            f = R.mul_row(c) if how == 0 else R.mul_col(c)
+        elif how == 2:
+            f = np.where(rng.integers(2, size=n) == 1, idx, 0)
+        else:
+            f = np.zeros(n, dtype=np.int64)
+            kept = rng.integers(2, size=len(R.generators))
+            for bits in itertools.product((0, 1), repeat=len(kept)):
+                x = fx = 0  # the sum of the generators in bits, and of the kept ones
+                for g, b, k in zip(R.generators, bits, kept):
+                    x = R.add(x, g) if b else x
+                    fx = R.add(fx, g) if b and k else fx
+                f[x] = fx
+        # K's index of (l, r) is 2 l + r: 0, (0, 1), (1, 0), (1, 1)
+        yield R, K, np.stack([np.zeros(n, dtype=np.int64), R.add_pairs(idx, R.neg_vector()[f]), f, idx])
 
 
 class TestLambdaLoopParity:
@@ -281,9 +277,9 @@ class TestLambdaLoopParity:
         # over a cyclic K the unit and scalar additivity pin the action down
         assert seen == {"unit-action", "additive-in-scalar"}
 
-    def test_corrupted_rings_under_the_natural_table(self):
+    def test_split_actions_reach_the_element_side(self):
         seen = set()
-        for R, K, table in corrupted_ring_actions(300, seed=4):
+        for R, K, table in split_actions(300, seed=4):
             expected = reference_first_violation(R, K, table)
             assert action_outcome(R, K, table) == expected
             seen.add((expected and expected[0], R.has_tables()))
