@@ -192,6 +192,11 @@ def star_not_anti_multiplicative(add, mul, neg, star):
     star[2], star[3] = 3, 2
 
 
+def identity_star(add, mul, neg, star):
+    # an involution, but (xy)* = xy != y*x* = yx where x and y do not commute
+    star[:] = np.arange(len(star))
+
+
 class TestValidation:
     @pytest.mark.parametrize("text", AUDITED)
     def test_built_rings_pass_the_full_audit(self, text):
@@ -211,6 +216,7 @@ class TestValidation:
             ("Z(6)", mul_not_associative, "mul-associative"),
             ("Z(6)", add_not_commutative, "add-commutative"),
             ("Z(5)", star_not_anti_multiplicative, "star-anti-multiplicative"),
+            ("M(2,Z(2))", identity_star, "star-anti-multiplicative"),
         ],
     )
     def test_from_tables_raises_what_the_audit_names(self, text, corrupt, axiom):
