@@ -2,23 +2,20 @@
 from a ring's operations, over every element, and names the first
 violation with a witness.
 
-Each ring law and each star law has one scan, which takes the index sets
-it loops over: with some coordinates restricted to the ring's additive
-generators G it is a proof, in O(n^2 |G|) for a ring law (see
-:func:`_first_ring_law_violation`) and in O(n |G|) for a star law (see
-:func:`_first_star_law_violation`), and only after a hit does it run over
-every element, to name the first witness. Of the distributive laws only
-the right one takes O(n^2 |G|), with z in G; the left one is then proved
-with x and z in G, in O(n |G|^2), as 0*a = 0 by the right law, the left
-defect x*(y+z) - x*y - x*z is additive in x, and the z on which it
-vanishes are closed under +. The scans read each operation a block of
-rows or columns at a time, as the ``_Lines`` that ``rings._ring_lines``
-serves: from a tabled ring's own tables (int16 up to order 2^15, int32
-past it, ``rings.index_dtype``), and from a call-based ring's backend
-blocks, so that the audit of a call-based ring builds no table and holds
-one block of lines at a time. The scans also take a dense
-table, table[i, j] = index of op(i, j), which they wrap in ``_Lines``
-themselves.
+Each law has one scan, which takes the index sets it loops over: with
+some coordinates restricted to the ring's additive generators G, and the
+distributive laws' y to the subgroups that the walk picking G builds, it
+is a proof, in O(n^2 |G|) for the ring laws and O(n |G|) for the rest
+(see :func:`_first_ring_law_violation` and
+:func:`_first_star_law_violation`), and only after a hit does a scan run
+over every element, to name the first witness. The scans read each
+operation a block of rows or columns at a time, as the ``_Lines`` that
+``rings._ring_lines`` serves: from a tabled ring's own tables (int16 up
+to order 2^15, int32 past it, ``rings.index_dtype``), and from a
+call-based ring's backend blocks, so that the audit of a call-based ring
+builds no table and holds one block of lines at a time. The scans also
+take a dense table, table[i, j] = index of op(i, j), which they wrap in
+``_Lines`` themselves.
 """
 
 from __future__ import annotations
@@ -101,11 +98,12 @@ def _first_assoc_violation(op, mids=None, ends=None) -> Optional[Tuple[int, int,
 
 
 def _first_distrib_violation(
-    add, mul, zs=None, xs=(None, None)
+    add, mul, zs=None, xs=(None, None), ys=None
 ) -> Optional[Tuple[int, int, int, int]]:
     """(side, x, y, z) of the first violation of distributivity in
-    lexicographic (x, y, z, side) order, x in ``xs[side]`` and z in ``zs``
-    (ascending index sets; every element where None); side 0=left,
+    lexicographic (x, y, z, side) order, x in ``xs[side]``, z in ``zs`` and
+    y in ``ys[k]`` for the k-th z (ascending index sets; every element
+    where None, and ``ys`` None is every y for each z); side 0=left,
     1=right. None when there is none. ``add`` and ``mul`` are
     :class:`_Lines` or tables.
 
@@ -120,6 +118,8 @@ def _first_distrib_violation(
     """
     add, mul = _as_lines(add), _as_lines(mul)
     n = add.order
+    zs = range(n) if zs is None else [int(z) for z in zs]
+    ys = [None] * len(zs) if ys is None else [None if y is None else _as_index_array(y) for y in ys]
     block_rows = np.arange(_lines_per_block(n), dtype=np.int32)[:, None]
     found = []  # (x, y, z, side) of each law's first violation
     for side, lines in enumerate((mul.rows, mul.cols)):
@@ -128,14 +128,18 @@ def _first_distrib_violation(
         for p in _blocks(k, n):
             prods = lines(p if xs[side] is None else every[p])  # x*y (y*x)
             hits = []
-            for z in range(n) if zs is None else zs:
-                z = int(z)
+            for z, y_set in zip(zs, ys):
                 yz = add.cols([z])[0]  # y + z for every y
-                # x*y + x*z (y*x + z*x): row t read off the column of + at
-                # its x*z (z*x)
-                columns = add.cols(prods[:, z])
-                sums = _table_pairs(columns, block_rows[: len(prods)], prods)
-                hit = _first_true(prods[:, yz] != sums)
+                if y_set is None:
+                    # x*y + x*z (y*x + z*x): row t read off the column of +
+                    # at its x*z (z*x)
+                    sums = _table_pairs(add.cols(prods[:, z]), block_rows[: len(prods)], prods)
+                    hit = _first_true(prods[:, yz] != sums)
+                else:
+                    sums = add.pairs(prods[:, y_set], prods[:, z, None])
+                    hit = _first_true(prods[:, yz[y_set]] != sums)
+                    if hit is not None:
+                        hit = hit[0], int(y_set[hit[1]])
                 if hit is not None:
                     hits.append((int(every[p.start + hit[0]]), hit[1], z, side))
             if hits:
@@ -145,6 +149,15 @@ def _first_distrib_violation(
         return None
     x, y, z, side = min(found)
     return side, x, y, z
+
+
+def _first_commute_violation(add, xs=None) -> Optional[Tuple[int, int]]:
+    """The first (x, y) in C order with x+y != y+x, x in ``xs`` (an
+    ascending index set; every element where None), else None."""
+    add = _as_lines(add)
+    xs = np.arange(add.order) if xs is None else _as_index_array(xs)
+    hit = _first_hit(lambda p: add.rows(xs[p]) != add.cols(xs[p]), len(xs), add.order)
+    return None if hit is None else (int(xs[hit[0]]), hit[1])
 
 
 def _first_star_additive_violation(add, star, xs=None) -> Optional[Tuple[int, int]]:
@@ -175,31 +188,35 @@ def _first_antimult_violation(mul, star, xs=None) -> Optional[Tuple[int, int]]:
 
 
 def _first_ring_law_violation(
-    add, mul, gens=None
+    add, mul, gens=None, levels=None
 ) -> Optional[Tuple[str, Tuple[int, ...]]]:
     """(axiom, indices) of the first failing ring law, in a fixed order:
     additive associativity, multiplicative associativity, distributivity;
     each scan names its lexicographically first violating triple.
 
-    With ``gens`` None every triple is scanned, in O(n^3). With ``gens`` an
-    ascending additive generating set G, the scans take the restricted
-    coordinates below, in O(n^2 |G|): a hit is still a real violation, and
-    None is a proof over every element. It needs 0 to be an additive
-    identity, + to be commutative and every element to have a negative,
-    which the audit checks first. Every element is then a left-normed sum
-    (...((0 + g1) + g2) ...) + gk over G, so a set that holds 0 and G and
-    is closed under + is R (0 is a multiple of any g once + associates):
+    With ``gens`` None every triple is scanned, in O(n^3). With ``gens``
+    the ascending greedy additive generating set G = (g1, ..., gk) and
+    ``levels`` the levels of its walk (:attr:`StarRing.generator_levels`),
+    the scans take the restricted coordinates below, in O(n^2 |G|): a hit
+    is still a real violation, and None is a proof over every element. It
+    needs 0 to be a two-sided identity of +, every x + (-x) to be 0 and
+    g + x = x + g for g in G, which the audit checks first, in O(n |G|).
+    Every element is a left-normed sum (...((0 + g1) + g2) ...) + gk over
+    G, so a set that holds 0 and G and is closed under + is R:
 
     1. + with y in G (Light's test): the a with (x+a)+y == x+(a+y) for all
-       x, y are closed under +, so + is associative.
-    2. Distributivity, the right law with z in G, the left law with x
-       and z in G: by 1, the z with (y+z)*x == y*x + z*x for all x, y are
-       closed under +, so the right law holds. Then 0*a = 0, as 0*a =
-       (0+0)*a = 0*a + 0*a, and the left defect x*(y+z) - x*y - x*z is
-       additive in x, so for each z in G the x on which it vanishes for
-       all y hold 0 and G and are closed under +: they are R. The z with
-       x*(y+z) == x*y + x*z for all x, y are closed under + as on the
-       right, so the left law holds. The left law costs O(n |G|^2).
+       x, y are closed under +, so + is associative. Then the b with b+x ==
+       x+b for all x are closed under +, as (a+b)+x = a+(x+b) = (x+a)+b,
+       so + commutes, and the elements of level at most i form H_i, the
+       subgroup that g1, ..., gi span.
+    2. Distributivity with z = gi and y in H_i, over every x for the right
+       law and x in G for the left: n sum|H_i| < 2n^2 sums. For each x,
+       f(y) = y*x is additive on H_i once it is on H_{i-1} and f(c+gi) =
+       f(c) + f(gi) for every c in H_i, as H_i is the h + m gi with h in
+       H_{i-1}; c = 0 gives f(0) = 0. So the right law holds, and so does
+       the left one: y -> x*y is additive for x in G, and by the right law
+       the x for which it is additive are closed under +. Where H_i is R,
+       as for gk, y runs over every element.
     3. * with x, y, z in G: under both distributive laws the associator
        (xy)z - x(yz) is additive in each argument, so it vanishes
        everywhere once it vanishes on G^3.
@@ -210,11 +227,34 @@ def _first_ring_law_violation(
     hit = _first_assoc_violation(mul, mids=gens, ends=gens)
     if hit is not None:
         return "mul-associative", hit
-    hit = _first_distrib_violation(add, mul, zs=gens, xs=(gens, None))
+    chain = None
+    if gens is not None:
+        subgroups = (np.flatnonzero(levels <= i) for i in range(1, len(gens) + 1))
+        chain = [h if len(h) < len(levels) else None for h in subgroups]
+    hit = _first_distrib_violation(add, mul, zs=gens, xs=(gens, None), ys=chain)
     if hit is not None:
         side, x, y, z = hit
         return ("left-distributive" if side == 0 else "right-distributive"), (x, y, z)
     return None
+
+
+def _first_ring_axiom_violation(add, mul, neg) -> Tuple[str, Tuple[int, ...]]:
+    """(axiom, indices) of the first failing ring axiom over every element,
+    in the audit's order: 0 a left identity, + commutative, x + (-x) = 0,
+    then :func:`_first_ring_law_violation`. Run only on a ring that fails
+    one, to name the first witness."""
+    idx = np.arange(add.order)
+    row0 = add.rows([0])[0]
+    if not np.array_equal(row0, idx):
+        return "zero-identity", (int(np.argmax(row0 != idx)),)
+    hit = _first_commute_violation(add)
+    if hit is not None:
+        return "add-commutative", hit
+    inv = add.pairs(idx, neg)
+    if inv.any():
+        return "add-inverse", (int(np.argmax(inv != 0)),)
+    # + commutes: its columns are its rows
+    return _first_ring_law_violation(add._replace(cols=add.rows), mul)
 
 
 def _first_star_law_violation(
@@ -253,47 +293,42 @@ def validate_star_ring(ring: StarRing) -> dict:
 
     Checks run in a fixed order so the first reported violation is
     deterministic. The ring laws and the star laws are proved over every
-    element, not sampled, by :func:`_first_ring_law_violation` and
-    :func:`_first_star_law_violation` on the ring's additive generators;
-    only after a hit does the scan run over every element, to report the
-    first violating triple or pair. Every check reads the ring's lines a
-    block at a time (:func:`_ring_lines`): a tabled ring's own tables, a
-    call-based ring's backend blocks, so that no table is built. A
-    call-based ring with order^2 above ``VALIDATION_TABLE_CAP`` is refused
-    before any check. Returns a summary dict on success.
+    element, not sampled, on the ring's additive generators and the walk
+    that picks them, by :func:`_first_ring_law_violation` and
+    :func:`_first_star_law_violation`; only after a hit do the checks run
+    over every element, to report the first violation. Every check reads
+    the ring's lines a block at a time (:func:`_ring_lines`): a tabled
+    ring's own tables, a call-based ring's backend blocks, so that no
+    table is built. A call-based ring with order^2 above
+    ``VALIDATION_TABLE_CAP`` is refused before any check. Returns a
+    summary dict on success.
     """
     add, mul = _ring_lines(ring)  # refuses a call-based ring past the cap
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
     star = ring.star_vector()
     neg = ring.neg_vector()
-    checks: List[str] = []
+    gens = ring.generators
 
     def witness(*indices: int) -> tuple:
         return tuple(ring.decode(int(i)) for i in indices)
 
-    # zero is a (left, hence two-sided once commutativity holds) identity
-    row0 = add.rows([0])[0]
-    if not np.array_equal(row0, idx):
-        raise AxiomViolation("zero-identity", witness(int(np.argmax(row0 != idx))))
-    checks.append("zero-identity")
-
-    hit = _first_hit(lambda p: add.rows(p) != add.cols(p), n, n)
-    if hit is not None:
-        raise AxiomViolation("add-commutative", witness(*hit))
-    checks.append("add-commutative")
-    add = add._replace(cols=add.rows)  # + commutes: its columns are its rows
-
-    inv = add.pairs(idx, neg)
-    if inv.any():
-        raise AxiomViolation("add-inverse", witness(int(np.argmax(inv != 0))))
-    checks.append("add-inverse")
-
-    if _first_ring_law_violation(add, mul, ring.generators) is not None:
-        # a real violation; name the first over every triple
-        axiom, hit = _first_ring_law_violation(add, mul)
+    # 0 is a two-sided identity, x + (-x) = 0 and g + x = x + g for g in
+    # G, the premises of _first_ring_law_violation's proof: the columns of
+    # + at G are its rows (and every column is, once + associates)
+    commuting = add._replace(cols=add.rows)
+    if not (
+        np.array_equal(add.rows([0])[0], idx)
+        and np.array_equal(add.cols([0])[0], idx)
+        and not add.pairs(idx, neg).any()
+        and _first_commute_violation(add, gens) is None
+        and _first_ring_law_violation(commuting, mul, gens, ring.generator_levels) is None
+    ):
+        # a real violation; name the first over every element
+        axiom, hit = _first_ring_axiom_violation(add, mul, neg)
         raise AxiomViolation(axiom, witness(*hit))
-    checks.extend(("add-associative", "mul-associative", "distributive"))
+    checks = ["zero-identity", "add-commutative", "add-inverse"]
+    checks += ["add-associative", "mul-associative", "distributive"]
 
     if not np.array_equal(star[star], idx):
         raise AxiomViolation(
@@ -301,7 +336,7 @@ def validate_star_ring(ring: StarRing) -> dict:
         )
     checks.append("star-involutive")
 
-    if _first_star_law_violation(add, mul, star, ring.generators) is not None:
+    if _first_star_law_violation(add, mul, star, gens) is not None:
         # a real violation; name the first over every pair
         axiom, hit = _first_star_law_violation(add, mul, star)
         raise AxiomViolation(axiom, witness(*hit))

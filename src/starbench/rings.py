@@ -74,7 +74,8 @@ Every :class:`StarRing` is a *-ring, by construction or by the audit
 :func:`_greedy_span` is the one walk for additive subgroups: it grows the
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
 a greedy generating set G of it. It serves each ring's G
-(:attr:`StarRing.generators`), additive closures, the kernel N of a
+(:attr:`StarRing.generators`) and the levels of its walk, along which the
+audit proves distributivity, additive closures, the kernel N of a
 unitification, which is closed under + exactly when it is the span of its
 generators, and, through the coset steps it reports, the tables of a
 tabled twin.
@@ -846,10 +847,24 @@ class StarRing:
         return twin
 
     @cached_property
+    def _additive_walk(self) -> Tuple[Tuple[int, ...], np.ndarray]:
+        levels = np.zeros(self.order, dtype=np.int64)
+        gens = tuple(additive_generators(self, levels))
+        levels.setflags(write=False)
+        return gens, levels
+
+    @property
     def generators(self) -> Tuple[int, ...]:
         """The greedy additive generating set of :func:`additive_generators`,
-        computed once per ring."""
-        return tuple(additive_generators(self))
+        walked once per ring."""
+        return self._additive_walk[0]
+
+    @property
+    def generator_levels(self) -> np.ndarray:
+        """Each element's level in the walk that picks :attr:`generators`:
+        0 for 0, and i for the elements the i-th generator's walk reached,
+        so those of level at most i span the first i generators."""
+        return self._additive_walk[1]
 
     def has_tables(self) -> bool:
         """Whether dense tables serve the ring: given by its tables, named
@@ -1038,7 +1053,10 @@ def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
 
 
 def _greedy_span(
-    add_pairs, members: np.ndarray, steps: Optional[list] = None
+    add_pairs,
+    members: np.ndarray,
+    steps: Optional[list] = None,
+    levels: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, List[int]]:
     """The additive subgroup H the flagged members generate, as flags, and
     a greedy generating set G of it: while a member lies outside H, the
@@ -1049,7 +1067,11 @@ def _greedy_span(
     s itself is flagged by the first shift, as 0 + s = s in every ring.
     Each shift that grows H is appended to ``steps``, when given, as
     (coset, s, coset + s): every element of H but 0 is first flagged in
-    exactly one of them, in the order of the walk.
+    exactly one of them, in the order of the walk. ``levels``, zeros when
+    given, gets each element's level: i for the elements that the walk of
+    the i-th generator flags, 0 for 0 and len(G) outside H. On a group,
+    the elements of level at most i form H_i, the span of the first i
+    generators.
     """
     spanned = np.zeros(len(members), dtype=bool)
     spanned[0] = True
@@ -1060,6 +1082,8 @@ def _greedy_span(
             return spanned, gens
         s = int(outside[0])
         gens.append(s)
+        if levels is not None:
+            levels += ~spanned
         coset = np.flatnonzero(spanned)
         shift = np.full(len(coset), s, dtype=np.int64)
         while True:
@@ -1102,10 +1126,11 @@ def _tables_along_generators(ring: StarRing) -> Tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
-def additive_generators(ring: StarRing) -> List[int]:
+def additive_generators(ring: StarRing, levels: Optional[np.ndarray] = None) -> List[int]:
     """A greedy generating set G of (R, +): the lowest index outside the
     span of G joins G until the span is R, so G is ascending. Computed with
     ``add_pairs``, so call-based rings need no table. An additive map that
     vanishes on G vanishes on the whole group, and two that agree on G
-    agree everywhere; the certificates rest on that."""
-    return _greedy_span(ring.add_pairs, np.ones(ring.order, dtype=bool))[1]
+    agree everywhere; the certificates rest on that. ``levels`` records
+    each element's level as :func:`_greedy_span` does."""
+    return _greedy_span(ring.add_pairs, np.ones(ring.order, dtype=bool), levels=levels)[1]

@@ -18,11 +18,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from starbench import audit, rings, validate_star_ring
+from starbench.corpus import medium_corpus
 from starbench.errors import AxiomViolation
 
 from conftest import cached_ring
@@ -41,7 +42,8 @@ CLEAN = [
 # Rings whose tables the parity test corrupts; small enough for n^3 arrays.
 PARITY_RINGS = ["Z(4)", "Z(6)", "Z(8)", "M(2,Z(2))", "prod(Z(2),Z(3))", "prod(Z(2),Z(2))", "sub(Z(9); 3)"]
 
-# the checks of validate_star_ring that run before the ring laws
+# the checks of validate_star_ring that run before the ring laws, in the
+# order that names the first violation
 FIRST_CHECKS = {"zero-identity", "add-commutative", "add-inverse"}
 CUBIC_LAWS = {"add-associative", "mul-associative", "left-distributive", "right-distributive"}
 STAR_LAWS = {"star-additive", "star-anti-multiplicative"}
@@ -59,6 +61,21 @@ def own_tables(r):
     add, mul = r.add_table(), r.mul_table()
     assert add.dtype == mul.dtype == np.int16
     return add, mul, r.star_vector()
+
+
+def walk(r):
+    """The ring's generators and the levels of their walk, as the audit's
+    proof takes them."""
+    return r.generators, r.generator_levels
+
+
+def chain(r):
+    """The y set of each z = g_i in the distributivity proof: H_i, the
+    span of the first i generators by the oracle's closure, ascending, or
+    None where H_i is R."""
+    gens = list(r.generators)
+    spans = [sorted(oracles.o_additive_closure(r, gens[:i])) for i in range(1, len(gens) + 1)]
+    return [h if len(h) < r.order else None for h in spans]
 
 
 def first_true(bad):
@@ -130,7 +147,7 @@ class TestCleanRings:
     def test_no_violations_reported(self, text):
         add, mul, star = int32_tables(cached_ring(text))
         gens = cached_ring(text).generators
-        assert audit._first_ring_law_violation(add, mul, gens) is None
+        assert audit._first_ring_law_violation(add, mul, *walk(cached_ring(text))) is None
         assert audit._first_ring_law_violation(add, mul) is None
         assert audit._first_star_law_violation(add, mul, star, gens) is None
         assert audit._first_star_law_violation(add, mul, star) is None
@@ -142,7 +159,7 @@ class TestCleanRings:
         # to 100 elements, where they take milliseconds
         r = cached_ring(text)
         add, mul, star = own_tables(r)
-        assert audit._first_ring_law_violation(add, mul, r.generators) is None
+        assert audit._first_ring_law_violation(add, mul, *walk(r)) is None
         assert audit._first_star_law_violation(add, mul, star, r.generators) is None
         if r.order <= 100:
             assert audit._first_ring_law_violation(add, mul) is None
@@ -162,6 +179,15 @@ class TestCleanRings:
                     reached.add(b)
                     todo.append(b)
         assert reached == set(range(len(add)))
+
+    @pytest.mark.parametrize("text", CLEAN + ["prod(Z(3),Z(3))", "M(2,Z(4))"])
+    def test_levels_give_the_spans_of_the_first_generators(self, text):
+        r = cached_ring(text)
+        gens, levels = walk(r)
+        assert levels[0] == 0 and levels.max(initial=0) == len(gens)
+        for i in range(len(gens) + 1):
+            span = oracles.o_additive_closure(r, list(gens[:i]))
+            assert set(np.flatnonzero(levels <= i)) == span
 
     @pytest.mark.parametrize(
         "text,expected",
@@ -232,7 +258,7 @@ class TestEachStepOfTheCertificate:
         add[3, 3] = 1
         bad = oracles.unaudited_ring(add, r.mul_table(), r.neg_vector(), r.star_vector())
         mul = np.asarray(r.mul_table(), dtype=np.int32)
-        assert audit._first_ring_law_violation(add, mul, bad.generators) is not None
+        assert audit._first_ring_law_violation(add, mul, *walk(bad)) is not None
         assert assert_audit_matches_reference(bad)[0] == "add-associative"
 
     @pytest.mark.parametrize("text", ["Z(4)", "prod(Z(2),Z(3))", "M(2,Z(2))"])
@@ -257,7 +283,8 @@ class TestEachStepOfTheCertificate:
 
 # (ring, exponent e): h(y) = y^e is multiplicative, fixes 0, is not
 # additive, and h(h(y)) = h(y), so x*h(y) and h(x)*y are associative
-ONE_SIDED = [("Z(5)", 4), ("Z(7)", 6), ("prod(Z(2),Z(3))", 2)]
+# and y^2 on F3 x F3, whose G is (1, 3), so that H_1 is not R
+ONE_SIDED = [("Z(5)", 4), ("Z(7)", 6), ("prod(Z(2),Z(3))", 2), ("prod(Z(3),Z(3))", 2)]
 
 
 def one_sided_mul(text, h, axiom):
@@ -269,13 +296,14 @@ def one_sided_mul(text, h, axiom):
 
 
 def assert_distrib_scans_agree(bad):
-    """The scan of the one-sided proof, with x and z in G for the left law
-    and z in G for the right one, hits exactly when the scan over every
-    triple does; returns the full scan's hit."""
+    """The scan of the proof along the walk, with z = g_i and y in H_i for
+    both laws and x in G for the left one, hits exactly when the scan over
+    every triple does; returns the full scan's hit."""
     add, mul, _ = int32_tables(bad)
     gens = bad.generators
     full = audit._first_distrib_violation(add, mul)
-    assert (audit._first_distrib_violation(add, mul, gens, (gens, None)) is None) == (full is None)
+    proof = audit._first_distrib_violation(add, mul, gens, (gens, None), chain(bad))
+    assert (proof is None) == (full is None)
     return full
 
 
@@ -296,7 +324,7 @@ class TestOneSidedCorruptions:
         assert assert_distrib_scans_agree(bad)[0] == side
         # * associates, so the audit's proof on G reaches distributivity
         add, mul, _ = int32_tables(bad)
-        assert audit._first_ring_law_violation(add, mul, bad.generators)[0] == axiom
+        assert audit._first_ring_law_violation(add, mul, *walk(bad))[0] == axiom
         assert assert_audit_matches_reference(bad)[0] == axiom
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -332,10 +360,10 @@ def test_restricted_scans_hit_exactly_when_a_ring_law_fails():
         if expected is not None and expected[0] in FIRST_CHECKS:
             continue
         add, mul, _ = int32_tables(bad)
-        hit = audit._first_ring_law_violation(add, mul, bad.generators)
+        hit = audit._first_ring_law_violation(add, mul, *walk(bad))
         assert (hit is not None) == (expected is not None and expected[0] in CUBIC_LAWS)
         narrow = own_tables(bad)
-        assert audit._first_ring_law_violation(*narrow[:2], bad.generators) == hit
+        assert audit._first_ring_law_violation(*narrow[:2], *walk(bad)) == hit
         if hit is not None:
             assert audit._first_ring_law_violation(*narrow[:2]) == expected
         cases += 1
@@ -355,10 +383,72 @@ def test_own_narrow_tables_name_the_same_witness_on_a_large_ring():
         mul[i, j] = (mul[i, j] + int(rng.integers(1, r.order))) % r.order
         bad = oracles.unaudited_ring(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
         narrow, wide = own_tables(bad), int32_tables(bad)
-        assert audit._first_ring_law_violation(*narrow[:2], bad.generators) is not None
+        assert audit._first_ring_law_violation(*narrow[:2], *walk(bad)) is not None
         hit = audit._first_ring_law_violation(*narrow[:2])
         assert hit is not None and hit == audit._first_ring_law_violation(*wide[:2])
         assert audit_outcome(bad) == (hit[0], tuple(bad.decode(x) for x in hit[1]))
+
+
+# Rings with at least two nonzero elements outside G
+OFF_G_RINGS = ["Z(4)", "Z(6)", "Z(8)", "M(2,Z(2))", "prod(Z(2),Z(3))", "prod(Z(3),Z(3))"]
+
+
+class TestCommutativityFromTheGenerators:
+    """The audit checks g + x == x + g only for g in G; with + associative,
+    the elements that commute with everything hold 0 and G and are closed
+    under +, so they are R."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_noncommuting_pair_off_the_generators_is_named(self, data):
+        # x + y changed for x, y outside {0} and G: the scan on G sees no
+        # pair that fails to commute, so Light's test must fail, and the
+        # audit names the pair the reference names
+        r = cached_ring(data.draw(st.sampled_from(OFF_G_RINGS)))
+        off = [v for v in range(1, r.order) if v not in r.generators]
+        x, y = data.draw(st.lists(st.sampled_from(off), min_size=2, max_size=2, unique=True))
+        add = np.array(r.add_table(), copy=True)
+        add[x, y] = data.draw(st.sampled_from([v for v in range(r.order) if v != add[x, y]]))
+        literals = [r.decode(k) for k in range(r.order)]
+        try:
+            bad = oracles.unaudited_ring(add, r.mul_table(), r.neg_vector(), r.star_vector(), literals)
+        except AxiomViolation:  # refused by the constructor's structural guards
+            assume(False)
+        assert audit._first_commute_violation(add, r.generators) is None
+        assert assert_audit_matches_reference(bad)[0] == "add-commutative"
+
+    @pytest.mark.parametrize("text", medium_corpus())
+    def test_clean_rings_never_scan_every_element(self, text, monkeypatch):
+        # the medium corpus holds the small one
+        def fail(*args):
+            pytest.fail("the audit of a clean ring ran a scan over every element")
+
+        commute = audit._first_commute_violation
+        ring_laws = audit._first_ring_law_violation
+        star_laws = audit._first_star_law_violation
+        monkeypatch.setattr(audit, "_first_ring_axiom_violation", fail)
+        monkeypatch.setattr(
+            audit, "_first_commute_violation",
+            lambda add, xs=None: fail() if xs is None else commute(add, xs),
+        )
+        monkeypatch.setattr(
+            audit, "_first_ring_law_violation",
+            lambda add, mul, gens=None, levels=None: (
+                fail() if gens is None else ring_laws(add, mul, gens, levels)
+            ),
+        )
+        monkeypatch.setattr(
+            audit, "_first_star_law_violation",
+            lambda add, mul, star, gens=None: (
+                fail() if gens is None else star_laws(add, mul, star, gens)
+            ),
+        )
+        r = cached_ring(text)
+        report = validate_star_ring(r)
+        assert report["checks"][:6] == [
+            "zero-identity", "add-commutative", "add-inverse",
+            "add-associative", "mul-associative", "distributive",
+        ]
 
 
 def corrupted_stars(count, seed):
@@ -484,15 +574,20 @@ def check_scans(data, add, mul, n):
     assert audit._first_assoc_violation(table.astype(np.int16), mids, ends) == expected
     zs = data.draw(index_sets(n))
     xs = (data.draw(index_sets(n)), data.draw(index_sets(n)))  # left, right
+    # a y set per z, or None for every y at every z
+    ys = data.draw(st.none() | st.lists(index_sets(n), min_size=n, max_size=n))
+    y_sets = dict(zip(every if zs is None else zs, ys or [None] * n))
     expected = brute_first(
         ((side, x, y, z) for x, y in itertools.product(every, every)
          for z in (every if zs is None else zs) for side in (0, 1)
-         if xs[side] is None or x in xs[side]),
+         if (xs[side] is None or x in xs[side]) and (y_sets[z] is None or y in y_sets[z])),
         lambda side, x, y, z: (
             mul[x, add[y, z]] != add[mul[x, y], mul[x, z]] if side == 0
             else mul[add[y, z], x] != add[mul[y, x], mul[z, x]]
         ),
     )
-    assert audit._first_distrib_violation(add, mul, zs, xs) == expected
+    if ys is not None:
+        ys = ys[: n if zs is None else len(zs)]
+    assert audit._first_distrib_violation(add, mul, zs, xs, ys) == expected
     narrow = add.astype(np.int16), mul.astype(np.int16)
-    assert audit._first_distrib_violation(*narrow, zs, xs) == expected
+    assert audit._first_distrib_violation(*narrow, zs, xs, ys) == expected

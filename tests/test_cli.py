@@ -155,6 +155,29 @@ class TestCheck:
 
 
 class TestValidationCap:
+    def test_call_based_audit_at_the_cap_passes(self, capsys):
+        # Z(6000) is call-based, and 6000^2 is VALIDATION_TABLE_CAP itself
+        code, payload, _ = run_json(capsys, "describe", "Z(6000)", "--validate")
+        assert code == 0
+        assert payload["tables"] is False
+        assert payload["validation"] == {
+            "ring": "Z(6000)",
+            "order": 6000,
+            "checks": [
+                "zero-identity",
+                "add-commutative",
+                "add-inverse",
+                "add-associative",
+                "mul-associative",
+                "distributive",
+                "star-involutive",
+                "star-additive",
+                "star-anti-multiplicative",
+                "unity",
+            ],
+            "ok": True,
+        }
+
     def test_call_based_audit_past_the_cap_exits_4(self, capsys):
         # Z(6001) is call-based, and 6001^2 passes VALIDATION_TABLE_CAP
         code, payload, _ = run_json(capsys, "describe", "Z(6001)", "--validate")
