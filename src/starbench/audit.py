@@ -316,13 +316,14 @@ def validate_star_ring(ring: StarRing) -> dict:
     # 0 is a two-sided identity, x + (-x) = 0 and g + x = x + g for g in
     # G, the premises of _first_ring_law_violation's proof: the columns of
     # + at G are its rows (and every column is, once + associates)
-    commuting = add._replace(cols=add.rows)
     if not (
         np.array_equal(add.rows([0])[0], idx)
         and np.array_equal(add.cols([0])[0], idx)
         and not add.pairs(idx, neg).any()
         and _first_commute_violation(add, gens) is None
-        and _first_ring_law_violation(commuting, mul, gens, ring.generator_levels) is None
+        and _first_ring_law_violation(
+            add._replace(cols=add.rows), mul, gens, ring.generator_levels
+        ) is None
     ):
         # a real violation; name the first over every element
         axiom, hit = _first_ring_axiom_violation(add, mul, neg)

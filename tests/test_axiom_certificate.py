@@ -42,8 +42,7 @@ CLEAN = [
 # Rings whose tables the parity test corrupts; small enough for n^3 arrays.
 PARITY_RINGS = ["Z(4)", "Z(6)", "Z(8)", "M(2,Z(2))", "prod(Z(2),Z(3))", "prod(Z(2),Z(2))", "sub(Z(9); 3)"]
 
-# the checks of validate_star_ring that run before the ring laws, in the
-# order that names the first violation
+# the checks of validate_star_ring that run before the ring laws
 FIRST_CHECKS = {"zero-identity", "add-commutative", "add-inverse"}
 CUBIC_LAWS = {"add-associative", "mul-associative", "left-distributive", "right-distributive"}
 STAR_LAWS = {"star-additive", "star-anti-multiplicative"}
@@ -417,9 +416,8 @@ class TestCommutativityFromTheGenerators:
         assert audit._first_commute_violation(add, r.generators) is None
         assert assert_audit_matches_reference(bad)[0] == "add-commutative"
 
-    @pytest.mark.parametrize("text", medium_corpus())
+    @pytest.mark.parametrize("text", medium_corpus())  # holds the small corpus
     def test_clean_rings_never_scan_every_element(self, text, monkeypatch):
-        # the medium corpus holds the small one
         def fail(*args):
             pytest.fail("the audit of a clean ring ran a scan over every element")
 
