@@ -112,14 +112,16 @@ def _first_distrib_violation(
     At a given (x, y, z) the left law comes first.
 
     One law at a time, a block of rows x at a time: the products x*y (or
-    y*x) are read once per block, then one (x, y) grid per z; the first
-    block that holds a violation holds the law's first one. The right law
-    then scans x only up to the left law's first hit.
+    y*x) are read once per block, then one (x, y) grid per z, whose sums
+    row t reads off the column of + at its x*z (z*x); the first block that
+    holds a violation holds the law's first one. The right law then scans
+    x only up to the left law's first hit.
     """
     add, mul = _as_lines(add), _as_lines(mul)
     n = add.order
     zs = range(n) if zs is None else [int(z) for z in zs]
-    ys = [None] * len(zs) if ys is None else [None if y is None else _as_index_array(y) for y in ys]
+    # every y as a slice, so that its columns are views
+    ys = [slice(None) if y is None else _as_index_array(y) for y in ys or [None] * len(zs)]
     block_rows = np.arange(_lines_per_block(n), dtype=np.int32)[:, None]
     found = []  # (x, y, z, side) of each law's first violation
     for side, lines in enumerate((mul.rows, mul.cols)):
@@ -129,19 +131,13 @@ def _first_distrib_violation(
             prods = lines(p if xs[side] is None else every[p])  # x*y (y*x)
             hits = []
             for z, y_set in zip(zs, ys):
-                yz = add.cols([z])[0]  # y + z for every y
-                if y_set is None:
-                    # x*y + x*z (y*x + z*x): row t read off the column of +
-                    # at its x*z (z*x)
-                    sums = _table_pairs(add.cols(prods[:, z]), block_rows[: len(prods)], prods)
-                    hit = _first_true(prods[:, yz] != sums)
-                else:
-                    sums = add.pairs(prods[:, y_set], prods[:, z, None])
-                    hit = _first_true(prods[:, yz[y_set]] != sums)
-                    if hit is not None:
-                        hit = hit[0], int(y_set[hit[1]])
+                yz = add.cols([z])[0][y_set]  # y + z
+                # x*y + x*z (y*x + z*x)
+                sums = _table_pairs(add.cols(prods[:, z]), block_rows[: len(prods)], prods[:, y_set])
+                hit = _first_true(prods[:, yz] != sums)
                 if hit is not None:
-                    hits.append((int(every[p.start + hit[0]]), hit[1], z, side))
+                    y = np.arange(n)[y_set][hit[1]]
+                    hits.append((int(every[p.start + hit[0]]), int(y), z, side))
             if hits:
                 found.append(min(hits))
                 break
@@ -188,19 +184,21 @@ def _first_antimult_violation(mul, star, xs=None) -> Optional[Tuple[int, int]]:
 
 
 def _first_ring_law_violation(
-    add, mul, gens=None, levels=None
+    add, mul, levels=None
 ) -> Optional[Tuple[str, Tuple[int, ...]]]:
     """(axiom, indices) of the first failing ring law, in a fixed order:
     additive associativity, multiplicative associativity, distributivity;
     each scan names its lexicographically first violating triple.
 
-    With ``gens`` None every triple is scanned, in O(n^3). With ``gens``
-    the ascending greedy additive generating set G = (g1, ..., gk) and
-    ``levels`` the levels of its walk (:attr:`StarRing.generator_levels`),
-    the scans take the restricted coordinates below, in O(n^2 |G|): a hit
-    is still a real violation, and None is a proof over every element. It
-    needs 0 to be a two-sided identity of +, every x + (-x) to be 0 and
-    g + x = x + g for g in G, which the audit checks first, in O(n |G|).
+    With ``levels`` None every triple is scanned, in O(n^3). With
+    ``levels`` the levels of the walk that picks the ascending greedy
+    additive generating set G = (g1, ..., gk)
+    (:attr:`StarRing.generator_levels`), whose gi is the lowest element of
+    level i, the scans take the restricted coordinates below, in
+    O(n^2 |G|): a hit is still a real violation, and None is a proof over
+    every element. It needs 0 to be a two-sided identity of +, every
+    x + (-x) to be 0 and g + x = x + g for g in G, which the audit checks
+    first, in O(n |G|).
     Every element is a left-normed sum (...((0 + g1) + g2) ...) + gk over
     G, so a set that holds 0 and G and is closed under + is R:
 
@@ -221,16 +219,17 @@ def _first_ring_law_violation(
        (xy)z - x(yz) is additive in each argument, so it vanishes
        everywhere once it vanishes on G^3.
     """
+    gens = chain = None
+    if levels is not None:
+        gens = np.unique(levels, return_index=True)[1][1:]
+        subgroups = (np.flatnonzero(levels <= i) for i in range(1, len(gens) + 1))
+        chain = [h if len(h) < len(levels) else None for h in subgroups]
     hit = _first_assoc_violation(add, mids=gens)
     if hit is not None:
         return "add-associative", hit
     hit = _first_assoc_violation(mul, mids=gens, ends=gens)
     if hit is not None:
         return "mul-associative", hit
-    chain = None
-    if gens is not None:
-        subgroups = (np.flatnonzero(levels <= i) for i in range(1, len(gens) + 1))
-        chain = [h if len(h) < len(levels) else None for h in subgroups]
     hit = _first_distrib_violation(add, mul, zs=gens, xs=(gens, None), ys=chain)
     if hit is not None:
         side, x, y, z = hit
@@ -322,7 +321,7 @@ def validate_star_ring(ring: StarRing) -> dict:
         and not add.pairs(idx, neg).any()
         and _first_commute_violation(add, gens) is None
         and _first_ring_law_violation(
-            add._replace(cols=add.rows), mul, gens, ring.generator_levels
+            add._replace(cols=add.rows), mul, ring.generator_levels
         ) is None
     ):
         # a real violation; name the first over every element

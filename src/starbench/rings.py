@@ -848,22 +848,33 @@ class StarRing:
 
     @cached_property
     def _additive_walk(self) -> Tuple[Tuple[int, ...], np.ndarray]:
+        steps: list = []
+        gens = _greedy_span(self.add_pairs, np.ones(self.order, dtype=bool), steps)[1]
+        level = {s: i for i, s in enumerate(gens, 1)}
         levels = np.zeros(self.order, dtype=np.int64)
-        gens = tuple(additive_generators(self, levels))
+        for _, s, shifted in reversed(steps):  # an element's first step wins
+            levels[shifted] = level[s]
+        levels[0] = 0  # flagged before any step, where + is no group law too
         levels.setflags(write=False)
-        return gens, levels
+        return tuple(gens), levels
 
     @property
     def generators(self) -> Tuple[int, ...]:
-        """The greedy additive generating set of :func:`additive_generators`,
-        walked once per ring."""
+        """A greedy generating set G of (R, +), walked once per ring by
+        :func:`_greedy_span`: the lowest index outside the span of G joins
+        G until the span is R, so G is ascending. Computed with
+        ``add_pairs``, so call-based rings need no table. An additive map
+        that vanishes on G vanishes on the whole group, and two that agree
+        on G agree everywhere; the certificates rest on that."""
         return self._additive_walk[0]
 
     @property
     def generator_levels(self) -> np.ndarray:
         """Each element's level in the walk that picks :attr:`generators`:
-        0 for 0, and i for the elements the i-th generator's walk reached,
-        so those of level at most i span the first i generators."""
+        0 for 0, and i for the elements first reached by a step of the i-th
+        generator's walk, so on a group those of level at most i span the
+        first i generators, and the i-th generator is the lowest element of
+        level i."""
         return self._additive_walk[1]
 
     def has_tables(self) -> bool:
@@ -1053,10 +1064,7 @@ def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
 
 
 def _greedy_span(
-    add_pairs,
-    members: np.ndarray,
-    steps: Optional[list] = None,
-    levels: Optional[np.ndarray] = None,
+    add_pairs, members: np.ndarray, steps: Optional[list] = None
 ) -> Tuple[np.ndarray, List[int]]:
     """The additive subgroup H the flagged members generate, as flags, and
     a greedy generating set G of it: while a member lies outside H, the
@@ -1067,11 +1075,7 @@ def _greedy_span(
     s itself is flagged by the first shift, as 0 + s = s in every ring.
     Each shift that grows H is appended to ``steps``, when given, as
     (coset, s, coset + s): every element of H but 0 is first flagged in
-    exactly one of them, in the order of the walk. ``levels``, zeros when
-    given, gets each element's level: i for the elements that the walk of
-    the i-th generator flags, 0 for 0 and len(G) outside H. On a group,
-    the elements of level at most i form H_i, the span of the first i
-    generators.
+    exactly one of them, in the order of the walk.
     """
     spanned = np.zeros(len(members), dtype=bool)
     spanned[0] = True
@@ -1082,8 +1086,6 @@ def _greedy_span(
             return spanned, gens
         s = int(outside[0])
         gens.append(s)
-        if levels is not None:
-            levels += ~spanned
         coset = np.flatnonzero(spanned)
         shift = np.full(len(coset), s, dtype=np.int64)
         while True:
@@ -1125,12 +1127,3 @@ def _tables_along_generators(ring: StarRing) -> Tuple[np.ndarray, np.ndarray]:
     mul.setflags(write=False)
     return add, mul
 
-
-def additive_generators(ring: StarRing, levels: Optional[np.ndarray] = None) -> List[int]:
-    """A greedy generating set G of (R, +): the lowest index outside the
-    span of G joins G until the span is R, so G is ascending. Computed with
-    ``add_pairs``, so call-based rings need no table. An additive map that
-    vanishes on G vanishes on the whole group, and two that agree on G
-    agree everywhere; the certificates rest on that. ``levels`` records
-    each element's level as :func:`_greedy_span` does."""
-    return _greedy_span(ring.add_pairs, np.ones(ring.order, dtype=bool), levels=levels)[1]

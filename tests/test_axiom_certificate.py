@@ -62,10 +62,13 @@ def own_tables(r):
     return add, mul, r.star_vector()
 
 
-def walk(r):
-    """The ring's generators and the levels of their walk, as the audit's
-    proof takes them."""
-    return r.generators, r.generator_levels
+def assert_levels_name_the_generators(r):
+    """Level 0 is {0}, and the i-th generator is the lowest element of
+    level i, so the levels alone give the audit's G."""
+    levels = r.generator_levels
+    assert levels[0] == 0 and 0 not in levels[1:]
+    tops = [int(np.argmax(levels == i)) for i in range(1, levels.max(initial=0) + 1)]
+    assert tops == list(r.generators)
 
 
 def chain(r):
@@ -146,7 +149,7 @@ class TestCleanRings:
     def test_no_violations_reported(self, text):
         add, mul, star = int32_tables(cached_ring(text))
         gens = cached_ring(text).generators
-        assert audit._first_ring_law_violation(add, mul, *walk(cached_ring(text))) is None
+        assert audit._first_ring_law_violation(add, mul, cached_ring(text).generator_levels) is None
         assert audit._first_ring_law_violation(add, mul) is None
         assert audit._first_star_law_violation(add, mul, star, gens) is None
         assert audit._first_star_law_violation(add, mul, star) is None
@@ -158,7 +161,7 @@ class TestCleanRings:
         # to 100 elements, where they take milliseconds
         r = cached_ring(text)
         add, mul, star = own_tables(r)
-        assert audit._first_ring_law_violation(add, mul, *walk(r)) is None
+        assert audit._first_ring_law_violation(add, mul, r.generator_levels) is None
         assert audit._first_star_law_violation(add, mul, star, r.generators) is None
         if r.order <= 100:
             assert audit._first_ring_law_violation(add, mul) is None
@@ -182,8 +185,8 @@ class TestCleanRings:
     @pytest.mark.parametrize("text", CLEAN + ["prod(Z(3),Z(3))", "M(2,Z(4))"])
     def test_levels_give_the_spans_of_the_first_generators(self, text):
         r = cached_ring(text)
-        gens, levels = walk(r)
-        assert levels[0] == 0 and levels.max(initial=0) == len(gens)
+        gens, levels = r.generators, r.generator_levels
+        assert_levels_name_the_generators(r)
         for i in range(len(gens) + 1):
             span = oracles.o_additive_closure(r, list(gens[:i]))
             assert set(np.flatnonzero(levels <= i)) == span
@@ -257,7 +260,7 @@ class TestEachStepOfTheCertificate:
         add[3, 3] = 1
         bad = oracles.unaudited_ring(add, r.mul_table(), r.neg_vector(), r.star_vector())
         mul = np.asarray(r.mul_table(), dtype=np.int32)
-        assert audit._first_ring_law_violation(add, mul, *walk(bad)) is not None
+        assert audit._first_ring_law_violation(add, mul, bad.generator_levels) is not None
         assert assert_audit_matches_reference(bad)[0] == "add-associative"
 
     @pytest.mark.parametrize("text", ["Z(4)", "prod(Z(2),Z(3))", "M(2,Z(2))"])
@@ -323,7 +326,7 @@ class TestOneSidedCorruptions:
         assert assert_distrib_scans_agree(bad)[0] == side
         # * associates, so the audit's proof on G reaches distributivity
         add, mul, _ = int32_tables(bad)
-        assert audit._first_ring_law_violation(add, mul, *walk(bad))[0] == axiom
+        assert audit._first_ring_law_violation(add, mul, bad.generator_levels)[0] == axiom
         assert assert_audit_matches_reference(bad)[0] == axiom
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -358,11 +361,13 @@ def test_restricted_scans_hit_exactly_when_a_ring_law_fails():
         expected = reference_audit(bad)
         if expected is not None and expected[0] in FIRST_CHECKS:
             continue
+        # also where + is no group law, and its walk reaches 0 again
+        assert_levels_name_the_generators(bad)
         add, mul, _ = int32_tables(bad)
-        hit = audit._first_ring_law_violation(add, mul, *walk(bad))
+        hit = audit._first_ring_law_violation(add, mul, bad.generator_levels)
         assert (hit is not None) == (expected is not None and expected[0] in CUBIC_LAWS)
         narrow = own_tables(bad)
-        assert audit._first_ring_law_violation(*narrow[:2], *walk(bad)) == hit
+        assert audit._first_ring_law_violation(*narrow[:2], bad.generator_levels) == hit
         if hit is not None:
             assert audit._first_ring_law_violation(*narrow[:2]) == expected
         cases += 1
@@ -382,7 +387,7 @@ def test_own_narrow_tables_name_the_same_witness_on_a_large_ring():
         mul[i, j] = (mul[i, j] + int(rng.integers(1, r.order))) % r.order
         bad = oracles.unaudited_ring(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
         narrow, wide = own_tables(bad), int32_tables(bad)
-        assert audit._first_ring_law_violation(*narrow[:2], *walk(bad)) is not None
+        assert audit._first_ring_law_violation(*narrow[:2], bad.generator_levels) is not None
         hit = audit._first_ring_law_violation(*narrow[:2])
         assert hit is not None and hit == audit._first_ring_law_violation(*wide[:2])
         assert audit_outcome(bad) == (hit[0], tuple(bad.decode(x) for x in hit[1]))
@@ -431,8 +436,8 @@ class TestCommutativityFromTheGenerators:
         )
         monkeypatch.setattr(
             audit, "_first_ring_law_violation",
-            lambda add, mul, gens=None, levels=None: (
-                fail() if gens is None else ring_laws(add, mul, gens, levels)
+            lambda add, mul, levels=None: (
+                fail() if levels is None else ring_laws(add, mul, levels)
             ),
         )
         monkeypatch.setattr(
