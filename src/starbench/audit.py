@@ -307,19 +307,21 @@ def validate_star_ring(ring: StarRing) -> dict:
     idx = np.arange(n, dtype=np.int64)
     star = ring.star_vector()
     neg = ring.neg_vector()
-    gens = ring.generators
 
     def witness(*indices: int) -> tuple:
         return tuple(ring.decode(int(i)) for i in indices)
 
     # 0 is a two-sided identity, x + (-x) = 0 and g + x = x + g for g in
     # G, the premises of _first_ring_law_violation's proof: the columns of
-    # + at G are its rows (and every column is, once + associates)
+    # + at G are its rows (and every column is, once + associates). G is
+    # read only once 0 is known to be the identity: the walk that picks
+    # it flags each s by the shift 0 + s, and where 0 + s is not s it can
+    # pick the same s again and again, and never end
     if not (
         np.array_equal(add.rows([0])[0], idx)
         and np.array_equal(add.cols([0])[0], idx)
         and not add.pairs(idx, neg).any()
-        and _first_commute_violation(add, gens) is None
+        and _first_commute_violation(add, ring.generators) is None
         and _first_ring_law_violation(
             add._replace(cols=add.rows), mul, ring.generator_levels
         ) is None
@@ -336,7 +338,7 @@ def validate_star_ring(ring: StarRing) -> dict:
         )
     checks.append("star-involutive")
 
-    if _first_star_law_violation(add, mul, star, gens) is not None:
+    if _first_star_law_violation(add, mul, star, ring.generators) is not None:
         # a real violation; name the first over every pair
         axiom, hit = _first_star_law_violation(add, mul, star)
         raise AxiomViolation(axiom, witness(*hit))

@@ -59,7 +59,7 @@ the identity matrix, (1_L, 1_R) for a product, (0, 1_K) for the pair
 ring, and a section's image of its parent's unity, when the section
 holds it (a subring's unity may lie elsewhere, and is searched).
 :class:`StarRing` reads the unity and the characteristic from the backend
-it was built from, and defines the additive order of an element itself.
+it was built from.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly; only
@@ -228,16 +228,14 @@ class _Backend:
         return None
 
     def characteristic(self) -> int:
-        """Least k >= 1 with k.x = 0 for all x, by iterated vector addition."""
-        n = self.order
-        idx = np.arange(n, dtype=np.int64)
+        """Least k >= 1 with k.x = 0 for all x, by iterated vector addition:
+        at most n rounds on a group of order n."""
+        idx = np.arange(self.order, dtype=np.int64)
         cur = idx.copy()
         k = 1
         while cur.any():
             cur = self.add_pairs(cur, idx)
             k += 1
-            if k > 4 * n + 4:
-                raise AxiomViolation("additive-exponent", ())
         return k
 
 
@@ -614,9 +612,9 @@ class _TablesBackend(_Backend):
     supplies decode/encode. A ring assembled from another backend keeps
     that backend as its codec; StarRing.from_tables passes a
     :class:`_Literals`. The unity and the characteristic of an assembled
-    ring are read from its construction backend before the tables exist,
-    and a twin keeps its original's; only a ring given by its tables falls
-    back on the defaults here.
+    ring are read from its construction backend, and a twin keeps its
+    original's; only a ring given by its tables falls back on the defaults
+    here, the characteristic once the audit has proved + a group law.
     """
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, neg, star, codec):
@@ -695,10 +693,12 @@ class StarRing:
     """A finite ring with involution, elements indexed 0..order-1.
 
     Index 0 is the zero element. ``unity`` is the index of the multiplicative
-    identity or None. ``characteristic`` is the additive exponent. Both
-    are read from the backend the ring is built from, before any tables
-    are assembled. All arrays handed out are read-only views or fresh
-    copies.
+    identity or None, found at construction; ``characteristic`` is the
+    additive exponent, computed on first read. Both come from the backend
+    the ring is built from, never from tables assembled from it. The
+    constructor checks no axiom: :meth:`from_tables` runs the audit, and
+    every other ring is a *-ring by its construction. All arrays handed
+    out are read-only views or fresh copies.
     """
 
     def __init__(
@@ -719,6 +719,7 @@ class StarRing:
         self._star = np.asarray(backend.star_vec(), dtype=np.int64)
         self._neg.setflags(write=False)
         self._star.setflags(write=False)
+        self._origin = backend  # characteristic reads it, not the tables
         self._backend = backend
         if descriptor is not None and self.order**2 <= limits.table_threshold:
             self._backend = _TablesBackend(
@@ -728,9 +729,7 @@ class StarRing:
                 self._star,
                 codec=backend,
             )
-        self._check_structural_invariants()
         self.unity: Optional[int] = backend.find_unity()
-        self.characteristic: int = backend.characteristic()
 
     def _assemble(self, rows: Callable) -> np.ndarray:
         """The read-only table whose rows ``rows(idx)`` returns, in
@@ -745,23 +744,14 @@ class StarRing:
         table.setflags(write=False)
         return table
 
-    def _check_structural_invariants(self) -> None:
-        n = self.order
-        idx = np.arange(n, dtype=np.int64)
-        if int(self._star[0]) != 0:
-            raise AxiomViolation("zero-star", (self.decode(0),))
-        if int(self._neg[0]) != 0:
-            raise AxiomViolation("zero-neg", (self.decode(0),))
-        row0 = self.add_row(0)
-        if not np.array_equal(row0, idx):
-            bad = int(np.argmax(row0 != idx))
-            raise AxiomViolation("zero-identity", (self.decode(bad),))
-        if not np.array_equal(self._star[self._star], idx):
-            bad = int(np.argmax(self._star[self._star] != idx))
-            raise AxiomViolation("star-involutive", (self.decode(bad),))
-        if self.add_pairs(idx, self._neg).any():
-            bad = int(np.argmax(self.add_pairs(idx, self._neg) != 0))
-            raise AxiomViolation("add-inverse", (self.decode(bad),))
+    @cached_property
+    def characteristic(self) -> int:
+        """The additive exponent, read on first use from the backend the
+        ring was built from: the cyclic, matrix and product backends know
+        it, and any other adds every x to k.x until all reach 0, which
+        ends by k = n on a group. A ring given by its tables is a group
+        under + by then, since from_tables audits it first."""
+        return self._origin.characteristic()
 
     # --- scalar ops ------------------------------------------------------
 
@@ -891,15 +881,6 @@ class StarRing:
     def encode(self, lit: Any) -> int:
         return self._backend.encode(lit)
 
-    def additive_order(self, i: int) -> int:
-        """Least k >= 1 with k.i = 0."""
-        k = 1
-        cur = i
-        while cur != 0:
-            cur = self.add(cur, i)
-            k += 1
-        return k
-
     def __repr__(self) -> str:
         return "StarRing(%s, order=%d)" % (self.label, self.order)
 
@@ -974,9 +955,8 @@ def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
     """Construct the ring a descriptor denotes.
 
     Raises DescriptorError for malformed descriptors, OrderCapExceeded when
-    the (structural) order passes limits.element_cap, and AxiomViolation if
-    a structural guard trips (cannot happen for these constructors; kept as
-    a defense against backend bugs).
+    the (structural) order passes limits.element_cap, and AxiomViolation
+    ``closure-zero`` when a subring's closure does not hold 0.
     """
     validate_descriptor(d)
     order = structural_order(d)

@@ -22,6 +22,7 @@ from starbench.rings import _CyclicBackend, _MatrixBackend, index_dtype
 
 import oracles
 from conftest import cached_ring
+from test_axiom_certificate import reference_audit
 
 
 CALL_BASED = Limits(table_threshold=0)
@@ -68,7 +69,7 @@ class TestCyclic:
         assert r.characteristic == 1
 
     def test_additive_orders(self, z6):
-        assert [z6.additive_order(i) for i in range(6)] == [1, 6, 3, 2, 3, 6]
+        assert [oracles.o_additive_order(z6, i) for i in range(6)] == [1, 6, 3, 2, 3, 6]
 
 
 class TestMatrix:
@@ -197,6 +198,24 @@ def identity_star(add, mul, neg, star):
     star[:] = np.arange(len(star))
 
 
+def sum_not_commutative(add, mul, neg, star):
+    # + is no group law: 2 + 3 = 0 but 3 + 2 = 5
+    add[2, 3] = 0
+
+
+def zero_not_its_own_negative(add, mul, neg, star):
+    neg[0] = 4
+
+
+def zero_not_self_adjoint(add, mul, neg, star):
+    # an involution, but (0 + 0)* = 4 != 0* + 0* = 4 + 4 = 0
+    star[0], star[4] = 4, 0
+
+
+def star_not_involutive(add, mul, neg, star):
+    star[1] = 2  # star(star(1)) = star(2) = 2 != 1
+
+
 class TestValidation:
     @pytest.mark.parametrize("text", AUDITED)
     def test_built_rings_pass_the_full_audit(self, text):
@@ -259,12 +278,24 @@ class TestValidation:
         assert raw.unity == 1
         assert validate_star_ring(raw)["ok"] is True
 
-    def test_broken_involution_caught_at_construction(self, z6):
-        add, mul, neg, star = tables_of(z6)
-        star[1] = 2  # star(star(1)) = star(2) = 2 != 1
+    @pytest.mark.parametrize(
+        "text,corrupt,axiom,witness",
+        [
+            ("Z(8)", sum_not_commutative, "add-commutative", (2, 3)),
+            ("Z(8)", zero_not_its_own_negative, "add-inverse", (0,)),
+            ("Z(8)", zero_not_self_adjoint, "star-additive", (0, 0)),
+            ("Z(6)", star_not_involutive, "star-involutive", (1,)),
+        ],
+    )
+    def test_from_tables_names_the_first_violation(self, text, corrupt, axiom, witness):
+        # the audit is the only check on the tables, so each names the
+        # reference's first violation and its witness
+        tables = tables_of(ring(text))
+        corrupt(*tables)
         with pytest.raises(AxiomViolation) as exc:
-            StarRing.from_tables(add, mul, neg, star)
-        assert exc.value.payload()["axiom"] == "star-involutive"
+            StarRing.from_tables(*tables)
+        assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+        assert reference_audit(oracles.unaudited_ring(*tables)) == (axiom, witness)
 
 
 class TestCapsAndDeterminism:

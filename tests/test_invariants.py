@@ -3,11 +3,11 @@
 ``unity`` and ``characteristic`` come from the backend a ring was built
 from: the cyclic, matrix and product backends compute the characteristic
 directly, and every other value is a default of the backend protocol.
-``additive_order`` is one loop on ``StarRing``. Each is compared with the
-definition-level oracle on every small-corpus ring, both with dense tables
-and call-based (``Limits(table_threshold=0)``), and on pair rings and
-quotients. Those have no descriptor and are always call-based; the limits
-vary only the tables of R and K.
+Both are compared with the definition-level oracle on every small-corpus
+ring, both with dense tables and call-based
+(``Limits(table_threshold=0)``), and on pair rings and quotients. Those
+have no descriptor and are always call-based; the limits vary only the
+tables of R and K.
 """
 
 import pytest
@@ -31,8 +31,6 @@ UNITIFIED = [("sub(Z(9); 3)", "Z(9)"), ("M(2, Z(3))", "Z(6)")]
 def assert_invariants(ring):
     assert ring.unity == oracles.o_unity(ring), ring.label
     assert ring.characteristic == oracles.o_characteristic(ring), ring.label
-    orders = [ring.additive_order(x) for x in range(ring.order)]
-    assert orders == [oracles.o_additive_order(ring, x) for x in range(ring.order)]
 
 
 @pytest.mark.parametrize("mode", sorted(LIMITS))

@@ -167,7 +167,7 @@ def test_coset_minima_take_a_logarithmic_number_of_sums(monkeypatch):
     monkeypatch.setattr(unitify, "_validate_quotient", audit)
     quot = build_quotient(algebra)
     gens = quot.kernel.generators
-    bound = sum(int(np.ceil(np.log2(quot.r1.additive_order(g)))) + 2 for g in gens)
+    bound = sum(int(np.ceil(np.log2(oracles.o_additive_order(quot.r1, g)))) + 2 for g in gens)
     assert (bound, quot.kernel.size, quot.r1.order) == (10, 64, n1)
     # one shift of every pair per nonzero member would take 63
     assert 0 < len(calls) <= bound
