@@ -19,7 +19,13 @@ witnesses are the lowest-index ones):
   involution is proper.
 * central_cover(x): least central projection h with hx = x.
 * largest_eigen_projection(A, a, lam): greatest projection g with
-  a g = lam.g (optionally among central projections only).
+  a g = lam.g (optionally among central projections only);
+  largest_eigen_projections answers it for arrays of (a, lam) at once.
+
+Every greatest or least element, of the central projections fixing x, of
+the eigen-projections or of a scalar's upper bounds, comes from one
+primitive, ``ProjectionPoset.extremum``, which answers a whole boolean
+matrix of candidate sets at once.
 * scalar domination reports: for every nonzero scalar lam, a projection
   e_lam dominating LP(x) (or C(x)) for all x killed by lam.
 """
@@ -35,6 +41,7 @@ import numpy as np
 
 from .algebra import ScalarAlgebra
 from .bitsets import (
+    first_positions,
     flags_of,
     full_mask,
     is_subset,
@@ -51,7 +58,7 @@ from .errors import (
     NoRightProjection,
     VerificationFailed,
 )
-from .rings import StarRing, _lines_per_block, stack_lines
+from .rings import SCAN_BLOCK, StarRing, _lines_per_block, stack_lines
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,14 @@ class ProjectionPoset:
         idem = ring.mul_pairs(cand, cand) == cand
         self.indices = cand[idem].astype(np.int64)
         p = len(self.indices)
-        self._pos: Dict[int, int] = {int(e): i for i, e in enumerate(self.indices)}
+        self._positions = np.full(n, -1, dtype=np.int64)
+        self._positions[self.indices] = np.arange(p)
 
-        central = np.zeros(p, dtype=bool)
-        for i, e in enumerate(self.indices):
-            e = int(e)
-            central[i] = np.array_equal(ring.mul_row(e), _column(ring, e))
-        self.central_flags = central
+        # e is central when it commutes with every additive generator g:
+        # then, by distributivity, with every sum of them
+        gens = np.array(ring.generators, dtype=np.int64)
+        col = self.indices[:, None]
+        self.central_flags = (ring.mul_pairs(col, gens) == ring.mul_pairs(gens, col)).all(axis=1)
 
         e = np.repeat(self.indices, p)
         f = np.tile(self.indices, p)
@@ -102,26 +110,53 @@ class ProjectionPoset:
             for e, c in zip(self.indices, self.central_flags)
         ]
 
-    def position(self, e_index: int) -> int:
-        return self._pos[int(e_index)]
+    def position(self, e_index):
+        """The position of a projection's index, -1 for any other element;
+        elementwise on an array of indices."""
+        return self._positions[e_index]
 
     def central_positions(self) -> np.ndarray:
         return np.flatnonzero(self.central_flags)
 
-    def least(self, positions) -> Optional[int]:
-        """Position of the least member of the set, or None."""
-        positions = list(positions)
-        for g in positions:
-            if all(self.leq[g, h] for h in positions):
-                return int(g)
-        return None
+    @cached_property
+    def _down_sizes(self) -> np.ndarray:
+        """_down_sizes[f] = the number of projections e <= f."""
+        return self.leq.sum(axis=0)
 
-    def greatest(self, positions) -> Optional[int]:
-        positions = list(positions)
-        for g in positions:
-            if all(self.leq[h, g] for h in positions):
-                return int(g)
-        return None
+    def extremum(
+        self, member: np.ndarray, greatest: bool, positions: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """For each row of the (rows x m) boolean matrix ``member``, which
+        marks the row's members among the projections at ``positions``
+        (every position by default, m = p), the position of the row's
+        greatest member, or of its least one, or -1 when it has none (an
+        empty row included).
+
+        Below a greatest member f lies every other member e, whose down-set
+        is then a proper subset of f's: it lacks f. So f is the member with
+        the most projections below it, and likewise a least member is the
+        one with the fewest. Each row's candidate is picked by down-set
+        size, and one rows x m test confirms that it bounds the row. Rows
+        are taken about ``SCAN_BLOCK`` entries at a time, so no temporary
+        has more than one block of rows x m entries."""
+        if positions is None:
+            positions = np.arange(len(self))
+        positions = np.asarray(positions, dtype=np.int64)
+        rows, m = member.shape
+        out = np.full(rows, -1, dtype=np.int64)
+        if not m:
+            return out
+        sizes = self._down_sizes[positions]
+        score = sizes if greatest else len(self) - sizes  # highest picks
+        leq = self.leq[np.ix_(positions, positions)]
+        step = _rows_per_block(m)
+        for start in range(0, rows, step):
+            block = member[start : start + step]
+            cand = np.where(block, score, -1).argmax(axis=1)
+            bound = leq[:, cand].T if greatest else leq[cand]  # bound[t, j]: j vs cand
+            ok = block[np.arange(len(block)), cand] & ~(block & ~bound).any(axis=1)
+            out[start : start + len(block)] = np.where(ok, positions[cand], -1)
+        return out
 
 
 class RingScan:
@@ -241,24 +276,13 @@ class RingScan:
 
     @cached_property
     def cover_all(self) -> np.ndarray:
-        """cover_all[x] = index of C(x), or -1 when no central cover exists."""
+        """cover_all[x] = index of C(x), or -1 when no central cover exists:
+        the least of the central projections h with hx = x, found for every
+        x at once by ``ProjectionPoset.extremum``."""
         poset = self.poset
-        n = self.ring.order
         centrals = poset.central_positions()
-        fixed = self._fixed_left[centrals] if len(centrals) else np.zeros((0, n), bool)
-        out = np.full(n, -1, dtype=np.int64)
-        memo: Dict[bytes, int] = {}
-        for x in range(n):
-            key = fixed[:, x].tobytes()
-            if key in memo:
-                out[x] = memo[key]
-                continue
-            fixers = [int(centrals[i]) for i in np.flatnonzero(fixed[:, x])]
-            least = poset.least(fixers) if fixers else None
-            val = int(poset.indices[least]) if least is not None else -1
-            memo[key] = val
-            out[x] = val
-        return out
+        least = poset.extremum(self._fixed_left[centrals].T, greatest=False, positions=centrals)
+        return np.where(least >= 0, poset.indices[least], -1)
 
     @cached_property
     def eR_by_mask(self) -> Dict[int, Tuple[int, ...]]:
@@ -282,6 +306,11 @@ def r_of_principal_ideals(scan: RingScan) -> List[int]:
     ideal.
     """
     return [ann & right for ann, right in zip(scan.rann, scan.r_of_aR)]
+
+
+def _rows_per_block(m: int) -> int:
+    """As many rows of m entries as fit in ``SCAN_BLOCK`` entries, at least one."""
+    return max(1, SCAN_BLOCK // max(m, 1))
 
 
 def _column(ring: StarRing, e: int) -> np.ndarray:
@@ -403,6 +432,34 @@ def central_cover(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> in
     return val
 
 
+def largest_eigen_projections(
+    algebra: ScalarAlgebra,
+    a: np.ndarray,
+    lam: np.ndarray,
+    central_only: bool = False,
+    scan: Optional[RingScan] = None,
+) -> np.ndarray:
+    """For each i, the greatest projection g with a[i] g = lam[i].g (g
+    central when asked), or -1 when the qualifying set has no greatest
+    element. Every lam[i] is a nonzero scalar index.
+
+    A block of rows at a time, one ``mul_pairs`` grid tests every candidate
+    projection against the block's a[i], and ``ProjectionPoset.extremum``
+    picks each row's greatest."""
+    scan = scan or RingScan(algebra.ring)
+    poset = scan.poset
+    a, lam = np.asarray(a, dtype=np.int64), np.asarray(lam, dtype=np.int64)
+    positions = _eigen_positions(poset, central_only)
+    out = np.empty(len(a), dtype=np.int64)
+    step = _rows_per_block(len(positions))
+    for start in range(0, len(a), step):
+        part = slice(start, start + step)
+        holds = _eigen_holds(algebra, a[part], lam[part], poset.indices[positions])
+        top = poset.extremum(holds, greatest=True, positions=positions)
+        out[part] = np.where(top >= 0, poset.indices[top], -1)
+    return out
+
+
 def largest_eigen_projection(
     algebra: ScalarAlgebra,
     a: int,
@@ -410,28 +467,32 @@ def largest_eigen_projection(
     central_only: bool = False,
     scan: Optional[RingScan] = None,
 ) -> int:
-    """Greatest projection g with a*g = lam.g (g central when asked).
+    """Greatest projection g with a*g = lam.g (g central when asked): row a
+    of ``largest_eigen_projections``.
 
     g = 0 always qualifies, so the candidate set is never empty, but a
-    greatest element may still not exist; that raises NoGreatestElement.
-    Every candidate is tested with one mul_pairs; the qualifying
-    positions reach the poset in ascending order.
+    greatest element may still not exist; that raises NoGreatestElement,
+    which names the qualifying projections in ascending order.
     """
     if lam == 0:
         raise ValueError("lam must be a nonzero scalar index")
     ring = algebra.ring
     scan = scan or RingScan(ring)
-    poset = scan.poset
-    cand = np.flatnonzero(poset.central_flags) if central_only else np.arange(len(poset))
-    gs = poset.indices[cand]
-    holds = ring.mul_pairs(np.full(len(gs), a), gs) == algebra.action[lam, gs]
-    positions = cand[holds].tolist()
-    top = poset.greatest(positions)
-    if top is None:
-        raise NoGreatestElement(
-            [ring.decode(int(poset.indices[i])) for i in positions]
-        )
-    return int(poset.indices[top])
+    top = int(largest_eigen_projections(algebra, [a], [lam], central_only, scan)[0])
+    if top < 0:
+        gs = scan.poset.indices[_eigen_positions(scan.poset, central_only)]
+        holds = _eigen_holds(algebra, np.array([a]), np.array([lam]), gs)[0]
+        raise NoGreatestElement([ring.decode(int(g)) for g in gs[holds]])
+    return top
+
+
+def _eigen_positions(poset: ProjectionPoset, central_only: bool) -> np.ndarray:
+    return poset.central_positions() if central_only else np.arange(len(poset))
+
+
+def _eigen_holds(algebra: ScalarAlgebra, a: np.ndarray, lam: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """holds[i, j] <=> a[i] gs[j] = lam[i].gs[j], from one mul_pairs grid."""
+    return algebra.ring.mul_pairs(a[:, None], gs) == algebra.action[lam[:, None], gs]
 
 
 @dataclass(frozen=True)
@@ -478,6 +539,15 @@ def _domination_report(
     kind: str,
     scan: Optional[RingScan],
 ) -> ScalarDominationReport:
+    """For each nonzero lam, in turn, the x with lam.x = 0 are read in
+    ascending order, and the upper-bound set of their LP(x) (or C(x)) is
+    narrowed one x at a time. Only an x whose LP(x) is new narrows it, so
+    the running sets are one logical_and.accumulate over the distinct
+    LP(x) rows of ``leq``, in order of first appearance; the first empty
+    one names the failure. An x with no LP(x) raises, unless the set
+    emptied before it. The selection is the least upper bound, from
+    ``ProjectionPoset.extremum``, or the lowest-index bound when there is
+    no least one."""
     ring = algebra.ring
     scan = scan or RingScan(ring)
     poset = scan.poset
@@ -486,27 +556,28 @@ def _domination_report(
     unique: Dict[int, bool] = {}
     for lam in range(1, algebra.scalars.order):
         killed = np.flatnonzero(algebra.action_row(lam) == 0)
-        bounds = list(range(len(poset)))
-        for x in killed:
-            x = int(x)
-            low = int(table[x])
-            if low == -1:
-                if kind == "lp":
-                    raise NoLeftProjection(ring.decode(x))
-                raise NoCentralCover(ring.decode(x))
-            if low == -2:
+        lows = table[killed]
+        missing = np.flatnonzero(lows < 0)
+        read = len(killed) if not len(missing) else int(missing[0])
+        low_pos = poset.position(lows[:read])
+        first = first_positions(low_pos, len(poset))
+        new = np.flatnonzero(first[low_pos] == np.arange(read))  # first appearances
+        running = np.logical_and.accumulate(poset.leq[low_pos[new]], axis=0)
+        emptied = np.flatnonzero(~running.any(axis=1))
+        if len(emptied):
+            x = int(killed[new[int(emptied[0])]])
+            return ScalarDominationReport(kind, False, selections, unique, (lam, x))
+        if len(missing):
+            x = int(killed[read])
+            if int(lows[read]) == -2:
                 raise AmbiguousLeftProjection(ring.decode(x), [])
-            low_pos = poset.position(low)
-            bounds = [b for b in bounds if poset.leq[low_pos, b]]
-            if not bounds:
-                return ScalarDominationReport(kind, False, selections, unique, (lam, x))
-        least = poset.least(bounds)
-        if least is not None:
-            selections[lam] = int(poset.indices[least])
-            unique[lam] = True
-        else:
-            selections[lam] = int(poset.indices[min(bounds)])
-            unique[lam] = False
+            if kind == "lp":
+                raise NoLeftProjection(ring.decode(x))
+            raise NoCentralCover(ring.decode(x))
+        bounds = running[-1] if len(new) else np.ones(len(poset), dtype=bool)
+        least = int(poset.extremum(bounds[None], greatest=False)[0])
+        unique[lam] = least >= 0
+        selections[lam] = int(poset.indices[least if least >= 0 else int(np.argmax(bounds))])
     return ScalarDominationReport(kind, True, selections, unique, None)
 
 

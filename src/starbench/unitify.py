@@ -52,8 +52,15 @@ L(R) = {x : xR = 0} vanishes. Projection formulas in the quotient:
   projections.
 
 Every formula result is compared against an exhaustive definition-level
-search in the quotient; a divergence raises FormulaMismatch rather than
-trusting either side.
+search in the quotient. verify_unitification makes that comparison for
+every coset in one pass: _formula_table computes the formula for an array
+of cosets (a gather from R's scan table where lam = 0, one mul_pairs grid
+and one poset extremum where lam != 0), and _formula_disagreements
+compares it with the quotient scan's rp_all or cover_all as arrays. Only
+the first coset that disagrees goes through rp_in_quotient or
+cover_in_quotient, which compute the same table for that one coset and
+raise FormulaMismatch (or the error of the search that found nothing)
+rather than trusting either side; that exception names the failure.
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ from .projections import (
     condition3_witnesses,
     condition_beta_witnesses,
     largest_eigen_projection,
+    largest_eigen_projections,
     rp,
 )
 from .rings import (
@@ -429,31 +437,54 @@ def build_quotient(
     return quot
 
 
-def _formula_projection(
+def _formula_table(
     quot: Quotient,
-    c: int,
+    targets: np.ndarray,
     rscan: RingScan,
     central: bool,
-) -> int:
-    """Closed-form RP/central-cover of a coset from its canonical rep.
+) -> np.ndarray:
+    """The closed-form RP (central cover when ``central``) of every coset in
+    ``targets``, read off its canonical representative (a, lam), or -1
+    where the formula gives none:
 
-    lam = 0: embed the answer computed inside R. lam != 0: [-g, 1] with g
-    the greatest (central) projection satisfying a g = (-lam).g. The result
-    does not depend on the representative because members of one coset act
-    identically on R.
+    * lam = 0: [rp(a), 0] ([C(a), 0]), gathered from R's scan table;
+    * lam != 0: [-g, 1], g the greatest (central) projection with
+      a g = (-lam).g, from largest_eigen_projections: one mul_pairs grid
+      against the candidate projections and one poset extremum per block.
+
+    The result does not depend on the representative because members of
+    one coset act identically on R.
     """
-    R = quot.algebra.ring
-    K = quot.algebra.scalars
-    rep = int(quot.reps[c])
-    a, lam = divmod(rep, quot.kn)
-    if lam == 0:
-        e = central_cover(R, a, rscan) if central else rp(R, a, rscan)
-        return quot.embed(e)
-    g = largest_eigen_projection(
-        quot.algebra, a, K.neg(lam), central_only=central, scan=rscan
+    algebra = quot.algebra
+    R, K = algebra.ring, algebra.scalars
+    a, lam = np.divmod(quot.reps[targets], quot.kn)
+    out = np.empty(len(a), dtype=np.int64)
+    inner = lam == 0
+    found = (rscan.cover_all if central else rscan.rp_all)[a[inner]]
+    out[inner] = np.where(found >= 0, quot.embed_all()[np.maximum(found, 0)], -1)
+    g = largest_eigen_projections(
+        algebra, a[~inner], K.neg_vector()[lam[~inner]], central_only=central, scan=rscan
     )
-    pair = quot.pair_index(R.neg(g), K.unity)
-    return int(quot.coset_of_pair[pair])
+    pairs = R.neg_vector()[g] * quot.kn + K.unity
+    out[~inner] = np.where(g >= 0, quot.coset_of_pair[pairs], -1)
+    return out
+
+
+def _formula_projection(quot: Quotient, c: int, rscan: RingScan, central: bool) -> int:
+    """Row c of _formula_table. Where the formula gives no value, the search
+    that found none raises: R's rp (central_cover) at a when lam = 0,
+    largest_eigen_projection's NoGreatestElement otherwise."""
+    value = int(_formula_table(quot, np.array([c]), rscan, central)[0])
+    if value < 0:
+        algebra = quot.algebra
+        a, lam = divmod(int(quot.reps[c]), quot.kn)
+        if lam == 0:
+            (central_cover if central else rp)(algebra.ring, a, rscan)
+        else:
+            largest_eigen_projection(
+                algebra, a, algebra.scalars.neg(lam), central_only=central, scan=rscan
+            )
+    return value
 
 
 def rp_in_quotient(
@@ -469,7 +500,9 @@ def rp_in_quotient(
     the formula directly. Non-self-adjoint cosets route through c* c when
     the quotient involution is proper (RP(x) = RP(x* x) there;
     ``quot.proper`` decides that once per quotient); without properness no
-    formula claim exists and the exhaustive answer is returned as-is.
+    formula claim exists and the exhaustive answer is returned as-is. The
+    formula is row c (or c* c) of _formula_table, the table that
+    verify_unitification builds for every coset at once.
     """
     qscan = qscan or RingScan(quot.ring)
     q = qscan.ring
@@ -506,6 +539,35 @@ def cover_in_quotient(
     if qscan.r_of_aR[c] != qscan.rann[brute]:
         raise VerificationFailed("cover-biconditional", q.decode(c))
     return brute
+
+
+def _formula_disagreements(
+    quot: Quotient, qscan: RingScan, rscan: RingScan, central: bool
+) -> np.ndarray:
+    """Flags of the cosets c at which rp_in_quotient (cover_in_quotient when
+    ``central``) raises, for every coset at once: the quotient's scan has
+    no answer at c, or the formula table has none or another at c (at c* c
+    for a coset that is not self-adjoint, when the quotient's involution is
+    proper; such cosets are not checked when it is not), or, for covers,
+    r(cQ) differs from r(C(c))."""
+    q = qscan.ring
+    cosets = np.arange(q.order, dtype=np.int64)
+    brute = qscan.cover_all if central else qscan.rp_all
+    targets, checked = cosets, np.ones(q.order, dtype=bool)
+    if not central:
+        adjoint = q.star_vector()
+        moved = adjoint != cosets
+        if moved.any() and quot.proper:
+            targets = np.where(moved, q.mul_pairs(adjoint, cosets), cosets)
+        else:
+            checked = ~moved
+    formula = np.full(q.order, -1, dtype=np.int64)
+    formula[checked] = _formula_table(quot, targets[checked], rscan, central)
+    bad = (brute < 0) | (checked & (formula != brute))
+    if central:
+        rann = qscan.rann
+        bad |= [r != rann[b] for r, b in zip(qscan.r_of_aR, brute.tolist())]
+    return bad
 
 
 @dataclass
@@ -561,6 +623,14 @@ def _first_collision(R: StarRing, emb: np.ndarray) -> Optional[list]:
     return [R.decode(int(earlier[a])), R.decode(a)]
 
 
+def _decoded(ring: StarRing, indices: np.ndarray) -> list:
+    """ring.decode of each index, None for a negative one; each distinct
+    index is decoded once."""
+    values = indices.tolist()
+    names = {v: ring.decode(v) if v >= 0 else None for v in set(values)}
+    return [names[v] for v in values]
+
+
 def verify_unitification(
     algebra: ScalarAlgebra,
     mode: str = "rickart",
@@ -572,6 +642,12 @@ def verify_unitification(
     the unitified ring and check it is Rickart*, that a -> [a, 0] preserves
     right projections element by element, and that the [-g, 1] formula
     agrees with brute force on every coset.
+
+    Preservation compares R's table with the quotient's table at the
+    embedded elements, as arrays. The formula is checked on every coset in
+    one pass (_formula_disagreements); at the first coset that disagrees,
+    rp_in_quotient (cover_in_quotient) raises, and its message is the
+    recorded failure, the same one a coset-by-coset loop stops at.
 
     mode "pqbaer": the central-cover mirror, gated on R weakly p.q.-Baer*
     and condition (beta).
@@ -647,39 +723,30 @@ def verify_unitification(
     if not cls.verdict:
         failures.append("quotient-classifier:%r" % (cls.witness,))
 
-    preservation: List[dict] = []
-    key_r = "rp_R" if mode == "rickart" else "cover_R"
-    key_q = "rp_Q" if mode == "rickart" else "cover_Q"
-    table = rscan.rp_all if mode == "rickart" else rscan.cover_all
-    qtable = qscan.rp_all if mode == "rickart" else qscan.cover_all
-    all_ok = True
-    for a in range(R.order):
-        in_r = int(table[a])
-        in_q = int(qtable[int(emb[a])])
-        ok = in_r >= 0 and in_q >= 0 and int(emb[in_r]) == in_q
-        all_ok &= ok
-        preservation.append(
-            {
-                "a": R.decode(a),
-                key_r: R.decode(in_r) if in_r >= 0 else None,
-                key_q: q.decode(in_q) if in_q >= 0 else None,
-                "ok": ok,
-            }
+    central = mode == "pqbaer"
+    key_r, key_q = ("cover_R", "cover_Q") if central else ("rp_R", "rp_Q")
+    in_r = rscan.cover_all if central else rscan.rp_all
+    in_q = (qscan.cover_all if central else qscan.rp_all)[emb]
+    ok = (in_r >= 0) & (in_q >= 0) & (emb[np.maximum(in_r, 0)] == in_q)
+    all_ok = bool(ok.all())
+    preservation = [
+        {"a": R.decode(a), key_r: r_name, key_q: q_name, "ok": row_ok}
+        for a, r_name, q_name, row_ok in zip(
+            range(R.order), _decoded(R, in_r), _decoded(q, in_q), ok.tolist()
         )
+    ]
     if not all_ok:
         failures.append("preservation")
 
     formula_ok = True
-    for c in range(q.order):
+    first = np.flatnonzero(_formula_disagreements(quot, qscan, rscan, central))[:1]
+    if len(first):  # the per-coset check names what failed there
+        check = cover_in_quotient if central else rp_in_quotient
         try:
-            if mode == "rickart":
-                rp_in_quotient(quot, c, qscan, rscan)
-            else:
-                cover_in_quotient(quot, c, qscan, rscan)
+            check(quot, int(first[0]), qscan, rscan)
         except (FormulaMismatch, NoGreatestElement, NoRightProjection, NoCentralCover, VerificationFailed) as exc:
             formula_ok = False
             failures.append("formula:%s" % exc)
-            break
 
     report = EmbeddingReport(
         mode=mode,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -299,6 +300,29 @@ class TestUnitify:
         assert code == 4
         assert payload["error"]["type"] == "CharacteristicMismatch"
 
+    # M(2, Z(7)) over Z(7): the pair ring has 7^5 = 16807 elements, and the
+    # quotient (2401 cosets, 2401^2 past the table threshold) stays
+    # call-based. The SHA-256 of the passing run's output was recorded by
+    # the coset-by-coset formula check that preceded the one-pass one.
+    def test_verify_at_the_pair_ring_cap(self, capsys):
+        argv = ["unitify", "M(2, Z(7))", "--K", "Z(7)", "--verify", "pqbaer", "--format", "json"]
+        assert main(argv + ["--max-order", "16806"]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {
+                "type": "OrderCapExceeded",
+                "message": "pair ring order 16807 exceeds the configured cap 16806",
+                "order": 16807,
+                "cap": 16806,
+            }
+        }
+        assert main(argv + ["--max-order", "16807"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert (payload["kernel_order"], payload["quotient_order"], payload["verdict"]) == (7, 2401, True)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3dae1085be88dc057f08291226952c4539fc83bc37bad8894c5566ed6cae6afb"
+        )
+
 
 class TestVerify:
     def test_implications_corpus(self, capsys):
@@ -484,6 +508,19 @@ class TestPeakMemory:
         code, payload, peak_mb = peak_run(argv)
         assert code == 0 and payload["verdict"] and payload["quotient_order"] == 1296
         assert peak_mb < 62, peak_mb
+
+    def test_verify_with_hundreds_of_projections_stays_small_in_memory(self):
+        # Z(2)^9: all 512 elements are central projections, and so are the
+        # 512 cosets of its quotient. Each formula row, eigen-projection row
+        # and cover row picks its extremum among p = 512 projections; a test
+        # that built a rows x p x p temporary would take 134 MB where the
+        # verb peaks near 46 MB
+        ring = "Z(2)"
+        for _ in range(8):
+            ring = "prod(%s, Z(2))" % ring
+        code, payload, peak_mb = peak_run(["unitify", ring, "--K", "Z(2)", "--verify", "pqbaer"])
+        assert code == 0 and payload["verdict"] and payload["quotient_order"] == 512
+        assert peak_mb < 70, peak_mb
 
     def test_check_all_at_the_element_cap_stays_small_in_memory(self):
         # M(2, Z(10)) has 10,000 elements, the default cap. The

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starbench import (
     RingScan,
@@ -20,6 +22,8 @@ from starbench.errors import (
     NoRightProjection,
     VerificationFailed,
 )
+
+from starbench import projections
 
 import oracles
 from conftest import cached_ring
@@ -236,6 +240,49 @@ class TestCentralCover:
     def test_zero_multiplication_ring_has_none(self, sub93):
         with pytest.raises(NoCentralCover):
             central_cover(sub93, 1)
+
+
+def oracle_extremum(ring, members, greatest):
+    """The greatest (least) of the projections ``members`` under o_leq,
+    or None."""
+    for g in members:
+        if all(oracles.o_leq(ring, *((h, g) if greatest else (g, h))) for h in members):
+            return g
+    return None
+
+
+class TestExtremum:
+    @pytest.mark.parametrize("text", ["M(2,Z(3))", "M(2,Z(4))", "prod(Z(2),Z(3))"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_the_order_oracle(self, text, data):
+        r = cached_ring(text)
+        poset = RingScan(r).poset
+        positions = data.draw(
+            st.sampled_from([np.arange(len(poset)), poset.central_positions()])
+        )
+        m = len(positions)
+        rows = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), max_size=6))
+        member = np.array(rows, dtype=bool).reshape(len(rows), m)
+        for greatest in (True, False):
+            got = poset.extremum(member, greatest, positions)
+            for row, pos in zip(member, got.tolist()):
+                members = [int(e) for e in poset.indices[positions[row]]]
+                want = oracle_extremum(r, members, greatest)
+                assert pos == (-1 if want is None else poset.position(want))
+
+    def test_blocks_do_not_change_the_answer(self, monkeypatch):
+        # every downward-closed set of M(2, Z(4))'s projections, and every
+        # set of two, with one row to a block
+        r = cached_ring("M(2,Z(4))")
+        poset = RingScan(r).poset
+        p = len(poset)
+        member = np.concatenate([poset.leq.T, np.eye(p, dtype=bool) | np.roll(np.eye(p, dtype=bool), 1, axis=1)])
+        whole = [poset.extremum(member, g).tolist() for g in (True, False)]
+        monkeypatch.setattr(projections, "SCAN_BLOCK", 1)
+        assert [poset.extremum(member, g).tolist() for g in (True, False)] == whole
+        assert whole[0][:p] == list(range(p))  # f is the greatest of its down-set
+        assert whole[1][:p] == [0] * p  # and 0 the least
 
 
 class TestLargestEigenProjection:

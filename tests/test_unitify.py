@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -26,8 +29,17 @@ from starbench import (
 )
 from starbench import rings
 from starbench.bitsets import indices_of
-from starbench.errors import HypothesisNotMet, OrderCapExceeded, VerificationFailed
-from starbench.unitify import _validate_quotient
+from starbench.cli import main
+from starbench.errors import (
+    HypothesisNotMet,
+    NoCentralCover,
+    NoGreatestElement,
+    NoRightProjection,
+    OrderCapExceeded,
+    StarbenchError,
+    VerificationFailed,
+)
+from starbench.unitify import _formula_disagreements, _formula_projection, _validate_quotient
 
 import oracles
 from conftest import cached_ring
@@ -547,3 +559,169 @@ class TestTabledQuotient:
         assert report.to_json() == verify_unitification(
             algebra_of("M(2,Z(3))", "Z(3)"), mode="pqbaer"
         ).to_json()
+
+
+# --- the formula check's failure path ----------------------------------------------
+
+def corrupt_quotient_scans(monkeypatch, name, values):
+    """Make every scan of a quotient read ``values`` ({coset: index}) in its
+    brute-force table ``name`` (``rp_all`` or ``cover_all``); scans of
+    other rings are left alone."""
+    compute = RingScan.__dict__[name].func
+
+    def corrupted(scan):
+        table = compute(scan)
+        if scan.ring.label.startswith("unitified("):
+            for c, v in values.items():
+                table[c] = v
+        return table
+
+    prop = functools.cached_property(corrupted)
+    prop.__set_name__(RingScan, name)
+    monkeypatch.setattr(RingScan, name, prop)
+
+
+# Z(6) over Z(6): the quotient is Z(6) again, coset c decoding as (0, c).
+# Its right projections and covers are [0, 1, 4, 3, 4, 1]; each case
+# corrupts the brute-force answer at one or two cosets. The SHA-256 of the
+# CLI's JSON output was recorded by the coset-by-coset loop that preceded
+# the one-pass check.
+FORMULA_FAILURES = [
+    (
+        "rickart", "rp_all", {5: 3},
+        ["preservation", "formula:formula gives (0, 1) but exhaustive search gives (0, 3) at (0, 5)"],
+        "375b98e99e0e144d9d5713a8628570c9ea5c403d6454416eaac934a853d1b04e",
+    ),
+    (
+        "pqbaer", "cover_all", {5: 3},
+        ["preservation", "formula:formula gives (0, 1) but exhaustive search gives (0, 3) at (0, 5)"],
+        "e5df26df44e80d8eb444e9860d811d5704bacc2effab6eba34d16f89b61fa981",
+    ),
+    (  # the lower of two bad cosets names the failure
+        "rickart", "rp_all", {5: 3, 2: -1},
+        ["preservation", "formula:no right projection exists for (0, 2)"],
+        "7ea97a266a468a857b304b4bcefd61c3315fab268fcb09d6bc66647039658732",
+    ),
+    (
+        "pqbaer", "cover_all", {4: -1, 5: 3},
+        ["preservation", "formula:no central cover exists for (0, 4)"],
+        "cb6d34c3d0745ce91143188c5ed4c45b1059d673051efca7e4d9db53244437d2",
+    ),
+]
+
+
+class TestFormulaFailure:
+    @pytest.mark.parametrize("mode,name,values,failures,digest", FORMULA_FAILURES)
+    def test_a_corrupted_brute_force_answer_fails_the_formula_check(
+        self, monkeypatch, capsys, algebra_of, mode, name, values, failures, digest
+    ):
+        corrupt_quotient_scans(monkeypatch, name, values)
+        rep = verify_unitification(algebra_of("Z(6)", "Z(6)"), mode=mode)
+        assert rep.formula_agreement is False
+        assert rep.verdict is False
+        assert rep.failures == failures
+        argv = ["unitify", "Z(6)", "--K", "Z(6)", "--verify", mode, "--format", "json"]
+        assert main(argv) == 5
+        out = capsys.readouterr().out
+        assert json.loads(out)["failures"] == failures
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- the formula route on a quotient that fails it -----------------------------------
+
+@pytest.fixture(scope="module")
+def q_m2z4(algebra_of_module):
+    """M(2, Z(4)) over Z(4), built without the theorem's gates: its quotient
+    has cosets where the formula has no value."""
+    return build_quotient(algebra_of_module("M(2,Z(4))", "Z(4)"))
+
+
+def outcome(f, *args):
+    """f(*args), or the name and payload of the StarbenchError it raises."""
+    try:
+        return int(f(*args))
+    except StarbenchError as exc:
+        return type(exc).__name__, exc.payload()
+
+
+def oracle_formula(quot, c, central):
+    """The formula at coset c from the definitions: [p, 0] for p = rp(a)
+    (C(a)) when its representative is (a, 0), else [-g, 1] for g the
+    greatest (central) projection with a g = (-lam).g; or the name and
+    payload of the error where there is no such p or g."""
+    alg = quot.algebra
+    R, K = alg.ring, alg.scalars
+    a, lam = divmod(int(quot.reps[c]), quot.kn)
+    if lam == 0:
+        p = (oracles.o_central_cover if central else oracles.o_rp)(R, a)
+        if p is None:
+            error = NoCentralCover if central else NoRightProjection
+            return error.__name__, error(R.decode(a)).payload()
+        return quot.embed(p)
+    cands = (oracles.o_central_projections if central else oracles.o_projections)(R)
+    holds = [g for g in cands if R.mul(a, g) == alg.act(K.neg(lam), g)]
+    tops = [g for g in holds if all(oracles.o_leq(R, h, g) for h in holds)]
+    if not tops:
+        return "NoGreatestElement", NoGreatestElement([R.decode(g) for g in holds]).payload()
+    return int(quot.coset_of_pair[quot.pair_index(R.neg(tops[0]), K.unity)])
+
+
+class TestFormulaRoute:
+    @pytest.mark.parametrize("central", [False, True])
+    def test_every_coset_matches_the_definition(self, q_m2z4, central):
+        rscan = RingScan(q_m2z4.algebra.ring)
+        got = [outcome(_formula_projection, q_m2z4, c, rscan, central) for c in range(q_m2z4.ring.order)]
+        assert got == [oracle_formula(q_m2z4, c, central) for c in range(q_m2z4.ring.order)]
+
+    def test_the_cosets_without_a_value(self, q_m2z4):
+        rscan = RingScan(q_m2z4.algebra.ring)
+        got = [outcome(_formula_projection, q_m2z4, c, rscan, False) for c in range(q_m2z4.ring.order)]
+        failed = {c: v[0] for c, v in enumerate(got) if not isinstance(v, int)}
+        assert len(failed) == 29
+        assert sorted(set(failed.values())) == ["NoGreatestElement", "NoRightProjection"]
+        assert got[8] == (
+            "NoRightProjection",
+            {"type": "NoRightProjection", "message": "no right projection exists for ((0, 0), (0, 2))"},
+        )
+        name, payload = got[10]
+        assert name == "NoGreatestElement"
+        assert payload["message"] == (
+            "candidate projection set has no greatest element: "
+            "[((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 2), (2, 1))]"
+        )
+        assert all(isinstance(v, int) for v in (
+            outcome(_formula_projection, q_m2z4, c, rscan, True) for c in range(q_m2z4.ring.order)
+        ))
+
+    @pytest.mark.parametrize("tabled", [False, True], ids=["call-based", "tabled"])
+    @pytest.mark.parametrize("central", [False, True], ids=["rp", "cover"])
+    def test_one_pass_flags_exactly_the_cosets_the_loop_fails(self, q_m2z4, tabled, central):
+        q = q_m2z4.ring.tabled() if tabled else q_m2z4.ring
+        qscan, rscan = RingScan(q), RingScan(q_m2z4.algebra.ring)
+        check = cover_in_quotient if central else rp_in_quotient
+        raised = [
+            not isinstance(outcome(check, q_m2z4, c, qscan, rscan), int) for c in range(q.order)
+        ]
+        flags = _formula_disagreements(q_m2z4, qscan, rscan, central)
+        assert flags.tolist() == raised
+        assert any(raised) and not all(raised)
+
+    def test_the_first_failure_of_each_check(self, q_m2z4):
+        scans = quotient_scans(q_m2z4)
+        first = [(c, outcome(rp_in_quotient, q_m2z4, c, *scans)) for c in range(3)]
+        assert [c for c, v in first if not isinstance(v, int)] == [2]
+        assert first[2][1] == (
+            "NoRightProjection",
+            {"type": "NoRightProjection", "message": "no right projection exists for (((0, 0), (0, 0)), 2)"},
+        )
+        first = [(c, outcome(cover_in_quotient, q_m2z4, c, *scans)) for c in range(3)]
+        assert [c for c, v in first if not isinstance(v, int)] == [2]
+        assert first[2][1] == (
+            "VerificationFailed",
+            {
+                "type": "VerificationFailed",
+                "message": "verification failed: cover-biconditional (witness (((0, 0), (0, 0)), 2))",
+                "claim": "cover-biconditional",
+                "witness": [((0, 0), (0, 0)), 2],
+            },
+        )
