@@ -12,8 +12,7 @@ class's ``exit_code``:
        HypothesisNotMet, OrderCapExceeded, FamilyCapExceeded,
        CharacteristicMismatch, InvolutionNotWellDefined, ActionAxiomViolation
     5  a verified claim came out false: FormulaMismatch, VerificationFailed,
-       AmbiguousRightProjection, AmbiguousLeftProjection, AxiomViolation,
-       StarbenchError
+       AxiomViolation, StarbenchError
 
 ``--jobs N`` parallelizes the multi-ring verbs; results are merged in task
 order, so output is byte-identical for every N. Timings are only included

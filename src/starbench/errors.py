@@ -110,36 +110,12 @@ class NoRightProjection(StarbenchError):
         super().__init__("no right projection exists for %r" % (element,))
 
 
-class AmbiguousRightProjection(StarbenchError):
-    exit_code = 5
-
-    def __init__(self, element: Any, candidates: Sequence[Any]):
-        self.element = element
-        self.candidates = tuple(candidates)
-        super().__init__(
-            "right projection of %r is not unique; candidates %r"
-            % (element, list(candidates))
-        )
-
-
 class NoLeftProjection(StarbenchError):
     exit_code = 3
 
     def __init__(self, element: Any):
         self.element = element
         super().__init__("no left projection exists for %r" % (element,))
-
-
-class AmbiguousLeftProjection(StarbenchError):
-    exit_code = 5
-
-    def __init__(self, element: Any, candidates: Sequence[Any]):
-        self.element = element
-        self.candidates = tuple(candidates)
-        super().__init__(
-            "left projection of %r is not unique; candidates %r"
-            % (element, list(candidates))
-        )
 
 
 class NoCentralCover(StarbenchError):

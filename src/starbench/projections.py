@@ -1,9 +1,8 @@
 """Projections, the projection poset, and projection-valued operators.
 
 A projection is a self-adjoint idempotent (e = e* = e^2). The poset order is
-e <= f iff ef = e = fe; for projections in a *-ring the two one-sided
-conditions are equivalent, and this equivalence is asserted during
-construction rather than assumed.
+e <= f iff ef = e = fe; in a *-ring one side gives the other, as ef = e
+gives fe = f*e* = (ef)* = e* = e, so the order is read off ef alone.
 
 :class:`RingScan` bundles the per-ring caches every scan needs: annihilator
 bitsets for single elements, r(aR) for every a, the projection poset,
@@ -13,7 +12,11 @@ code shares one scan per ring.
 Operator conventions (all searches ascend element indices, so results and
 witnesses are the lowest-index ones):
 
-* rp(x): the projection e with xe = x and (xy = 0 implies ey = 0).
+* rp(x): the projection e with xe = x and (xy = 0 implies ey = 0). Given
+  xe = x, r(e) lies in r(x), so this is the projection fixing x on the
+  right whose right annihilator equals x's. It is unique: two such, e and
+  f, give e - ef in r(x) = r(e), so e = ef, and likewise f = fe, so
+  e = (ef)* = fe = f.
 * lp(x): mirror; rp(x*) read at the adjoint.
 * rp_via_star(x): rp(x* x), asserted equal to rp(x); sensible when the
   involution is proper.
@@ -21,13 +24,13 @@ witnesses are the lowest-index ones):
 * largest_eigen_projection(A, a, lam): greatest projection g with
   a g = lam.g (optionally among central projections only);
   largest_eigen_projections answers it for arrays of (a, lam) at once.
+* scalar domination reports: for every nonzero scalar lam, a projection
+  e_lam dominating LP(x) (or C(x)) for all x killed by lam.
 
 Every greatest or least element, of the central projections fixing x, of
 the eigen-projections or of a scalar's upper bounds, comes from one
 primitive, ``ProjectionPoset.extremum``, which answers a whole boolean
 matrix of candidate sets at once.
-* scalar domination reports: for every nonzero scalar lam, a projection
-  e_lam dominating LP(x) (or C(x)) for all x killed by lam.
 """
 
 from __future__ import annotations
@@ -42,16 +45,11 @@ import numpy as np
 from .algebra import ScalarAlgebra
 from .bitsets import (
     first_positions,
-    flags_of,
     full_mask,
-    is_subset,
     iter_indices,
-    mask_from_bool,
     masks_from_rows,
 )
 from .errors import (
-    AmbiguousLeftProjection,
-    AmbiguousRightProjection,
     NoCentralCover,
     NoGreatestElement,
     NoLeftProjection,
@@ -68,38 +66,45 @@ class Projection:
 
 
 class ProjectionPoset:
-    """All projections of a ring, ordered by e <= f iff ef = e = fe."""
+    """All projections of a ring, ordered by e <= f iff ef = e (= fe).
+
+    One pass reads each projection's row, ``_lines_per_block(n)`` rows at
+    a time through ``mul_rows``, and the rest is read off those blocks:
+
+    * ``leq[i, j]`` <=> e_i <= e_j, i.e. row_i[e_j] = e_i;
+    * ``central_flags[i]``: e_i commutes with every additive generator g
+      (then, by distributivity, with every sum of them), where
+      g e_i = (e_i g*)* is row_i at g* read through the involution;
+    * ``fixers[i, x]`` <=> e_i x = x; x e_i = x iff e_i x* = x*, so the
+      right fixers are the gather ``fixers[:, star]``;
+    * ``eR[i]``, the bitset of e_i R: the values of row_i.
+    """
 
     def __init__(self, ring: StarRing):
         self.ring = ring
         n = ring.order
         idx = np.arange(n, dtype=np.int64)
-        fixed = ring.star_vector() == idx
-        cand = np.flatnonzero(fixed)
-        idem = ring.mul_pairs(cand, cand) == cand
-        self.indices = cand[idem].astype(np.int64)
+        star = ring.star_vector()
+        cand = np.flatnonzero(star == idx)
+        self.indices = cand[ring.mul_pairs(cand, cand) == cand].astype(np.int64)
         p = len(self.indices)
         self._positions = np.full(n, -1, dtype=np.int64)
         self._positions[self.indices] = np.arange(p)
 
-        # e is central when it commutes with every additive generator g:
-        # then, by distributivity, with every sum of them
         gens = np.array(ring.generators, dtype=np.int64)
-        col = self.indices[:, None]
-        self.central_flags = (ring.mul_pairs(col, gens) == ring.mul_pairs(gens, col)).all(axis=1)
-
-        e = np.repeat(self.indices, p)
-        f = np.tile(self.indices, p)
-        ef = (ring.mul_pairs(e, f) == e).reshape(p, p)
-        fe = (ring.mul_pairs(f, e) == e).reshape(p, p)
-        asymmetric = np.argwhere(ef != fe)  # row-major: the first (e, f)
-        if len(asymmetric):
-            i, j = (int(k) for k in asymmetric[0])
-            raise VerificationFailed(
-                "projection-order-asymmetry",
-                (ring.decode(int(self.indices[i])), ring.decode(int(self.indices[j]))),
-            )
-        self.leq = ef
+        self.leq = np.empty((p, p), dtype=bool)
+        self.central_flags = np.empty(p, dtype=bool)
+        self.fixers = np.empty((p, n), dtype=bool)
+        self.eR: List[int] = []
+        step = _lines_per_block(n)
+        for start in range(0, p, step):
+            es = self.indices[start : start + step]
+            rows = ring.mul_rows(es)
+            part = slice(start, start + len(es))
+            self.leq[part] = rows[:, self.indices] == es[:, None]
+            self.central_flags[part] = (rows[:, gens] == star[rows[:, star[gens]]]).all(axis=1)
+            self.fixers[part] = rows == idx
+            self.eR += _value_sets(rows, n)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -163,14 +168,21 @@ class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
     Everything is computed lazily and exactly once. ``rann`` comes from one
-    pass over ``mul_rows``, a block of rows at a time, and ``lann`` and
-    ``col_sets`` from one pass that calls ``mul_col`` once per element;
-    ``row_sets`` takes a row pass of its own. A projection's column is its
-    row mirrored through the involution (``_column``).
+    pass over ``mul_rows``, a block of rows at a time, and the projection
+    poset from one pass over the projections' rows, which also gives each
+    projection's fixers and eR (see :class:`ProjectionPoset`); ``lann`` and
+    ``col_sets`` come from one pass that calls ``mul_col`` once per
+    element, and ``row_sets`` takes a row pass of its own.
 
     ``r_of_aR`` holds r(aR) for every a: aR is the additive span of aG, G
     the additive generators (left distributivity), and r(S) = r(span S)
     (right distributivity), so r(aR) is the meet of rann[a*g] over g in G.
+
+    ``rp_all[x]`` is the projection e with xe = x and rann[e] = rann[x]
+    (see the module docstring), found for every x at once: each distinct
+    ``rann`` bitset gets an integer label, and the right fixers of each
+    projection, its left fixers mirrored through the involution, are met
+    with the elements of its label.
 
     The classifiers and rp/lp read no left side: (y r a)* = a* r* y*, so y
     is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a projection f;
@@ -179,9 +191,8 @@ class RingScan:
     rp_all[x*]. No verb reads ``lann``/``col_sets``/``l_of``.
 
     ``r_of``/``l_of`` intersect ``rann``/``lann`` over a set of elements,
-    memoized by the set's bitset. The arrays returned by rp_all/lp_all use
-    -1 for "no such projection" and -2 for "ambiguous" (ambiguity cannot
-    happen in a *-ring; kept as a guard).
+    memoized by the set's bitset. The arrays returned by rp_all/lp_all/
+    cover_all use -1 for "no such projection".
     """
 
     def __init__(self, ring: StarRing):
@@ -240,35 +251,18 @@ class RingScan:
     def poset(self) -> ProjectionPoset:
         return ProjectionPoset(self.ring)
 
-    def _fixed(self, line) -> np.ndarray:
-        """fixed[i, x] <=> line(e_i)[x] = x, for projection position i."""
-        r = self.ring
-        idx = np.arange(r.order, dtype=np.int64)
-        rows = [line(int(e)) == idx for e in self.poset.indices]
-        return np.array(rows, dtype=bool).reshape(len(self.poset), r.order)
-
-    @cached_property
-    def _fixed_right(self) -> np.ndarray:
-        """fixed_right[i, x] <=> x * e_i = x, for projection position i."""
-        return self._fixed(lambda e: _column(self.ring, e))
-
-    @cached_property
-    def _fixed_left(self) -> np.ndarray:
-        """fixed_left[i, x] <=> e_i * x = x."""
-        return self._fixed(self.ring.mul_row)
-
     @cached_property
     def rp_all(self) -> np.ndarray:
-        """For every x, its one right-projection candidate (see
-        ``_rp_candidates``), -1 when there is none and -2 when there are
-        several. Each e visits only the x it fixes."""
-        ann, fixed = self.rann, self._fixed_right
-        out = np.full(self.ring.order, -1, dtype=np.int64)
-        for i, e in enumerate(self.poset.indices.tolist()):
-            for x in np.flatnonzero(fixed[i]).tolist():
-                if is_subset(ann[x], ann[e]):
-                    out[x] = e if out[x] == -1 else -2
-        return out
+        """rp_all[x] = index of RP(x), -1 when there is none: the projection
+        e_i with x e_i = x, read as ``fixers[i, x*]``, whose rann bitset
+        has x's label."""
+        poset = self.poset
+        label: Dict[int, int] = {}
+        labels = np.array([label.setdefault(m, len(label)) for m in self.rann], dtype=np.int64)
+        match = poset.fixers[:, self.ring.star_vector()] & (
+            labels[poset.indices][:, None] == labels
+        )
+        return np.where(match.any(axis=0), poset.indices[match.argmax(axis=0)], -1)
 
     @cached_property
     def lp_all(self) -> np.ndarray:
@@ -281,18 +275,15 @@ class RingScan:
         x at once by ``ProjectionPoset.extremum``."""
         poset = self.poset
         centrals = poset.central_positions()
-        least = poset.extremum(self._fixed_left[centrals].T, greatest=False, positions=centrals)
+        least = poset.extremum(poset.fixers[centrals].T, greatest=False, positions=centrals)
         return np.where(least >= 0, poset.indices[least], -1)
 
     @cached_property
-    def eR_by_mask(self) -> Dict[int, Tuple[int, ...]]:
-        """Map from the bitset of eR to the projections e producing it, read
-        off each projection's row."""
-        out: Dict[int, List[int]] = {}
-        for e in self.poset.indices.tolist():
-            mask = mask_from_bool(flags_of(self.ring.mul_row(e), self.ring.order))
-            out.setdefault(mask, []).append(e)
-        return {k: tuple(v) for k, v in out.items()}
+    def eR_by_mask(self) -> Dict[int, int]:
+        """Map from the bitset of eR to the projection e producing it. It
+        is one e: e in fR and f in eR give e = fe and f = ef, so
+        e = (fe)* = ef = f."""
+        return dict(zip(self.poset.eR, self.poset.indices.tolist()))
 
 
 def r_of_principal_ideals(scan: RingScan) -> List[int]:
@@ -313,44 +304,35 @@ def _rows_per_block(m: int) -> int:
     return max(1, SCAN_BLOCK // max(m, 1))
 
 
-def _column(ring: StarRing, e: int) -> np.ndarray:
-    """The column x -> x*e of a self-adjoint e: x*e = (e*x*)*, so it is
-    e's row mirrored through the involution and no column is read."""
-    star = ring.star_vector()
-    return star[ring.mul_row(e)[star]]
-
-
 def _zero_and_value_sets(
     rows, n: int, values: bool = True
 ) -> Tuple[List[int], Optional[List[int]]]:
     """For each a, the bitsets of {r : line_a[r] = 0} and, when ``values``
     is set (None otherwise), of the values in line_a, where ``rows(idx)``
-    returns the block of lines of the elements idx as a fresh array, which
-    is overwritten; it is asked for ``_lines_per_block(n)`` elements at a
-    time.
-
-    A block's zero sets come from one ``packbits`` of its zero flags; its
-    value sets from one scatter of all its entries, each row offset by
-    row * n, into a flat (block x n) flag array, then one ``packbits`` of
-    that.
-    """
+    returns the block of lines of the elements idx; it is asked for
+    ``_lines_per_block(n)`` elements at a time. A block's zero sets come
+    from one ``packbits`` of its zero flags, its value sets from
+    :func:`_value_sets`."""
     step = _lines_per_block(n)
-    present = np.empty(step * n, dtype=bool) if values else None
-    offsets = np.arange(0, step * n, n, dtype=np.int64)[:, None]
     zeros: List[int] = []
     sets: List[int] = []
     for start in range(0, n, step):
         lines = rows(np.arange(start, min(start + step, n)))
-        k = len(lines)
         zeros += masks_from_rows(lines == 0)
         if values:
-            lines += offsets[:k]
-            flags = present[: k * n]
-            flags[:] = False
-            flags[lines.ravel()] = True
-            sets += masks_from_rows(flags.reshape(k, n))
+            sets += _value_sets(lines, n)
         del lines  # before the next block is built
     return zeros, sets if values else None
+
+
+def _value_sets(lines: np.ndarray, n: int) -> List[int]:
+    """The bitset of the values in each line of a (k, n) block of element
+    indices: one scatter of every entry, each line offset by its row
+    times n, into a flat (k x n) flag array, then one ``packbits``."""
+    k = len(lines)
+    flags = np.zeros(k * n, dtype=bool)
+    flags[(lines + np.arange(0, k * n, n, dtype=np.int64)[:, None]).ravel()] = True
+    return masks_from_rows(flags.reshape(k, n))
 
 
 def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:
@@ -364,44 +346,25 @@ def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:
     return hit
 
 
-def _rp_candidates(scan: RingScan, x: int) -> List[int]:
-    """The right-projection candidates of x, ascending: the projections e
-    with xe = x and rann[x] inside rann[e]."""
-    ann, fixed = scan.rann, scan._fixed_right
-    return [
-        int(e)
-        for i, e in enumerate(scan.poset.indices)
-        if fixed[i, x] and is_subset(ann[x], ann[int(e)])
-    ]
-
-
 def rp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
     """Right projection of x: the unique projection e with xe = x and
-    rann(x) contained in rann(e). Raises NoRightProjection or, should a
-    *-ring axiom be broken upstream, AmbiguousRightProjection."""
+    rann(x) contained in rann(e). Raises NoRightProjection."""
     scan = scan or RingScan(ring)
     val = int(scan.rp_all[x])
-    if val >= 0:
-        return val
-    if val == -1:
+    if val < 0:
         raise NoRightProjection(ring.decode(x))
-    cands = _rp_candidates(scan, x)
-    raise AmbiguousRightProjection(ring.decode(x), [ring.decode(e) for e in cands])
+    return val
 
 
 def lp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
     """Left projection of x: the unique projection f with fx = x and
     lann(x) contained in lann(f), read as rp(x*) (see RingScan). Raises
-    NoLeftProjection or, should a *-ring axiom be broken upstream,
-    AmbiguousLeftProjection naming the RP candidates at x*."""
+    NoLeftProjection."""
     scan = scan or RingScan(ring)
     val = int(scan.lp_all[x])
-    if val >= 0:
-        return val
-    if val == -1:
+    if val < 0:
         raise NoLeftProjection(ring.decode(x))
-    cands = _rp_candidates(scan, ring.star(x))
-    raise AmbiguousLeftProjection(ring.decode(x), [ring.decode(e) for e in cands])
+    return val
 
 
 def rp_via_star(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
@@ -569,8 +532,6 @@ def _domination_report(
             return ScalarDominationReport(kind, False, selections, unique, (lam, x))
         if len(missing):
             x = int(killed[read])
-            if int(lows[read]) == -2:
-                raise AmbiguousLeftProjection(ring.decode(x), [])
             if kind == "lp":
                 raise NoLeftProjection(ring.decode(x))
             raise NoCentralCover(ring.decode(x))

@@ -77,8 +77,10 @@ a greedy generating set G of it. It serves each ring's G
 (:attr:`StarRing.generators`) and the levels of its walk, along which the
 audit proves distributivity, additive closures, the kernel N of a
 unitification, which is closed under + exactly when it is the span of its
-generators, and, through the coset steps it reports, the tables of a
-tabled twin.
+generators, the closure of a subring (:func:`_close_subring`: spans grown
+by the products and adjoints of their generators until these lie in the
+span), and, through the coset steps it reports, the tables of a tabled
+twin.
 
 The audit of the *-ring axioms, which proves them from a ring's
 operations, is :func:`starbench.audit.validate_star_ring`.
@@ -93,7 +95,6 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitsets import flags_of
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import (
     Cyclic,
@@ -911,52 +912,34 @@ class StarRing:
 
 
 def _close_subring(parent: StarRing, generator_indices: List[int]) -> np.ndarray:
-    """Smallest subset containing the generators, closed under +, -, *, star.
+    """The smallest subset containing the generators that is closed under
+    +, -, * and star, ascending.
 
-    Worklist closure: when an element is processed, its sums and products
-    against everything already present (both orders) are added; later
-    arrivals pick up their pairs with it when their own turn comes.
+    It starts from H = span(X u X*), X the generators, and adds the
+    products G x G and the adjoints G*, G the greedy generating set
+    :func:`_greedy_span` picks for H, until they lie in H. Then H is
+    closed: span(G) span(G) lies in span(G G) by biadditivity, and * is
+    additive, so span(G)* = span(G*).
     """
-    n = parent.order
-    member = np.zeros(n, dtype=bool)
-    queue: List[int] = []
-    for g in generator_indices:
-        if not member[g]:
-            member[g] = True
-            queue.append(g)
-    neg = parent.neg_vector()
     star = parent.star_vector()
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for y in (int(neg[x]), int(star[x])):
-            if not member[y]:
-                member[y] = True
-                queue.append(y)
-        current = np.flatnonzero(member)
-        produced = np.concatenate(
-            [
-                parent.add_row(x)[current],
-                parent.mul_row(x)[current],
-                parent.mul_col(x)[current],
-            ]
-        )
-        fresh = np.flatnonzero(flags_of(produced, n) & ~member)
-        member[fresh] = True
-        queue.extend(int(y) for y in fresh)
-    carrier = np.flatnonzero(member).astype(np.int64)
-    if len(carrier) == 0 or carrier[0] != 0:
-        raise AxiomViolation("closure-zero", ())
-    return carrier
+    seeds = np.zeros(parent.order, dtype=bool)
+    seeds[generator_indices] = True
+    seeds[star[generator_indices]] = True
+    while True:
+        span, gens = _greedy_span(parent.add_pairs, seeds)
+        g = np.array(gens, dtype=np.int64)
+        produced = np.concatenate([parent.mul_pairs(g[:, None], g).ravel(), star[g]])
+        if span[produced].all():
+            return np.flatnonzero(span)
+        seeds = span
+        seeds[produced] = True
 
 
 def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
     """Construct the ring a descriptor denotes.
 
-    Raises DescriptorError for malformed descriptors, OrderCapExceeded when
-    the (structural) order passes limits.element_cap, and AxiomViolation
-    ``closure-zero`` when a subring's closure does not hold 0.
+    Raises DescriptorError for malformed descriptors and OrderCapExceeded
+    when the (structural) order passes limits.element_cap.
     """
     validate_descriptor(d)
     order = structural_order(d)

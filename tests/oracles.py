@@ -117,6 +117,23 @@ def o_additive_closure(ring, gens: Sequence[int]) -> Set[int]:
     return out
 
 
+def o_subring(ring, gens: Sequence[int]) -> Set[int]:
+    """The smallest set holding 0 and gens that is closed under +, -, *
+    and star: a fixpoint over Python sets, where each new element meets
+    every element found so far, from both sides."""
+    out: Set[int] = set()
+    frontier = {0, *gens}
+    while frontier:
+        out |= frontier
+        made = set()
+        for x in frontier:
+            made.update((ring.neg(x), ring.star(x)))
+            for y in out:
+                made.update((ring.add(x, y), ring.mul(x, y), ring.mul(y, x)))
+        frontier = made - out
+    return out
+
+
 def o_right_multiples(ring, a: int) -> Set[int]:
     """The value set {a r : r in R}. It is aR itself, closed under + in any
     ring (ar + as = a(r + s)), so this is o_principal_right_ideal without
@@ -422,7 +439,7 @@ def o_quotient_cosets(r1, kernel_pairs: Set[int]) -> List[List[int]]:
 def unaudited_ring(add, mul, neg, star, literals=None, label="raw"):
     """A StarRing served from the given tables without the *-ring audit that
     StarRing.from_tables runs: the one way tests build a ring that is not a
-    *-ring, to reach the guards that only such a ring can trip."""
+    *-ring, to hand the audit tables that break an axiom."""
     import numpy as np
 
     from starbench.rings import StarRing, _Literals, _TablesBackend, index_dtype

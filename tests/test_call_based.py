@@ -35,7 +35,6 @@ from starbench import (
 from starbench.bitsets import contains, flags_of, full_mask, indices_of, is_subset, mask_from_bool
 from starbench.classifiers import (
     PROPERTY_CLASSIFIERS,
-    _matching_projection,
     ideal_annihilator_crosscheck,
     is_pq_baer_star,
 )
@@ -233,16 +232,23 @@ class _Counting:
 
 
 def test_scans_read_each_row_once_and_no_column(m2z3):
-    """Every classifier reads the scan's rows once, in its zero-set pass,
-    and no column: a projection's column is its row mirrored, r(aR) comes
-    off the generators, so the value sets are never built, and
+    """Every classifier reads each element's row once, in rann's zero-set
+    pass, each projection's row once more, in the projection pass, and no
+    column: a projection's right fixers are its left ones mirrored, r(aR)
+    comes off the generators, so the value sets are never built, and
     p.q.-Baer*'s left clause at a is its right clause at a*, so no left
     side is built either."""
     counting = _Counting(m2z3)
     scan = RingScan(counting)
+    scan.rann
+    assert counting.rows == list(range(m2z3.order))
+    counting.rows = []
+    scan.poset
+    assert counting.rows == scan.poset.indices.tolist()
+    counting.rows = []
     for classify in PROPERTY_CLASSIFIERS.values():
         classify(m2z3, scan)
-    assert sorted(counting.rows) == list(range(m2z3.order))
+    assert counting.rows == []
     assert counting.cols == 0
     for cache in ("row_sets", "col_sets", "lann"):
         assert cache not in scan.__dict__, cache
@@ -314,7 +320,7 @@ def test_pq_baer_left_clause_is_the_right_clause_at_the_adjoint(text):
     ring = cached_ring(text)
     scan = RingScan(ring)
     report = is_pq_baer_star(ring, scan)
-    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    right = [m not in scan.eR_by_mask for m in scan.r_of_aR]
     left = left_misses(ring, scan)
     assert left == [right[s] for s in ring.star_vector().tolist()]
     first = next(
@@ -423,7 +429,7 @@ def test_pq_baer_witness_names_the_left_side_first_when_it_fails_first():
     swapped = swapped_subring()
     scan = RingScan(swapped)
     assert is_pq_baer_star(swapped, scan).witness == {"a": ((0, 1), (0, 1)), "side": "left"}
-    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    right = [m not in scan.eR_by_mask for m in scan.r_of_aR]
     assert left_misses(swapped, scan)[1] and not right[1]  # read by columns
     assert is_pq_baer_star(ring).witness == {"a": ((0, 0), (1, 1)), "side": "right"}
 
@@ -546,5 +552,5 @@ def test_adjoint_reading_matches_the_left_side(text, tabled):
     assert ring.has_tables() == tabled
     scan = RingScan(ring)
     assert np.array_equal(scan.lp_all, lp_by_columns(ring, scan))
-    right = [_matching_projection(scan.eR_by_mask, m) is None for m in scan.r_of_aR]
+    right = [m not in scan.eR_by_mask for m in scan.r_of_aR]
     assert left_misses(ring, scan) == [right[s] for s in ring.star_vector().tolist()]

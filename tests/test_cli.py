@@ -522,6 +522,19 @@ class TestPeakMemory:
         assert code == 0 and payload["verdict"] and payload["quotient_order"] == 512
         assert peak_mb < 70, peak_mb
 
+    def test_projections_of_a_boolean_ring_stay_small_in_memory(self):
+        # Z(2)^11: all 2048 elements are projections. The order, the fixers
+        # and eR come from one pass over the projections' rows, a block at a
+        # time; building the order from p^2-entry int64 products took the
+        # verb to 308 MB, where it peaks near 60 MB
+        ring = "Z(2)"
+        for _ in range(10):
+            ring = "prod(%s, Z(2))" % ring
+        code, payload, peak_mb = peak_run(["projections", ring])
+        assert code == 0 and payload["count"] == 2048
+        assert all(row["central"] for row in payload["projections"])
+        assert peak_mb < 100, peak_mb
+
     def test_check_all_at_the_element_cap_stays_small_in_memory(self):
         # M(2, Z(10)) has 10,000 elements, the default cap. The
         # annihilation-symmetry cross-check of weakly-pq-baer-star reads the

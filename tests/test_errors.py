@@ -74,19 +74,9 @@ PAYLOADS = {
         E.NoRightProjection(2),
         '{"type": "NoRightProjection", "message": "no right projection exists for 2"}',
     ),
-    "AmbiguousRightProjection": (
-        E.AmbiguousRightProjection(2, [1, 3]),
-        '{"type": "AmbiguousRightProjection", "message": "right projection of 2 is'
-        ' not unique; candidates [1, 3]"}',
-    ),
     "NoLeftProjection": (
         E.NoLeftProjection(2),
         '{"type": "NoLeftProjection", "message": "no left projection exists for 2"}',
-    ),
-    "AmbiguousLeftProjection": (
-        E.AmbiguousLeftProjection(2, [1, 3]),
-        '{"type": "AmbiguousLeftProjection", "message": "left projection of 2 is'
-        ' not unique; candidates [1, 3]"}',
     ),
     "NoCentralCover": (
         E.NoCentralCover(2),

@@ -14,13 +14,10 @@ from starbench import (
     rp_via_star,
 )
 from starbench.errors import (
-    AmbiguousLeftProjection,
-    AmbiguousRightProjection,
     NoCentralCover,
     NoGreatestElement,
     NoLeftProjection,
     NoRightProjection,
-    VerificationFailed,
 )
 
 from starbench import projections
@@ -57,16 +54,6 @@ class TestPoset:
         assert [int(e) for e, c in zip(p.indices, p.central_flags) if c] == (
             oracles.o_central_projections(r)
         )
-
-    def test_asymmetric_order_names_the_first_pair_in_row_major_order(self):
-        # Z(2) x Z(2) with x*y = x: every element is a projection, ef = e
-        # always and fe = e only for f = e; (1, 0) would be column-major
-        idx = np.arange(4)
-        r = oracles.unaudited_ring(idx[:, None] ^ idx, np.repeat(idx[:, None], 4, axis=1), idx, idx)
-        with pytest.raises(VerificationFailed) as exc:
-            RingScan(r).poset
-        assert exc.value.claim == "projection-order-asymmetry"
-        assert exc.value.witness == (0, 1)
 
     @pytest.mark.parametrize("text", ["Z(6)", "M(2,Z(2))", "M(2,Z(3))"])
     def test_order_agrees_with_both_sided_definition(self, text):
@@ -123,44 +110,6 @@ class TestRightProjection:
     def test_scan_cache_gives_same_answers(self, z6):
         scan = RingScan(z6)
         assert [rp(z6, x, scan) for x in range(6)] == [rp(z6, x) for x in range(6)]
-
-
-def ambiguous_ring():
-    """Tables that break the ring axioms so that 1 and 2 both qualify as
-    RP(4): + is XOR on 0..7, the involution swaps 3 and 4, and the only
-    nonzero products are 1*1 = 1, 2*2 = 2, 1*3 = 2*3 = 3 and 4*1 = 1,
-    4*2 = 2, 4*3 = 5. The scan reads x*e as (e*x*)*, so 4*e = (e*3)* = 4
-    for e = 1, 2, and r(4) = {0, 4, 5, 6, 7} lies in r(1) and in r(2);
-    3*e = (e*4)* = 0, so RP(3) has no candidate. lp is rp at the adjoint,
-    so LP(3) is ambiguous and LP(4) is missing."""
-    idx = np.arange(8)
-    star = idx.copy()
-    star[[3, 4]] = 4, 3
-    mul = np.zeros((8, 8), dtype=np.int64)
-    mul[1, 1], mul[2, 2], mul[1, 3], mul[2, 3] = 1, 2, 3, 3
-    mul[4, 1:4] = 1, 2, 5
-    return oracles.unaudited_ring(idx[:, None] ^ idx, mul, idx, star)
-
-
-class TestAmbiguousProjection:
-    def test_right(self):
-        r = ambiguous_ring()
-        assert RingScan(r).rp_all.tolist() == [0, 1, 2, -1, -2, -1, -1, -1]
-        with pytest.raises(AmbiguousRightProjection) as exc:
-            rp(r, 4)
-        assert exc.value.candidates == (1, 2)
-        with pytest.raises(NoRightProjection):
-            rp(r, 3)
-
-    def test_left(self):
-        # the candidates named are the RP candidates at x* = 4
-        r = ambiguous_ring()
-        assert RingScan(r).lp_all.tolist() == [0, 1, 2, -2, -1, -1, -1, -1]
-        with pytest.raises(AmbiguousLeftProjection) as exc:
-            lp(r, 3)
-        assert exc.value.candidates == (1, 2)
-        with pytest.raises(NoLeftProjection):
-            lp(r, 4)
 
 
 class TestLeftProjection:

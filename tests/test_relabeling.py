@@ -3,9 +3,9 @@
 A ring rebuilt through ``StarRing.from_tables``, which audits it, with its
 element indices permuted (zero kept at index 0) is the same *-ring. Its classifier verdicts
 must not change, and its projection tables must be the old ones carried
-along by the permutation, with the codes -1 (none) and -2 (ambiguous) kept
-as they are. Hand-picked goldens all use one labeling; this catches code
-that depends on it.
+along by the permutation, with the code -1 (none) kept as it is.
+Hand-picked goldens all use one labeling; this catches code that depends
+on it.
 """
 
 import numpy as np
@@ -13,9 +13,7 @@ import pytest
 
 from starbench import RingScan, StarRing, classify_all
 
-import oracles
 from conftest import cached_ring
-from test_projections import ambiguous_ring
 
 RINGS = [
     "Z(6)",
@@ -35,13 +33,12 @@ def permutation(n, seed):
     return np.concatenate([[0], 1 + rng.permutation(n - 1)]).astype(np.int64)
 
 
-def relabel(ring, perm, build=StarRing.from_tables):
-    """The ring with element i renamed perm[i]; literals travel along.
-    ``build`` makes it from its tables: from_tables, which audits them,
-    unless a test passes ``oracles.unaudited_ring``."""
+def relabel(ring, perm):
+    """The ring with element i renamed perm[i]; literals travel along,
+    built by from_tables, which audits its tables."""
     inv = np.argsort(perm)
     grid = np.ix_(inv, inv)
-    return build(
+    return StarRing.from_tables(
         perm[ring.add_table()[grid]],
         perm[ring.mul_table()[grid]],
         perm[ring.neg_vector()[inv]],
@@ -91,16 +88,3 @@ def test_projection_tables_commute_with_the_permutation(text, seed):
     ring = cached_ring(text)
     perm = permutation(ring.order, seed)
     _assert_tables_commute(ring, relabel(ring, perm), perm, ("rp_all", "lp_all", "cover_all"))
-
-
-@pytest.mark.parametrize("name", ["rp_all", "lp_all"], ids=["right", "left"])
-def test_ambiguous_code_is_kept(name):
-    """Tables that break the ring axioms so that RP(4) and LP(3) have two
-    candidates (test_projections.ambiguous_ring), relabeled without the
-    audit."""
-    ring = ambiguous_ring()
-    assert -2 in getattr(RingScan(ring), name).tolist()
-    for seed in range(3):
-        perm = permutation(8, seed)
-        new = relabel(ring, perm, build=oracles.unaudited_ring)
-        _assert_tables_commute(ring, new, perm, (name,))
