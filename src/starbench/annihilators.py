@@ -5,18 +5,18 @@ element i belongs. An :class:`AnnihilatorSet` remembers which elements
 generated it so the claim can be rechecked from scratch.
 
 Annihilators come from the per-ring scan cache (:class:`RingScan`, in
-projections.py): ``rann[s]``/``lann[s]``, the right and left annihilators
-of the single element s, from one pass over the rows and one over the
-columns; ``r_of(mask)``/``l_of(mask)``, the
-annihilator of a set, as the intersection of rann (or lann) over its
-members, memoized per set; and ``r_of_aR``, r(aR) for every a.
+projections.py): ``rann[s]``, the right annihilator of the single element
+s, from one pass over the rows; ``r_of(mask)``, the right annihilator of
+a set, as the intersection of rann over its members, memoized per set;
+and ``r_of_aR``, r(aR) for every a.
 Annihilators of ideals reduce to intersections over generating sets:
 r(additive-closure(S)) = r(S), because sums of left factors annihilate
 whenever each factor does (right distributivity). aR is the additive span
 of aG, G the additive generators (left distributivity), so r(aR) is the
 intersection of rann[a*g] over g in G.
-``principal_two_sided_ideal`` builds the literal ideal (a) for the
-cross-check that compares r((a)) with the family's route.
+``principal_two_sided_ideal`` builds the literal ideal (a), the span of
+{a} u aG u Ga u GaG, for the cross-check, which meets rann over every
+member of (a) and compares r((a)) so found with the family's route.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .bitsets import (
     bool_from_mask,
-    flags_of,
     indices_of,
     mask_from_bool,
     popcount,
@@ -77,14 +76,17 @@ def additive_closure(ring: StarRing, seed_mask: int) -> int:
 
 def principal_two_sided_ideal(ring: StarRing, a: int) -> int:
     """The two-sided ideal (a): additive closure of {a} + aR + Ra + RaR.
-    The closure of a seed holding a already holds the multiples Za."""
-    seed = 1 << a
-    ra = flags_of(ring.mul_col(a), ring.order)
-    seed |= mask_from_bool(flags_of(ring.mul_row(a), ring.order))
-    seed |= mask_from_bool(ra)
-    for t in np.flatnonzero(ra):
-        seed |= mask_from_bool(flags_of(ring.mul_row(int(t)), ring.order))
-    return additive_closure(ring, seed)
+    By biadditivity aR, Ra and RaR are the spans of aG, Ga and GaG, G the
+    additive generators, so (a) is the span of {a} u aG u Ga u GaG; the
+    span of a seed holding a already holds the multiples Za."""
+    g = np.array(ring.generators, dtype=np.int64)
+    ga = ring.mul_pairs(g, a)
+    seed = np.zeros(ring.order, dtype=bool)
+    seed[a] = True
+    seed[ring.mul_pairs(a, g)] = True
+    seed[ga] = True
+    seed[ring.mul_pairs(ga[:, None], g)] = True
+    return mask_from_bool(_greedy_span(ring.add_pairs, seed)[0])
 
 
 def annihilator_family(

@@ -56,7 +56,7 @@ from .errors import (
     NoRightProjection,
     VerificationFailed,
 )
-from .rings import SCAN_BLOCK, StarRing, _lines_per_block, stack_lines
+from .rings import SCAN_BLOCK, StarRing, _lines_per_block
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,9 @@ class RingScan:
     pass over ``mul_rows``, a block of rows at a time, and the projection
     poset from one pass over the projections' rows, which also gives each
     projection's fixers and eR (see :class:`ProjectionPoset`); ``lann`` and
-    ``col_sets`` come from one pass that calls ``mul_col`` once per
-    element, and ``row_sets`` takes a row pass of its own.
+    ``col_sets`` come from one pass over the columns of ``mul_lines``, a
+    block of columns at a time, and ``row_sets`` takes a row pass of its
+    own.
 
     ``r_of_aR`` holds r(aR) for every a: aR is the additive span of aG, G
     the additive generators (left distributivity), and r(S) = r(span S)
@@ -188,32 +189,28 @@ class RingScan:
     is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a projection f;
     hence l(Ra) = Rf iff r(a*R) = fR. Likewise a projection f is an LP
     candidate of x iff it is an RP candidate of x*, so lp_all[x] =
-    rp_all[x*]. No verb reads ``lann``/``col_sets``/``l_of``.
+    rp_all[x*]. No verb reads ``lann``/``col_sets``.
 
-    ``r_of``/``l_of`` intersect ``rann``/``lann`` over a set of elements,
-    memoized by the set's bitset. The arrays returned by rp_all/lp_all/
-    cover_all use -1 for "no such projection".
+    ``r_of`` intersects ``rann`` over a set of elements, memoized by the
+    set's bitset. The arrays returned by rp_all/lp_all/cover_all use -1
+    for "no such projection".
     """
 
     def __init__(self, ring: StarRing):
         self.ring = ring
         self._r_memo: Dict[int, int] = {}
-        self._l_memo: Dict[int, int] = {}
 
     def r_of(self, mask: int) -> int:
         """Bitset of r(S) = {y : s*y = 0 for every s in S}, S given by
         ``mask``; the whole ring for the empty set."""
         return _intersect_over(self.rann, mask, self._r_memo)
 
-    def l_of(self, mask: int) -> int:
-        """Bitset of l(S) = {y : y*s = 0 for every s in S}."""
-        return _intersect_over(self.lann, mask, self._l_memo)
-
     @cached_property
     def _col_pass(self) -> Tuple[List[int], Optional[List[int]]]:
-        """lann and col_sets from one pass over the columns."""
-        ring, n = self.ring, self.ring.order
-        return _zero_and_value_sets(lambda idx: stack_lines(ring.mul_col, idx, n), n)
+        """lann and col_sets from one pass over the columns, a block of
+        them at a time from the columns of ``mul_lines``."""
+        n = self.ring.order
+        return _zero_and_value_sets(self.ring.mul_lines(np.arange(n))[1], n)
 
     @cached_property
     def rann(self) -> List[int]:

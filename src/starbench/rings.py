@@ -7,11 +7,11 @@ limits.table_threshold``) that a descriptor names, which the classifiers
 scan row by row, has its dense Cayley tables assembled at construction and
 is then served by :class:`_TablesBackend`, as is
 :meth:`StarRing.from_tables`. Every other ring is call-based and computes
-each row on demand with a few vectorized numpy calls: the pair ring and the
-quotient of a unitification have no descriptor. The pair ring is read
-through fewer pair ops than its tables take to assemble; the quotient is
-too, except where ``verify_unitification`` scans every row of a small
-one, which it reads from a twin (:meth:`StarRing.tabled`) whose
+each block of rows on demand with a few vectorized numpy calls: the pair
+ring and the quotient of a unitification have no descriptor. The pair
+ring is read through fewer pair ops than its tables take to assemble; the
+quotient is too, except where ``verify_unitification`` scans every row of
+a small one, which it reads from a twin (:meth:`StarRing.tabled`) whose
 tables are walked along its additive generators
 (:func:`_tables_along_generators`). Matrix rings compute products as
 gathers from a small row-block table and sums from a smaller one (see
@@ -19,38 +19,43 @@ gathers from a small row-block table and sums from a smaller one (see
 gathers of 2401 entries, and a sum row is the outer sum of two gathered
 rows of 49.
 
-Every dense table of element indices, persistent or transient, the matrix
-row-block tables and the scalar action table included, holds them in
-:func:`index_dtype`: int16 up to order 2^15, int32 past it. numpy keeps
-the dtype of an int16 array under arithmetic with a Python int (NEP 50),
-so index arithmetic on table entries either stays below the order, as in
-the matrix backend's multiply-add of partial indices, or is widened first,
-as in :func:`_table_pairs`; :class:`StarRing` hands out int64 indices.
+Every dense table of element indices, the matrix row-block tables and the
+scalar action table included, holds them in :func:`index_dtype`: int16
+up to order 2^15, int32 past it. numpy keeps the dtype of an int16 array
+under arithmetic with a Python int (NEP 50), so index arithmetic on table
+entries either stays below the order, as in the matrix backend's
+multiply-add of partial indices, or is widened first, as in
+:func:`_table_pairs`; :class:`StarRing` hands out int64 indices.
 
-Backends supply arithmetic and a codec, nothing more:
+Backends supply pair ops and a codec and, where it pays, blocks of lines:
 
 * ``order`` — the number of elements;
 * ``add_pairs(u, v)``, ``mul_pairs(u, v)`` — elementwise on index arrays,
   broadcast against each other;
 * ``neg_vec()``, ``star_vec()`` — the unary maps as vectors;
-* ``decode(i)`` / ``encode(literal)`` — the element codec.
+* ``decode(i)`` / ``encode(literal)`` — the element codec;
+* optionally the blocks ``add_rows(idx)`` and ``mul_rows(idx)`` (the rows
+  of the elements idx, a fresh (len(idx), n) array) and
+  ``mul_lines(members)`` (the products of a block of elements with every
+  member, from either side).
 
-:class:`_Backend` derives the rest from those, straight from the
-definitions: the scalar ops ``add``/``mul``, ``mul_lines(members)`` (the
-products of a block of elements with every member, from either side), the
-rows ``add_row(i)`` and ``mul_row(i)`` and the column ``mul_col(j)`` (the
-lines over every element, a line being a one-row block; addition is
-commutative, so there is no add_col), the blocks of rows ``add_rows(idx)``
-and ``mul_rows(idx)`` (a fresh (len(idx), n) array, by default the rows
-stacked), ``find_unity()`` (the idempotent that is a two-sided identity,
-with ``unity_candidate()`` tried first) and ``characteristic()`` (the
-least k with k.x = 0 for every x). A backend overrides a default only
-where it pays: the cyclic, matrix and product backends compute rows
-directly and know their characteristic; the cyclic, matrix and tables
-backends compute a block of rows at once (one broadcast, k gathers or
-outer sums, one slice); the pair ring, a product with a twisted
-multiplication, overrides ``mul_lines`` instead, and serves its rows and
-blocks of rows from it. Subrings and quotients are both a
+:class:`_Backend` derives the rest straight from the definitions. Each
+block has a default: ``add_rows`` is one broadcast ``add_pairs``,
+``mul_lines`` one broadcast ``mul_pairs`` per block, and ``mul_rows`` the
+rows of ``mul_lines`` over every element. Every single line is derived
+once, for every backend: the row ``add_row(i)`` is ``add_rows([i])[0]``,
+``mul_row(i)`` is ``mul_rows([i])[0]``, and the column ``mul_col(j)`` is
+``mul_pairs`` of every element with j (addition is commutative, so there
+is no add_col). So are the scalar ops ``add``/``mul``, ``find_unity()``
+(the idempotent that is a two-sided identity, with ``unity_candidate()``
+tried first) and ``characteristic()`` (the least k with k.x = 0 for every
+x). A backend overrides a block only where it pays: the cyclic, matrix
+and tables backends compute a block of rows at once (one broadcast, k
+gathers or outer sums, one slice), and the product joins its factors'
+blocks in one outer sum; the pair ring, a product with a twisted
+multiplication, overrides ``mul_lines`` instead, and takes its blocks of
+rows from it, as the default does. The cyclic, matrix and product
+backends know their characteristic. Subrings and quotients are both a
 :class:`_SectionBackend` over their parent, whose blocks of lines they
 take over their representatives. Every backend whose construction names
 a unity returns it as ``unity_candidate()``, so that one row and one
@@ -64,9 +69,9 @@ it was built from.
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly; only
 the axiom audit reads a backend's blocks, through :func:`_ring_lines`.
-Tables, persistent and transient, are assembled from ``add_rows``/
-``mul_rows`` a block of :func:`_lines_per_block` rows at a time
-(``StarRing._assemble``); only a tabled twin's are walked.
+A descriptor ring's tables are assembled from ``add_rows``/``mul_rows`` a
+block of :func:`_lines_per_block` rows at a time (``StarRing._assemble``);
+a tabled twin's are walked.
 
 Every :class:`StarRing` is a *-ring, by construction or by the audit
 :meth:`StarRing.from_tables` runs.
@@ -114,10 +119,10 @@ from .errors import (
     OrderCapExceeded,
 )
 
-# The largest order^2 of a call-based ring that the axiom audit checks, and
-# whose transient tables add_table()/mul_table() assemble: past the
-# persistent-table threshold, but not unbounded. The audit builds no table;
-# it keeps the cap so that it refuses, with exit 4, what it always refused.
+# The largest order^2 of a call-based ring that the axiom audit checks: past
+# the persistent-table threshold, but not unbounded. The audit builds no
+# table; it keeps the cap so that it refuses, with exit 4, what it always
+# refused.
 VALIDATION_TABLE_CAP = 36_000_000
 
 # Entries of a block of lines built or evaluated at once: table assembly,
@@ -141,16 +146,6 @@ def _lines_per_block(n: int) -> int:
     return max(1, min(n, SCAN_BLOCK // max(n, 1)))
 
 
-def stack_lines(line: Callable, idx, n: int) -> np.ndarray:
-    """The (len(idx), n) block whose row t is ``line(idx[t])``, one call of
-    ``line`` per index."""
-    idx = _as_index_array(idx)
-    out = np.empty((len(idx), n), dtype=np.int64)
-    for t, i in enumerate(idx.tolist()):
-        out[t] = line(i)
-    return out
-
-
 def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
     """table[u, v] in the table's dtype, through one gather from the flat
     table (faster than indexing with two arrays). u is widened to at
@@ -166,7 +161,10 @@ def _table_pairs(table: np.ndarray, u, v) -> np.ndarray:
 class _Backend:
     """Base of every backend: everything but the arithmetic and the codec,
     from the definitions. Subclasses supply ``order``, ``add_pairs``,
-    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``."""
+    ``mul_pairs``, ``neg_vec``, ``star_vec``, ``decode`` and ``encode``,
+    and override the blocks ``add_rows``, ``mul_rows`` and ``mul_lines``
+    where it pays. The single lines are derived here alone: a row is a
+    one-row block, and a column is one ``mul_pairs``."""
 
     def add(self, i: int, j: int) -> int:
         return int(self.add_pairs(np.array([i]), np.array([j]))[0])
@@ -174,16 +172,15 @@ class _Backend:
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_pairs(np.array([i]), np.array([j]))[0])
 
-    def add_row(self, i: int) -> np.ndarray:
-        return self.add_pairs(np.full(self.order, i), np.arange(self.order))
-
     def add_rows(self, idx) -> np.ndarray:
-        """The (len(idx), n) block of ``add_row(i)`` for i in idx."""
-        return stack_lines(self.add_row, idx, self.order)
+        """The (len(idx), n) block of sums i + x, i in idx and x every
+        element: one broadcast add_pairs."""
+        return self.add_pairs(_as_index_array(idx)[:, None], np.arange(self.order))
 
     def mul_rows(self, idx) -> np.ndarray:
-        """The (len(idx), n) block of ``mul_row(i)`` for i in idx."""
-        return stack_lines(self.mul_row, idx, self.order)
+        """The (len(idx), n) block of products i.x, i in idx and x every
+        element: the rows of ``mul_lines`` over every element."""
+        return self.mul_lines(np.arange(self.order))[0](idx)
 
     def mul_lines(self, members) -> Tuple[Callable, Callable]:
         """(rows, cols) with rows(idx)[t, s] = idx[t].members[s] and
@@ -197,11 +194,14 @@ class _Backend:
             lambda idx: self.mul_pairs(members, _as_index_array(idx)[:, None]),
         )
 
+    def add_row(self, i: int) -> np.ndarray:
+        return self.add_rows([i])[0]
+
     def mul_row(self, i: int) -> np.ndarray:
-        return self.mul_lines(np.arange(self.order))[0]([i])[0]
+        return self.mul_rows([i])[0]
 
     def mul_col(self, j: int) -> np.ndarray:
-        return self.mul_lines(np.arange(self.order))[1]([j])[0]
+        return self.mul_pairs(np.arange(self.order), j)
 
     def unity_candidate(self) -> Optional[int]:
         """The element the construction names as the unity, if it names
@@ -266,20 +266,11 @@ class _CyclicBackend(_Backend):
         prod = np.asarray(u, dtype) * np.asarray(v, dtype)
         return np.remainder(prod, self.m, out=np.empty(prod.shape, np.int64))
 
-    def add_row(self, i: int) -> np.ndarray:
-        return self._twice[i : i + self.m].copy()
-
-    def mul_row(self, i: int) -> np.ndarray:
-        return self._products(self._factors, i)
-
     def add_rows(self, idx) -> np.ndarray:
         return self._sum_rows[_as_index_array(idx)]
 
     def mul_rows(self, idx) -> np.ndarray:
         return self._products(_as_index_array(idx)[:, None], self._factors)
-
-    def mul_col(self, j: int) -> np.ndarray:
-        return self.mul_row(j)  # commutative
 
     def add_pairs(self, u, v) -> np.ndarray:
         return self._twice[_as_index_array(u) + _as_index_array(v)]
@@ -334,10 +325,11 @@ class _MatrixBackend(_Backend):
     bytes of int64, and ``ravel`` is a view; ``blocks`` stays int64, since
     numpy converts narrower fancy indices to intp on every gather. Row t
     of x.B is (row t of x).B, so x.B has row blocks ``rmul[blocks[t, x],
-    B]``: a row of the multiplication table fixes x and gathers k rows of
-    ``rmul``, a column fixes B and gathers from one column of ``rmul``. This does not go through the transpose, so it holds for any
-    base involution. Every product row, column and pair op, and every sum
-    of pairs, is k gathers joined by a multiply-add, with no matrix product
+    B]``: a block of rows of the multiplication table gathers k rows of
+    ``rmul`` per element x, and a product of pairs gathers k entries of it
+    per pair. This does not go through the transpose, so it holds for any
+    base involution. Every block of product rows and every pair op, sums
+    included, is k gathers joined by a multiply-add, with no matrix product
     and no reduction mod m. A block of sum rows gathers only k rows of
     ``radd`` per element and takes their outer sum (``add_rows``). The
     unary maps and the codec go through the matrices themselves.
@@ -383,12 +375,6 @@ class _MatrixBackend(_Backend):
             out += part
         return out
 
-    def add_row(self, i: int) -> np.ndarray:
-        return self.add_rows([i])[0]
-
-    def mul_row(self, i: int) -> np.ndarray:
-        return self._join(self.rmul[self.blocks[:, i]])
-
     def add_rows(self, idx) -> np.ndarray:
         """Column j of a row is the index whose row blocks are
         radd[blocks[t, i], blocks[t, j]], and the j run through the row
@@ -405,9 +391,6 @@ class _MatrixBackend(_Backend):
     def mul_rows(self, idx) -> np.ndarray:
         idx = _as_index_array(idx)
         return self._join(self.rmul[b[idx]] for b in self.blocks)
-
-    def mul_col(self, j: int) -> np.ndarray:
-        return self._join(self.rmul[:, j][self.blocks])
 
     def add_pairs(self, u, v) -> np.ndarray:
         u = _as_index_array(u)
@@ -463,20 +446,19 @@ class _ProductBackend(_Backend):
         return u // self.rn, u % self.rn
 
     def _outer(self, lvec: np.ndarray, rvec: np.ndarray) -> np.ndarray:
-        """The index of (lvec[s], rvec[t]) for every s and t, s major."""
-        return (lvec[:, None] * self.rn + rvec[None, :]).ravel()
+        """The index of (lvec[..., s], rvec[..., t]) for every s and t, s
+        major, along the last axis: of two vectors, or row by row of two
+        blocks of rows, in one outer sum."""
+        joined = lvec[..., :, None] * self.rn + rvec[..., None, :]
+        return joined.reshape(lvec.shape[:-1] + (self.order,))
 
-    def add_row(self, i: int) -> np.ndarray:
-        li, ri = divmod(i, self.rn)
-        return self._outer(self.left.add_row(li), self.right.add_row(ri))
+    def add_rows(self, idx) -> np.ndarray:
+        li, ri = self._split(idx)
+        return self._outer(self.left.add_rows(li), self.right.add_rows(ri))
 
-    def mul_row(self, i: int) -> np.ndarray:
-        li, ri = divmod(i, self.rn)
-        return self._outer(self.left.mul_row(li), self.right.mul_row(ri))
-
-    def mul_col(self, j: int) -> np.ndarray:
-        lj, rj = divmod(j, self.rn)
-        return self._outer(self.left.mul_col(lj), self.right.mul_col(rj))
+    def mul_rows(self, idx) -> np.ndarray:
+        li, ri = self._split(idx)
+        return self._outer(self.left.mul_rows(li), self.right.mul_rows(ri))
 
     def add_pairs(self, u, v) -> np.ndarray:
         ul, ur = self._split(u)
@@ -531,7 +513,7 @@ class _SectionBackend(_Backend):
     subring passes its carrier and -1 off it; a quotient passes its coset
     representatives and the coset of every parent element. Each operation
     runs in the parent on the representatives and maps the result back:
-    a block of rows (``mul_rows``) or a column is the parent's block of
+    a block of rows (``mul_rows``) or of columns is the parent's block of
     lines (``mul_lines``) of those representatives over all of them, so a
     quotient's rows cost what the pair ring's rows cost, a block at a
     time. A result outside a subring's carrier raises the ``closure``
@@ -575,12 +557,6 @@ class _SectionBackend(_Backend):
 
     def mul_rows(self, idx) -> np.ndarray:
         return self._lines[0](idx)
-
-    def mul_row(self, i: int) -> np.ndarray:
-        return self._lines[0]([i])[0]
-
-    def mul_col(self, j: int) -> np.ndarray:
-        return self._lines[1]([j])[0]
 
     def unity_candidate(self) -> Optional[int]:
         """The parent's unity, when the section holds it: a subring's
@@ -632,20 +608,11 @@ class _TablesBackend(_Backend):
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_table[i, j])
 
-    def add_row(self, i: int) -> np.ndarray:
-        return self.add_table[i].astype(np.int64)
-
-    def mul_row(self, i: int) -> np.ndarray:
-        return self.mul_table[i].astype(np.int64)
-
     def add_rows(self, idx) -> np.ndarray:
         return self.add_table[_as_index_array(idx)].astype(np.int64)
 
     def mul_rows(self, idx) -> np.ndarray:
         return self.mul_table[_as_index_array(idx)].astype(np.int64)
-
-    def mul_col(self, j: int) -> np.ndarray:
-        return self.mul_table[:, j].astype(np.int64)
 
     def add_pairs(self, u, v) -> np.ndarray:
         return _table_pairs(self.add_table, u, v)
@@ -779,6 +746,11 @@ class StarRing:
     def mul_row(self, i: int) -> np.ndarray:
         return _as_index_array(self._backend.mul_row(i))
 
+    def add_rows(self, idx) -> np.ndarray:
+        """The (len(idx), n) block of ``add_row(i)`` for i in idx, as a
+        fresh array that the caller may overwrite."""
+        return _as_index_array(self._backend.add_rows(idx))
+
     def mul_rows(self, idx) -> np.ndarray:
         """The (len(idx), n) block of ``mul_row(i)`` for i in idx, as a
         fresh array that the caller may overwrite."""
@@ -804,29 +776,6 @@ class StarRing:
 
     def star_vector(self) -> np.ndarray:
         return self._star
-
-    def add_table(self) -> np.ndarray:
-        """Dense table of + in :func:`index_dtype`: the ring's own, or for a
-        call-based ring one assembled transiently, up to
-        ``VALIDATION_TABLE_CAP`` entries. For tests and adapters; the axiom
-        audit reads blocks of lines instead (see :func:`_ring_lines`)."""
-        if self.has_tables():
-            return self._backend.add_table
-        self._guard_transient()
-        return self._assemble(self._backend.add_rows)
-
-    def mul_table(self) -> np.ndarray:
-        """Dense table of *, as :meth:`add_table`."""
-        if self.has_tables():
-            return self._backend.mul_table
-        self._guard_transient()
-        return self._assemble(self._backend.mul_rows)
-
-    def _guard_transient(self) -> None:
-        if self.order * self.order > VALIDATION_TABLE_CAP:
-            raise OrderCapExceeded(
-                self.order * self.order, VALIDATION_TABLE_CAP, what="transient table"
-            )
 
     def tabled(self) -> "StarRing":
         """This ring served from tables assembled along its additive
@@ -1001,11 +950,14 @@ def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
     of ``mul_lines``. The column side of + is ``add_pairs`` with its
     operands swapped, since commutativity is among what is audited. A
     call-based ring with order^2 above ``VALIDATION_TABLE_CAP`` is refused,
-    as its transient tables were."""
+    under the name "transient table" that the refusal's output carries."""
     backend = ring._backend
     if ring.has_tables():
         return _table_lines(backend.add_table), _table_lines(backend.mul_table)
-    ring._guard_transient()
+    if ring.order * ring.order > VALIDATION_TABLE_CAP:
+        raise OrderCapExceeded(
+            ring.order * ring.order, VALIDATION_TABLE_CAP, what="transient table"
+        )
     every = np.arange(ring.order)
     mul_cols = backend.mul_lines(every)[1]
     add = _Lines(
@@ -1080,7 +1032,7 @@ def _tables_along_generators(ring: StarRing) -> Tuple[np.ndarray, np.ndarray]:
     mul[0] = 0
     steps: list = []
     gens = _greedy_span(ring.add_pairs, np.ones(n, dtype=bool), steps)[1]
-    add_of = {s: ring.add_row(s) for s in gens}
+    add_of = dict(zip(gens, ring.add_rows(gens)))
     mul_of = dict(zip(gens, ring.mul_rows(gens)))
     for coset, s, shifted in steps:
         add[shifted] = _table_pairs(add, coset[:, None], add_of[s])

@@ -134,12 +134,8 @@ class _PairBackend(_ProductBackend):
         super().__init__(algebra.ring, algebra.scalars)
         self._action = algebra.action.astype(np.int64)
 
-    # not the product's componentwise lines
-    mul_row = _Backend.mul_row
-    mul_col = _Backend.mul_col
-
-    def mul_rows(self, idx) -> np.ndarray:
-        return self.mul_lines(np.arange(self.order))[0](idx)
+    # not the product's componentwise block of rows
+    mul_rows = _Backend.mul_rows
 
     def unity_candidate(self) -> Optional[int]:
         return self.right.unity  # (0, 1_K)

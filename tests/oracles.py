@@ -450,3 +450,15 @@ def unaudited_ring(add, mul, neg, star, literals=None, label="raw"):
     mul.setflags(write=False)
     backend = _TablesBackend(add, mul, neg, star, _Literals(len(add), literals))
     return StarRing(backend, label=label)
+
+
+def tables(ring):
+    """The (add, mul) tables of a ring, int64, stacked from its rows
+    ``add_row(i)`` and ``mul_row(i)`` for every i: a reference that does
+    not go through the tables a tabled ring is served from, nor through
+    ``StarRing.tabled``."""
+    import numpy as np
+
+    add = np.array([ring.add_row(i) for i in range(ring.order)], dtype=np.int64)
+    mul = np.array([ring.mul_row(i) for i in range(ring.order)], dtype=np.int64)
+    return add, mul

@@ -14,6 +14,7 @@ from starbench.errors import FamilyCapExceeded
 import numpy as np
 import oracles
 from conftest import cached_ring
+from test_call_based import lann_of
 
 
 def mask_of(elements):
@@ -26,7 +27,8 @@ def r_of(ring, elements):
 
 
 def l_of(ring, elements):
-    return indices_of(RingScan(ring).l_of(mask_of(elements)))
+    """Indices of l(S): the scan's lann met over the members of S."""
+    return indices_of(lann_of(RingScan(ring), mask_of(elements)))
 
 
 class TestPointAnnihilators:

@@ -49,15 +49,14 @@ STAR_LAWS = {"star-additive", "star-anti-multiplicative"}
 
 
 def int32_tables(r):
-    add = np.ascontiguousarray(r.add_table(), dtype=np.int32)
-    mul = np.ascontiguousarray(r.mul_table(), dtype=np.int32)
+    add, mul = (np.ascontiguousarray(t, dtype=np.int32) for t in oracles.tables(r))
     star = np.ascontiguousarray(r.star_vector(), dtype=np.int32)
     return add, mul, star
 
 
 def own_tables(r):
     """The ring's own tables, int16 at these orders, and its star."""
-    add, mul = r.add_table(), r.mul_table()
+    add, mul = r._backend.add_table, r._backend.mul_table
     assert add.dtype == mul.dtype == np.int16
     return add, mul, r.star_vector()
 
@@ -93,8 +92,7 @@ def reference_audit(ring):
     when every check holds."""
     n = ring.order
     idx = np.arange(n)
-    add = ring.add_table().astype(np.int64)
-    mul = ring.mul_table().astype(np.int64)
+    add, mul = oracles.tables(ring)
     neg = ring.neg_vector()
     star = ring.star_vector()
     x, y, z = idx[:, None, None], idx[None, :, None], idx[None, None, :]
@@ -211,8 +209,7 @@ def corrupted_rings(count, seed):
     rng = np.random.default_rng(seed)
     for _ in range(count):
         r = cached_ring(PARITY_RINGS[int(rng.integers(len(PARITY_RINGS)))])
-        add = np.array(r.add_table(), copy=True)
-        mul = np.array(r.mul_table(), copy=True)
+        add, mul = oracles.tables(r)
         i, j = (int(v) for v in rng.integers(r.order, size=2))
         shift = int(rng.integers(1, r.order))
         if rng.integers(2) == 0:
@@ -239,7 +236,8 @@ def with_mul(text, mul):
     without the audit."""
     r = cached_ring(text)
     literals = [r.decode(k) for k in range(r.order)]
-    return oracles.unaudited_ring(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
+    add = oracles.tables(r)[0]
+    return oracles.unaudited_ring(add, mul, r.neg_vector(), r.star_vector(), literals)
 
 
 class TestEachStepOfTheCertificate:
@@ -251,11 +249,11 @@ class TestEachStepOfTheCertificate:
         # Z(4) with 1+1 = 3 and 3+3 = 1: 0, negatives and commutativity
         # survive, but (1+1)+2 != 1+(1+2)
         r = cached_ring("Z(4)")
-        add = np.array(r.add_table(), copy=True)
+        add, mul = oracles.tables(r)
         add[1, 1] = 3
         add[3, 3] = 1
-        bad = oracles.unaudited_ring(add, r.mul_table(), r.neg_vector(), r.star_vector())
-        mul = np.asarray(r.mul_table(), dtype=np.int32)
+        bad = oracles.unaudited_ring(add, mul, r.neg_vector(), r.star_vector())
+        mul = np.asarray(mul, dtype=np.int32)
         assert audit._first_ring_law_violation(add, mul, bad.generator_levels) is not None
         assert assert_audit_matches_reference(bad)[0] == "add-associative"
 
@@ -288,7 +286,7 @@ ONE_SIDED = [("Z(5)", 4), ("Z(7)", 6), ("prod(Z(2),Z(3))", 2), ("prod(Z(3),Z(3))
 def one_sided_mul(text, h, axiom):
     """x*h(y), which breaks only the left law where h is not additive, or
     h(x)*y, which breaks only the right law; h maps indices to indices."""
-    mul = np.asarray(cached_ring(text).mul_table())
+    mul = oracles.tables(cached_ring(text))[1]
     idx = np.arange(len(mul))
     return mul[idx[:, None], h] if axiom == "left-distributive" else mul[h[:, None], idx]
 
@@ -378,10 +376,10 @@ def test_own_narrow_tables_name_the_same_witness_on_a_large_ring():
     literals = [r.decode(k) for k in range(r.order)]
     rng = np.random.default_rng(5)
     for _ in range(3):
-        mul = np.array(r.mul_table(), copy=True)
+        add, mul = oracles.tables(r)
         i, j = (int(v) for v in rng.integers(1, r.order, size=2))
         mul[i, j] = (mul[i, j] + int(rng.integers(1, r.order))) % r.order
-        bad = oracles.unaudited_ring(r.add_table(), mul, r.neg_vector(), r.star_vector(), literals)
+        bad = oracles.unaudited_ring(add, mul, r.neg_vector(), r.star_vector(), literals)
         narrow, wide = own_tables(bad), int32_tables(bad)
         assert audit._first_ring_law_violation(*narrow[:2], bad.generator_levels) is not None
         hit = audit._first_ring_law_violation(*narrow[:2])
@@ -407,10 +405,10 @@ class TestCommutativityFromTheGenerators:
         r = cached_ring(data.draw(st.sampled_from(OFF_G_RINGS)))
         off = [v for v in range(1, r.order) if v not in r.generators]
         x, y = data.draw(st.lists(st.sampled_from(off), min_size=2, max_size=2, unique=True))
-        add = np.array(r.add_table(), copy=True)
+        add, mul = oracles.tables(r)
         add[x, y] = data.draw(st.sampled_from([v for v in range(r.order) if v != add[x, y]]))
         literals = [r.decode(k) for k in range(r.order)]
-        bad = oracles.unaudited_ring(add, r.mul_table(), r.neg_vector(), r.star_vector(), literals)
+        bad = oracles.unaudited_ring(add, mul, r.neg_vector(), r.star_vector(), literals)
         assert audit._first_commute_violation(add, r.generators) is None
         assert assert_audit_matches_reference(bad)[0] == "add-commutative"
 
@@ -464,7 +462,7 @@ def corrupted_stars(count, seed):
         star = r.star_vector()
         new = t[star[t]] if not np.array_equal(t[star[t]], star) else t[star]
         literals = [r.decode(k) for k in range(r.order)]
-        yield oracles.unaudited_ring(r.add_table(), r.mul_table(), r.neg_vector(), new, literals)
+        yield oracles.unaudited_ring(*oracles.tables(r), r.neg_vector(), new, literals)
 
 
 class TestCorruptedInvolutions:

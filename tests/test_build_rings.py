@@ -172,8 +172,7 @@ AUDITED += [
 
 
 def tables_of(r):
-    add = np.array(r.add_table(), copy=True)
-    mul = np.array(r.mul_table(), copy=True)
+    add, mul = oracles.tables(r)
     neg = np.array([r.neg(i) for i in range(r.order)])
     star = np.array([r.star(i) for i in range(r.order)])
     return add, mul, neg, star
@@ -252,8 +251,7 @@ class TestValidation:
     def test_from_tables_copies_of_the_small_corpus_build(self, text):
         r = ring(text)
         copy = StarRing.from_tables(*tables_of(r), [r.decode(i) for i in range(r.order)])
-        assert np.array_equal(copy.add_table(), r.add_table())
-        assert np.array_equal(copy.mul_table(), r.mul_table())
+        assert all(map(np.array_equal, oracles.tables(copy), oracles.tables(r)))
         assert (copy.unity, copy.characteristic, copy.generators) == (
             r.unity, r.characteristic, r.generators,
         )
@@ -267,10 +265,11 @@ class TestValidation:
             (R, StarRing.from_tables(*tables_of(K))),
         ):
             alg = build_scalar_algebra(R_, K_, action=action)
-            assert np.array_equal(build_R1(alg).mul_table(), expected.r1.mul_table())
+            products = oracles.tables(build_R1(alg))[1]
+            assert np.array_equal(products, oracles.tables(expected.r1)[1])
             q = build_quotient(alg)
             assert np.array_equal(q.reps, expected.reps)
-            assert np.array_equal(q.ring.mul_table(), expected.ring.mul_table())
+            assert np.array_equal(oracles.tables(q.ring)[1], oracles.tables(expected.ring)[1])
 
     def test_from_tables_reproduces_the_ring(self, z6):
         raw = StarRing.from_tables(*tables_of(z6), label="copy of Z(6)")
@@ -329,13 +328,12 @@ class TestCapsAndDeterminism:
     def test_same_descriptor_same_tables(self):
         a = build_ring(parse_ring_expr("M(2,Z(2))"))
         b = build_ring(parse_ring_expr("M(2,Z(2))"))
-        assert np.array_equal(a.add_table(), b.add_table())
-        assert np.array_equal(a.mul_table(), b.mul_table())
+        assert all(map(np.array_equal, oracles.tables(a), oracles.tables(b)))
         assert np.array_equal(a.star_vector(), b.star_vector())
 
     def test_handed_out_tables_are_read_only(self, z6):
         with pytest.raises(ValueError):
-            z6.add_table()[0, 0] = 1
+            z6._backend.add_table[0, 0] = 1
         with pytest.raises(ValueError):
             z6.star_vector()[0] = 1
 

@@ -18,6 +18,7 @@ witness is replayed against the definitions.
 """
 
 import functools
+import operator
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_rings_given_by_tables_keep_them():
     z6 = cached_ring("Z(6)")
     for limits in (DEFAULT_LIMITS, CALL_BASED):
         ring = StarRing.from_tables(
-            z6.add_table(), z6.mul_table(), z6.neg_vector(), z6.star_vector(), limits=limits
+            *oracles.tables(z6), z6.neg_vector(), z6.star_vector(), limits=limits
         )
         assert ring.has_tables()
 
@@ -171,13 +172,20 @@ def test_fused_scan_matches_across_blocks(build):
     _assert_scan_matches_single_element_functions(ring)
 
 
+def lann_of(scan, mask):
+    """The bitset of l(S), S given by ``mask``: the scan's lann met over
+    the members of S."""
+    members = (scan.lann[s] for s in indices_of(mask))
+    return functools.reduce(operator.and_, members, full_mask(scan.ring.order))
+
+
 def _assert_set_annihilators_match_definition(ring):
     scan = RingScan(ring)
     view = _Tabled(ring)
     masks = {0, full_mask(ring.order), *scan.row_sets, *scan.col_sets}
     for m in sorted(masks):
         assert set(indices_of(scan.r_of(m))) == oracles.o_rann(view, indices_of(m))
-        assert set(indices_of(scan.l_of(m))) == oracles.o_lann(view, indices_of(m))
+        assert set(indices_of(lann_of(scan, m))) == oracles.o_lann(view, indices_of(m))
 
 
 @pytest.mark.parametrize("text", small_corpus())
@@ -206,18 +214,18 @@ def test_ideal_annihilators_match_on_call_based_m2z3():
 
 def tables_copy(ring):
     """``ring`` given by its tables, which from_tables audits."""
-    return StarRing.from_tables(
-        ring.add_table(), ring.mul_table(), ring.neg_vector(), ring.star_vector()
-    )
+    return StarRing.from_tables(*oracles.tables(ring), ring.neg_vector(), ring.star_vector())
 
 
 class _Counting:
-    """A ring that records which rows and how many columns a scan asks for."""
+    """A ring that records which rows a scan asks for, and the blocks of
+    columns, one list of columns each, that it reads from ``mul_lines``
+    or one column at a time from ``mul_col``."""
 
     def __init__(self, ring):
         self.ring = ring
         self.rows = []
-        self.cols = 0
+        self.cols = []
 
     def __getattr__(self, name):
         return getattr(self.ring, name)
@@ -227,8 +235,17 @@ class _Counting:
         return self.ring.mul_rows(idx)
 
     def mul_col(self, j):
-        self.cols += 1
+        self.cols.append([j])
         return self.ring.mul_col(j)
+
+    def mul_lines(self, members):
+        rows, cols = self.ring.mul_lines(members)
+
+        def counted(idx):
+            self.cols.append(np.asarray(idx).tolist())
+            return cols(idx)
+
+        return rows, counted
 
 
 def test_scans_read_each_row_once_and_no_column(m2z3):
@@ -249,14 +266,15 @@ def test_scans_read_each_row_once_and_no_column(m2z3):
     for classify in PROPERTY_CLASSIFIERS.values():
         classify(m2z3, scan)
     assert counting.rows == []
-    assert counting.cols == 0
+    assert counting.cols == []
     for cache in ("row_sets", "col_sets", "lann"):
         assert cache not in scan.__dict__, cache
 
 
 def test_value_sets_take_one_pass_per_side(m2z3):
     """row_sets takes a row pass of its own, beside rann's, and lann and
-    col_sets come from one column pass: every column once."""
+    col_sets come from one column pass, a block of ``_lines_per_block``
+    columns at a time from ``mul_lines``: every column once."""
     n = m2z3.order
     counting = _Counting(m2z3)
     scan = RingScan(counting)
@@ -270,7 +288,8 @@ def test_value_sets_take_one_pass_per_side(m2z3):
         oracles.o_left_multiples(view, s) for s in range(n)
     ]
     assert sorted(counting.rows) == sorted(2 * list(range(n)))
-    assert counting.cols == n
+    step = _lines_per_block(n)
+    assert counting.cols == [list(range(s, min(s + step, n))) for s in range(0, n, step)]
 
 
 def left_misses(ring, scan):
@@ -283,7 +302,7 @@ def left_misses(ring, scan):
         rf.setdefault(mask_from_bool(flags_of(ring.mul_col(f), n)), []).append(f)
     misses = []
     for a in range(n):
-        l_of_ra = scan.l_of(mask_from_bool(flags_of(ring.mul_col(a), n)))
+        l_of_ra = lann_of(scan, mask_from_bool(flags_of(ring.mul_col(a), n)))
         misses.append(not any(contains(l_of_ra, f) for f in rf.get(l_of_ra, ())))
     return misses
 
@@ -522,11 +541,13 @@ def test_assembled_tables_match_rows(text):
     n = tabled.order
     add = np.array([made_from.add_row(i) for i in range(n)])
     mul = np.array([made_from.mul_row(i) for i in range(n)])
-    for ring in (tabled, call_based_ring(text)):  # persistent and transient
-        # every index of an order up to 2^15 fits int16
-        assert ring.add_table().dtype == ring.mul_table().dtype == np.int16
-        assert np.array_equal(ring.add_table(), add)
-        assert np.array_equal(ring.mul_table(), mul)
+    own = tabled._backend
+    # every index of an order up to 2^15 fits int16
+    assert own.add_table.dtype == own.mul_table.dtype == np.int16
+    assert np.array_equal(own.add_table, add) and np.array_equal(own.mul_table, mul)
+    for ring in (tabled, call_based_ring(text)):  # the rows each ring serves
+        served = oracles.tables(ring)
+        assert np.array_equal(served[0], add) and np.array_equal(served[1], mul)
 
 
 def test_table_bytes_are_two_per_entry():
@@ -534,7 +555,7 @@ def test_table_bytes_are_two_per_entry():
     bytes, half of what int32 took."""
     ring = cached_ring("M(2, Z(6))")
     assert ring.has_tables()
-    assert ring.add_table().nbytes == ring.mul_table().nbytes == 1296**2 * 2
+    assert ring._backend.add_table.nbytes == ring._backend.mul_table.nbytes == 1296**2 * 2
 
 
 # tables for every medium-corpus ring, M(2, Z(7)) (2401 elements) included

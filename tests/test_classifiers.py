@@ -45,6 +45,17 @@ class TestInvolutionAndStructure:
         got = None if rep.witness is None else r.encode(rep.witness["x"])
         assert got == oracles.o_semi_proper(r)
 
+    @pytest.mark.parametrize("text", small_corpus())
+    def test_abelian_witness_is_the_oracle_index(self, text):
+        r = cached_ring(text)
+        rep = PROPERTY_CLASSIFIERS["abelian"](r)
+        got = None if rep.witness is None else r.encode(rep.witness["idempotent"])
+        assert got == oracles.o_abelian(r)
+        if got is not None:  # the lowest element that fails to commute with it
+            y = r.encode(rep.witness["witness"])
+            assert r.mul(got, y) != r.mul(y, got)
+            assert all(r.mul(got, x) == r.mul(x, got) for x in range(y))
+
     @pytest.mark.parametrize("kind", ["zero-multiplication", "exchange-involution"])
     def test_semi_proper_witness_on_raw_tables(self, kind):
         if kind == "zero-multiplication":  # Z(5) with x*y = 0

@@ -67,7 +67,7 @@ def table_copy(r):
     literal, and audited by from_tables."""
     literals = [r.decode(i) for i in range(r.order)]
     return StarRing.from_tables(
-        r.add_table(), r.mul_table(), r.neg_vector(), r.star_vector(), literals, label=r.label
+        *oracles.tables(r), r.neg_vector(), r.star_vector(), literals, label=r.label
     )
 
 

@@ -64,9 +64,7 @@ def tabled_algebra(rt, kt):
     """R given by its tables, which from_tables audits, with the natural
     action of K."""
     named = cached_ring(rt)
-    R = StarRing.from_tables(
-        named.add_table(), named.mul_table(), named.neg_vector(), named.star_vector()
-    )
+    R = StarRing.from_tables(*oracles.tables(named), named.neg_vector(), named.star_vector())
     K = cached_ring(kt)
     return build_scalar_algebra(R, K, action=build_scalar_algebra(named, K).action)
 
@@ -224,17 +222,22 @@ def test_scan_bitsets_across_several_blocks(make, monkeypatch):
     d = Definitional()
     # three lines a block: 27 blocks on 81 cosets, 6 on 16 (the last short)
     monkeypatch.setattr(rings, "SCAN_BLOCK", 3 * n)
-    cols = []
-    read_col = q.mul_col
-    monkeypatch.setattr(q, "mul_col", lambda j: cols.append(j) or read_col(j))
+    blocks = []
+    lines = q.mul_lines
+
+    def counted_lines(members):
+        rows, cols = lines(members)
+        return rows, lambda idx: blocks.append(np.asarray(idx).tolist()) or cols(idx)
+
+    monkeypatch.setattr(q, "mul_lines", counted_lines)
     scan = RingScan(q)
     for a in range(n):
         assert set(indices_of(scan.rann[a])) == oracles.o_rann(d, [a])
         assert set(indices_of(scan.lann[a])) == oracles.o_lann(d, [a])
         assert set(indices_of(scan.row_sets[a])) == {d.mul(a, r) for r in range(n)}
         assert set(indices_of(scan.col_sets[a])) == {d.mul(r, a) for r in range(n)}
-    # one column pass, each column read once
-    assert sorted(cols) == list(range(n))
+    # one column pass, three columns a block, each column read once
+    assert blocks == [list(range(s, min(s + 3, n))) for s in range(0, n, 3)]
 
 
 def test_quotient_scans_never_call_the_pair_product(monkeypatch):
