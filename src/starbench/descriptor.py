@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Tuple, Union
 
-from .errors import DescriptorError, LiteralError
+from .errors import ORDER_BOUND, DescriptorError, LiteralError
 
 
 @dataclass(frozen=True)
@@ -229,17 +229,23 @@ def descriptor_hash(d: Descriptor) -> str:
 
 
 def structural_order(d: Descriptor) -> int:
-    """Order of the ring a descriptor denotes, without building it.
+    """Order of the ring a descriptor denotes, without building it, or
+    ORDER_BOUND when it is at least that: every cap lies below the bound,
+    so no power is taken past its length.
 
     For SubringClosure the closure size is unknown until computed, so the
     parent's order is returned as an upper bound.
     """
     if isinstance(d, Cyclic):
-        return d.modulus
+        return min(d.modulus, ORDER_BOUND)
     if isinstance(d, Matrix):
-        return d.base.modulus ** (d.size * d.size)
+        m, entries = d.base.modulus, d.size * d.size
+        # m^(k^2) >= 2^((bits(m) - 1) k^2)
+        if (m.bit_length() - 1) * entries >= ORDER_BOUND.bit_length():
+            return ORDER_BOUND
+        return min(m**entries, ORDER_BOUND)
     if isinstance(d, Product):
-        return structural_order(d.left) * structural_order(d.right)
+        return min(structural_order(d.left) * structural_order(d.right), ORDER_BOUND)
     if isinstance(d, SubringClosure):
         return structural_order(d.parent)
     raise DescriptorError("not a descriptor: %r" % (d,))

@@ -13,7 +13,8 @@ Grammar (whitespace-insensitive between tokens)::
 
 Errors are reported as :class:`ParseError` with the byte offset of the
 offending token and the set of token descriptions that were acceptable there.
-Input is capped at 64 KiB.
+Input is capped at 64 KiB, and an integer at ``MAX_DIGITS`` (4300) digits,
+the longest decimal text Python converts to an int by default.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .descriptor import (
     check_literal_shape,
     validate_descriptor,
 )
-from .errors import LiteralError, ParseError
+from .errors import MAX_DIGITS, LiteralError, ParseError
 
 MAX_INPUT_BYTES = 64 * 1024
 
@@ -100,6 +101,8 @@ class _Parser:
     def expect_int(self) -> int:
         t = self.peek()
         if t.kind == "int":
+            if len(t.text.lstrip("-")) > MAX_DIGITS:
+                raise self.fail(("integer of at most %d digits" % MAX_DIGITS,))
             self.advance()
             return int(t.text)
         raise self.fail(("integer",))

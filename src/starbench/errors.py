@@ -60,15 +60,27 @@ class ParseError(StarbenchError):
         )
 
 
+# The most decimal digits of an integer that is read or printed: Python
+# converts no longer decimal text to an int, nor an int to text, by default
+# (sys.int_info.default_max_str_digits). A cap is read from decimal text,
+# so every cap lies below ORDER_BOUND.
+MAX_DIGITS = 4300
+ORDER_BOUND = 10**MAX_DIGITS
+
+
 class OrderCapExceeded(StarbenchError):
+    """A size past its cap: the order of a ring (``measure``) by default.
+    A size of ORDER_BOUND or more, which is too long to print, is shown,
+    in the message and the payload alike, as the string ">=10^4300"."""
+
     exit_code = 4
     payload_fields = ("order", "cap")
 
-    def __init__(self, order: int, cap: int, what: str = "ring"):
-        self.order = order
+    def __init__(self, order: int, cap: int, what: str = "ring", measure: str = "order"):
+        self.order = order if order < ORDER_BOUND else ">=10^%d" % MAX_DIGITS
         self.cap = cap
         super().__init__(
-            "%s order %d exceeds the configured cap %d" % (what, order, cap)
+            "%s %s %s exceeds the configured cap %d" % (what, measure, self.order, cap)
         )
 
 

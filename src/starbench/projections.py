@@ -167,17 +167,22 @@ class ProjectionPoset:
 class RingScan:
     """Shared per-ring caches for the exhaustive scans.
 
-    Everything is computed lazily and exactly once. ``rann`` comes from one
-    pass over ``mul_rows``, a block of rows at a time, and the projection
-    poset from one pass over the projections' rows, which also gives each
-    projection's fixers and eR (see :class:`ProjectionPoset`); ``lann`` and
+    Everything is computed lazily and exactly once. ``rann`` and
+    ``r_of_aR`` of a matrix ring, tabled or not, are read off its row
+    vectors (``StarRing.right_annihilators``; see
+    :class:`~starbench.rings._MatrixBackend`) and read no row. On any other
+    ring ``rann`` comes from one pass over ``mul_rows``, a block of rows at
+    a time, and ``r_of_aR`` as below. The projection poset comes from one
+    pass over the projections' rows, which also gives each projection's
+    fixers and eR (see :class:`ProjectionPoset`); ``lann`` and
     ``col_sets`` come from one pass over the columns of ``mul_lines``, a
     block of columns at a time, and ``row_sets`` takes a row pass of its
     own.
 
     ``r_of_aR`` holds r(aR) for every a: aR is the additive span of aG, G
     the additive generators (left distributivity), and r(S) = r(span S)
-    (right distributivity), so r(aR) is the meet of rann[a*g] over g in G.
+    (right distributivity), so r(aR) is the meet of rann[a*g] over g in G,
+    n.|G| big-int ANDs.
 
     ``rp_all[x]`` is the projection e with xe = x and rann[e] = rann[x]
     (see the module docstring), found for every x at once: each distinct
@@ -215,6 +220,9 @@ class RingScan:
     @cached_property
     def rann(self) -> List[int]:
         """rann[s] = bitset of the right annihilator {y : s*y = 0}."""
+        read = self.ring.right_annihilators()
+        if read is not None:
+            return read
         return _zero_and_value_sets(self.ring.mul_rows, self.ring.order, values=False)[0]
 
     @cached_property
@@ -234,10 +242,14 @@ class RingScan:
 
     @cached_property
     def r_of_aR(self) -> List[int]:
-        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}: the
-        meet of rann[a*g] over the additive generators g (the whole ring
-        when there are none), from one ``mul_pairs`` of shape (n, |G|)."""
+        """r_of_aR[a] = bitset of r(aR) = {y : a*r*y = 0 for every r}: read
+        off a matrix ring's row vectors, or else the meet of rann[a*g] over
+        the additive generators g (the whole ring when there are none),
+        from one ``mul_pairs`` of shape (n, |G|)."""
         ring = self.ring
+        read = ring.right_annihilators(of_right_ideal=True)
+        if read is not None:
+            return read
         n, gens = ring.order, np.array(ring.generators, dtype=np.int64)
         members = ring.mul_pairs(np.repeat(np.arange(n), len(gens)), np.tile(gens, n))
         rann, whole = self.rann, full_mask(n)

@@ -37,7 +37,11 @@ Backends supply pair ops and a codec and, where it pays, blocks of lines:
 * optionally the blocks ``add_rows(idx)`` and ``mul_rows(idx)`` (the rows
   of the elements idx, a fresh (len(idx), n) array) and
   ``mul_lines(members)`` (the products of a block of elements with every
-  member, from either side).
+  member, from either side);
+* optionally ``right_annihilators(generators)``: r(x), or r(xR) given the
+  additive generators, for every x, as bitsets, where the construction
+  reads them without the n rows; only the matrix backend has it, and
+  the default, None, leaves the scans to their passes over the rows.
 
 :class:`_Backend` derives the rest straight from the definitions. Each
 block has a default: ``add_rows`` is one broadcast ``add_pairs``,
@@ -63,8 +67,9 @@ column confirm it instead of a search over the idempotents: 1 for Z(m),
 the identity matrix, (1_L, 1_R) for a product, (0, 1_K) for the pair
 ring, and a section's image of its parent's unity, when the section
 holds it (a subring's unity may lie elsewhere, and is searched).
-:class:`StarRing` reads the unity and the characteristic from the backend
-it was built from.
+:class:`StarRing` reads the unity, the characteristic and the right
+annihilators from the backend it was built from, so a tabled matrix ring
+reads them off its row vectors too.
 
 Everything downstream (annihilator scans, classifiers, unit adjunction)
 works through :class:`StarRing`, never through a backend directly; only
@@ -95,11 +100,13 @@ from __future__ import annotations
 
 import copy
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bitsets import full_mask, masks_from_rows
 from .config import DEFAULT_LIMITS, Limits
 from .descriptor import (
     Cyclic,
@@ -228,6 +235,12 @@ class _Backend:
                 return e
         return None
 
+    def right_annihilators(self, generators: Optional[Sequence[int]]) -> Optional[List[int]]:
+        """r(x) for every x, or r(xR) given the additive generators, as
+        bitsets, where the construction reads them without a pass over the
+        rows; None here, for the scans' passes (see _MatrixBackend)."""
+        return None
+
     def characteristic(self) -> int:
         """Least k >= 1 with k.x = 0 for all x, by iterated vector addition:
         at most n rounds on a group of order n."""
@@ -333,6 +346,16 @@ class _MatrixBackend(_Backend):
     and no reduction mod m. A block of sum rows gathers only k rows of
     ``radd`` per element and takes their outer sum (``add_rows``). The
     unary maps and the codec go through the matrices themselves.
+
+    Right annihilators are read off the r row vectors, not the n rows of
+    the table (``right_annihilators``), from the zero sets Z(v) = {B :
+    v.B = 0}, the zero entries of ``rmul``'s row v:
+
+    * r(x) is the meet of Z(x_t) over the rows x_t of x, since x.B = 0
+      exactly when every x_t.B = 0;
+    * r(xR) is the meet of r(x_t R) over t, where r(vR) is the meet of
+      Z(v.g) over the additive generators g, since r -> v.r and w -> w.y
+      are additive.
     """
 
     def __init__(self, size: int, modulus: int):
@@ -404,6 +427,22 @@ class _MatrixBackend(_Backend):
         flat = self.rmul.ravel()
         return self._join([flat[b[u] * self.order + v] for b in self.blocks])
 
+    def right_annihilators(self, generators: Optional[Sequence[int]]) -> List[int]:
+        """r(x) for every x, or r(xR) given the additive generators: the
+        meet over the rows x_t of the row vector's set, Z(x_t) or r(x_t R)
+        (see the class docstring); r + n.k big-int ANDs in all."""
+        zero = masks_from_rows(self.rmul == 0)  # zero[v] = Z(v)
+        if generators is None:
+            per_vector = zero
+        else:
+            v_g = self.rmul[:, _as_index_array(generators)].tolist()
+            whole = full_mask(self.order)
+            per_vector = [reduce(and_, map(zero.__getitem__, row), whole) for row in v_g]
+        out = [per_vector[v] for v in self.blocks[0].tolist()]
+        for b in self.blocks[1:]:
+            out = [s & per_vector[v] for s, v in zip(out, b.tolist())]
+        return out
+
     def neg_vec(self) -> np.ndarray:
         return self._enc((-self.mats) % self.m)
 
@@ -421,12 +460,12 @@ class _MatrixBackend(_Backend):
         return tuple(map(tuple, self.mats[i].tolist()))
 
     def encode(self, lit: Any) -> int:
-        arr = np.array(lit, dtype=np.int64)
+        arr = np.array(lit, dtype=object)  # entries of any size, reduced below
         if arr.shape != (self.k, self.k):
             raise LiteralError(
                 "matrix literal must be %dx%d, got shape %r" % (self.k, self.k, arr.shape)
             )
-        return int(self._enc((arr % self.m)[None, :, :])[0])
+        return int(self._enc((arr % self.m).astype(np.int64)[None, :, :])[0])
 
 
 class _ProductBackend(_Backend):
@@ -817,6 +856,14 @@ class StarRing:
         level i."""
         return self._additive_walk[1]
 
+    def right_annihilators(self, of_right_ideal: bool = False) -> Optional[List[int]]:
+        """r(x), or r(xR) when ``of_right_ideal``, for every x, as bitsets,
+        where the backend the ring was built from reads them off its
+        construction (a matrix ring's row vectors), tabled or not; None
+        for every other ring."""
+        gens = self.generators if of_right_ideal else None
+        return self._origin.right_annihilators(gens)
+
     def has_tables(self) -> bool:
         """Whether dense tables serve the ring: given by its tables, named
         by a descriptor with order squared at most the table threshold, or
@@ -894,6 +941,11 @@ def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
     order = structural_order(d)
     if order > limits.element_cap:
         raise OrderCapExceeded(order, limits.element_cap)
+    if isinstance(d, Matrix) and d.size * d.size > limits.element_cap:
+        # only M(k, Z(1)) is left: every larger base has order >= 2^(k^2)
+        raise OrderCapExceeded(
+            d.size * d.size, limits.element_cap, what="matrix", measure="entry count"
+        )
 
     if isinstance(d, Cyclic):
         return StarRing(_CyclicBackend(d.modulus), descriptor=d, limits=limits)

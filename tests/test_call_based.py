@@ -41,7 +41,8 @@ from starbench.classifiers import (
 )
 from starbench.config import DEFAULT_LIMITS, Limits
 from starbench.corpus import medium_corpus, small_corpus
-from starbench.rings import _Backend, _lines_per_block
+from starbench.projections import _zero_and_value_sets
+from starbench.rings import _Backend, _MatrixBackend, _lines_per_block
 
 import oracles
 from conftest import cached_ring
@@ -248,37 +249,59 @@ class _Counting:
         return rows, counted
 
 
-def test_scans_read_each_row_once_and_no_column(m2z3):
-    """Every classifier reads each element's row once, in rann's zero-set
-    pass, each projection's row once more, in the projection pass, and no
-    column: a projection's right fixers are its left ones mirrored, r(aR)
-    comes off the generators, so the value sets are never built, and
-    p.q.-Baer*'s left clause at a is its right clause at a*, so no left
-    side is built either."""
-    counting = _Counting(m2z3)
+# A matrix ring, whose rann and r(aR) are read off its row vectors, and a
+# call-based ring that is none, whose are read off its rows.
+COUNTED = {
+    "m2z3": lambda: cached_ring("M(2,Z(3))"),
+    "call-based-product": lambda: call_based_ring("prod(M(2, Z(2)), Z(3))"),
+}
+
+
+def rann_row_reads(ring):
+    """The rows that rann's pass reads: none on a matrix ring, every row
+    once on any other."""
+    matrix = isinstance(ring._origin, _MatrixBackend)
+    return [] if matrix else list(range(ring.order))
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_scans_read_each_row_once_and_no_column(name):
+    """rann reads each element's row once, in its zero-set pass, or none on
+    a matrix ring, and r(aR) no further row; the projection pass reads each
+    projection's row once more, and nothing reads a column: a projection's
+    right fixers are its left ones mirrored, r(aR) comes off the
+    generators, so the value sets are never built, and p.q.-Baer*'s left
+    clause at a is its right clause at a*, so no left side is built
+    either."""
+    ring = COUNTED[name]()
+    counting = _Counting(ring)
     scan = RingScan(counting)
     scan.rann
-    assert counting.rows == list(range(m2z3.order))
+    scan.r_of_aR
+    assert counting.rows == rann_row_reads(ring)
     counting.rows = []
     scan.poset
     assert counting.rows == scan.poset.indices.tolist()
     counting.rows = []
     for classify in PROPERTY_CLASSIFIERS.values():
-        classify(m2z3, scan)
+        classify(ring, scan)
     assert counting.rows == []
     assert counting.cols == []
     for cache in ("row_sets", "col_sets", "lann"):
         assert cache not in scan.__dict__, cache
 
 
-def test_value_sets_take_one_pass_per_side(m2z3):
-    """row_sets takes a row pass of its own, beside rann's, and lann and
-    col_sets come from one column pass, a block of ``_lines_per_block``
-    columns at a time from ``mul_lines``: every column once."""
-    n = m2z3.order
-    counting = _Counting(m2z3)
+@pytest.mark.parametrize("name", COUNTED)
+def test_value_sets_take_one_pass_per_side(name):
+    """row_sets takes a row pass of its own, beside rann's (none on a
+    matrix ring), and lann and col_sets come from one column pass, a block
+    of ``_lines_per_block`` columns at a time from ``mul_lines``: every
+    column once."""
+    ring = COUNTED[name]()
+    n = ring.order
+    counting = _Counting(ring)
     scan = RingScan(counting)
-    view = _Tabled(m2z3)
+    view = _Tabled(ring)
     assert [set(indices_of(m)) for m in scan.rann] == [oracles.o_rann(view, [s]) for s in range(n)]
     assert [set(indices_of(m)) for m in scan.row_sets] == [
         oracles.o_right_multiples(view, s) for s in range(n)
@@ -287,9 +310,38 @@ def test_value_sets_take_one_pass_per_side(m2z3):
     assert [set(indices_of(m)) for m in scan.col_sets] == [
         oracles.o_left_multiples(view, s) for s in range(n)
     ]
-    assert sorted(counting.rows) == sorted(2 * list(range(n)))
+    assert sorted(counting.rows) == sorted(rann_row_reads(ring) + list(range(n)))
     step = _lines_per_block(n)
     assert counting.cols == [list(range(s, min(s + step, n))) for s in range(0, n, step)]
+
+
+# Matrix rings whose right annihilators are read off their row vectors,
+# tabled and call-based; the oracles check those up to 100 elements.
+MATRIX_RINGS = ["M(1, Z(6))"] + ["M(2, Z(%d))" % m for m in range(2, 8)] + ["M(3, Z(2))"]
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "call-based"])
+@pytest.mark.parametrize("text", MATRIX_RINGS)
+def test_matrix_annihilators_are_read_off_row_vectors(text, tabled):
+    """rann equals the zero sets of the rows, and r(aR) the meet of rann
+    over a.G, G the additive generators."""
+    n = cached_ring(text).order
+    ring = build_ring(parse_ring_expr(text), Limits(table_threshold=n * n if tabled else 0))
+    assert ring.has_tables() == tabled
+    scan = RingScan(ring)
+    assert scan.rann == _zero_and_value_sets(ring.mul_rows, n, values=False)[0]
+    gens = np.array(ring.generators, dtype=np.int64)
+    a_g = ring.mul_pairs(np.arange(n)[:, None], gens).tolist()
+    whole = full_mask(n)
+    assert scan.r_of_aR == [
+        functools.reduce(operator.and_, (scan.rann[x] for x in row), whole) for row in a_g
+    ]
+    if n <= 100:
+        view = _Tabled(ring)
+        for a in range(n):
+            assert set(indices_of(scan.rann[a])) == oracles.o_rann(view, [a])
+            right_ideal = sorted(oracles.o_principal_right_ideal(view, a))
+            assert set(indices_of(scan.r_of_aR[a])) == oracles.o_rann(view, right_ideal)
 
 
 def left_misses(ring, scan):

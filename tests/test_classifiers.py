@@ -4,6 +4,7 @@ import pytest
 from starbench import (
     IMPLICATIONS,
     PROPERTY_CLASSIFIERS,
+    RingScan,
     StarRing,
     build_ring,
     classify_all,
@@ -14,7 +15,7 @@ from starbench import (
 )
 from starbench.classifiers import implication_reports_for
 from starbench.config import Limits
-from starbench.corpus import small_corpus
+from starbench.corpus import medium_corpus, small_corpus
 from starbench.errors import FamilyCapExceeded, VerificationFailed
 
 import oracles
@@ -299,3 +300,15 @@ class TestAnnihilationSymmetry:
             check(r, _SymmetryScan(masks))
         x, y = (int(v) for v in diff[0])
         assert (info.value.claim, info.value.witness) == ("annihilation-symmetry", (x, y))
+
+
+@pytest.mark.parametrize("text", medium_corpus())
+def test_annihilator_witnesses_replay_on_the_oracles(text):
+    """A false Rickart*, Baer* or quasi-Baer* verdict names its failure:
+    the first x whose r(x) is no eR, or a set, or the generators of an
+    ideal, whose annihilator has the reported size and is no eR."""
+    ring = cached_ring(text)
+    scan = RingScan(ring)
+    for prop in ("rickart-star", "baer-star", "quasi-baer-star"):
+        rep = PROPERTY_CLASSIFIERS[prop](ring, scan)
+        assert rep.verdict or oracles.o_witness_holds(ring, prop, rep.witness), prop

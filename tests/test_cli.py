@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starbench
 from starbench.cli import main
@@ -210,6 +214,111 @@ class TestMaxOrder:
         code, payload, _ = run_json(capsys, "describe", "Z(6)", "--max-order", "1")
         assert code == 4
         assert payload["error"]["type"] == "OrderCapExceeded"
+
+
+def cap_refusal(order):
+    message = "ring order %s exceeds the configured cap 10000" % order
+    return {"type": "OrderCapExceeded", "message": message, "order": order, "cap": 10000}
+
+
+class TestOrdersTooLongToPrint:
+    """An order of 10^4300 or more (over 4300 digits, which Python does not
+    print by default) is never computed, and is shown as ">=10^4300"."""
+
+    def test_an_order_of_4216_digits_is_printed(self, capsys):
+        code, payload, _ = run_json(capsys, "describe", "M(94, Z(3))")
+        assert (code, payload) == (4, {"error": cap_refusal(3**8836)})
+        code, out, err = run(capsys, "describe", "M(94, Z(3))")
+        assert (code, out, err) == (4, "", "error: %s\n" % cap_refusal(3**8836)["message"])
+
+    @pytest.mark.parametrize(
+        "text", ["M(95, Z(3))", "prod(M(70, Z(3)), M(70, Z(3)))", "M(100000, Z(3))"]
+    )
+    def test_a_longer_order_is_a_bound(self, capsys, text):
+        code, payload, _ = run_json(capsys, "describe", text)
+        assert (code, payload) == (4, {"error": cap_refusal(">=10^4300")})
+        code, out, err = run(capsys, "describe", text)
+        assert (code, out, err) == (4, "", "error: ring order >=10^4300 exceeds the configured cap 10000\n")
+
+    def test_check_all_refuses_it(self, capsys):
+        code, payload, _ = run_json(capsys, "check", "M(95, Z(3))", "--all")
+        assert (code, payload) == (4, {"error": cap_refusal(">=10^4300")})
+
+    def test_an_integer_of_more_than_4300_digits_is_a_parse_error(self, capsys):
+        for digits in (4300, 4301):
+            text = "Z(1%s)" % ("0" * (digits - 1))
+            code, payload, _ = run_json(capsys, "describe", text)
+            if digits == 4300:
+                assert (code, payload["error"]["order"]) == (4, 10 ** (digits - 1))
+            else:
+                assert (code, payload["error"]["type"], payload["error"]["offset"]) == (2, "ParseError", 2)
+                assert payload["error"]["expected"] == ["integer of at most 4300 digits"]
+
+    def test_the_zero_matrix_ring_is_capped_by_its_entries(self, capsys):
+        code, payload, _ = run_json(capsys, "describe", "M(100, Z(1))")
+        assert (code, payload["order"]) == (0, 1)
+        for size, entries in (("101", 10201), ("1" + "0" * 4000, ">=10^4300")):
+            code, payload, _ = run_json(capsys, "describe", "M(%s, Z(1))" % size)
+            assert (code, payload["error"]["order"]) == (4, entries)
+            message = "matrix entry count %s exceeds the configured cap 10000" % entries
+            assert payload["error"]["message"] == message
+
+    def test_matrix_literals_of_any_length_are_reduced(self, capsys):
+        big = "9" * 40  # 3 mod 4
+        code, payload, _ = run_json(capsys, "describe", "sub(M(2, Z(4)); [[%s, 0], [0, -%s]])" % (big, big))
+        _, reduced, _ = run_json(capsys, "describe", "sub(M(2, Z(4)); [[3, 0], [0, 1]])")
+        assert code == 0
+        assert (payload["order"], payload["unity"]) == (reduced["order"], reduced["unity"]) == (8, [[1, 0], [0, 1]])
+
+
+_INTS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(-(10**25), 10**25).map(str),
+    st.tuples(st.sampled_from(["", "-"]), st.sampled_from([4299, 4300, 4301])).map(
+        lambda p: p[0] + "7" * p[1]
+    ),
+)
+_LITERALS = st.recursive(
+    _INTS,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: "(%s, %s)" % p),
+        st.lists(st.lists(_INTS, min_size=1, max_size=3).map(", ".join), min_size=1, max_size=3).map(
+            lambda rows: "[%s]" % ", ".join("[%s]" % r for r in rows)
+        ),
+    ),
+    max_leaves=4,
+)
+_EXPRS = st.recursive(
+    _INTS.map(lambda m: "Z(%s)" % m),
+    lambda inner: st.one_of(
+        st.tuples(_INTS, inner).map(lambda p: "M(%s, %s)" % p),
+        st.tuples(inner, inner).map(lambda p: "prod(%s, %s)" % p),
+        st.tuples(inner, st.lists(_LITERALS, min_size=1, max_size=3)).map(
+            lambda p: "sub(%s; %s)" % (p[0], ", ".join(p[1]))
+        ),
+    ),
+    max_leaves=4,
+)
+# DSL text, and DSL text with one token-shaped piece inserted
+_DSL_SHAPED = st.one_of(
+    _EXPRS,
+    st.tuples(_EXPRS, st.integers(0, 60), st.sampled_from(["(", ")", ",", ";", "[", "]", "Z", "M(", "x", "-", " "])).map(
+        lambda p: p[0][: p[1]] + p[2] + p[0][p[1] :]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DSL_SHAPED)
+def test_dsl_shaped_text_exits_0_2_or_4(text):
+    """Any DSL-shaped text is described, refused as not a descriptor (2) or
+    refused at a cap (4): never a traceback."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["describe", text, "--max-order", "300", "--format", "json"])
+    assert code in (0, 2, 4), text
+    payload = json.loads(out.getvalue())
+    assert ("error" in payload) == (code != 0)
 
 
 class TestElementCommands:
