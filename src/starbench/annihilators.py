@@ -26,12 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bitsets import (
-    bool_from_mask,
-    indices_of,
-    mask_from_bool,
-    popcount,
-)
+from .bitsets import indices_of, mask_from_bool, popcount
 from .errors import FamilyCapExceeded
 from .projections import RingScan, r_of_principal_ideals
 from .rings import StarRing, _greedy_span
@@ -65,13 +60,6 @@ class AnnihilatorSet:
             raise ValueError("cannot intersect annihilators of different kinds")
         gens = tuple(sorted(set(self.generators) | set(other.generators)))
         return AnnihilatorSet(self.mask & other.mask, self.universe, self.side, gens)
-
-
-def additive_closure(ring: StarRing, seed_mask: int) -> int:
-    """Smallest subgroup of (R, +) containing the seed set: the span that
-    ``rings._greedy_span`` walks one coset at a time."""
-    span, _ = _greedy_span(ring.add_pairs, bool_from_mask(seed_mask, ring.order))
-    return mask_from_bool(span)
 
 
 def principal_two_sided_ideal(ring: StarRing, a: int) -> int:

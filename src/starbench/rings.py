@@ -328,8 +328,11 @@ class _MatrixBackend(_Backend):
 
     * ``radd[v, w]``, r-by-r: the row block of v + w;
     * ``rmul[v, B]``, r-by-n: the row block of v.B, for the row vector v and
-      every matrix B, from one broadcast matmul of the row vectors with
-      every matrix.
+      every matrix B. v.B is the sum over s of v_s.b_s, b_s the row s of B,
+      so ``rmul`` is the outer sum through ``radd``, over the digits v_s of
+      v, of ``scaled[v_s, blocks[s]]``, where ``scaled[c, w]``, m-by-r, is
+      the row block of c.w: k - 1 gathers from ``radd``, with no matrix
+      product.
 
     Both are C-contiguous and in the :func:`index_dtype` of the ring's
     order, not of r: the k gathered parts of an index are joined in their
@@ -380,9 +383,15 @@ class _MatrixBackend(_Backend):
         dtype = index_dtype(self.order)
         radd = ((vecs[:, None, :] + vecs[None, :, :]) % modulus) @ row_powers
         self.radd = np.ascontiguousarray(radd, dtype=dtype)
-        # (v.B)[c] = sum over s of v[s] * B[s, c]: (vecs @ mats)[B, v, c]
-        rmul = ((vecs @ self.mats) % modulus) @ row_powers
-        self.rmul = np.ascontiguousarray(rmul.T, dtype=dtype)
+        scales = np.arange(modulus, dtype=np.int64)[:, None, None]
+        scaled = ((scales * vecs % modulus) @ row_powers).astype(dtype)
+        # after row block s, row i holds (v_0, .., v_s, 0, .., 0).B for the
+        # digits v_0 .. v_s of i, first most significant; block s adds v_s.b_s
+        rmul = scaled[:, self.blocks[0]]
+        for b in self.blocks[1:]:
+            rmul = self.radd[rmul[:, None, :], scaled[:, b][None, :, :]]
+            rmul = rmul.reshape(-1, self.order)
+        self.rmul = np.ascontiguousarray(rmul)
 
     def _enc(self, mats: np.ndarray) -> np.ndarray:
         flat = mats.reshape(mats.shape[0], -1)

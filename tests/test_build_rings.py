@@ -463,6 +463,24 @@ class TestMatrixBackend:
         ):
             assert got.shape == want.shape and np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "k, m",
+        [(1, 6), (2, 1)] + [(2, m) for m in range(2, 8)] + [(2, 10), (3, 2), (3, 3), (2, 13), (2, 14)],
+    )
+    def test_rmul_is_the_row_vector_product(self, k, m):
+        """rmul[v, B] is the row block of v.B, for the row vector v (its k
+        entries as digits base m, first most significant) and every matrix
+        B: the reference is one matmul of every row vector with every
+        matrix, encoded the same way."""
+        b = _MatrixBackend(k, m)
+        digits = m ** np.arange(k - 1, -1, -1)
+        vecs = (np.arange(m**k)[:, None] // digits) % m
+        assert b.rmul.shape == (b.r, b.order)
+        for start in range(0, b.order, 4096):  # (vecs @ mats)[B, v] is v.B
+            want = (((vecs @ b.mats[start : start + 4096]) % m) @ digits).T
+            assert np.array_equal(b.rmul[:, start : start + 4096], want)
+        assert b.rmul.dtype == index_dtype(b.order) and b.rmul.flags.c_contiguous
+
     def test_tables_are_c_contiguous_int16(self, m3z2):
         for table in (m3z2.radd, m3z2.rmul):
             assert table.dtype == np.int16 and table.flags.c_contiguous

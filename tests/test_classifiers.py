@@ -13,6 +13,7 @@ from starbench import (
     implication_suite,
     parse_ring_expr,
 )
+from starbench.bitsets import bool_from_mask, mask_from_bool
 from starbench.classifiers import implication_reports_for
 from starbench.config import Limits
 from starbench.corpus import medium_corpus, small_corpus
@@ -300,6 +301,91 @@ class TestAnnihilationSymmetry:
             check(r, _SymmetryScan(masks))
         x, y = (int(v) for v in diff[0])
         assert (info.value.claim, info.value.witness) == ("annihilation-symmetry", (x, y))
+
+
+class _ClassScan:
+    """A stand-in scan with central covers ``covers`` and r(c) = rows[c]
+    for each cover c, and r(xR) = r(C(x)), so that is_weakly_pq_baer_star
+    gets past the biconditional and checks the symmetry of the bit matrix
+    P[x, y] = rows[C(x)] at y on the cover classes."""
+
+    def __init__(self, rows, covers):
+        self.rann = rows
+        self.cover_all = np.asarray(covers, dtype=np.int64)
+        self.r_of_aR = [rows[c] for c in self.cover_all.tolist()]
+
+
+def _symmetry_outcome(ring, scan):
+    """The check's verdict, or the witness of the mismatch it raises."""
+    try:
+        return PROPERTY_CLASSIFIERS["weakly-pq-baer-star"](ring, scan).verdict
+    except VerificationFailed as exc:
+        assert exc.claim == "annihilation-symmetry"
+        return exc.witness
+
+
+def _full_transpose_oracle(scan, n):
+    """True when P equals its transpose, else its first mismatch in
+    row-major order: the n x n comparison the class check stands in for."""
+    p = np.array([bool_from_mask(mask, n) for mask in scan.r_of_aR])
+    diff = np.argwhere(p != p.T)
+    return True if not len(diff) else tuple(int(v) for v in diff[0])
+
+
+class TestSymmetryOnCoverClasses:
+    @pytest.mark.parametrize("text", ["Z(7)", "Z(64)", "Z(150)"])
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5])
+    @pytest.mark.parametrize("broken", ["none", "constancy", "class-matrix", "both"])
+    @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+    def test_verdict_and_witness_match_the_full_matrix(self, text, classes, broken, late):
+        """P is a symmetric class matrix Q blown up over random classes,
+        whose covers need not lie in their own class. "constancy" flips
+        one row at a non-first member of a class, which leaves Q as it is
+        (condition (i) fails); "class-matrix" flips one entry of Q off the
+        diagonal (condition (ii) fails). "late" puts the first half of the
+        elements in one class, so that the other classes begin past the
+        first row blocks."""
+        r = cached_ring(text)
+        n = r.order
+        rng = np.random.default_rng([n, classes, len(broken), late])
+        cls = np.concatenate([np.arange(classes), rng.integers(0, classes, n - classes)])
+        rng.shuffle(cls)
+        if late:
+            cls[: n // 2] = 0
+            cls[rng.choice(np.arange(n // 2, n), classes - 1, replace=False)] = np.arange(1, classes)
+        covers = rng.choice(n, classes, replace=False)
+        upper = np.triu(rng.integers(0, 2, size=(classes, classes)).astype(bool))
+        q = upper | upper.T
+        if broken in ("class-matrix", "both"):
+            c, d = rng.choice(classes, 2, replace=False)
+            q[c, d] = not q[c, d]
+        rows = q[:, cls]  # rows[c] = r(cover c), constant on every class
+        if broken in ("constancy", "both"):
+            firsts = {int(np.argmax(cls == d)) for d in range(classes)}
+            y = int(rng.choice([y for y in range(n) if y not in firsts]))
+            c = int(rng.integers(0, classes))
+            rows[c, y] = not rows[c, y]
+        masks = [0] * n
+        for c, row in zip(covers.tolist(), rows):
+            masks[c] = mask_from_bool(row)
+        scan = _ClassScan(masks, covers[cls])
+        want = _full_transpose_oracle(scan, n)
+        assert (want is True) is (broken == "none")
+        assert _symmetry_outcome(r, scan) == want
+
+    @pytest.mark.parametrize("text", medium_corpus())
+    def test_the_ring_classes_give_the_full_matrix_verdict(self, text):
+        """The ring's own covers and r(c), r(xR) = r(C(x)) forced so that
+        the check runs, against the full P-versus-transpose oracle; where
+        x has no cover, C(x) = 0 stands in. Then the ring's own verdict
+        against the definitions."""
+        ring = cached_ring(text)
+        scan = RingScan(ring)
+        stand_in = _ClassScan(scan.rann, np.maximum(scan.cover_all, 0))
+        assert _symmetry_outcome(ring, stand_in) == _full_transpose_oracle(stand_in, ring.order)
+        verdict = PROPERTY_CLASSIFIERS["weakly-pq-baer-star"](ring, scan).verdict
+        if ring.order <= 81:
+            assert verdict is (oracles.o_weakly_pq_baer(ring) is None)
 
 
 @pytest.mark.parametrize("text", medium_corpus())

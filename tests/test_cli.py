@@ -647,8 +647,9 @@ class TestPeakMemory:
     def test_check_all_at_the_element_cap_stays_small_in_memory(self):
         # M(2, Z(10)) has 10,000 elements, the default cap. The
         # annihilation-symmetry cross-check of weakly-pq-baer-star reads the
-        # packed r(xR) bit matrix a block of rows and columns at a time;
-        # unpacking it whole into n x n bool matrices took this verb to 269 MB
+        # rows of r(xR) at its 4 central covers, a block at a time, and the
+        # packed n x n bit matrix only to name a mismatch; unpacking that
+        # whole into n x n bool matrices took this verb to 269 MB
         code, payload, peak_mb = peak_run(["check", "M(2, Z(10))", "--all"])
         verdicts = {r["property"]: r["verdict"] for r in payload["reports"]}
         false = {"proper", "reduced", "abelian", "rickart-star", "weakly-rickart-star", "baer-star"}

@@ -10,6 +10,8 @@ on it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starbench import RingScan, StarRing, classify_all
 
@@ -90,3 +92,39 @@ def test_projection_tables_commute_with_the_permutation(text, seed):
     ring = cached_ring(text)
     perm = permutation(ring.order, seed)
     _assert_tables_commute(ring, relabel(ring, perm), perm, ("rp_all", "lp_all", "cover_all"))
+
+
+# cyclic, product, matrix and subring rings
+WITNESS_RINGS = RINGS + [
+    "Z(12)",
+    "prod(Z(4), Z(2))",
+    "sub(M(2, Z(2)); [[1,0],[0,0]], [[0,1],[0,0]])",
+    "sub(M(2, Z(2)); [[1,1],[0,0]])",
+]
+
+
+@st.composite
+def relabelings(draw):
+    """A ring of WITNESS_RINGS and a permutation of its indices fixing 0."""
+    ring = cached_ring(draw(st.sampled_from(WITNESS_RINGS)))
+    rest = draw(st.permutations(range(1, ring.order)))
+    return ring, np.array([0] + rest, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelings())
+def test_relabeled_witnesses_replay_on_the_oracles(case):
+    """The verdicts survive the relabeling, and every false verdict's
+    witness on the relabeled ring shows the definition failing there. The
+    witnesses are the lowest in the new labels, and the central-cover
+    classes are permuted, so this rechecks the scans and the classifiers'
+    class-level shortcuts on a labeling no golden uses."""
+    ring, perm = case
+    new = relabel(ring, perm)
+    reports = classify_all(new)
+    assert {name: rep.verdict for name, rep in reports.items()} == {
+        name: rep.verdict for name, rep in classify_all(ring).items()
+    }
+    for prop, rep in reports.items():
+        if not rep.verdict and prop != "rp-not-cover":  # its witness is for true
+            assert oracles.o_witness_holds(new, prop, rep.witness), prop
