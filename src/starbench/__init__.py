@@ -53,7 +53,6 @@ from .projections import (
     central_cover,
     condition3_witnesses,
     condition_beta_witnesses,
-    largest_eigen_projection,
     lp,
     rp,
     rp_via_star,
@@ -66,9 +65,7 @@ from .unitify import (
     build_quotient,
     check_R1_lemmas,
     compute_kernel_N,
-    cover_in_quotient,
     describe_unitification,
-    rp_in_quotient,
     verify_unitification,
 )
 
@@ -106,7 +103,6 @@ __all__ = [
     "condition3_witnesses",
     "condition_beta_witnesses",
     "corpus_by_name",
-    "cover_in_quotient",
     "describe_unitification",
     "descriptor_hash",
     "find_rp_not_central_cover",
@@ -122,14 +118,12 @@ __all__ = [
     "is_semi_proper",
     "is_weakly_pq_baer_star",
     "is_weakly_rickart_star",
-    "largest_eigen_projection",
     "lp",
     "medium_corpus",
     "parse_element",
     "parse_ring_expr",
     "principal_two_sided_ideal",
     "rp",
-    "rp_in_quotient",
     "rp_via_star",
     "small_corpus",
     "to_dsl",

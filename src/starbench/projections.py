@@ -21,9 +21,10 @@ witnesses are the lowest-index ones):
 * rp_via_star(x): rp(x* x), asserted equal to rp(x); sensible when the
   involution is proper.
 * central_cover(x): least central projection h with hx = x.
-* largest_eigen_projection(A, a, lam): greatest projection g with
-  a g = lam.g (optionally among central projections only);
-  largest_eigen_projections answers it for arrays of (a, lam) at once.
+* largest_eigen_projections(A, a, lam): for arrays of (a, lam), lam
+  nonzero, the greatest projection g with a g = lam.g (optionally among
+  central projections only), or -1 where the qualifying set, which always
+  holds g = 0, has no greatest element.
 * scalar domination reports: for every nonzero scalar lam, a projection
   e_lam dominating LP(x) (or C(x)) for all x killed by lam.
 
@@ -51,7 +52,6 @@ from .bitsets import (
 )
 from .errors import (
     NoCentralCover,
-    NoGreatestElement,
     NoLeftProjection,
     NoRightProjection,
     VerificationFailed,
@@ -430,32 +430,6 @@ def largest_eigen_projections(
         top = poset.extremum(holds, greatest=True, positions=positions)
         out[part] = np.where(top >= 0, poset.indices[top], -1)
     return out
-
-
-def largest_eigen_projection(
-    algebra: ScalarAlgebra,
-    a: int,
-    lam: int,
-    central_only: bool = False,
-    scan: Optional[RingScan] = None,
-) -> int:
-    """Greatest projection g with a*g = lam.g (g central when asked): row a
-    of ``largest_eigen_projections``.
-
-    g = 0 always qualifies, so the candidate set is never empty, but a
-    greatest element may still not exist; that raises NoGreatestElement,
-    which names the qualifying projections in ascending order.
-    """
-    if lam == 0:
-        raise ValueError("lam must be a nonzero scalar index")
-    ring = algebra.ring
-    scan = scan or RingScan(ring)
-    top = int(largest_eigen_projections(algebra, [a], [lam], central_only, scan)[0])
-    if top < 0:
-        gs = scan.poset.indices[_eigen_positions(scan.poset, central_only)]
-        holds = _eigen_holds(algebra, np.array([a]), np.array([lam]), gs)[0]
-        raise NoGreatestElement([ring.decode(int(g)) for g in gs[holds]])
-    return top
 
 
 def _eigen_positions(poset: ProjectionPoset, central_only: bool) -> np.ndarray:

@@ -312,6 +312,22 @@ class _CyclicBackend(_Backend):
         return lit % self.m
 
 
+def _digit_table(left, vecs, op, modulus, powers, dtype) -> np.ndarray:
+    """The (len(left), len(vecs)) table, in ``dtype``, of the row vector
+    whose entry c is op(left[i, c], vecs[j, c]) mod ``modulus``, encoded
+    with digit weights ``powers``. It is summed one digit column and one
+    ``SCAN_BLOCK`` of rows at a time, so no temporary is larger than a
+    block, and every partial sum is below the encoded whole."""
+    out = np.zeros((len(left), len(vecs)), dtype=dtype)
+    step = _lines_per_block(len(vecs))
+    for start in range(0, len(left), step):
+        block = out[start : start + step]
+        for c, power in enumerate(powers.tolist()):
+            digit = op(left[start : start + step, c, None], vecs[:, c]) % modulus
+            block += (digit * power).astype(dtype)
+    return out
+
+
 class _MatrixBackend(_Backend):
     """k-by-k matrices over Z(m), involution = transpose composed with the
     base star (identity for cyclic bases, composed anyway).
@@ -332,7 +348,8 @@ class _MatrixBackend(_Backend):
       so ``rmul`` is the outer sum through ``radd``, over the digits v_s of
       v, of ``scaled[v_s, blocks[s]]``, where ``scaled[c, w]``, m-by-r, is
       the row block of c.w: k - 1 gathers from ``radd``, with no matrix
-      product.
+      product. ``radd`` and ``scaled`` are summed a digit column at a time
+      (``_digit_table``), with no (r, r, k) temporary.
 
     Both are C-contiguous and in the :func:`index_dtype` of the ring's
     order, not of r: the k gathered parts of an index are joined in their
@@ -381,10 +398,9 @@ class _MatrixBackend(_Backend):
         self.blocks = (idx // r ** np.arange(size - 1, -1, -1)[:, None]) % r
         vecs = (np.arange(r, dtype=np.int64)[:, None] // row_powers) % modulus
         dtype = index_dtype(self.order)
-        radd = ((vecs[:, None, :] + vecs[None, :, :]) % modulus) @ row_powers
-        self.radd = np.ascontiguousarray(radd, dtype=dtype)
-        scales = np.arange(modulus, dtype=np.int64)[:, None, None]
-        scaled = ((scales * vecs % modulus) @ row_powers).astype(dtype)
+        self.radd = _digit_table(vecs, vecs, np.add, modulus, row_powers, dtype)
+        scales = np.repeat(np.arange(modulus, dtype=np.int64)[:, None], size, axis=1)
+        scaled = _digit_table(scales, vecs, np.multiply, modulus, row_powers, dtype)
         # after row block s, row i holds (v_0, .., v_s, 0, .., 0).B for the
         # digits v_0 .. v_s of i, first most significant; block s adds v_s.b_s
         rmul = scaled[:, self.blocks[0]]

@@ -56,11 +56,10 @@ search in the quotient. verify_unitification makes that comparison for
 every coset in one pass: _formula_table computes the formula for an array
 of cosets (a gather from R's scan table where lam = 0, one mul_pairs grid
 and one poset extremum where lam != 0), and _formula_disagreements
-compares it with the quotient scan's rp_all or cover_all as arrays. Only
-the first coset that disagrees goes through rp_in_quotient or
-cover_in_quotient, which compute the same table for that one coset and
-raise FormulaMismatch (or the error of the search that found nothing)
-rather than trusting either side; that exception names the failure.
+compares it with the quotient scan's rp_all or cover_all as arrays.
+_formula_failure reads the first coset that disagrees off the same
+arrays: the error of the search that found nothing there, or
+FormulaMismatch, rather than trusting either side.
 """
 
 from __future__ import annotations
@@ -96,16 +95,16 @@ from .errors import (
     NoGreatestElement,
     NoRightProjection,
     OrderCapExceeded,
+    StarbenchError,
     VerificationFailed,
 )
 from .projections import (
     RingScan,
-    central_cover,
+    _eigen_holds,
+    _eigen_positions,
     condition3_witnesses,
     condition_beta_witnesses,
-    largest_eigen_projection,
     largest_eigen_projections,
-    rp,
 )
 from .rings import (
     StarRing,
@@ -448,8 +447,11 @@ def _formula_table(
       a g = (-lam).g, from largest_eigen_projections: one mul_pairs grid
       against the candidate projections and one poset extremum per block.
 
-    The result does not depend on the representative because members of
-    one coset act identically on R.
+    Every member (a', lam') of the coset with lam' != 0 gives the same g,
+    since (a' - a, lam' - lam) in N gives a' g = (-lam').g exactly when
+    a g = (-lam).g. Which form applies is the canonical representative's:
+    a coset may hold members with lam = 0 and with lam != 0, and off the
+    theorem's gates the two forms can differ.
     """
     algebra = quot.algebra
     R, K = algebra.ring, algebra.scalars
@@ -466,86 +468,54 @@ def _formula_table(
     return out
 
 
-def _formula_projection(quot: Quotient, c: int, rscan: RingScan, central: bool) -> int:
-    """Row c of _formula_table. Where the formula gives no value, the search
-    that found none raises: R's rp (central_cover) at a when lam = 0,
-    largest_eigen_projection's NoGreatestElement otherwise."""
-    value = int(_formula_table(quot, np.array([c]), rscan, central)[0])
-    if value < 0:
-        algebra = quot.algebra
-        a, lam = divmod(int(quot.reps[c]), quot.kn)
-        if lam == 0:
-            (central_cover if central else rp)(algebra.ring, a, rscan)
-        else:
-            largest_eigen_projection(
-                algebra, a, algebra.scalars.neg(lam), central_only=central, scan=rscan
-            )
-    return value
+def _formula_failure(
+    quot: Quotient, c: int, qscan: RingScan, rscan: RingScan, central: bool
+) -> StarbenchError:
+    """The error that names the failure at a coset c that
+    _formula_disagreements flags: the first of its checks to fail there,
+    in their order.
 
-
-def rp_in_quotient(
-    quot: Quotient,
-    c: int,
-    qscan: Optional[RingScan] = None,
-    rscan: Optional[RingScan] = None,
-) -> int:
-    """Right projection of a coset: formula result checked against brute force.
-
-    The quotient is read through ``qscan.ring``: the call-based quotient,
-    or the tabled twin verify_unitification scans. Self-adjoint cosets take
-    the formula directly. Non-self-adjoint cosets route through c* c when
-    the quotient involution is proper (RP(x) = RP(x* x) there;
-    ``quot.proper`` decides that once per quotient); without properness no
-    formula claim exists and the exhaustive answer is returned as-is. The
-    formula is row c (or c* c) of _formula_table, the table that
-    verify_unitification builds for every coset at once.
+    * The quotient's scan has no answer at c.
+    * The formula has none at the target: c, or c* c for the rp of a coset
+      that is not self-adjoint (flagged past the first check only when
+      the involution is proper). R's search at a names what is missing
+      where lam = 0, and the qualifying projections, one row of the eigen
+      grid, where lam != 0.
+    * The two answers differ.
+    * Only the covers' last check is left: r(cQ) differs from r(C(c)).
     """
-    qscan = qscan or RingScan(quot.ring)
     q = qscan.ring
-    rscan = rscan or RingScan(quot.algebra.ring)
-    brute = rp(q, c, qscan)
-    target = c
-    if q.star(c) != c:
-        if not quot.proper:
-            return brute
-        target = q.mul(q.star(c), c)
-    formula = _formula_projection(quot, target, rscan, central=False)
+    missing = NoCentralCover if central else NoRightProjection
+    brute = int((qscan.cover_all if central else qscan.rp_all)[c])
+    if brute < 0:
+        return missing(q.decode(c))
+    target = c if central or q.star(c) == c else q.mul(q.star(c), c)
+    formula = int(_formula_table(quot, np.array([target]), rscan, central)[0])
+    if formula < 0:
+        algebra = quot.algebra
+        R = algebra.ring
+        a, lam = divmod(int(quot.reps[target]), quot.kn)
+        if lam == 0:
+            return missing(R.decode(a))
+        gs = rscan.poset.indices[_eigen_positions(rscan.poset, central)]
+        holds = _eigen_holds(algebra, np.array([a]), np.array([algebra.scalars.neg(lam)]), gs)[0]
+        return NoGreatestElement([R.decode(int(g)) for g in gs[holds]])
     if formula != brute:
-        raise FormulaMismatch(q.decode(c), q.decode(formula), q.decode(brute))
-    return brute
-
-
-def cover_in_quotient(
-    quot: Quotient,
-    c: int,
-    qscan: Optional[RingScan] = None,
-    rscan: Optional[RingScan] = None,
-) -> int:
-    """Central cover of a coset: formula vs brute force, plus the
-    biconditional c Q y = 0 iff (cover) y = 0 checked over every y: r(cQ)
-    is the quotient scan's ``r_of_aR``. The quotient is read through
-    ``qscan.ring``, as in rp_in_quotient."""
-    qscan = qscan or RingScan(quot.ring)
-    q = qscan.ring
-    rscan = rscan or RingScan(quot.algebra.ring)
-    brute = central_cover(q, c, qscan)
-    formula = _formula_projection(quot, c, rscan, central=True)
-    if formula != brute:
-        raise FormulaMismatch(q.decode(c), q.decode(formula), q.decode(brute))
-    if qscan.r_of_aR[c] != qscan.rann[brute]:
-        raise VerificationFailed("cover-biconditional", q.decode(c))
-    return brute
+        return FormulaMismatch(q.decode(c), q.decode(formula), q.decode(brute))
+    return VerificationFailed("cover-biconditional", q.decode(c))
 
 
 def _formula_disagreements(
     quot: Quotient, qscan: RingScan, rscan: RingScan, central: bool
 ) -> np.ndarray:
-    """Flags of the cosets c at which rp_in_quotient (cover_in_quotient when
-    ``central``) raises, for every coset at once: the quotient's scan has
-    no answer at c, or the formula table has none or another at c (at c* c
-    for a coset that is not self-adjoint, when the quotient's involution is
-    proper; such cosets are not checked when it is not), or, for covers,
-    r(cQ) differs from r(C(c))."""
+    """Flags of the cosets c at which the right projection (the central
+    cover when ``central``) fails the formula check, for every coset at
+    once: the quotient's scan has no answer at c, or the formula table has
+    none or another at c (at c* c for a coset that is not self-adjoint,
+    RP(c) = RP(c* c) when the quotient's involution is proper, which
+    ``quot.proper`` decides once; such cosets are not checked when it is
+    not), or, for covers, r(cQ) differs from r(C(c)). _formula_failure
+    names the failure at a flagged coset."""
     q = qscan.ring
     cosets = np.arange(q.order, dtype=np.int64)
     brute = qscan.cover_all if central else qscan.rp_all
@@ -641,9 +611,8 @@ def verify_unitification(
 
     Preservation compares R's table with the quotient's table at the
     embedded elements, as arrays. The formula is checked on every coset in
-    one pass (_formula_disagreements); at the first coset that disagrees,
-    rp_in_quotient (cover_in_quotient) raises, and its message is the
-    recorded failure, the same one a coset-by-coset loop stops at.
+    one pass (_formula_disagreements); the message of _formula_failure at
+    the first coset that disagrees is the recorded failure.
 
     mode "pqbaer": the central-cover mirror, gated on R weakly p.q.-Baer*
     and condition (beta).
@@ -734,15 +703,10 @@ def verify_unitification(
     if not all_ok:
         failures.append("preservation")
 
-    formula_ok = True
     first = np.flatnonzero(_formula_disagreements(quot, qscan, rscan, central))[:1]
-    if len(first):  # the per-coset check names what failed there
-        check = cover_in_quotient if central else rp_in_quotient
-        try:
-            check(quot, int(first[0]), qscan, rscan)
-        except (FormulaMismatch, NoGreatestElement, NoRightProjection, NoCentralCover, VerificationFailed) as exc:
-            formula_ok = False
-            failures.append("formula:%s" % exc)
+    formula_ok = not len(first)
+    if not formula_ok:
+        failures.append("formula:%s" % _formula_failure(quot, int(first[0]), qscan, rscan, central))
 
     report = EmbeddingReport(
         mode=mode,

@@ -2,13 +2,16 @@
 
 Each test prints a single [PASS]/[FAIL] line (visible with -s or in the
 captured-output block) and enforces the stated runtime budget where one
-exists. Everything here goes through the public surface: the CLI entry
-point or the top-level package functions.
+exists. Everything here goes through the public surface, the CLI entry
+point or the top-level package functions, except criterion 8's quotient
+formula, which is read off the table that ``unitify --verify`` checks.
 """
 
 import json
 import time
 from contextlib import contextmanager
+
+import numpy as np
 
 import oracles
 from starbench import (
@@ -32,9 +35,10 @@ from starbench.config import DEFAULT_LIMITS
 from starbench.corpus import corpus_by_name
 from starbench.projections import RingScan, rp_via_star
 from starbench.unitify import (
+    _formula_disagreements,
+    _formula_table,
     build_quotient,
     describe_unitification,
-    rp_in_quotient,
     verify_unitification,
 )
 
@@ -216,11 +220,14 @@ def test_criterion_8_projection_identities():
             ("sub(Z(9); 3)", "Z(9)"),
         ):
             quot = quotient_of(ring_text, k_text)
-            scans = RingScan(quot.ring), RingScan(quot.algebra.ring)
-            for pos in range(quot.ring.order):
-                formula = rp_in_quotient(quot, pos, *scans)
-                brute = oracles.o_rp(quot.ring, pos)
-                assert formula == brute, (ring_text, k_text, pos)
+            q = quot.ring.tabled()
+            qscan, rscan = RingScan(q), RingScan(quot.algebra.ring)
+            assert quot.proper  # so rp(c) = rp(c* c) names the formula's coset
+            targets = [c if q.star(c) == c else q.mul(q.star(c), c) for c in range(q.order)]
+            formula = _formula_table(quot, np.array(targets, dtype=np.int64), rscan, central=False)
+            brute = [oracles.o_rp(q, c) for c in range(q.order)]
+            assert formula.tolist() == brute, (ring_text, k_text)
+            assert not _formula_disagreements(quot, qscan, rscan, central=False).any()
 
 
 def test_criterion_9_parallel_determinism(capsys):

@@ -481,6 +481,24 @@ class TestMatrixBackend:
             assert np.array_equal(b.rmul[:, start : start + 4096], want)
         assert b.rmul.dtype == index_dtype(b.order) and b.rmul.flags.c_contiguous
 
+    @pytest.mark.parametrize("block", [None, 7], ids=["default", "seven-entry-blocks"])
+    @pytest.mark.parametrize("k, m", [(1, 6), (1, 300), (2, 1), (2, 5), (3, 2), (3, 3)])
+    def test_radd_is_the_row_vector_sum(self, monkeypatch, k, m, block):
+        """radd[v, w] is the row block of v + w, however many blocks of
+        rows it is summed in: the reference is one broadcast sum of every
+        pair of row vectors. rmul does not depend on the blocks either."""
+        b = _MatrixBackend(k, m)
+        if block:
+            monkeypatch.setattr(rings_module, "SCAN_BLOCK", block)
+            blocked = _MatrixBackend(k, m)
+            assert np.array_equal(blocked.rmul, b.rmul)
+            b = blocked
+        digits = m ** np.arange(k - 1, -1, -1)
+        vecs = (np.arange(m**k)[:, None] // digits) % m
+        want = ((vecs[:, None, :] + vecs[None, :, :]) % m) @ digits
+        assert np.array_equal(b.radd, want)
+        assert b.radd.dtype == index_dtype(b.order) and b.radd.flags.c_contiguous
+
     def test_tables_are_c_contiguous_int16(self, m3z2):
         for table in (m3z2.radd, m3z2.rmul):
             assert table.dtype == np.int16 and table.flags.c_contiguous

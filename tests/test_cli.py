@@ -321,6 +321,57 @@ def test_dsl_shaped_text_exits_0_2_or_4(text):
     assert ("error" in payload) == (code != 0)
 
 
+# small rings the verbs answer, and literals that may name their elements
+_SMALL_INTS = st.integers(-1, 6).map(str)
+_SMALL_LITERALS = st.one_of(
+    _SMALL_INTS,
+    st.tuples(_SMALL_INTS, _SMALL_INTS).map(lambda p: "(%s, %s)" % p),
+    st.lists(_SMALL_INTS, min_size=4, max_size=4).map(lambda e: "[[%s, %s], [%s, %s]]" % tuple(e)),
+)
+_SMALL_EXPRS = st.recursive(
+    st.integers(1, 9).map(lambda m: "Z(%d)" % m),
+    lambda inner: st.one_of(
+        st.tuples(st.integers(1, 2), inner).map(lambda p: "M(%d, %s)" % p),
+        st.tuples(inner, inner).map(lambda p: "prod(%s, %s)" % p),
+        st.tuples(inner, _SMALL_LITERALS).map(lambda p: "sub(%s; %s)" % p),
+    ),
+    max_leaves=2,
+)
+_RING_TEXT = st.one_of(_SMALL_EXPRS, _DSL_SHAPED)
+_LITERAL_TEXT = st.one_of(_SMALL_LITERALS, _LITERALS)
+
+# every verb form that reads ring text: (verb words and options, positionals)
+_VERB_FORMS = {
+    "check": lambda ring, k, lit: (["check", "--all"], [ring]),
+    "rp": lambda ring, k, lit: (["rp"], [ring, lit]),
+    "lp": lambda ring, k, lit: (["lp"], [ring, lit]),
+    "cover": lambda ring, k, lit: (["cover"], [ring, lit]),
+    "projections": lambda ring, k, lit: (["projections"], [ring]),
+    "unitify": lambda ring, k, lit: (["unitify", "--K=" + k], [ring]),
+    "unitify-rickart": lambda ring, k, lit: (["unitify", "--K=" + k, "--verify", "rickart"], [ring]),
+    "unitify-pqbaer": lambda ring, k, lit: (["unitify", "--K=" + k, "--verify", "pqbaer"], [ring]),
+    "verify-lemmas": lambda ring, k, lit: (["verify", "lemmas", "--K=" + k], [ring]),
+    "verify-crosscheck": lambda ring, k, lit: (["verify", "crosscheck"], [ring]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_VERB_FORMS))
+@settings(max_examples=10, deadline=None)
+@given(ring=_RING_TEXT, k=_RING_TEXT, literal=_LITERAL_TEXT)
+def test_every_verb_exits_0_2_3_or_4(form, ring, k, literal):
+    """Any small or DSL-shaped ring and scalar text, and any literal, is answered,
+    refused as input (2), answered false or without a projection (3), or
+    refused at a hypothesis or a cap (4): never a traceback, and never 5,
+    which would be a claim of the package's own that came out false. The
+    positionals follow "--", so text that starts with "-" stays text."""
+    words, positionals = _VERB_FORMS[form](ring, k, literal)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(words + ["--max-order", "300", "--format", "json", "--"] + positionals)
+    assert code in (0, 2, 3, 4), (form, ring, k, literal)
+    json.loads(out.getvalue())
+
+
 class TestElementCommands:
     def test_rp_text(self, capsys):
         code, out, _ = run(capsys, "rp", "Z(6)", "2")

@@ -6,7 +6,8 @@ In a *-ring, x -> x* is an isomorphism of R onto R^op (Berberian, *Baer
 verdicts, and its right side is R's left side: rp on R^op is lp on R, and
 p.q.-Baer* fails first at the same element with the sides swapped. R^op is
 given by tables, so its scans take the generic passes over its rows, not a
-matrix ring's row vectors: an independent check of those. Over a
+matrix ring's row vectors: an independent check of those, on the medium
+corpus and on drawn subrings of M(2, Z(m)). Over a
 commutative K, the pair ring of R^op is the opposite of R's, and so is its
 quotient: the theorem's gates must refuse or admit both, and the kernel,
 the quotient and the embedding must have the same sizes.
@@ -16,8 +17,18 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starbench import RingScan, StarRing, build_scalar_algebra, classify_all, verify_unitification
+from starbench import (
+    RingScan,
+    StarRing,
+    build_ring,
+    build_scalar_algebra,
+    classify_all,
+    parse_ring_expr,
+    verify_unitification,
+)
 from starbench.corpus import medium_corpus
 from starbench.errors import HypothesisNotMet
 
@@ -42,7 +53,10 @@ REFUSED = [
 
 @functools.lru_cache(maxsize=None)
 def opposite(text):
-    ring = cached_ring(text)
+    return opposite_of(cached_ring(text))
+
+
+def opposite_of(ring):
     add, mul = oracles.tables(ring)
     return StarRing.from_tables(
         add,
@@ -93,38 +107,64 @@ def reports_and_scan(text, op):
     return classify_all(ring, scan), scan
 
 
-def mirrored_side(text, witness):
+def mirrored_side(ring, scan, witness):
     """The side R^op's p.q.-Baer* reports at R's first failing a: R^op's
     right clause at a is R's left one, and the right side is reported
     first, so the side swaps unless both clauses fail at a."""
-    ring = cached_ring(text)
     a = ring.encode(witness["a"])
-    scan = reports_and_scan(text, False)[1]
     right_fails = [m not in scan.eR_by_mask for m in scan.r_of_aR]
     if right_fails[a] and right_fails[ring.star(a)]:
         return "right"
     return {"right": "left", "left": "right"}[witness["side"]]
 
 
-@pytest.mark.parametrize("text", RINGS)
-def test_the_opposite_ring_has_the_verdicts_and_mirrored_projections(text):
-    here, scan = reports_and_scan(text, False)
-    there, op_scan = reports_and_scan(text, True)
+def assert_the_opposite_mirrors(ring, here, scan, there, op_scan):
+    """R^op, with its reports ``there`` and scan, has R's verdicts, R's rp
+    and lp swapped, R's central covers, and p.q.-Baer*'s first failure at
+    R's with the side mirrored."""
     assert {p: r.verdict for p, r in there.items()} == {p: r.verdict for p, r in here.items()}
     assert np.array_equal(op_scan.rp_all, scan.lp_all)
     assert np.array_equal(op_scan.lp_all, scan.rp_all)
     assert np.array_equal(op_scan.cover_all, scan.cover_all)
     pq, op_pq = here["pq-baer-star"].witness, there["pq-baer-star"].witness
     if pq is not None:
-        assert op_pq == {"a": pq["a"], "side": mirrored_side(text, pq)}
+        assert op_pq == {"a": pq["a"], "side": mirrored_side(ring, scan, pq)}
+
+
+def assert_the_witnesses_replay(op, there):
+    """Each false verdict of R^op with a witness (all but rp-not-cover,
+    whose false verdict names nothing) shows the definition failing in
+    R^op."""
+    for prop, rep in there.items():
+        if not rep.verdict and prop != "rp-not-cover":
+            assert oracles.o_witness_holds(op, prop, rep.witness), prop
+
+
+@pytest.mark.parametrize("text", RINGS)
+def test_the_opposite_ring_has_the_verdicts_and_mirrored_projections(text):
+    here, scan = reports_and_scan(text, False)
+    there, op_scan = reports_and_scan(text, True)
+    assert_the_opposite_mirrors(cached_ring(text), here, scan, there, op_scan)
 
 
 @pytest.mark.parametrize("text", RINGS)
 def test_the_opposite_rings_witnesses_replay_on_the_oracles(text):
-    """Each false verdict of R^op with a witness (all but rp-not-cover,
-    whose false verdict names nothing) shows the definition failing in
-    R^op."""
-    op = opposite(text)
-    for prop, rep in reports_and_scan(text, True)[0].items():
-        if not rep.verdict and prop != "rp-not-cover":
-            assert oracles.o_witness_holds(op, prop, rep.witness), prop
+    assert_the_witnesses_replay(opposite(text), reports_and_scan(text, True)[0])
+
+
+_MATRICES = st.lists(st.integers(0, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(1, 4), gens=st.lists(_MATRICES, min_size=1, max_size=2))
+def test_drawn_subrings_and_their_opposites_agree(m, gens):
+    """One- and two-generator subrings of M(2, Z(m)), m <= 4: R^op mirrors
+    R as on the corpus above, and its scans take the generic passes, not
+    the parent matrix ring's row vectors."""
+    literals = ", ".join("[[%d,%d],[%d,%d]]" % tuple(e % m for e in g) for g in gens)
+    ring = build_ring(parse_ring_expr("sub(M(2, Z(%d)); %s)" % (m, literals)))
+    op = opposite_of(ring)
+    scan, op_scan = RingScan(ring), RingScan(op)
+    here, there = classify_all(ring, scan), classify_all(op, op_scan)
+    assert_the_opposite_mirrors(ring, here, scan, there, op_scan)
+    assert_the_witnesses_replay(op, there)

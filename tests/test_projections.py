@@ -8,19 +8,18 @@ from starbench import (
     central_cover,
     condition3_witnesses,
     condition_beta_witnesses,
-    largest_eigen_projection,
     lp,
     rp,
     rp_via_star,
 )
 from starbench.errors import (
     NoCentralCover,
-    NoGreatestElement,
     NoLeftProjection,
     NoRightProjection,
 )
 
 from starbench import projections
+from starbench.projections import largest_eigen_projections
 
 import oracles
 from conftest import cached_ring
@@ -234,49 +233,48 @@ class TestExtremum:
         assert whole[1][:p] == [0] * p  # and 0 the least
 
 
-class TestLargestEigenProjection:
+def largest(alg, a, lam, central_only=False):
+    """largest_eigen_projections at the one pair (a, lam)."""
+    return int(largest_eigen_projections(alg, [a], [lam], central_only)[0])
+
+
+class TestLargestEigenProjections:
     def test_z6_example(self, algebra_of):
-        assert largest_eigen_projection(algebra_of("Z(6)", "Z(6)"), a=3, lam=5) == 3
+        assert largest(algebra_of("Z(6)", "Z(6)"), a=3, lam=5) == 3
 
     def test_identity_matrix(self, m2z3, algebra_of):
         alg = algebra_of("M(2,Z(3))", "Z(3)")
-        assert largest_eigen_projection(alg, a=m2z3.unity, lam=1) == m2z3.unity
+        assert largest(alg, a=m2z3.unity, lam=1) == m2z3.unity
 
     def test_zero_element_torsion_free(self, algebra_of):
         alg = algebra_of("M(2,Z(3))", "Z(3)")
-        assert largest_eigen_projection(alg, a=0, lam=1) == 0
-        assert largest_eigen_projection(alg, a=0, lam=2) == 0
+        assert largest_eigen_projections(alg, [0, 0], [1, 2]).tolist() == [0, 0]
 
     def test_zero_element_with_torsion(self, algebra_of):
         # 3 acts as zero on M2(Z3), so every projection satisfies 0.g = 3.g
         alg = algebra_of("M(2,Z(3))", "Z(6)")
-        assert largest_eigen_projection(alg, a=0, lam=3) == alg.ring.unity
-
-    def test_lambda_zero_rejected(self, algebra_of):
-        with pytest.raises(ValueError):
-            largest_eigen_projection(algebra_of("Z(6)", "Z(6)"), a=3, lam=0)
+        assert largest(alg, a=0, lam=3) == alg.ring.unity
 
     def test_central_variant_restricts_candidates(self, m2z3, algebra_of):
         alg = algebra_of("M(2,Z(3))", "Z(3)")
         e11 = E(m2z3, ((1, 0), (0, 0)))
         # e11 . g = 1 . g has greatest solution e11 among all projections,
         # but among central ones only 0 survives
-        assert largest_eigen_projection(alg, a=e11, lam=1) == e11
-        assert largest_eigen_projection(alg, a=e11, lam=1, central_only=True) == 0
+        assert largest(alg, a=e11, lam=1) == e11
+        assert largest(alg, a=e11, lam=1, central_only=True) == 0
 
-    def test_no_greatest_element_is_surfaced(self, algebra_of):
+    def test_no_greatest_element_is_minus_one(self, algebra_of):
         alg = algebra_of("M(2,Z(4))", "Z(4)")
-        with pytest.raises(NoGreatestElement) as info:
-            largest_eigen_projection(alg, a=2, lam=2)
-        # every qualifying projection, in ascending index order
         r = alg.ring
         cands = [g for g in oracles.o_projections(r) if r.mul(2, g) == alg.act(2, g)]
         assert len(cands) > 2
-        assert info.value.candidates == tuple(r.decode(g) for g in sorted(cands))
+        assert not any(all(oracles.o_leq(r, h, g) for h in cands) for g in cands)
+        assert largest(alg, a=2, lam=2) == -1
 
     def test_definition_directly(self, algebra_of):
         alg = algebra_of("Z(6)", "Z(6)")
         r = alg.ring
+        expected = []
         for a in range(6):
             for lam in range(1, 6):
                 cands = [
@@ -285,11 +283,9 @@ class TestLargestEigenProjection:
                     if r.mul(a, g) == alg.act(lam, g)
                 ]
                 tops = [g for g in cands if all(oracles.o_leq(r, h, g) for h in cands)]
-                if tops:
-                    assert largest_eigen_projection(alg, a, lam) == tops[0]
-                else:
-                    with pytest.raises(NoGreatestElement):
-                        largest_eigen_projection(alg, a, lam)
+                expected.append(tops[0] if tops else -1)
+        a, lam = np.divmod(np.arange(30), 5)
+        assert largest_eigen_projections(alg, a, lam + 1).tolist() == expected
 
 
 class TestConditionWitnesses:

@@ -27,7 +27,6 @@ from starbench import (
     build_ring,
     build_scalar_algebra,
     parse_ring_expr,
-    rp_in_quotient,
 )
 from starbench import rings, unitify
 from starbench.bitsets import indices_of
@@ -269,8 +268,8 @@ def test_properness_is_decided_once_per_quotient(monkeypatch):
 
     monkeypatch.setattr(unitify, "is_proper_involution", counting)
     qscan, rscan = RingScan(q), RingScan(quot.algebra.ring)
-    for c in range(q.order):
-        rp_in_quotient(quot, c, qscan, rscan)
+    for central in (False, True, False):
+        assert not unitify._formula_disagreements(quot, qscan, rscan, central).any()
     assert decided == [q]
 
 

@@ -1,0 +1,78 @@
+"""The package's source, read with ``ast``: no module imports a name at
+module level that it never uses, and ``starbench.__all__`` is sorted, free
+of duplicates, and names only what the package defines."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import starbench
+
+SOURCES = sorted(Path(starbench.__file__).parent.glob("*.py"))
+
+
+def module_level_imports(tree):
+    """(bound name, line) of every import in the module body, and in the
+    bodies of its top-level if and try blocks; ``__future__`` excluded."""
+    stack, out = list(tree.body), []
+    while stack:
+        node = stack.pop(0)
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def annotations(tree):
+    """Every annotation node: of arguments, returns and annotated names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Every name the module reads: names and attribute roots in its code,
+    names inside string annotations, and the strings of ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for note in annotations(tree):
+        for node in ast.walk(note):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")  # "Quotient", "List[int]"
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = [(name, line) for name, line in module_level_imports(tree) if name not in used]
+    assert unused == []
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = starbench.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(starbench, n)] == []
+
+
+def test_the_checks_catch_an_unused_import_and_a_string_use():
+    tree = ast.parse(
+        "from typing import Any, List\nimport numpy as np\nx: 'List[int]' = []\n"
+    )
+    used = used_names(tree)
+    assert [n for n, _ in module_level_imports(tree) if n not in used] == ["Any", "np"]

@@ -19,11 +19,9 @@ from starbench import (
     build_quotient,
     check_R1_lemmas,
     compute_kernel_N,
-    cover_in_quotient,
     describe_unitification,
     rp,
     central_cover,
-    rp_in_quotient,
     validate_star_ring,
     verify_unitification,
 )
@@ -31,6 +29,7 @@ from starbench import rings
 from starbench.bitsets import indices_of
 from starbench.cli import main
 from starbench.errors import (
+    FormulaMismatch,
     HypothesisNotMet,
     NoCentralCover,
     NoGreatestElement,
@@ -39,7 +38,12 @@ from starbench.errors import (
     StarbenchError,
     VerificationFailed,
 )
-from starbench.unitify import _formula_disagreements, _formula_projection, _validate_quotient
+from starbench.unitify import (
+    _formula_disagreements,
+    _formula_failure,
+    _formula_table,
+    _validate_quotient,
+)
 
 import oracles
 from conftest import cached_ring
@@ -232,32 +236,49 @@ def quotient_scans(q):
     return RingScan(q.ring), RingScan(q.algebra.ring)
 
 
+def formula_check(quot, central):
+    """The tabled quotient, the formula table at every coset c (at c* c for
+    the rp of a coset that is not self-adjoint) and the one-pass flags."""
+    tq = quot.ring.tabled()
+    rscan = RingScan(quot.algebra.ring)
+    targets = [c if central or tq.star(c) == c else tq.mul(tq.star(c), c) for c in range(tq.order)]
+    formula = _formula_table(quot, np.array(targets, dtype=np.int64), rscan, central)
+    return tq, formula.tolist(), _formula_disagreements(quot, RingScan(tq), rscan, central)
+
+
 class TestProjectionFormulas:
     @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(6)"), ("M(2,Z(3))", "Z(3)")])
     def test_rp_formula_agrees_with_brute_force_everywhere(self, rt, kt, algebra_of):
         q = build_quotient(algebra_of(rt, kt))
-        scans = quotient_scans(q)
-        for c in range(q.ring.order):
-            assert rp_in_quotient(q, c, *scans) == oracles.o_rp(q.ring, c)
+        assert q.proper  # so every coset is checked, through c* c where c* != c
+        tq, formula, flags = formula_check(q, central=False)
+        assert formula == [oracles.o_rp(tq, c) for c in range(tq.order)]
+        assert not flags.any()
 
     @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(3)")])
     def test_cover_formula_agrees_with_brute_force_everywhere(self, rt, kt, algebra_of):
         q = build_quotient(algebra_of(rt, kt))
-        scans = quotient_scans(q)
-        for c in range(q.ring.order):
-            assert cover_in_quotient(q, c, *scans) == oracles.o_central_cover(q.ring, c)
+        tq, formula, flags = formula_check(q, central=True)
+        assert formula == [oracles.o_central_cover(tq, c) for c in range(tq.order)]
+        assert not flags.any()
 
     def test_rp_preserved_under_embedding(self, z6, algebra_of):
         q = build_quotient(algebra_of("Z(6)", "Z(6)"))
-        scans = quotient_scans(q)
-        for a in range(6):
-            assert rp_in_quotient(q, q.embed(a), *scans) == q.embed(rp(z6, a))
+        qscan, rscan = quotient_scans(q)
+        emb = q.embed_all()
+        expected = [q.embed(rp(z6, a)) for a in range(6)]
+        assert qscan.rp_all[emb].tolist() == expected
+        assert _formula_table(q, emb, rscan, central=False).tolist() == expected
+        assert not _formula_disagreements(q, qscan, rscan, central=False)[emb].any()
 
     def test_cover_preserved_under_embedding(self, m2z3, algebra_of):
         q = build_quotient(algebra_of("M(2,Z(3))", "Z(3)"))
-        scans = quotient_scans(q)
-        for a in range(81):
-            assert cover_in_quotient(q, q.embed(a), *scans) == q.embed(central_cover(m2z3, a))
+        qscan, rscan = quotient_scans(q)
+        emb = q.embed_all()
+        expected = [q.embed(central_cover(m2z3, a)) for a in range(81)]
+        assert qscan.cover_all[emb].tolist() == expected
+        assert _formula_table(q, emb, rscan, central=True).tolist() == expected
+        assert not _formula_disagreements(q, qscan, rscan, central=True)[emb].any()
 
 
 class TestVerification:
@@ -637,12 +658,12 @@ def q_m2z4(algebra_of_module):
     return build_quotient(algebra_of_module("M(2,Z(4))", "Z(4)"))
 
 
-def outcome(f, *args):
-    """f(*args), or the name and payload of the StarbenchError it raises."""
-    try:
-        return int(f(*args))
-    except StarbenchError as exc:
-        return type(exc).__name__, exc.payload()
+def named(error):
+    """The name and payload of an error (a pair already named, or None, as
+    it is)."""
+    if isinstance(error, StarbenchError):
+        return type(error).__name__, error.payload()
+    return error
 
 
 def oracle_formula(quot, c, central):
@@ -656,30 +677,86 @@ def oracle_formula(quot, c, central):
     if lam == 0:
         p = (oracles.o_central_cover if central else oracles.o_rp)(R, a)
         if p is None:
-            error = NoCentralCover if central else NoRightProjection
-            return error.__name__, error(R.decode(a)).payload()
+            return named((NoCentralCover if central else NoRightProjection)(R.decode(a)))
         return quot.embed(p)
     cands = (oracles.o_central_projections if central else oracles.o_projections)(R)
     holds = [g for g in cands if R.mul(a, g) == alg.act(K.neg(lam), g)]
     tops = [g for g in holds if all(oracles.o_leq(R, h, g) for h in holds)]
     if not tops:
-        return "NoGreatestElement", NoGreatestElement([R.decode(g) for g in holds]).payload()
+        return named(NoGreatestElement([R.decode(g) for g in holds]))
     return int(quot.coset_of_pair[quot.pair_index(R.neg(tops[0]), K.unity)])
+
+
+def oracle_failures(quot, brute, central, proper=None):
+    """The formula check at every coset c of the quotient from the
+    definitions, given the brute-force answers ``brute`` (-1 for none):
+    the name and payload of the error it fails with, or None where it
+    passes or is not made (the rp of a coset that is not self-adjoint, in
+    a quotient whose involution is not proper; ``proper`` overrides the
+    oracle's verdict on that)."""
+    q = quot.ring.tabled()
+    if proper is None:
+        proper = oracles.o_proper(q) is None
+
+    def check(c):
+        if brute[c] < 0:
+            return (NoCentralCover if central else NoRightProjection)(q.decode(c))
+        target = c
+        if not central and q.star(c) != c:
+            if not proper:
+                return None
+            target = q.mul(q.star(c), c)
+        formula = oracle_formula(quot, target, central)
+        if not isinstance(formula, int):
+            return formula
+        if formula != brute[c]:
+            return FormulaMismatch(q.decode(c), q.decode(formula), q.decode(brute[c]))
+        if central:  # r(cQ) = r(C(c))
+            killers = oracles.o_rann(q, sorted(oracles.o_right_multiples(q, c)))
+            if killers != oracles.o_rann(q, [brute[c]]):
+                return VerificationFailed("cover-biconditional", q.decode(c))
+        return None
+
+    return [named(check(c)) for c in range(q.order)]
+
+
+def brute_force_at_zero(q, central):
+    """A scan of q whose brute-force answer is the zero coset everywhere,
+    so that the check at a coset reaches the formula."""
+    scan = RingScan(q)
+    scan.__dict__["cover_all" if central else "rp_all"] = np.zeros(q.order, dtype=np.int64)
+    return scan
+
+
+def one_pass_failures(quot, qscan, rscan, central):
+    """The name and payload of _formula_failure at every coset that
+    _formula_disagreements flags, None at the others."""
+    flags = _formula_disagreements(quot, qscan, rscan, central).tolist()
+    return [
+        named(_formula_failure(quot, c, qscan, rscan, central)) if flag else None
+        for c, flag in enumerate(flags)
+    ]
 
 
 class TestFormulaRoute:
     @pytest.mark.parametrize("central", [False, True])
     def test_every_coset_matches_the_definition(self, q_m2z4, central):
         rscan = RingScan(q_m2z4.algebra.ring)
-        got = [outcome(_formula_projection, q_m2z4, c, rscan, central) for c in range(q_m2z4.ring.order)]
-        assert got == [oracle_formula(q_m2z4, c, central) for c in range(q_m2z4.ring.order)]
+        cosets = np.arange(q_m2z4.ring.order)
+        expected = [oracle_formula(q_m2z4, c, central) for c in cosets.tolist()]
+        got = _formula_table(q_m2z4, cosets, rscan, central).tolist()
+        assert got == [v if isinstance(v, int) else -1 for v in expected]
 
     def test_the_cosets_without_a_value(self, q_m2z4):
-        rscan = RingScan(q_m2z4.algebra.ring)
-        got = [outcome(_formula_projection, q_m2z4, c, rscan, False) for c in range(q_m2z4.ring.order)]
-        failed = {c: v[0] for c, v in enumerate(got) if not isinstance(v, int)}
-        assert len(failed) == 29
-        assert sorted(set(failed.values())) == ["NoGreatestElement", "NoRightProjection"]
+        q, rscan = q_m2z4.ring, RingScan(q_m2z4.algebra.ring)
+        cosets = np.arange(q.order)
+        formula = _formula_table(q_m2z4, cosets, rscan, central=False)
+        assert np.count_nonzero(formula < 0) == 29
+        assert (_formula_table(q_m2z4, cosets, rscan, central=True) >= 0).all()
+        # at a self-adjoint coset, the check reads the formula at the coset
+        failures = one_pass_failures(q_m2z4, brute_force_at_zero(q, False), rscan, False)
+        got = {c: failures[c] for c in np.flatnonzero(formula < 0).tolist() if q.star(c) == c}
+        assert sorted({v[0] for v in got.values()}) == ["NoGreatestElement", "NoRightProjection"]
         assert got[8] == (
             "NoRightProjection",
             {"type": "NoRightProjection", "message": "no right projection exists for ((0, 0), (0, 2))"},
@@ -690,34 +767,78 @@ class TestFormulaRoute:
             "candidate projection set has no greatest element: "
             "[((0, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 2), (2, 1))]"
         )
-        assert all(isinstance(v, int) for v in (
-            outcome(_formula_projection, q_m2z4, c, rscan, True) for c in range(q_m2z4.ring.order)
-        ))
 
+    @pytest.mark.parametrize("zeroed", [False, True], ids=["scanned", "zeroed"])
     @pytest.mark.parametrize("tabled", [False, True], ids=["call-based", "tabled"])
     @pytest.mark.parametrize("central", [False, True], ids=["rp", "cover"])
-    def test_one_pass_flags_exactly_the_cosets_the_loop_fails(self, q_m2z4, tabled, central):
+    def test_one_pass_failures_match_the_definition(self, q_m2z4, tabled, central, zeroed):
         q = q_m2z4.ring.tabled() if tabled else q_m2z4.ring
-        qscan, rscan = RingScan(q), RingScan(q_m2z4.algebra.ring)
-        check = cover_in_quotient if central else rp_in_quotient
-        raised = [
-            not isinstance(outcome(check, q_m2z4, c, qscan, rscan), int) for c in range(q.order)
+        qscan = brute_force_at_zero(q, central) if zeroed else RingScan(q)
+        brute = (qscan.cover_all if central else qscan.rp_all).tolist()
+        got = one_pass_failures(q_m2z4, qscan, RingScan(q_m2z4.algebra.ring), central)
+        assert got == oracle_failures(q_m2z4, brute, central)
+        assert any(got) and not all(got)
+
+    @pytest.mark.parametrize("central", [False, True], ids=["rp", "cover"])
+    def test_one_pass_failures_in_a_proper_quotient(self, algebra_of_module, central):
+        # M(2, Z(3)) over Z(6) is proper, and 54 of its cosets are not
+        # self-adjoint: the check reads their rp off the formula at c* c
+        quot = build_quotient(algebra_of_module("M(2,Z(3))", "Z(6)"))
+        q = quot.ring.tabled()
+        qscan, rscan = brute_force_at_zero(q, central), RingScan(quot.algebra.ring)
+        got = one_pass_failures(quot, qscan, rscan, central)
+        assert got == oracle_failures(quot, [0] * q.order, central)
+        assert {v[0] for v in got if v} == {"FormulaMismatch"}
+        assert central or any(v for c, v in enumerate(got) if q.star(c) != c)
+
+    @pytest.mark.parametrize("k", ["Z(4)", "Z(8)"])
+    def test_the_rp_check_reads_c_star_c_where_the_involution_is_proper(self, algebra_of_module, k):
+        # The formula at c and at c* c agree on every coset of the proper
+        # quotients above. M(2, Z(4))'s quotient, taken as proper, has
+        # cosets where they differ, and where c* c has no formula value.
+        quot = build_quotient(algebra_of_module("M(2,Z(4))", k))
+        quot.__dict__["proper"] = True
+        q = quot.ring.tabled()
+        rscan = RingScan(quot.algebra.ring)
+        got = one_pass_failures(quot, brute_force_at_zero(q, False), rscan, False)
+        assert got == oracle_failures(quot, [0] * q.order, False, proper=True)
+        moved = [v[0] for c, v in enumerate(got) if v and q.star(c) != c]
+        assert {"FormulaMismatch", "NoGreatestElement"} <= set(moved)
+
+    @pytest.mark.parametrize("k", ["Z(4)", "Z(8)"])
+    def test_the_formula_and_its_candidates_are_one_for_every_lam_nonzero_member(
+        self, algebra_of_module, k
+    ):
+        # (a', l') - (a, l) in N gives (a' - a) g = (l - l').g, so a' g =
+        # (-l').g exactly when a g = (-l).g: where both l and l' are
+        # nonzero, the qualifying projections, and so [-g, 1], are one
+        quot = build_quotient(algebra_of_module("M(2,Z(4))", k))
+        greatest = np.zeros(len(quot.reps), dtype=np.int64)
+        np.maximum.at(greatest, quot.coset_of_pair, np.arange(len(quot.coset_of_pair)))
+        other = dataclasses.replace(quot, reps=greatest)
+        both = (quot.reps % quot.kn != 0) & (greatest % quot.kn != 0)
+        q, rscan = quot.ring.tabled(), RingScan(quot.algebra.ring)
+        cosets = np.arange(q.order)
+        for central in (False, True):
+            table = _formula_table(quot, cosets, rscan, central)[both]
+            assert np.array_equal(_formula_table(other, cosets, rscan, central)[both], table)
+        qscan = brute_force_at_zero(q, False)  # the check reads the formula at c
+        least, most = (one_pass_failures(x, qscan, rscan, False) for x in (quot, other))
+        named_sets = [
+            (u, v) for c, u, v in zip(cosets, least, most)
+            if both[c] and u and u[0] == "NoGreatestElement"
         ]
-        flags = _formula_disagreements(q_m2z4, qscan, rscan, central)
-        assert flags.tolist() == raised
-        assert any(raised) and not all(raised)
+        assert named_sets and all(u == v for u, v in named_sets)
 
     def test_the_first_failure_of_each_check(self, q_m2z4):
         scans = quotient_scans(q_m2z4)
-        first = [(c, outcome(rp_in_quotient, q_m2z4, c, *scans)) for c in range(3)]
-        assert [c for c, v in first if not isinstance(v, int)] == [2]
-        assert first[2][1] == (
+        first = one_pass_failures(q_m2z4, *scans, False)[:3]
+        assert first == [None, None, (
             "NoRightProjection",
             {"type": "NoRightProjection", "message": "no right projection exists for (((0, 0), (0, 0)), 2)"},
-        )
-        first = [(c, outcome(cover_in_quotient, q_m2z4, c, *scans)) for c in range(3)]
-        assert [c for c, v in first if not isinstance(v, int)] == [2]
-        assert first[2][1] == (
+        )]
+        first = one_pass_failures(q_m2z4, *scans, True)[:3]
+        assert first == [None, None, (
             "VerificationFailed",
             {
                 "type": "VerificationFailed",
@@ -725,4 +846,4 @@ class TestFormulaRoute:
                 "claim": "cover-biconditional",
                 "witness": [((0, 0), (0, 0)), 2],
             },
-        )
+        )]
