@@ -34,32 +34,24 @@ from .rings import StarRing, _greedy_span
 
 @dataclass(frozen=True)
 class AnnihilatorSet:
-    """A right or left annihilator with provenance.
+    """A right annihilator with provenance.
 
-    ``mask`` is the packed member bitset, ``universe`` the ring order,
-    ``side`` is "right" or "left", and ``generators`` the element indices
-    whose (one-sided) annihilators were intersected to produce it.
+    ``mask`` is the packed member bitset and ``generators`` the element
+    indices whose right annihilators were intersected to produce it.
     """
 
     mask: int
-    universe: int
-    side: str
     generators: Tuple[int, ...]
 
     def indices(self) -> List[int]:
         return indices_of(self.mask)
 
-    def contains(self, i: int) -> bool:
-        return (self.mask >> i) & 1 == 1
-
     def count(self) -> int:
         return popcount(self.mask)
 
     def intersect(self, other: "AnnihilatorSet") -> "AnnihilatorSet":
-        if self.universe != other.universe or self.side != other.side:
-            raise ValueError("cannot intersect annihilators of different kinds")
         gens = tuple(sorted(set(self.generators) | set(other.generators)))
-        return AnnihilatorSet(self.mask & other.mask, self.universe, self.side, gens)
+        return AnnihilatorSet(self.mask & other.mask, gens)
 
 
 def principal_two_sided_ideal(ring: StarRing, a: int) -> int:
@@ -78,10 +70,7 @@ def principal_two_sided_ideal(ring: StarRing, a: int) -> int:
 
 
 def annihilator_family(
-    ring: StarRing,
-    mode: str,
-    cap: Optional[int] = None,
-    scan: Optional[RingScan] = None,
+    ring: StarRing, mode: str, scan: Optional[RingScan] = None
 ) -> List[AnnihilatorSet]:
     """All annihilators of the given kind, closed under intersection.
 
@@ -93,21 +82,18 @@ def annihilator_family(
 
     The bitsets are read from ``scan`` (built when none is passed). Results
     are sorted by mask value; deterministic for a given ring. Raises
-    FamilyCapExceeded when the family would exceed ``cap`` sets
-    (``ring.limits.family_cap`` when none is passed).
+    FamilyCapExceeded when the family would exceed
+    ``ring.limits.family_cap`` sets.
     """
     if mode not in ("subset", "two-sided-ideal"):
         raise ValueError("unknown annihilator family mode %r" % (mode,))
     scan = scan or RingScan(ring)
-    n = ring.order
     masks = scan.rann if mode == "subset" else r_of_principal_ideals(scan)
     base: Dict[int, Tuple[int, ...]] = {}
     for a, mask in enumerate(masks):
         base.setdefault(mask, (a,))
-    seed_sets = [AnnihilatorSet(mask, n, "right", gens) for mask, gens in base.items()]
-    if cap is None:
-        cap = ring.limits.family_cap
-    return _intersection_closure(seed_sets, cap)
+    seed_sets = [AnnihilatorSet(mask, gens) for mask, gens in base.items()]
+    return _intersection_closure(seed_sets, ring.limits.family_cap)
 
 
 def _intersection_closure(

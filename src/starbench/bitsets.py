@@ -52,21 +52,6 @@ def masks_from_rows(flags: np.ndarray) -> List[int]:
     return [int.from_bytes(row, "little") for row in packed]
 
 
-def packed_from_masks(masks: List[int], n: int) -> np.ndarray:
-    """The (len(masks), ceil(n/8)) uint8 array whose row i holds the bits of
-    ``masks[i]``, little-endian within each byte, as ``masks_from_rows``
-    reads them."""
-    nbytes = (n + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-
-
-def rows_from_packed(packed: np.ndarray, n: int) -> np.ndarray:
-    """The first n bits of each row of a packed array, as a boolean array:
-    a view of the 0/1 bytes ``unpackbits`` writes (no copy)."""
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-
-
 def iter_indices(mask: int) -> Iterator[int]:
     """Yield set bit positions in ascending order."""
     while mask:

@@ -32,7 +32,7 @@ from .descriptor import (
     check_literal_shape,
     validate_descriptor,
 )
-from .errors import MAX_DIGITS, LiteralError, ParseError
+from .errors import MAX_DIGITS, ParseError
 
 MAX_INPUT_BYTES = 64 * 1024
 
@@ -205,8 +205,5 @@ def parse_element(text: str, d: Descriptor) -> Any:
     p = _Parser(text)
     lit = p.parse_literal()
     p.expect_eof()
-    try:
-        check_literal_shape(d, lit)
-    except LiteralError:
-        raise
+    check_literal_shape(d, lit)
     return lit

@@ -114,7 +114,6 @@ from .descriptor import (
     Matrix,
     Product,
     SubringClosure,
-    check_literal_shape,
     structural_order,
     to_dsl,
     validate_descriptor,
@@ -982,10 +981,7 @@ def build_ring(d: Descriptor, limits: Limits = DEFAULT_LIMITS) -> StarRing:
         return StarRing(_ProductBackend(left, right), descriptor=d, limits=limits)
     if isinstance(d, SubringClosure):
         parent = build_ring(d.parent, limits)
-        gen_indices = []
-        for g in d.generators:
-            check_literal_shape(d.parent, g)
-            gen_indices.append(parent.encode(g))
+        gen_indices = [parent.encode(g) for g in d.generators]
         carrier = _close_subring(parent, gen_indices)
         local_of = np.full(parent.order, -1, dtype=np.int64)
         local_of[carrier] = np.arange(len(carrier))

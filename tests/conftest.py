@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from starbench import build_ring, build_scalar_algebra, parse_ring_expr
 
@@ -10,6 +11,19 @@ def cached_ring(text):
     if text not in _CACHE:
         _CACHE[text] = build_ring(parse_ring_expr(text))
     return _CACHE[text]
+
+
+_MATRICES = st.lists(st.integers(0, 3), min_size=4, max_size=4)
+
+
+@st.composite
+def m2_subrings(draw):
+    """The descriptor of a one- or two-generator subring of M(2, Z(m)),
+    m <= 4."""
+    m = draw(st.integers(1, 4))
+    gens = draw(st.lists(_MATRICES, min_size=1, max_size=2))
+    literals = ", ".join("[[%d,%d],[%d,%d]]" % tuple(e % m for e in g) for g in gens)
+    return "sub(M(2, Z(%d)); %s)" % (m, literals)
 
 
 @pytest.fixture(scope="session")

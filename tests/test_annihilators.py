@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starbench import AnnihilatorSet, RingScan, annihilator_family
+from starbench import AnnihilatorSet, RingScan, annihilator_family, build_ring, parse_ring_expr
 from starbench.annihilators import _intersection_closure, principal_two_sided_ideal
 from starbench.bitsets import indices_of
+from starbench.config import Limits
 from starbench.errors import FamilyCapExceeded
 from starbench.rings import _greedy_span
 
@@ -158,9 +159,9 @@ class TestFamily:
     def test_cap_trips_when_closure_grows(self):
         # seed sets chosen so meets create new masks past the cap
         seeds = [
-            AnnihilatorSet(0b0111, 4, "right", (1,)),
-            AnnihilatorSet(0b1110, 4, "right", (2,)),
-            AnnihilatorSet(0b1011, 4, "right", (3,)),
+            AnnihilatorSet(0b0111, (1,)),
+            AnnihilatorSet(0b1110, (2,)),
+            AnnihilatorSet(0b1011, (3,)),
         ]
         with pytest.raises(FamilyCapExceeded):
             _intersection_closure(seeds, cap=3)
@@ -169,22 +170,15 @@ class TestFamily:
 
     def test_cap_counts_the_seed_sets(self):
         # Boolean ring of 32 elements: 32 distinct r({x}) and no new meets
-        ring = cached_ring("prod(Z(2), prod(Z(2), prod(Z(2), prod(Z(2), Z(2)))))")
+        d = parse_ring_expr("prod(Z(2), prod(Z(2), prod(Z(2), prod(Z(2), Z(2)))))")
         with pytest.raises(FamilyCapExceeded):
-            annihilator_family(ring, "subset", cap=16)
-        assert len(annihilator_family(ring, "subset", cap=32)) == 32
-
-    def test_intersect_requires_matching_kind(self, z6):
-        scan = RingScan(z6)
-        a = AnnihilatorSet(scan.rann[2], 6, "right", (2,))
-        b = AnnihilatorSet(scan.lann[2], 6, "left", (2,))
-        with pytest.raises(ValueError):
-            a.intersect(b)
+            annihilator_family(build_ring(d, Limits(family_cap=16)), "subset")
+        assert len(annihilator_family(build_ring(d, Limits(family_cap=32)), "subset")) == 32
 
     def test_intersect_merges_generators(self, z6):
         scan = RingScan(z6)
-        a = AnnihilatorSet(scan.rann[2], 6, "right", (2,))
-        b = AnnihilatorSet(scan.rann[3], 6, "right", (3,))
+        a = AnnihilatorSet(scan.rann[2], (2,))
+        b = AnnihilatorSet(scan.rann[3], (3,))
         c = a.intersect(b)
         assert c.generators == (2, 3)
         assert c.indices() == [0]

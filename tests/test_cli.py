@@ -372,6 +372,46 @@ def test_every_verb_exits_0_2_3_or_4(form, ring, k, literal):
     json.loads(out.getvalue())
 
 
+def run_at_cap(words, positionals, cap=None):
+    """The exit code and JSON stdout of one verb, at ``--max-order cap``
+    or, when none is passed, at the default cap."""
+    capped = [] if cap is None else ["--max-order", str(cap)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(words + capped + ["--format", "json", "--"] + positionals)
+    return code, out.getvalue()
+
+
+# (ring, K, literal, L for R's verbs, L for the pair ring's): R's verbs
+# build at most the structural order (a subring's parent's), and the
+# unitify verbs and the lemmas the pair ring R x K, of order |R|.|K|
+_CAP_INPUTS = [
+    ("Z(6)", "Z(6)", "2", 6, 36),
+    ("M(2, Z(2))", "Z(2)", "[[1,1],[0,0]]", 16, 32),
+    ("sub(Z(9); 3)", "Z(9)", "3", 9, 27),
+    ("Z(5)", "Z(5)", "1", 5, 25),
+]
+_PAIR_FORMS = {"unitify", "unitify-rickart", "unitify-pqbaer", "verify-lemmas"}
+
+
+@pytest.mark.parametrize(
+    "ring,k,lit,order,pair_order", _CAP_INPUTS, ids=[i[0] for i in _CAP_INPUTS]
+)
+@pytest.mark.parametrize("form", sorted(_VERB_FORMS))
+def test_every_verb_is_capped_at_the_largest_order_it_builds(form, ring, k, lit, order, pair_order):
+    """With L the largest order the verb builds, a cap of L - 1 refuses
+    the run (4), at the cap or at a gate that refuses first, and caps of
+    L and L + 1 give the default cap's exit code and stdout."""
+    words, positionals = _VERB_FORMS[form](ring, k, lit)
+    largest = pair_order if form in _PAIR_FORMS else order
+    code, out = run_at_cap(words, positionals, largest - 1)
+    assert code == 4, out
+    assert json.loads(out)["error"]["type"] in ("OrderCapExceeded", "HypothesisNotMet")
+    default = run_at_cap(words, positionals)
+    assert run_at_cap(words, positionals, largest) == default
+    assert run_at_cap(words, positionals, largest + 1) == default
+
+
 class TestElementCommands:
     def test_rp_text(self, capsys):
         code, out, _ = run(capsys, "rp", "Z(6)", "2")
@@ -696,11 +736,9 @@ class TestPeakMemory:
         assert peak_mb < 100, peak_mb
 
     def test_check_all_at_the_element_cap_stays_small_in_memory(self):
-        # M(2, Z(10)) has 10,000 elements, the default cap. The
-        # annihilation-symmetry cross-check of weakly-pq-baer-star reads the
-        # rows of r(xR) at its 4 central covers, a block at a time, and the
-        # packed n x n bit matrix only to name a mismatch; unpacking that
-        # whole into n x n bool matrices took this verb to 269 MB
+        # M(2, Z(10)) has 10,000 elements, the default cap. Every scan
+        # keeps r(xR) as one bitset per x, and no classifier unpacks them
+        # into an n x n bool matrix, which once took this verb to 269 MB
         code, payload, peak_mb = peak_run(["check", "M(2, Z(10))", "--all"])
         verdicts = {r["property"]: r["verdict"] for r in payload["reports"]}
         false = {"proper", "reduced", "abelian", "rickart-star", "weakly-rickart-star", "baer-star"}

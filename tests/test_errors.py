@@ -109,10 +109,10 @@ PAYLOADS = {
         ' search gives 3 at 2"}',
     ),
     "VerificationFailed": (
-        E.VerificationFailed("annihilation-symmetry", (1, 2)),
+        E.VerificationFailed("ideal-annihilator-shortcut", (1, 2)),
         '{"type": "VerificationFailed", "message": "verification failed:'
-        ' annihilation-symmetry (witness (1, 2))", "claim": "annihilation-symmetry",'
-        ' "witness": [1, 2]}',
+        ' ideal-annihilator-shortcut (witness (1, 2))",'
+        ' "claim": "ideal-annihilator-shortcut", "witness": [1, 2]}',
     ),
 }
 

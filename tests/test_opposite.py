@@ -18,7 +18,6 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from starbench import (
     RingScan,
@@ -33,7 +32,7 @@ from starbench.corpus import medium_corpus
 from starbench.errors import HypothesisNotMet
 
 import oracles
-from conftest import cached_ring
+from conftest import cached_ring, m2_subrings
 
 # the unitify --verify runs of the benchmark: six pass and two are refused
 # at the gate
@@ -152,17 +151,13 @@ def test_the_opposite_rings_witnesses_replay_on_the_oracles(text):
     assert_the_witnesses_replay(opposite(text), reports_and_scan(text, True)[0])
 
 
-_MATRICES = st.lists(st.integers(0, 3), min_size=4, max_size=4)
-
-
 @settings(max_examples=20, deadline=None)
-@given(m=st.integers(1, 4), gens=st.lists(_MATRICES, min_size=1, max_size=2))
-def test_drawn_subrings_and_their_opposites_agree(m, gens):
+@given(text=m2_subrings())
+def test_drawn_subrings_and_their_opposites_agree(text):
     """One- and two-generator subrings of M(2, Z(m)), m <= 4: R^op mirrors
     R as on the corpus above, and its scans take the generic passes, not
     the parent matrix ring's row vectors."""
-    literals = ", ".join("[[%d,%d],[%d,%d]]" % tuple(e % m for e in g) for g in gens)
-    ring = build_ring(parse_ring_expr("sub(M(2, Z(%d)); %s)" % (m, literals)))
+    ring = build_ring(parse_ring_expr(text))
     op = opposite_of(ring)
     scan, op_scan = RingScan(ring), RingScan(op)
     here, there = classify_all(ring, scan), classify_all(op, op_scan)

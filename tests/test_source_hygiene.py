@@ -1,6 +1,7 @@
 """The package's source, read with ``ast``: no module imports a name at
-module level that it never uses, and ``starbench.__all__`` is sorted, free
-of duplicates, and names only what the package defines."""
+module level that it never uses, ``starbench.__all__`` is sorted, free
+of duplicates, and names only what the package defines, and every
+function, method and class the package defines is referenced by name."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,13 @@ import pytest
 import starbench
 
 SOURCES = sorted(Path(starbench.__file__).parent.glob("*.py"))
+# where a definition of the package may be referenced from
+ROOT = Path(__file__).resolve().parent.parent
+READERS = sorted(
+    path
+    for part in ("src", "tests", "scripts", "perfbench")
+    for path in (ROOT / part).rglob("*.py")
+)
 
 
 def module_level_imports(tree):
@@ -76,3 +84,61 @@ def test_the_checks_catch_an_unused_import_and_a_string_use():
     )
     used = used_names(tree)
     assert [n for n, _ in module_level_imports(tree) if n not in used] == ["Any", "np"]
+
+
+def definitions(tree):
+    """(name, line) of every function, method and class defined in the
+    module, at any depth; dunders, and functions that one of the module's
+    own functions decorates (it registers them, as ``_verdict`` does), are
+    left out."""
+    own = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        roots = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(r, ast.Name) and r.id in own for r in roots):
+            continue
+        out.append((node.name, node.lineno))
+    return out
+
+
+def referenced_names(tree):
+    """Every name the module refers to: names, attribute names, and string
+    constants that are identifiers (``__all__``, ``getattr``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.add(node.value)
+    return out
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for path in READERS:
+        referenced |= referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    unreferenced = [
+        (path.name, name, line)
+        for path in SOURCES
+        for name, line in definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in referenced
+    ]
+    assert unreferenced == []
+
+
+def test_the_reference_check_catches_a_dead_method_and_spares_a_registered_one():
+    tree = ast.parse(
+        "def reg(f):\n    return f\n"
+        "@reg\ndef hook():\n    pass\n"
+        "class Box:\n    def __init__(self):\n        self.get()\n"
+        "    def get(self):\n        pass\n    def dead(self):\n        pass\n"
+    )
+    used = referenced_names(tree)
+    assert [n for n, _ in definitions(tree) if n not in used] == ["Box", "dead"]
