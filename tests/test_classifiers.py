@@ -269,16 +269,69 @@ class TestReports:
         assert rep.micros >= 0
 
 
+class _DefinitionScan:
+    """A stand-in scan with central covers ``covers`` (-1 for none),
+    r(c) = ``rann[c]`` and r(xR) = ``r_of_aR[x]``: the three fields that
+    is_weakly_pq_baer_star reads."""
+
+    def __init__(self, rann, covers, r_of_aR):
+        self.rann = rann
+        self.cover_all = np.asarray(covers, dtype=np.int64)
+        self.r_of_aR = r_of_aR
+
+
+class TestWitnessOfTheDefinition:
+    @pytest.mark.parametrize("text", ["Z(7)", "Z(64)", "Z(150)"])
+    @pytest.mark.parametrize("broken", ["none", "no-cover", "biconditional", "both", "same-x"])
+    @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdict_and_witness_are_the_first_failure(self, text, broken, late, seed):
+        """Covers drawn from a few classes and r(xR) = r(C(x)), then
+        broken: "no-cover" takes one x's cover away, "biconditional" flips
+        one bit of one r(xR), "both" does each at its own x, and "same-x"
+        does both at one x, where the missing cover is the reason. The
+        witness is the first broken x, in index order; "late" draws the
+        broken x from the second half of the elements."""
+        n = cached_ring(text).order
+        rng = np.random.default_rng([n, len(broken), late, seed])
+        classes = int(rng.integers(1, 6))
+        rann = [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in range(n)]
+        covers = rng.choice(n, classes, replace=False)[rng.integers(0, classes, n)]
+        r_of_aR = [rann[c] for c in covers.tolist()]
+        low = n // 2 if late else 0
+        xs = rng.choice(np.arange(low, n), 2, replace=False).tolist()
+        reasons = {}
+        if broken in ("no-cover", "both", "same-x"):
+            covers[xs[0]] = -1
+            reasons[xs[0]] = "no-central-cover"
+        if broken in ("biconditional", "both", "same-x"):
+            x = xs[0] if broken == "same-x" else xs[1]
+            r_of_aR[x] ^= 1 << int(rng.integers(0, n))
+            reasons.setdefault(x, "biconditional")
+        ring = cached_ring(text)
+        rep = PROPERTY_CLASSIFIERS["weakly-pq-baer-star"](ring, _DefinitionScan(rann, covers, r_of_aR))
+        if not reasons:
+            assert (rep.verdict, rep.witness) == (True, None)
+            return
+        x = min(reasons)
+        assert rep.verdict is False
+        assert rep.witness == {"x": ring.decode(x), "reason": reasons[x]}
+
+
 def assert_the_annihilation_symmetry(ring):
     """Weakly p.q.-Baer* has the oracles' verdict, up to order 81. Where it
     holds, xRy = 0 iff yRx = 0, which its definition proves: the bit matrix
     P[x, y] = [y in r(xR)], read off the scan's ``r_of_aR``, equals its
     transpose, and up to order 81 its rows are the oracle's {y : xRy = 0}."""
     scan = RingScan(ring)
-    holds = PROPERTY_CLASSIFIERS["weakly-pq-baer-star"](ring, scan).verdict
+    rep = PROPERTY_CLASSIFIERS["weakly-pq-baer-star"](ring, scan)
+    holds = rep.verdict
     small = ring.order <= 81
     if small:
-        assert holds is (oracles.o_weakly_pq_baer(ring) is None)
+        first = oracles.o_weakly_pq_baer(ring)
+        assert holds is (first is None)
+        if not holds:
+            assert rep.witness["x"] == ring.decode(first)
     if not holds:
         return
     p = np.array([bool_from_mask(mask, ring.order) for mask in scan.r_of_aR])
