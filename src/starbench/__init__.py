@@ -17,10 +17,8 @@ from .classifiers import (
     IMPLICATIONS,
     PROPERTY_CLASSIFIERS,
     PropertyReport,
-    classify_all,
     classify_matrix_ring,
     find_rp_not_central_cover,
-    implication_suite,
     is_abelian,
     is_baer_star,
     is_pq_baer_star,
@@ -41,7 +39,6 @@ from .descriptor import (
     Product,
     SubringClosure,
     descriptor_hash,
-    from_json,
     to_dsl,
     to_json,
 )
@@ -55,7 +52,6 @@ from .projections import (
     condition_beta_witnesses,
     lp,
     rp,
-    rp_via_star,
 )
 from .rings import StarRing, build_ring
 from .unitify import (
@@ -97,7 +93,6 @@ __all__ = [
     "build_scalar_algebra",
     "central_cover",
     "check_R1_lemmas",
-    "classify_all",
     "classify_matrix_ring",
     "compute_kernel_N",
     "condition3_witnesses",
@@ -106,8 +101,6 @@ __all__ = [
     "describe_unitification",
     "descriptor_hash",
     "find_rp_not_central_cover",
-    "from_json",
-    "implication_suite",
     "is_abelian",
     "is_baer_star",
     "is_pq_baer_star",
@@ -124,7 +117,6 @@ __all__ = [
     "parse_ring_expr",
     "principal_two_sided_ideal",
     "rp",
-    "rp_via_star",
     "small_corpus",
     "to_dsl",
     "to_json",

@@ -47,28 +47,14 @@ class ScalarAlgebra:
     ring: StarRing
     scalars: StarRing
     action: np.ndarray = field(repr=False)  # (|K|, |R|) index_dtype(|R|), read-only
-    action_kind: str  # "natural" or "table"
     torsion_free: bool
     k_is_domain: bool
-
-    @property
-    def label(self) -> str:
-        return "%s over %s" % (self.ring.label, self.scalars.label)
 
     def act(self, lam: int, a: int) -> int:
         return int(self.action[lam, a])
 
     def action_row(self, lam: int) -> np.ndarray:
         return self.action[lam].astype(np.int64)
-
-    def describe(self) -> dict:
-        return {
-            "ring": self.ring.label,
-            "scalars": self.scalars.label,
-            "action": self.action_kind,
-            "torsion_free": self.torsion_free,
-            "k_is_domain": self.k_is_domain,
-        }
 
 
 def _natural_action(ring: StarRing, scalars: StarRing) -> np.ndarray:
@@ -132,7 +118,6 @@ def build_scalar_algebra(
         if action != "natural":
             raise DescriptorError("unknown action %r" % (action,))
         table = _natural_action(R, K)
-        kind = "natural"
     else:
         table = np.asarray(action, dtype=np.int64)
         if table.shape != (K.order, R.order):
@@ -142,7 +127,6 @@ def build_scalar_algebra(
             )
         if table.min() < 0 or table.max() >= R.order:
             raise DescriptorError("action table entries must be element indices")
-        kind = "table"
     table = np.ascontiguousarray(table, dtype=index_dtype(R.order))
     table.setflags(write=False)
 
@@ -173,7 +157,6 @@ def build_scalar_algebra(
         ring=R,
         scalars=K,
         action=table,
-        action_kind=kind,
         torsion_free=torsion_free,
         k_is_domain=k_is_domain,
     )

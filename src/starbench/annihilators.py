@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bitsets import indices_of, mask_from_bool, popcount
+from .bitsets import mask_from_bool, popcount
 from .errors import FamilyCapExceeded
 from .projections import RingScan, r_of_principal_ideals
 from .rings import StarRing, _greedy_span
@@ -42,9 +42,6 @@ class AnnihilatorSet:
 
     mask: int
     generators: Tuple[int, ...]
-
-    def indices(self) -> List[int]:
-        return indices_of(self.mask)
 
     def count(self) -> int:
         return popcount(self.mask)

@@ -11,7 +11,7 @@ process imports ``numpy.ma``, which costs more than the sets it sorts.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -20,12 +20,6 @@ def mask_from_bool(flags: np.ndarray) -> int:
     """Pack a boolean vector (index i -> bit i) into an int."""
     packed = np.packbits(flags.astype(np.uint8, copy=False), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
-
-
-def bool_from_mask(mask: int, n: int) -> np.ndarray:
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].astype(bool)
 
 
 def flags_of(indices: np.ndarray, n: int) -> np.ndarray:
@@ -52,24 +46,18 @@ def masks_from_rows(flags: np.ndarray) -> List[int]:
     return [int.from_bytes(row, "little") for row in packed]
 
 
-def iter_indices(mask: int) -> Iterator[int]:
-    """Yield set bit positions in ascending order."""
+def indices_of(mask: int) -> List[int]:
+    """The set bit positions, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
-
-
-def indices_of(mask: int) -> List[int]:
-    return list(iter_indices(mask))
+    return out
 
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-def is_subset(a: int, b: int) -> bool:
-    return a & b == a
 
 
 def contains(mask: int, i: int) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import wraps
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -288,12 +288,6 @@ def rp_not_central_cover_report(ring: StarRing, scan: RingScan) -> Verdict:
     return True, {"x": ring.decode(x), "rp": ring.decode(int(scan.rp_all[x]))}
 
 
-def classify_all(ring: StarRing, scan: Optional[RingScan] = None) -> Dict[str, PropertyReport]:
-    """Run every classifier over one shared scan."""
-    scan = scan or RingScan(ring)
-    return {name: fn(ring, scan) for name, fn in PROPERTY_CLASSIFIERS.items()}
-
-
 IMPLICATIONS: Tuple[Tuple[str, Callable[[Dict[str, bool]], bool]], ...] = (
     (
         "rickart-iff-weakly-rickart-with-unity",
@@ -348,16 +342,6 @@ def implication_reports_for(
         out.append(
             PropertyReport(to_dsl(d), "implication:%s" % name, holds, witness, int(micros))
         )
-    return out
-
-
-def implication_suite(
-    descriptors: Sequence[Descriptor], limits: Limits = DEFAULT_LIMITS
-) -> List[PropertyReport]:
-    """Evaluate the cross-classifier implications over a corpus."""
-    out: List[PropertyReport] = []
-    for d in descriptors:
-        out.extend(implication_reports_for(d, limits))
     return out
 
 

@@ -14,8 +14,8 @@ Element literals are canonical Python values: ``int`` for cyclic rings,
 tuples of tuples of ints for matrix rings, and 2-tuples for products. The
 same shapes appear in JSON with tuples rendered as lists.
 
-Descriptors have a canonical DSL rendering (``to_dsl``), a JSON form
-(``to_json``/``from_json``), and a stable content hash used as the cache and
+Descriptors have a canonical DSL rendering (``to_dsl``) and a stable
+content hash of their JSON rendering (``to_json``), used as the cache and
 golden-store key.
 """
 
@@ -142,33 +142,6 @@ def literal_to_json(lit: Any) -> Any:
     raise LiteralError("cannot serialize literal %r" % (lit,))
 
 
-def literal_from_json(d: Descriptor, obj: Any) -> Any:
-    """JSON value -> canonical literal, guided by the descriptor shape."""
-    if isinstance(d, Cyclic):
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise LiteralError("expected an int for a cyclic element, got %r" % (obj,))
-        return obj
-    if isinstance(d, Matrix):
-        if not isinstance(obj, list) or len(obj) != d.size:
-            raise LiteralError("expected %d matrix rows, got %r" % (d.size, obj))
-        rows = []
-        for row in obj:
-            if not isinstance(row, list) or len(row) != d.size:
-                raise LiteralError("expected a row of length %d, got %r" % (d.size, row))
-            rows.append(tuple(literal_from_json(d.base, e) for e in row))
-        return tuple(rows)
-    if isinstance(d, Product):
-        if not isinstance(obj, list) or len(obj) != 2:
-            raise LiteralError("expected a pair, got %r" % (obj,))
-        return (
-            literal_from_json(d.left, obj[0]),
-            literal_from_json(d.right, obj[1]),
-        )
-    if isinstance(d, SubringClosure):
-        return literal_from_json(d.parent, obj)
-    raise DescriptorError("not a descriptor: %r" % (d,))
-
-
 def to_dsl(d: Descriptor) -> str:
     """Canonical DSL text; parsing it back yields an equal descriptor."""
     if isinstance(d, Cyclic):
@@ -184,6 +157,7 @@ def to_dsl(d: Descriptor) -> str:
 
 
 def to_json(d: Descriptor) -> dict:
+    """The JSON rendering that descriptor_hash digests."""
     if isinstance(d, Cyclic):
         return {"kind": "cyclic", "modulus": d.modulus}
     if isinstance(d, Matrix):
@@ -197,29 +171,6 @@ def to_json(d: Descriptor) -> dict:
             "generators": [literal_to_json(g) for g in d.generators],
         }
     raise DescriptorError("not a descriptor: %r" % (d,))
-
-
-def from_json(obj: Any) -> Descriptor:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise DescriptorError("descriptor JSON must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "cyclic":
-        d: Descriptor = Cyclic(obj["modulus"])
-    elif kind == "matrix":
-        base = from_json(obj["base"])
-        if not isinstance(base, Cyclic):
-            raise DescriptorError("matrix base must be cyclic")
-        d = Matrix(obj["size"], base)
-    elif kind == "product":
-        d = Product(from_json(obj["left"]), from_json(obj["right"]))
-    elif kind == "subring":
-        parent = from_json(obj["parent"])
-        gens = tuple(literal_from_json(parent, g) for g in obj.get("generators", []))
-        d = SubringClosure(parent, gens)
-    else:
-        raise DescriptorError("unknown descriptor kind %r" % (kind,))
-    validate_descriptor(d)
-    return d
 
 
 def descriptor_hash(d: Descriptor) -> str:

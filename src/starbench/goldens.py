@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 @dataclass
@@ -64,9 +64,6 @@ class GoldenStore:
             "value": value,
             "provenance": provenance,
         }
-
-    def rows_for(self, digest: str) -> List[dict]:
-        return [row for (h, _), row in sorted(self.entries.items()) if h == digest]
 
     def __len__(self) -> int:
         return len(self.entries)

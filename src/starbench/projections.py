@@ -18,20 +18,19 @@ witnesses are the lowest-index ones):
   f, give e - ef in r(x) = r(e), so e = ef, and likewise f = fe, so
   e = (ef)* = fe = f.
 * lp(x): mirror; rp(x*) read at the adjoint.
-* rp_via_star(x): rp(x* x), asserted equal to rp(x); sensible when the
-  involution is proper.
 * central_cover(x): least central projection h with hx = x.
 * largest_eigen_projections(A, a, lam): for arrays of (a, lam), lam
   nonzero, the greatest projection g with a g = lam.g (optionally among
   central projections only), or -1 where the qualifying set, which always
   holds g = 0, has no greatest element.
-* scalar domination reports: for every nonzero scalar lam, a projection
-  e_lam dominating LP(x) (or C(x)) for all x killed by lam.
+* condition3_witnesses / condition_beta_witnesses: whether for every
+  nonzero scalar lam some projection e_lam dominates LP(x) (or C(x)) for
+  all x killed by lam, with the first (lam, x) that leaves none.
 
-Every greatest or least element, of the central projections fixing x, of
-the eigen-projections or of a scalar's upper bounds, comes from one
-primitive, ``ProjectionPoset.extremum``, which answers a whole boolean
-matrix of candidate sets at once.
+Every greatest or least element, of the central projections fixing x or
+of the eigen-projections, comes from one primitive,
+``ProjectionPoset.extremum``, which answers a whole boolean matrix of
+candidate sets at once.
 """
 
 from __future__ import annotations
@@ -47,14 +46,13 @@ from .algebra import ScalarAlgebra
 from .bitsets import (
     first_positions,
     full_mask,
-    iter_indices,
+    indices_of,
     masks_from_rows,
 )
 from .errors import (
     NoCentralCover,
     NoLeftProjection,
     NoRightProjection,
-    VerificationFailed,
 )
 from .rings import SCAN_BLOCK, StarRing, _lines_per_block
 
@@ -77,7 +75,8 @@ class ProjectionPoset:
       g e_i = (e_i g*)* is row_i at g* read through the involution;
     * ``fixers[i, x]`` <=> e_i x = x; x e_i = x iff e_i x* = x*, so the
       right fixers are the gather ``fixers[:, star]``;
-    * ``eR[i]``, the bitset of e_i R: the values of row_i.
+    * ``eR[i]``, the bitset of e_i R: the fixers row i, as x is in eR
+      iff ex = x for an idempotent e (x = ey gives ex = eey = x).
     """
 
     def __init__(self, ring: StarRing):
@@ -95,7 +94,6 @@ class ProjectionPoset:
         self.leq = np.empty((p, p), dtype=bool)
         self.central_flags = np.empty(p, dtype=bool)
         self.fixers = np.empty((p, n), dtype=bool)
-        self.eR: List[int] = []
         step = _lines_per_block(n)
         for start in range(0, p, step):
             es = self.indices[start : start + step]
@@ -104,7 +102,7 @@ class ProjectionPoset:
             self.leq[part] = rows[:, self.indices] == es[:, None]
             self.central_flags[part] = (rows[:, gens] == star[rows[:, star[gens]]]).all(axis=1)
             self.fixers[part] = rows == idx
-            self.eR += _value_sets(rows, n)
+        self.eR: List[int] = masks_from_rows(self.fixers)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -349,7 +347,7 @@ def _intersect_over(ann: List[int], mask: int, memo: Dict[int, int]) -> int:
     hit = memo.get(mask)
     if hit is None:
         hit = full_mask(len(ann))
-        for s in iter_indices(mask):
+        for s in indices_of(mask):
             hit &= ann[s]
         memo[mask] = hit
     return hit
@@ -374,25 +372,6 @@ def lp(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
     if val < 0:
         raise NoLeftProjection(ring.decode(x))
     return val
-
-
-def rp_via_star(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
-    """rp(x* x), asserted equal to rp(x).
-
-    The equality is a theorem for proper involutions; on rings where it
-    fails the mismatch is surfaced as VerificationFailed rather than
-    silently returning either side.
-    """
-    scan = scan or RingScan(ring)
-    xs = ring.mul(ring.star(x), x)
-    via = rp(ring, xs, scan)
-    direct = rp(ring, x, scan)
-    if via != direct:
-        raise VerificationFailed(
-            "rp-via-star-mismatch",
-            (ring.decode(x), ring.decode(via), ring.decode(direct)),
-        )
-    return via
 
 
 def central_cover(ring: StarRing, x: int, scan: Optional[RingScan] = None) -> int:
@@ -443,41 +422,12 @@ def _eigen_holds(algebra: ScalarAlgebra, a: np.ndarray, lam: np.ndarray, gs: np.
 
 @dataclass(frozen=True)
 class ScalarDominationReport:
-    """Certificate for the scalar domination conditions.
+    """Whether the scalar domination condition holds, and otherwise
+    ``failure``, the first (lam, x) whose LP(x) / C(x) emptied lam's
+    running upper-bound set; the scan stops there."""
 
-    For each nonzero lam (by index), ``selections[lam]`` is the chosen
-    dominating projection e_lam and ``least_unique[lam]`` records whether the
-    residual upper-bound set had a least element (when False, the lowest
-    index member was picked). ``failure`` is the first (lam, x) whose
-    LP(x) / C(x) emptied the running upper-bound set; the scan stops there.
-    """
-
-    kind: str  # "lp" or "central-cover"
     ok: bool
-    selections: Dict[int, int]
-    least_unique: Dict[int, bool]
     failure: Optional[Tuple[int, int]]
-
-    def to_json(self, algebra: ScalarAlgebra) -> dict:
-        K, R = algebra.scalars, algebra.ring
-        return {
-            "kind": self.kind,
-            "ok": self.ok,
-            "selections": [
-                {
-                    "lam": K.decode(lam),
-                    "projection": R.decode(e),
-                    "least_unique": self.least_unique[lam],
-                }
-                for lam, e in sorted(self.selections.items())
-            ],
-            "failure": None
-            if self.failure is None
-            else {
-                "lam": K.decode(self.failure[0]),
-                "x": R.decode(self.failure[1]),
-            },
-        }
 
 
 def _domination_report(
@@ -491,15 +441,11 @@ def _domination_report(
     the running sets are one logical_and.accumulate over the distinct
     LP(x) rows of ``leq``, in order of first appearance; the first empty
     one names the failure. An x with no LP(x) raises, unless the set
-    emptied before it. The selection is the least upper bound, from
-    ``ProjectionPoset.extremum``, or the lowest-index bound when there is
-    no least one."""
+    emptied before it."""
     ring = algebra.ring
     scan = scan or RingScan(ring)
     poset = scan.poset
     table = scan.lp_all if kind == "lp" else scan.cover_all
-    selections: Dict[int, int] = {}
-    unique: Dict[int, bool] = {}
     for lam in range(1, algebra.scalars.order):
         killed = np.flatnonzero(algebra.action_row(lam) == 0)
         lows = table[killed]
@@ -512,28 +458,26 @@ def _domination_report(
         emptied = np.flatnonzero(~running.any(axis=1))
         if len(emptied):
             x = int(killed[new[int(emptied[0])]])
-            return ScalarDominationReport(kind, False, selections, unique, (lam, x))
+            return ScalarDominationReport(False, (lam, x))
         if len(missing):
             x = int(killed[read])
             if kind == "lp":
                 raise NoLeftProjection(ring.decode(x))
             raise NoCentralCover(ring.decode(x))
-        bounds = running[-1] if len(new) else np.ones(len(poset), dtype=bool)
-        least = int(poset.extremum(bounds[None], greatest=False)[0])
-        unique[lam] = least >= 0
-        selections[lam] = int(poset.indices[least if least >= 0 else int(np.argmax(bounds))])
-    return ScalarDominationReport(kind, True, selections, unique, None)
+    return ScalarDominationReport(True, None)
 
 
 def condition3_witnesses(
     algebra: ScalarAlgebra, scan: Optional[RingScan] = None
 ) -> ScalarDominationReport:
-    """For each nonzero lam, a projection dominating LP(x) whenever lam.x = 0."""
+    """Condition (3): for each nonzero lam, some projection dominates LP(x)
+    for every x with lam.x = 0."""
     return _domination_report(algebra, "lp", scan)
 
 
 def condition_beta_witnesses(
     algebra: ScalarAlgebra, scan: Optional[RingScan] = None
 ) -> ScalarDominationReport:
-    """Central-cover variant: e_lam dominates C(x) whenever lam.x = 0."""
+    """Condition (beta), the central-cover variant: for each nonzero lam,
+    some projection dominates C(x) for every x with lam.x = 0."""
     return _domination_report(algebra, "central-cover", scan)

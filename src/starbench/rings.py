@@ -88,8 +88,7 @@ a greedy generating set G of it. It serves each ring's G
 audit proves distributivity, additive closures, the kernel N of a
 unitification, which is closed under + exactly when it is the span of its
 generators, the closure of a subring (:func:`_close_subring`: spans grown
-by the products and adjoints of their generators until these lie in the
-span), and, through the coset steps it reports, the tables of a tabled
+by the products of their generators until these lie in the span), and, through the coset steps it reports, the tables of a tabled
 twin.
 
 The audit of the *-ring axioms, which proves them from a ring's
@@ -118,12 +117,7 @@ from .descriptor import (
     to_dsl,
     validate_descriptor,
 )
-from .errors import (
-    AxiomViolation,
-    DescriptorError,
-    LiteralError,
-    OrderCapExceeded,
-)
+from .errors import DescriptorError, LiteralError, OrderCapExceeded
 
 # The largest order^2 of a call-based ring that the axiom audit checks: past
 # the persistent-table threshold, but not unbounded. The audit builds no
@@ -556,18 +550,6 @@ class _ProductBackend(_Backend):
         return self.left.encode(lit[0]) * self.rn + self.right.encode(lit[1])
 
 
-def _local(local_of: np.ndarray, parent_indices) -> np.ndarray:
-    """A section's local indices of parent elements; a parent element
-    outside the section raises the ``closure`` violation, naming the first
-    three parent indices (of a block, in row-major order)."""
-    out = local_of[parent_indices]
-    if (out < 0).any():
-        raise AxiomViolation(
-            "closure", tuple(int(p) for p in np.ravel(parent_indices)[:3])
-        )
-    return out
-
-
 class _SectionBackend(_Backend):
     """A ring whose elements are named by elements of a parent ring.
 
@@ -579,12 +561,11 @@ class _SectionBackend(_Backend):
     a block of rows (``mul_rows``) or of columns is the parent's block of
     lines (``mul_lines``) of those representatives over all of them, so a
     quotient's rows cost what the pair ring's rows cost, a block at a
-    time. A result outside a subring's carrier raises the ``closure``
-    violation, naming the first three parent products.
+    time.
 
     The caller proves the section a *-ring before it hands the ring out
     (build_ring the subring's closure, build_quotient that the operations
-    are well defined on the cosets).
+    are well defined on the cosets), so every result maps back.
     """
 
     def __init__(self, parent: "StarRing", reps: np.ndarray, local_of: np.ndarray):
@@ -595,11 +576,11 @@ class _SectionBackend(_Backend):
 
     def add_pairs(self, u, v) -> np.ndarray:
         u, v = _as_index_array(u), _as_index_array(v)
-        return _local(self.local_of, self.parent.add_pairs(self.reps[u], self.reps[v]))
+        return self.local_of[self.parent.add_pairs(self.reps[u], self.reps[v])]
 
     def mul_pairs(self, u, v) -> np.ndarray:
         u, v = _as_index_array(u), _as_index_array(v)
-        return _local(self.local_of, self.parent.mul_pairs(self.reps[u], self.reps[v]))
+        return self.local_of[self.parent.mul_pairs(self.reps[u], self.reps[v])]
 
     def mul_lines(self, members) -> Tuple[Callable, Callable]:
         # the lines hold no reference to self, which caches them: a cycle
@@ -608,8 +589,8 @@ class _SectionBackend(_Backend):
         reps, local_of = self.reps, self.local_of
         rows, cols = self.parent.mul_lines(reps[_as_index_array(members)])
         return (
-            lambda idx: _local(local_of, rows(reps[_as_index_array(idx)])),
-            lambda idx: _local(local_of, cols(reps[_as_index_array(idx)])),
+            lambda idx: local_of[rows(reps[_as_index_array(idx)])],
+            lambda idx: local_of[cols(reps[_as_index_array(idx)])],
         )
 
     @cached_property
@@ -628,10 +609,10 @@ class _SectionBackend(_Backend):
         return None if e is None or self.local_of[e] < 0 else int(self.local_of[e])
 
     def neg_vec(self) -> np.ndarray:
-        return _local(self.local_of, self.parent.neg_vector()[self.reps])
+        return self.local_of[self.parent.neg_vector()[self.reps]]
 
     def star_vec(self) -> np.ndarray:
-        return _local(self.local_of, self.parent.star_vector()[self.reps])
+        return self.local_of[self.parent.star_vector()[self.reps]]
 
     def decode(self, i: int) -> Any:
         return self.parent.decode(int(self.reps[i]))
@@ -798,9 +779,6 @@ class StarRing:
     def star(self, i: int) -> int:
         return int(self._star[i])
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
-
     # --- vector ops -------------------------------------------------------
 
     def add_row(self, i: int) -> np.ndarray:
@@ -936,10 +914,11 @@ def _close_subring(parent: StarRing, generator_indices: List[int]) -> np.ndarray
     +, -, * and star, ascending.
 
     It starts from H = span(X u X*), X the generators, and adds the
-    products G x G and the adjoints G*, G the greedy generating set
-    :func:`_greedy_span` picks for H, until they lie in H. Then H is
-    closed: span(G) span(G) lies in span(G G) by biadditivity, and * is
-    additive, so span(G)* = span(G*).
+    products G x G, G the greedy generating set :func:`_greedy_span` picks
+    for H, until they lie in H. Then H is closed: span(G) span(G) lies in
+    span(G G) by biadditivity. Every H is closed under *, so the adjoints
+    need no test: * is additive, so the first H is; and if H is, so is the
+    next, span(H u G G), as (gh)* = h* g* with g* and h* in H = span(G).
     """
     star = parent.star_vector()
     seeds = np.zeros(parent.order, dtype=bool)
@@ -948,7 +927,7 @@ def _close_subring(parent: StarRing, generator_indices: List[int]) -> np.ndarray
     while True:
         span, gens = _greedy_span(parent.add_pairs, seeds)
         g = np.array(gens, dtype=np.int64)
-        produced = np.concatenate([parent.mul_pairs(g[:, None], g).ravel(), star[g]])
+        produced = parent.mul_pairs(g[:, None], g).ravel()
         if span[produced].all():
             return np.flatnonzero(span)
         seeds = span

@@ -23,7 +23,9 @@ Nothing is sampled, and the only premise is the *-ring laws of R and K,
 which every StarRing obeys. The action has been proved additive in the
 element, so x -> a x + lam.x is additive for every pair (a, lam) and
 vanishes on all of R once it vanishes on R's additive generators G:
-compute_kernel_N reads N's exact membership off x in G. It verifies that
+compute_kernel_N reads N's exact membership off x in G, and keeps it as
+flags over the pair indices (KernelN.flags), which build_quotient reads to
+check that N* = N and the quotient audit reads as N. It verifies that
 N is an additive subgroup by walking the span of N's greedy generators,
 which is N exactly when N is closed under +. Absorption and the quotient
 audit's invariance (_validate_quotient) are each one check that takes
@@ -71,13 +73,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import ScalarAlgebra, first_zero_divisor
-from .bitsets import (
-    bool_from_mask,
-    first_positions,
-    flags_of,
-    iter_indices,
-    mask_from_bool,
-)
+from .bitsets import first_positions, flags_of
 from .classifiers import (
     is_pq_baer_star,
     is_proper_involution,
@@ -182,13 +178,12 @@ class _PairBackend(_ProductBackend):
 
 @dataclass(frozen=True)
 class KernelN:
-    """The kernel ideal of the pair ring, as a bitset over pair indices.
+    """The kernel ideal of the pair ring: ``flags[p]`` tells whether pair
+    index p lies in N, ``size`` counts its members, and ``generators`` is
+    an additive generating set of N: N is their span."""
 
-    ``generators`` is an additive generating set of N: N is their span."""
-
-    mask: int
+    flags: np.ndarray
     size: int
-    star_closed: bool
     generators: Tuple[int, ...]
 
 
@@ -207,14 +202,8 @@ class Quotient:
     def kn(self) -> int:
         return self.algebra.scalars.order
 
-    def pair_index(self, a: int, lam: int) -> int:
-        return a * self.kn + lam
-
-    def embed(self, a: int) -> int:
-        """Coset of (a, 0)."""
-        return int(self.coset_of_pair[a * self.kn])
-
     def embed_all(self) -> np.ndarray:
+        """The coset of (a, 0) for every a of R."""
         idx = np.arange(self.algebra.ring.order, dtype=np.int64) * self.kn
         return self.coset_of_pair[idx]
 
@@ -264,7 +253,7 @@ def compute_kernel_N(
     a = np.repeat(np.arange(nr, dtype=np.int64), len(gens))
     neg_ag = R.neg_vector()[R.mul_pairs(a, np.tile(gens, nr))].reshape(nr, 1, len(gens))
     flags = (algebra.action[:, gens][None, :, :] == neg_ag).all(axis=2).ravel()
-    mask = mask_from_bool(flags)
+    flags.setflags(write=False)
     members = np.flatnonzero(flags)
 
     # additive subgroup
@@ -293,8 +282,7 @@ def compute_kernel_N(
         bad = first_unabsorbed(members, np.arange(r1.order))
         if bad is not None:
             raise VerificationFailed("kernel-absorption", r1.decode(bad))
-    star_closed = bool(flags[r1.star_vector()[members]].all())
-    return KernelN(mask=mask, size=len(members), star_closed=star_closed, generators=tuple(n_gens))
+    return KernelN(flags=flags, size=len(members), generators=tuple(n_gens))
 
 
 def _validate_quotient(quot: "Quotient") -> None:
@@ -324,7 +312,7 @@ def _validate_quotient(quot: "Quotient") -> None:
     """
     r1 = quot.r1
     coset = quot.coset_of_pair
-    in_n = bool_from_mask(quot.kernel.mask, r1.order)
+    in_n = quot.kernel.flags
     pairs = np.arange(r1.order, dtype=np.int64)
 
     def first_moved(shifts):
@@ -393,7 +381,8 @@ def build_quotient(
 
     The involution descends exactly when N is star-closed (guaranteed for
     proper and semi-proper involutions on R, but always checked directly);
-    otherwise InvolutionNotWellDefined is raised with a witness pair.
+    otherwise InvolutionNotWellDefined names the first u in N with u*
+    outside N.
 
     Each pair's coset representative, the least pair index in x + N, comes
     from _coset_minima over N's generators: one add_pairs per generator g
@@ -403,12 +392,9 @@ def build_quotient(
     """
     r1 = build_R1(algebra, limits)
     kern = compute_kernel_N(algebra, r1, limits)
-    if not kern.star_closed:
-        star = r1.star_vector()
-        for u in iter_indices(kern.mask):
-            if not (kern.mask >> int(star[u])) & 1:
-                raise InvolutionNotWellDefined(r1.decode(u))
-        raise InvolutionNotWellDefined(None)  # unreachable
+    unstarred = kern.flags & ~kern.flags[r1.star_vector()]
+    if unstarred.any():
+        raise InvolutionNotWellDefined(r1.decode(int(np.argmax(unstarred))))
     rep_of_pair = _coset_minima(r1, kern.generators)
     distinct = flags_of(rep_of_pair, r1.order)
     reps = np.flatnonzero(distinct)
@@ -572,9 +558,6 @@ class EmbeddingReport:
             "failures": list(self.failures),
             "verdict": self.verdict,
         }
-
-    def preserved_rows(self) -> int:
-        return sum(1 for row in self.preservation if row["ok"])
 
 
 def _first_collision(R: StarRing, emb: np.ndarray) -> Optional[list]:

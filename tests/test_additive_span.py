@@ -117,7 +117,7 @@ def test_open_kernel_names_the_first_sum_outside_it():
     # Built around build_scalar_algebra, which would refuse the action
     R, K = cached_ring("Z(3)"), cached_ring("Z(3)")
     action = np.array([[0, 0, 0], [0, 1, 2], [0, 1, 2]], dtype=np.int32)
-    algebra = ScalarAlgebra(R, K, action, "table", torsion_free=True, k_is_domain=True)
+    algebra = ScalarAlgebra(R, K, action, torsion_free=True, k_is_domain=True)
     with pytest.raises(VerificationFailed) as exc:
         compute_kernel_N(algebra)
     assert exc.value.claim == "kernel-additive-closure"

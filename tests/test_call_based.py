@@ -30,10 +30,9 @@ from starbench import (
     build_quotient,
     build_ring,
     build_scalar_algebra,
-    classify_all,
     parse_ring_expr,
 )
-from starbench.bitsets import contains, flags_of, full_mask, indices_of, is_subset, mask_from_bool
+from starbench.bitsets import contains, flags_of, full_mask, indices_of, mask_from_bool
 from starbench.classifiers import (
     PROPERTY_CLASSIFIERS,
     ideal_annihilator_crosscheck,
@@ -45,7 +44,7 @@ from starbench.projections import _zero_and_value_sets
 from starbench.rings import _Backend, _MatrixBackend, _lines_per_block
 
 import oracles
-from conftest import cached_ring
+from conftest import cached_ring, every_report
 
 CALL_BASED = Limits(table_threshold=0)
 
@@ -98,7 +97,7 @@ def test_backend_rows_match_tables(text):
 @pytest.mark.parametrize("text", small_corpus())
 def test_classifier_reports_match_tables(text):
     def reports(ring):
-        return {name: (rep.verdict, rep.witness) for name, rep in classify_all(ring).items()}
+        return {name: (rep.verdict, rep.witness) for name, rep in every_report(ring).items()}
 
     assert reports(call_based_ring(text)) == reports(build_ring(parse_ring_expr(text)))
 
@@ -367,7 +366,7 @@ def lp_by_columns(ring, scan):
     out = np.full(ring.order, -1, dtype=np.int64)
     for f in scan.poset.indices.tolist():
         for x in np.flatnonzero(ring.mul_row(f) == idx).tolist():
-            if is_subset(scan.lann[x], scan.lann[f]):
+            if scan.lann[x] & scan.lann[f] == scan.lann[x]:
                 out[x] = f if out[x] == -1 else -2
     return out
 

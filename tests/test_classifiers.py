@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from starbench import (
     IMPLICATIONS,
@@ -8,20 +8,18 @@ from starbench import (
     RingScan,
     StarRing,
     build_ring,
-    classify_all,
     classify_matrix_ring,
     find_rp_not_central_cover,
-    implication_suite,
     parse_ring_expr,
 )
-from starbench.bitsets import bool_from_mask
+from starbench.bitsets import flags_of, indices_of
 from starbench.classifiers import implication_reports_for
 from starbench.config import Limits
 from starbench.corpus import medium_corpus, small_corpus
 from starbench.errors import FamilyCapExceeded
 
 import oracles
-from conftest import cached_ring, m2_subrings
+from conftest import cached_ring, every_report, m2_subrings
 
 
 def verdict(text, prop):
@@ -230,13 +228,13 @@ class TestImplications:
 
     def test_no_violations_on_cyclic_corpus(self):
         descriptors = [parse_ring_expr("Z(%d)" % m) for m in range(2, 31)]
-        reports = implication_suite(descriptors)
+        reports = [rep for d in descriptors for rep in implication_reports_for(d)]
         assert all(rep.verdict for rep in reports)
         assert len(reports) == 29 * len(IMPLICATIONS)
 
     def test_no_violations_on_matrix_corpus(self):
         descriptors = [parse_ring_expr("M(2,Z(%d))" % m) for m in range(2, 7)]
-        reports = implication_suite(descriptors)
+        reports = [rep for d in descriptors for rep in implication_reports_for(d)]
         assert all(rep.verdict for rep in reports)
 
     def test_zero_multiplication_ring_vacuous(self):
@@ -245,12 +243,12 @@ class TestImplications:
 
 
 class TestReports:
-    def test_classify_all_covers_every_property(self, z6):
-        reports = classify_all(z6)
+    def test_every_property_reports(self, z6):
+        reports = every_report(z6)
         assert list(reports.keys()) == list(PROPERTY_CLASSIFIERS.keys())
 
     def test_json_schema(self, z6):
-        rep = classify_all(z6)["rickart-star"]
+        rep = every_report(z6)["rickart-star"]
         assert rep.to_json() == {"ring": "Z(6)", "property": "rickart-star", "verdict": True}
 
     def test_json_includes_witness_on_failure(self):
@@ -260,8 +258,8 @@ class TestReports:
         assert j["witness"] == {"x": 3}
 
     def test_star_isomorphic_rings_agree(self):
-        a = {k: r.verdict for k, r in classify_all(cached_ring("Z(6)")).items()}
-        b = {k: r.verdict for k, r in classify_all(cached_ring("prod(Z(2),Z(3))")).items()}
+        a = {k: r.verdict for k, r in every_report(cached_ring("Z(6)")).items()}
+        b = {k: r.verdict for k, r in every_report(cached_ring("prod(Z(2),Z(3))")).items()}
         assert a == b
 
     def test_micros_recorded(self, m2z3):
@@ -334,7 +332,7 @@ def assert_the_annihilation_symmetry(ring):
             assert rep.witness["x"] == ring.decode(first)
     if not holds:
         return
-    p = np.array([bool_from_mask(mask, ring.order) for mask in scan.r_of_aR])
+    p = np.array([flags_of(indices_of(mask), ring.order) for mask in scan.r_of_aR])
     assert np.array_equal(p, p.T)
     if small:
         for x, row in enumerate(p):
@@ -348,6 +346,7 @@ def test_weakly_pq_baer_star_rings_have_symmetric_annihilation(text):
 
 @settings(max_examples=20, deadline=None)
 @given(text=m2_subrings())
+@example(text="sub(M(2, Z(1)); [[0,0],[0,0]])")
 def test_drawn_weakly_pq_baer_star_subrings_have_symmetric_annihilation(text):
     assert_the_annihilation_symmetry(build_ring(parse_ring_expr(text)))
 

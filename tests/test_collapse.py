@@ -19,11 +19,10 @@ from starbench import (
     RingScan,
     build_quotient,
     build_scalar_algebra,
-    classify_all,
     small_corpus,
 )
 
-from conftest import cached_ring
+from conftest import cached_ring, every_report
 
 UNITAL = [t for t in small_corpus() if cached_ring(t).unity is not None]
 # the medium corpus's larger unital rings, which unitify-corpus collapses too
@@ -31,7 +30,7 @@ MEDIUM_UNITAL = ["Z(%d)" % m for m in range(17, 31)] + ["M(2, Z(5))", "M(2, Z(6)
 
 
 def verdicts(ring, scan):
-    return {name: rep.verdict for name, rep in classify_all(ring, scan).items()}
+    return {name: rep.verdict for name, rep in every_report(ring, scan).items()}
 
 
 def embedded(emb, values):

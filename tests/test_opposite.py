@@ -17,14 +17,13 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from starbench import (
     RingScan,
     StarRing,
     build_ring,
     build_scalar_algebra,
-    classify_all,
     parse_ring_expr,
     verify_unitification,
 )
@@ -32,7 +31,7 @@ from starbench.corpus import medium_corpus
 from starbench.errors import HypothesisNotMet
 
 import oracles
-from conftest import cached_ring, m2_subrings
+from conftest import cached_ring, every_report, m2_subrings
 
 # the unitify --verify runs of the benchmark: six pass and two are refused
 # at the gate
@@ -103,7 +102,7 @@ RINGS = medium_corpus() + [
 def reports_and_scan(text, op):
     ring = opposite(text) if op else cached_ring(text)
     scan = RingScan(ring)
-    return classify_all(ring, scan), scan
+    return every_report(ring, scan), scan
 
 
 def mirrored_side(ring, scan, witness):
@@ -153,13 +152,15 @@ def test_the_opposite_rings_witnesses_replay_on_the_oracles(text):
 
 @settings(max_examples=20, deadline=None)
 @given(text=m2_subrings())
+@example(text="sub(M(2, Z(1)); [[0,0],[0,0]])")
 def test_drawn_subrings_and_their_opposites_agree(text):
-    """One- and two-generator subrings of M(2, Z(m)), m <= 4: R^op mirrors
-    R as on the corpus above, and its scans take the generic passes, not
+    """One- and two-generator subrings of M(2, Z(m)), 2 <= m <= 4, and the
+    one-element ring as an explicit example: R^op mirrors R as on the
+    corpus above, and its scans take the generic passes, not
     the parent matrix ring's row vectors."""
     ring = build_ring(parse_ring_expr(text))
     op = opposite_of(ring)
     scan, op_scan = RingScan(ring), RingScan(op)
-    here, there = classify_all(ring, scan), classify_all(op, op_scan)
+    here, there = every_report(ring, scan), every_report(op, op_scan)
     assert_the_opposite_mirrors(ring, here, scan, there, op_scan)
     assert_the_witnesses_replay(op, there)

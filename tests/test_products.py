@@ -17,10 +17,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from starbench import classify_all
 from starbench.descriptor import SubringClosure, to_dsl
 
-from conftest import cached_ring
+from conftest import cached_ring, every_report
 
 FACTORS = [
     "Z(2)",
@@ -40,7 +39,7 @@ _VERDICTS = {}
 
 def verdicts(text):
     if text not in _VERDICTS:
-        reports = classify_all(cached_ring(text))
+        reports = every_report(cached_ring(text))
         _VERDICTS[text] = {
             name: rep.verdict
             for name, rep in reports.items()

@@ -31,8 +31,6 @@ from starbench import (
 from starbench import rings, unitify
 from starbench.bitsets import indices_of
 from starbench.config import Limits
-from starbench.errors import AxiomViolation
-from starbench.rings import _SectionBackend
 from starbench.unitify import _PairBackend
 
 import oracles
@@ -128,7 +126,7 @@ def test_representatives_are_the_least_members_of_their_cosets(make):
     r1 = quot.r1
     pairs = np.arange(r1.order)
     least = pairs.copy()
-    for h in indices_of(quot.kernel.mask):  # x + h for every member h
+    for h in np.flatnonzero(quot.kernel.flags):  # x + h for every member h
         least = np.minimum(least, r1.add_pairs(pairs, np.full(r1.order, h)))
     assert np.array_equal(quot.reps[quot.coset_of_pair], least)
     assert np.array_equal(quot.reps, np.unique(least))
@@ -175,24 +173,6 @@ def test_representatives_with_nonzero_scalars_are_exercised():
     # coset has a representative (0, lam) with lam != 0
     quot = build_quotient(build_scalar_algebra(cached_ring("sub(Z(9); 3)"), cached_ring("Z(9)")))
     assert (quot.reps % quot.kn != 0).sum() == quot.ring.order - 1
-
-
-def test_subring_lines_leave_the_carrier_with_the_same_witness(z6):
-    # {0, 2, 3} in Z(6) is not closed under *: 2.{0, 2, 3} = {0, 4, 0}
-    local_of = np.full(6, -1)
-    local_of[[0, 2, 3]] = [0, 1, 2]
-    section = _SectionBackend(z6, np.array([0, 2, 3]), local_of)
-    idx = np.arange(3)
-    for line, pairs in (
-        (section.mul_row, lambda i: section.mul_pairs(np.full(3, i), idx)),
-        (section.mul_col, lambda j: section.mul_pairs(idx, np.full(3, j))),
-    ):
-        with pytest.raises(AxiomViolation) as by_line:
-            line(1)
-        with pytest.raises(AxiomViolation) as by_pairs:
-            pairs(1)
-        assert by_line.value.axiom == by_pairs.value.axiom == "closure"
-        assert by_line.value.witness == by_pairs.value.witness == (0, 4, 0)
 
 
 @pytest.mark.parametrize(

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starbench import RingScan, StarRing, classify_all
+from starbench import RingScan, StarRing
 
 import oracles
-from conftest import cached_ring
+from conftest import cached_ring, every_report
 
 RINGS = [
     "Z(6)",
@@ -75,8 +75,8 @@ def test_relabel_is_a_relabeling():
 def test_verdicts_are_invariant(text, seed):
     ring = cached_ring(text)
     new = relabel(ring, permutation(ring.order, seed))
-    verdicts = {name: rep.verdict for name, rep in classify_all(ring).items()}
-    assert {name: rep.verdict for name, rep in classify_all(new).items()} == verdicts
+    verdicts = {name: rep.verdict for name, rep in every_report(ring).items()}
+    assert {name: rep.verdict for name, rep in every_report(new).items()} == verdicts
 
 
 def _assert_tables_commute(ring, new, perm, names):
@@ -121,9 +121,9 @@ def test_relabeled_witnesses_replay_on_the_oracles(case):
     class-level shortcuts on a labeling no golden uses."""
     ring, perm = case
     new = relabel(ring, perm)
-    reports = classify_all(new)
+    reports = every_report(new)
     assert {name: rep.verdict for name, rep in reports.items()} == {
-        name: rep.verdict for name, rep in classify_all(ring).items()
+        name: rep.verdict for name, rep in every_report(ring).items()
     }
     for prop, rep in reports.items():
         if not rep.verdict and prop != "rp-not-cover":  # its witness is for true

@@ -86,7 +86,6 @@ class TestExplicitTables:
 
     def test_explicit_table_accepted(self, z6):
         alg = build_scalar_algebra(z6, z6, action=self._mul_table_action(6))
-        assert alg.action_kind == "table"
         assert alg.act(5, 4) == 2
 
     def test_corrupted_table_names_the_axiom(self, z6):
@@ -118,9 +117,6 @@ class TestExplicitTables:
         nat = build_scalar_algebra(m2z3, z3, action="natural")
         for lam in range(3):
             assert list(alg.action_row(lam)) == list(nat.action_row(lam))
-
-    def test_label(self, algebra_of):
-        assert algebra_of("Z(6)", "Z(6)").label == "Z(6) over Z(6)"
 
 
 # --- parity with the lambda-major loops ---------------------------------------

@@ -26,11 +26,11 @@ from starbench import (
     verify_unitification,
 )
 from starbench import rings
-from starbench.bitsets import indices_of
 from starbench.cli import main
 from starbench.errors import (
     FormulaMismatch,
     HypothesisNotMet,
+    InvolutionNotWellDefined,
     NoCentralCover,
     NoGreatestElement,
     NoRightProjection,
@@ -131,17 +131,19 @@ class TestKernel:
         alg = algebra_of("Z(6)", "Z(6)")
         kn = compute_kernel_N(alg)
         assert kn.size == 6
-        assert kn.star_closed is True
+        assert not (kn.flags & ~kn.flags[build_R1(alg).star_vector()]).any()  # N* = N
         # members are exactly (-lam.1, lam)
         expected = {z6.neg(alg.act(lam, z6.unity)) * 6 + lam for lam in range(6)}
-        assert set(indices_of(kn.mask)) == expected
+        assert set(np.flatnonzero(kn.flags).tolist()) == expected
 
     def test_zero_multiplication_kernel(self, algebra_of):
         alg = algebra_of("sub(Z(9); 3)", "Z(9)")
         kn = compute_kernel_N(alg)
         # products vanish, so (a, lam) in N iff lam.x = 0 for all x, i.e.
         # lam in {0, 3, 6}; a is unconstrained
-        assert set(indices_of(kn.mask)) == {a * 9 + lam for a in range(3) for lam in (0, 3, 6)}
+        assert set(np.flatnonzero(kn.flags).tolist()) == {
+            a * 9 + lam for a in range(3) for lam in (0, 3, 6)
+        }
 
     @pytest.mark.parametrize(
         "rt,kt,limits",
@@ -164,7 +166,7 @@ class TestKernel:
             alg = build_scalar_algebra(ring, cached_ring(kt))
             kn = compute_kernel_N(alg, limits=limits)
         expected = oracles.o_kernel_N(alg.ring, alg.scalars, alg.act)
-        assert set(indices_of(kn.mask)) == {
+        assert set(np.flatnonzero(kn.flags).tolist()) == {
             a * alg.scalars.order + lam for (a, lam) in expected
         }
 
@@ -200,7 +202,7 @@ class TestQuotient:
     def test_cosets_match_oracle_partition(self, algebra_of):
         alg = algebra_of("Z(6)", "Z(6)")
         q = build_quotient(alg)
-        cosets = oracles.o_quotient_cosets(q.r1, set(indices_of(q.kernel.mask)))
+        cosets = oracles.o_quotient_cosets(q.r1, set(np.flatnonzero(q.kernel.flags).tolist()))
         # representatives are the least pair index of each coset
         assert sorted(int(r) for r in q.reps) == sorted(c[0] for c in cosets)
         for coset in cosets:
@@ -210,21 +212,36 @@ class TestQuotient:
         for rt, kt in [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("sub(Z(4); 2)", "Z(2)")]:
             alg = algebra_of(rt, kt)
             q = build_quotient(alg)
-            r, qq = alg.ring, q.ring
+            r, qq, emb = alg.ring, q.ring, q.embed_all()
             for a in range(r.order):
                 for b in range(r.order):
-                    assert q.embed(r.add(a, b)) == qq.add(q.embed(a), q.embed(b))
-                    assert q.embed(r.mul(a, b)) == qq.mul(q.embed(a), q.embed(b))
-                assert q.embed(r.star(a)) == qq.star(q.embed(a))
-                assert q.embed(r.neg(a)) == qq.neg(q.embed(a))
+                    assert emb[r.add(a, b)] == qq.add(emb[a], emb[b])
+                    assert emb[r.mul(a, b)] == qq.mul(emb[a], emb[b])
+                assert emb[r.star(a)] == qq.star(emb[a])
+                assert emb[r.neg(a)] == qq.neg(emb[a])
 
     def test_embedded_unity_is_quotient_unity(self, algebra_of):
         q = build_quotient(algebra_of("Z(6)", "Z(6)"))
-        assert q.embed(cached_ring("Z(6)").unity) == q.ring.unity
+        assert q.embed_all()[cached_ring("Z(6)").unity] == q.ring.unity
 
     def test_quotient_is_a_valid_star_ring(self, algebra_of):
         for rt, kt in [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(6)"), ("sub(Z(9); 3)", "Z(9)")]:
             assert validate_star_ring(build_quotient(algebra_of(rt, kt)).ring)["ok"]
+
+    def test_kernel_not_star_closed_names_its_first_such_member(self, algebra_of):
+        # the subring of the [[0, 2b], [2c, d]] in M(2, Z(4)): (e, 0) with
+        # e = [[0, 0], [2, 0]] is in N, as e kills every x from the left,
+        # but its adjoint is not, as [[0, 2], [0, 0]] does not kill
+        # [[0, 0], [0, 1]]; N holds two such members, and the first names
+        # the failure
+        alg = algebra_of("sub(M(2, Z(4)); [[0,0],[2,1]])", "Z(4)")
+        r1 = build_R1(alg)
+        members = {a * 4 + lam for a, lam in oracles.o_kernel_N(alg.ring, alg.scalars, alg.act)}
+        outside = sorted(u for u in members if r1.star(u) not in members)
+        assert len(outside) == 2
+        with pytest.raises(InvolutionNotWellDefined) as exc:
+            build_quotient(alg)
+        assert exc.value.payload() == InvolutionNotWellDefined(r1.decode(outside[0])).payload()
 
     def test_quotient_unity_coset(self, algebra_of):
         q = build_quotient(algebra_of("M(2,Z(3))", "Z(3)"))
@@ -266,7 +283,7 @@ class TestProjectionFormulas:
         q = build_quotient(algebra_of("Z(6)", "Z(6)"))
         qscan, rscan = quotient_scans(q)
         emb = q.embed_all()
-        expected = [q.embed(rp(z6, a)) for a in range(6)]
+        expected = [emb[rp(z6, a)] for a in range(6)]
         assert qscan.rp_all[emb].tolist() == expected
         assert _formula_table(q, emb, rscan, central=False).tolist() == expected
         assert not _formula_disagreements(q, qscan, rscan, central=False)[emb].any()
@@ -275,7 +292,7 @@ class TestProjectionFormulas:
         q = build_quotient(algebra_of("M(2,Z(3))", "Z(3)"))
         qscan, rscan = quotient_scans(q)
         emb = q.embed_all()
-        expected = [q.embed(central_cover(m2z3, a)) for a in range(81)]
+        expected = [emb[central_cover(m2z3, a)] for a in range(81)]
         assert qscan.cover_all[emb].tolist() == expected
         assert _formula_table(q, emb, rscan, central=True).tolist() == expected
         assert not _formula_disagreements(q, qscan, rscan, central=True)[emb].any()
@@ -290,7 +307,7 @@ class TestVerification:
         assert rep.formula_agreement is True
         assert sorted(rep.flags) == ["K-not-domain", "torsion-present"]
         assert rep.kernel_order == 6 and rep.quotient_order == 6
-        assert rep.preserved_rows() == 6
+        assert sum(row["ok"] for row in rep.preservation) == 6
         assert rep.failures == []
 
     def test_m2z3_over_z6_rickart(self, algebra_of):
@@ -298,18 +315,18 @@ class TestVerification:
         assert rep.verdict is True
         assert sorted(rep.flags) == ["K-not-domain", "torsion-present"]
         assert rep.quotient_order == 81
-        assert rep.preserved_rows() == 81
+        assert sum(row["ok"] for row in rep.preservation) == 81
 
     def test_m2z3_over_z3_pqbaer(self, algebra_of):
         rep = verify_unitification(algebra_of("M(2,Z(3))", "Z(3)"), mode="pqbaer")
         assert rep.verdict is True
         assert rep.flags == []
-        assert rep.preserved_rows() == 81
+        assert sum(row["ok"] for row in rep.preservation) == 81
 
     def test_z6_pqbaer(self, algebra_of):
         rep = verify_unitification(algebra_of("Z(6)", "Z(6)"), mode="pqbaer")
         assert rep.verdict is True
-        assert rep.preserved_rows() == 6
+        assert sum(row["ok"] for row in rep.preservation) == 6
 
     def test_hypothesis_gate_blocks_nonrickart_ring(self, algebra_of):
         with pytest.raises(HypothesisNotMet) as exc:
@@ -678,13 +695,13 @@ def oracle_formula(quot, c, central):
         p = (oracles.o_central_cover if central else oracles.o_rp)(R, a)
         if p is None:
             return named((NoCentralCover if central else NoRightProjection)(R.decode(a)))
-        return quot.embed(p)
+        return int(quot.embed_all()[p])
     cands = (oracles.o_central_projections if central else oracles.o_projections)(R)
     holds = [g for g in cands if R.mul(a, g) == alg.act(K.neg(lam), g)]
     tops = [g for g in holds if all(oracles.o_leq(R, h, g) for h in holds)]
     if not tops:
         return named(NoGreatestElement([R.decode(g) for g in holds]))
-    return int(quot.coset_of_pair[quot.pair_index(R.neg(tops[0]), K.unity)])
+    return int(quot.coset_of_pair[R.neg(tops[0]) * quot.kn + K.unity])
 
 
 def oracle_failures(quot, brute, central, proper=None):
