@@ -32,11 +32,16 @@ _MATRICES = st.lists(st.integers(0, 3), min_size=4, max_size=4)
 @st.composite
 def m2_subrings(draw):
     """The descriptor of a one- or two-generator subring of M(2, Z(m)),
-    2 <= m <= 4. M(2, Z(1)) has one element whatever the generators, so
-    drawing m = 1 spent draws on one ring; the tests that draw from here
+    2 <= m <= 4, with some generator nonzero mod m. Zero generators, and
+    M(2, Z(1)) whatever its generators, give the one-element ring, which
+    would take a large share of the draws; the tests that draw from here
     name it in an explicit example instead."""
     m = draw(st.integers(2, 4))
-    gens = draw(st.lists(_MATRICES, min_size=1, max_size=2))
+    gens = draw(
+        st.lists(_MATRICES, min_size=1, max_size=2).filter(
+            lambda gens: any(e % m for g in gens for e in g)
+        )
+    )
     literals = ", ".join("[[%d,%d],[%d,%d]]" % tuple(e % m for e in g) for g in gens)
     return "sub(M(2, Z(%d)); %s)" % (m, literals)
 
