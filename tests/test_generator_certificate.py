@@ -243,6 +243,37 @@ class TestCertificateIsTaken:
         assert len(reached) == kern.size == 9
 
 
+# natural actions whose kernel N is not closed under *, so the quotient
+# raises InvolutionNotWellDefined; drawn_actions, whose clean actions all
+# descend, never reaches them. Each N holds several members with u*
+# outside N, so the witness must be the first.
+STAR_OPEN = [
+    ("sub(M(2, Z(4)); [[1,2],[0,0]])", "Z(8)"),
+    ("sub(M(2, Z(4)); [[0,2],[0,1]])", "Z(4)"),
+    ("sub(M(2, Z(4)); [[2,2],[0,3]])", "Z(4)"),
+    ("sub(M(2, Z(4)); [[1,0],[2,2]])", "Z(8)"),
+]
+
+
+@pytest.mark.parametrize("call_based", [False, True])
+@pytest.mark.parametrize("text,ktext", STAR_OPEN)
+def test_star_open_kernel_names_the_references_witness(text, ktext, call_based):
+    alg = build_scalar_algebra(descriptor_ring(text, call_based), cached_ring(ktext))
+    r1 = build_R1(alg)
+    members = reference_kernel(alg)
+    outside = [u for u in members if r1.star(u) not in set(members)]
+    assert len({r1.decode(u) for u in outside}) >= 2
+    outcome = quotient_outcome(alg)
+    assert outcome["type"] == "InvolutionNotWellDefined"
+    assert outcome == reference_quotient(r1, members)
+
+
+def test_kernel_flags_are_read_only():
+    kern = compute_kernel_N(build_scalar_algebra(cached_ring("Z(6)"), cached_ring("Z(6)")))
+    with pytest.raises(ValueError):
+        kern.flags[0] = not kern.flags[0]
+
+
 # E21 + E22 in M(2, Z(3)): only additive-in-element reads lam.a for it,
 # since G = {E22, E21, E12, E11} is closed under * up to 0 and under the
 # transpose, and the scalars Z(3) only multiply G by 0, 1 and 2.
