@@ -48,8 +48,6 @@ from .goldens import GoldenStore
 from .projections import (
     RingScan,
     central_cover,
-    condition3_witnesses,
-    condition_beta_witnesses,
     lp,
     rp,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "check_R1_lemmas",
     "classify_matrix_ring",
     "compute_kernel_N",
-    "condition3_witnesses",
-    "condition_beta_witnesses",
     "corpus_by_name",
     "describe_unitification",
     "descriptor_hash",

@@ -53,9 +53,6 @@ class ScalarAlgebra:
     def act(self, lam: int, a: int) -> int:
         return int(self.action[lam, a])
 
-    def action_row(self, lam: int) -> np.ndarray:
-        return self.action[lam].astype(np.int64)
-
 
 def _natural_action(ring: StarRing, scalars: StarRing) -> np.ndarray:
     if not isinstance(scalars.descriptor, Cyclic):

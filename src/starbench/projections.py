@@ -23,9 +23,6 @@ witnesses are the lowest-index ones):
   nonzero, the greatest projection g with a g = lam.g (optionally among
   central projections only), or -1 where the qualifying set, which always
   holds g = 0, has no greatest element.
-* condition3_witnesses / condition_beta_witnesses: whether for every
-  nonzero scalar lam some projection e_lam dominates LP(x) (or C(x)) for
-  all x killed by lam, with the first (lam, x) that leaves none.
 
 Every greatest or least element, of the central projections fixing x or
 of the eigen-projections, comes from one primitive,
@@ -43,12 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import ScalarAlgebra
-from .bitsets import (
-    first_positions,
-    full_mask,
-    indices_of,
-    masks_from_rows,
-)
+from .bitsets import full_mask, indices_of, masks_from_rows
 from .errors import (
     NoCentralCover,
     NoLeftProjection,
@@ -87,8 +79,6 @@ class ProjectionPoset:
         cand = np.flatnonzero(star == idx)
         self.indices = cand[ring.mul_pairs(cand, cand) == cand].astype(np.int64)
         p = len(self.indices)
-        self._positions = np.full(n, -1, dtype=np.int64)
-        self._positions[self.indices] = np.arange(p)
 
         gens = np.array(ring.generators, dtype=np.int64)
         self.leq = np.empty((p, p), dtype=bool)
@@ -112,11 +102,6 @@ class ProjectionPoset:
             Projection(int(e), bool(c))
             for e, c in zip(self.indices, self.central_flags)
         ]
-
-    def position(self, e_index):
-        """The position of a projection's index, -1 for any other element;
-        elementwise on an array of indices."""
-        return self._positions[e_index]
 
     def central_positions(self) -> np.ndarray:
         return np.flatnonzero(self.central_flags)
@@ -172,10 +157,9 @@ class RingScan:
     ring ``rann`` comes from one pass over ``mul_rows``, a block of rows at
     a time, and ``r_of_aR`` as below. The projection poset comes from one
     pass over the projections' rows, which also gives each projection's
-    fixers and eR (see :class:`ProjectionPoset`); ``lann`` and
-    ``col_sets`` come from one pass over the columns of ``mul_lines``, a
-    block of columns at a time, and ``row_sets`` takes a row pass of its
-    own.
+    fixers and eR (see :class:`ProjectionPoset`); ``row_sets`` takes a
+    row pass of its own, and ``lann`` and ``col_sets`` one more, over the
+    rows of the adjoints (see ``_col_pass``).
 
     ``r_of_aR`` holds r(aR) for every a: aR is the additive span of aG, G
     the additive generators (left distributivity), and r(S) = r(span S)
@@ -192,7 +176,8 @@ class RingScan:
     is in l(Ra) iff y* is in r(a*R), and Rf = (fR)* for a projection f;
     hence l(Ra) = Rf iff r(a*R) = fR. Likewise a projection f is an LP
     candidate of x iff it is an RP candidate of x*, so lp_all[x] =
-    rp_all[x*]. No verb reads ``lann``/``col_sets``.
+    rp_all[x*]. So the left side is the right one read at the adjoint,
+    and ``lann``/``col_sets`` are read that way too; no verb reads them.
 
     ``r_of`` intersects ``rann`` over a set of elements, memoized by the
     set's bitset. The arrays returned by rp_all/lp_all/cover_all use -1
@@ -210,10 +195,12 @@ class RingScan:
 
     @cached_property
     def _col_pass(self) -> Tuple[List[int], Optional[List[int]]]:
-        """lann and col_sets from one pass over the columns, a block of
-        them at a time from the columns of ``mul_lines``."""
-        n = self.ring.order
-        return _zero_and_value_sets(self.ring.mul_lines(np.arange(n))[1], n)
+        """lann and col_sets from one pass over the rows of the adjoints, a
+        block at a time: entry y of ``star[mul_rows(star[idx])][:, star]``
+        is (s* y*)* = y s for s in idx, so each line is a column."""
+        ring, n = self.ring, self.ring.order
+        star = ring.star_vector()
+        return _zero_and_value_sets(lambda idx: star[ring.mul_rows(star[idx])][:, star], n)
 
     @cached_property
     def rann(self) -> List[int]:
@@ -418,66 +405,3 @@ def _eigen_positions(poset: ProjectionPoset, central_only: bool) -> np.ndarray:
 def _eigen_holds(algebra: ScalarAlgebra, a: np.ndarray, lam: np.ndarray, gs: np.ndarray) -> np.ndarray:
     """holds[i, j] <=> a[i] gs[j] = lam[i].gs[j], from one mul_pairs grid."""
     return algebra.ring.mul_pairs(a[:, None], gs) == algebra.action[lam[:, None], gs]
-
-
-@dataclass(frozen=True)
-class ScalarDominationReport:
-    """Whether the scalar domination condition holds, and otherwise
-    ``failure``, the first (lam, x) whose LP(x) / C(x) emptied lam's
-    running upper-bound set; the scan stops there."""
-
-    ok: bool
-    failure: Optional[Tuple[int, int]]
-
-
-def _domination_report(
-    algebra: ScalarAlgebra,
-    kind: str,
-    scan: Optional[RingScan],
-) -> ScalarDominationReport:
-    """For each nonzero lam, in turn, the x with lam.x = 0 are read in
-    ascending order, and the upper-bound set of their LP(x) (or C(x)) is
-    narrowed one x at a time. Only an x whose LP(x) is new narrows it, so
-    the running sets are one logical_and.accumulate over the distinct
-    LP(x) rows of ``leq``, in order of first appearance; the first empty
-    one names the failure. An x with no LP(x) raises, unless the set
-    emptied before it."""
-    ring = algebra.ring
-    scan = scan or RingScan(ring)
-    poset = scan.poset
-    table = scan.lp_all if kind == "lp" else scan.cover_all
-    for lam in range(1, algebra.scalars.order):
-        killed = np.flatnonzero(algebra.action_row(lam) == 0)
-        lows = table[killed]
-        missing = np.flatnonzero(lows < 0)
-        read = len(killed) if not len(missing) else int(missing[0])
-        low_pos = poset.position(lows[:read])
-        first = first_positions(low_pos, len(poset))
-        new = np.flatnonzero(first[low_pos] == np.arange(read))  # first appearances
-        running = np.logical_and.accumulate(poset.leq[low_pos[new]], axis=0)
-        emptied = np.flatnonzero(~running.any(axis=1))
-        if len(emptied):
-            x = int(killed[new[int(emptied[0])]])
-            return ScalarDominationReport(False, (lam, x))
-        if len(missing):
-            x = int(killed[read])
-            if kind == "lp":
-                raise NoLeftProjection(ring.decode(x))
-            raise NoCentralCover(ring.decode(x))
-    return ScalarDominationReport(True, None)
-
-
-def condition3_witnesses(
-    algebra: ScalarAlgebra, scan: Optional[RingScan] = None
-) -> ScalarDominationReport:
-    """Condition (3): for each nonzero lam, some projection dominates LP(x)
-    for every x with lam.x = 0."""
-    return _domination_report(algebra, "lp", scan)
-
-
-def condition_beta_witnesses(
-    algebra: ScalarAlgebra, scan: Optional[RingScan] = None
-) -> ScalarDominationReport:
-    """Condition (beta), the central-cover variant: for each nonzero lam,
-    some projection dominates C(x) for every x with lam.x = 0."""
-    return _domination_report(algebra, "central-cover", scan)

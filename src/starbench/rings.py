@@ -37,7 +37,7 @@ Backends supply pair ops and a codec and, where it pays, blocks of lines:
 * optionally the blocks ``add_rows(idx)`` and ``mul_rows(idx)`` (the rows
   of the elements idx, a fresh (len(idx), n) array) and
   ``mul_lines(members)`` (the products of a block of elements with every
-  member, from either side);
+  member, the elements on the left);
 * optionally ``right_annihilators(generators)``: r(x), or r(xR) given the
   additive generators, for every x, as bitsets, where the construction
   reads them without the n rows; only the matrix backend has it, and
@@ -85,11 +85,11 @@ Every :class:`StarRing` is a *-ring, by construction or by the audit
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
 a greedy generating set G of it. It serves each ring's G
 (:attr:`StarRing.generators`) and the levels of its walk, along which the
-audit proves distributivity, additive closures, the kernel N of a
-unitification, which is closed under + exactly when it is the span of its
-generators, the closure of a subring (:func:`_close_subring`: spans grown
-by the products of their generators until these lie in the span), and, through the coset steps it reports, the tables of a tabled
-twin.
+audit proves distributivity, additive closures, the generators of the
+kernel N of a unitification, the closure of a subring
+(:func:`_close_subring`: spans grown by the products of their generators
+until these lie in the span), and, through the coset steps it reports,
+the tables of a tabled twin.
 
 The audit of the *-ring axioms, which proves them from a ring's
 operations, is :func:`starbench.audit.validate_star_ring`.
@@ -180,19 +180,15 @@ class _Backend:
     def mul_rows(self, idx) -> np.ndarray:
         """The (len(idx), n) block of products i.x, i in idx and x every
         element: the rows of ``mul_lines`` over every element."""
-        return self.mul_lines(np.arange(self.order))[0](idx)
+        return self.mul_lines(np.arange(self.order))(idx)
 
-    def mul_lines(self, members) -> Tuple[Callable, Callable]:
-        """(rows, cols) with rows(idx)[t, s] = idx[t].members[s] and
-        cols(idx)[t, s] = members[s].idx[t]: the products of a block of
-        elements with every member, from either side, as a fresh
+    def mul_lines(self, members) -> Callable:
+        """rows with rows(idx)[t, s] = idx[t].members[s]: the products of a
+        block of elements with every member, as a fresh
         (len(idx), len(members)) array. By default each block is one
         broadcast mul_pairs."""
         members = _as_index_array(members)
-        return (
-            lambda idx: self.mul_pairs(_as_index_array(idx)[:, None], members),
-            lambda idx: self.mul_pairs(members, _as_index_array(idx)[:, None]),
-        )
+        return lambda idx: self.mul_pairs(_as_index_array(idx)[:, None], members)
 
     def add_row(self, i: int) -> np.ndarray:
         return self.add_rows([i])[0]
@@ -558,8 +554,8 @@ class _SectionBackend(_Backend):
     subring passes its carrier and -1 off it; a quotient passes its coset
     representatives and the coset of every parent element. Each operation
     runs in the parent on the representatives and maps the result back:
-    a block of rows (``mul_rows``) or of columns is the parent's block of
-    lines (``mul_lines``) of those representatives over all of them, so a
+    a block of rows (``mul_rows``) is the parent's block of lines
+    (``mul_lines``) of those representatives over all of them, so a
     quotient's rows cost what the pair ring's rows cost, a block at a
     time.
 
@@ -582,25 +578,22 @@ class _SectionBackend(_Backend):
         u, v = _as_index_array(u), _as_index_array(v)
         return self.local_of[self.parent.mul_pairs(self.reps[u], self.reps[v])]
 
-    def mul_lines(self, members) -> Tuple[Callable, Callable]:
+    def mul_lines(self, members) -> Callable:
         # the lines hold no reference to self, which caches them: a cycle
         # would keep the parent (and R's tables) alive until the cyclic
         # garbage collector ran
         reps, local_of = self.reps, self.local_of
-        rows, cols = self.parent.mul_lines(reps[_as_index_array(members)])
-        return (
-            lambda idx: local_of[rows(reps[_as_index_array(idx)])],
-            lambda idx: local_of[cols(reps[_as_index_array(idx)])],
-        )
+        rows = self.parent.mul_lines(reps[_as_index_array(members)])
+        return lambda idx: local_of[rows(reps[_as_index_array(idx)])]
 
     @cached_property
-    def _lines(self) -> Tuple[Callable, Callable]:
-        """The blocks of lines over every element: the parent's over the
+    def _lines(self) -> Callable:
+        """The blocks of rows over every element: the parent's over the
         representatives, which it prepares once (a pair ring splits them)."""
         return self.mul_lines(np.arange(self.order))
 
     def mul_rows(self, idx) -> np.ndarray:
-        return self._lines[0](idx)
+        return self._lines(idx)
 
     def unity_candidate(self) -> Optional[int]:
         """The parent's unity, when the section holds it: a subring's
@@ -806,10 +799,9 @@ class StarRing:
     def mul_pairs(self, u, v) -> np.ndarray:
         return _as_index_array(self._backend.mul_pairs(u, v))
 
-    def mul_lines(self, members) -> Tuple[Callable, Callable]:
-        """(rows, cols): rows(idx) and cols(idx) are the blocks of products
-        i.m and m.i for i in idx and every m in ``members``; see
-        _Backend.mul_lines."""
+    def mul_lines(self, members) -> Callable:
+        """rows: rows(idx) is the block of products i.m for i in idx and
+        every m in ``members``; see _Backend.mul_lines."""
         return self._backend.mul_lines(members)
 
     def neg_vector(self) -> np.ndarray:
@@ -998,9 +990,9 @@ def _table_lines(table: np.ndarray) -> _Lines:
 
 def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
     """The (add, mul) lines of a ring: its own tables when it has them,
-    else its backend's blocks, ``add_rows``, ``mul_rows`` and the columns
-    of ``mul_lines``. The column side of + is ``add_pairs`` with its
-    operands swapped, since commutativity is among what is audited. A
+    else its backend's blocks ``add_rows`` and ``mul_rows`` and, for the
+    columns, its pair ops with their operands swapped: ``add_pairs``, since
+    commutativity is among what is audited, and ``mul_pairs``. A
     call-based ring with order^2 above ``VALIDATION_TABLE_CAP`` is refused,
     under the name "transient table" that the refusal's output carries."""
     backend = ring._backend
@@ -1011,7 +1003,6 @@ def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
             ring.order * ring.order, VALIDATION_TABLE_CAP, what="transient table"
         )
     every = np.arange(ring.order)
-    mul_cols = backend.mul_lines(every)[1]
     add = _Lines(
         ring.order,
         lambda idx: backend.add_rows(every[idx]),
@@ -1021,7 +1012,7 @@ def _ring_lines(ring: StarRing) -> Tuple[_Lines, _Lines]:
     mul = _Lines(
         ring.order,
         lambda idx: backend.mul_rows(every[idx]),
-        lambda idx: mul_cols(every[idx]),
+        lambda idx: backend.mul_pairs(every, every[idx][:, None]),
         backend.mul_pairs,
     )
     return add, mul

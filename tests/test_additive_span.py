@@ -1,14 +1,14 @@
 """The coset walk of rings._greedy_span, the one additive-subgroup primitive.
 
 The additive spans of the annihilator and ideal code, the greedy generators
-of every ring and the kernel N's closure check all run on it. Random member sets on small-corpus rings,
-tabled and call-based, must give the oracle's span, a greedy G inside the
-members, and a span equal to the members exactly when they are closed
-under +. On corrupted tables, where + is no group law but 0 is still its
-identity, the walk must stay sound for the ring-law certificate: it flags
-only left-normed sums over G, and it flags every member. A kernel N that
-is not closed under + must be named by the first sum outside it, as the
-oracle's N gives it.
+of every ring and those of the kernel N all run on it. Random member sets
+on small-corpus rings, tabled and call-based, must give the oracle's span,
+a greedy G inside the members, and a span equal to the members exactly
+when they are closed under +. On corrupted tables, where + is no group law
+but 0 is still its identity, the walk must stay sound for the ring-law
+certificate: it flags only left-normed sums over G, and it flags every
+member. N is closed under + by the action axioms, so an action whose N
+would not be is refused before N is built.
 """
 
 import numpy as np
@@ -18,13 +18,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cached_ring
-from starbench import build_ring, parse_ring_expr
-from starbench.algebra import ScalarAlgebra
+from starbench import build_ring, build_scalar_algebra, parse_ring_expr
 from starbench.config import Limits
 from starbench.corpus import small_corpus
-from starbench.errors import VerificationFailed
+from starbench.errors import ActionAxiomViolation
 from starbench.rings import _greedy_span
-from starbench.unitify import compute_kernel_N
 from test_axiom_certificate import corrupted_rings
 
 SMALL = small_corpus()
@@ -110,26 +108,14 @@ def test_walk_is_sound_on_corrupted_tables(index, data):
     assert not (span & ~left_normed_sums(bad.add_pairs, gens, bad.order)).any()
 
 
-def test_open_kernel_names_the_first_sum_outside_it():
+def test_an_action_with_an_open_kernel_is_refused():
     # Z(3) acting on Z(3) by lam.x = f(lam) x with f = (0, 1, 1): additive
-    # in x, so the generators of R decide N = {(-f(lam), lam)}, but not in
-    # lam, so N is not closed under +: (2, 1) + (2, 1) = (1, 2) is outside.
-    # Built around build_scalar_algebra, which would refuse the action
+    # in x, so the generators of R would decide N = {(-f(lam), lam)}, but
+    # not in lam, so that N is not closed under +: (2, 1) + (2, 1) = (1, 2)
+    # is outside. build_scalar_algebra refuses the action first, at
+    # (1 + 1).1 != 1.1 + 1.1
     R, K = cached_ring("Z(3)"), cached_ring("Z(3)")
     action = np.array([[0, 0, 0], [0, 1, 2], [0, 1, 2]], dtype=np.int32)
-    algebra = ScalarAlgebra(R, K, action, torsion_free=True, k_is_domain=True)
-    with pytest.raises(VerificationFailed) as exc:
-        compute_kernel_N(algebra)
-    assert exc.value.claim == "kernel-additive-closure"
-    # the reference: the oracle's N, and the first sum u + v outside it,
-    # u and v members in ascending pair order
-    n = oracles.o_kernel_N(R, K, lambda lam, x: int(action[lam, x]))
-    members = sorted(n)
-    first = next(
-        s
-        for u in members
-        for v in members
-        for s in [(R.add(u[0], v[0]), K.add(u[1], v[1]))]
-        if s not in n
-    )
-    assert exc.value.witness == tuple(R.decode(c) for c in first) == (1, 2)
+    with pytest.raises(ActionAxiomViolation) as exc:
+        build_scalar_algebra(R, K, action=action)
+    assert (exc.value.axiom, exc.value.witness) == ("additive-in-scalar", (1, 1, 1))

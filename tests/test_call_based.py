@@ -218,9 +218,8 @@ def tables_copy(ring):
 
 
 class _Counting:
-    """A ring that records which rows a scan asks for, and the blocks of
-    columns, one list of columns each, that it reads from ``mul_lines``
-    or one column at a time from ``mul_col``."""
+    """A ring that records which rows a scan asks for, and the columns it
+    reads, one at a time, from ``mul_col``."""
 
     def __init__(self, ring):
         self.ring = ring
@@ -235,17 +234,8 @@ class _Counting:
         return self.ring.mul_rows(idx)
 
     def mul_col(self, j):
-        self.cols.append([j])
+        self.cols.append(j)
         return self.ring.mul_col(j)
-
-    def mul_lines(self, members):
-        rows, cols = self.ring.mul_lines(members)
-
-        def counted(idx):
-            self.cols.append(np.asarray(idx).tolist())
-            return cols(idx)
-
-        return rows, counted
 
 
 # A matrix ring, whose rann and r(aR) are read off its row vectors, and a
@@ -293,9 +283,8 @@ def test_scans_read_each_row_once_and_no_column(name):
 @pytest.mark.parametrize("name", COUNTED)
 def test_value_sets_take_one_pass_per_side(name):
     """row_sets takes a row pass of its own, beside rann's (none on a
-    matrix ring), and lann and col_sets come from one column pass, a block
-    of ``_lines_per_block`` columns at a time from ``mul_lines``: every
-    column once."""
+    matrix ring), and lann and col_sets come from one more, over the rows
+    of the adjoints in index order: every row once, and no column."""
     ring = COUNTED[name]()
     n = ring.order
     counting = _Counting(ring)
@@ -309,9 +298,8 @@ def test_value_sets_take_one_pass_per_side(name):
     assert [set(indices_of(m)) for m in scan.col_sets] == [
         oracles.o_left_multiples(view, s) for s in range(n)
     ]
-    assert sorted(counting.rows) == sorted(rann_row_reads(ring) + list(range(n)))
-    step = _lines_per_block(n)
-    assert counting.cols == [list(range(s, min(s + step, n))) for s in range(0, n, step)]
+    assert counting.rows == rann_row_reads(ring) + list(range(n)) + ring.star_vector().tolist()
+    assert counting.cols == []
 
 
 # Matrix rings whose right annihilators are read off their row vectors,

@@ -550,6 +550,43 @@ class TestVerify:
         assert code == 4
         assert payload["error"]["witness"] == {"order": 1}
 
+    @pytest.mark.parametrize(
+        "argv,hypothesis,witness",
+        [
+            (
+                ["unitify", "Z(4)", "--K", "Z(4)", "--verify", "pqbaer"],
+                "ring is weakly p.q.-Baer*",
+                {"x": 2, "reason": "biconditional"},
+            ),
+            (
+                ["unitify", "sub(Z(8); 2)", "--K", "Z(8)", "--verify", "pqbaer"],
+                "ring is weakly p.q.-Baer*",
+                {"x": 2, "reason": "no-central-cover"},
+            ),
+            # Only the zero ring reaches the domain gate: when |R| > 1, the
+            # torsion-free gate before it already gives a domain, as
+            # (lam mu).a = lam.(mu.a) != 0 for nonzero lam, mu and a.
+            (
+                ["verify", "lemmas", "Z(1)", "--K", "Z(4)"],
+                "scalars form an integral domain",
+                {"lam": 2, "mu": 2},
+            ),
+            (
+                ["verify", "lemmas", "Z(1)", "--K", "Z(1)"],
+                "scalars form an integral domain",
+                {"order": 1},
+            ),
+        ],
+        ids=["pqbaer-biconditional", "pqbaer-no-cover", "domain-Z(4)", "domain-Z(1)"],
+    )
+    def test_gate_refusal_names_hypothesis_and_witness(self, capsys, argv, hypothesis, witness):
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 4
+        error = payload["error"]
+        assert (error["type"], error["hypothesis"], error["witness"]) == (
+            "HypothesisNotMet", hypothesis, witness
+        )
+
     def test_crosscheck(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "crosscheck", "Z(6)")
         assert code == 0

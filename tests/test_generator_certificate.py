@@ -1,12 +1,14 @@
 """The generator certificates of the scalar algebra, kernel N and quotient
 audit, against references that loop over every scalar, element and pair.
 
-Every StarRing is a *-ring, so build_scalar_algebra, compute_kernel_N and
-_validate_quotient prove their claims on additive generators, and run over
-everything only after a hit, to name the witness. Their outcome must be
-the references': the axiom and witness of the lambda loop of
-test_scalar_algebra when an action fails, and when it holds the kernel of
-``oracles.o_kernel_N`` and the cosets of ``oracles.o_quotient_cosets``.
+Every StarRing is a *-ring, so build_scalar_algebra and _validate_quotient
+prove their claims on additive generators, and run over everything only
+after a hit, to name the witness; compute_kernel_N reads N's membership off
+R's generators, and takes N to be an ideal, which the action axioms give.
+Their outcome must be the references': the axiom and witness of the lambda
+loop of test_scalar_algebra when an action fails, and when it holds the
+kernel of ``oracles.o_kernel_N``, an ideal of the pair ring, and the cosets
+of ``oracles.o_quotient_cosets``.
 """
 
 import numpy as np
@@ -173,6 +175,20 @@ def drawn_actions(draw):
     return R, K, table, kind == "clean"
 
 
+def reference_is_an_ideal(r1, members):
+    """Whether the pair indices ``members`` are closed under + and absorb
+    R1's additive generators from both sides: the lemma that lets
+    compute_kernel_N take N to be an ideal of the pair ring."""
+    flags = np.zeros(r1.order, dtype=bool)
+    flags[members] = True
+    u, gens = np.array(members)[:, None], np.array(r1.generators, dtype=np.int64)
+    return bool(
+        flags[r1.add_pairs(u, np.array(members))].all()
+        and flags[r1.mul_pairs(u, gens)].all()
+        and flags[r1.mul_pairs(gens, u)].all()
+    )
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(drawn_actions())
 def test_certificate_matches_the_references(case):
@@ -184,9 +200,11 @@ def test_certificate_matches_the_references(case):
     if failure is not None:
         return
     members = reference_kernel(alg)
-    kern = compute_kernel_N(alg)
+    r1 = build_R1(alg)
+    assert reference_is_an_ideal(r1, members)
+    kern = compute_kernel_N(alg, r1)
     assert (np.flatnonzero(kern.flags).tolist(), kern.size) == (members, len(members))
-    assert quotient_outcome(alg) == reference_quotient(build_R1(alg), members)
+    assert quotient_outcome(alg) == reference_quotient(r1, members)
 
 
 class TestCertificateIsTaken:
@@ -230,8 +248,8 @@ class TestCertificateIsTaken:
 
     def test_kernel_generators_span_the_kernel(self):
         alg = build_scalar_algebra(cached_ring("sub(Z(9); 3)"), cached_ring("Z(9)"))
-        kern = compute_kernel_N(alg)
         r1 = build_R1(alg)
+        kern = compute_kernel_N(alg, r1)
         reached, todo = {0}, [0]
         while todo:
             x = todo.pop()
@@ -269,7 +287,8 @@ def test_star_open_kernel_names_the_references_witness(text, ktext, call_based):
 
 
 def test_kernel_flags_are_read_only():
-    kern = compute_kernel_N(build_scalar_algebra(cached_ring("Z(6)"), cached_ring("Z(6)")))
+    alg = build_scalar_algebra(cached_ring("Z(6)"), cached_ring("Z(6)"))
+    kern = compute_kernel_N(alg, build_R1(alg))
     with pytest.raises(ValueError):
         kern.flags[0] = not kern.flags[0]
 

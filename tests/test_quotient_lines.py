@@ -1,9 +1,10 @@
 """Quotient lines computed a block at a time from R's products.
 
-A quotient's rows and columns come from the pair ring's ``mul_lines``:
-a block of cosets' lines is read off one broadcast product of R, two
-gathers from the action and one product of K, never through the pair
-ring's ``mul_pairs``, and a single line is a one-row block. These tests
+A quotient's rows come from the pair ring's ``mul_lines``: a block of
+cosets' rows is read off one broadcast product of R, two gathers from the
+action and one product of K, never through the pair ring's ``mul_pairs``,
+and a single row is a one-row block; the scans read its columns as the
+rows of the adjoints. These tests
 pin those lines and blocks, of the quotient and of the pair ring, to the
 definition (``mul_pairs`` pair by pair), check the scan bitsets they fill
 against the oracles across several blocks, on quotients over descriptor
@@ -202,21 +203,24 @@ def test_scan_bitsets_across_several_blocks(make, monkeypatch):
     # three lines a block: 27 blocks on 81 cosets, 6 on 16 (the last short)
     monkeypatch.setattr(rings, "SCAN_BLOCK", 3 * n)
     blocks = []
-    lines = q.mul_lines
+    rows = q.mul_rows
 
-    def counted_lines(members):
-        rows, cols = lines(members)
-        return rows, lambda idx: blocks.append(np.asarray(idx).tolist()) or cols(idx)
+    def counted_rows(idx):
+        blocks.append(np.asarray(idx).tolist())
+        return rows(idx)
 
-    monkeypatch.setattr(q, "mul_lines", counted_lines)
+    monkeypatch.setattr(q, "mul_rows", counted_rows)
     scan = RingScan(q)
     for a in range(n):
         assert set(indices_of(scan.rann[a])) == oracles.o_rann(d, [a])
         assert set(indices_of(scan.lann[a])) == oracles.o_lann(d, [a])
         assert set(indices_of(scan.row_sets[a])) == {d.mul(a, r) for r in range(n)}
         assert set(indices_of(scan.col_sets[a])) == {d.mul(r, a) for r in range(n)}
-    # one column pass, three columns a block, each column read once
-    assert blocks == [list(range(s, min(s + 3, n))) for s in range(0, n, 3)]
+    # three row passes, three rows a block, each row read once a pass:
+    # rann's, then lann's and col_sets' over the adjoints, then row_sets'
+    every = [list(range(s, min(s + 3, n))) for s in range(0, n, 3)]
+    star = q.star_vector()
+    assert blocks == every + [star[b].tolist() for b in every] + every
 
 
 def test_quotient_scans_never_call_the_pair_product(monkeypatch):

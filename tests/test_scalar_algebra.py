@@ -32,7 +32,7 @@ class TestNaturalAction:
     def test_action_row_matches_pointwise(self, algebra_of):
         alg = algebra_of("Z(6)", "Z(6)")
         for lam in range(6):
-            assert list(alg.action_row(lam)) == [alg.act(lam, a) for a in range(6)]
+            assert list(alg.action[lam]) == [alg.act(lam, a) for a in range(6)]
 
 
 class TestHypothesisFlags:
@@ -116,7 +116,7 @@ class TestExplicitTables:
         alg = build_scalar_algebra(m2z3, z3, action=tab)
         nat = build_scalar_algebra(m2z3, z3, action="natural")
         for lam in range(3):
-            assert list(alg.action_row(lam)) == list(nat.action_row(lam))
+            assert list(alg.action[lam]) == list(nat.action[lam])
 
 
 # --- parity with the lambda-major loops ---------------------------------------

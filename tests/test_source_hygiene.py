@@ -1,8 +1,10 @@
 """The package's source, read with ``ast``: no module imports a name at
 module level that it never uses, ``starbench.__all__`` is sorted, free
-of duplicates, and names only what the package defines, and every
+of duplicates, and names only what the package defines, every
 function, method and class the package defines is referenced by name,
-from the program itself unless it is one of a few named test seams."""
+from the program itself unless it is one of a few named test seams, and
+every claim or hypothesis the package can refuse with is named by a test,
+unless it is one of a few named untested claims."""
 
 import ast
 from pathlib import Path
@@ -26,6 +28,18 @@ TEST_SEAMS = {
     # StarRing.from_tables builds an audited ring from explicit tables: the
     # entry point of adapters and of the tests' hand-made rings
     "from_tables",
+}
+# the exceptions whose first argument names the claim or hypothesis refused
+CLAIM_ERRORS = {"VerificationFailed", "HypothesisNotMet"}
+# claims that no test names, each kept for the reason given
+UNTESTED_CLAIMS = {
+    # a check on the package's own corpus data, which has no duplicate
+    "corpus-duplicate-descriptor",
+    # the lemmas that ``verify lemmas`` exists to check, which no known
+    # input breaks
+    "proper-involution-transfer",
+    "rp-pair-transfer",
+    "rp-pair-transfer-converse",
 }
 
 
@@ -185,3 +199,52 @@ def test_a_definition_only_a_test_or_a_re_export_names_is_not_reached():
     test = ast.parse("from pkg import seam\nseam()\n")
     assert unreferenced(sources, [package, test]) == []
     assert unreferenced(sources, [without_all(package)]) == [("mod.py", "seam", 3)]
+
+
+def raised_claims(tree):
+    """(claim, line) of every string literal the module passes as the first
+    argument of one of ``CLAIM_ERRORS``."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        first = node.args[0]
+        if name in CLAIM_ERRORS and isinstance(first, ast.Constant):
+            if isinstance(first.value, str):
+                out.append((first.value, node.lineno))
+    return out
+
+
+def unnamed_claims(sources, test_texts):
+    """(source, claim, line) of each raised claim that no test text holds."""
+    return [
+        (source, claim, line)
+        for source, tree in sources.items()
+        for claim, line in raised_claims(tree)
+        if not any(claim in text for text in test_texts)
+    ]
+
+
+def test_every_raised_claim_but_the_untested_ones_is_named_by_a_test():
+    here = Path(__file__).resolve()
+    tests = [
+        path.read_text()
+        for path in READERS
+        if path.relative_to(ROOT).parts[0] == "tests" and path != here
+    ]
+    assert {claim for _, claim, _ in unnamed_claims(parsed(SOURCES), tests)} == UNTESTED_CLAIMS
+
+
+def test_the_claim_check_reads_first_arguments_of_the_claim_errors():
+    sources = {
+        "mod.py": ast.parse(
+            "raise VerificationFailed('named', 1)\n"
+            "e = errors.HypothesisNotMet('unnamed', {})\n"
+            "raise ValueError('not a claim')\n"
+            "raise VerificationFailed(label)\n"
+        )
+    }
+    assert raised_claims(sources["mod.py"]) == [("named", 1), ("unnamed", 2)]
+    assert unnamed_claims(sources, ["claim == 'named'"]) == [("mod.py", "unnamed", 2)]

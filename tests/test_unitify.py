@@ -129,7 +129,7 @@ class TestPairRing:
 class TestKernel:
     def test_unital_ring_kernel_members(self, z6, algebra_of):
         alg = algebra_of("Z(6)", "Z(6)")
-        kn = compute_kernel_N(alg)
+        kn = compute_kernel_N(alg, build_R1(alg))
         assert kn.size == 6
         assert not (kn.flags & ~kn.flags[build_R1(alg).star_vector()]).any()  # N* = N
         # members are exactly (-lam.1, lam)
@@ -138,7 +138,7 @@ class TestKernel:
 
     def test_zero_multiplication_kernel(self, algebra_of):
         alg = algebra_of("sub(Z(9); 3)", "Z(9)")
-        kn = compute_kernel_N(alg)
+        kn = compute_kernel_N(alg, build_R1(alg))
         # products vanish, so (a, lam) in N iff lam.x = 0 for all x, i.e.
         # lam in {0, 3, 6}; a is unconstrained
         assert set(np.flatnonzero(kn.flags).tolist()) == {
@@ -159,12 +159,11 @@ class TestKernel:
     def test_matches_definition_oracle(self, rt, kt, limits, algebra_of):
         if limits is None:
             alg = algebra_of(rt, kt)
-            kn = compute_kernel_N(alg)
         else:
             ring = build_ring(parse_ring_expr(rt), limits)
             assert not ring.has_tables()
             alg = build_scalar_algebra(ring, cached_ring(kt))
-            kn = compute_kernel_N(alg, limits=limits)
+        kn = compute_kernel_N(alg, build_R1(alg))
         expected = oracles.o_kernel_N(alg.ring, alg.scalars, alg.act)
         assert set(np.flatnonzero(kn.flags).tolist()) == {
             a * alg.scalars.order + lam for (a, lam) in expected
@@ -172,9 +171,8 @@ class TestKernel:
 
     def test_kernel_size_is_scalar_order_for_unital_rings(self, algebra_of):
         for rt, kt in [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(3)"), ("M(2,Z(3))", "Z(6)")]:
-            assert compute_kernel_N(algebra_of(rt, kt)).size == (
-                cached_ring(kt).order
-            )
+            alg = algebra_of(rt, kt)
+            assert compute_kernel_N(alg, build_R1(alg)).size == cached_ring(kt).order
 
 
 class TestQuotient:
@@ -333,6 +331,19 @@ class TestVerification:
             verify_unitification(algebra_of("sub(Z(9); 3)", "Z(9)"), mode="rickart")
         assert exc.value.payload()["hypothesis"] == "ring is weakly Rickart*"
 
+    @pytest.mark.parametrize(
+        "rt,kt,witness",
+        [
+            ("Z(4)", "Z(4)", {"x": 2, "reason": "biconditional"}),
+            ("sub(Z(8); 2)", "Z(8)", {"x": 2, "reason": "no-central-cover"}),
+        ],
+    )
+    def test_hypothesis_gate_blocks_non_pq_baer_ring(self, rt, kt, witness, algebra_of):
+        with pytest.raises(HypothesisNotMet) as exc:
+            verify_unitification(algebra_of(rt, kt), mode="pqbaer")
+        payload = exc.value.payload()
+        assert (payload["hypothesis"], payload["witness"]) == ("ring is weakly p.q.-Baer*", witness)
+
     def test_bad_mode_rejected(self, algebra_of):
         with pytest.raises(ValueError):
             verify_unitification(algebra_of("Z(6)", "Z(6)"), mode="bogus")
@@ -394,6 +405,20 @@ class TestLemmas:
         with pytest.raises(HypothesisNotMet) as exc:
             check_R1_lemmas(algebra_of("M(2,Z(3))", "Z(6)"))
         assert exc.value.payload()["hypothesis"] == "the module action is torsion-free"
+
+    # Only the zero ring reaches the domain gate: when |R| > 1, the
+    # torsion-free gate before it already gives a domain, as
+    # (lam mu).a = lam.(mu.a) != 0 for nonzero lam, mu and a.
+    @pytest.mark.parametrize(
+        "kt,witness", [("Z(4)", {"lam": 2, "mu": 2}), ("Z(1)", {"order": 1})]
+    )
+    def test_domain_gate_on_the_zero_ring(self, kt, witness, algebra_of):
+        with pytest.raises(HypothesisNotMet) as exc:
+            check_R1_lemmas(algebra_of("Z(1)", kt))
+        payload = exc.value.payload()
+        assert (payload["hypothesis"], payload["witness"]) == (
+            "scalars form an integral domain", witness
+        )
 
     def test_nonproper_parent_is_reported_not_fatal(self, algebra_of):
         out = check_R1_lemmas(algebra_of("sub(Z(4); 2)", "Z(2)"))
