@@ -13,9 +13,7 @@ operation a block of rows or columns at a time, as the ``_Lines`` that
 ``rings._ring_lines`` serves: from a tabled ring's own tables (int16 up
 to order 2^15, int32 past it, ``rings.index_dtype``), and from a
 call-based ring's backend blocks, so that the audit of a call-based ring
-builds no table and holds one block of lines at a time. The scans also
-take a dense table, table[i, j] = index of op(i, j), which they wrap in
-``_Lines`` themselves.
+builds no table and holds one block of lines at a time.
 """
 
 from __future__ import annotations
@@ -28,18 +26,10 @@ from .errors import AxiomViolation
 from .rings import (
     StarRing,
     _as_index_array,
-    _Lines,
     _lines_per_block,
     _ring_lines,
-    _table_lines,
     _table_pairs,
 )
-
-
-def _as_lines(op) -> _Lines:
-    """``op`` itself, or the lines of ``op`` given as a raw table: the scans
-    below take either."""
-    return op if isinstance(op, _Lines) else _table_lines(np.asarray(op))
 
 
 def _blocks(k: int, n: int) -> List[slice]:
@@ -71,14 +61,12 @@ def _first_hit(grid: Callable, k: int, n: int) -> Optional[Tuple[int, int]]:
 def _first_assoc_violation(op, mids=None, ends=None) -> Optional[Tuple[int, int, int]]:
     """The lexicographically first (x, y, z) with op(op(x,y),z) !=
     op(x,op(y,z)), y in ``mids`` and x, z in ``ends`` (ascending index
-    sets; every element where None), else None. ``op`` is a
-    :class:`_Lines` or a table.
+    sets; every element where None), else None.
 
     A block of rows x at a time: the rows op(x, .) are read once per
     block, then one (x, z) grid per y. Every earlier block holds no
     violation, so the first block that holds one holds the first triple.
     """
-    op = _as_lines(op)
     n = op.order
     xs = np.arange(n) if ends is None else _as_index_array(ends)
     cols = slice(None) if ends is None else xs
@@ -104,8 +92,7 @@ def _first_distrib_violation(
     lexicographic (x, y, z, side) order, x in ``xs[side]``, z in ``zs`` and
     y in ``ys[k]`` for the k-th z (ascending index sets; every element
     where None, and ``ys`` None is every y for each z); side 0=left,
-    1=right. None when there is none. ``add`` and ``mul`` are
-    :class:`_Lines` or tables.
+    1=right. None when there is none.
 
     Left law:  x*(y+z) == x*y + x*z
     Right law: (y+z)*x == y*x + z*x
@@ -117,7 +104,6 @@ def _first_distrib_violation(
     holds a violation holds the law's first one. The right law then scans
     x only up to the left law's first hit.
     """
-    add, mul = _as_lines(add), _as_lines(mul)
     n = add.order
     zs = range(n) if zs is None else [int(z) for z in zs]
     # every y as a slice, so that its columns are views
@@ -150,7 +136,6 @@ def _first_distrib_violation(
 def _first_commute_violation(add, xs=None) -> Optional[Tuple[int, int]]:
     """The first (x, y) in C order with x+y != y+x, x in ``xs`` (an
     ascending index set; every element where None), else None."""
-    add = _as_lines(add)
     xs = np.arange(add.order) if xs is None else _as_index_array(xs)
     hit = _first_hit(lambda p: add.rows(xs[p]) != add.cols(xs[p]), len(xs), add.order)
     return None if hit is None else (int(xs[hit[0]]), hit[1])
@@ -159,7 +144,6 @@ def _first_commute_violation(add, xs=None) -> Optional[Tuple[int, int]]:
 def _first_star_additive_violation(add, star, xs=None) -> Optional[Tuple[int, int]]:
     """The first (x, y) in C order with (x+y)* != x* + y*, x in ``xs`` (an
     ascending index set; every element where None), else None."""
-    add = _as_lines(add)
     xs = np.arange(add.order) if xs is None else _as_index_array(xs)
     hit = _first_hit(
         lambda p: star[add.rows(xs[p])] != add.rows(star[xs[p]])[:, star],
@@ -172,7 +156,6 @@ def _first_star_additive_violation(add, star, xs=None) -> Optional[Tuple[int, in
 def _first_antimult_violation(mul, star, xs=None) -> Optional[Tuple[int, int]]:
     """The first (x, y) in C order with (x*y)* != y* x*, x and y in ``xs``
     (an ascending index set; every element where None), else None."""
-    mul = _as_lines(mul)
     xs = np.arange(mul.order) if xs is None else _as_index_array(xs)
     xs_star = star[xs]
 

@@ -51,8 +51,8 @@ once, for every backend: the row ``add_row(i)`` is ``add_rows([i])[0]``,
 ``mul_row(i)`` is ``mul_rows([i])[0]``, and the column ``mul_col(j)`` is
 ``mul_pairs`` of every element with j (addition is commutative, so there
 is no add_col). So are the scalar ops ``add``/``mul``, ``find_unity()``
-(the idempotent that is a two-sided identity, with ``unity_candidate()``
-tried first) and ``characteristic()`` (the least k with k.x = 0 for every
+(the idempotent that is a two-sided identity, ``unity_candidate()``
+where named) and ``characteristic()`` (the least k with k.x = 0 for every
 x). A backend overrides a block only where it pays: the cyclic, matrix
 and tables backends compute a block of rows at once (one broadcast, k
 gathers or outer sums, one slice), and the product joins its factors'
@@ -62,8 +62,8 @@ rows from it, as the default does. The cyclic, matrix and product
 backends know their characteristic. Subrings and quotients are both a
 :class:`_SectionBackend` over their parent, whose blocks of lines they
 take over their representatives. Every backend whose construction names
-a unity returns it as ``unity_candidate()``, so that one row and one
-column confirm it instead of a search over the idempotents: 1 for Z(m),
+a unity returns it as ``unity_candidate()``, which is then the unity,
+with no search over the idempotents and no row read: 1 for Z(m),
 the identity matrix, (1_L, 1_R) for a product, (0, 1_K) for the pair
 ring, and a section's image of its parent's unity, when the section
 holds it (a subring's unity may lie elsewhere, and is searched).
@@ -201,26 +201,28 @@ class _Backend:
 
     def unity_candidate(self) -> Optional[int]:
         """The element the construction names as the unity, if it names
-        one; find_unity confirms it."""
+        one; it is the unity, and find_unity returns it unread."""
         return None
 
     def find_unity(self) -> Optional[int]:
-        """The idempotent e with e x = x = x e for every x, if any. A
-        two-sided identity is unique, so the construction's candidate is
-        tried first, confirmed by one row and one column; the idempotents
-        are searched only when there is none or it fails."""
-        idx = np.arange(self.order, dtype=np.int64)
-
-        def is_unity(e: int) -> bool:
-            return np.array_equal(self.mul_row(e), idx) and np.array_equal(
-                self.mul_col(e), idx
-            )
-
+        """The idempotent e with e x = x = x e for every x, if any: the
+        construction's candidate where it names one, else the first
+        idempotent whose row and column are the identity's. A candidate is
+        the unity by its construction: 1 mod m is Z(m)'s; the identity
+        matrix is M(k, Z(m))'s; (1_L, 1_R) is a product's, factor by
+        factor; (0, 1_K) is the pair ring's, as (a, lam)(0, 1) =
+        (a0 + 1.a + lam.0, lam) = (a, lam) by the unit action and
+        lam.0 = 0, and on the left alike; a subring that holds its parent's
+        unity has it as its own; and a quotient's is the image of R1's, as
+        the quotient map is onto and multiplicative."""
         named = self.unity_candidate()
-        if named is not None and is_unity(named):
+        if named is not None:
             return named
+        idx = np.arange(self.order, dtype=np.int64)
         for e in np.flatnonzero(self.mul_pairs(idx, idx) == idx).tolist():
-            if is_unity(e):
+            if np.array_equal(self.mul_row(e), idx) and np.array_equal(
+                self.mul_col(e), idx
+            ):
                 return e
         return None
 
@@ -560,8 +562,9 @@ class _SectionBackend(_Backend):
     time.
 
     The caller proves the section a *-ring before it hands the ring out
-    (build_ring the subring's closure, build_quotient that the operations
-    are well defined on the cosets), so every result maps back.
+    (build_ring checks the subring's closure; build_quotient's
+    construction makes the operations well defined on the cosets, as its
+    docstring proves), so every result maps back.
     """
 
     def __init__(self, parent: "StarRing", reps: np.ndarray, local_of: np.ndarray):

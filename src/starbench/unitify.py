@@ -25,14 +25,13 @@ build_scalar_algebra proves. The action is additive in the element, so
 x -> a x + lam.x is additive for every pair (a, lam) and vanishes on all
 of R once it vanishes on R's additive generators G: compute_kernel_N reads
 N's exact membership off x in G, and keeps it as flags over the pair
-indices (KernelN.flags), which build_quotient reads to check that N* = N
-and the quotient audit reads as N. The action axioms make N an ideal of
-the pair ring (the proof is compute_kernel_N's), so nothing checks that
-again. The quotient audit's invariance (_validate_quotient) is one check
-that takes the members it loops over: on N's generators it is a proof,
-and only if that fails does it run on every member, which names the
-witness. The quotient's operations are thus proved well defined on every
-coset pair, and the pair ring and the quotient are *-rings, so the
+indices (KernelN.flags), which build_quotient reads to check that N* = N.
+The action axioms make N an ideal of the pair ring (the proof is
+compute_kernel_N's), so nothing checks that again. With N an ideal,
+N* = N and each representative the least member of its coset, the
+quotient's +, product and involution are well defined on every coset
+pair by construction (the proof is build_quotient's), so nothing audits
+the cosets either. The pair ring and the quotient are *-rings, so the
 quotient's scans read its left side off the right one at the adjoint
 (projections.RingScan). verify_unitification, which
 scans every row of the quotient, then reads it from a tabled twin
@@ -246,67 +245,6 @@ def compute_kernel_N(algebra: ScalarAlgebra, r1: StarRing) -> KernelN:
     return KernelN(flags=flags, size=int(np.count_nonzero(flags)), generators=tuple(n_gens))
 
 
-def _validate_quotient(quot: "Quotient") -> None:
-    """Certify that +, * and the involution are well defined on every coset.
-
-    Premise: the pair ring R1 is a ring (R and K are *-rings and
-    build_scalar_algebra has validated every action axiom), and N is an
-    additive subgroup and two-sided ideal of R1, which those axioms give
-    (see compute_kernel_N). Three checks over every pair index x of R1 then prove that
-    coset_of_pair is the canonical map R1 -> R1/N:
-
-    * invariance: x + h lies in the coset of x for every member h of N.
-      Checking h among the kernel's additive generators suffices, since
-      x + (h + h') = (x + h) + h'; if that fails, every member is checked,
-      which names the witness;
-    * separation: x - reps[coset(x)] lies in N, and each rep is in its own
-      coset;
-    * the involution: the coset of x* is the coset of rep(x)*.
-
-    Invariance gives coset(x) = coset(y) whenever x - y is in N, and
-    separation the converse. For x in coset i and y in coset j, the ideal
-    holds x + y - (reps[i] + reps[j]) and
-    xy - reps[i] reps[j] = (x - reps[i]) y + reps[i] (y - reps[j]), so the
-    quotient's operations, computed on representatives, hold for every
-    member of every coset pair. The audit is exhaustive; nothing is sampled.
-    A failed check raises VerificationFailed.
-    """
-    r1 = quot.r1
-    coset = quot.coset_of_pair
-    in_n = quot.kernel.flags
-    pairs = np.arange(r1.order, dtype=np.int64)
-
-    def first_moved(shifts):
-        for h in shifts:
-            moved = coset[r1.add_pairs(pairs, np.full(r1.order, h, dtype=np.int64))]
-            if not np.array_equal(moved, coset):
-                return int(np.argmax(moved != coset)), int(h)
-        return None
-
-    if first_moved(quot.kernel.generators) is not None:
-        hit = first_moved(np.flatnonzero(in_n))
-        if hit is not None:
-            x, h = hit
-            raise VerificationFailed(
-                "quotient-coset-invariant", (r1.decode(x), r1.decode(h))
-            )
-    own = coset[quot.reps] != np.arange(len(quot.reps))
-    if own.any():
-        x = int(quot.reps[int(np.argmax(own))])
-        raise VerificationFailed("quotient-coset-separation", r1.decode(x))
-    apart = ~in_n[r1.add_pairs(pairs, r1.neg_vector()[quot.reps[coset]])]
-    if apart.any():
-        raise VerificationFailed(
-            "quotient-coset-separation", r1.decode(int(np.argmax(apart)))
-        )
-    star_all = coset[r1.star_vector()]
-    star_reps = coset[r1.star_vector()[quot.reps]]
-    expected = star_reps[coset]
-    if not np.array_equal(star_all, expected):
-        bad = int(np.argmax(star_all != expected))
-        raise VerificationFailed("quotient-star-well-defined", r1.decode(bad))
-
-
 def _coset_minima(r1: StarRing, shifts) -> np.ndarray:
     """The least pair index of x + H for every pair x, H the additive
     subgroup the ``shifts`` generate, in O(|R1| sum of log ord g).
@@ -348,8 +286,23 @@ def build_quotient(
     Each pair's coset representative, the least pair index in x + N, comes
     from _coset_minima over N's generators: one add_pairs per generator g
     and about log2(ord g) rounds of gathers, O(|R1| sum of log ord g) in
-    all.
-    _validate_quotient then proves the cosets right, whatever found them.
+    all. coset_of_pair is then the canonical map R1 -> R1/N, by
+    construction, so nothing audits it:
+
+    1. R1 is a ring (R and K are *-rings, and build_scalar_algebra proves
+       every action axiom), and N is an additive subgroup and an ideal of
+       it (compute_kernel_N's proof). So the span of N's generators is N.
+    2. _coset_minima sets rep(x) = min(x + N). So rep is constant on each
+       coset, and x - y in N gives coset(x) = coset(y); rep(x) lies in
+       x + N, so coset(x) = coset(y) gives x - y in N; and
+       rep(rep(x)) = rep(x), so each representative lies in its own
+       coset. For x in coset i and y in coset j, the ideal then holds
+       x + y - (reps[i] + reps[j]) and
+       xy - reps[i] reps[j] = (x - reps[i]) y + reps[i] (y - reps[j]),
+       so the quotient's operations, computed on representatives, hold
+       for every member of every coset pair.
+    3. N* = N is checked first. So x* - rep(x)* = (x - rep(x))* lies in
+       N, and the coset of x* is the coset of rep(x)*.
     """
     r1 = build_R1(algebra, limits)
     kern = compute_kernel_N(algebra, r1)
@@ -367,7 +320,7 @@ def build_quotient(
         label=label,
         limits=limits,
     )
-    quot = Quotient(
+    return Quotient(
         algebra=algebra,
         r1=r1,
         kernel=kern,
@@ -375,8 +328,6 @@ def build_quotient(
         reps=reps,
         coset_of_pair=coset_of_pair,
     )
-    _validate_quotient(quot)
-    return quot
 
 
 def _formula_table(

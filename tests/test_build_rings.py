@@ -425,11 +425,6 @@ class TestUnity:
         else:
             assert named == found
 
-    def test_a_failed_candidate_falls_back_on_the_search(self, monkeypatch):
-        backend = build_ring(parse_ring_expr("sub(Z(6); 2)"), CALL_BASED)._backend
-        monkeypatch.setattr(backend, "unity_candidate", lambda: 1)  # 2, not a unity
-        assert backend.decode(backend.find_unity()) == 4
-
 
 class TestMatrixBackend:
     """M(3, Z(2)): k = 3 row blocks, so add_rows takes two outer sums."""

@@ -312,13 +312,24 @@ _DSL_SHAPED = st.one_of(
 @given(_DSL_SHAPED)
 def test_dsl_shaped_text_exits_0_2_or_4(text):
     """Any DSL-shaped text is described, refused as not a descriptor (2) or
-    refused at a cap (4): never a traceback."""
+    refused at a cap (4): never a traceback. The text follows "--", so
+    text that starts with "-" stays text."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["describe", text, "--max-order", "300", "--format", "json"])
+        code = main(["describe", "--max-order", "300", "--format", "json", "--", text])
     assert code in (0, 2, 4), text
     payload = json.loads(out.getvalue())
     assert ("error" in payload) == (code != 0)
+
+
+def test_text_that_reads_as_an_option_exits_2(capsys):
+    # without "--", argparse takes "-Z(0)" for an option and finds no
+    # ring: a usage error, exit 2, with its usage on stderr and no JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["describe", "-Z(0)", "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")
 
 
 # small rings the verbs answer, and literals that may name their elements

@@ -135,9 +135,9 @@ def test_representatives_are_the_least_members_of_their_cosets(make):
 
 def test_coset_minima_take_a_logarithmic_number_of_sums(monkeypatch):
     # count the sums of every pair at once that build_quotient takes after
-    # N is known and before the quotient audit starts: those that find
-    # each pair's representative (N's closure walk and the audit are not
-    # counted, nor the short sums of the quotient ring's own construction)
+    # N is known and until it returns: those that find each pair's
+    # representative (N's closure walk is not counted, nor the short sums
+    # of the quotient ring's own construction)
     algebra = high_order_kernel()
     n1 = algebra.ring.order * algebra.scalars.order
     calls, window = [], [False]
@@ -153,15 +153,11 @@ def test_coset_minima_take_a_logarithmic_number_of_sums(monkeypatch):
         window[0] = True
         return out
 
-    def audit(quot):
-        window[0] = False
-        return validate(quot)
-
-    compute_kernel_N, validate = unitify.compute_kernel_N, unitify._validate_quotient
+    compute_kernel_N = unitify.compute_kernel_N
     monkeypatch.setattr(_PairBackend, "add_pairs", counted)
     monkeypatch.setattr(unitify, "compute_kernel_N", kernel)
-    monkeypatch.setattr(unitify, "_validate_quotient", audit)
     quot = build_quotient(algebra)
+    window[0] = False
     gens = quot.kernel.generators
     bound = sum(int(np.ceil(np.log2(oracles.o_additive_order(quot.r1, g)))) + 2 for g in gens)
     assert (bound, quot.kernel.size, quot.r1.order) == (10, 64, n1)

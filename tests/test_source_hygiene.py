@@ -35,11 +35,6 @@ CLAIM_ERRORS = {"VerificationFailed", "HypothesisNotMet"}
 UNTESTED_CLAIMS = {
     # a check on the package's own corpus data, which has no duplicate
     "corpus-duplicate-descriptor",
-    # the lemmas that ``verify lemmas`` exists to check, which no known
-    # input breaks
-    "proper-involution-transfer",
-    "rp-pair-transfer",
-    "rp-pair-transfer-converse",
 }
 
 

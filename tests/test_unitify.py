@@ -25,7 +25,7 @@ from starbench import (
     validate_star_ring,
     verify_unitification,
 )
-from starbench import rings
+from starbench import rings, unitify
 from starbench.cli import main
 from starbench.errors import (
     FormulaMismatch,
@@ -42,7 +42,6 @@ from starbench.unitify import (
     _formula_disagreements,
     _formula_failure,
     _formula_table,
-    _validate_quotient,
 )
 
 import oracles
@@ -427,6 +426,89 @@ class TestLemmas:
         assert out["elements_checked"] == 2
 
 
+class _RpScan:
+    """A stand-in scan: ``rp_all``, the one field of a scan that
+    check_R1_lemmas reads."""
+
+    def __init__(self, rp_all):
+        self.rp_all = rp_all
+
+
+def lemmas_with_edited_rps(algebra, monkeypatch, edits):
+    """check_R1_lemmas where each ring's rp_all is its real one with
+    ``edits[ring.order]`` ({index: new value}) written over it."""
+
+    def scan(ring):
+        rp = np.array(RingScan(ring).rp_all, copy=True)
+        for i, value in edits.get(ring.order, {}).items():
+            rp[i] = value
+        return _RpScan(rp)
+
+    monkeypatch.setattr(unitify, "RingScan", scan)
+    return check_R1_lemmas(algebra)
+
+
+class TestLemmaFailures:
+    """The three raises of check_R1_lemmas, which no known input reaches,
+    reached through stand-in scans and a stand-in properness test on
+    Z(3) over Z(3): R has rp_all [0, 1, 1], and the pair ring (order 9,
+    pair index a * 3 + lam) has RP((x, 0)) = (rp(x), 0) at index 3 x."""
+
+    def test_the_real_scans_pass(self, algebra_of, monkeypatch):
+        out = lemmas_with_edited_rps(algebra_of("Z(3)", "Z(3)"), monkeypatch, {})
+        assert (out["ok"], out["elements_checked"]) == (True, 3)
+
+    def test_an_improper_pair_ring_is_named(self, algebra_of, monkeypatch):
+        proper = unitify.is_proper_involution
+
+        def improper_pairs(ring):
+            report = proper(ring)
+            return dataclasses.replace(report, verdict=False) if ring.order == 9 else report
+
+        monkeypatch.setattr(unitify, "is_proper_involution", improper_pairs)
+        with pytest.raises(VerificationFailed) as exc:
+            check_R1_lemmas(algebra_of("Z(3)", "Z(3)"))
+        assert exc.value.payload() == {
+            "type": "VerificationFailed",
+            "message": "verification failed: proper-involution-transfer "
+            "(witness 'pairs(Z(3) over Z(3))')",
+            "claim": "proper-involution-transfer",
+            "witness": "pairs(Z(3) over Z(3))",
+        }
+
+    @pytest.mark.parametrize("pair_rp,named", [(1, (0, 1)), (-1, None)], ids=["moved", "none"])
+    def test_a_wrong_pair_projection_is_named(self, pair_rp, named, algebra_of, monkeypatch):
+        # RP((2, 0)) moved off (1, 0), and RP((1, 0)) too: the first x is named
+        edits = {9: {3 * 2: pair_rp, 3 * 1: pair_rp}}
+        with pytest.raises(VerificationFailed) as exc:
+            lemmas_with_edited_rps(algebra_of("Z(3)", "Z(3)"), monkeypatch, edits)
+        assert exc.value.payload() == {
+            "type": "VerificationFailed",
+            "message": "verification failed: rp-pair-transfer (witness (1, 1, %r))" % (named,),
+            "claim": "rp-pair-transfer",
+            "witness": [1, 1, named],
+        }
+
+    def test_a_pair_projection_without_one_in_R_is_named(self, algebra_of, monkeypatch):
+        # RP(2) taken away in R, while the pair ring keeps RP((2, 0)) = (1, 0)
+        with pytest.raises(VerificationFailed) as exc:
+            lemmas_with_edited_rps(algebra_of("Z(3)", "Z(3)"), monkeypatch, {3: {2: -1}})
+        assert exc.value.payload() == {
+            "type": "VerificationFailed",
+            "message": "verification failed: rp-pair-transfer-converse (witness (2, (1, 0)))",
+            "claim": "rp-pair-transfer-converse",
+            "witness": [2, (1, 0)],
+        }
+
+    @pytest.mark.parametrize("pair_rp", [-1, 1, 4])
+    def test_a_pair_projection_off_R_is_no_converse_failure(self, pair_rp, algebra_of, monkeypatch):
+        # with no RP(2) in R, RP((2, 0)) may be absent or have a nonzero
+        # scalar, (0, 1) or (1, 1): only a projection (e, 0) contradicts
+        edits = {3: {2: -1}, 9: {3 * 2: pair_rp}}
+        out = lemmas_with_edited_rps(algebra_of("Z(3)", "Z(3)"), monkeypatch, edits)
+        assert (out["ok"], out["elements_checked"]) == (True, 3)
+
+
 class TestDeterminism:
     def test_rebuild_gives_identical_quotient(self, algebra_of):
         a = build_quotient(algebra_of("M(2,Z(3))", "Z(6)"))
@@ -436,15 +518,18 @@ class TestDeterminism:
         assert np.array_equal(oracles.tables(a.ring)[1], oracles.tables(b.ring)[1])
 
 
-# --- the quotient audit --------------------------------------------------------
+# --- the built quotient -------------------------------------------------------
 
 def sampled_audit_finds_nothing(quot, seed=9173, size=512):
-    """The sampling audit that preceded the exhaustive one: every member
-    combination of `size` seeded random coset pairs, then the star check.
-    True when it finds nothing wrong."""
+    """Every member combination of `size` seeded random coset pairs gives
+    the quotient's sum and product of the pair, and * maps each coset
+    into the coset of its representative's adjoint. True when nothing
+    disagrees."""
     q, r1, coset = quot.ring, quot.r1, quot.coset_of_pair
     members = [np.flatnonzero(coset == c) for c in range(q.order)]
-    for i, j in sampled_coset_pairs(q.order, seed, size):
+    rng = random.Random(seed)
+    for _ in range(size):
+        i, j = rng.randrange(q.order), rng.randrange(q.order)
         u = np.repeat(members[i], len(members[j]))
         v = np.tile(members[j], len(members[i]))
         if not (coset[r1.mul_pairs(u, v)] == q.mul(i, j)).all():
@@ -455,96 +540,29 @@ def sampled_audit_finds_nothing(quot, seed=9173, size=512):
     return bool(np.array_equal(coset[star], coset[star[quot.reps]][coset]))
 
 
-def sampled_coset_pairs(n, seed=9173, size=512):
-    rng = random.Random(seed)
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(size)]
-
-
-def with_cosets(quot, coset_of_pair):
-    return dataclasses.replace(quot, coset_of_pair=coset_of_pair)
-
-
-class _StarSwapped:
-    """The pair ring of `quot` with the involution values of x and y
-    exchanged; everything else is delegated."""
-
-    def __init__(self, r1, x, y):
-        self._r1 = r1
-        self._star = np.array(r1.star_vector(), copy=True)
-        self._star[[x, y]] = self._star[[y, x]]
-
-    def star_vector(self):
-        return self._star
-
-    def __getattr__(self, name):
-        return getattr(self._r1, name)
-
-
 @pytest.fixture(scope="module")
 def q_m2z6(algebra_of_module):
     return build_quotient(algebra_of_module("M(2,Z(6))", "Z(6)"))
 
 
-class TestQuotientAudit:
-    @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("M(2,Z(3))", "Z(6)")])
-    def test_moved_pair_index(self, rt, kt, algebra_of):
-        q = build_quotient(algebra_of(rt, kt))
-        x = int(np.flatnonzero(q.coset_of_pair != 0)[-1])
-        moved = q.coset_of_pair.copy()
-        moved[x] = 0
-        with pytest.raises(VerificationFailed):
-            _validate_quotient(with_cosets(q, moved))
+class TestBuiltQuotient:
+    """build_quotient's cosets are well defined by construction (its
+    docstring): the operations on representatives hold for the members."""
 
-    @pytest.mark.parametrize("rt,kt", [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("M(2,Z(3))", "Z(6)")])
-    def test_merged_cosets(self, rt, kt, algebra_of):
-        q = build_quotient(algebra_of(rt, kt))
-        merged = q.coset_of_pair.copy()
-        merged[merged == q.ring.order - 1] = 1
-        with pytest.raises(VerificationFailed) as exc:
-            _validate_quotient(with_cosets(q, merged))
-        assert exc.value.claim == "quotient-coset-separation"
-
-    def test_broken_star_map(self, algebra_of):
-        q = build_quotient(algebra_of("M(2,Z(3))", "Z(6)"))
-        # two pairs whose adjoints lie in different cosets
-        x, y = 1, q.r1.order - 2
-        assert q.coset_of_pair[q.r1.star(x)] != q.coset_of_pair[q.r1.star(y)]
-        broken = dataclasses.replace(q, r1=_StarSwapped(q.r1, x, y))
-        with pytest.raises(VerificationFailed) as exc:
-            _validate_quotient(broken)
-        assert exc.value.claim == "quotient-star-well-defined"
-
-    def test_clean_quotients_pass(self, algebra_of, q_m2z6):
-        for rt, kt in [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("sub(Z(4); 2)", "Z(2)")]:
-            _validate_quotient(build_quotient(algebra_of(rt, kt)))
-        _validate_quotient(q_m2z6)
+    def test_member_pairs_give_the_operations(self, algebra_of, q_m2z6):
+        # M(2, Z(6)) over Z(6): 1296 cosets, with members of both scalars
+        assert q_m2z6.ring.order == 1296
         assert sampled_audit_finds_nothing(q_m2z6)
+        for rt, kt in [("Z(6)", "Z(6)"), ("sub(Z(9); 3)", "Z(9)"), ("sub(Z(4); 2)", "Z(2)")]:
+            assert sampled_audit_finds_nothing(build_quotient(algebra_of(rt, kt)))
 
-    def test_every_coset_is_audited_past_512_cosets(self, q_m2z6):
-        # M(2, Z(6)) over Z(6): 1296 cosets. Move a self-adjoint pair into
-        # another coset with a self-adjoint representative, both cosets
-        # outside the 512 seeded coset pairs and their sums and products:
-        # the sample cannot see it, the exhaustive audit must.
-        q = q_m2z6
-        assert q.ring.order == 1296
-        seen = set()
-        for i, j in sampled_coset_pairs(q.ring.order):
-            seen |= {i, j, q.ring.add(i, j), q.ring.mul(i, j)}
-        star = q.r1.star_vector()
-        unseen = [
-            c for c in range(q.ring.order)
-            if c not in seen and star[q.reps[c]] == q.reps[c]
-        ]
-        src, dst = unseen[:2]
-        x = int(np.flatnonzero(q.coset_of_pair == src)[1])
-        assert star[x] == x
-        moved = q.coset_of_pair.copy()
-        moved[x] = dst
-        bad = with_cosets(q, moved)
-        assert sampled_audit_finds_nothing(bad)
-        with pytest.raises(VerificationFailed) as exc:
-            _validate_quotient(bad)
-        assert exc.value.claim == "quotient-coset-invariant"
+    def test_a_moved_member_is_seen(self, q_m2z6):
+        # the check itself: one pair moved to another coset breaks it
+        moved = q_m2z6.coset_of_pair.copy()
+        moved[int(np.flatnonzero(moved == 1)[1])] = 2
+        assert not sampled_audit_finds_nothing(
+            dataclasses.replace(q_m2z6, coset_of_pair=moved)
+        )
 
 
 # --- the quotient served from tables ---------------------------------------------
