@@ -4,7 +4,7 @@ A descriptor is an immutable tree. Four constructors exist:
 
 * ``Cyclic(m)`` — the ring of integers mod m with the identity involution.
 * ``Matrix(n, base)`` — n-by-n matrices over a cyclic base ring, with the
-  conjugate-transpose involution (transpose composed with the base star).
+  transpose involution (the cyclic base's star is the identity).
 * ``Product(left, right)`` — the direct product with componentwise involution.
 * ``SubringClosure(parent, generators)`` — the smallest subset of the parent
   containing the generators and closed under +, -, * (both product and star);

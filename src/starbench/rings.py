@@ -85,8 +85,7 @@ Every :class:`StarRing` is a *-ring, by construction or by the audit
 subgroup a set generates one coset at a time with ``add_pairs`` and picks
 a greedy generating set G of it. It serves each ring's G
 (:attr:`StarRing.generators`) and the levels of its walk, along which the
-audit proves distributivity, additive closures, the generators of the
-kernel N of a unitification, the closure of a subring
+audit proves distributivity, additive closures, the closure of a subring
 (:func:`_close_subring`: spans grown by the products of their generators
 until these lie in the span), and, through the coset steps it reports,
 the tables of a tabled twin.
@@ -320,8 +319,8 @@ def _digit_table(left, vecs, op, modulus, powers, dtype) -> np.ndarray:
 
 
 class _MatrixBackend(_Backend):
-    """k-by-k matrices over Z(m), involution = transpose composed with the
-    base star (identity for cyclic bases, composed anyway).
+    """k-by-k matrices over Z(m), involution = transpose (Z(m)'s star is
+    the identity).
 
     Index encoding: row-major digits base m, first entry most significant.
     Equivalently, an index is its k rows read as k digits base r = m^k,
@@ -351,8 +350,7 @@ class _MatrixBackend(_Backend):
     of x.B is (row t of x).B, so x.B has row blocks ``rmul[blocks[t, x],
     B]``: a block of rows of the multiplication table gathers k rows of
     ``rmul`` per element x, and a product of pairs gathers k entries of it
-    per pair. This does not go through the transpose, so it holds for any
-    base involution. Every block of product rows and every pair op, sums
+    per pair. Every block of product rows and every pair op, sums
     included, is k gathers joined by a multiply-add, with no matrix product
     and no reduction mod m. A block of sum rows gathers only k rows of
     ``radd`` per element and takes their outer sum (``add_rows``). The
@@ -381,7 +379,6 @@ class _MatrixBackend(_Backend):
         self.mats = np.ascontiguousarray(
             digits.reshape(self.order, size, size).astype(np.int64)
         )
-        self._base_star = np.arange(modulus, dtype=np.int64)  # identity on Z(m)
 
         r = modulus ** size
         self.r = r
@@ -463,8 +460,7 @@ class _MatrixBackend(_Backend):
         return self._enc((-self.mats) % self.m)
 
     def star_vec(self) -> np.ndarray:
-        starred = self._base_star[self.mats.transpose(0, 2, 1)]
-        return self._enc(np.ascontiguousarray(starred))
+        return self._enc(self.mats.transpose(0, 2, 1))
 
     def unity_candidate(self) -> int:
         return self.encode(np.identity(self.k, dtype=np.int64))

@@ -14,18 +14,18 @@ It is unital with unity (0, 1). The kernel ideal
 collects the pairs that act as zero on R; the quotient of the pair ring by N
 is the unitified ring, written here with cosets [a, lam]. The canonical coset
 representative is the member with the least pair index (pair index =
-a_index * |K| + lam_index), so [0, 1] names the unity. build_quotient finds
-every pair's representative at once, by doubling along each generator of
-N (_coset_minima), in O(|R1| sum of log ord g) rather than one shift of
-every pair per member of N.
+a_index * |K| + lam_index), so [0, 1] names the unity.
 
 Nothing is sampled, and the only premise is the *-ring laws of R and K,
 which every StarRing obeys, and the action axioms that
 build_scalar_algebra proves. The action is additive in the element, so
-x -> a x + lam.x is additive for every pair (a, lam) and vanishes on all
-of R once it vanishes on R's additive generators G: compute_kernel_N reads
-N's exact membership off x in G, and keeps it as flags over the pair
-indices (KernelN.flags), which build_quotient reads to check that N* = N.
+x -> a x + lam.x is additive for every pair (a, lam) and is fixed by its
+values on R's additive generators G. Two pairs share a coset exactly
+when they act alike on R, so compute_kernel_N reads every pair's coset
+off its signature, the row (a g + lam.g) over g in G, and takes each
+pair's representative from one stable sort of the signatures; N is the
+coset of 0, kept as flags over the pair indices (KernelN.flags), which
+build_quotient reads to check that N* = N.
 The action axioms make N an ideal of the pair ring (the proof is
 compute_kernel_N's), so nothing checks that again. With N an ideal,
 N* = N and each representative the least member of its coset, the
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -98,13 +98,7 @@ from .projections import (
     _eigen_positions,
     largest_eigen_projections,
 )
-from .rings import (
-    StarRing,
-    _Backend,
-    _ProductBackend,
-    _SectionBackend,
-    _greedy_span,
-)
+from .rings import StarRing, _Backend, _ProductBackend, _SectionBackend
 
 
 class _PairBackend(_ProductBackend):
@@ -164,13 +158,14 @@ class _PairBackend(_ProductBackend):
 
 @dataclass(frozen=True)
 class KernelN:
-    """The kernel ideal of the pair ring: ``flags[p]`` tells whether pair
-    index p lies in N, ``size`` counts its members, and ``generators`` is
-    an additive generating set of N: N is their span."""
+    """The kernel ideal of the pair ring and its cosets: ``rep_of_pair[p]``
+    is the least pair index in p + N, ``flags[p]`` tells whether pair
+    index p lies in N (its least member is 0), and ``size`` counts N's
+    members."""
 
     flags: np.ndarray
     size: int
-    generators: Tuple[int, ...]
+    rep_of_pair: np.ndarray
 
 
 @dataclass
@@ -208,14 +203,22 @@ def build_R1(algebra: ScalarAlgebra, limits: Limits = DEFAULT_LIMITS) -> StarRin
     return StarRing(_PairBackend(algebra), descriptor=None, label=label, limits=limits)
 
 
-def compute_kernel_N(algebra: ScalarAlgebra, r1: StarRing) -> KernelN:
+def compute_kernel_N(algebra: ScalarAlgebra) -> KernelN:
     """N = {(a, lam) : a x + lam.x = 0 for all x}, an ideal of the pair
-    ring ``r1``, with a greedy additive generating set.
+    ring, with the least member of every pair's coset.
 
-    a x + lam.x = 0 exactly when lam.x is the additive inverse of a x. The
-    map x -> a x + lam.x is additive (the algebra proved every lam
-    additive), so x in R's generators G decides membership: one mul_pairs
-    over the (a, g) grid, O(n |K| |G|).
+    The map x -> a x + lam.x is additive (the algebra proved every lam
+    additive), so it is read off R's generators G (0 alone when R = {0},
+    where G is empty): the signature of (a, lam) is the row
+    (a g + lam.g) over g in G, one mul_pairs over the (a, g) grid and one
+    broadcast add_pairs against the action's columns at G, O(n |K| |G|).
+    The signature is additive in the pair (right distributivity and
+    additivity in the scalar), so two signatures are equal exactly when
+    the difference of the pairs acts as zero on G, and so on R: when it
+    lies in N, and the pairs share a coset. A stable lexsort of the
+    signature rows lists each class in ascending pair index, so the first
+    of a class is its least member, and N is the class of the pair 0,
+    whose least member is 0.
 
     N is an ideal by the action axioms build_scalar_algebra proves. Let
     (a, lam) be in N, (b, mu) in the pair ring and x in R:
@@ -229,47 +232,20 @@ def compute_kernel_N(algebra: ScalarAlgebra, r1: StarRing) -> KernelN:
     * right absorption: (ba + lam.b + mu.a)x + (mu lam).x =
       b(ax + lam.x) + mu.(ax + lam.x) = 0, by (lam.b)x = lam.(bx) =
       b(lam.x).
-
-    So N is closed under +, and the coset walk of rings._greedy_span over
-    its members spans N and picks its generators, in O(|N| |G_N|).
     """
     R = algebra.ring
-    nr = R.order
-    gens = np.array(R.generators, dtype=np.int64)
+    nr, gens = R.order, np.array(R.generators or (0,), dtype=np.int64)
     a = np.repeat(np.arange(nr, dtype=np.int64), len(gens))
-    neg_ag = R.neg_vector()[R.mul_pairs(a, np.tile(gens, nr))].reshape(nr, 1, len(gens))
-    flags = (algebra.action[:, gens][None, :, :] == neg_ag).all(axis=2).ravel()
+    ag = R.mul_pairs(a, np.tile(gens, nr)).reshape(nr, 1, len(gens))
+    signature = R.add_pairs(ag, algebra.action[:, gens][None]).reshape(-1, len(gens))
+    order = np.lexsort(signature.T)
+    ranked = signature[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    rep_of_pair = np.empty_like(order)
+    rep_of_pair[order] = order[first][np.cumsum(first) - 1]
+    flags = rep_of_pair == 0
     flags.setflags(write=False)
-
-    n_gens = _greedy_span(r1.add_pairs, flags)[1]
-    return KernelN(flags=flags, size=int(np.count_nonzero(flags)), generators=tuple(n_gens))
-
-
-def _coset_minima(r1: StarRing, shifts) -> np.ndarray:
-    """The least pair index of x + H for every pair x, H the additive
-    subgroup the ``shifts`` generate, in O(|R1| sum of log ord g).
-
-    The minima over H are taken one generator g at a time. With ``step``
-    the map x -> x + g (one add_pairs), each round sets
-    rep = min(rep, rep[step]) and step = step[step], so that after k rounds
-    rep[x] is the least of the previous minima at x, x + g, ...,
-    x + (2^k - 1) g, and step is x -> x + 2^k g. A round that changes
-    nothing ends the generator: rep[x] <= rep[x + 2^k g] for every x then
-    gives rep[x] <= rep[x + j 2^k g] for every j, which with the 2^k
-    shifts already taken covers the whole orbit x + <g>. That round comes
-    once 2^k reaches the order of g, if not before."""
-    n = r1.order
-    pairs = np.arange(n, dtype=np.int64)
-    rep = pairs
-    for g in shifts:
-        step = r1.add_pairs(pairs, np.full(n, int(g), dtype=np.int64))
-        while True:
-            lower = np.minimum(rep, rep[step])
-            if np.array_equal(lower, rep):
-                break
-            rep = lower
-            step = step[step]
-    return rep
+    return KernelN(flags=flags, size=int(np.count_nonzero(flags)), rep_of_pair=rep_of_pair)
 
 
 def build_quotient(
@@ -283,36 +259,30 @@ def build_quotient(
     otherwise InvolutionNotWellDefined names the first u in N with u*
     outside N.
 
-    Each pair's coset representative, the least pair index in x + N, comes
-    from _coset_minima over N's generators: one add_pairs per generator g
-    and about log2(ord g) rounds of gathers, O(|R1| sum of log ord g) in
-    all. coset_of_pair is then the canonical map R1 -> R1/N, by
-    construction, so nothing audits it:
+    Each pair's coset representative, the least pair index in x + N,
+    comes from compute_kernel_N's signatures, and coset_of_pair is then
+    the canonical map R1 -> R1/N, by construction, so nothing audits it:
 
-    1. R1 is a ring (R and K are *-rings, and build_scalar_algebra proves
-       every action axiom), and N is an additive subgroup and an ideal of
-       it (compute_kernel_N's proof). So the span of N's generators is N.
-    2. _coset_minima sets rep(x) = min(x + N). So rep is constant on each
-       coset, and x - y in N gives coset(x) = coset(y); rep(x) lies in
-       x + N, so coset(x) = coset(y) gives x - y in N; and
-       rep(rep(x)) = rep(x), so each representative lies in its own
-       coset. For x in coset i and y in coset j, the ideal then holds
-       x + y - (reps[i] + reps[j]) and
+    1. Equal signatures <=> difference in N <=> same coset, and rep(x) is
+       the least member of the class of x. So rep is constant on each
+       coset, lies in it, and rep(rep(x)) = rep(x). R1 is a ring (R and K
+       are *-rings, and build_scalar_algebra proves every action axiom),
+       and N an ideal of it (compute_kernel_N's proof): for x in coset i
+       and y in coset j, it holds x + y - (reps[i] + reps[j]) and
        xy - reps[i] reps[j] = (x - reps[i]) y + reps[i] (y - reps[j]),
        so the quotient's operations, computed on representatives, hold
        for every member of every coset pair.
-    3. N* = N is checked first. So x* - rep(x)* = (x - rep(x))* lies in
+    2. N* = N is checked first. So x* - rep(x)* = (x - rep(x))* lies in
        N, and the coset of x* is the coset of rep(x)*.
     """
     r1 = build_R1(algebra, limits)
-    kern = compute_kernel_N(algebra, r1)
+    kern = compute_kernel_N(algebra)
     unstarred = kern.flags & ~kern.flags[r1.star_vector()]
     if unstarred.any():
         raise InvolutionNotWellDefined(r1.decode(int(np.argmax(unstarred))))
-    rep_of_pair = _coset_minima(r1, kern.generators)
-    distinct = flags_of(rep_of_pair, r1.order)
+    distinct = flags_of(kern.rep_of_pair, r1.order)
     reps = np.flatnonzero(distinct)
-    coset_of_pair = (np.cumsum(distinct) - 1)[rep_of_pair]
+    coset_of_pair = (np.cumsum(distinct) - 1)[kern.rep_of_pair]
     label = "unitified(%s over %s)" % (algebra.ring.label, algebra.scalars.label)
     qring = StarRing(
         _SectionBackend(r1, reps, coset_of_pair),

@@ -11,8 +11,7 @@ against the oracles across several blocks, on quotients over descriptor
 rings and over a ring given by its tables, and guard that no quotient scan goes back
 through ``mul_pairs``. The coset representatives themselves are pinned to
 the least member of each coset, computed member by member, and their
-search to a number of pair-ring sums logarithmic in the orders of N's
-generators.
+search to no pair-ring sum over every pair.
 """
 
 import gc
@@ -115,7 +114,7 @@ def test_lines_are_the_definitional_products(make, monkeypatch):
 
 def high_order_kernel():
     # sub(Z(4); 2) = {0, 2} over Z(64): N = {0, 2} x (even lam), |N| = 64,
-    # generated by (0, 2) of additive order 32 and (2, 0) of order 2
+    # with (0, 2) of additive order 32 among its members
     return build_scalar_algebra(cached_ring("sub(Z(4); 2)"), cached_ring("Z(64)"))
 
 
@@ -133,36 +132,30 @@ def test_representatives_are_the_least_members_of_their_cosets(make):
     assert np.array_equal(quot.reps, np.unique(least))
 
 
-def test_coset_minima_take_a_logarithmic_number_of_sums(monkeypatch):
-    # count the sums of every pair at once that build_quotient takes after
-    # N is known and until it returns: those that find each pair's
-    # representative (N's closure walk is not counted, nor the short sums
-    # of the quotient ring's own construction)
+def test_cosets_take_no_sum_of_every_pair(monkeypatch):
+    # each pair's coset is read off how it acts on R's generators, from R's
+    # products and the action: no sum of every pair at once is taken
+    # before the quotient ring exists, as a doubling or a walk along N
+    # would take them
     algebra = high_order_kernel()
     n1 = algebra.ring.order * algebra.scalars.order
-    calls, window = [], [False]
-    pair_sum = _PairBackend.add_pairs
+    sums, built = [], []
+    pair_sum, section = _PairBackend.add_pairs, unitify._SectionBackend
 
     def counted(self, u, v):
-        if window[0] and np.size(u) == n1:
-            calls.append(1)
+        if not built and np.size(u) == n1:
+            sums.append(1)
         return pair_sum(self, u, v)
 
-    def kernel(*args, **kwargs):
-        out = compute_kernel_N(*args, **kwargs)
-        window[0] = True
-        return out
+    def quotient_section(*args):
+        built.append(1)
+        return section(*args)
 
-    compute_kernel_N = unitify.compute_kernel_N
     monkeypatch.setattr(_PairBackend, "add_pairs", counted)
-    monkeypatch.setattr(unitify, "compute_kernel_N", kernel)
+    monkeypatch.setattr(unitify, "_SectionBackend", quotient_section)
     quot = build_quotient(algebra)
-    window[0] = False
-    gens = quot.kernel.generators
-    bound = sum(int(np.ceil(np.log2(oracles.o_additive_order(quot.r1, g)))) + 2 for g in gens)
-    assert (bound, quot.kernel.size, quot.r1.order) == (10, 64, n1)
-    # one shift of every pair per nonzero member would take 63
-    assert 0 < len(calls) <= bound
+    assert (built, quot.kernel.size, quot.r1.order) == ([1], 64, n1)
+    assert sums == []
 
 
 def test_representatives_with_nonzero_scalars_are_exercised():

@@ -128,7 +128,7 @@ class TestPairRing:
 class TestKernel:
     def test_unital_ring_kernel_members(self, z6, algebra_of):
         alg = algebra_of("Z(6)", "Z(6)")
-        kn = compute_kernel_N(alg, build_R1(alg))
+        kn = compute_kernel_N(alg)
         assert kn.size == 6
         assert not (kn.flags & ~kn.flags[build_R1(alg).star_vector()]).any()  # N* = N
         # members are exactly (-lam.1, lam)
@@ -137,7 +137,7 @@ class TestKernel:
 
     def test_zero_multiplication_kernel(self, algebra_of):
         alg = algebra_of("sub(Z(9); 3)", "Z(9)")
-        kn = compute_kernel_N(alg, build_R1(alg))
+        kn = compute_kernel_N(alg)
         # products vanish, so (a, lam) in N iff lam.x = 0 for all x, i.e.
         # lam in {0, 3, 6}; a is unconstrained
         assert set(np.flatnonzero(kn.flags).tolist()) == {
@@ -162,7 +162,7 @@ class TestKernel:
             ring = build_ring(parse_ring_expr(rt), limits)
             assert not ring.has_tables()
             alg = build_scalar_algebra(ring, cached_ring(kt))
-        kn = compute_kernel_N(alg, build_R1(alg))
+        kn = compute_kernel_N(alg)
         expected = oracles.o_kernel_N(alg.ring, alg.scalars, alg.act)
         assert set(np.flatnonzero(kn.flags).tolist()) == {
             a * alg.scalars.order + lam for (a, lam) in expected
@@ -171,7 +171,7 @@ class TestKernel:
     def test_kernel_size_is_scalar_order_for_unital_rings(self, algebra_of):
         for rt, kt in [("Z(6)", "Z(6)"), ("M(2,Z(3))", "Z(3)"), ("M(2,Z(3))", "Z(6)")]:
             alg = algebra_of(rt, kt)
-            assert compute_kernel_N(alg, build_R1(alg)).size == cached_ring(kt).order
+            assert compute_kernel_N(alg).size == cached_ring(kt).order
 
 
 class TestQuotient:
